@@ -26,7 +26,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
 		shards     = flag.Int("shards", 4, "independent shards (one tree + writer goroutine each)")
 		batch      = flag.Int("batch", 64, "max operations per group commit (1 = one FASE per op)")
-		delay      = flag.Duration("delay", 2*time.Millisecond, "max time a batch waits to fill")
 		pool       = flag.Int("pool-pages", 1<<13, "per-shard B+-tree page pool capacity")
 		policy     = flag.String("policy", "SC", "persistence policy: ER, LA, AT, SC, SC-offline, BEST")
 		duration   = flag.Duration("duration", 0, "serve for this long, then shut down gracefully (0 = until SIGINT/SIGTERM)")
@@ -36,7 +35,7 @@ func main() {
 		absorb     = flag.Bool("absorb", false, "logical write absorption: same-key batch coalescing plus the INCR/DECR counter accumulator in front of group commit")
 		absorbThr  = flag.Int("absorb-threshold", 0, "absorb: parked counter deltas that force an accumulator commit (0 = default)")
 		absorbDl   = flag.Duration("absorb-deadline", 0, "absorb: max time an acked counter delta may sit volatile (0 = default)")
-		adapt      = flag.Bool("adaptive", false, "online adaptive control plane: live MRC-driven cache, batch and pipeline sizing per shard (forces -policy SC-offline)")
+		adapt      = flag.Bool("adaptive", false, "online adaptive control plane: live MRC-driven cache and pipeline sizing per shard (forces -policy SC-offline)")
 		adaptEvery = flag.Duration("adaptive-interval", 100*time.Millisecond, "adaptive: decision period")
 		ckptEvery  = flag.Duration("checkpoint-interval", 0, "per-shard checkpoints: publish a consistent image and truncate the redo journal this often (0 = off)")
 		memBudget  = flag.Int("mem-budget", 0, "adaptive: cap on total write-cache lines across shards (0 = per-shard knee only)")
@@ -51,7 +50,6 @@ func main() {
 	opts := kv.DefaultOptions()
 	opts.Shards = *shards
 	opts.MaxBatch = *batch
-	opts.MaxDelay = *delay
 	opts.PoolPages = *pool
 	pk, err := parsePolicy(*policy)
 	if err != nil {
@@ -115,8 +113,8 @@ func serve(addr string, opts kv.Options, duration time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d delay<=%v policy=%v pipeline=%v absorb=%v heap=%dKiB)\n",
-		srv.Addr(), opts.Shards, opts.MaxBatch, opts.MaxDelay, opts.Policy,
+	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d policy=%v pipeline=%v absorb=%v heap=%dKiB)\n",
+		srv.Addr(), opts.Shards, opts.MaxBatch, opts.Policy,
 		opts.Pipeline.Enabled, opts.Absorb.Enabled, h.Size()/1024)
 
 	sig := make(chan os.Signal, 1)

@@ -34,8 +34,8 @@ func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool
 	if opts.MaxBatch <= 1 {
 		return fmt.Errorf("-selftest needs -batch > 1 to compare against the per-op baseline")
 	}
-	fmt.Printf("selftest: phase A: %d clients x %d PUTs, group commit (batch<=%d, delay<=%v), crash at ~50%% acked\n",
-		clients, ops, opts.MaxBatch, opts.MaxDelay)
+	fmt.Printf("selftest: phase A: %d clients x %d PUTs, group commit (batch<=%d), crash at ~50%% acked\n",
+		clients, ops, opts.MaxBatch)
 
 	// The failure is armed at the 50% mark and strikes *inside* the next
 	// commit FASE — after the batch's stores, before the commit — so the

@@ -2,7 +2,6 @@ package main
 
 import (
 	"testing"
-	"time"
 
 	"nvmcache/internal/kv"
 )
@@ -15,7 +14,6 @@ import (
 func TestSelfTestSmoke(t *testing.T) {
 	opts := kv.DefaultOptions()
 	opts.Shards = 2
-	opts.MaxDelay = time.Millisecond
 	if err := runSelfTest(opts, 2, 100, 42, false); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +27,6 @@ func TestSelfTestExhaustive(t *testing.T) {
 	}
 	opts := kv.DefaultOptions()
 	opts.Shards = 2
-	opts.MaxDelay = time.Millisecond
 	if err := runSelfTest(opts, 2, 100, 42, true); err != nil {
 		t.Fatal(err)
 	}

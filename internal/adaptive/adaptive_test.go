@@ -11,8 +11,6 @@ import (
 // fakeShard is an in-memory Shard for controller tests.
 type fakeShard struct {
 	cap      int
-	maxBatch int
-	maxDelay time.Duration
 	depth    int
 	absorbDl time.Duration
 	cnt      Counters
@@ -21,10 +19,6 @@ type fakeShard struct {
 
 func (f *fakeShard) CacheCapacity() int                { return f.cap }
 func (f *fakeShard) SetCacheCapacity(c int)            { f.cap = c; f.resizes++ }
-func (f *fakeShard) BatchBounds() (int, time.Duration) { return f.maxBatch, f.maxDelay }
-func (f *fakeShard) SetBatchBounds(mb int, md time.Duration) {
-	f.maxBatch, f.maxDelay = mb, md
-}
 func (f *fakeShard) PipeDepth() int                    { return f.depth }
 func (f *fakeShard) SetPipeDepth(d int)                { f.depth = d }
 func (f *fakeShard) AbsorbDeadline() time.Duration     { return f.absorbDl }
@@ -92,8 +86,8 @@ func TestControllerCapacityAndBudget(t *testing.T) {
 	cfg.MemBudget = 0
 	taps := []*Tap{NewTap(cfg.BurstLength, cfg.Hibernation), NewTap(cfg.BurstLength, cfg.Hibernation)}
 	shards := []Shard{
-		&fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond},
-		&fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond},
+		&fakeShard{cap: 8},
+		&fakeShard{cap: 8},
 	}
 	c := NewController(cfg, taps, shards)
 
@@ -121,8 +115,8 @@ func TestControllerCapacityAndBudget(t *testing.T) {
 	cfg2.MemBudget = want // both shards share what one knee asks for
 	taps2 := []*Tap{NewTap(cfg2.BurstLength, cfg2.Hibernation), NewTap(cfg2.BurstLength, cfg2.Hibernation)}
 	shards2 := []Shard{
-		&fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond},
-		&fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond},
+		&fakeShard{cap: 8},
+		&fakeShard{cap: 8},
 	}
 	c2 := NewController(cfg2, taps2, shards2)
 	for _, tap := range taps2 {
@@ -163,7 +157,7 @@ func TestControllerHysteresisHoldsSmallChanges(t *testing.T) {
 	cfg := testConfig()
 	cfg.Hysteresis = 0.5
 	tap := NewTap(cfg.BurstLength, cfg.Hibernation)
-	sh := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond}
+	sh := &fakeShard{cap: 8}
 	c := NewController(cfg, []*Tap{tap}, []Shard{sh})
 	feed(tap, hotLines(cfg.BurstLength, 24))
 	c.Tick()
@@ -179,34 +173,9 @@ func TestControllerHysteresisHoldsSmallChanges(t *testing.T) {
 	}
 }
 
-func TestControllerBatchAdaptation(t *testing.T) {
-	cfg := testConfig()
-	sh := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond}
-	tap := NewTap(cfg.BurstLength, cfg.Hibernation)
-	c := NewController(cfg, []*Tap{tap}, []Shard{sh})
-
-	// Full batches: the window is clipping → bounds double.
-	sh.cnt.Batches += 10
-	sh.cnt.BatchedOps += 10 * 64
-	c.Tick()
-	if sh.maxBatch != 128 || sh.maxDelay != 4*time.Millisecond {
-		t.Errorf("after full batches: bounds %d/%v, want 128/4ms", sh.maxBatch, sh.maxDelay)
-	}
-	// Near-empty batches: halve, bounded below.
-	for i := 0; i < 10; i++ {
-		sh.cnt.Batches += 100
-		sh.cnt.BatchedOps += 100 // mean 1 op/batch
-		c.Tick()
-	}
-	if sh.maxBatch != cfg.MinBatch || sh.maxDelay != cfg.MinDelay {
-		t.Errorf("after empty batches: bounds %d/%v, want %d/%v",
-			sh.maxBatch, sh.maxDelay, cfg.MinBatch, cfg.MinDelay)
-	}
-}
-
 func TestControllerDepthAdaptation(t *testing.T) {
 	cfg := testConfig()
-	sh := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond, depth: 256}
+	sh := &fakeShard{cap: 8, depth: 256}
 	tap := NewTap(cfg.BurstLength, cfg.Hibernation)
 	c := NewController(cfg, []*Tap{tap}, []Shard{sh})
 
@@ -223,7 +192,7 @@ func TestControllerDepthAdaptation(t *testing.T) {
 		t.Errorf("depth after quiet streak = %d, want 384", sh.depth)
 	}
 	// A shard without a pipeline is untouched.
-	sh2 := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond, depth: 0}
+	sh2 := &fakeShard{cap: 8, depth: 0}
 	c2 := NewController(cfg, []*Tap{NewTap(cfg.BurstLength, cfg.Hibernation)}, []Shard{sh2})
 	c2.Tick()
 	if sh2.depth != 0 {
@@ -233,7 +202,7 @@ func TestControllerDepthAdaptation(t *testing.T) {
 
 func TestControllerAbsorbAdaptation(t *testing.T) {
 	cfg := testConfig()
-	sh := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond, absorbDl: time.Millisecond}
+	sh := &fakeShard{cap: 8, absorbDl: time.Millisecond}
 	tap := NewTap(cfg.BurstLength, cfg.Hibernation)
 	c := NewController(cfg, []*Tap{tap}, []Shard{sh})
 
@@ -273,7 +242,7 @@ func TestControllerAbsorbAdaptation(t *testing.T) {
 
 	// Without counter traffic a low ratio must not lengthen the deadline
 	// (pure PUT/DEL load gains nothing from parking time).
-	sh2 := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond, absorbDl: time.Millisecond}
+	sh2 := &fakeShard{cap: 8, absorbDl: time.Millisecond}
 	c2 := NewController(cfg, []*Tap{NewTap(cfg.BurstLength, cfg.Hibernation)}, []Shard{sh2})
 	sh2.cnt.Committed += 100
 	c2.Tick()
@@ -281,7 +250,7 @@ func TestControllerAbsorbAdaptation(t *testing.T) {
 		t.Errorf("counter-free shard's deadline moved to %v", sh2.absorbDl)
 	}
 	// An absorption-off shard (deadline 0) is untouched.
-	sh3 := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond}
+	sh3 := &fakeShard{cap: 8}
 	c3 := NewController(cfg, []*Tap{NewTap(cfg.BurstLength, cfg.Hibernation)}, []Shard{sh3})
 	sh3.cnt.CounterOps += 100
 	sh3.cnt.Committed += 100
@@ -294,7 +263,7 @@ func TestControllerAbsorbAdaptation(t *testing.T) {
 func TestControllerStartStopIdempotent(t *testing.T) {
 	cfg := testConfig()
 	cfg.Interval = time.Millisecond
-	sh := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond}
+	sh := &fakeShard{cap: 8}
 	c := NewController(cfg, []*Tap{NewTap(64, 64)}, []Shard{sh})
 	c.Start()
 	c.Start()
@@ -306,7 +275,7 @@ func TestControllerStartStopIdempotent(t *testing.T) {
 func TestGauges(t *testing.T) {
 	cfg := testConfig()
 	tap := NewTap(cfg.BurstLength, cfg.Hibernation)
-	sh := &fakeShard{cap: 8, maxBatch: 64, maxDelay: 2 * time.Millisecond}
+	sh := &fakeShard{cap: 8}
 	c := NewController(cfg, []*Tap{tap}, []Shard{sh})
 	feed(tap, hotLines(cfg.BurstLength, 24))
 	c.Tick()

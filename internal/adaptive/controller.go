@@ -35,22 +35,15 @@ type Config struct {
 	// by sampling noise.
 	Hysteresis float64
 
-	// MinBatch/MaxBatch/MinDelay/MaxDelay bound the group-commit window
-	// adaptation: near-full batches double the bounds (absorption — the
-	// window is clipping), near-empty ones halve them (latency for no
-	// amortization win). MaxBatch 0 disables batch adaptation.
-	MinBatch, MaxBatch int
-	MinDelay, MaxDelay time.Duration
 	// MinDepth/MaxDepth bound the flush-pipeline depth adaptation:
 	// backpressure stalls double the depth, a stall-free streak decays it.
 	// The pipeline additionally clamps to its ring capacity. MaxDepth 0
 	// disables depth adaptation. Shards without a pipeline are unaffected.
 	MinDepth, MaxDepth int
 	// MinAbsorbDeadline/MaxAbsorbDeadline bound the absorption-deadline
-	// adaptation, the controller's fourth actuator: a low absorbed/committed
-	// ratio under counter traffic means parked ops commit before enough
-	// coalescing accrues (double the deadline, admitting more ack latency
-	// for more absorption); a high ratio means absorption saturates and the
+	// adaptation: a low absorbed/committed ratio under counter traffic means
+	// parked ops commit before enough coalescing accrues (double the
+	// deadline, admitting more ack latency for more absorption); a high ratio means absorption saturates and the
 	// deadline is shortened back toward MinAbsorbDeadline to cut deferred-ack
 	// latency. MaxAbsorbDeadline 0 disables the rule. Shards with absorption
 	// off are unaffected.
@@ -69,10 +62,6 @@ func DefaultConfig() Config {
 		Hibernation: 16384,
 		Alpha:       0.5,
 		Hysteresis:  0.25,
-		MinBatch:    8,
-		MaxBatch:    512,
-		MinDelay:    500 * time.Microsecond,
-		MaxDelay:    8 * time.Millisecond,
 		MinDepth:    64,
 		MaxDepth:    1024,
 
@@ -103,12 +92,6 @@ func (c Config) WithDefaults() Config {
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = d.Hysteresis
 	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = d.MinBatch
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = d.MinDelay
-	}
 	if c.MinDepth <= 0 {
 		c.MinDepth = d.MinDepth
 	}
@@ -121,13 +104,11 @@ func (c Config) WithDefaults() Config {
 // Shard is the control surface one engine shard exposes to the controller.
 // All methods must be safe to call from the controller goroutine while the
 // shard keeps serving: setters publish targets the shard applies at its
-// next safe point (the capacity at the next FASE end, the batch bounds at
-// the next gather), so getters may briefly lag a setter.
+// next safe point (the capacity at the next FASE end), so getters may
+// briefly lag a setter.
 type Shard interface {
 	CacheCapacity() int
 	SetCacheCapacity(capacity int)
-	BatchBounds() (maxBatch int, maxDelay time.Duration)
-	SetBatchBounds(maxBatch int, maxDelay time.Duration)
 	// PipeDepth returns the flush-pipeline backpressure bound, or 0 when
 	// the shard has no pipeline (SetPipeDepth is then a no-op).
 	PipeDepth() int
@@ -140,12 +121,9 @@ type Shard interface {
 	Counters() Counters
 }
 
-// Counters are the monotone observables the batch and depth rules diff
-// between ticks.
+// Counters are the monotone observables the depth and absorption rules
+// diff between ticks.
 type Counters struct {
-	// Batches/BatchedOps describe group-commit absorption: their ratio is
-	// the mean batch size over the tick.
-	Batches, BatchedOps uint64
 	// PipeStalls counts flush-pipeline backpressure events (mutator blocked
 	// on a full ring).
 	PipeStalls int64
@@ -169,8 +147,6 @@ type Decision struct {
 	// Miss is the blended profile's predicted miss ratio at Capacity;
 	// WorkingSet and Hotness are the profile scalars.
 	Miss, WorkingSet, Hotness float64
-	MaxBatch                  int
-	MaxDelay                  time.Duration
 	PipeDepth                 int
 	AbsorbDeadline            time.Duration
 	// Resized reports whether the decision actually requested a resize.
@@ -196,7 +172,7 @@ const maxDecisions = 4096
 // Controller drives the loop: every Interval it collects each tap's
 // completed burst (if any), folds it into the shard's EWMA profile, picks
 // a capacity (knee rule → memory budget → hysteresis) and retunes the
-// shard's batch bounds and pipeline depth from the counter deltas.
+// shard's pipeline depth and absorption deadline from the counter deltas.
 type Controller struct {
 	cfg    Config
 	taps   []*Tap
@@ -335,59 +311,12 @@ func (c *Controller) Tick() {
 				resized = true
 			}
 		}
-		batchChanged := c.adaptBatch(i, sh)
 		depthChanged := c.adaptDepth(i, sh)
 		absorbChanged := c.adaptAbsorb(i, sh)
-		if fresh[i] || resized || batchChanged || depthChanged || absorbChanged {
+		if fresh[i] || resized || depthChanged || absorbChanged {
 			c.record(i, sh, profiles[i], raw[i], resized)
 		}
 	}
-}
-
-// adaptBatch widens or tightens shard i's group-commit window from the
-// tick's absorption: a mean batch near the bound means the window is
-// clipping (double it, up to MaxBatch/MaxDelay); a near-empty mean means
-// the window only adds latency (halve it, down to MinBatch/MinDelay).
-func (c *Controller) adaptBatch(i int, sh Shard) bool {
-	if c.cfg.MaxBatch <= 0 {
-		return false
-	}
-	cnt := sh.Counters()
-	dBatches := cnt.Batches - c.prev[i].Batches
-	dOps := cnt.BatchedOps - c.prev[i].BatchedOps
-	c.prev[i].Batches, c.prev[i].BatchedOps = cnt.Batches, cnt.BatchedOps
-	if dBatches == 0 {
-		return false
-	}
-	mb, md := sh.BatchBounds()
-	if mb <= 0 {
-		return false
-	}
-	fill := float64(dOps) / float64(dBatches) / float64(mb)
-	nmb, nmd := mb, md
-	switch {
-	case fill > 0.5:
-		nmb, nmd = mb*2, md*2
-		if nmb > c.cfg.MaxBatch {
-			nmb = c.cfg.MaxBatch
-		}
-		if c.cfg.MaxDelay > 0 && nmd > c.cfg.MaxDelay {
-			nmd = c.cfg.MaxDelay
-		}
-	case fill < 0.125:
-		nmb, nmd = mb/2, md/2
-		if nmb < c.cfg.MinBatch {
-			nmb = c.cfg.MinBatch
-		}
-		if nmd < c.cfg.MinDelay {
-			nmd = c.cfg.MinDelay
-		}
-	}
-	if nmb == mb && nmd == md {
-		return false
-	}
-	sh.SetBatchBounds(nmb, nmd)
-	return true
 }
 
 // adaptDepth raises shard i's pipeline depth on backpressure and decays it
@@ -468,13 +397,10 @@ func (c *Controller) adaptAbsorb(i int, sh Shard) bool {
 
 // record appends one trajectory entry and updates the gauges.
 func (c *Controller) record(i int, sh Shard, p *locality.Profile, rawTarget int, resized bool) {
-	mb, md := sh.BatchBounds()
 	d := Decision{
 		Shard:          i,
 		Capacity:       c.want[i],
 		Target:         rawTarget,
-		MaxBatch:       mb,
-		MaxDelay:       md,
 		PipeDepth:      sh.PipeDepth(),
 		AbsorbDeadline: sh.AbsorbDeadline(),
 		Resized:        resized,

@@ -70,9 +70,15 @@ type StoreTap interface {
 // covered by the FASE's persistence guarantee (and by fault-injection
 // sites). CacheSize reports the capacity currently in effect and is safe
 // for concurrent readers; it lags a pending request by at most one FASE.
+// AdoptCapacity is the restart path: called on the owning thread before its
+// first store, it starts the cache at a capacity an earlier incarnation of
+// the thread already chose and drops the online sampler — the paper's
+// infinite-hibernation rule (one burst, one MRC analysis) carried across a
+// recovery.
 type CapacityControlled interface {
 	RequestCapacity(capacity int)
 	CacheSize() int
+	AdoptCapacity(capacity int)
 }
 
 // PolicyKind names the six persistence techniques of Section IV-A.

@@ -185,6 +185,17 @@ func (p *softCachePolicy) RequestCapacity(capacity int) {
 	p.pending.Store(int64(capacity))
 }
 
+// AdoptCapacity implements CapacityControlled: take over a capacity chosen
+// before a restart and stop sampling. InitialSize and ChosenSize both
+// report it; Adapted and AnalyzedWrites stay zero, because this
+// incarnation analyzed nothing.
+func (p *softCachePolicy) AdoptCapacity(capacity int) {
+	p.applyCapacity(capacity)
+	p.sampler = nil
+	p.report.InitialSize = p.cache.Capacity()
+	p.report.ChosenSize = p.cache.Capacity()
+}
+
 // CacheSize implements CapacityControlled: the capacity currently in
 // effect. Safe for concurrent readers.
 func (p *softCachePolicy) CacheSize() int { return int(p.capacity.Load()) }

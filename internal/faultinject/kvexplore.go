@@ -123,7 +123,6 @@ func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 	ko := kv.DefaultOptions()
 	ko.Shards = o.Shards
 	ko.MaxBatch = 4
-	ko.MaxDelay = 200 * time.Microsecond
 	ko.QueueDepth = 64
 	ko.PoolPages = 256
 	ko.LogEntries = 1 << 12
@@ -269,7 +268,7 @@ func applyOps(ops []kvOp, n int) map[uint64]uint64 {
 
 // kvSeqRun opens a fresh store under inj and issues the deterministic op
 // sequence one at a time — each op is its own single-request batch through
-// the full group-commit path (gather, FASE, commit, ack), which is what
+// the full group-commit path (submit, FASE, commit, ack), which is what
 // makes the site enumeration identical run to run. It returns the heap,
 // how many ops were acked, and errInjected if the armed site crashed the
 // store.
@@ -553,12 +552,11 @@ func ExploreKVRecovery(o KVOptions) (Report, error) {
 
 // randSchedule is one randomized run's sampled shape.
 type randSchedule struct {
-	maxBatch   int
-	maxDelayUS int
-	clients    int
-	opsPer     int
-	keysPer    int
-	target     int
+	maxBatch int
+	clients  int
+	opsPer   int
+	keysPer  int
+	target   int
 }
 
 // keyWrites tracks, for one key, the values issued in order and the index
@@ -599,11 +597,10 @@ func ExploreKVRandom(o KVOptions) (Report, error) {
 	}
 	for run := 0; run < o.Runs; run++ {
 		sched := randSchedule{
-			maxBatch:   1 + rng.IntN(8),
-			maxDelayUS: 50 + rng.IntN(200),
-			clients:    2 + rng.IntN(o.Clients),
-			opsPer:     6 + rng.IntN(10),
-			keysPer:    2 + rng.IntN(4),
+			maxBatch: 1 + rng.IntN(8),
+			clients:  2 + rng.IntN(o.Clients),
+			opsPer:   6 + rng.IntN(10),
+			keysPer:  2 + rng.IntN(4),
 		}
 		// A counting pass over the same schedule estimates the site space;
 		// the armed site is drawn a little beyond it so some runs
@@ -639,7 +636,6 @@ func ExploreKVRandom(o KVOptions) (Report, error) {
 func kvRandRun(o KVOptions, sched randSchedule, inj *Injector, workloadSeed uint64) (checks int, rrep atlas.RecoveryReport, err error) {
 	ko := o.storeOptions(inj)
 	ko.MaxBatch = sched.maxBatch
-	ko.MaxDelay = time.Duration(sched.maxDelayUS) * time.Microsecond
 	h := pmem.New(int(2 * kv.RecommendedHeapBytes(ko)))
 	st, err := kv.Open(h, ko)
 	if err != nil {

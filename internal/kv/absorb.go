@@ -50,18 +50,23 @@ type AbsorbConfig struct {
 	// commit. <=0 takes the default (64).
 	Threshold int
 	// Deadline bounds how long a counter op may stay parked (and so how
-	// long its ack may be deferred) before the accumulator commits. It
-	// rides the same machinery as MaxDelay; 0 takes MaxDelay. The adaptive
-	// controller retargets it at runtime as its fourth actuator.
+	// long its ack may be deferred) before the accumulator commits. <=0
+	// takes defaultAbsorbDeadline. The adaptive controller retargets it at
+	// runtime.
 	Deadline time.Duration
 }
 
-func (c AbsorbConfig) withDefaults(maxDelay time.Duration) AbsorbConfig {
+// defaultAbsorbDeadline is the park bound when AbsorbConfig.Deadline is
+// unset: long enough for a burst of counter ops to coalesce, short enough
+// that a lone deferred ack stays in the low milliseconds.
+const defaultAbsorbDeadline = 2 * time.Millisecond
+
+func (c AbsorbConfig) withDefaults() AbsorbConfig {
 	if c.Threshold <= 0 {
 		c.Threshold = 64
 	}
 	if c.Deadline <= 0 {
-		c.Deadline = maxDelay
+		c.Deadline = defaultAbsorbDeadline
 	}
 	return c
 }
@@ -93,7 +98,7 @@ type accumulator struct {
 	deltas  map[uint64]uint64 // key → net pending delta (wrapping)
 	order   []uint64          // keys in first-merge order (deterministic commits)
 	parked  []request         // counter requests awaiting the next commit
-	results []result          // serial results, index-aligned with parked
+	results []Result          // serial results, index-aligned with parked
 	opened  time.Time         // arrival of the oldest parked op
 }
 
@@ -108,7 +113,7 @@ func (a *accumulator) reset() {
 
 // park holds one counter request (and its precomputed result) until the
 // next accumulator commit.
-func (a *accumulator) park(r request, res result, d uint64) {
+func (a *accumulator) park(r request, res Result, d uint64) {
 	if a.deltas == nil {
 		a.deltas = make(map[uint64]uint64, 8)
 	}
@@ -137,7 +142,7 @@ type netWrite struct {
 // provably net-null, so there is nothing to persist.
 type commitPlan struct {
 	acks    []request
-	results []result
+	results []Result
 	writes  []netWrite
 	// fold reports that parked counter ops are acked by this commit (the
 	// AbsorbAck boundary applies).
@@ -214,7 +219,7 @@ func (sh *shard) planCommit(batch []request, force bool) *commitPlan {
 	for i := range batch {
 		r := batch[i]
 		switch r.op {
-		case opPut:
+		case OpPut:
 			s := look(r.k)
 			if _, pend := sh.acc.deltas[r.k]; pend {
 				conflict = true
@@ -224,8 +229,8 @@ func (sh *shard) planCommit(batch []request, force bool) *commitPlan {
 			}
 			sim[r.k] = simState{present: true, val: r.v, written: true}
 			plan.acks = append(plan.acks, r)
-			plan.results = append(plan.results, result{})
-		case opDel:
+			plan.results = append(plan.results, Result{})
+		case OpDel:
 			s := look(r.k)
 			if _, pend := sh.acc.deltas[r.k]; pend {
 				conflict = true
@@ -235,7 +240,7 @@ func (sh *shard) planCommit(batch []request, force bool) *commitPlan {
 			}
 			sim[r.k] = simState{written: true}
 			plan.acks = append(plan.acks, r)
-			plan.results = append(plan.results, result{found: s.present})
+			plan.results = append(plan.results, Result{Found: s.present})
 		case opPuts:
 			// A batched put is its pairs applied in order: each pair
 			// coalesces exactly as a lone PUT would, but the request acks
@@ -251,11 +256,11 @@ func (sh *shard) planCommit(batch []request, force bool) *commitPlan {
 				sim[p.K] = simState{present: true, val: p.V, written: true}
 			}
 			plan.acks = append(plan.acks, r)
-			plan.results = append(plan.results, result{})
-		case opIncr, opDecr:
+			plan.results = append(plan.results, Result{})
+		case OpIncr, OpDecr:
 			sh.absorbHook(AbsorbMerge)
 			d := r.v
-			if r.op == opDecr {
+			if r.op == OpDecr {
 				d = -d
 			}
 			s := look(r.k)
@@ -263,7 +268,7 @@ func (sh *shard) planCommit(batch []request, force bool) *commitPlan {
 			if !s.present {
 				nv = d
 			}
-			res := result{val: nv}
+			res := Result{Val: nv}
 			if s.written {
 				// Ordered after a write of this batch: the counter op
 				// commits (and acks) with the batch, folded into the
@@ -341,9 +346,7 @@ func (sh *shard) nackParked(err error) {
 	if sh.acc.pending() == 0 {
 		return
 	}
-	for i := range sh.acc.parked {
-		sh.acc.parked[i].done <- result{err: err}
-	}
+	nackAll(sh.acc.parked, err)
 	sh.acc.reset()
 }
 
@@ -394,8 +397,6 @@ func (sh *shard) finishAbsorbed(plan *commitPlan) (crashed bool) {
 	sh.noteOps(plan.acks)
 	sh.batchedOps.Add(logical)
 	sh.absorbed.Add(logical)
-	for i := range plan.acks {
-		plan.acks[i].done <- plan.results[i]
-	}
+	ackAll(plan.acks, plan.results)
 	return false
 }

@@ -14,7 +14,6 @@ import (
 func TestAbsorbIncrDecrBasic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 2
-	opts.MaxDelay = time.Millisecond
 	opts.Absorb = AbsorbConfig{Enabled: true, Threshold: 64, Deadline: 2 * time.Millisecond}
 	s := newStore(t, opts)
 
@@ -197,7 +196,6 @@ func TestAbsorbDifferentialOracle(t *testing.T) {
 	mk := func(absorb bool) *Store {
 		opts := DefaultOptions()
 		opts.Shards = 2
-		opts.MaxDelay = 200 * time.Microsecond
 		opts.Absorb = AbsorbConfig{Enabled: absorb, Threshold: 4, Deadline: time.Millisecond}
 		return newStore(t, opts)
 	}
@@ -304,7 +302,6 @@ func TestAbsorbDifferentialOracle(t *testing.T) {
 func TestAbsorbOffCountersStillWork(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.MaxDelay = time.Millisecond
 	s := newStore(t, opts)
 	defer s.Close()
 	if v, err := s.Incr(3, 10); err != nil || v != 10 {

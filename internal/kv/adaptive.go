@@ -9,9 +9,10 @@ import (
 
 // shardControl adapts one shard to the adaptive.Shard control surface. All
 // methods publish targets the shard applies at its next safe point — the
-// capacity at the next FASE end (core.CapacityControlled), the batch bounds
-// at the next gather (atomics), the pipeline depth immediately under the
-// pipeline's own lock — so the controller never touches writer-owned state.
+// capacity at the next FASE end (core.CapacityControlled), the pipeline
+// depth immediately under the pipeline's own lock, the absorption deadline
+// at the writer's next timer arm — so the controller never touches
+// writer-owned state.
 type shardControl struct {
 	sh *shard
 }
@@ -27,21 +28,6 @@ func (sc *shardControl) SetCacheCapacity(capacity int) {
 	if cc, ok := sc.sh.th.Policy().(core.CapacityControlled); ok {
 		cc.RequestCapacity(capacity)
 	}
-}
-
-func (sc *shardControl) BatchBounds() (int, time.Duration) {
-	return int(sc.sh.maxBatch.Load()), time.Duration(sc.sh.maxDelayNs.Load())
-}
-
-func (sc *shardControl) SetBatchBounds(maxBatch int, maxDelay time.Duration) {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	if maxDelay < 0 {
-		maxDelay = 0
-	}
-	sc.sh.maxBatch.Store(int64(maxBatch))
-	sc.sh.maxDelayNs.Store(int64(maxDelay))
 }
 
 func (sc *shardControl) PipeDepth() int {
@@ -73,8 +59,6 @@ func (sc *shardControl) SetAbsorbDeadline(d time.Duration) {
 
 func (sc *shardControl) Counters() adaptive.Counters {
 	return adaptive.Counters{
-		Batches:    sc.sh.batches.Load(),
-		BatchedOps: sc.sh.batchedOps.Load(),
 		PipeStalls: sc.sh.pipeStalls.Load(),
 		Absorbed:   sc.sh.absorbed.Load(),
 		Committed:  sc.sh.committed.Load(),

@@ -15,7 +15,6 @@ import (
 func adaptiveOptions() Options {
 	opts := DefaultOptions()
 	opts.Shards = 2
-	opts.MaxDelay = 200 * time.Microsecond
 	opts.Adaptive = adaptive.Config{
 		Enabled:     true,
 		Interval:    2 * time.Millisecond,

@@ -2,13 +2,11 @@ package kv
 
 import (
 	"testing"
-	"time"
 )
 
 func TestPutBatchGetBatch(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 4
-	opts.MaxDelay = time.Millisecond
 	s := newStore(t, opts)
 	defer s.Close()
 

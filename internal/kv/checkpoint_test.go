@@ -16,7 +16,6 @@ func ckptOptions() Options {
 	o := DefaultOptions()
 	o.Shards = 2
 	o.MaxBatch = 4
-	o.MaxDelay = 200 * time.Microsecond
 	o.PoolPages = 256
 	o.LogEntries = 1 << 12
 	o.Checkpoint = CheckpointConfig{

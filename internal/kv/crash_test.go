@@ -17,7 +17,6 @@ func TestCrashMidFASEZeroAckedLoss(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 4
 	opts.MaxBatch = 16
-	opts.MaxDelay = time.Millisecond
 	opts.CrashBeforeCommit = func(shard, batch, size int) bool {
 		return shard == 0 && batch >= 2
 	}
@@ -107,7 +106,6 @@ func TestExternalCrash(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 2
 	opts.MaxBatch = 8
-	opts.MaxDelay = time.Millisecond
 	h := pmem.New(int(RecommendedHeapBytes(opts)))
 	s, err := Open(h, opts)
 	if err != nil {

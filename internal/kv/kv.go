@@ -7,9 +7,16 @@
 // flushes of the same line *within* a FASE, the batch writer combines
 // whole operations *into* one FASE, so the root-to-leaf page copies of a
 // B+-tree update are paid once per batch instead of once per operation and
-// the FASE-end drain is amortized over the batch. Requesters are acked
-// only after the commit's flush completes, so an acked write survives any
-// crash (see Crash and Recover).
+// the FASE-end drain is amortized over the batch. Batches form naturally:
+// the writer commits whatever is queued the moment it is free, so requests
+// arriving during a commit share the next one and a lone request waits for
+// nothing. Requesters are acked only after the commit's flush completes, so
+// an acked write survives any crash (see Crash and Recover).
+//
+// Every mutation is a Submit (enqueue, returns at once) and a Wait on a
+// caller-owned, reusable Ticket; Put, Delete, Incr, Decr and PutBatch are
+// that pair back to back. A caller that keeps many tickets in flight — a
+// connection's pipelined window — gets them committed together.
 //
 // Reads never enter the writer queue: they are snapshot reads against the
 // last committed root, published atomically by the writer. Superseded
@@ -24,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nvmcache/internal/adaptive"
 	"nvmcache/internal/atlas"
@@ -49,12 +55,10 @@ type Options struct {
 	// Shards is the number of independent engines (trees, writer
 	// goroutines). Keys are routed by ShardIndex.
 	Shards int
-	// MaxBatch bounds how many requests one commit may absorb; 1 disables
-	// group commit (every operation is its own FASE).
+	// MaxBatch bounds how many operations one commit may absorb — the static
+	// FASE-size bound LogEntries is sized for; 1 disables group commit
+	// (every operation is its own FASE).
 	MaxBatch int
-	// MaxDelay bounds how long the writer waits for a batch to fill once
-	// its first request has arrived.
-	MaxDelay time.Duration
 	// QueueDepth is the per-shard request channel capacity.
 	QueueDepth int
 	// PoolPages is the per-shard B+-tree page pool capacity.
@@ -136,7 +140,6 @@ func DefaultOptions() Options {
 	return Options{
 		Shards:     4,
 		MaxBatch:   64,
-		MaxDelay:   2 * time.Millisecond,
 		QueueDepth: 256,
 		PoolPages:  1 << 13,
 		LogEntries: 1 << 14,
@@ -153,9 +156,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = d.MaxBatch
 	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = d.MaxDelay
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = d.QueueDepth
 	}
@@ -169,7 +169,7 @@ func (o Options) withDefaults() Options {
 		o.Adaptive = o.Adaptive.WithDefaults()
 		o.Policy = core.SoftCacheOffline
 	}
-	o.Absorb = o.Absorb.withDefaults(o.MaxDelay)
+	o.Absorb = o.Absorb.withDefaults()
 	o.Checkpoint = o.Checkpoint.withDefaults(o.PoolPages, o.MaxBatch)
 	return o
 }
@@ -189,7 +189,7 @@ func RecommendedHeapBytes(o Options) uint64 {
 	total := uint64(o.Shards) * perShard
 	restarts := uint64(4) // undo logs re-allocated per recovery
 	total += restarts * uint64(o.Shards) * logs * (16*uint64(o.LogEntries) + 64)
-	total += 64 + 8*uint64(o.Shards) + 1<<14 // directory + registry + slack
+	total += dirBytes(o.Shards) + 64 + 1<<14 // directory + registry + slack
 	if c := o.Checkpoint; c.Enabled {
 		perShard := pmem.CheckpointRegionSize(16*uint64(c.MaxPairs)) +
 			jrnHdr + jrnEntrySize*uint64(c.JournalOps) + 128
@@ -254,8 +254,9 @@ func runtimeOptions(o Options, taps []*adaptive.Tap) atlas.Options {
 }
 
 // Open creates a new store in an empty heap: a shard directory (shard
-// count plus each shard's mdb meta address) becomes the heap root, so
-// Recover can reattach after a restart.
+// count, each shard's mdb meta address, and each shard's advisory
+// cache-capacity word — see capacity.go) becomes the heap root, so Recover
+// can reattach after a restart.
 func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if heap.Root() != 0 {
@@ -263,7 +264,7 @@ func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 	}
 	taps := initAdaptive(opts)
 	rt := atlas.NewRuntime(heap, runtimeOptions(opts, taps))
-	dir, err := heap.AllocLines(uint64(8 + 8*opts.Shards))
+	dir, err := heap.AllocLines(dirBytes(opts.Shards))
 	if err != nil {
 		return nil, fmt.Errorf("kv: allocating shard directory: %w", err)
 	}
@@ -280,9 +281,9 @@ func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("kv: shard %d: %w", i, err)
 		}
 		heap.WriteUint64(dir+8+8*uint64(i), db.MetaAddr())
-		s.shards = append(s.shards, newShard(s, i, th, db))
+		s.shards = append(s.shards, newShard(s, i, th, db, openCapSlot(heap, dir, opts, i, th.Policy(), false)))
 	}
-	heap.Persist(dir, uint64(8+8*opts.Shards))
+	heap.Persist(dir, dirBytes(opts.Shards))
 	heap.SetRoot(dir)
 	if opts.Checkpoint.Enabled {
 		// Fresh store: the journal covers the whole (empty) history, so the
@@ -378,11 +379,13 @@ func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error
 		crashCh: make(chan struct{}), crashDone: make(chan struct{})}
 	ths := make([]*atlas.Thread, opts.Shards)
 	dbs := make([]*mdb.DB, opts.Shards)
+	caps := make([]capSlot, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
 		th, err := rt.NewThread()
 		if err != nil {
 			return nil, rep, fmt.Errorf("kv: shard %d: %w", i, err)
 		}
+		caps[i] = openCapSlot(heap, dir, opts, i, th.Policy(), true)
 		db, err := mdb.Attach(th, heap.ReadUint64(dir+8+8*uint64(i)))
 		if err != nil {
 			return nil, rep, fmt.Errorf("kv: shard %d: %w", i, err)
@@ -474,7 +477,7 @@ func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error
 	}
 
 	for i := 0; i < opts.Shards; i++ {
-		sh := newShard(s, i, ths[i], dbs[i])
+		sh := newShard(s, i, ths[i], dbs[i], caps[i])
 		if cks != nil {
 			sh.ckpt = cks[i]
 		}
@@ -527,54 +530,108 @@ func (s *Store) enqueue(sh *shard, r request) error {
 	}
 }
 
-func (s *Store) await(done chan result) (result, error) {
-	select {
-	case res := <-done:
-		return res, nil
-	case <-s.crashCh:
-		// Wait for the crash to take full effect: by then every batch that
-		// committed before the failure has delivered its acks and every
-		// abandoned request has been nacked, so a missing result here
-		// firmly means the operation did not commit.
-		<-s.crashDone
-		select {
-		case res := <-done:
-			return res, nil
-		default:
-			return result{}, ErrCrashed
+// Submit enqueues one single-key mutation on its shard's writer queue and
+// returns without waiting for the commit; the outcome arrives through
+// t.Wait. For OpPut v is the value, for OpIncr/OpDecr the delta, for OpDel
+// it is ignored. Submit blocks only while the shard's queue is full, and
+// never fails on its own: a store that is closed or has crashed completes
+// the ticket with ErrClosed or ErrCrashed. Mutations submitted to one shard
+// by one goroutine commit in submission order.
+func (s *Store) Submit(t *Ticket, op Op, k, v uint64) {
+	t.arm(1)
+	sh := s.shards[ShardIndex(k, len(s.shards))]
+	if err := s.enqueue(sh, request{op: op, k: k, v: v, t: t}); err != nil {
+		t.complete(Result{Err: err})
+	}
+}
+
+// SubmitBatch is Submit for a batch of puts (the wire protocol's MPUT): the
+// pairs are grouped by shard — copied into the ticket, so the caller may
+// reuse pairs at once — and enqueued as one request per shard touched, so
+// the whole batch costs one enqueue and one ack per shard instead of one
+// per pair. Pairs routed to the same shard apply in slice order (a later
+// duplicate key wins); ordering across shards is unspecified, as for
+// concurrent Puts. Wait returns once every shard's part has committed and
+// flushed, with the first error if any part failed: a prefix of the shard
+// groups may then have committed — individual pairs are still atomic, the
+// batch as a whole is not.
+func (s *Store) SubmitBatch(t *Ticket, pairs []Pair) {
+	switch len(pairs) {
+	case 0:
+		t.arm(1)
+		t.complete(Result{})
+		return
+	case 1:
+		s.Submit(t, OpPut, pairs[0].K, pairs[0].V)
+		return
+	}
+	ns := len(s.shards)
+	var countsArr, offsArr [getBatchShards]int
+	counts, offs := countsArr[:], offsArr[:]
+	if ns > getBatchShards {
+		counts, offs = make([]int, ns), make([]int, ns)
+	}
+	// Counting-sort the pairs into one shard-grouped backing slice; each
+	// shard's request aliases its contiguous run.
+	for i := range pairs {
+		counts[ShardIndex(pairs[i].K, ns)]++
+	}
+	sum, touched := 0, 0
+	for i := 0; i < ns; i++ {
+		offs[i] = sum
+		sum += counts[i]
+		if counts[i] > 0 {
+			touched++
 		}
 	}
+	if cap(t.grouped) < len(pairs) {
+		t.grouped = make([]Pair, len(pairs))
+	}
+	grouped := t.grouped[:len(pairs)]
+	for i := range pairs {
+		si := ShardIndex(pairs[i].K, ns)
+		grouped[offs[si]] = pairs[i]
+		offs[si]++
+	}
+	t.arm(touched)
+	for i := 0; i < ns; i++ {
+		if counts[i] == 0 {
+			continue
+		}
+		// offs[i] has advanced to the end of shard i's run.
+		r := request{op: opPuts, pairs: grouped[offs[i]-counts[i] : offs[i]], t: t}
+		if err := s.enqueue(s.shards[i], r); err != nil {
+			t.complete(Result{Err: err})
+		}
+	}
+}
+
+// tickets recycles the tickets behind the blocking calls below.
+var tickets = sync.Pool{New: func() any { return new(Ticket) }}
+
+// await is Wait for a pooled ticket, which goes back to the pool.
+func await(t *Ticket) Result {
+	res := t.Wait()
+	tickets.Put(t)
+	return res
+}
+
+func (s *Store) do(op Op, k, v uint64) Result {
+	t := tickets.Get().(*Ticket)
+	s.Submit(t, op, k, v)
+	return await(t)
 }
 
 // Put durably stores k→v. It returns nil only after the batch containing
 // the write has committed and its flushes completed — an acked Put
 // survives any crash.
-func (s *Store) Put(k, v uint64) error {
-	sh := s.shards[ShardIndex(k, len(s.shards))]
-	r := request{op: opPut, k: k, v: v, done: make(chan result, 1)}
-	if err := s.enqueue(sh, r); err != nil {
-		return err
-	}
-	res, err := s.await(r.done)
-	if err != nil {
-		return err
-	}
-	return res.err
-}
+func (s *Store) Put(k, v uint64) error { return s.do(OpPut, k, v).Err }
 
 // Delete durably removes k, reporting whether it was present. The same
 // ack-after-flush guarantee as Put applies.
 func (s *Store) Delete(k uint64) (bool, error) {
-	sh := s.shards[ShardIndex(k, len(s.shards))]
-	r := request{op: opDel, k: k, done: make(chan result, 1)}
-	if err := s.enqueue(sh, r); err != nil {
-		return false, err
-	}
-	res, err := s.await(r.done)
-	if err != nil {
-		return false, err
-	}
-	return res.found, res.err
+	res := s.do(OpDel, k, 0)
+	return res.Found, res.Err
 }
 
 // Incr durably adds d to k (wrapping uint64 arithmetic; a missing key
@@ -583,95 +640,30 @@ func (s *Store) Delete(k uint64) (bool, error) {
 // so the return — may be deferred until the shard's accumulator commits
 // the key's net delta (threshold or deadline); the durability contract is
 // unchanged: a returned Incr survives any crash.
-func (s *Store) Incr(k, d uint64) (uint64, error) { return s.counterOp(opIncr, k, d) }
+func (s *Store) Incr(k, d uint64) (uint64, error) {
+	res := s.do(OpIncr, k, d)
+	return res.Val, res.Err
+}
 
 // Decr durably subtracts d from k (wrapping; a missing key counts from
 // zero) and returns the post-decrement value, with Incr's ack semantics.
-func (s *Store) Decr(k, d uint64) (uint64, error) { return s.counterOp(opDecr, k, d) }
-
-func (s *Store) counterOp(op opKind, k, d uint64) (uint64, error) {
-	sh := s.shards[ShardIndex(k, len(s.shards))]
-	r := request{op: op, k: k, v: d, done: make(chan result, 1)}
-	if err := s.enqueue(sh, r); err != nil {
-		return 0, err
-	}
-	res, err := s.await(r.done)
-	if err != nil {
-		return 0, err
-	}
-	return res.val, res.err
+func (s *Store) Decr(k, d uint64) (uint64, error) {
+	res := s.do(OpDecr, k, d)
+	return res.Val, res.Err
 }
 
-// PutBatch durably stores every pair, grouping the pairs by shard so the
-// whole batch costs one writer-queue enqueue (and one ack) per shard
-// touched instead of one per pair — the wire protocol's MPUT rides this.
-// Pairs routed to the same shard apply in slice order (a later duplicate
-// key wins); ordering across shards is unspecified, as for concurrent
-// Puts. It returns nil only after every pair's batch has committed and
-// flushed: an acked PutBatch survives any crash in full. On error, a
-// prefix of the shard groups may have committed — individual pairs are
-// still atomic, the batch as a whole is not.
+// PutBatch durably stores every pair: SubmitBatch and Wait. It returns nil
+// only after every pair's batch has committed and flushed — an acked
+// PutBatch survives any crash in full.
 func (s *Store) PutBatch(pairs []Pair) error {
-	switch len(pairs) {
-	case 0:
-		return nil
-	case 1:
-		return s.Put(pairs[0].K, pairs[0].V)
-	}
-	ns := len(s.shards)
-	// Counting-sort the pairs into one shard-grouped backing slice; each
-	// shard's request aliases its contiguous run.
-	counts := make([]int, ns)
-	for i := range pairs {
-		counts[ShardIndex(pairs[i].K, ns)]++
-	}
-	offs := make([]int, ns)
-	sum, touched := 0, 0
-	for i, c := range counts {
-		offs[i] = sum
-		sum += c
-		if c > 0 {
-			touched++
-		}
-	}
-	grouped := make([]Pair, len(pairs))
-	fill := make([]int, ns)
-	copy(fill, offs)
-	for i := range pairs {
-		si := ShardIndex(pairs[i].K, ns)
-		grouped[fill[si]] = pairs[i]
-		fill[si]++
-	}
-	// One buffered done channel shared by every shard request: writers
-	// never block on it even if we bail out early on an enqueue error.
-	done := make(chan result, touched)
-	sent := 0
-	var firstErr error
-	for i := 0; i < ns; i++ {
-		if counts[i] == 0 {
-			continue
-		}
-		r := request{op: opPuts, pairs: grouped[offs[i] : offs[i]+counts[i]], done: done}
-		if err := s.enqueue(s.shards[i], r); err != nil {
-			firstErr = err
-			break
-		}
-		sent++
-	}
-	for j := 0; j < sent; j++ {
-		res, err := s.await(done)
-		if err == nil {
-			err = res.err
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	t := tickets.Get().(*Ticket)
+	s.SubmitBatch(t, pairs)
+	return await(t).Err
 }
 
-// getBatchShards bounds the stack-allocated snapshot bookkeeping in
-// GetBatch; stores with more shards fall back to heap slices.
+// getBatchShards bounds the stack-allocated per-shard bookkeeping in
+// GetBatch and SubmitBatch; stores with more shards fall back to heap
+// slices.
 const getBatchShards = 64
 
 // GetBatch reads keys[i] into vals[i] and found[i] (both must be at
@@ -887,7 +879,7 @@ func (s *Store) initiateCrash(except *shard) error {
 		for {
 			select {
 			case r := <-sh.ch:
-				r.done <- result{err: ErrCrashed}
+				r.t.complete(Result{Err: ErrCrashed})
 				continue
 			default:
 			}

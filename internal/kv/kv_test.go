@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"nvmcache/internal/mdb"
 	"nvmcache/internal/pmem"
@@ -24,7 +23,6 @@ func newStore(t *testing.T, opts Options) *Store {
 func TestPutGetDeleteAcrossShards(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 4
-	opts.MaxDelay = time.Millisecond
 	s := newStore(t, opts)
 	const n = 500
 	var wg sync.WaitGroup
@@ -89,53 +87,70 @@ func TestPutGetDeleteAcrossShards(t *testing.T) {
 	}
 }
 
+// TestGroupCommitMaxBatchBound: however deep the queue behind a commit
+// gets, no FASE absorbs more than MaxBatch operations, and queued requests
+// do share commits (batches form behind the one in progress, not on a
+// timer).
 func TestGroupCommitMaxBatchBound(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 1
 	opts.MaxBatch = 8
-	opts.MaxDelay = time.Hour // only the size bound may trigger
+	var mu sync.Mutex
+	var sizes []int
+	opts.CrashBeforeCommit = func(shard, batch, size int) bool {
+		mu.Lock()
+		sizes = append(sizes, size)
+		mu.Unlock()
+		return false
+	}
 	s := newStore(t, opts)
 	defer s.Close()
-	const n = 16 // exactly two full batches
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(k uint64) {
-			defer wg.Done()
-			if err := s.Put(k, k); err != nil {
-				t.Errorf("put %d: %v", k, err)
-			}
-		}(uint64(i))
+	const n = 200
+	tickets := make([]Ticket, n)
+	for i := range tickets {
+		s.Submit(&tickets[i], OpPut, uint64(i), uint64(i))
 	}
-	wg.Wait() // acks arrived without any timer or shutdown: size-triggered
+	for i := range tickets {
+		if res := tickets[i].Wait(); res.Err != nil {
+			t.Fatalf("put %d: %v", i, res.Err)
+		}
+	}
 	st := s.Stats()[0]
-	if st.Batches != 2 || st.BatchedOps != n {
-		t.Fatalf("want 2 full batches of 8, got batches=%d ops=%d", st.Batches, st.BatchedOps)
+	if st.BatchedOps != n {
+		t.Fatalf("committed %d ops, want %d", st.BatchedOps, n)
 	}
-	if st.AvgBatch() != 8 {
-		t.Fatalf("avg batch %.2f, want 8", st.AvgBatch())
+	if st.Batches < uint64(n/opts.MaxBatch) {
+		t.Fatalf("%d batches for %d ops: some batch exceeded MaxBatch=%d", st.Batches, n, opts.MaxBatch)
+	}
+	if st.Batches >= n {
+		t.Fatalf("%d batches for %d queued ops: nothing shared a commit", st.Batches, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, size := range sizes {
+		if size > opts.MaxBatch {
+			t.Fatalf("batch %d absorbed %d requests, bound is %d", i, size, opts.MaxBatch)
+		}
 	}
 }
 
-func TestGroupCommitMaxDelayBound(t *testing.T) {
+// TestLonePutPaysNoDelay: a request that finds its shard idle commits at
+// once, alone — no batch-fill wait stands between it and its FASE.
+func TestLonePutPaysNoDelay(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.MaxBatch = 1 << 20 // unreachable: only the latency bound may trigger
-	opts.MaxDelay = 20 * time.Millisecond
 	s := newStore(t, opts)
 	defer s.Close()
-	start := time.Now()
-	if err := s.Put(1, 10); err != nil { // a lone request can never fill a batch
-		t.Fatal(err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("latency-bound commit took %v", waited)
+	for k := uint64(0); k < 8; k++ {
+		if err := s.Put(k, k+10); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := s.Stats()[0]
-	if st.Batches != 1 || st.BatchedOps != 1 {
-		t.Fatalf("stats after lone put: %+v", st)
+	if st.Batches != 8 || st.BatchedOps != 8 {
+		t.Fatalf("8 sequential puts committed as %d batches / %d ops, want 8/8", st.Batches, st.BatchedOps)
 	}
-	if v, ok, _ := s.Get(1); !ok || v != 10 {
+	if v, ok, _ := s.Get(1); !ok || v != 11 {
 		t.Fatalf("Get(1) = %d,%v", v, ok)
 	}
 }
@@ -162,7 +177,6 @@ func TestShardRoutingDeterminism(t *testing.T) {
 	// The store routes with the same function it exports.
 	opts := DefaultOptions()
 	opts.Shards = 4
-	opts.MaxDelay = time.Millisecond
 	s := newStore(t, opts)
 	defer s.Close()
 	perShard := make([]uint64, 4)
@@ -182,33 +196,24 @@ func TestShardRoutingDeterminism(t *testing.T) {
 	}
 }
 
+// TestGracefulShutdownDrainsPending: everything submitted before Close is
+// committed and acked by it, however much of it was still queued.
 func TestGracefulShutdownDrainsPending(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 2
-	opts.MaxBatch = 1 << 20
-	opts.MaxDelay = time.Hour // nothing commits until shutdown
+	opts.MaxBatch = 4
 	s := newStore(t, opts)
-	const n = 40
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(k uint64) {
-			defer wg.Done()
-			errs[k] = s.Put(k, k+100)
-		}(uint64(i))
-	}
-	time.Sleep(300 * time.Millisecond) // let every request reach its shard queue
-	if st := Totals(s.Stats()); st.Batches != 0 {
-		t.Fatalf("batches committed before shutdown: %+v", st)
+	const n = 200
+	tickets := make([]Ticket, n)
+	for i := range tickets {
+		s.Submit(&tickets[i], OpPut, uint64(i), uint64(i)+100)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("pending put %d not drained: %v", i, err)
+	for i := range tickets {
+		if res := tickets[i].Wait(); res.Err != nil {
+			t.Fatalf("pending put %d not drained: %v", i, res.Err)
 		}
 	}
 	for k := uint64(0); k < n; k++ {
@@ -229,7 +234,6 @@ func TestPoolExhaustionShedsBatchAndKeepsServing(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 1
 	opts.PoolPages = 64 // tiny: exhausts mid-run
-	opts.MaxDelay = time.Millisecond
 	s := newStore(t, opts)
 	defer s.Close()
 	var exhausted error

@@ -13,7 +13,6 @@ import (
 func pipelineOptions() Options {
 	opts := DefaultOptions()
 	opts.Shards = 4
-	opts.MaxDelay = time.Millisecond
 	opts.Pipeline = core.PipelineConfig{Enabled: true, Depth: 128, BatchSize: 16}
 	return opts
 }

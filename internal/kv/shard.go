@@ -12,28 +12,94 @@ import (
 	"nvmcache/internal/mdb"
 )
 
-type opKind uint8
+// Op names a single-key mutation for Store.Submit.
+type Op uint8
 
 const (
-	opPut opKind = iota
-	opDel
-	opIncr
-	opDecr
-	// opPuts is a batched put (Store.PutBatch / the wire protocol's MPUT):
-	// one request carrying a shard-local pairs slice, acked once after the
-	// whole slice is durable. It rides the queue as a single request so an
-	// MPUT costs one enqueue/ack per shard touched instead of one per pair.
+	OpPut Op = iota
+	OpDel
+	// OpIncr and OpDecr add or subtract the operand (wrapping uint64
+	// arithmetic; a missing key counts from zero).
+	OpIncr
+	OpDecr
+	// opPuts is a batched put (Store.SubmitBatch / the wire protocol's
+	// MPUT): one request carrying a shard-local pairs slice, acked once after
+	// the whole slice is durable. It rides the queue as a single request so
+	// an MPUT costs one enqueue/ack per shard touched instead of one per pair.
 	opPuts
 )
 
-// request is one queued mutation; done (buffered) carries the ack after
-// the containing batch has committed and flushed. For counter ops v is
-// the delta; for opPuts the payload is pairs and k/v are unused.
+// Result is the outcome of one mutation: Found is a delete's "was present",
+// Val a counter op's post-op value at its serialization point.
+type Result struct {
+	Err   error
+	Found bool
+	Val   uint64
+}
+
+// Ticket is the caller-owned completion slot of one submitted mutation. The
+// zero value is ready to use, and a ticket is reusable: once Wait has
+// returned it may be submitted again, so a caller that keeps its tickets (a
+// connection's window, a worker's loop) submits and completes without
+// allocating. A ticket carries one mutation at a time and must not be
+// copied after first use.
+type Ticket struct {
+	ch chan struct{} // buffered(1): signalled by whichever part completes last
+
+	mu    sync.Mutex // parts of a batch complete on different shard writers
+	parts int        // shard requests still outstanding
+	res   Result     // the outcome; for a batch, its first error
+
+	// grouped is SubmitBatch's scratch: the batch's pairs counting-sorted by
+	// shard. The shard requests alias it until Wait returns.
+	grouped []Pair
+}
+
+// arm readies t for a mutation made of parts shard requests.
+func (t *Ticket) arm(parts int) {
+	if t.ch == nil {
+		t.ch = make(chan struct{}, 1)
+	}
+	t.parts = parts
+	t.res = Result{}
+}
+
+// complete delivers one part's outcome; the last part wakes the waiter.
+// Every request that was armed is completed exactly once — by its shard
+// writer (ack or nack), by the crash draining the queues, or by Submit
+// itself when the store refuses it — which is what lets Wait block on the
+// ticket alone.
+func (t *Ticket) complete(res Result) {
+	t.mu.Lock()
+	if t.res.Err == nil {
+		t.res = res
+	}
+	t.parts--
+	last := t.parts == 0
+	t.mu.Unlock()
+	if last {
+		t.ch <- struct{}{}
+	}
+}
+
+// Wait blocks until the submitted mutation has completed and returns its
+// outcome. Err is nil only after the batch containing the mutation has
+// committed and its flushes completed, so an acked mutation survives any
+// crash; ErrCrashed means it was not acked and, after Recover, is either
+// absent or (a crash between the durable commit and the ack) fully applied.
+func (t *Ticket) Wait() Result {
+	<-t.ch
+	return t.res
+}
+
+// request is one queued mutation; t carries the ack after the containing
+// batch has committed and flushed. For counter ops v is the delta; for
+// opPuts the payload is pairs and k/v are unused.
 type request struct {
-	op    opKind
+	op    Op
 	k, v  uint64
-	pairs []Pair // opPuts only; shard-local, owned by the writer after enqueue
-	done  chan result
+	pairs []Pair // opPuts only; shard-local, aliases t.grouped
+	t     *Ticket
 }
 
 // reqCost is a request's logical op count: a batched put carries one op
@@ -56,12 +122,6 @@ func logicalOps(batch []request) int {
 	return n
 }
 
-type result struct {
-	err   error
-	found bool
-	val   uint64 // counter ops: the post-op value at the serialization point
-}
-
 // genPages are the pages superseded by the commit of generation gen; a
 // snapshot of any generation < gen may still read them.
 type genPages struct {
@@ -75,7 +135,7 @@ type genPages struct {
 // requesters are still waiting for acks.
 type flightBatch struct {
 	batch   []request
-	results []result
+	results []Result
 	pc      *mdb.PendingCommit
 	root    uint64 // the published root, installed for readers at settle
 	gen     uint64
@@ -95,23 +155,29 @@ type shard struct {
 	ch   chan request
 	done chan struct{} // closed when the writer goroutine exits
 
-	// maxBatch/maxDelayNs are the live group-commit bounds, initialized from
-	// Options and retargeted at runtime by the adaptive controller
-	// (shardControl.SetBatchBounds); the writer reads them once per gather,
-	// so a new bound takes effect at the next batch.
-	maxBatch   atomic.Int64
-	maxDelayNs atomic.Int64
-
-	// Absorption knobs (live, adaptive-retargetable like the bounds above)
-	// and the counter accumulator. acc is writer-goroutine-owned.
+	// Absorption knobs (the deadline is live: the adaptive controller
+	// retargets it) and the counter accumulator. acc is writer-goroutine-owned.
 	absorbThreshold  atomic.Int64
 	absorbDeadlineNs atomic.Int64
 	acc              accumulator
 
 	// inFlight is the previous batch, commit-published but not settled
 	// (awaited, installed for readers, acked). Non-nil only between loop
-	// iterations of the overlapped protocol. Writer goroutine only.
+	// iterations of the overlapped protocol, when it points at flight.
+	// Writer goroutine only.
 	inFlight *flightBatch
+	flight   flightBatch
+
+	// Reused per-batch storage, so a steady stream of commits allocates
+	// nothing. Two alternating sets: under the overlapped protocol the
+	// in-flight batch still owns one while the next batch fills the other.
+	batchBuf [2][]request
+	resBuf   [2][]Result
+	bufIdx   int
+
+	// capSlot is the shard's advisory cache-capacity word (capacity.go).
+	// Writer goroutine only.
+	capSlot capSlot
 
 	// Checkpoint state (nil when checkpointing is off). ckptCh carries
 	// explicit Store.Checkpoint requests to the writer, which serves them at
@@ -130,21 +196,23 @@ type shard struct {
 	curGen  uint64
 	active  map[uint64]int // snapshot generation → pin count
 	pending []genPages     // freed pages awaiting reader drain
+	// spare holds the page slices of reclaimed pending entries for reuse and
+	// reclaim is publishView's scratch. Writer goroutine only.
+	spare   [][]uint64
+	reclaim []uint64
 
 	counters
 }
 
-func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB) *shard {
+func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB, cs capSlot) *shard {
 	sh := &shard{
-		id: id, st: s, th: th, db: db,
+		id: id, st: s, th: th, db: db, capSlot: cs,
 		ch:     make(chan request, s.opts.QueueDepth),
 		ckptCh: make(chan chan error),
 		done:   make(chan struct{}),
 		active: make(map[uint64]int),
 	}
 	sh.lastCkpt = time.Now()
-	sh.maxBatch.Store(int64(s.opts.MaxBatch))
-	sh.maxDelayNs.Store(int64(s.opts.MaxDelay))
 	sh.absorbThreshold.Store(int64(s.opts.Absorb.Threshold))
 	sh.absorbDeadlineNs.Store(int64(s.opts.Absorb.Deadline))
 	sh.curRoot = db.Snapshot()
@@ -174,10 +242,15 @@ func (sh *shard) release(gen uint64) {
 }
 
 // onFreed is the mdb free hook: it runs on the writer goroutine during
-// Commit, parking the superseded pages until readers drain.
+// Commit, parking a copy of the superseded pages until readers drain.
 func (sh *shard) onFreed(gen uint64, pages []uint64) {
+	var held []uint64
+	if n := len(sh.spare); n > 0 {
+		held, sh.spare = sh.spare[n-1][:0], sh.spare[:n-1]
+	}
+	held = append(held, pages...)
 	sh.snapMu.Lock()
-	sh.pending = append(sh.pending, genPages{gen: gen, pages: pages})
+	sh.pending = append(sh.pending, genPages{gen: gen, pages: held})
 	sh.snapMu.Unlock()
 }
 
@@ -199,26 +272,32 @@ func (sh *shard) publishView(root, gen uint64) {
 			minGen = g
 		}
 	}
-	var reclaim []uint64
+	reclaim := sh.reclaim[:0]
 	keep := sh.pending[:0]
 	for _, gp := range sh.pending {
 		// Pages freed by commit gen are needed by snapshots with
 		// generation < gen only.
 		if minGen >= gp.gen {
 			reclaim = append(reclaim, gp.pages...)
+			sh.spare = append(sh.spare, gp.pages)
 		} else {
 			keep = append(keep, gp)
 		}
 	}
 	sh.pending = keep
 	sh.snapMu.Unlock()
+	sh.reclaim = reclaim
 	if len(reclaim) > 0 {
 		sh.db.RecyclePages(reclaim)
 	}
 }
 
-// run is the shard's writer loop: take the first waiting request, gather a
-// batch (bounded by MaxBatch and MaxDelay), commit it as one FASE, ack.
+// run is the shard's writer loop: take the first waiting request, add
+// whatever else is already queued (up to MaxBatch), commit it as one FASE,
+// ack. The writer never waits for a batch to fill — group commit is natural
+// batching: requests that arrive while a commit is in progress queue up
+// behind it and form the next batch, so batches grow with load and a lone
+// request pays no delay.
 //
 // With the flush pipeline enabled the loop is overlapped: commitBatch
 // leaves the batch in flight (published, draining in the background) and
@@ -243,8 +322,7 @@ func (sh *shard) run() {
 					}
 					return
 				}
-				batch := sh.gatherQueued(req)
-				if sh.commitBatch(batch) {
+				if sh.commitBatch(sh.gatherQueued(req)) {
 					return
 				}
 				if sh.maybeCheckpoint() {
@@ -310,8 +388,7 @@ func (sh *shard) run() {
 				}
 				return
 			}
-			batch := sh.gather(req)
-			if sh.commitBatch(batch) {
+			if sh.commitBatch(sh.gatherQueued(req)) {
 				return
 			}
 			if sh.maybeCheckpoint() {
@@ -346,63 +423,47 @@ func (sh *shard) run() {
 	}
 }
 
-// gather collects requests for one group commit: it returns when the batch
-// is full, when MaxDelay has passed since the batch opened, or when the
-// store is shutting down or crashing.
-func (sh *shard) gather(first request) []request {
-	maxBatch := int(sh.maxBatch.Load())
-	batch := make([]request, 1, maxBatch)
-	batch[0] = first
-	n := reqCost(&first)
-	if maxBatch <= 1 || n >= maxBatch {
-		return batch
-	}
-	timer := time.NewTimer(time.Duration(sh.maxDelayNs.Load()))
-	defer timer.Stop()
-	for n < maxBatch {
-		select {
-		case r, ok := <-sh.ch:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-			n += reqCost(&r)
-		case <-timer.C:
-			return batch
-		case <-sh.st.crashCh:
-			return batch
-		}
-	}
-	return batch
-}
-
-// gatherQueued collects a batch without waiting: while a published batch is
-// still in flight, the writer absorbs only requests that are already
-// queued — blocking on MaxDelay here would hold back the in-flight batch's
-// acks for no benefit.
+// gatherQueued collects one group commit without waiting: first plus
+// whatever is already queued, up to MaxBatch logical ops. The batch lives in
+// one of the shard's two reused buffers (see shard.batchBuf).
 func (sh *shard) gatherQueued(first request) []request {
-	maxBatch := int(sh.maxBatch.Load())
-	batch := make([]request, 1, maxBatch)
-	batch[0] = first
+	maxBatch := sh.st.opts.MaxBatch
+	sh.bufIdx ^= 1
+	batch := append(sh.batchBuf[sh.bufIdx][:0], first)
 	n := reqCost(&first)
+gather:
 	for n < maxBatch {
 		select {
 		case r, ok := <-sh.ch:
 			if !ok {
-				return batch
+				break gather
 			}
 			batch = append(batch, r)
 			n += reqCost(&r)
 		default:
-			return batch
+			break gather
 		}
 	}
+	sh.batchBuf[sh.bufIdx] = batch[:0]
 	return batch
+}
+
+// resultsFor returns the zeroed result slice paired with the batch buffer
+// gatherQueued last filled.
+func (sh *shard) resultsFor(n int) []Result {
+	res := sh.resBuf[sh.bufIdx]
+	if cap(res) < n {
+		res = make([]Result, n)
+		sh.resBuf[sh.bufIdx] = res
+	}
+	res = res[:n]
+	clear(res)
+	return res
 }
 
 func nackAll(batch []request, err error) {
 	for i := range batch {
-		batch[i].done <- result{err: err}
+		batch[i].t.complete(Result{Err: err})
 	}
 }
 
@@ -428,7 +489,7 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		nackAll(batch, ErrCrashed)
 		return true
 	}
-	results := make([]result, len(batch))
+	results := sh.resultsFor(len(batch))
 	var plan *commitPlan
 	if sh.absorbOn() {
 		// A nil batch is a deadline (or shutdown-drain) wakeup: force the
@@ -441,13 +502,13 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 			// the rest of the batch here (each request exactly once).
 			sh.st.initiateCrash(sh)
 			sh.dropInFlight()
-			parked := make(map[chan result]bool, sh.acc.pending())
+			parked := make(map[*Ticket]bool, sh.acc.pending())
 			for i := range sh.acc.parked {
-				parked[sh.acc.parked[i].done] = true
+				parked[sh.acc.parked[i].t] = true
 			}
 			for i := range batch {
-				if !parked[batch[i].done] {
-					batch[i].done <- result{err: ErrCrashed}
+				if !parked[batch[i].t] {
+					batch[i].t.complete(Result{Err: ErrCrashed})
 				}
 			}
 			return true
@@ -500,6 +561,7 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		return true
 	}
 	post := sh.th.FlushStats()
+	sh.capSlot.save(sh.st.heap)
 	applied, fold := logicalOps(batch), false
 	if plan != nil {
 		applied, fold = len(plan.writes), plan.fold
@@ -512,17 +574,22 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 			nackAll(batch, ErrCrashed)
 			return true
 		}
-		sh.inFlight = &flightBatch{batch: batch, results: results, pc: pc,
+		sh.flight = flightBatch{batch: batch, results: results, pc: pc,
 			root: sh.db.Snapshot(), gen: sh.db.Generation(), pre: pre, post: post,
 			applied: applied, fold: fold}
+		sh.inFlight = &sh.flight
 		return false
 	}
 	sh.publish()
 	sh.note(batch, applied, pre, post)
-	for i := range batch {
-		batch[i].done <- results[i]
-	}
+	ackAll(batch, results)
 	return false
+}
+
+func ackAll(batch []request, results []Result) {
+	for i := range batch {
+		batch[i].t.complete(results[i])
+	}
 }
 
 // settle completes the in-flight batch: await its epoch's persistence
@@ -569,9 +636,7 @@ func (sh *shard) settle() (crashed bool) {
 	}
 	sh.publishView(fb.root, fb.gen)
 	sh.note(fb.batch, fb.applied, fb.pre, fb.post)
-	for i := range fb.batch {
-		fb.batch[i].done <- fb.results[i]
-	}
+	ackAll(fb.batch, fb.results)
 	return false
 }
 
@@ -611,7 +676,7 @@ func (sh *shard) dropInFlight() {
 // inside a store, flush, or undo-log write — abandons the FASE with its
 // undo log still active, exactly as a power failure at that instruction
 // would; panics it does not claim propagate.
-func (sh *shard) applyBatch(batch []request, results []result, plan *commitPlan) (outcome batchOutcome, pc *mdb.PendingCommit, err error) {
+func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan) (outcome batchOutcome, pc *mdb.PendingCommit, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			claim := sh.st.opts.IsInjectedCrash
@@ -655,13 +720,13 @@ func (sh *shard) applyBatch(batch []request, results []result, plan *commitPlan)
 		for i := range batch {
 			r := &batch[i]
 			switch r.op {
-			case opPut:
+			case OpPut:
 				failed = sh.db.Put(r.k, r.v)
 				if failed == nil {
 					sh.journalAppend(jOpPut, r.k, r.v)
 				}
-			case opDel:
-				results[i].found, failed = sh.db.Delete(r.k)
+			case OpDel:
+				results[i].Found, failed = sh.db.Delete(r.k)
 				if failed == nil {
 					sh.journalAppend(jOpDel, r.k, 0)
 				}
@@ -672,17 +737,17 @@ func (sh *shard) applyBatch(batch []request, results []result, plan *commitPlan)
 					}
 					sh.journalAppend(jOpPut, p.K, p.V)
 				}
-			case opIncr, opDecr:
+			case OpIncr, OpDecr:
 				// Absorption off: an ordinary read-modify-write inside the
 				// batch's FASE (Get sees the in-transaction tree, so earlier
 				// batch ops are visible). Journaled as the computed put, so
 				// replay needs no read-back.
 				d := r.v
-				if r.op == opDecr {
+				if r.op == OpDecr {
 					d = -d
 				}
 				cur, _ := sh.db.Get(r.k)
-				results[i].val = cur + d
+				results[i].Val = cur + d
 				failed = sh.db.Put(r.k, cur+d)
 				if failed == nil {
 					sh.journalAppend(jOpPut, r.k, cur+d)

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"testing"
-	"time"
 )
 
 // TestSnapshotIsolation pins a snapshot and checks it stays an unchanged
@@ -12,7 +11,6 @@ import (
 func TestSnapshotIsolation(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.MaxDelay = time.Millisecond
 	s := newStore(t, opts)
 	defer s.Close()
 
@@ -83,7 +81,6 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestSnapshotDeferredReclaim(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.MaxDelay = time.Millisecond
 	s := newStore(t, opts)
 	defer s.Close()
 

@@ -108,15 +108,15 @@ func (sh *shard) noteOps(batch []request) {
 	var nput, ndel, nincr, ndecr uint64
 	for i := range batch {
 		switch batch[i].op {
-		case opPut:
+		case OpPut:
 			nput++
 		case opPuts:
 			nput += uint64(len(batch[i].pairs))
-		case opDel:
+		case OpDel:
 			ndel++
-		case opIncr:
+		case OpIncr:
 			nincr++
-		case opDecr:
+		case OpDecr:
 			ndecr++
 		}
 	}

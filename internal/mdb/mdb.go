@@ -60,7 +60,9 @@ type DB struct {
 	// for long-lived snapshots.
 	pool    *pmem.Pool
 	recycle bool
-	// txn state
+	// txn state; the maps and the slice are cleared, not reallocated, from
+	// one transaction to the next, so a steady stream of commits allocates
+	// nothing.
 	inTxn  bool
 	copied map[uint64]uint64 // old page -> txn-local copy
 	fresh  map[uint64]bool   // pages allocated in this txn (mutable in place)
@@ -68,6 +70,11 @@ type DB struct {
 	// freeHook, when set, receives the superseded pages of each commit
 	// instead of them being recycled immediately (see SetFreeHook).
 	freeHook func(gen uint64, pages []uint64)
+	// pend backs CommitPublish: at most two published transactions are
+	// unawaited at once (the caller awaits N after publishing N+1), so two
+	// alternating records cover them.
+	pend    [2]PendingCommit
+	pendIdx int
 }
 
 // Open creates an empty store with the default page-pool capacity (or
@@ -97,7 +104,7 @@ func Create(t *atlas.Thread, pages int) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mdb: %w", err)
 	}
-	db := &DB{t: t, meta: meta, pool: pool, recycle: true}
+	db := newHandle(t, meta, pool)
 	t.FASEBegin()
 	t.Store64(meta, 0)              // empty tree
 	t.Store64(meta+8, 0)            // generation
@@ -126,7 +133,12 @@ func Attach(t *atlas.Thread, meta uint64) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mdb: reopening page pool: %w", err)
 	}
-	return &DB{t: t, meta: meta, pool: pool, recycle: true}, nil
+	return newHandle(t, meta, pool), nil
+}
+
+func newHandle(t *atlas.Thread, meta uint64, pool *pmem.Pool) *DB {
+	return &DB{t: t, meta: meta, pool: pool, recycle: true,
+		copied: make(map[uint64]uint64, 16), fresh: make(map[uint64]bool, 16)}
 }
 
 // MetaAddr returns the persistent address of the store's meta page; store
@@ -165,8 +177,8 @@ func (db *DB) Begin() error {
 		return fmt.Errorf("mdb: nested write transaction")
 	}
 	db.inTxn = true
-	db.copied = make(map[uint64]uint64, 16)
-	db.fresh = make(map[uint64]bool, 16)
+	clear(db.copied)
+	clear(db.fresh)
 	db.freed = db.freed[:0]
 	db.t.FASEBegin()
 	return nil
@@ -183,9 +195,7 @@ func (db *DB) Commit() error {
 	if db.recycle {
 		if db.freeHook != nil {
 			if len(db.freed) > 0 {
-				pages := make([]uint64, len(db.freed))
-				copy(pages, db.freed)
-				db.freeHook(db.Generation(), pages)
+				db.freeHook(db.Generation(), db.freed)
 			}
 		} else {
 			// The superseded page versions return to the persistent pool only
@@ -197,7 +207,6 @@ func (db *DB) Commit() error {
 		}
 	}
 	db.inTxn = false
-	db.copied, db.fresh = nil, nil
 	return nil
 }
 
@@ -205,7 +214,9 @@ func (db *DB) Commit() error {
 // and generation are installed and the FASE's epoch is in flight through
 // the flush pipeline. Await makes it durable (and only then releases the
 // superseded pages). Until Await returns, a crash rolls the transaction
-// back, so its effects must not be acknowledged externally.
+// back, so its effects must not be acknowledged externally. The record
+// belongs to the DB and is reused by the second CommitPublish after the
+// one that returned it.
 type PendingCommit struct {
 	db     *DB
 	ticket atlas.FASETicket
@@ -226,12 +237,14 @@ func (db *DB) CommitPublish() (*PendingCommit, error) {
 	}
 	db.t.Store64(db.meta+8, db.Generation()+1)
 	tk := db.t.FASEPublish()
-	pc := &PendingCommit{db: db, ticket: tk, gen: db.Generation()}
-	if db.recycle && len(db.freed) > 0 {
-		pc.freed = append([]uint64(nil), db.freed...)
+	pc := &db.pend[db.pendIdx]
+	db.pendIdx ^= 1
+	pc.db, pc.ticket, pc.gen = db, tk, db.Generation()
+	pc.freed = pc.freed[:0]
+	if db.recycle {
+		pc.freed = append(pc.freed, db.freed...)
 	}
 	db.inTxn = false
-	db.copied, db.fresh = nil, nil
 	db.freed = db.freed[:0]
 	return pc, nil
 }
@@ -252,7 +265,7 @@ func (pc *PendingCommit) Await() {
 			}
 		}
 	}
-	pc.freed = nil
+	pc.freed = pc.freed[:0]
 }
 
 // Generation returns pc's committed generation.
@@ -277,7 +290,6 @@ func (db *DB) Abort() error {
 		}
 	}
 	db.inTxn = false
-	db.copied, db.fresh = nil, nil
 	db.freed = db.freed[:0]
 	return err
 }
@@ -286,8 +298,9 @@ func (db *DB) Abort() error {
 // of recycling them immediately. A service layer serving lock-free snapshot
 // readers uses this to defer reuse until no snapshot older than gen is
 // live, then returns the pages with RecyclePages. fn runs on the committing
-// goroutine, after the transaction is durable. Passing nil restores
-// immediate recycling.
+// goroutine, after the transaction is durable; pages is the transaction's
+// own scratch, valid only during the call, so fn copies what it keeps.
+// Passing nil restores immediate recycling.
 func (db *DB) SetFreeHook(fn func(gen uint64, pages []uint64)) { db.freeHook = fn }
 
 // RecyclePages returns pages previously handed to the free hook to the

@@ -634,3 +634,33 @@ func TestFreeHookDefersRecycling(t *testing.T) {
 		t.Fatalf("RecyclePages had no effect: %d", db.PoolRemaining())
 	}
 }
+
+// TestTxnAllocs is the transaction path's zero-allocation gate: once the
+// tree and the page pool are warm, Begin+Put+Commit allocates nothing — the
+// copy maps are cleared, not remade, and the free hook is handed the
+// transaction's own freed-page scratch.
+func TestTxnAllocs(t *testing.T) {
+	_, db := newDB(t, core.SoftCacheOffline)
+	var held []uint64
+	db.SetFreeHook(func(gen uint64, pages []uint64) { held = append(held[:0], pages...) })
+	k := uint64(0)
+	txn := func() {
+		if err := db.Begin(); err != nil {
+			panic(err)
+		}
+		if err := db.Put(k%512, k); err != nil {
+			panic(err)
+		}
+		if err := db.Commit(); err != nil {
+			panic(err)
+		}
+		db.RecyclePages(held)
+		k++
+	}
+	for i := 0; i < 2048; i++ {
+		txn()
+	}
+	if n := testing.AllocsPerRun(500, txn); n != 0 {
+		t.Fatalf("Begin+Put+Commit allocs = %v, want 0", n)
+	}
+}

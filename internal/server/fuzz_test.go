@@ -20,7 +20,6 @@ import (
 func FuzzServerProto(f *testing.F) {
 	opts := kv.DefaultOptions()
 	opts.Shards = 2
-	opts.MaxDelay = time.Millisecond
 	srv, err := SelfHost(opts, Options{})
 	if err != nil {
 		f.Fatal(err)

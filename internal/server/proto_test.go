@@ -320,35 +320,17 @@ func TestPipelinedAckCoalescing(t *testing.T) {
 	}
 }
 
-// stubBackend is an engine-free backend: it isolates the binary protocol
-// layer so its allocation budget can be gated without the store's
-// per-batch bookkeeping (channels, batch slices) in the measurement.
-type stubBackend struct{}
-
-func (stubBackend) Put(k, v uint64) error                       { return nil }
-func (stubBackend) Get(k uint64) (uint64, bool, error)          { return k, true, nil }
-func (stubBackend) Delete(k uint64) (bool, error)               { return true, nil }
-func (stubBackend) Incr(k, d uint64) (uint64, error)            { return d, nil }
-func (stubBackend) Decr(k, d uint64) (uint64, error)            { return d, nil }
-func (stubBackend) Scan(start uint64, n int) ([]kv.Pair, error) { return nil, nil }
-func (stubBackend) GetBatch(keys, vals []uint64, found []bool) error {
-	for i := range keys {
-		vals[i], found[i] = keys[i], true
-	}
-	return nil
-}
-func (stubBackend) PutBatch(pairs []kv.Pair) error { return nil }
-
-// execFrames runs every frame in the stream through h.exec, resetting
-// the reply buffer, exactly as handleBinary's loop would.
+// execFrames runs every frame in the stream through h.exec and waits out
+// the window, exactly as serveWindow would for one readable burst.
 func execFrames(h *binHandler, rd *bytes.Reader, r *bufio.Reader) {
 	rd.Seek(0, io.SeekStart)
 	r.Reset(rd)
-	h.wbuf = h.wbuf[:0]
+	h.win.out = h.win.out[:0]
 	for {
 		op, p, err := proto.ReadFrame(r, &h.scratch)
 		if err != nil {
 			if err == io.EOF {
+				h.win.barrier()
 				return
 			}
 			panic(err)
@@ -359,22 +341,37 @@ func execFrames(h *binHandler, rd *bytes.Reader, r *bufio.Reader) {
 	}
 }
 
-// TestBinaryDecodeReplyAllocsProtocolLayer pins the server's binary
-// decode→reply path for PUT and GET at zero allocations per op across
-// the protocol layer (stub backend: the engine's per-batch bookkeeping is
-// group-commit-amortized and measured separately by `nvbench -exp
-// proto`).
-func TestBinaryDecodeReplyAllocsProtocolLayer(t *testing.T) {
-	frames := proto.AppendPut(nil, 1, 2)
-	frames = proto.AppendGet(frames, 1)
-	frames = proto.AppendPut(frames, 3, 4)
-	frames = proto.AppendGet(frames, 3)
+// TestBinaryWindowAllocsPut pins the whole durable-write path of a
+// pipelined window at zero allocations through the live engine: 64 PUT
+// frames decoded, submitted to the shard writers, group-committed, completed
+// and answered in order. It replaces the stub-backend protocol-layer gate:
+// the engine no longer allocates per request, so nothing needs stubbing out.
+func TestBinaryWindowAllocsPut(t *testing.T) {
+	kvOpts := kv.DefaultOptions()
+	kvOpts.Shards = 2
+	// The online cache sizes itself once, after one sampled burst per shard
+	// thread; a short burst puts that one-time MRC analysis inside the
+	// warm-up.
+	kvOpts.Config.BurstLength = 1 << 12
+	srv, cl := testServerKV(t, kvOpts, Options{})
+	defer srv.Shutdown()
+	cl.Close()
+	const window = 64
+	var frames []byte
+	for k := uint64(0); k < window; k++ {
+		frames = proto.AppendPut(frames, k, k+1)
+	}
 	rd := bytes.NewReader(frames)
 	r := bufio.NewReaderSize(rd, connBufSize)
-	h := &binHandler{srv: &Server{}, be: stubBackend{}, wbuf: make([]byte, 0, connBufSize)}
-	execFrames(h, rd, r) // warm
-	if n := testing.AllocsPerRun(200, func() { execFrames(h, rd, r) }); n != 0 {
-		t.Fatalf("PUT/GET decode→reply allocs = %v, want 0", n)
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
+	for i := 0; i < 64; i++ { // warm: tree depth, page pool, batch buffers, ticket channels
+		execFrames(h, rd, r)
+	}
+	if n := testing.AllocsPerRun(100, func() { execFrames(h, rd, r) }); n != 0 {
+		t.Fatalf("%d-PUT window decode→submit→commit→reply allocs = %v, want 0", window, n)
+	}
+	if got := bytes.Count(h.win.out, proto.AppendOK(nil)); got != window {
+		t.Fatalf("window answered %d OK frames, want %d", got, window)
 	}
 }
 
@@ -395,7 +392,7 @@ func TestBinaryDecodeReplyAllocsFullGet(t *testing.T) {
 	}
 	rd := bytes.NewReader(frames)
 	r := bufio.NewReaderSize(rd, connBufSize)
-	h := &binHandler{srv: srv, be: srv.Store(), wbuf: make([]byte, 0, connBufSize)}
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
 	execFrames(h, rd, r) // warm
 	if n := testing.AllocsPerRun(200, func() { execFrames(h, rd, r) }); n != 0 {
 		t.Fatalf("full-path GET allocs = %v, want 0", n)
@@ -417,7 +414,7 @@ func TestBinaryDecodeReplyAllocsFullMGet(t *testing.T) {
 	frames := proto.AppendMGet(nil, keys)
 	rd := bytes.NewReader(frames)
 	r := bufio.NewReaderSize(rd, connBufSize)
-	h := &binHandler{srv: srv, be: srv.Store(), wbuf: make([]byte, 0, connBufSize)}
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
 	execFrames(h, rd, r) // warm (grows h.keys/h.vals/h.found once)
 	if n := testing.AllocsPerRun(200, func() { execFrames(h, rd, r) }); n != 0 {
 		t.Fatalf("full-path MGET allocs = %v, want 0", n)

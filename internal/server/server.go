@@ -11,11 +11,15 @@
 // Two protocols share the port, chosen per connection by its first byte:
 // proto.Version (0xB1, never a text verb's first byte) selects the binary
 // framed protocol (see internal/proto — length-prefixed frames, reused
-// per-connection buffers, an allocation-free decode→reply hot path),
-// anything else the text line protocol below. Replies in both are
-// coalesced: the handler writes only once no further request is already
-// buffered, so a pipelining client gets its whole window's replies in one
-// syscall.
+// per-connection buffers, an allocation-free decode→submit→reply hot
+// path), anything else the text line protocol below. Both run on one
+// per-connection request window (window.go): every request already
+// readable is decoded and its mutation submitted to the store without
+// waiting, so a pipelined window of writes shares group commits; replies
+// are emitted in request order and written only once no further request is
+// buffered, so the whole window is acked in one syscall. The window's
+// ordering contract — a read observes every earlier write of its own
+// connection and none of its later ones — is stated on the window type.
 //
 // Text protocol (one request line, one reply line, decimal uint64
 // operands):
@@ -199,59 +203,62 @@ func (s *Server) handle(c net.Conn) {
 	s.handleText(c, r)
 }
 
-func (s *Server) handleText(c net.Conn, r *bufio.Reader) {
-	w := bufio.NewWriter(c)
+// flush writes the window's emitted replies, if any, in one call.
+func flush(c net.Conn, w *window) error {
+	if len(w.out) == 0 {
+		return nil
+	}
+	_, err := c.Write(w.out)
+	w.out = w.out[:0]
+	return err
+}
+
+// serveWindow is the read loop both dialects share. next decodes one
+// request and hands it to the window (quit ends the connection after its
+// reply, err after a last flush). Replies go out only once no further
+// request is already buffered — everything in the window is waited for and
+// a pipelining client gets its whole window's replies in one syscall — or
+// when the reply buffer has outgrown its window.
+func serveWindow(c net.Conn, r *bufio.Reader, w *window, next func() (quit bool, err error)) {
 	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			// No trailing delimiter: the line is a truncated request from a
-			// dying connection and must never execute — a partial `PUT 1 2`
-			// cut from `PUT 1 23` would commit the wrong value.
-			w.Flush()
-			return
+		quit, err := next()
+		done := quit || err != nil
+		if done || r.Buffered() == 0 {
+			w.barrier()
 		}
-		if fields := strings.Fields(line); len(fields) > 0 {
-			if quit := s.command(w, fields); quit {
-				w.Flush()
-				return
-			}
-		}
-		// Flush only when no further request is already buffered: a
-		// pipelining client gets its whole window's replies in one syscall.
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
+		if done || r.Buffered() == 0 || len(w.out) >= connBufSize {
+			if flush(c, w) != nil || done {
 				return
 			}
 		}
 	}
 }
 
-// backend is the store surface the binary handler drives; *kv.Store
-// implements it. The indirection is a test seam: the decode→reply
-// allocation gates drive a binHandler over a stub backend to prove the
-// protocol layer itself adds zero allocations per op, independent of the
-// engine's per-batch bookkeeping (which group commit amortizes and the
-// nvbench proto experiment measures end to end).
-type backend interface {
-	Put(k, v uint64) error
-	Get(k uint64) (uint64, bool, error)
-	Delete(k uint64) (bool, error)
-	Incr(k, d uint64) (uint64, error)
-	Decr(k, d uint64) (uint64, error)
-	Scan(start uint64, n int) ([]kv.Pair, error)
-	GetBatch(keys, vals []uint64, found []bool) error
-	PutBatch(pairs []kv.Pair) error
+func (s *Server) handleText(c net.Conn, r *bufio.Reader) {
+	h := &textHandler{srv: s, win: newWindow(s.st, true)}
+	serveWindow(c, r, h.win, func() (bool, error) {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			// No trailing delimiter: the line is a truncated request from a
+			// dying connection and must never execute — a partial `PUT 1 2`
+			// cut from `PUT 1 23` would commit the wrong value.
+			return false, err
+		}
+		if fields := strings.Fields(line); len(fields) > 0 {
+			return h.command(fields), nil
+		}
+		return false, nil
+	})
 }
 
-// binHandler is one binary-protocol connection's state: the backend it
-// drives and the reused buffers that keep the decode→reply path
-// allocation-free (wbuf accumulates reply frames between coalesced
-// writes; scratch backs oversized request payloads; keys/vals/found/pairs
-// back the batched verbs).
+// binHandler is one binary-protocol connection's state: its request window
+// (whose reply buffer accumulates frames between coalesced writes) and the
+// reused buffers that keep the decode→submit→reply path allocation-free
+// (scratch backs oversized request payloads; keys/vals/found/pairs back the
+// batched verbs).
 type binHandler struct {
 	srv     *Server
-	be      backend
-	wbuf    []byte
+	win     *window
 	scratch []byte
 	keys    []uint64
 	vals    []uint64
@@ -260,8 +267,8 @@ type binHandler struct {
 }
 
 func (s *Server) handleBinary(c net.Conn, r *bufio.Reader) {
-	h := &binHandler{srv: s, be: s.st, wbuf: make([]byte, 0, connBufSize)}
-	for {
+	h := &binHandler{srv: s, win: newWindow(s.st, false)}
+	serveWindow(c, r, h.win, func() (bool, error) {
 		op, payload, err := proto.ReadFrame(r, &h.scratch)
 		if err != nil {
 			// A protocol violation gets a final error frame before the
@@ -270,121 +277,81 @@ func (s *Server) handleBinary(c net.Conn, r *bufio.Reader) {
 			// just ends the handler.
 			var pe *proto.Error
 			if errors.As(err, &pe) {
-				h.wbuf = proto.AppendErr(h.wbuf, pe.Msg)
+				h.win.fail(pe.Msg)
 			}
-			if len(h.wbuf) > 0 {
-				c.Write(h.wbuf)
-			}
-			return
+			return false, err
 		}
-		if h.exec(op, payload) {
-			c.Write(h.wbuf)
-			return
-		}
-		// Coalesce: write only when no further request is already buffered
-		// (one syscall acks the whole pipeline window) or the reply buffer
-		// has outgrown its window.
-		if r.Buffered() == 0 || len(h.wbuf) >= connBufSize {
-			if len(h.wbuf) > 0 {
-				if _, err := c.Write(h.wbuf); err != nil {
-					return
-				}
-				h.wbuf = h.wbuf[:0]
-			}
-		}
-	}
+		return h.exec(op, payload), nil
+	})
 }
 
-// exec decodes and executes one binary request, appending its reply
-// frame(s) to h.wbuf; it reports whether the connection should close. A
-// malformed payload inside an intact frame gets an error frame and the
-// connection keeps serving — framing is still synchronized.
+// exec decodes one binary request and hands it to the window; it reports
+// whether the connection should close. A malformed payload inside an intact
+// frame gets an error frame and the connection keeps serving — framing is
+// still synchronized.
 func (h *binHandler) exec(op byte, p []byte) (quit bool) {
 	if stall := h.srv.opts.Stall; stall != nil {
 		stall(proto.VerbName(op))
 	}
+	w := h.win
 	switch op {
 	case proto.OpPut:
 		k, v, err := proto.DecodeKV(p)
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, "bad PUT payload")
+			w.fail("bad PUT payload")
 			return false
 		}
-		if err := h.be.Put(k, v); err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
-			return false
-		}
-		h.wbuf = proto.AppendOK(h.wbuf)
+		w.submit(slotAck, kv.OpPut, k, v)
 	case proto.OpGet:
 		k, err := proto.DecodeKey(p)
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, "bad GET payload")
+			w.fail("bad GET payload")
 			return false
 		}
-		v, ok, err := h.be.Get(k)
-		switch {
-		case err != nil:
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
-		case ok:
-			h.wbuf = proto.AppendVal(h.wbuf, v)
-		default:
-			h.wbuf = proto.AppendNil(h.wbuf)
-		}
+		w.get(k)
 	case proto.OpDel:
 		k, err := proto.DecodeKey(p)
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, "bad DEL payload")
+			w.fail("bad DEL payload")
 			return false
 		}
-		found, err := h.be.Delete(k)
-		switch {
-		case err != nil:
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
-		case found:
-			h.wbuf = proto.AppendOK(h.wbuf)
-		default:
-			h.wbuf = proto.AppendNil(h.wbuf)
-		}
+		w.submit(slotDel, kv.OpDel, k, 0)
 	case proto.OpIncr, proto.OpDecr:
 		k, d, err := proto.DecodeKV(p)
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, "bad counter payload")
+			w.fail("bad counter payload")
 			return false
 		}
-		cop := h.be.Incr
+		cop := kv.OpIncr
 		if op == proto.OpDecr {
-			cop = h.be.Decr
+			cop = kv.OpDecr
 		}
-		v, err := cop(k, d)
-		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
-			return false
-		}
-		h.wbuf = proto.AppendVal(h.wbuf, v)
+		w.submit(slotCounter, cop, k, d)
 	case proto.OpScan:
 		start, n, err := proto.DecodeScan(p)
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, "bad SCAN payload")
+			w.fail("bad SCAN payload")
 			return false
 		}
 		if n > MaxScan {
 			n = MaxScan
 		}
-		pairs, err := h.be.Scan(start, int(n))
+		w.barrier()
+		pairs, err := w.st.Scan(start, int(n))
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
+			w.fail(err.Error())
 			return false
 		}
-		h.wbuf = proto.AppendRangeHeader(h.wbuf, len(pairs))
+		w.out = proto.AppendRangeHeader(w.out, len(pairs))
 		for _, pr := range pairs {
-			h.wbuf = proto.AppendU64(h.wbuf, pr.K)
-			h.wbuf = proto.AppendU64(h.wbuf, pr.V)
+			w.out = proto.AppendU64(w.out, pr.K)
+			w.out = proto.AppendU64(w.out, pr.V)
 		}
 	case proto.OpMGet:
 		var err error
 		h.keys, err = proto.DecodeMGet(p, h.keys)
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
+			w.fail(err.Error())
 			return false
 		}
 		n := len(h.keys)
@@ -395,19 +362,20 @@ func (h *binHandler) exec(op byte, p []byte) (quit bool) {
 			h.found = make([]bool, 0, proto.MaxOps)
 		}
 		h.vals, h.found = h.vals[:n], h.found[:n]
-		if err := h.be.GetBatch(h.keys, h.vals, h.found); err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
+		w.barrier()
+		if err := w.st.GetBatch(h.keys, h.vals, h.found); err != nil {
+			w.fail(err.Error())
 			return false
 		}
-		h.wbuf = proto.AppendValsHeader(h.wbuf, n)
+		w.out = proto.AppendValsHeader(w.out, n)
 		for i := 0; i < n; i++ {
-			h.wbuf = proto.AppendValsEntry(h.wbuf, h.vals[i], h.found[i])
+			w.out = proto.AppendValsEntry(w.out, h.vals[i], h.found[i])
 		}
 	case proto.OpMPut:
 		var err error
 		h.keys, h.vals, err = proto.DecodeMPut(p, h.keys, h.vals)
 		if err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
+			w.fail(err.Error())
 			return false
 		}
 		if cap(h.pairs) < len(h.keys) {
@@ -417,18 +385,16 @@ func (h *binHandler) exec(op byte, p []byte) (quit bool) {
 		for i := range h.keys {
 			h.pairs = append(h.pairs, kv.Pair{K: h.keys[i], V: h.vals[i]})
 		}
-		if err := h.be.PutBatch(h.pairs); err != nil {
-			h.wbuf = proto.AppendErr(h.wbuf, err.Error())
-			return false
-		}
-		h.wbuf = proto.AppendOK(h.wbuf)
+		w.submitBatch(h.pairs)
 	case proto.OpStats:
-		h.wbuf = proto.AppendStatsReply(h.wbuf, h.srv.statsText())
+		w.barrier()
+		w.out = proto.AppendStatsReply(w.out, h.srv.statsText())
 	case proto.OpQuit:
-		h.wbuf = proto.AppendBye(h.wbuf)
+		w.barrier()
+		w.out = proto.AppendBye(w.out)
 		return true
 	default:
-		h.wbuf = proto.AppendErr(h.wbuf, "unknown opcode")
+		w.fail("unknown opcode")
 	}
 	return false
 }
@@ -447,130 +413,120 @@ func (s *Server) statsText() []byte {
 	return []byte(b.String())
 }
 
-// command executes one request line and buffers the reply; it reports
+// textHandler is one text-protocol connection's state.
+type textHandler struct {
+	srv *Server
+	win *window
+}
+
+// command decodes one request line and hands it to the window; it reports
 // whether the connection should close.
-func (s *Server) command(w *bufio.Writer, f []string) (quit bool) {
+func (h *textHandler) command(f []string) (quit bool) {
 	verb := strings.ToUpper(f[0])
-	if s.opts.Stall != nil {
-		s.opts.Stall(verb)
+	if stall := h.srv.opts.Stall; stall != nil {
+		stall(verb)
 	}
+	w := h.win
 	switch verb {
 	case "PUT":
 		k, v, err := parse2(f)
 		if err != nil {
-			fmt.Fprintf(w, "ERR usage: PUT <key> <value> (%v)\n", err)
+			w.fail(fmt.Sprintf("usage: PUT <key> <value> (%v)", err))
 			return false
 		}
-		if err := s.st.Put(k, v); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
-		}
-		fmt.Fprintln(w, "OK")
+		w.submit(slotAck, kv.OpPut, k, v)
 	case "GET":
 		k, err := parse1(f)
 		if err != nil {
-			fmt.Fprintf(w, "ERR usage: GET <key> (%v)\n", err)
+			w.fail(fmt.Sprintf("usage: GET <key> (%v)", err))
 			return false
 		}
-		v, ok, err := s.st.Get(k)
-		switch {
-		case err != nil:
-			fmt.Fprintf(w, "ERR %v\n", err)
-		case ok:
-			fmt.Fprintf(w, "VAL %d\n", v)
-		default:
-			fmt.Fprintln(w, "NIL")
-		}
+		w.get(k)
 	case "DEL":
 		k, err := parse1(f)
 		if err != nil {
-			fmt.Fprintf(w, "ERR usage: DEL <key> (%v)\n", err)
+			w.fail(fmt.Sprintf("usage: DEL <key> (%v)", err))
 			return false
 		}
-		found, err := s.st.Delete(k)
-		switch {
-		case err != nil:
-			fmt.Fprintf(w, "ERR %v\n", err)
-		case found:
-			fmt.Fprintln(w, "OK")
-		default:
-			fmt.Fprintln(w, "NIL")
-		}
+		w.submit(slotDel, kv.OpDel, k, 0)
 	case "INCR", "DECR":
 		k, d, err := parse2(f)
 		if err != nil {
-			fmt.Fprintf(w, "ERR usage: %s <key> <delta> (%v)\n", verb, err)
+			w.fail(fmt.Sprintf("usage: %s <key> <delta> (%v)", verb, err))
 			return false
 		}
-		op := s.st.Incr
+		op := kv.OpIncr
 		if verb == "DECR" {
-			op = s.st.Decr
+			op = kv.OpDecr
 		}
-		v, err := op(k, d)
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
-		}
-		fmt.Fprintf(w, "VAL %d\n", v)
+		w.submit(slotCounter, op, k, d)
 	case "SCAN":
 		start, n, err := parse2(f)
 		if err != nil {
-			fmt.Fprintf(w, "ERR usage: SCAN <start> <count> (%v)\n", err)
+			w.fail(fmt.Sprintf("usage: SCAN <start> <count> (%v)", err))
 			return false
 		}
 		if n > MaxScan {
 			n = MaxScan
 		}
-		pairs, err := s.st.Scan(start, int(n))
+		w.barrier()
+		pairs, err := w.st.Scan(start, int(n))
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+			w.fail(err.Error())
 			return false
 		}
-		fmt.Fprintf(w, "RANGE %d", len(pairs))
+		w.out = append(w.out, "RANGE "...)
+		w.out = strconv.AppendInt(w.out, int64(len(pairs)), 10)
 		for _, p := range pairs {
-			fmt.Fprintf(w, " %d %d", p.K, p.V)
+			w.out = append(w.out, ' ')
+			w.out = strconv.AppendUint(w.out, p.K, 10)
+			w.out = append(w.out, ' ')
+			w.out = strconv.AppendUint(w.out, p.V, 10)
 		}
-		fmt.Fprintln(w)
+		w.out = append(w.out, '\n')
 	case "MGET":
 		if len(f) < 2 {
-			fmt.Fprintln(w, "ERR usage: MGET <key> ...")
+			w.fail("usage: MGET <key> ...")
 			return false
 		}
 		if len(f)-1 > proto.MaxOps {
-			fmt.Fprintf(w, "ERR MGET accepts at most %d keys\n", proto.MaxOps)
+			w.fail(fmt.Sprintf("MGET accepts at most %d keys", proto.MaxOps))
 			return false
 		}
 		keys := make([]uint64, len(f)-1)
 		for i, tok := range f[1:] {
 			k, err := strconv.ParseUint(tok, 10, 64)
 			if err != nil {
-				fmt.Fprintf(w, "ERR usage: MGET <key> ... (%v)\n", err)
+				w.fail(fmt.Sprintf("usage: MGET <key> ... (%v)", err))
 				return false
 			}
 			keys[i] = k
 		}
 		vals := make([]uint64, len(keys))
 		found := make([]bool, len(keys))
-		if err := s.st.GetBatch(keys, vals, found); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+		w.barrier()
+		if err := w.st.GetBatch(keys, vals, found); err != nil {
+			w.fail(err.Error())
 			return false
 		}
-		fmt.Fprintf(w, "VALS %d", len(keys))
+		w.out = append(w.out, "VALS "...)
+		w.out = strconv.AppendInt(w.out, int64(len(keys)), 10)
 		for i := range keys {
 			if found[i] {
-				fmt.Fprintf(w, " %d", vals[i])
+				w.out = append(w.out, ' ')
+				w.out = strconv.AppendUint(w.out, vals[i], 10)
 			} else {
-				fmt.Fprint(w, " NIL")
+				w.out = append(w.out, " NIL"...)
 			}
 		}
-		fmt.Fprintln(w)
+		w.out = append(w.out, '\n')
 	case "MPUT":
 		if len(f) < 3 || (len(f)-1)%2 != 0 {
-			fmt.Fprintln(w, "ERR usage: MPUT <key> <value> ...")
+			w.fail("usage: MPUT <key> <value> ...")
 			return false
 		}
 		if (len(f)-1)/2 > proto.MaxOps {
-			fmt.Fprintf(w, "ERR MPUT accepts at most %d pairs\n", proto.MaxOps)
+			w.fail(fmt.Sprintf("MPUT accepts at most %d pairs", proto.MaxOps))
 			return false
 		}
 		pairs := make([]kv.Pair, 0, (len(f)-1)/2)
@@ -584,22 +540,20 @@ func (s *Server) command(w *bufio.Writer, f []string) (quit bool) {
 					continue
 				}
 			}
-			fmt.Fprintf(w, "ERR usage: MPUT <key> <value> ... (%v)\n", err)
+			w.fail(fmt.Sprintf("usage: MPUT <key> <value> ... (%v)", err))
 			return false
 		}
-		if err := s.st.PutBatch(pairs); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
-		}
-		fmt.Fprintln(w, "OK")
+		w.submitBatch(pairs)
 	case "STATS":
-		w.Write(s.statsText())
-		fmt.Fprintln(w, "END")
+		w.barrier()
+		w.out = append(w.out, h.srv.statsText()...)
+		w.out = append(w.out, "END\n"...)
 	case "QUIT":
-		fmt.Fprintln(w, "BYE")
+		w.barrier()
+		w.out = append(w.out, "BYE\n"...)
 		return true
 	default:
-		fmt.Fprintf(w, "ERR unknown command %q\n", f[0])
+		w.fail(fmt.Sprintf("unknown command %q", f[0]))
 	}
 	return false
 }

@@ -16,7 +16,6 @@ func testServer(t *testing.T, opts Options) (*Server, *nvclient.Client) {
 	t.Helper()
 	kvOpts := kv.DefaultOptions()
 	kvOpts.Shards = 2
-	kvOpts.MaxDelay = time.Millisecond
 	return testServerKV(t, kvOpts, opts)
 }
 
@@ -164,7 +163,6 @@ func TestCounterVerbs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			kvOpts := kv.DefaultOptions()
 			kvOpts.Shards = 2
-			kvOpts.MaxDelay = time.Millisecond
 			kvOpts.Absorb = kv.AbsorbConfig{Enabled: absorb, Threshold: 4, Deadline: 2 * time.Millisecond}
 			srv, cl := testServerKV(t, kvOpts, Options{})
 			defer srv.Shutdown()
@@ -346,7 +344,6 @@ func TestStatsCheckpointKeysFixedSchema(t *testing.T) {
 
 	kvOpts := kv.DefaultOptions()
 	kvOpts.Shards = 2
-	kvOpts.MaxDelay = time.Millisecond
 	kvOpts.Checkpoint = kv.CheckpointConfig{Enabled: true, Interval: 2 * time.Millisecond}
 	srv2, cl2 := testServerKV(t, kvOpts, Options{})
 	defer srv2.Shutdown()
