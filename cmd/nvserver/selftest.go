@@ -37,12 +37,18 @@ func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool
 	fmt.Printf("selftest: phase A: %d clients x %d PUTs, group commit (batch<=%d), crash at ~50%% acked\n",
 		clients, ops, opts.MaxBatch)
 
-	// The failure is armed at the 50% mark and strikes *inside* the next
-	// commit FASE — after the batch's stores, before the commit — so the
-	// recovery below must actually roll an interrupted batch back, not just
-	// reattach a cleanly parked heap.
-	var armed atomic.Bool
-	opts.CrashBeforeCommit = func(shard, batch, size int) bool { return armed.Load() }
+	// The failure strikes *inside* the first commit FASE after the 50% mark
+	// — after the batch's stores, before the commit — so the recovery below
+	// must actually roll an interrupted batch back, not just reattach a
+	// cleanly parked heap. The hook itself reads the acked count: every
+	// client still has half its PUTs to send when the mark is reached, so a
+	// commit that sees it always follows, however fast the workload runs.
+	var ackedN atomic.Int64
+	var disarmed atomic.Bool
+	target := int64(clients * ops / 2)
+	opts.CrashBeforeCommit = func(shard, batch, size int) bool {
+		return !disarmed.Load() && ackedN.Load() >= target
+	}
 	h := pmem.New(int(kv.RecommendedHeapBytes(opts)))
 	st, err := kv.Open(h, opts)
 	if err != nil {
@@ -56,16 +62,6 @@ func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool
 	acked := make(map[uint64]uint64, clients*ops) // OK reply: must survive the crash
 	nacked := make(map[uint64]struct{})           // crash-refused: must be rolled back
 	var mu sync.Mutex
-	var ackedN atomic.Int64
-
-	// The saboteur: pull the plug once half the workload is durable.
-	go func() {
-		target := int64(clients * ops / 2)
-		for ackedN.Load() < target {
-			time.Sleep(time.Millisecond)
-		}
-		armed.Store(true)
-	}()
 
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -102,11 +98,11 @@ func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool
 	wg.Wait()
 	select {
 	case <-st.Crashed():
-	case <-time.After(30 * time.Second):
+	case <-time.After(30 * time.Second): // safety net: the hook cannot miss
 		return fmt.Errorf("crash never took effect")
 	}
-	armed.Store(false) // disarm: the recovered store must not crash again
-	srv.Shutdown()     // network teardown; the crashed store itself reports ErrCrashed
+	disarmed.Store(true) // the recovered store must not crash again
+	srv.Shutdown()       // network teardown; the crashed store itself reports ErrCrashed
 	statsA := kv.Totals(st.Stats())
 	fmt.Printf("selftest: crashed with %d acked, %d crash-refused, %d committed batches (avg %.2f ops)\n",
 		len(acked), len(nacked), statsA.Batches, statsA.AvgBatch())

@@ -474,6 +474,46 @@ func (t *Thread) StoreBytes(addr uint64, b []byte) {
 	}
 }
 
+// StorePrivate64 stores one word of memory that is private to the current
+// FASE, without undo-logging it. Private means all three of: the memory was
+// allocated inside this FASE; it owns its cache lines whole (no logged word
+// shares a line with it); and no durable pointer reaches it until a logged
+// store of this same FASE publishes it. Rollback — crash recovery or
+// FASEAbort — then undoes the publishing store, which makes the memory
+// unreachable again, so its old contents are never needed and no pre-image
+// is recorded. Everything else is Store64's: the line is marked dirty,
+// announced to the policy, tap and trace, and drained at FASE end, so the
+// contents are durable before the commit that makes the publication stick.
+// Allocators that leak rather than hand back the blocks of a crashed FASE
+// (pmem.Pool) are what make "allocated inside this FASE" recoverable. It
+// panics outside a FASE: there is no FASE for the memory to be private to.
+func (t *Thread) StorePrivate64(addr uint64, v uint64) {
+	if t.depth == 0 {
+		panic("atlas: StorePrivate64 outside a FASE")
+	}
+	t.heap.WriteUint64(addr, v)
+	t.noteLine(trace.LineOf(addr))
+}
+
+// CopyPrivate copies n bytes from src to dst, where dst is private to the
+// current FASE (see StorePrivate64), with one memmove and no undo records.
+// The policy, tap and trace see one store event per destination word, in
+// address order — the stream a loop of Store64 over the words would have
+// produced — so sampled bursts, chosen cache sizes and flush counts do not
+// depend on which of the two a caller uses. It panics outside a FASE.
+func (t *Thread) CopyPrivate(dst, src, n uint64) {
+	if t.depth == 0 {
+		panic("atlas: CopyPrivate outside a FASE")
+	}
+	if n == 0 {
+		return
+	}
+	t.heap.CopyWithin(dst, src, n)
+	for w := dst &^ 7; w < dst+n; w += 8 {
+		t.noteLine(trace.LineOf(w))
+	}
+}
+
 // Load64 reads a word (reads are not instrumented; the write-combining
 // cache considers only writes, Section III-A).
 func (t *Thread) Load64(addr uint64) uint64 { return t.heap.ReadUint64(addr) }
@@ -485,14 +525,20 @@ func (t *Thread) noteStore(addr, size uint64) {
 	first := addr >> trace.LineShift
 	last := (addr + size - 1) >> trace.LineShift
 	for l := first; l <= last; l++ {
-		t.stores++
-		t.policy.Store(trace.LineAddr(l))
-		if t.tap != nil {
-			t.tap.TapStore(trace.LineAddr(l))
-		}
-		if t.recording {
-			t.builder.Store(trace.LineAddr(l))
-		}
+		t.noteLine(trace.LineAddr(l))
+	}
+}
+
+// noteLine counts one store event and announces it to the policy, the tap
+// and the trace.
+func (t *Thread) noteLine(line trace.LineAddr) {
+	t.stores++
+	t.policy.Store(line)
+	if t.tap != nil {
+		t.tap.TapStore(line)
+	}
+	if t.recording {
+		t.builder.Store(line)
 	}
 }
 

@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"nvmcache/internal/testutil"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -334,5 +335,131 @@ func TestQuickCrashConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrivateStores pins the contract of StorePrivate64 and CopyPrivate at
+// the runtime's own level: no undo record; the store events of the
+// word-by-word Store64 loop, one per destination word (an unaligned copy
+// counts the words it overlaps); drained and durable at FASE end; and after
+// a crash or an abort the block's contents are whatever they are while the
+// logged word that published it is back to its pre-image. Outside a FASE
+// both panic.
+func TestPrivateStores(t *testing.T) {
+	records := 0
+	newRT := func() (*Runtime, *Thread, uint64) {
+		opts := DefaultOptions()
+		opts.UndoHook = func(op UndoOp) {
+			if op == UndoRecord {
+				records++
+			}
+		}
+		rt := NewRuntime(pmem.New(1<<20), opts)
+		th, err := rt.NewThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := rt.Heap().AllocLines(5 * 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, th, a
+	}
+	// Layout: a = the logged root word (a line of its own), a+64.. = a
+	// committed source block, a+192.. = the private block.
+	const words = 13
+	fill := func(th *Thread, a uint64) {
+		th.FASEBegin()
+		for i := uint64(0); i < words; i++ {
+			th.Store64(a+64+8*i, 100+i)
+		}
+		th.FASEEnd()
+	}
+
+	rt, th, a := newRT()
+	fill(th, a)
+	ref, rth, ra := newRT()
+	fill(rth, ra)
+	if a != ra {
+		t.Fatalf("twin runtimes diverge: %d vs %d", a, ra)
+	}
+	records = 0
+	th.FASEBegin()
+	th.CopyPrivate(a+192, a+64, 8*words)
+	th.CopyPrivate(a+192+3, a+64+1, 6) // unaligned: overlaps words 0 and 1
+	th.StorePrivate64(a+192+8*words, 7)
+	if records != 0 {
+		t.Fatalf("private stores recorded %d undo entries", records)
+	}
+	th.Store64(a, a+192) // publish
+	th.FASEEnd()
+	if records != 1 {
+		t.Fatalf("FASE recorded %d undo entries, want 1 (the publishing word)", records)
+	}
+	rth.FASEBegin()
+	for i := uint64(0); i < words; i++ {
+		rth.Store64(a+192+8*i, rth.Load64(a+64+8*i))
+	}
+	rth.Store64(a+192, th.Load64(a+192)) // the two words the unaligned copy overlaps
+	rth.Store64(a+200, th.Load64(a+200))
+	rth.Store64(a+192+8*words, 7)
+	rth.Store64(a, a+192)
+	rth.FASEEnd()
+	if th.Stores() != rth.Stores() || th.FlushStats() != rth.FlushStats() {
+		t.Fatalf("stores, flushes = %d, %+v; Store64 loop %d, %+v", th.Stores(), th.FlushStats(), rth.Stores(), rth.FlushStats())
+	}
+	rt.Close()
+	ref.Close()
+	if !reflect.DeepEqual(rt.Trace().Threads[0], ref.Trace().Threads[0]) {
+		t.Fatal("store-event stream differs from the Store64 loop's")
+	}
+	h := rt.Heap()
+	if n := h.DirtyCount(); n != 0 {
+		t.Fatalf("%d lines dirty after FASE end", n)
+	}
+	for off := uint64(0); off <= 8*words; off += 8 {
+		if got, want := h.PersistedUint64(a+192+off), ref.Heap().PersistedUint64(a+192+off); got != want {
+			t.Fatalf("durable word +%d = %#x, Store64 loop %#x", off, got, want)
+		}
+	}
+
+	// Rollback, by abort and by crash under a policy that flushes every
+	// store at once: the publishing word returns, completely.
+	th.FASEBegin()
+	th.CopyPrivate(a+192, a+64+8, 8*(words-1))
+	th.Store64(a, 0xdead)
+	if err := th.FASEAbort(); err != nil {
+		t.Fatalf("abort incomplete: %v", err)
+	}
+	if got := th.Load64(a); got != a+192 {
+		t.Fatalf("root after abort = %#x, want %#x", got, a+192)
+	}
+	ert, eth := newTestRuntime(t, core.Eager)
+	eh := ert.Heap()
+	b, _ := eh.AllocLines(128)
+	eth.FASEBegin()
+	eth.StorePrivate64(b+64, 9) // reaches NVRAM at once
+	eth.Store64(b, b+64)
+	eh.Crash()
+	if _, err := Recover(eh); err != nil {
+		t.Fatal(err)
+	}
+	if got := eh.ReadUint64(b); got != 0 {
+		t.Fatalf("root after crash = %#x, want the block unpublished", got)
+	}
+
+	_, idle := newTestRuntime(t, core.Lazy)
+	for name, f := range map[string]func(){
+		"StorePrivate64": func() { idle.StorePrivate64(b+64, 1) },
+		"CopyPrivate":    func() { idle.CopyPrivate(b+64, b, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s outside a FASE did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -67,6 +67,11 @@ func (c *WriteCache) Contains(line trace.LineAddr) bool {
 // was full the least recently used line is evicted and returned for
 // flushing.
 func (c *WriteCache) Access(line trace.LineAddr) (hit bool, evicted trace.LineAddr, hasEvict bool) {
+	// A repeat of the most recently used line (the next word of a page
+	// copy) is a hit that leaves the LRU order as it is: skip the map.
+	if c.head != nil && c.head.line == line {
+		return true, 0, false
+	}
 	if n, ok := c.entries[line]; ok {
 		c.moveToFront(n)
 		return true, 0, false

@@ -144,18 +144,40 @@ func (m *modelLRU) access(l trace.LineAddr) (hit bool, evicted trace.LineAddr, h
 	return false, evicted, has
 }
 
-// Property: the O(1) cache behaves exactly like the reference LRU under
-// random access/resize/drain sequences, and its internal invariants hold.
+// accessNoShortCircuit is Access without its MRU short-circuit: every
+// access goes through the map and moveToFront.
+func accessNoShortCircuit(c *WriteCache, line trace.LineAddr) (hit bool, evicted trace.LineAddr, hasEvict bool) {
+	if n, ok := c.entries[line]; ok {
+		c.moveToFront(n)
+		return true, 0, false
+	}
+	if len(c.entries) >= c.capacity {
+		evicted = c.evictLRU()
+		hasEvict = true
+	}
+	n := c.alloc(line)
+	c.entries[line] = n
+	c.pushFront(n)
+	return false, evicted, hasEvict
+}
+
+// Property: the O(1) cache behaves exactly like the reference LRU, and like
+// a second cache driven without the MRU short-circuit, under random
+// access/resize/drain sequences that include runs of one repeated line (a
+// page copy's words) — same hits, same evictions, same Lines() order — and
+// its internal invariants hold.
 func TestQuickWriteCacheMatchesModel(t *testing.T) {
 	f := func(seed int64, cap8 uint8) bool {
 		rng := testutil.Rand(t, seed)
 		capacity := 1 + int(cap8)%12
 		c := NewWriteCache(capacity)
+		slow := NewWriteCache(capacity)
 		m := &modelLRU{cap: capacity}
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(10) {
 			case 8: // resize
 				newCap := 1 + rng.Intn(12)
+				slow.Resize(newCap)
 				got := c.Resize(newCap)
 				var want []trace.LineAddr
 				for len(m.lines) > newCap {
@@ -167,6 +189,7 @@ func TestQuickWriteCacheMatchesModel(t *testing.T) {
 					return false
 				}
 			case 9: // drain
+				slow.Drain()
 				got := c.Drain()
 				var want []trace.LineAddr
 				for i := len(m.lines) - 1; i >= 0; i-- {
@@ -178,13 +201,25 @@ func TestQuickWriteCacheMatchesModel(t *testing.T) {
 				}
 			default:
 				l := trace.LineAddr(rng.Intn(20))
-				hit, ev, has := c.Access(l)
-				whit, wev, whas := m.access(l)
-				if hit != whit || has != whas || (has && ev != wev) {
-					return false
+				run := 1
+				if rng.Intn(3) == 0 {
+					run += rng.Intn(8)
+				}
+				for ; run > 0; run-- {
+					hit, ev, has := c.Access(l)
+					whit, wev, whas := m.access(l)
+					shit, sev, shas := accessNoShortCircuit(slow, l)
+					if hit != whit || has != whas || (has && ev != wev) ||
+						hit != shit || has != shas || ev != sev {
+						return false
+					}
 				}
 			}
 			if err := c.checkInvariants(); err != nil {
+				return false
+			}
+			if got := c.Lines(); !reflect.DeepEqual(got, slow.Lines()) ||
+				!reflect.DeepEqual(got, append([]trace.LineAddr{}, m.lines...)) {
 				return false
 			}
 		}

@@ -33,6 +33,9 @@ type AtlasOptions struct {
 	// hand-off, per-batch and epoch boundaries to the site space. The
 	// pipeline runs in synchronous mode so enumeration stays deterministic.
 	Pipeline bool
+	// storeWord issues the workload's per-FASE word stores; nil means
+	// Thread.Store64. Only the negative control for private stores sets it.
+	storeWord func(th *atlas.Thread, addr, v uint64)
 }
 
 // DefaultAtlasOptions explores the paper's adaptive policy on a workload
@@ -97,6 +100,10 @@ func atlasRun(opt AtlasOptions, inj *Injector) (h *pmem.Heap, completed int, err
 	if err != nil {
 		return nil, 0, fmt.Errorf("faultinject: new thread: %w", err)
 	}
+	storeWord := opt.storeWord
+	if storeWord == nil {
+		storeWord = (*atlas.Thread).Store64
+	}
 	// Only the serving path is in the site space: enumeration starts after
 	// setup so every site is one the replay deterministically revisits.
 	inj.Enable()
@@ -114,7 +121,7 @@ func atlasRun(opt AtlasOptions, inj *Injector) (h *pmem.Heap, completed int, err
 			th.FASEBegin()
 			for w := 0; w < opt.Words; w++ {
 				addr := dataBase + uint64(1+(f-1)*opt.Words+w)*8
-				th.Store64(addr, wordValue(f, w))
+				storeWord(th, addr, wordValue(f, w))
 			}
 			th.Store64(dataBase, uint64(f)) // shared generation word
 			th.FASEEnd()

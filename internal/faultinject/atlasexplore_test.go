@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/core"
 )
 
@@ -91,6 +92,26 @@ func TestExploreAtlasCatchesDroppedDrains(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "invariant violated") {
 		t.Fatalf("unexpected failure shape (want an invariant violation): %v", err)
+	}
+	t.Logf("caught as expected: %v", err)
+}
+
+// TestExploreAtlasCatchesMisusedPrivateStore is the negative control for
+// atlas.Thread.StorePrivate64: the workload's words are reachable from the
+// heap root before their FASE begins, so storing them without an undo record
+// breaks the contract, and some crash site — one after an eviction or a
+// partial drain carried a word to NVRAM — must recover to a state in which
+// a rolled-back FASE's word is still there. If this passes silently the
+// sweeps could not notice a private store of shared memory anywhere else.
+func TestExploreAtlasCatchesMisusedPrivateStore(t *testing.T) {
+	opt := DefaultAtlasOptions()
+	opt.storeWord = (*atlas.Thread).StorePrivate64
+	rep, err := ExploreAtlas(opt)
+	if err == nil {
+		t.Fatalf("an unlogged store to reachable memory went undetected: %v", rep)
+	}
+	if !strings.Contains(err.Error(), "invariant violated") || !strings.Contains(err.Error(), "word") {
+		t.Fatalf("unexpected failure shape (want a rolled-back word left behind): %v", err)
 	}
 	t.Logf("caught as expected: %v", err)
 }

@@ -6,12 +6,16 @@ import (
 )
 
 // TestExploreKVExhaustive is the acceptance property for the whole
-// subsystem: the kv group-commit workload enumerates well over 100
-// distinct injection sites, every single one is crashed at and recovered
-// from, and every recovery satisfies the service contract (acked writes
-// durable with exact values, the nacked op rolled back — or, for
-// ack-boundary crashes, committed untorn — tree invariants, heap
-// consistency, empty dirty state).
+// subsystem: every injection site the kv group-commit workload enumerates
+// is crashed at and recovered from, and every recovery satisfies the
+// service contract (acked writes durable with exact values, the nacked op
+// rolled back — or, for ack-boundary crashes, committed untorn — tree
+// invariants, heap consistency, empty dirty state). The census is pinned
+// per operation: each op commits alone, as one FASE that logs exactly two
+// words (the tree's root and generation — its pages are private and
+// unlogged) and then crosses one begin, commit, drain barrier and ack; the
+// durable view changes only at line write-backs and log write-throughs, and
+// each of those is a numbered site.
 func TestExploreKVExhaustive(t *testing.T) {
 	o := DefaultKVOptions()
 	if testing.Short() {
@@ -23,16 +27,22 @@ func TestExploreKVExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExploreKV: %v\nreport: %v", err, rep)
 	}
-	if rep.Sites < 100 {
-		t.Errorf("only %d sites enumerated, want >= 100", rep.Sites)
-	}
 	if rep.Crashes != rep.Sites || rep.Missed != 0 {
 		t.Errorf("sweep not exhaustive: %v", rep)
 	}
-	for _, k := range []Kind{KindUndoRecord, KindUndoPublish, KindUndoCommit, KindDrainLine, KindAck} {
-		if rep.Kinds[k] == 0 {
-			t.Errorf("no %v sites in the group-commit path: %v", k, rep)
+	for _, k := range []Kind{KindUndoBegin, KindUndoCommit, KindDrainDone, KindAck} {
+		if rep.Kinds[k] != o.Ops {
+			t.Errorf("%d %v sites for %d single-op FASEs: %v", rep.Kinds[k], k, o.Ops, rep)
 		}
+	}
+	for _, k := range []Kind{KindUndoRecord, KindUndoPublish} {
+		if rep.Kinds[k] != 2*o.Ops {
+			t.Errorf("%d %v sites, want 2 per FASE (root and generation): %v", rep.Kinds[k], k, rep)
+		}
+	}
+	// A FASE writes back at least its leaf's line and the meta line.
+	if rep.Kinds[KindDrainLine] < 2*o.Ops {
+		t.Errorf("%d drain-line sites for %d FASEs: %v", rep.Kinds[KindDrainLine], o.Ops, rep)
 	}
 	t.Logf("%v", rep)
 }

@@ -55,17 +55,21 @@ type Options struct {
 	// Shards is the number of independent engines (trees, writer
 	// goroutines). Keys are routed by ShardIndex.
 	Shards int
-	// MaxBatch bounds how many operations one commit may absorb — the static
-	// FASE-size bound LogEntries is sized for; 1 disables group commit
-	// (every operation is its own FASE).
+	// MaxBatch bounds how many operations one commit may absorb: the writer
+	// stops gathering once the batch holds this many (a multi-pair request
+	// taken last may carry it past the bound); 1 disables group commit
+	// (every operation is its own FASE). It bounds commit latency and the
+	// pages one FASE copies, not the undo log: see LogEntries.
 	MaxBatch int
 	// QueueDepth is the per-shard request channel capacity.
 	QueueDepth int
 	// PoolPages is the per-shard B+-tree page pool capacity.
 	PoolPages int
-	// LogEntries is the per-shard undo-log capacity; it must cover the
-	// distinct words a full batch writes, or aborts and crash rollbacks
-	// become incomplete.
+	// LogEntries is the per-shard undo-log capacity in entries. It must
+	// cover the distinct words one FASE undo-logs, or aborts and crash
+	// rollbacks become incomplete; that is faseLoggedWords whatever the
+	// batch size, because the pages a batch writes are private to its FASE
+	// and unlogged.
 	LogEntries int
 	// Policy and Config select the per-thread persistence technique
 	// (default: the paper's online-adaptive software cache).
@@ -135,6 +139,12 @@ type Options struct {
 	IsInjectedCrash func(r any) bool
 }
 
+// faseLoggedWords is the most distinct words any shard FASE undo-logs,
+// whatever its batch holds: the tree's root and generation (mdb; the pages
+// are private stores) and the redo journal's tail and generation
+// (checkpoint.go). Absorption adds none: a net delta is an ordinary put.
+const faseLoggedWords = 4
+
 // DefaultOptions returns the serving configuration used by cmd/nvserver.
 func DefaultOptions() Options {
 	return Options{
@@ -142,7 +152,9 @@ func DefaultOptions() Options {
 		MaxBatch:   64,
 		QueueDepth: 256,
 		PoolPages:  1 << 13,
-		LogEntries: 1 << 14,
+		// Sixteen times the bound: an overflowing log fails silently until a
+		// rollback needs it, and the headroom costs 1 KiB per log.
+		LogEntries: 16 * faseLoggedWords,
 		Policy:     core.SoftCacheOnline,
 		Config:     core.DefaultConfig(),
 	}

@@ -165,11 +165,15 @@ func (db *DB) nkeys(p uint64) int         { return int(uint32(db.t.Load64(p + hd
 func (db *DB) key(p uint64, i int) uint64 { return db.t.Load64(p + keysOff + uint64(8*i)) }
 func (db *DB) val(p uint64, i int) uint64 { return db.t.Load64(p + valsOff + uint64(8*i)) }
 
+// The setters write only pages in db.fresh — allocated by this transaction,
+// whole-line blocks, reachable from no durable root until the logged store
+// of the meta root publishes them — so they are private stores: dirty-marked
+// and drained with the FASE, never undo-logged.
 func (db *DB) setHdr(p uint64, typ uint64, n int) {
-	db.t.Store64(p+hdrOff, typ<<32|uint64(uint32(n)))
+	db.t.StorePrivate64(p+hdrOff, typ<<32|uint64(uint32(n)))
 }
-func (db *DB) setKey(p uint64, i int, k uint64) { db.t.Store64(p+keysOff+uint64(8*i), k) }
-func (db *DB) setVal(p uint64, i int, v uint64) { db.t.Store64(p+valsOff+uint64(8*i), v) }
+func (db *DB) setKey(p uint64, i int, k uint64) { db.t.StorePrivate64(p+keysOff+uint64(8*i), k) }
+func (db *DB) setVal(p uint64, i int, v uint64) { db.t.StorePrivate64(p+valsOff+uint64(8*i), v) }
 
 // Begin opens a write transaction (one FASE).
 func (db *DB) Begin() error {
@@ -272,11 +276,12 @@ func (pc *PendingCommit) Await() {
 func (pc *PendingCommit) Generation() uint64 { return pc.gen }
 
 // Abort rolls the current transaction back: the FASE's undo entries are
-// applied in reverse (restoring root, generation, and every touched page)
-// and the pages allocated by the transaction are returned to the pool. The
-// committed tree is untouched — exactly the state a crash mid-transaction
-// plus recovery would yield, minus the page leak. Abort fails (with the
-// store left as recovery would leave it) only when the undo log overflowed.
+// applied in reverse (restoring root and generation, which unpublishes
+// every page the transaction wrote) and the pages allocated by the
+// transaction are returned to the pool. The committed tree is untouched —
+// exactly the state a crash mid-transaction plus recovery would yield,
+// minus the page leak. Abort fails (with the store left as recovery would
+// leave it) only when the undo log overflowed.
 func (db *DB) Abort() error {
 	if !db.inTxn {
 		return fmt.Errorf("mdb: abort outside transaction")
@@ -360,11 +365,9 @@ func (db *DB) touch(p uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Copy the whole page word by word: the COW write burst the paper's
-	// MDB exhibits.
-	for off := uint64(0); off < pageBytes; off += 8 {
-		db.t.Store64(c+off, db.t.Load64(p+off))
-	}
+	// Copy the whole page: the COW write burst the paper's MDB exhibits,
+	// one store event per word. The copy is private until the root publish.
+	db.t.CopyPrivate(c, p, pageBytes)
 	db.copied[p] = c
 	db.fresh[c] = true
 	db.freed = append(db.freed, p)

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"nvmcache/internal/testutil"
 	"sync"
 	"testing"
@@ -147,21 +148,44 @@ func TestParallelDisjointLines(t *testing.T) {
 	}
 }
 
+// sameState reports whether the sharded heap and the serial oracle agree on
+// every volatile byte, every durable byte and the set of dirty lines.
+func sameState(h *Heap, s *SerialHeap) bool {
+	if !bytes.Equal(h.mem, s.mem) || !bytes.Equal(h.persisted, s.persisted) {
+		return false
+	}
+	hd, sd := h.DirtyLines(), s.DirtyLines()
+	if len(hd) != len(sd) || h.DirtyCount() != s.DirtyCount() {
+		return false
+	}
+	for _, l := range hd {
+		if _, ok := s.dirty[l]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // TestDifferentialSerialOracle drives the sharded Heap and the coarse-mutex
-// SerialHeap with one random operation sequence and demands byte-identical
-// volatile and durable views at every crash and at the end.
+// SerialHeap with one random operation sequence — stores, byte writes,
+// CopyWithin over aligned, unaligned, overlapping, empty and heap-end
+// ranges, flushes, write-throughs, PersistAll and crashes — and demands
+// identical volatile bytes, durable bytes and dirty-line sets after every
+// operation: the flag array against the oracle's set, the memmove against
+// the oracle's copy through a temporary.
 func TestDifferentialSerialOracle(t *testing.T) {
+	const size = 2048
 	f := func(seed int64) bool {
 		rng := testutil.Rand(t, seed)
-		h := New(2048)
-		s := NewSerial(2048)
+		h := New(size)
+		s := NewSerial(size)
 		ha, _ := h.AllocLines(1024)
 		sa, _ := s.AllocLines(1024)
 		if ha != sa {
 			return false
 		}
-		for op := 0; op < 300; op++ {
-			switch rng.Intn(8) {
+		for op := 0; op < 400; op++ {
+			switch rng.Intn(10) {
 			case 0, 1, 2:
 				off := uint64(rng.Intn(127)) * 8
 				v := rng.Uint64()
@@ -191,24 +215,119 @@ func TestDifferentialSerialOracle(t *testing.T) {
 				if h.PersistedUint64(ha+off) != s.PersistedUint64(sa+off) {
 					return false
 				}
+			case 8:
+				// Anywhere above the header, so ranges reach the heap's
+				// last byte; short distances make overlaps common.
+				n := uint64(rng.Intn(200))
+				if rng.Intn(2) == 0 {
+					n &^= 7
+				}
+				src := HeaderSize + uint64(rng.Intn(size-HeaderSize-int(n)+1))
+				dst := HeaderSize + uint64(rng.Intn(size-HeaderSize-int(n)+1))
+				switch rng.Intn(4) {
+				case 0:
+					src, dst = src&^7, dst&^7
+				case 1:
+					dst = size - n // ends at the heap end
+				case 2:
+					if d := src + uint64(rng.Intn(16)); d+n <= size {
+						dst = d // overlaps src from above
+					}
+				}
+				h.CopyWithin(dst, src, n)
+				s.CopyWithin(dst, src, n)
+			case 9:
+				h.PersistAll()
+				s.PersistAll()
+			}
+			if !sameState(h, s) {
+				return false
 			}
 		}
 		h.PersistAll()
 		s.PersistAll()
-		if h.CheckConsistency() != nil || s.CheckConsistency() != nil {
-			return false
-		}
-		for off := uint64(0); off < 1024; off += 8 {
-			if h.ReadUint64(ha+off) != s.ReadUint64(sa+off) {
-				return false
-			}
-			if h.PersistedUint64(ha+off) != s.PersistedUint64(sa+off) {
-				return false
-			}
-		}
-		return true
+		return h.CheckConsistency() == nil && s.CheckConsistency() == nil && sameState(h, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCopyWithinBounds: either range leaving the heap panics before a byte
+// moves.
+func TestCopyWithinBounds(t *testing.T) {
+	h := New(256)
+	for _, c := range [][3]uint64{{200, 64, 64}, {64, 200, 64}, {64, 128, ^uint64(0)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CopyWithin(%d, %d, %d) did not panic", c[0], c[1], c[2])
+				}
+			}()
+			h.CopyWithin(c[0], c[1], c[2])
+		}()
+	}
+	if h.DirtyCount() != 0 {
+		t.Fatal("a rejected copy marked lines dirty")
+	}
+}
+
+// TestOwnerMarksRaceWorkerApply is the control plane's one cross-goroutine
+// interleaving: the owner keeps storing to (re-marking) a set of lines while
+// another goroutine — the flush pipeline's worker — persists captured images
+// of the same lines with ApplyCaptured, which clears their flags. The flag
+// byte and the durable line are touched only under the line's stripe, so
+// the race detector must stay quiet (run with -race -count=10), and a final
+// owner flush must leave every line clean and durable at its last value.
+func TestOwnerMarksRaceWorkerApply(t *testing.T) {
+	h := New(1 << 16)
+	const nLines = 32
+	base, err := h.AllocLines(nLines * trace.LineSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([]trace.LineAddr, nLines)
+	for i := range lines {
+		lines[i] = trace.LineOf(base + uint64(i)*trace.LineSize)
+	}
+	const rounds = 200
+	// The owner captures on its own goroutine (CaptureLine reads the
+	// volatile plane) and hands the images over, as the pipeline does.
+	work := make(chan []byte)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for data := range work {
+			h.ApplyCaptured(lines, data)
+		}
+	}()
+	for r := 1; r <= rounds; r++ {
+		data := make([]byte, nLines*trace.LineSize)
+		for i, l := range lines {
+			h.Store64(l.ByteAddr(), uint64(r))
+			h.CaptureLine(l, data[i*trace.LineSize:])
+		}
+		work <- data
+		// Re-mark while the worker applies the round's images.
+		h.CopyWithin(base, base+trace.LineSize, (nLines-1)*trace.LineSize)
+		for _, l := range lines {
+			h.Store64(l.ByteAddr()+8, uint64(r))
+		}
+	}
+	close(work)
+	<-done
+	for _, l := range lines {
+		h.FlushLine(l)
+	}
+	if n := h.DirtyCount(); n != 0 {
+		t.Fatalf("%d lines dirty after the owner's final flush", n)
+	}
+	if err := h.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range lines {
+		if got := h.PersistedUint64(l.ByteAddr() + 8); got != rounds {
+			t.Fatalf("line %d durable word = %d, want %d", l, got, rounds)
+		}
 	}
 }

@@ -23,10 +23,12 @@
 //     atlas.Thread or a kv shard writer), and only the owner writes or
 //     flushes it. Stable (committed, unowned) lines may be read by anyone —
 //     that is how kv snapshot readers work.
-//   - Control plane: per-line dirty state, sharded over NumStripes
-//     lock-striped maps keyed by line address. A store acquires exactly one
-//     stripe (to mark its line dirty); stores to different lines hit
-//     different stripes with probability (NumStripes-1)/NumStripes.
+//   - Control plane: per-line dirty state, one flag byte per line, guarded
+//     by NumStripes lock stripes keyed by line address. A store acquires
+//     exactly one stripe (to mark its line dirty); stores to different lines
+//     hit different stripes with probability (NumStripes-1)/NumStripes. The
+//     stripe orders the owner's mark against a flush of the same line issued
+//     from another goroutine (the pipeline worker's ApplyCaptured).
 //   - Header plane: the root/alloc/meta words of line 0 are guarded by a
 //     dedicated mutex and written through to the persisted view (they are
 //     never dirty).
@@ -73,17 +75,17 @@ const (
 	fibMix      = 0x9e3779b97f4a7c15
 )
 
-// stripe is one shard of the dirty-line control plane.
+// stripe is one lock of the dirty-line control plane: it guards the dirty
+// flags and the durable bytes of the lines that hash to it.
 type stripe struct {
-	mu    sync.Mutex
-	dirty map[trace.LineAddr]struct{}
+	mu sync.Mutex
 	// acquired counts lock acquisitions; it is mutated only under mu.
 	acquired int64
 	// contended counts acquisitions that found the lock held (updated
 	// before blocking, hence atomic).
 	contended atomic.Int64
 
-	_ [32]byte // pad to 64 bytes: keep stripes off each other's cache lines
+	_ [40]byte // pad to 64 bytes: keep stripes off each other's cache lines
 }
 
 // lock acquires the stripe, counting contention.
@@ -102,9 +104,12 @@ func (st *stripe) lock() {
 type Heap struct {
 	mem       []byte // volatile view: program reads and writes land here
 	persisted []byte // durable view: updated only by line flushes
-	hdr       sync.Mutex
-	stripes   [NumStripes]stripe
-	crashes   atomic.Int64
+	// dirty holds one flag per line: 1 while the line was written since its
+	// last flush. dirty[l] is read and written only under stripeOf(l).
+	dirty   []uint8
+	hdr     sync.Mutex
+	stripes [NumStripes]stripe
+	crashes atomic.Int64
 }
 
 // New creates a heap of the given size (rounded up to a whole number of
@@ -119,9 +124,7 @@ func New(size int) *Heap {
 	h := &Heap{
 		mem:       make([]byte, size),
 		persisted: make([]byte, size),
-	}
-	for i := range h.stripes {
-		h.stripes[i].dirty = make(map[trace.LineAddr]struct{}, 16)
+		dirty:     make([]uint8, size>>trace.LineShift),
 	}
 	binary.LittleEndian.PutUint64(h.mem[allocOff:], HeaderSize)
 	copy(h.persisted[:HeaderSize], h.mem[:HeaderSize])
@@ -157,7 +160,7 @@ func (h *Heap) markDirty(addr, n uint64) {
 		line := trace.LineAddr(l)
 		st := h.stripeOf(line)
 		st.lock()
-		st.dirty[line] = struct{}{}
+		h.dirty[l] = 1
 		st.mu.Unlock()
 	}
 }
@@ -170,7 +173,7 @@ func (h *Heap) flushLine(line trace.LineAddr) {
 	st := h.stripeOf(line)
 	st.lock()
 	copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
-	delete(st.dirty, line)
+	h.dirty[line] = 0
 	st.mu.Unlock()
 }
 
@@ -198,7 +201,7 @@ func (h *Heap) FlushLines(lines []trace.LineAddr) {
 			}
 			start := l.ByteAddr()
 			copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
-			delete(st.dirty, l)
+			h.dirty[l] = 0
 		}
 		st.mu.Unlock()
 	}
@@ -245,7 +248,7 @@ func (h *Heap) ApplyCaptured(lines []trace.LineAddr, data []byte) {
 			}
 			start := l.ByteAddr()
 			copy(h.persisted[start:start+trace.LineSize], data[j*trace.LineSize:(j+1)*trace.LineSize])
-			delete(st.dirty, l)
+			h.dirty[l] = 0
 		}
 		st.mu.Unlock()
 	}
@@ -405,6 +408,18 @@ func (h *Heap) WriteBytes(addr uint64, b []byte) {
 	h.markDirty(addr, uint64(len(b)))
 }
 
+// CopyWithin copies n bytes of the volatile view from src to dst (the
+// ranges may overlap; the copy behaves as if through a temporary) and marks
+// the destination lines dirty: two bounds checks, one memmove, one stripe
+// acquisition per destination line. The caller must own the destination
+// lines and know the source is stable or its own.
+func (h *Heap) CopyWithin(dst, src, n uint64) {
+	h.check(dst, n)
+	h.check(src, n)
+	copy(h.mem[dst:dst+n], h.mem[src:src+n])
+	h.markDirty(dst, n)
+}
+
 // ReadBytes copies n bytes from the volatile view into a fresh slice.
 func (h *Heap) ReadBytes(addr, n uint64) []byte {
 	h.check(addr, n)
@@ -467,9 +482,9 @@ func (h *Heap) DirtyLines() []trace.LineAddr {
 	h.lockAll()
 	defer h.unlockAll()
 	var out []trace.LineAddr
-	for i := range h.stripes {
-		for l := range h.stripes[i].dirty {
-			out = append(out, l)
+	for l, d := range h.dirty {
+		if d != 0 {
+			out = append(out, trace.LineAddr(l))
 		}
 	}
 	return out
@@ -480,8 +495,8 @@ func (h *Heap) DirtyCount() int {
 	h.lockAll()
 	defer h.unlockAll()
 	n := 0
-	for i := range h.stripes {
-		n += len(h.stripes[i].dirty)
+	for _, d := range h.dirty {
+		n += int(d)
 	}
 	return n
 }
@@ -491,8 +506,7 @@ func (h *Heap) isDirty(line trace.LineAddr) bool {
 	st := h.stripeOf(line)
 	st.lock()
 	defer st.mu.Unlock()
-	_, ok := st.dirty[line]
-	return ok
+	return h.dirty[line] != 0
 }
 
 // Crash simulates a power failure: the volatile view is replaced by the
@@ -503,9 +517,7 @@ func (h *Heap) Crash() {
 	h.lockAll()
 	defer h.unlockAll()
 	copy(h.mem, h.persisted)
-	for i := range h.stripes {
-		clear(h.stripes[i].dirty)
-	}
+	clear(h.dirty)
 	h.crashes.Add(1)
 }
 
@@ -517,13 +529,13 @@ func (h *Heap) Crashes() int { return int(h.crashes.Load()) }
 func (h *Heap) PersistAll() {
 	h.lockAll()
 	defer h.unlockAll()
-	for i := range h.stripes {
-		for l := range h.stripes[i].dirty {
-			start := l.ByteAddr()
+	for l, d := range h.dirty {
+		if d != 0 {
+			start := trace.LineAddr(l).ByteAddr()
 			copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
 		}
-		clear(h.stripes[i].dirty)
 	}
+	clear(h.dirty)
 }
 
 // CheckConsistency verifies the cross-view invariant on a quiesced heap:
@@ -533,13 +545,11 @@ func (h *Heap) PersistAll() {
 func (h *Heap) CheckConsistency() error {
 	h.lockAll()
 	defer h.unlockAll()
-	lines := uint64(len(h.mem)) >> trace.LineShift
-	for l := uint64(0); l < lines; l++ {
-		line := trace.LineAddr(l)
-		if _, dirty := h.stripeOf(line).dirty[line]; dirty {
+	for l, d := range h.dirty {
+		if d != 0 {
 			continue
 		}
-		start := line.ByteAddr()
+		start := trace.LineAddr(l).ByteAddr()
 		for i := uint64(0); i < trace.LineSize; i++ {
 			if h.mem[start+i] != h.persisted[start+i] {
 				return fmt.Errorf("pmem: clean line %d diverges at byte %d (volatile %#x, durable %#x)",

@@ -192,6 +192,24 @@ func (h *SerialHeap) WriteBytes(addr uint64, b []byte) {
 	h.markDirty(addr, uint64(len(b)))
 }
 
+// CopyWithin copies n bytes of the volatile view from src to dst byte by
+// byte through a temporary — deliberately not Heap.CopyWithin's memmove, so
+// the differential test compares two implementations.
+func (h *SerialHeap) CopyWithin(dst, src, n uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.check(dst, n)
+	h.check(src, n)
+	tmp := make([]byte, n)
+	for i := range tmp {
+		tmp[i] = h.mem[src+uint64(i)]
+	}
+	for i, b := range tmp {
+		h.mem[dst+uint64(i)] = b
+	}
+	h.markDirty(dst, n)
+}
+
 // ReadBytes copies n bytes from the volatile view into a fresh slice.
 func (h *SerialHeap) ReadBytes(addr, n uint64) []byte {
 	h.mu.Lock()

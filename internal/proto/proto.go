@@ -77,9 +77,9 @@ const (
 	// resynchronize).
 	MaxPayload = 1 << 20
 	// MaxOps bounds the entries one MGET/MPUT frame may carry, mirroring
-	// the text protocol's SCAN cap: a batch must fit one group commit's
-	// undo-log budget, and an unbounded count prefix would let one frame
-	// demand arbitrary memory.
+	// the text protocol's SCAN cap: one frame's pairs to one shard commit as
+	// one FASE, whose page copies come out of the shard's pool, and an
+	// unbounded count prefix would let one frame demand arbitrary memory.
 	MaxOps = 512
 )
 
