@@ -2,11 +2,14 @@ package atlas
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nvmcache/internal/core"
 	"nvmcache/internal/pmem"
+	"nvmcache/internal/trace"
 )
 
 // Regression test for undo logging at the heap boundary: a store into the
@@ -205,6 +208,125 @@ func TestFlushStatsDuringMutation(t *testing.T) {
 	_ = observed
 	if rt.FlushStats().Total() == 0 {
 		t.Fatal("no flushes counted")
+	}
+}
+
+// tallySink is the owner-side reference count for TestFlushStatsPublication:
+// what the policy asked the sink to do, counted before the sink does it.
+type tallySink struct {
+	core.FlushSink
+	issued                 atomic.Int64 // lines handed over so far; read by the poller
+	async, drained, fences int64        // owner only
+}
+
+func (s *tallySink) FlushLine(line trace.LineAddr) {
+	s.issued.Add(1)
+	s.async++
+	s.FlushSink.FlushLine(line)
+}
+
+func (s *tallySink) Drain(lines []trace.LineAddr) {
+	s.issued.Add(int64(len(lines)))
+	s.drained += int64(len(lines))
+	if len(lines) == 0 {
+		s.fences++
+	}
+	s.FlushSink.Drain(lines)
+}
+
+// TestFlushStatsPublication pins the sink's counter contract now that an
+// eviction flush bumps a plain owner-local count published at FASE end:
+// Thread.FlushStats on the owner between FASEs is exact — through FASEs
+// that evict mid-section, a FASE whose lines were all flushed before its
+// end (the eager policy: the drain is an empty barrier) and a FlushLine
+// issued by a FASE-end capacity shrink — while Runtime.FlushStats polled
+// from another goroutine is race-clean, monotone, and never ahead of what
+// the owner has issued. Run with -race.
+func TestFlushStatsPublication(t *testing.T) {
+	for _, kind := range []core.PolicyKind{core.SoftCacheOffline, core.Eager, core.AtlasTable} {
+		t.Run(kind.String(), func(t *testing.T) {
+			h := pmem.New(1 << 20)
+			opts := DefaultOptions()
+			opts.Policy = kind
+			opts.Config.PresetSize = 4
+			opts.DisableTrace = true
+			var tally *tallySink
+			opts.WrapSink = func(_ int32, sink core.FlushSink) core.FlushSink {
+				tally = &tallySink{FlushSink: sink}
+				return tally
+			}
+			rt := NewRuntime(h, opts)
+			th, err := rt.NewThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const lines = 64
+			base, err := h.AllocLines(lines * 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The owner runs its FASEs on its own goroutine; the test
+			// goroutine is the observer until the owner is done.
+			var atFASEEnd int64 // FlushLine calls made from inside FASEEnd
+			cc, resizable := th.Policy().(core.CapacityControlled)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for f := 0; f < 2000; f++ {
+					if resizable && f%5 == 4 {
+						// Applied at this FASE's end: the cache then holds
+						// more lines than the new capacity, so the shrink
+						// evicts.
+						cc.RequestCapacity(1 + f%3)
+					}
+					th.FASEBegin()
+					for w := 0; w < 1+f%12; w++ {
+						th.Store64(base+uint64((f+w*7)%lines)*64, uint64(f))
+					}
+					before := tally.async
+					th.FASEEnd()
+					atFASEEnd += tally.async - before
+					want := core.FlushStats{Async: tally.async, Drained: tally.drained, Barriers: tally.fences}
+					if got := th.FlushStats(); got != want {
+						t.Errorf("after FASE %d the owner reads %+v, issued %+v", f, got, want)
+						return
+					}
+				}
+			}()
+			var last core.FlushStats
+			for running := true; running && !t.Failed(); {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				got := rt.FlushStats()
+				issued := tally.issued.Load() // after the read it bounds
+				if got.Async < last.Async || got.Drained < last.Drained || got.Barriers < last.Barriers {
+					t.Errorf("flush stats went backwards: %+v after %+v", got, last)
+				}
+				if got.Total() > issued {
+					t.Errorf("observed %d flushed lines, the owner has issued %d", got.Total(), issued)
+				}
+				last = got
+				runtime.Gosched()
+			}
+			<-done
+			if t.Failed() {
+				return
+			}
+			if last.Total() != tally.issued.Load() {
+				t.Fatalf("after the last FASE another goroutine reads %d flushed lines, issued %d", last.Total(), tally.issued.Load())
+			}
+			if tally.async == 0 || tally.drained+tally.fences == 0 {
+				t.Fatalf("the run did not exercise both paths: %d evictions, %d drained, %d barriers",
+					tally.async, tally.drained, tally.fences)
+			}
+			if resizable && atFASEEnd == 0 {
+				t.Fatal("no FASE-end capacity shrink evicted a line")
+			}
+		})
 	}
 }
 

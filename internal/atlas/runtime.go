@@ -12,11 +12,12 @@
 // can be replayed under every policy and cost model.
 //
 // Concurrency: each Thread owns its heap lines (single-writer-per-line;
-// see the pmem package comment), its undo log, its policy and its flush
-// sink, so the store hot path touches only thread-local state plus at most
-// one of the heap's dirty-state stripes. Runtime keeps its thread registry
-// in a copy-on-write slice behind an atomic pointer: FlushStats and Trace
-// walk a snapshot and never take a lock a mutator could be holding.
+// see the pmem package comment), their flags, its undo log, its policy and
+// its flush sink, so the store → evict → flush path touches only
+// thread-local state: no lock and no interlocked instruction. Runtime keeps
+// its thread registry in a copy-on-write slice behind an atomic pointer:
+// FlushStats and Trace walk a snapshot and never take a lock a mutator
+// could be holding.
 package atlas
 
 import (
@@ -202,8 +203,10 @@ func (rt *Runtime) Trace() *trace.Trace {
 }
 
 // FlushStats sums the flush counters of all threads. Safe to call at any
-// time, including while mutators are storing: sink counters are atomic and
-// the registry walk is lock-free.
+// time, including while mutators are storing: it reads the atomics each
+// sink publishes at FASE end and the registry walk is lock-free. A thread's
+// evictions in the FASE it is running are not in the sum yet, so the total
+// is monotone and lags each thread by at most one FASE.
 func (rt *Runtime) FlushStats() core.FlushStats {
 	var total core.FlushStats
 	for _, t := range rt.snapshot() {
@@ -413,8 +416,9 @@ func (t *Thread) FASEAbort() error {
 func (t *Thread) InFASE() bool { return t.depth > 0 }
 
 // FlushStats returns this thread's flush counters (async, drained,
-// barriers). The counters are atomic, so concurrent observers may read
-// them while the thread is mutating.
+// barriers): exact when the owner calls it between FASEs — the sink
+// publishes a FASE's eviction count at the FASE's drain — and one FASE
+// behind, at most, for any other caller.
 func (t *Thread) FlushStats() core.FlushStats { return t.sink.Stats() }
 
 // Stores returns the number of persistent stores issued.
@@ -422,9 +426,8 @@ func (t *Thread) Stores() int64 { return t.stores }
 
 // Store64 performs a persistent store of one 64-bit word as a single-entry
 // protocol: one bounds check, the volatile write (returning the old value
-// in the same heap access), the undo record, and the policy notify — at
-// most one striped heap lock on the whole path, and no lock is ever
-// re-acquired between steps.
+// in the same heap access) with its plain flag store, the undo record, and
+// the policy notify — no lock anywhere on the path.
 //
 // Ordering note: the volatile write lands before the undo record is
 // durable, which is safe in this model because the new value can only

@@ -160,8 +160,8 @@ func newUndoLog(h *pmem.Heap, entries int, hook func(UndoOp)) (*undoLog, error) 
 
 // begin opens a FASE: mark the log active before any data write. Log
 // writes are write-through (Write64Through): the log's lines belong to
-// this thread alone, the words are durable the instant they are written,
-// and the store hot path acquires no heap stripe for logging.
+// this thread alone and the words are durable the instant they are
+// written, with no flag to set and no flush to issue later.
 func (l *undoLog) begin() {
 	l.at(UndoBegin)
 	l.count = 0

@@ -22,6 +22,14 @@ type MSQueue struct {
 	base uint64 // queue header: head ptr at +0, tail ptr at +8
 	hMu  sync.Mutex
 	tMu  sync.Mutex
+	// hdrMu passes ownership of the header's cache line between the two
+	// ends. Head and tail pointer share that line, and a line has one owner
+	// at a time (pmem's single-writer-per-line discipline covers its flag
+	// and its flush, not just its words), so a dequeuer and an enqueuer hold
+	// hdrMu from their store to the header until their FASE has ended. Node
+	// allocation, initialization, linking and the head-side reads stay under
+	// the two end locks alone. Taken after hMu or tMu, never before.
+	hdrMu sync.Mutex
 }
 
 const (
@@ -66,8 +74,10 @@ func (q *MSQueue) Enqueue(t *atlas.Thread, v uint64) error {
 	t.Store64(node+nNextOff, 0)
 	tail := t.Load64(q.base + qTailOff)
 	t.Store64(tail+nNextOff, node)
+	q.hdrMu.Lock()
 	t.Store64(q.base+qTailOff, node)
 	t.FASEEnd()
+	q.hdrMu.Unlock()
 	return nil
 }
 
@@ -82,8 +92,10 @@ func (q *MSQueue) Dequeue(t *atlas.Thread) (v uint64, ok bool) {
 	}
 	v = t.Load64(next + nValOff)
 	t.FASEBegin()
+	q.hdrMu.Lock()
 	t.Store64(q.base+qHeadOff, next)
 	t.FASEEnd()
+	q.hdrMu.Unlock()
 	return v, true
 }
 

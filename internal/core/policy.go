@@ -45,7 +45,9 @@ type FlushSink interface {
 	// drain). lines may be empty, in which case it acts as a barrier.
 	Drain(lines []trace.LineAddr)
 	// Stats reports cumulative flush counts. It may be called from other
-	// goroutines while the owning thread is storing.
+	// goroutines while the owning thread is storing; a sink may publish
+	// its FlushLine count only at the next Drain, so such a caller can lag
+	// by the FASE in progress. After a Drain, on the owner, it is exact.
 	Stats() FlushStats
 }
 

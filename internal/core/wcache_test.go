@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"nvmcache/internal/testutil"
 	"reflect"
 	"testing"
@@ -113,119 +114,207 @@ func TestWriteCacheClear(t *testing.T) {
 	if c.Len() != 0 || c.Contains(1) {
 		t.Fatal("Clear left entries")
 	}
-	// Freelist reuse must not corrupt state.
 	c.Access(5)
 	c.Access(6)
-	if err := c.checkInvariants(); err != nil {
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
+	if got, want := c.Lines(), []trace.LineAddr{6, 5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Clear and two accesses: %v, want %v", got, want)
+	}
 }
 
-// modelLRU is a trivially correct reference: a slice ordered MRU-first.
-type modelLRU struct {
-	cap   int
-	lines []trace.LineAddr
-}
-
-func (m *modelLRU) access(l trace.LineAddr) (hit bool, evicted trace.LineAddr, has bool) {
-	for i, x := range m.lines {
-		if x == l {
-			copy(m.lines[1:i+1], m.lines[:i])
-			m.lines[0] = l
-			return true, 0, false
+// checkInvariants validates the array: within capacity and allocation, and
+// no line buffered twice.
+func checkInvariants(c *WriteCache) error {
+	if len(c.lines) > c.capacity || c.capacity > cap(c.lines) {
+		return fmt.Errorf("wcache: occupancy %d, capacity %d, allocation %d", len(c.lines), c.capacity, cap(c.lines))
+	}
+	seen := make(map[trace.LineAddr]bool, len(c.lines))
+	for _, l := range c.lines {
+		if seen[l] {
+			return fmt.Errorf("wcache: line %v buffered twice", l)
 		}
+		seen[l] = true
 	}
-	if len(m.lines) == m.cap {
-		evicted = m.lines[len(m.lines)-1]
-		m.lines = m.lines[:len(m.lines)-1]
-		has = true
-	}
-	m.lines = append([]trace.LineAddr{l}, m.lines...)
-	return false, evicted, has
+	return nil
 }
 
-// accessNoShortCircuit is Access without its MRU short-circuit: every
-// access goes through the map and moveToFront.
-func accessNoShortCircuit(c *WriteCache, line trace.LineAddr) (hit bool, evicted trace.LineAddr, hasEvict bool) {
+// listCache is the reference model: the hash map plus intrusive doubly
+// linked list (with its node freelist) that WriteCache was before it became
+// an array. Every operation is O(1) and none shares code with the array, so
+// agreement between the two is evidence about both.
+type listCache struct {
+	capacity int
+	entries  map[trace.LineAddr]*listNode
+	head     *listNode // most recently used
+	tail     *listNode // least recently used
+	free     *listNode
+}
+
+type listNode struct {
+	line       trace.LineAddr
+	prev, next *listNode
+}
+
+func newListCache(capacity int) *listCache {
+	return &listCache{capacity: capacity, entries: make(map[trace.LineAddr]*listNode, capacity*2)}
+}
+
+func (c *listCache) Access(line trace.LineAddr) (hit bool, evicted trace.LineAddr, hasEvict bool) {
 	if n, ok := c.entries[line]; ok {
-		c.moveToFront(n)
+		if c.head != n {
+			c.unlink(n)
+			c.pushFront(n)
+		}
 		return true, 0, false
 	}
 	if len(c.entries) >= c.capacity {
 		evicted = c.evictLRU()
 		hasEvict = true
 	}
-	n := c.alloc(line)
+	n := c.free
+	if n != nil {
+		c.free = n.next
+		n.next = nil
+	} else {
+		n = &listNode{}
+	}
+	n.line = line
 	c.entries[line] = n
 	c.pushFront(n)
 	return false, evicted, hasEvict
 }
 
-// Property: the O(1) cache behaves exactly like the reference LRU, and like
-// a second cache driven without the MRU short-circuit, under random
-// access/resize/drain sequences that include runs of one repeated line (a
-// page copy's words) — same hits, same evictions, same Lines() order — and
-// its internal invariants hold.
+func (c *listCache) Drain() []trace.LineAddr {
+	if len(c.entries) == 0 {
+		return nil
+	}
+	var out []trace.LineAddr
+	for n := c.tail; n != nil; n = n.prev {
+		out = append(out, n.line)
+	}
+	for n := c.head; n != nil; {
+		next := n.next
+		c.release(n)
+		n = next
+	}
+	c.head, c.tail = nil, nil
+	clear(c.entries)
+	return out
+}
+
+func (c *listCache) Resize(capacity int) []trace.LineAddr {
+	c.capacity = capacity
+	var out []trace.LineAddr
+	for len(c.entries) > c.capacity {
+		out = append(out, c.evictLRU())
+	}
+	return out
+}
+
+func (c *listCache) Lines() []trace.LineAddr {
+	out := make([]trace.LineAddr, 0, len(c.entries))
+	for n := c.head; n != nil; n = n.next {
+		out = append(out, n.line)
+	}
+	return out
+}
+
+func (c *listCache) release(n *listNode) {
+	n.prev = nil
+	n.next = c.free
+	c.free = n
+}
+
+func (c *listCache) pushFront(n *listNode) {
+	n.prev = nil
+	n.next = c.head
+	if c.head != nil {
+		c.head.prev = n
+	}
+	c.head = n
+	if c.tail == nil {
+		c.tail = n
+	}
+}
+
+func (c *listCache) unlink(n *listNode) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		c.head = n.next
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		c.tail = n.prev
+	}
+	n.prev, n.next = nil, nil
+}
+
+func (c *listCache) evictLRU() trace.LineAddr {
+	n := c.tail
+	c.unlink(n)
+	delete(c.entries, n.line)
+	c.release(n)
+	return n.line
+}
+
+// Property: the array cache behaves exactly like the map+list reference at
+// capacities 1…50 under random access/resize/drain sequences that include
+// bursts of one repeated line (a page copy's words), shrinking and growing
+// resizes and drains — same hits, same evicted lines, same Lines() order,
+// same Drain() order, same Resize evictions at every step — and its
+// invariants hold.
 func TestQuickWriteCacheMatchesModel(t *testing.T) {
+	const maxCap = 50
+	same := func(got, want []trace.LineAddr) bool {
+		return len(got) == len(want) && (len(got) == 0 || reflect.DeepEqual(got, want))
+	}
 	f := func(seed int64, cap8 uint8) bool {
 		rng := testutil.Rand(t, seed)
-		capacity := 1 + int(cap8)%12
+		capacity := 1 + int(cap8)%maxCap
 		c := NewWriteCache(capacity)
-		slow := NewWriteCache(capacity)
-		m := &modelLRU{cap: capacity}
-		for op := 0; op < 300; op++ {
-			switch rng.Intn(10) {
-			case 8: // resize
-				newCap := 1 + rng.Intn(12)
-				slow.Resize(newCap)
-				got := c.Resize(newCap)
-				var want []trace.LineAddr
-				for len(m.lines) > newCap {
-					want = append(want, m.lines[len(m.lines)-1])
-					m.lines = m.lines[:len(m.lines)-1]
-				}
-				m.cap = newCap
-				if !reflect.DeepEqual(got, want) {
+		m := newListCache(capacity)
+		for op := 0; op < 400; op++ {
+			switch rng.Intn(12) {
+			case 10: // resize, shrinking and growing
+				newCap := 1 + rng.Intn(maxCap)
+				if !same(c.Resize(newCap), m.Resize(newCap)) || c.Capacity() != newCap {
 					return false
 				}
-			case 9: // drain
-				slow.Drain()
-				got := c.Drain()
-				var want []trace.LineAddr
-				for i := len(m.lines) - 1; i >= 0; i-- {
-					want = append(want, m.lines[i])
-				}
-				m.lines = nil
-				if !reflect.DeepEqual(got, want) {
+			case 11: // drain
+				if !same(c.Drain(), m.Drain()) || c.Len() != 0 {
 					return false
 				}
 			default:
-				l := trace.LineAddr(rng.Intn(20))
-				run := 1
+				// Twice as many lines as the capacity in effect, so hits,
+				// misses into free space and evictions all occur.
+				l := trace.LineAddr(rng.Intn(2*c.Capacity() + 2))
+				burst := 1
 				if rng.Intn(3) == 0 {
-					run += rng.Intn(8)
+					burst += rng.Intn(8)
 				}
-				for ; run > 0; run-- {
+				for ; burst > 0; burst-- {
 					hit, ev, has := c.Access(l)
-					whit, wev, whas := m.access(l)
-					shit, sev, shas := accessNoShortCircuit(slow, l)
-					if hit != whit || has != whas || (has && ev != wev) ||
-						hit != shit || has != shas || ev != sev {
+					whit, wev, whas := m.Access(l)
+					if hit != whit || has != whas || ev != wev {
 						return false
 					}
 				}
 			}
-			if err := c.checkInvariants(); err != nil {
+			if err := checkInvariants(c); err != nil {
+				t.Log(err)
 				return false
 			}
-			if got := c.Lines(); !reflect.DeepEqual(got, slow.Lines()) ||
-				!reflect.DeepEqual(got, append([]trace.LineAddr{}, m.lines...)) {
+			if !same(c.Lines(), m.Lines()) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,10 +364,11 @@ func BenchmarkWriteCacheAccess(b *testing.B) {
 	}
 }
 
-// TestWriteCacheDrainAllocs pins the scratch-buffer reuse on the FASE hot
-// path: once warm, a fill + Drain cycle (and a shrinking Resize) must not
-// allocate — the drain slice is cache-owned scratch and the nodes come from
-// the freelist.
+// TestWriteCacheDrainAllocs pins that a constructed cache never allocates
+// again on the FASE hot path: Access (hits at any depth, misses into free
+// space, evictions), Drain, Clear and a shrinking Resize — with no warm-up,
+// the arrays are sized by NewWriteCache. Only a Resize that grows past the
+// allocation may allocate, and it does so itself, so nothing after it does.
 func TestWriteCacheDrainAllocs(t *testing.T) {
 	const capacity = 50
 	c := NewWriteCache(capacity)
@@ -287,8 +377,22 @@ func TestWriteCacheDrainAllocs(t *testing.T) {
 			c.Access(trace.LineAddr(i))
 		}
 	}
-	fill()
-	c.Drain() // warm the scratch buffer and freelist
+	if n := testing.AllocsPerRun(100, func() {
+		fill()
+		for i := 0; i < capacity; i++ {
+			if hit, _, _ := c.Access(trace.LineAddr(i)); !hit { // LRU hit: full rotate
+				t.Fatalf("line %d missed in a full cache", i)
+			}
+		}
+		for i := 0; i < capacity; i++ {
+			if _, _, has := c.Access(trace.LineAddr(capacity + i)); !has {
+				t.Fatalf("miss %d in a full cache evicted nothing", i)
+			}
+		}
+		c.Clear()
+	}); n != 0 {
+		t.Fatalf("Access+Clear allocates %v per op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		fill()
 		if got := c.Drain(); len(got) != capacity {
@@ -302,10 +406,21 @@ func TestWriteCacheDrainAllocs(t *testing.T) {
 		if got := c.Resize(capacity / 2); len(got) != capacity/2 {
 			t.Fatalf("resize evicted %d lines, want %d", len(got), capacity/2)
 		}
-		c.Resize(capacity)
+		c.Resize(capacity) // back within the allocation: not a reallocation
 		c.Clear()
 	}); n != 0 {
 		t.Fatalf("fill+Resize allocates %v per op, want 0", n)
+	}
+	c.Resize(2 * capacity)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 2*capacity; i++ {
+			c.Access(trace.LineAddr(i))
+		}
+		if got := c.Drain(); len(got) != 2*capacity {
+			t.Fatalf("drained %d lines, want %d", len(got), 2*capacity)
+		}
+	}); n != 0 {
+		t.Fatalf("fill+Drain after a growing Resize allocates %v per op, want 0", n)
 	}
 }
 

@@ -42,12 +42,6 @@ type ContentionRow struct {
 	StoresPerS float64
 	// Speedup is StoresPerS relative to the 1-goroutine row.
 	Speedup float64
-	// StripeContention is the heap's contended/acquired stripe-lock ratio
-	// during the run: the software serialization that survives sharding.
-	StripeContention float64
-	// HotStripeShare is the hottest stripe's fraction of all stripe
-	// acquisitions (1/NumStripes ≈ 0.016 is a perfectly uniform spread).
-	HotStripeShare float64
 }
 
 // ContentionResult is the multi-thread store-throughput sweep.
@@ -59,10 +53,10 @@ type ContentionResult struct {
 // StoreScaling measures real (wall-clock) multi-goroutine store throughput
 // on the atlas→pmem hot path: g goroutines, one atlas.Thread each, storing
 // into disjoint heap regions in FASEs of opt.FASELength stores. It reports
-// throughput, scaling versus one goroutine, and the heap's stripe-lock
-// contention counters. Unlike the trace-replay experiments (which model
-// time in hwsim cycles), this experiment times the substrate itself — it
-// is the reproduction harness for the global-heap-lock removal.
+// throughput and scaling versus one goroutine. Unlike the trace-replay
+// experiments (which model time in hwsim cycles), this experiment times the
+// substrate itself: the owner's store → flush path takes no lock, so what
+// bounds the speedup is the machine, not the heap.
 func StoreScaling(opt ContentionOptions) (*ContentionResult, error) {
 	if len(opt.Goroutines) == 0 {
 		opt.Goroutines = DefaultContentionOptions().Goroutines
@@ -112,7 +106,6 @@ func storeScalingOnce(g int, opt ContentionOptions) (ContentionRow, error) {
 			return ContentionRow{}, err
 		}
 	}
-	before := pmem.SummarizeStripes(h.StripeStats())
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < g; i++ {
@@ -137,9 +130,6 @@ func storeScalingOnce(g int, opt ContentionOptions) (ContentionRow, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 	rt.Close()
-	after := pmem.SummarizeStripes(h.StripeStats())
-	acquired := after.Acquired - before.Acquired
-	contended := after.Contended - before.Contended
 	row := ContentionRow{
 		Goroutines: g,
 		Stores:     int64(g) * int64(opt.StoresPerThread),
@@ -148,10 +138,6 @@ func storeScalingOnce(g int, opt ContentionOptions) (ContentionRow, error) {
 	if s := elapsed.Seconds(); s > 0 {
 		row.StoresPerS = float64(row.Stores) / s
 	}
-	if acquired > 0 {
-		row.StripeContention = float64(contended) / float64(acquired)
-		row.HotStripeShare = float64(after.HotAcquired) / float64(after.Acquired)
-	}
 	return row, nil
 }
 
@@ -159,11 +145,9 @@ func storeScalingOnce(g int, opt ContentionOptions) (ContentionRow, error) {
 func (r *ContentionResult) Table() *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Store-throughput scaling (policy %v, wall clock)", r.Policy),
-		Headers: []string{"goroutines", "stores", "elapsed", "stores/sec", "speedup", "stripe cont.", "hot stripe"},
+		Headers: []string{"goroutines", "stores", "elapsed", "stores/sec", "speedup"},
 		Notes: []string{
 			"wall-clock timing of the atlas→pmem substrate itself (not hwsim cycles)",
-			"stripe cont. = contended/acquired dirty-stripe lock acquisitions",
-			fmt.Sprintf("hot stripe = hottest stripe's share of acquisitions (uniform ≈ %.3f)", 1.0/float64(pmem.NumStripes)),
 			fmt.Sprintf("GOMAXPROCS and core count bound attainable speedup (this run: %d goroutine sweep)", len(r.Rows)),
 		},
 	}
@@ -174,8 +158,6 @@ func (r *ContentionResult) Table() *Table {
 			row.Elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", row.StoresPerS),
 			fx(row.Speedup),
-			f5(row.StripeContention),
-			f5(row.HotStripeShare),
 		)
 	}
 	return t

@@ -23,12 +23,9 @@ func TestStoreScalingSmoke(t *testing.T) {
 		if r.Stores != int64(r.Goroutines)*4096 || r.StoresPerS <= 0 {
 			t.Fatalf("row %+v", r)
 		}
-		if r.StripeContention < 0 || r.StripeContention > 1 {
-			t.Fatalf("contention %v", r.StripeContention)
-		}
 	}
 	s := res.Table().String()
-	for _, want := range []string{"goroutines", "stores/sec", "stripe cont."} {
+	for _, want := range []string{"goroutines", "stores/sec", "speedup"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("table missing %q:\n%s", want, s)
 		}

@@ -18,10 +18,7 @@ type OverlapOptions struct {
 	Stores int
 	// FASELength is the number of stores per failure-atomic section. Each
 	// store hits its own cache line, so a FASE-end drain covers FASELength
-	// consecutive lines. The default 128 puts exactly two lines on each of
-	// the heap's 64 stripes per drain, making the per-batch stripe-lock
-	// saving deterministic: the batched path locks each stripe once where
-	// the per-line path locks it twice.
+	// consecutive lines (default 128).
 	FASELength int
 	// Policy is the per-thread persistence policy (default SC).
 	Policy core.PolicyKind
@@ -66,12 +63,6 @@ type OverlapRow struct {
 	Stores     int64
 	Elapsed    time.Duration
 	StoresPerS float64
-	// StripeAcquired is the heap's dirty-stripe lock acquisitions during
-	// the run: store-side dirty marks plus flush-side write-backs. The
-	// store side is identical across the two runs, so the difference is
-	// purely the flush path — per-line locking versus one acquisition per
-	// stripe per batch.
-	StripeAcquired int64
 	// Flushed is the number of lines written back (async + drained).
 	Flushed int64
 	// Batches, AvgBatch and MaxBatch describe the pipeline worker's batch
@@ -101,19 +92,14 @@ type OverlapResult struct {
 	// BatchHist is the pipelined run's batch-size histogram in log2
 	// buckets (1, 2, 3–4, 5–8, ..., ≥128 lines).
 	BatchHist []int64
-	// LockSaving is the flush-batching win the acceptance criterion
-	// demands: 1 - Pipe.StripeAcquired/Sync.StripeAcquired, strictly
-	// positive when batches take fewer stripe locks than per-line drains.
-	LockSaving float64
 }
 
 // FlushOverlap runs the overlap experiment: one atlas thread storing one
 // line per store in FASEs of opt.FASELength, first with synchronous
 // FASE-end drains, then with the flush pipeline enabled and the workload
 // overlapping FASE N+1's stores with FASE N's drain (FASEPublish with an
-// await lag of one). It reports wall-clock throughput, stripe-lock
-// acquisitions, the pipeline's batch-size distribution and the flush/compute
-// overlap fraction.
+// await lag of one). It reports wall-clock throughput, the pipeline's
+// batch-size distribution and the flush/compute overlap fraction.
 func FlushOverlap(opt OverlapOptions) (*OverlapResult, error) {
 	opt = opt.withDefaults()
 	res := &OverlapResult{Policy: opt.Policy, FASELength: opt.FASELength}
@@ -123,9 +109,6 @@ func FlushOverlap(opt OverlapOptions) (*OverlapResult, error) {
 	}
 	if res.Pipe, res.BatchHist, err = overlapOnce(opt, true); err != nil {
 		return nil, err
-	}
-	if res.Sync.StripeAcquired > 0 {
-		res.LockSaving = 1 - float64(res.Pipe.StripeAcquired)/float64(res.Sync.StripeAcquired)
 	}
 	return res, nil
 }
@@ -155,7 +138,6 @@ func overlapOnce(opt OverlapOptions, pipelined bool) (OverlapRow, []int64, error
 	if err != nil {
 		return OverlapRow{}, nil, err
 	}
-	before := pmem.SummarizeStripes(h.StripeStats())
 	var prev atlas.FASETicket
 	havePrev := false
 	start := time.Now()
@@ -188,15 +170,13 @@ func overlapOnce(opt OverlapOptions, pipelined bool) (OverlapRow, []int64, error
 	elapsed := time.Since(start)
 	stats := th.FlushStats()
 	rt.Close()
-	after := pmem.SummarizeStripes(h.StripeStats())
 	row := OverlapRow{
-		Mode:           "sync",
-		Stores:         int64(opt.Stores),
-		Elapsed:        elapsed,
-		StripeAcquired: after.Acquired - before.Acquired,
-		Flushed:        stats.Total(),
-		Stalls:         stats.PipeStalls,
-		Blocked:        time.Duration(stats.PipeStallNanos + stats.PipeAwaitNanos),
+		Mode:    "sync",
+		Stores:  int64(opt.Stores),
+		Elapsed: elapsed,
+		Flushed: stats.Total(),
+		Stalls:  stats.PipeStalls,
+		Blocked: time.Duration(stats.PipeStallNanos + stats.PipeAwaitNanos),
 	}
 	if s := elapsed.Seconds(); s > 0 {
 		row.StoresPerS = float64(row.Stores) / s
@@ -233,11 +213,9 @@ func (r *OverlapResult) Table() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Flush/compute overlap: sync drain vs pipelined publish/await (policy %v, FASE=%d lines)",
 			r.Policy, r.FASELength),
-		Headers: []string{"mode", "stores", "elapsed", "stores/sec", "stripe acq.", "flushed", "batches", "avg batch", "stalls", "blocked", "overlap"},
+		Headers: []string{"mode", "stores", "elapsed", "stores/sec", "flushed", "batches", "avg batch", "stalls", "blocked", "overlap"},
 		Notes: []string{
 			"overlap = fraction of mutator wall clock not blocked on epoch awaits or ring backpressure",
-			"stripe acq. = dirty-stripe lock acquisitions; the pipeline takes each stripe lock once per batch where sync drains lock per line",
-			fmt.Sprintf("per-batch locking saved %.1f%% of stripe acquisitions vs the per-line baseline", 100*r.LockSaving),
 			fmt.Sprintf("batch-size histogram (log2 buckets: 1, 2, ≤4, ≤8, ..., ≥128 lines): %s", histS),
 		},
 	}
@@ -251,7 +229,6 @@ func (r *OverlapResult) Table() *Table {
 			fmt.Sprintf("%d", row.Stores),
 			row.Elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", row.StoresPerS),
-			fmt.Sprintf("%d", row.StripeAcquired),
 			fmt.Sprintf("%d", row.Flushed),
 			fmt.Sprintf("%d", row.Batches),
 			fmt.Sprintf("%.1f", row.AvgBatch),

@@ -386,11 +386,12 @@ func (s *Store) Stats() []ShardStats {
 	return out
 }
 
-// StripeStats snapshots the heap's per-stripe lock counters: the residual
-// cross-shard serialization of the sharded dirty-state control plane
-// (shard writers own disjoint lines, so contention here is hash collisions
-// on stripes, not data conflicts). Exported through the server's STATS
-// verb.
+// StripeStats snapshots the heap's per-stripe lock counters. A shard
+// writer's store and flush path takes no stripe, so these count only the
+// flush pipeline's workers applying captured images (when the pipeline is
+// on), durable reads and whole-heap operations; with the pipeline off a
+// serving store reads zero acquisitions. Exported through the server's
+// STATS verb.
 func (s *Store) StripeStats() []pmem.StripeStat { return s.heap.StripeStats() }
 
 // StripeSummary aggregates the heap's stripe counters.

@@ -82,20 +82,52 @@ func TestCheckConsistency(t *testing.T) {
 	}
 }
 
+// TestStripeStatsCountAcquisitions pins where stripes are taken: nothing on
+// the owner's store → flush → capture path acquires one, and each operation
+// that writes or reads the durable view on behalf of another goroutine
+// (ApplyCaptured, FlushLines, PersistedUint64) acquires exactly one per
+// involved stripe.
 func TestStripeStatsCountAcquisitions(t *testing.T) {
 	h := New(64 * 1024)
-	a, _ := h.AllocLines(trace.LineSize)
-	before := SummarizeStripes(h.StripeStats()).Acquired
-	const stores = 100
-	for i := 0; i < stores; i++ {
+	a, _ := h.AllocLines(2 * trace.LineSize)
+	line := trace.LineOf(a)
+	snap := make([]byte, trace.LineSize)
+	acquired := func() int64 { return SummarizeStripes(h.StripeStats()).Acquired }
+
+	before := acquired()
+	for i := 0; i < 100; i++ {
 		h.Store64(a, uint64(i))
+		h.WriteUint64(a+8, uint64(i))
+		h.WriteBytes(a+60, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // spans two lines
+		h.CopyWithin(a+trace.LineSize, a, 16)
+		h.FlushLine(line)
+		h.Persist(a, 2*trace.LineSize)
+		h.Store64(a, uint64(i)+1)
+		h.CaptureLine(line, snap)
+	}
+	if got := acquired() - before; got != 0 {
+		t.Fatalf("the owner path acquired %d stripes, want 0", got)
+	}
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"ApplyCaptured", func() { h.ApplyCaptured([]trace.LineAddr{line}, snap) }},
+		{"FlushLines", func() { h.FlushLines([]trace.LineAddr{line}) }},
+		{"PersistedUint64", func() { h.PersistedUint64(a) }},
+	} {
+		before := acquired()
+		op.run()
+		if got := acquired() - before; got != 1 {
+			t.Fatalf("%s acquired %d stripes, want 1", op.name, got)
+		}
 	}
 	sum := SummarizeStripes(h.StripeStats())
-	if sum.Acquired < before+stores {
-		t.Fatalf("acquired %d, want ≥ %d", sum.Acquired, before+stores)
-	}
 	if sum.Stripes != NumStripes {
 		t.Fatalf("stripes %d", sum.Stripes)
+	}
+	if sum.Contended != 0 || sum.ContentionRatio() != 0 {
+		t.Fatalf("single-goroutine run reports contention: %+v", sum)
 	}
 	if s := sum.String(); s == "" {
 		t.Fatal("empty summary")
@@ -169,10 +201,12 @@ func sameState(h *Heap, s *SerialHeap) bool {
 // TestDifferentialSerialOracle drives the sharded Heap and the coarse-mutex
 // SerialHeap with one random operation sequence — stores, byte writes,
 // CopyWithin over aligned, unaligned, overlapping, empty and heap-end
-// ranges, flushes, write-throughs, PersistAll and crashes — and demands
-// identical volatile bytes, durable bytes and dirty-line sets after every
-// operation: the flag array against the oracle's set, the memmove against
-// the oracle's copy through a temporary.
+// ranges, flushes, write-throughs, line captures and (possibly stale,
+// possibly duplicated) batched applies of them, PersistAll and crashes —
+// and demands identical volatile bytes, durable bytes and dirty-line sets
+// after every operation: the flag array against the oracle's set ("capture
+// clears, apply only copies"), the memmove against the oracle's copy
+// through a temporary, the stripe-grouped apply against a plain loop.
 func TestDifferentialSerialOracle(t *testing.T) {
 	const size = 2048
 	f := func(seed int64) bool {
@@ -184,8 +218,21 @@ func TestDifferentialSerialOracle(t *testing.T) {
 		if ha != sa {
 			return false
 		}
+		// Captured images not yet applied, oldest first, as the flush
+		// pipeline's ring holds them. The pipeline's protocol is modelled
+		// too: images apply in capture order; the owner writes the durable
+		// view directly (a flush, a write-through) only once none is in
+		// flight (the epoch await); a crash abandons them.
+		var inFlight []trace.LineAddr
+		var hImgs, sImgs []byte
+		apply := func(n int) {
+			h.ApplyCaptured(inFlight[:n], hImgs[:n*trace.LineSize])
+			s.ApplyCaptured(inFlight[:n], sImgs[:n*trace.LineSize])
+			inFlight = inFlight[n:]
+			hImgs, sImgs = hImgs[n*trace.LineSize:], sImgs[n*trace.LineSize:]
+		}
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(10) {
+			switch rng.Intn(12) {
 			case 0, 1, 2:
 				off := uint64(rng.Intn(127)) * 8
 				v := rng.Uint64()
@@ -199,15 +246,18 @@ func TestDifferentialSerialOracle(t *testing.T) {
 				h.WriteBytes(ha+off, b)
 				s.WriteBytes(sa+off, b)
 			case 4:
+				apply(len(inFlight))
 				l := trace.LineOf(ha + uint64(rng.Intn(16))*trace.LineSize)
 				h.FlushLine(l)
 				s.FlushLine(l)
 			case 5:
+				apply(len(inFlight))
 				off := uint64(rng.Intn(127)) * 8
 				v := rng.Uint64()
 				h.Write64Through(ha+off, v)
 				s.Write64Through(sa+off, v)
 			case 6:
+				inFlight, hImgs, sImgs = nil, nil, nil
 				h.Crash()
 				s.Crash()
 			case 7:
@@ -237,13 +287,29 @@ func TestDifferentialSerialOracle(t *testing.T) {
 				h.CopyWithin(dst, src, n)
 				s.CopyWithin(dst, src, n)
 			case 9:
+				apply(len(inFlight))
 				h.PersistAll()
 				s.PersistAll()
+			case 10:
+				// Few lines, so one is often captured again — re-stored or
+				// not — while its older image is still in flight.
+				l := trace.LineOf(ha + uint64(rng.Intn(4))*trace.LineSize)
+				var hb, sb [trace.LineSize]byte
+				h.CaptureLine(l, hb[:])
+				s.CaptureLine(l, sb[:])
+				if hb != sb {
+					return false
+				}
+				inFlight = append(inFlight, l)
+				hImgs, sImgs = append(hImgs, hb[:]...), append(sImgs, sb[:]...)
+			case 11:
+				apply(rng.Intn(len(inFlight) + 1))
 			}
 			if !sameState(h, s) {
 				return false
 			}
 		}
+		apply(len(inFlight))
 		h.PersistAll()
 		s.PersistAll()
 		return h.CheckConsistency() == nil && s.CheckConsistency() == nil && sameState(h, s)
@@ -272,13 +338,14 @@ func TestCopyWithinBounds(t *testing.T) {
 	}
 }
 
-// TestOwnerMarksRaceWorkerApply is the control plane's one cross-goroutine
-// interleaving: the owner keeps storing to (re-marking) a set of lines while
-// another goroutine — the flush pipeline's worker — persists captured images
-// of the same lines with ApplyCaptured, which clears their flags. The flag
-// byte and the durable line are touched only under the line's stripe, so
-// the race detector must stay quiet (run with -race -count=10), and a final
-// owner flush must leave every line clean and durable at its last value.
+// TestOwnerMarksRaceWorkerApply is the heap's one cross-goroutine
+// interleaving: the owner keeps storing to (and flagging) a set of lines
+// while another goroutine — the flush pipeline's worker — persists captured
+// images of the same lines with ApplyCaptured. The two share no location:
+// the owner touches the volatile bytes and the flags with plain accesses,
+// the worker only the durable bytes, under their stripes. The race detector
+// is the proof (run with -race -count=10), and a final owner flush must
+// leave every line clean and durable at its last value.
 func TestOwnerMarksRaceWorkerApply(t *testing.T) {
 	h := New(1 << 16)
 	const nLines = 32
@@ -316,6 +383,14 @@ func TestOwnerMarksRaceWorkerApply(t *testing.T) {
 	}
 	close(work)
 	<-done
+	// Every line was re-stored after its last capture, so whatever order
+	// the worker's applies landed in, all of them are still owed a flush.
+	if n := h.DirtyCount(); n != nLines {
+		t.Fatalf("%d lines dirty after the worker's last apply, want all %d", n, nLines)
+	}
+	if err := h.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
 	for _, l := range lines {
 		h.FlushLine(l)
 	}

@@ -13,30 +13,42 @@
 //
 // # Concurrency architecture
 //
-// Heap is split into a lock-free data plane and a lock-striped control
-// plane, so the store→flush hot path never serializes on a global mutex:
+// Heap is split into an owner-private data plane and a lock-striped seam
+// for the one thing a second goroutine may do to it, so the store→flush hot
+// path executes no lock and no interlocked instruction:
 //
-//   - Data plane: the volatile and persisted byte arrays. Reads and writes
-//     go straight to memory with a bounds check and no lock. Correctness
-//     rests on the single-writer-per-line discipline: every cache line
-//     above the header is owned by at most one goroutine at a time (an
-//     atlas.Thread or a kv shard writer), and only the owner writes or
-//     flushes it. Stable (committed, unowned) lines may be read by anyone —
-//     that is how kv snapshot readers work.
-//   - Control plane: per-line dirty state, one flag byte per line, guarded
-//     by NumStripes lock stripes keyed by line address. A store acquires
-//     exactly one stripe (to mark its line dirty); stores to different lines
-//     hit different stripes with probability (NumStripes-1)/NumStripes. The
-//     stripe orders the owner's mark against a flush of the same line issued
-//     from another goroutine (the pipeline worker's ApplyCaptured).
+//   - Data plane: the volatile and persisted byte arrays plus one flag byte
+//     per line. Correctness rests on the single-writer-per-line discipline:
+//     every cache line above the header is owned by at most one goroutine at
+//     a time (an atlas.Thread or a kv shard writer), and only the owner
+//     stores to it, flushes it, captures it, or touches its flag — all with
+//     plain loads and stores after a bounds check. The flag means "stored
+//     since the last flush or capture": a store sets it, FlushLine copies
+//     the line to the durable view and clears it, and CaptureLine — the
+//     pipeline's "clwb issued" point, which runs on the owner — clears it
+//     too. Stable (committed, unowned) lines may be read by anyone; that is
+//     how kv snapshot readers work.
+//   - Stripes: NumStripes locks keyed by line address guard the durable
+//     bytes against the only cross-goroutine writer, the flush pipeline's
+//     worker applying captured images (ApplyCaptured), and against batched
+//     FlushLines; PersistedUint64 takes the stripe so it can be read while
+//     a worker applies. ApplyCaptured copies bytes and never touches a
+//     flag, so no location is shared between the owner's path and the
+//     worker's: a line re-stored between its capture and the apply stays
+//     flagged by that store. A line with an image in flight must not be
+//     flushed directly or written through by its owner until the image has
+//     been applied (the pipeline's epoch await is that ordering), or the
+//     apply would put older bytes over newer ones.
 //   - Header plane: the root/alloc/meta words of line 0 are guarded by a
 //     dedicated mutex and written through to the persisted view (they are
 //     never dirty).
 //
-// Whole-heap operations — Crash, PersistAll, CheckConsistency — require
-// the data plane to be externally quiesced (no goroutine mid-store); they
-// then take every stripe in index order, so they are mutually exclusive
-// with any straggling dirty-marking or flushing.
+// Whole-heap operations — Crash, PersistAll, DirtyLines, DirtyCount,
+// CheckConsistency — require the data plane to be externally quiesced (no
+// goroutine mid-store, every captured image applied or abandoned), with a
+// happens-before edge from each owner's last access (a join, a channel, a
+// Close); they then take every stripe in index order, which also excludes a
+// straggling ApplyCaptured.
 //
 // SerialHeap (serial.go) is the original coarse-mutex implementation, kept
 // as a strictly-serialized oracle for differential tests.
@@ -63,7 +75,7 @@ const (
 	auxOff   = 24
 )
 
-// NumStripes is the number of dirty-state lock stripes. Lines are spread
+// NumStripes is the number of durable-view lock stripes. Lines are spread
 // over stripes by a multiplicative (Fibonacci) hash rather than line mod
 // NumStripes: threads typically own contiguous, identically-sized regions,
 // and a modulo mapping would send every thread's k-th line to the same
@@ -75,8 +87,8 @@ const (
 	fibMix      = 0x9e3779b97f4a7c15
 )
 
-// stripe is one lock of the dirty-line control plane: it guards the dirty
-// flags and the durable bytes of the lines that hash to it.
+// stripe is one lock of the durable-view seam: it guards the durable bytes
+// of the lines that hash to it against writers other than the lines' owner.
 type stripe struct {
 	mu sync.Mutex
 	// acquired counts lock acquisitions; it is mutated only under mu.
@@ -104,8 +116,9 @@ func (st *stripe) lock() {
 type Heap struct {
 	mem       []byte // volatile view: program reads and writes land here
 	persisted []byte // durable view: updated only by line flushes
-	// dirty holds one flag per line: 1 while the line was written since its
-	// last flush. dirty[l] is read and written only under stripeOf(l).
+	// dirty holds one flag per line: 1 while the line was stored to since its
+	// last flush or capture. dirty[l] is read and written only by line l's
+	// owner, with plain accesses (whole-heap operations read it quiesced).
 	dirty   []uint8
 	hdr     sync.Mutex
 	stripes [NumStripes]stripe
@@ -148,8 +161,8 @@ func (h *Heap) stripeOf(line trace.LineAddr) *stripe {
 	return &h.stripes[(uint64(line)*fibMix)>>stripeShift]
 }
 
-// markDirty records the lines covering [addr, addr+n) as dirty, one stripe
-// acquisition per line (one total for any store within a single line).
+// markDirty flags the lines covering [addr, addr+n): plain stores, owner
+// only.
 func (h *Heap) markDirty(addr, n uint64) {
 	if n == 0 {
 		return
@@ -157,31 +170,26 @@ func (h *Heap) markDirty(addr, n uint64) {
 	first := addr >> trace.LineShift
 	last := (addr + n - 1) >> trace.LineShift
 	for l := first; l <= last; l++ {
-		line := trace.LineAddr(l)
-		st := h.stripeOf(line)
-		st.lock()
 		h.dirty[l] = 1
-		st.mu.Unlock()
 	}
 }
 
-// flushLine copies one line to the durable view and clears its dirty mark,
-// holding only that line's stripe.
+// flushLine copies one line to the durable view and clears its flag: plain
+// loads and stores, owner only.
 func (h *Heap) flushLine(line trace.LineAddr) {
 	start := line.ByteAddr()
 	h.check(start, trace.LineSize)
-	st := h.stripeOf(line)
-	st.lock()
 	copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
 	h.dirty[line] = 0
-	st.mu.Unlock()
 }
 
 // FlushLines persists a batch of lines grouped by stripe: each involved
-// stripe lock is taken once per batch instead of once per line, which is
-// the pmem side of the batched flush-pipeline seam. Semantically identical
-// to calling flushLine on each element in order (later duplicates win —
-// they copy the same volatile contents anyway).
+// stripe lock is taken once per batch, which is the pmem side of the
+// batched flush-pipeline seam. Semantically identical to calling flushLine
+// on each element in order (later duplicates win — they copy the same
+// volatile contents anyway), but safe against a concurrent ApplyCaptured of
+// the same lines. It reads the volatile view and clears the lines' flags, so
+// the lines' owner must be the caller or be stopped.
 func (h *Heap) FlushLines(lines []trace.LineAddr) {
 	for _, line := range lines {
 		h.check(line.ByteAddr(), trace.LineSize)
@@ -208,23 +216,28 @@ func (h *Heap) FlushLines(lines []trace.LineAddr) {
 }
 
 // CaptureLine snapshots a line's current volatile contents into dst
-// (len ≥ trace.LineSize) with no locking: the caller must be the line's
-// single writer. The snapshot can later be persisted from any goroutine
-// with ApplyCaptured, which never touches the volatile plane.
+// (len ≥ trace.LineSize) and clears the line's flag, with no locking: the
+// caller must be the line's owner. This is the pipeline's "clwb issued"
+// point — from here the image's journey to the durable view is the
+// pipeline's responsibility, and a later store to the line flags it again.
+// The snapshot can be persisted from any goroutine with ApplyCaptured.
 func (h *Heap) CaptureLine(line trace.LineAddr, dst []byte) {
 	start := line.ByteAddr()
 	h.check(start, trace.LineSize)
 	copy(dst[:trace.LineSize], h.mem[start:start+trace.LineSize])
+	h.dirty[line] = 0
 }
 
 // ApplyCaptured persists previously captured line images: data holds
 // len(lines) consecutive trace.LineSize-byte snapshots taken by
 // CaptureLine. Like FlushLines, each involved stripe lock is taken once per
-// batch; each line's dirty mark is cleared. Applying a stale snapshot is
-// safe under the runtime's write-cache protocol: any store newer than the
-// snapshot re-inserted the line into its thread's write cache, so a fresher
-// capture of the same line is guaranteed to follow before the owning FASE's
-// epoch persists.
+// batch. It touches neither the volatile view nor any line's flag — the
+// capture already cleared it, and a store newer than the snapshot set it
+// again — so it may run on any goroutine while the owner keeps storing.
+// Applying a stale snapshot is safe under the runtime's write-cache
+// protocol: any store newer than the snapshot re-inserted the line into its
+// thread's write cache, so a fresher capture of the same line is guaranteed
+// to follow before the owning FASE's epoch persists.
 func (h *Heap) ApplyCaptured(lines []trace.LineAddr, data []byte) {
 	if len(data) < len(lines)*trace.LineSize {
 		panic(fmt.Sprintf("pmem: ApplyCaptured with %d lines but %d data bytes", len(lines), len(data)))
@@ -248,7 +261,6 @@ func (h *Heap) ApplyCaptured(lines []trace.LineAddr, data []byte) {
 			}
 			start := l.ByteAddr()
 			copy(h.persisted[start:start+trace.LineSize], data[j*trace.LineSize:(j+1)*trace.LineSize])
-			h.dirty[l] = 0
 		}
 		st.mu.Unlock()
 	}
@@ -349,8 +361,8 @@ func (h *Heap) Aux() uint64 {
 	return binary.LittleEndian.Uint64(h.mem[auxOff:])
 }
 
-// WriteUint64 writes v at addr in the volatile view (lock-free data plane;
-// one stripe acquisition to mark the line dirty).
+// WriteUint64 writes v at addr in the volatile view and flags the line.
+// The caller must own the line.
 func (h *Heap) WriteUint64(addr uint64, v uint64) {
 	h.check(addr, 8)
 	binary.LittleEndian.PutUint64(h.mem[addr:], v)
@@ -379,9 +391,9 @@ func (h *Heap) ReadWordClamped(addr uint64) uint64 {
 }
 
 // Store64 is the hot-path persistent store primitive: one bounds check,
-// read the old value, apply the volatile write, mark the line dirty (a
-// single stripe acquisition for an aligned store). It returns the
-// overwritten value so the caller can undo-log it.
+// read the old value, apply the volatile write, flag the line — no lock and
+// no interlocked instruction. It returns the overwritten value so the
+// caller can undo-log it. The caller must own the line.
 func (h *Heap) Store64(addr uint64, v uint64) (old uint64) {
 	h.check(addr, 8)
 	old = binary.LittleEndian.Uint64(h.mem[addr:])
@@ -391,17 +403,17 @@ func (h *Heap) Store64(addr uint64, v uint64) (old uint64) {
 }
 
 // Write64Through writes v to both the volatile and durable views without
-// touching dirty state: a write-through store. The undo log uses it so
-// that write-ahead records are durable the instant they are written, with
-// zero stripe traffic on the store hot path. The caller must own the
-// line.
+// touching the line's flag: a write-through store. The undo log uses it so
+// that write-ahead records are durable the instant they are written. The
+// caller must own the line.
 func (h *Heap) Write64Through(addr uint64, v uint64) {
 	h.check(addr, 8)
 	binary.LittleEndian.PutUint64(h.mem[addr:], v)
 	binary.LittleEndian.PutUint64(h.persisted[addr:], v)
 }
 
-// WriteBytes copies b into the volatile view at addr.
+// WriteBytes copies b into the volatile view at addr and flags the lines it
+// covers. The caller must own them.
 func (h *Heap) WriteBytes(addr uint64, b []byte) {
 	h.check(addr, uint64(len(b)))
 	copy(h.mem[addr:], b)
@@ -410,9 +422,9 @@ func (h *Heap) WriteBytes(addr uint64, b []byte) {
 
 // CopyWithin copies n bytes of the volatile view from src to dst (the
 // ranges may overlap; the copy behaves as if through a temporary) and marks
-// the destination lines dirty: two bounds checks, one memmove, one stripe
-// acquisition per destination line. The caller must own the destination
-// lines and know the source is stable or its own.
+// the destination lines dirty: two bounds checks, one memmove, one flag
+// byte per destination line. The caller must own the destination lines and
+// know the source is stable or its own.
 func (h *Heap) CopyWithin(dst, src, n uint64) {
 	h.check(dst, n)
 	h.check(src, n)
@@ -429,8 +441,9 @@ func (h *Heap) ReadBytes(addr, n uint64) []byte {
 }
 
 // PersistedUint64 reads the durable view (what a crash would preserve);
-// recovery and tests use it. It takes the line's stripe so it cannot race
-// the owner's concurrent flush of the same line.
+// recovery and tests use it. The caller must own the line or have its owner
+// stopped: the line's stripe excludes a pipeline worker applying a captured
+// image of it, not the owner's own lock-free flush.
 func (h *Heap) PersistedUint64(addr uint64) uint64 {
 	h.check(addr, 8)
 	st := h.stripeOf(trace.LineOf(addr))
@@ -501,18 +514,14 @@ func (h *Heap) DirtyCount() int {
 	return n
 }
 
-// isDirty reports whether the line is awaiting a flush (test helper).
-func (h *Heap) isDirty(line trace.LineAddr) bool {
-	st := h.stripeOf(line)
-	st.lock()
-	defer st.mu.Unlock()
-	return h.dirty[line] != 0
-}
+// isDirty reports whether the line is awaiting a flush (test helper; owner
+// or quiesced, like every flag access).
+func (h *Heap) isDirty(line trace.LineAddr) bool { return h.dirty[line] != 0 }
 
 // Crash simulates a power failure: the volatile view is replaced by the
 // durable view, losing every write that was never flushed. Mutators must
 // be quiesced; Crash takes every stripe in order so it cannot interleave
-// with a straggling dirty mark or flush.
+// with a straggling ApplyCaptured.
 func (h *Heap) Crash() {
 	h.lockAll()
 	defer h.unlockAll()
@@ -539,9 +548,10 @@ func (h *Heap) PersistAll() {
 }
 
 // CheckConsistency verifies the cross-view invariant on a quiesced heap:
-// every line that is not dirty must read identically in the volatile and
-// durable views (dirty lines are exactly the divergence the flush queue
-// still owes NVRAM).
+// every line that is not flagged must read identically in the volatile and
+// durable views. Flagged lines are the divergence a flush still owes NVRAM;
+// a captured image not yet applied is divergence too, so quiesced includes
+// "no image in flight".
 func (h *Heap) CheckConsistency() error {
 	h.lockAll()
 	defer h.unlockAll()
@@ -562,8 +572,9 @@ func (h *Heap) CheckConsistency() error {
 
 // StripeStat is one stripe's lock counters.
 type StripeStat struct {
-	// Acquired counts lock acquisitions (dirty marks, flushes, durable
-	// reads).
+	// Acquired counts lock acquisitions: ApplyCaptured and FlushLines
+	// batches, durable reads, whole-heap operations. The owner's store and
+	// flush path acquires none.
 	Acquired int64
 	// Contended counts acquisitions that found the lock already held — the
 	// cross-goroutine serialization the striping is meant to minimize.
@@ -575,10 +586,8 @@ func (h *Heap) StripeStats() []StripeStat {
 	out := make([]StripeStat, NumStripes)
 	for i := range h.stripes {
 		st := &h.stripes[i]
-		st.lock()
+		st.mu.Lock() // not lock(): a snapshot does not count itself
 		out[i] = StripeStat{Acquired: st.acquired, Contended: st.contended.Load()}
-		// Exclude this snapshot's own acquisition from the counters.
-		out[i].Acquired--
 		st.mu.Unlock()
 	}
 	return out

@@ -235,6 +235,30 @@ func (h *SerialHeap) FlushLine(line trace.LineAddr) {
 	h.flushLineLocked(line)
 }
 
+// CaptureLine snapshots a line's volatile contents into dst and clears its
+// dirty mark, matching Heap.CaptureLine: capture is the point the flush is
+// issued.
+func (h *SerialHeap) CaptureLine(line trace.LineAddr, dst []byte) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	start := line.ByteAddr()
+	h.check(start, trace.LineSize)
+	copy(dst[:trace.LineSize], h.mem[start:start+trace.LineSize])
+	delete(h.dirty, line)
+}
+
+// ApplyCaptured copies captured images into the durable view and leaves
+// the dirty set alone, matching Heap.ApplyCaptured.
+func (h *SerialHeap) ApplyCaptured(lines []trace.LineAddr, data []byte) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, line := range lines {
+		start := line.ByteAddr()
+		h.check(start, trace.LineSize)
+		copy(h.persisted[start:start+trace.LineSize], data[i*trace.LineSize:(i+1)*trace.LineSize])
+	}
+}
+
 // Persist flushes every line covering [addr, addr+n).
 func (h *SerialHeap) Persist(addr, n uint64) {
 	h.mu.Lock()

@@ -9,13 +9,20 @@ import (
 
 // Sink adapts a Heap to core.FlushSink so persistence policies drive real
 // data movement: FlushLine and Drain both copy lines to the durable view
-// (timing is hwsim's concern, not pmem's). Counters are atomic so
-// FlushStats can be read while other threads' sinks are flushing.
+// (timing is hwsim's concern, not pmem's).
+//
+// Counters: FlushLine — the eviction path, ~once per missed store — bumps a
+// plain owner-local count; Drain, which ends every FASE that flushed
+// anything, folds it into the atomics Stats reads. Stats is therefore exact
+// when the owner calls it between FASEs, and from any other goroutine lags
+// by at most the FASE in progress.
 type Sink struct {
-	h        *Heap
-	async    atomic.Int64
-	drained  atomic.Int64
-	barriers atomic.Int64
+	h *Heap
+	// unpublished counts FlushLine calls since the last Drain. Owner only.
+	unpublished int64
+	async       atomic.Int64
+	drained     atomic.Int64
+	barriers    atomic.Int64
 }
 
 // NewSink returns a flush sink backed by h.
@@ -27,26 +34,31 @@ func (s *Sink) Heap() *Heap { return s.h }
 // FlushLine implements core.FlushSink: an asynchronous line write-back.
 func (s *Sink) FlushLine(line trace.LineAddr) {
 	s.h.FlushLine(line)
-	s.async.Add(1)
+	s.unpublished++
 }
 
 // FlushBatch implements core.BatchSink: the whole batch is persisted with
-// one stripe-lock acquisition per involved stripe instead of one per line.
+// one stripe-lock acquisition per involved stripe.
 func (s *Sink) FlushBatch(lines []trace.LineAddr) {
 	s.h.FlushLines(lines)
 	s.async.Add(int64(len(lines)))
 }
 
 // Drain implements core.FlushSink: flush the given lines, then a
-// persistence barrier.
+// persistence barrier. It publishes the FASE's FlushLine count.
 func (s *Sink) Drain(lines []trace.LineAddr) {
 	for _, l := range lines {
 		s.h.FlushLine(l)
 	}
-	s.drained.Add(int64(len(lines)))
+	if s.unpublished != 0 {
+		s.async.Add(s.unpublished)
+		s.unpublished = 0
+	}
 	if len(lines) == 0 {
 		s.barriers.Add(1)
+		return
 	}
+	s.drained.Add(int64(len(lines)))
 }
 
 // CaptureLine implements core.CaptureSink: snapshot the line's volatile
