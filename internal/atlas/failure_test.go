@@ -48,6 +48,38 @@ func TestUndoLogOverflowDropsButKeepsRunning(t *testing.T) {
 	}
 }
 
+// TestUndoLogDedupesEachWordOnce: a word is logged once per FASE however
+// often it is stored, on both sides of the switch from the scanned array
+// to the map (a handful of words, then more than smallDedup), and the next
+// FASE logs it again.
+func TestUndoLogDedupesEachWordOnce(t *testing.T) {
+	records := 0
+	opts := DefaultOptions()
+	opts.UndoHook = func(op UndoOp) {
+		if op == UndoRecord {
+			records++
+		}
+	}
+	th, err := NewRuntime(pmem.New(1<<20), opts).NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := th.Heap().AllocLines(64 * 8)
+	for _, words := range []uint64{smallDedup - 3, smallDedup, 3 * smallDedup, smallDedup - 3} {
+		records = 0
+		th.FASEBegin()
+		for pass := uint64(0); pass < 3; pass++ {
+			for i := uint64(0); i < words; i++ {
+				th.Store64(base+8*i, pass)
+			}
+		}
+		th.FASEEnd()
+		if records != int(words) {
+			t.Errorf("%d words stored three times each: %d undo records", words, records)
+		}
+	}
+}
+
 func TestUndoLogCapacityBoundary(t *testing.T) {
 	h := pmem.New(1 << 20)
 	opts := DefaultOptions()
@@ -101,6 +133,48 @@ func TestManyThreadsRegistryGrowth(t *testing.T) {
 	}
 	if rep.LogsScanned != 64 {
 		t.Fatalf("scanned %d logs", rep.LogsScanned)
+	}
+}
+
+// TestRecoveredLogsAreReused: recovery retires every registered undo log,
+// and the next incarnation's threads claim those of sufficient capacity
+// instead of growing the registry. A claimed log guards its new thread's
+// FASEs like a fresh one.
+func TestRecoveredLogsAreReused(t *testing.T) {
+	h := pmem.New(1 << 22)
+	opts := DefaultOptions()
+	rt := NewRuntime(h, opts)
+	for i := 0; i < 2; i++ {
+		if _, err := rt.NewThread(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Crash()
+	if _, err := Recover(h); err != nil {
+		t.Fatal(err)
+	}
+	th, err := NewRuntime(h, opts).NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigger := opts
+	bigger.LogEntries = 2 * opts.LogEntries
+	if _, err := NewRuntime(h, bigger).NewThread(); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.ReadUint64(h.Meta()); n != 3 {
+		t.Fatalf("%d logs registered, want 3: two claimed, one too small for the bigger thread", n)
+	}
+	a, _ := h.Alloc(8)
+	th.Store64(a, 1)
+	th.FASEBegin()
+	th.Store64(a, 2)
+	h.Crash()
+	if _, err := Recover(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.ReadUint64(a); got != 1 {
+		t.Fatalf("a = %d after a crash mid-FASE on a claimed log, want 1", got)
 	}
 }
 

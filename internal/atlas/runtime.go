@@ -487,23 +487,26 @@ func (t *Thread) StoreBytes(addr uint64, b []byte) {
 // is recorded. Everything else is Store64's: the line is marked dirty,
 // announced to the policy, tap and trace, and drained at FASE end, so the
 // contents are durable before the commit that makes the publication stick.
-// Allocators that leak rather than hand back the blocks of a crashed FASE
-// (pmem.Pool) are what make "allocated inside this FASE" recoverable. It
-// panics outside a FASE: there is no FASE for the memory to be private to.
+// "Allocated inside this FASE" holds across a crash for an allocator whose
+// free set after recovery is whatever the recovered roots do not reach
+// (mdb's page allocator): the crashed FASE's memory is then free again, and
+// nothing reachable is handed out. It panics outside a FASE: there is no
+// FASE for the memory to be private to.
 func (t *Thread) StorePrivate64(addr uint64, v uint64) {
 	if t.depth == 0 {
 		panic("atlas: StorePrivate64 outside a FASE")
 	}
 	t.heap.WriteUint64(addr, v)
-	t.noteLine(trace.LineOf(addr))
+	t.noteRun(trace.LineOf(addr), 1)
 }
 
 // CopyPrivate copies n bytes from src to dst, where dst is private to the
 // current FASE (see StorePrivate64), with one memmove and no undo records.
-// The policy, tap and trace see one store event per destination word, in
-// address order — the stream a loop of Store64 over the words would have
-// produced — so sampled bursts, chosen cache sizes and flush counts do not
-// depend on which of the two a caller uses. It panics outside a FASE.
+// The store events are those of a Store64 loop over the destination words,
+// in address order, delivered as one run per destination line
+// (core.Policy.StoreRun): Stores() counts every word and the tap and trace
+// see every word, so sampled bursts, chosen cache sizes and flush counts do
+// not depend on which of the two a caller uses. It panics outside a FASE.
 func (t *Thread) CopyPrivate(dst, src, n uint64) {
 	if t.depth == 0 {
 		panic("atlas: CopyPrivate outside a FASE")
@@ -512,8 +515,13 @@ func (t *Thread) CopyPrivate(dst, src, n uint64) {
 		return
 	}
 	t.heap.CopyWithin(dst, src, n)
-	for w := dst &^ 7; w < dst+n; w += 8 {
-		t.noteLine(trace.LineOf(w))
+	end := dst + n
+	for w := dst &^ 7; w < end; {
+		line := trace.LineOf(w)
+		next := min(line.ByteAddr()+trace.LineSize, end)
+		words := int((next - w + 7) / 8)
+		t.noteRun(line, words)
+		w += uint64(words) * 8
 	}
 }
 
@@ -528,20 +536,24 @@ func (t *Thread) noteStore(addr, size uint64) {
 	first := addr >> trace.LineShift
 	last := (addr + size - 1) >> trace.LineShift
 	for l := first; l <= last; l++ {
-		t.noteLine(trace.LineAddr(l))
+		t.noteRun(trace.LineAddr(l), 1)
 	}
 }
 
-// noteLine counts one store event and announces it to the policy, the tap
-// and the trace.
-func (t *Thread) noteLine(line trace.LineAddr) {
-	t.stores++
-	t.policy.Store(line)
+// noteRun counts n store events to one line and announces them: to the
+// policy as one run, to the tap and the trace one by one.
+func (t *Thread) noteRun(line trace.LineAddr, n int) {
+	t.stores += int64(n)
+	t.policy.StoreRun(line, n)
 	if t.tap != nil {
-		t.tap.TapStore(line)
+		for range n {
+			t.tap.TapStore(line)
+		}
 	}
 	if t.recording {
-		t.builder.Store(line)
+		for range n {
+			t.builder.Store(line)
+		}
 	}
 }
 

@@ -19,16 +19,27 @@ import (
 //
 // Log layout in the persistent heap (all words little-endian):
 //
-//	base+0:  status (1 = active FASE, 0 = committed)
+//	base+0:  status (logActive during a FASE, logIdle otherwise)
 //	base+8:  entry count
 //	base+16: begin sequence (global order of FASE begins; see below)
+//	base+24: capacity in entries
 //	base+64: entries, 16 bytes each: data address, old value
 //
 // Logs are registered in a registry block pointed to by the heap's Meta
 // slot, so recovery can find them without any volatile state:
 //
 //	reg+0:  number of registered logs
-//	reg+8:  log base addresses, 8 bytes each
+//	reg+8:  log entries, 8 bytes each: base address | regRetired
+//
+// A log belongs to one thread of one runtime incarnation. Recovery retires
+// every log it finds — the threads that owned them are gone — by setting
+// the flag in its registry entry, and a new thread claims a retired log of
+// sufficient capacity before it allocates one, so a heap that crashes and
+// recovers forever keeps a registry no larger than its busiest
+// incarnation's. The flag lives in the registry, not in the log, because a
+// thread being created reads the flags while other threads of its runtime
+// write their own log headers: the registry is touched only under the
+// runtime's thread-creation lock and by recovery on a quiesced heap.
 //
 // The begin sequence exists for the flush pipeline's FASE overlap: a
 // thread alternating between two logs can crash with both active, and a
@@ -44,6 +55,15 @@ const (
 	logStatusOff  = 0
 	logCountOff   = 8
 	logSeqOff     = 16
+	logCapOff     = 24
+	logIdle       = 0 // status: no FASE in flight
+	logActive     = 1 // status: a FASE in flight, which recovery rolls back
+	// regRetired flags a registry entry whose log no live thread owns (log
+	// bases are line-aligned, so the low bit is free).
+	regRetired = 1
+	// smallDedup is how many distinct words a FASE logs before its dedupe
+	// set moves from a scanned array to a map.
+	smallDedup = 8
 )
 
 // undoSeq numbers FASE begins globally (content only matters relative to
@@ -102,7 +122,9 @@ type undoLog struct {
 	base        uint64
 	cap         int
 	count       int
-	dedup       map[uint64]struct{} // words already logged in this FASE
+	words       int                 // distinct words logged in this FASE
+	small       [smallDedup]uint64  // those words while words ≤ smallDedup
+	dedup       map[uint64]struct{} // all of them once words > smallDedup
 	dropped     int64               // records beyond capacity (reported, not fatal)
 	droppedFASE int                 // records dropped since the last begin
 	hook        func(UndoOp)        // fault-injection instrumentation (may be nil)
@@ -135,27 +157,40 @@ func newUndoLog(h *pmem.Heap, entries int, hook func(UndoOp)) (*undoLog, error) 
 	if err != nil {
 		return nil, err
 	}
+	l := &undoLog{
+		heap:  h,
+		cap:   entries,
+		dedup: make(map[uint64]struct{}, 256),
+		hook:  hook,
+	}
 	n := h.ReadUint64(reg)
-	if n >= registryCap {
+	if n > registryCap {
+		return nil, fmt.Errorf("atlas: corrupt registry count %d", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		e := h.ReadUint64(reg + 8 + 8*i)
+		if base := e &^ regRetired; e != base && h.ReadUint64(base+logCapOff) >= uint64(entries) {
+			h.Write64Through(reg+8+8*i, base)
+			l.base = base
+			return l, nil
+		}
+	}
+	if n == registryCap {
 		return nil, fmt.Errorf("atlas: log registry full (%d logs)", n)
 	}
 	base, err := h.AllocLines(uint64(logHeaderSize + entries*logEntrySize))
 	if err != nil {
 		return nil, fmt.Errorf("atlas: allocating undo log: %w", err)
 	}
-	h.WriteUint64(base+logStatusOff, 0)
+	h.WriteUint64(base+logStatusOff, logIdle)
 	h.WriteUint64(base+logCountOff, 0)
+	h.WriteUint64(base+logCapOff, uint64(entries))
 	h.Persist(base, logHeaderSize)
 	h.WriteUint64(reg+8+8*n, base)
 	h.WriteUint64(reg, n+1)
 	h.Persist(reg, 8+8*(n+1))
-	return &undoLog{
-		heap:  h,
-		base:  base,
-		cap:   entries,
-		dedup: make(map[uint64]struct{}, 256),
-		hook:  hook,
-	}, nil
+	l.base = base
+	return l, nil
 }
 
 // begin opens a FASE: mark the log active before any data write. Log
@@ -166,10 +201,45 @@ func (l *undoLog) begin() {
 	l.at(UndoBegin)
 	l.count = 0
 	l.droppedFASE = 0
-	clear(l.dedup)
+	l.forgetWords()
 	l.heap.Write64Through(l.base+logCountOff, 0)
 	l.heap.Write64Through(l.base+logSeqOff, undoSeq.Add(1))
-	l.heap.Write64Through(l.base+logStatusOff, 1)
+	l.heap.Write64Through(l.base+logStatusOff, logActive)
+}
+
+// logged reports whether word was already logged in this FASE, and
+// remembers it if not. The FASE's first smallDedup words are found by a
+// scan of l.small; past that they all move to the map, so a FASE that logs
+// a handful of words (a kv commit logs at most four) never touches it.
+func (l *undoLog) logged(word uint64) bool {
+	if l.words <= smallDedup {
+		for _, w := range l.small[:l.words] {
+			if w == word {
+				return true
+			}
+		}
+		if l.words < smallDedup {
+			l.small[l.words] = word
+			l.words++
+			return false
+		}
+		for _, w := range l.small {
+			l.dedup[w] = struct{}{}
+		}
+	} else if _, ok := l.dedup[word]; ok {
+		return true
+	}
+	l.dedup[word] = struct{}{}
+	l.words++
+	return false
+}
+
+// forgetWords empties the FASE's dedupe set.
+func (l *undoLog) forgetWords() {
+	if l.words > smallDedup {
+		clear(l.dedup)
+	}
+	l.words = 0
 }
 
 // record write-ahead-logs one word's old value. Each word is logged once
@@ -178,10 +248,9 @@ func (l *undoLog) begin() {
 // recovery, preserving write-ahead ordering.
 func (l *undoLog) record(addr uint64, old uint64) {
 	word := addr &^ 7
-	if _, ok := l.dedup[word]; ok {
+	if l.logged(word) {
 		return
 	}
-	l.dedup[word] = struct{}{}
 	if l.count >= l.cap {
 		l.dropped++
 		l.droppedFASE++
@@ -199,10 +268,10 @@ func (l *undoLog) record(addr uint64, old uint64) {
 // commit closes the FASE after the policy drained the data writes.
 func (l *undoLog) commit() {
 	l.at(UndoCommit)
-	l.heap.Write64Through(l.base+logStatusOff, 0)
+	l.heap.Write64Through(l.base+logStatusOff, logIdle)
 	l.heap.Write64Through(l.base+logCountOff, 0)
 	l.count = 0
-	clear(l.dedup)
+	l.forgetWords()
 }
 
 // rollback undoes the current FASE in place: entries are applied backwards
@@ -308,12 +377,12 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 	}
 	var active []activeLog
 	for i := uint64(0); i < n; i++ {
-		base := h.ReadUint64(reg + 8 + 8*i)
+		base := h.ReadUint64(reg+8+8*i) &^ regRetired
 		rep.LogsScanned++
 		if seq := h.ReadUint64(base + logSeqOff); seq > rep.MaxSeq {
 			rep.MaxSeq = seq
 		}
-		if h.ReadUint64(base+logStatusOff) == 0 {
+		if h.ReadUint64(base+logStatusOff) == logIdle {
 			continue
 		}
 		active = append(active, activeLog{base: base, seq: h.ReadUint64(base + logSeqOff)})
@@ -333,9 +402,17 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 			rep.WordsRestored++
 		}
 		at(RecoverInstall)
-		h.WriteUint64(base+logStatusOff, 0)
+		h.WriteUint64(base+logStatusOff, logIdle)
 		h.WriteUint64(base+logCountOff, 0)
 		h.Persist(base, logHeaderSize)
+	}
+	// Every log is idle now and every thread of the crashed incarnation is
+	// gone: retire all of them for the next incarnation to claim. Each
+	// retirement is one durable word, so a crash part-way leaves entries a
+	// rerun retires the same way.
+	for i := uint64(0); i < n; i++ {
+		e := reg + 8 + 8*i
+		h.Write64Through(e, h.ReadUint64(e)|regRetired)
 	}
 	// Epoch floor: keep begin sequences monotone across in-process restarts
 	// of the same heap, so a checkpoint's recorded epoch never compares

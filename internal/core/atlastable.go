@@ -50,6 +50,9 @@ func (p *atlasPolicy) Store(line trace.LineAddr) {
 	p.occupied[i] = true
 }
 
+// StoreRun is one Store: every repeat combines in the slot the first took.
+func (p *atlasPolicy) StoreRun(line trace.LineAddr, _ int) { p.Store(line) }
+
 func (p *atlasPolicy) FASEBegin() {}
 
 func (p *atlasPolicy) FASEEnd() {

@@ -62,6 +62,17 @@ func (p *groupLeaderPolicy) Store(line trace.LineAddr) {
 	}
 }
 
+// StoreRun must not be the embedded policy's, which would adapt without
+// publishing.
+func (p *groupLeaderPolicy) StoreRun(line trace.LineAddr, n int) {
+	if !p.countsWords() {
+		n = 1
+	}
+	for ; n > 0; n-- {
+		p.Store(line)
+	}
+}
+
 func (p *groupLeaderPolicy) Finish() {
 	before := p.report.Adaptations
 	p.softCachePolicy.Finish()
@@ -88,6 +99,10 @@ func (p *groupFollowerPolicy) Store(line trace.LineAddr) {
 		p.sink.FlushLine(evicted)
 	}
 }
+
+// StoreRun is one Store: the follower has no sampler, and the repeats are
+// hits at index 0.
+func (p *groupFollowerPolicy) StoreRun(line trace.LineAddr, _ int) { p.Store(line) }
 
 func (p *groupFollowerPolicy) FASEBegin() {
 	if size, round := p.group.current(); round != p.seen {

@@ -138,6 +138,10 @@ type Policy interface {
 	Kind() PolicyKind
 	// Store records a persistent store to the line (inside a FASE).
 	Store(line trace.LineAddr)
+	// StoreRun records n ≥ 1 consecutive stores to one line: the same
+	// state, flushes and reports as n Store calls, in fewer steps (a page
+	// copy announces one run per destination line).
+	StoreRun(line trace.LineAddr, n int)
 	// FASEBegin marks the start of an outermost failure-atomic section.
 	FASEBegin()
 	// FASEEnd marks the end of an outermost section. On return, every line
@@ -212,6 +216,12 @@ func (p *eagerPolicy) Kind() PolicyKind { return Eager }
 
 func (p *eagerPolicy) Store(line trace.LineAddr) { p.sink.FlushLine(line) }
 
+func (p *eagerPolicy) StoreRun(line trace.LineAddr, n int) {
+	for ; n > 0; n-- {
+		p.sink.FlushLine(line)
+	}
+}
+
 func (p *eagerPolicy) FASEBegin() {}
 
 // FASEEnd waits for outstanding asynchronous flushes so the FASE's
@@ -242,6 +252,9 @@ func (p *lazyPolicy) Store(line trace.LineAddr) {
 	p.order = append(p.order, line)
 }
 
+// StoreRun is one Store: a repeat within the FASE is already recorded.
+func (p *lazyPolicy) StoreRun(line trace.LineAddr, _ int) { p.Store(line) }
+
 func (p *lazyPolicy) FASEBegin() {}
 
 func (p *lazyPolicy) FASEEnd() {
@@ -260,11 +273,12 @@ func (p *lazyPolicy) Finish() { p.FASEEnd() }
 // attainable performance.
 type bestPolicy struct{}
 
-func (*bestPolicy) Kind() PolicyKind       { return Best }
-func (*bestPolicy) Store(_ trace.LineAddr) {}
-func (*bestPolicy) FASEBegin()             {}
-func (*bestPolicy) FASEEnd()               {}
-func (*bestPolicy) Finish()                {}
+func (*bestPolicy) Kind() PolicyKind                 { return Best }
+func (*bestPolicy) Store(_ trace.LineAddr)           {}
+func (*bestPolicy) StoreRun(_ trace.LineAddr, _ int) {}
+func (*bestPolicy) FASEBegin()                       {}
+func (*bestPolicy) FASEEnd()                         {}
+func (*bestPolicy) Finish()                          {}
 
 // RunSeq replays one thread's recorded sequence through a policy. It is the
 // bridge between trace-based workloads (internal/splash) and the policy

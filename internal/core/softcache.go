@@ -107,6 +107,25 @@ func (p *softCachePolicy) Store(line trace.LineAddr) {
 	}
 }
 
+// StoreRun is one Access for the whole run: after the first store the line
+// is the cache's most recently used, and a repeat of index 0 changes no
+// state. Only the sampler counts words (see countsWords).
+func (p *softCachePolicy) StoreRun(line trace.LineAddr, n int) {
+	if !p.countsWords() {
+		n = 1
+	}
+	for ; n > 0; n-- {
+		p.Store(line)
+	}
+}
+
+// countsWords reports whether each word of a run must reach Store: while
+// the sampler collects, or when a finite hibernation will wake it, so that
+// adapt fires at the exact word a Store loop would have fired it.
+func (p *softCachePolicy) countsWords() bool {
+	return p.sampler != nil && (p.sampler.Collecting() || p.cfg.Hibernation > 0)
+}
+
 func (p *softCachePolicy) FASEBegin() {}
 
 func (p *softCachePolicy) FASEEnd() {

@@ -338,14 +338,20 @@ func kvSeqRun(o KVOptions, ops []kvOp, inj *Injector) (h *pmem.Heap, acked int, 
 // acked write lost), the single nacked op is fully rolled back (no unacked
 // write visible) — except when the crash fired at the ack boundary, after
 // its durable commit, where it must instead be fully applied — the tree
-// invariants hold, the heap is self-consistent, and no dirty lines remain
-// once the recovered store closes.
+// invariants hold, every shard's rebuilt page allocator accounts for each
+// page exactly once (free ∪ reachable = everything below its cursor), the
+// heap is self-consistent, and no dirty lines remain once the recovered
+// store closes.
 func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash Crash) (checks int, rrep atlas.RecoveryReport, err error) {
 	st, rrep, err := kv.Recover(h, o.storeOptions(nil))
 	if err != nil {
 		return 0, rrep, err
 	}
 	if err := st.CheckInvariants(); err != nil {
+		return checks, rrep, err
+	}
+	checks++
+	if err := st.CheckPages(); err != nil {
 		return checks, rrep, err
 	}
 	checks++
@@ -703,6 +709,10 @@ func kvRandRun(o KVOptions, sched randSchedule, inj *Injector, workloadSeed uint
 		if err != nil {
 			return 0, rrep, err
 		}
+		if err := st.CheckPages(); err != nil {
+			return checks, rrep, err
+		}
+		checks++
 	}
 	if err := st.CheckInvariants(); err != nil {
 		return checks, rrep, err

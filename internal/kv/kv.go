@@ -187,8 +187,9 @@ func (o Options) withDefaults() Options {
 }
 
 // RecommendedHeapBytes estimates the persistent heap a store with these
-// options needs, including headroom for the fresh undo logs each recovery
-// allocates (the registry grows across restarts).
+// options needs. Recovery allocates nothing: it frees the crashed
+// incarnation's undo logs for the recovered threads to claim, and the page
+// allocator is rebuilt from the tree.
 func RecommendedHeapBytes(o Options) uint64 {
 	o = o.withDefaults()
 	logs := uint64(1)
@@ -197,10 +198,8 @@ func RecommendedHeapBytes(o Options) uint64 {
 	}
 	perShard := uint64(192)*uint64(o.PoolPages) + // page pool arena
 		logs*16*uint64(o.LogEntries) + // undo log entries
-		8*64 // meta page, pool header, log headers, slack
+		8*64 // meta page, arena header, log headers, slack
 	total := uint64(o.Shards) * perShard
-	restarts := uint64(4) // undo logs re-allocated per recovery
-	total += restarts * uint64(o.Shards) * logs * (16*uint64(o.LogEntries) + 64)
 	total += dirBytes(o.Shards) + 64 + 1<<14 // directory + registry + slack
 	if c := o.Checkpoint; c.Enabled {
 		perShard := pmem.CheckpointRegionSize(16*uint64(c.MaxPairs)) +
@@ -907,6 +906,18 @@ func (s *Store) initiateCrash(except *shard) error {
 func (s *Store) CheckInvariants() error {
 	for _, sh := range s.shards {
 		if err := sh.db.CheckInvariants(); err != nil {
+			return fmt.Errorf("kv: shard %d: %w", sh.id, err)
+		}
+	}
+	return nil
+}
+
+// CheckPages validates every shard's page allocator against its tree (see
+// mdb.DB.CheckPages). Call it on a freshly recovered store, before any
+// request: once commits run, readers park superseded pages for a while.
+func (s *Store) CheckPages() error {
+	for _, sh := range s.shards {
+		if err := sh.db.CheckPages(); err != nil {
 			return fmt.Errorf("kv: shard %d: %w", sh.id, err)
 		}
 	}

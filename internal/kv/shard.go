@@ -232,7 +232,7 @@ func (sh *shard) acquire() (root, gen uint64) {
 }
 
 // release unpins; eligible pages are recycled at the writer's next commit
-// (the pool free list is single-writer).
+// (the page allocator is single-writer).
 func (sh *shard) release(gen uint64) {
 	sh.snapMu.Lock()
 	if sh.active[gen]--; sh.active[gen] <= 0 {

@@ -30,7 +30,7 @@ var ErrPoolExhausted = errors.New("mdb: page pool exhausted")
 
 // Tree geometry: order-8 nodes, one page = header + 8 keys + 8 values (or
 // child pointers) = 136 bytes, padded to 3 cache lines so pages never
-// share a line (block size 192 in the page pool).
+// share a line (block size 192 in the page arena).
 const (
 	order     = 8
 	hdrOff    = 0
@@ -39,6 +39,16 @@ const (
 	pageBytes = valsOff + 8*order
 	pageBlock = 3 * trace.LineSize
 )
+
+// The page arena is one line of geometry followed by the pages:
+//
+//	arena+0:  page block size (pageBlock; Attach's sanity check)
+//	arena+8:  capacity in pages
+//	arena+64: page 0, then page i at arena+64+i·pageBlock
+//
+// The geometry is written once, before the store's meta page points at it.
+// Nothing else about allocation is persistent (see DB).
+const arenaHdr = trace.LineSize
 
 // DefaultPoolPages sizes the page pool when Open is not given an explicit
 // capacity.
@@ -52,21 +62,33 @@ const (
 // DB is the key-value store. One DB has a single writer at a time (callers
 // serialize write transactions, as in LMDB); snapshot readers may read any
 // committed root.
+//
+// The page allocator is volatile: a LIFO stack of free page indices plus a
+// cursor below which every page has been handed out at least once. It
+// persists nothing, because a committed root already names every live
+// page — Attach rebuilds the stack and the cursor from the recovered tree,
+// and the pages of a transaction a crash cut short, unreachable from that
+// tree, are simply free again.
 type DB struct {
-	t    *atlas.Thread
-	meta uint64 // meta page: root ptr at +0, generation at +8, pool at +16
-	// pool recycles pages persistently (its free list survives crashes,
-	// like LMDB's freelist); recycle=false keeps old page versions alive
-	// for long-lived snapshots.
-	pool    *pmem.Pool
+	t     *atlas.Thread
+	meta  uint64 // meta page: root ptr at +0, generation at +8, arena at +16
+	pages uint64 // address of page 0
+
+	free   []uint32 // free page indices below cursor, reused last-in first-out
+	cursor uint32   // pages [cursor, capacity) were never handed out
+	// recycle=false keeps old page versions alive for long-lived snapshots.
 	recycle bool
-	// txn state; the maps and the slice are cleared, not reallocated, from
-	// one transaction to the next, so a steady stream of commits allocates
-	// nothing.
+
+	// Transaction state. stamp[i] == txnSeq marks page i as allocated by
+	// the running transaction, so it is mutated in place rather than copied;
+	// fresh lists those pages in allocation order for Abort, and freed the
+	// pages the transaction supersedes. All of it is sized once and reused,
+	// so a steady stream of commits allocates nothing.
 	inTxn  bool
-	copied map[uint64]uint64 // old page -> txn-local copy
-	fresh  map[uint64]bool   // pages allocated in this txn (mutable in place)
-	freed  []uint64          // pages to recycle at commit
+	txnSeq uint32
+	stamp  []uint32 // one per page; len(stamp) is the capacity
+	fresh  []uint64
+	freed  []uint64
 	// freeHook, when set, receives the superseded pages of each commit
 	// instead of them being recycled immediately (see SetFreeHook).
 	freeHook func(gen uint64, pages []uint64)
@@ -96,19 +118,23 @@ func OpenSized(t *atlas.Thread, pages int) (*DB, error) {
 // so several stores can share one heap (a sharded service keeps each
 // shard's MetaAddr in its own directory object). Use Attach to reopen.
 func Create(t *atlas.Thread, pages int) (*DB, error) {
-	meta, err := t.Heap().AllocLines(64)
+	h := t.Heap()
+	meta, err := h.AllocLines(64)
 	if err != nil {
 		return nil, fmt.Errorf("mdb: %w", err)
 	}
-	pool, err := pmem.NewPool(t.Heap(), pageBlock, pages)
+	arena, err := h.AllocLines(arenaHdr + pageBlock*uint64(pages))
 	if err != nil {
-		return nil, fmt.Errorf("mdb: %w", err)
+		return nil, fmt.Errorf("mdb: page pool: %w", err)
 	}
-	db := newHandle(t, meta, pool)
+	h.WriteUint64(arena, pageBlock)
+	h.WriteUint64(arena+8, uint64(pages))
+	h.Persist(arena, arenaHdr)
+	db := newHandle(t, meta, arena, pages)
 	t.FASEBegin()
-	t.Store64(meta, 0)              // empty tree
-	t.Store64(meta+8, 0)            // generation
-	t.Store64(meta+16, pool.Base()) // page pool
+	t.Store64(meta, 0)        // empty tree
+	t.Store64(meta+8, 0)      // generation
+	t.Store64(meta+16, arena) // page arena
 	t.FASEEnd()
 	return db, nil
 }
@@ -124,21 +150,41 @@ func Reopen(t *atlas.Thread) (*DB, error) {
 }
 
 // Attach reopens the store whose meta page lives at meta (obtained from
-// MetaAddr before the restart), for heaps holding more than one store.
+// MetaAddr before the restart), for heaps holding more than one store. It
+// rebuilds the page allocator from the committed tree: the cursor goes just
+// past the highest page the root reaches, and every unreached page below it
+// is free. It trusts nothing it reads (see reachable), and clamps the
+// capacity to the heap.
 func Attach(t *atlas.Thread, meta uint64) (*DB, error) {
 	if meta == 0 {
 		return nil, fmt.Errorf("mdb: zero meta address")
 	}
-	pool, err := pmem.OpenPool(t.Heap(), t.Heap().ReadUint64(meta+16))
-	if err != nil {
-		return nil, fmt.Errorf("mdb: reopening page pool: %w", err)
+	h := t.Heap()
+	arena := h.ReadUint64(meta + 16)
+	if arena < pmem.HeaderSize || arena > h.Size()-arenaHdr || h.ReadUint64(arena) != pageBlock {
+		return nil, fmt.Errorf("mdb: %d does not look like a page arena", arena)
 	}
-	return newHandle(t, meta, pool), nil
+	pages := min(h.ReadUint64(arena+8), (h.Size()-arena-arenaHdr)/pageBlock)
+	db := newHandle(t, meta, arena, int(pages))
+	live := db.reachable()
+	for i := len(live); i > 0; i-- {
+		if live[i-1] {
+			db.cursor = uint32(i)
+			break
+		}
+	}
+	// Pushed from the top down, so the lowest free page is reused first.
+	for i := db.cursor; i > 0; i-- {
+		if !live[i-1] {
+			db.free = append(db.free, i-1)
+		}
+	}
+	return db, nil
 }
 
-func newHandle(t *atlas.Thread, meta uint64, pool *pmem.Pool) *DB {
-	return &DB{t: t, meta: meta, pool: pool, recycle: true,
-		copied: make(map[uint64]uint64, 16), fresh: make(map[uint64]bool, 16)}
+func newHandle(t *atlas.Thread, meta, arena uint64, pages int) *DB {
+	return &DB{t: t, meta: meta, pages: arena + arenaHdr, recycle: true,
+		free: make([]uint32, 0, pages), stamp: make([]uint32, pages)}
 }
 
 // MetaAddr returns the persistent address of the store's meta page; store
@@ -148,15 +194,37 @@ func (db *DB) MetaAddr() uint64 { return db.meta }
 // Generation returns the committed transaction count.
 func (db *DB) Generation() uint64 { return db.t.Load64(db.meta + 8) }
 
+// pageIndex maps a page address to its index, reporting false for anything
+// that is not the start of a page in the arena.
+func (db *DB) pageIndex(p uint64) (uint32, bool) {
+	off := p - db.pages
+	i := off / pageBlock
+	return uint32(i), p >= db.pages && i < uint64(len(db.stamp)) && off%pageBlock == 0
+}
+
+// alloc hands out a page for the running transaction: the most recently
+// freed one, else the next never-used one.
 func (db *DB) alloc() (uint64, error) {
-	p, err := db.pool.Alloc()
-	if err != nil {
-		if errors.Is(err, pmem.ErrPoolExhausted) {
-			return 0, fmt.Errorf("%w (%d pages)", ErrPoolExhausted, db.pool.Capacity())
-		}
-		return 0, err
+	var i uint32
+	if n := len(db.free); n > 0 {
+		i = db.free[n-1]
+		db.free = db.free[:n-1]
+	} else if int(db.cursor) < len(db.stamp) {
+		i = db.cursor
+		db.cursor++
+	} else {
+		return 0, fmt.Errorf("%w (%d pages)", ErrPoolExhausted, len(db.stamp))
 	}
+	db.stamp[i] = db.txnSeq
+	p := db.pages + uint64(i)*pageBlock
+	db.fresh = append(db.fresh, p)
 	return p, nil
+}
+
+// release returns a page to the allocator. The page must have come from
+// alloc and be unreachable from every root a reader may still hold.
+func (db *DB) release(p uint64) {
+	db.free = append(db.free, uint32((p-db.pages)/pageBlock))
 }
 
 // page accessors (p is a page address).
@@ -165,7 +233,7 @@ func (db *DB) nkeys(p uint64) int         { return int(uint32(db.t.Load64(p + hd
 func (db *DB) key(p uint64, i int) uint64 { return db.t.Load64(p + keysOff + uint64(8*i)) }
 func (db *DB) val(p uint64, i int) uint64 { return db.t.Load64(p + valsOff + uint64(8*i)) }
 
-// The setters write only pages in db.fresh — allocated by this transaction,
+// The setters write only pages the running transaction allocated —
 // whole-line blocks, reachable from no durable root until the logged store
 // of the meta root publishes them — so they are private stores: dirty-marked
 // and drained with the FASE, never undo-logged.
@@ -181,8 +249,12 @@ func (db *DB) Begin() error {
 		return fmt.Errorf("mdb: nested write transaction")
 	}
 	db.inTxn = true
-	clear(db.copied)
-	clear(db.fresh)
+	if db.txnSeq++; db.txnSeq == 0 {
+		// Wrapped: stamps of 2³² transactions ago would read as this one's.
+		clear(db.stamp)
+		db.txnSeq = 1
+	}
+	db.fresh = db.fresh[:0]
 	db.freed = db.freed[:0]
 	db.t.FASEBegin()
 	return nil
@@ -202,11 +274,11 @@ func (db *DB) Commit() error {
 				db.freeHook(db.Generation(), db.freed)
 			}
 		} else {
-			// The superseded page versions return to the persistent pool only
-			// after the transaction is durable, so a crash can at worst leak
-			// pages, never hand a live page out twice.
+			// The superseded page versions are reused only once the
+			// transaction is durable: until then a crash rolls back to the
+			// tree that reaches them.
 			for _, p := range db.freed {
-				db.pool.Free(p)
+				db.release(p)
 			}
 		}
 	}
@@ -265,7 +337,7 @@ func (pc *PendingCommit) Await() {
 			db.freeHook(pc.gen, pc.freed)
 		} else {
 			for _, p := range pc.freed {
-				db.pool.Free(p)
+				db.release(p)
 			}
 		}
 	}
@@ -278,20 +350,19 @@ func (pc *PendingCommit) Generation() uint64 { return pc.gen }
 // Abort rolls the current transaction back: the FASE's undo entries are
 // applied in reverse (restoring root and generation, which unpublishes
 // every page the transaction wrote) and the pages allocated by the
-// transaction are returned to the pool. The committed tree is untouched —
-// exactly the state a crash mid-transaction plus recovery would yield,
-// minus the page leak. Abort fails (with the store left as recovery would
-// leave it) only when the undo log overflowed.
+// transaction are returned to the pool, last first, so the free stack is
+// back in its pre-transaction order. The committed tree is untouched —
+// exactly the state a crash mid-transaction plus recovery would yield.
+// Abort fails (with the store left as recovery would leave it) only when
+// the undo log overflowed.
 func (db *DB) Abort() error {
 	if !db.inTxn {
 		return fmt.Errorf("mdb: abort outside transaction")
 	}
 	err := db.t.FASEAbort()
 	if err == nil {
-		// All pages allocated in this txn (copies and fresh nodes) are
-		// unreferenced by the restored tree; recycle them.
-		for p := range db.fresh {
-			db.pool.Free(p)
+		for i := len(db.fresh) - 1; i >= 0; i-- {
+			db.release(db.fresh[i])
 		}
 	}
 	db.inTxn = false
@@ -310,28 +381,28 @@ func (db *DB) SetFreeHook(fn func(gen uint64, pages []uint64)) { db.freeHook = f
 
 // RecyclePages returns pages previously handed to the free hook to the
 // pool. Like all mutating methods it must be called from the store's single
-// writer (the pool's free list is not safe for concurrent update).
+// writer (the free stack is not safe for concurrent update).
 func (db *DB) RecyclePages(pages []uint64) {
 	for _, p := range pages {
-		db.pool.Free(p)
+		db.release(p)
 	}
 }
 
 // PoolRemaining reports how many pages the store can still allocate.
-func (db *DB) PoolRemaining() int { return db.pool.Remaining() }
+func (db *DB) PoolRemaining() int { return len(db.stamp) - int(db.cursor) + len(db.free) }
 
 // ResetForRebuild discards the whole tree: the page pool rewinds to empty
 // and the root is cleared, leaving a fresh store at the same meta address.
 // Checkpointed recovery uses it before reconstructing the tree from a
-// checkpoint image, so it never has to trust (or leak) the crashed tree's
-// pages. The reset is deliberately not transactional across the pool and
-// the root — a crash mid-reset is recovered by the caller re-running the
-// whole rebuild, which starts with another ResetForRebuild.
+// checkpoint image, so it never has to trust the crashed tree's pages. A
+// crash mid-rebuild is recovered by the caller re-running the whole
+// rebuild, which starts with another ResetForRebuild.
 func (db *DB) ResetForRebuild() error {
 	if db.inTxn {
 		return fmt.Errorf("mdb: ResetForRebuild inside transaction")
 	}
-	db.pool.Reset()
+	db.free = db.free[:0]
+	db.cursor = 0
 	db.t.FASEBegin()
 	db.t.Store64(db.meta, 0)
 	db.t.FASEEnd()
@@ -354,12 +425,14 @@ func (db *DB) ForceGeneration(gen uint64) error {
 
 // touch returns a mutable version of page p within the current
 // transaction, copying it on first touch (copy-on-write).
+//
+// No lookup is needed to copy a page once: the caller re-points the parent
+// slot (or the meta root) at the copy before the next descent, so the old
+// page is never reached again — unless an operation fails part-way, which
+// is why a failed transaction must be aborted.
 func (db *DB) touch(p uint64) (uint64, error) {
-	if db.fresh[p] {
+	if i, ok := db.pageIndex(p); ok && db.stamp[i] == db.txnSeq {
 		return p, nil
-	}
-	if c, ok := db.copied[p]; ok {
-		return c, nil
 	}
 	c, err := db.alloc()
 	if err != nil {
@@ -368,8 +441,6 @@ func (db *DB) touch(p uint64) (uint64, error) {
 	// Copy the whole page: the COW write burst the paper's MDB exhibits,
 	// one store event per word. The copy is private until the root publish.
 	db.t.CopyPrivate(c, p, pageBytes)
-	db.copied[p] = c
-	db.fresh[c] = true
 	db.freed = append(db.freed, p)
 	return c, nil
 }
@@ -379,7 +450,6 @@ func (db *DB) newPage(typ uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	db.fresh[p] = true
 	db.setHdr(p, typ, 0)
 	return p, nil
 }
@@ -581,6 +651,7 @@ func (db *DB) remove(p uint64, k uint64) (uint64, bool, error) {
 				}
 				db.setHdr(c, pageLeaf, n-1)
 				if n-1 == 0 {
+					db.freed = append(db.freed, c) // unlinked: recycle with the rest
 					return 0, true, nil
 				}
 				return c, true, nil
@@ -605,6 +676,7 @@ func (db *DB) remove(p uint64, k uint64) (uint64, bool, error) {
 		}
 		db.setHdr(c, pageBranch, n-1)
 		if n-1 == 0 {
+			db.freed = append(db.freed, c)
 			return 0, true, nil
 		}
 		return c, true, nil
@@ -691,6 +763,51 @@ func (db *DB) checkPage(p uint64, depth int) (leafDepth int, err error) {
 		}
 	}
 	return want, nil
+}
+
+// reachable marks, by page index, every page the committed root reaches.
+// It follows only pointers to page starts in the arena and visits each page
+// once, so a damaged tree yields a wrong set, never a panic or a loop.
+func (db *DB) reachable() []bool {
+	live := make([]bool, len(db.stamp))
+	stack := []uint64{db.t.Load64(db.meta)}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		i, ok := db.pageIndex(p)
+		if !ok || live[i] {
+			continue
+		}
+		live[i] = true
+		if db.ptype(p) == pageBranch {
+			for j := range min(db.nkeys(p), order) {
+				stack = append(stack, db.val(p, j))
+			}
+		}
+	}
+	return live
+}
+
+// CheckPages validates the page allocator against the tree: the pages
+// below the cursor are exactly the reachable ones plus the free ones, none
+// of them both and none free twice — so PoolRemaining is the capacity
+// minus the reachable pages. It holds when no superseded page is parked
+// with a free hook or behind an unawaited PendingCommit: after Attach, for
+// example, or after a commit that recycled immediately.
+func (db *DB) CheckPages() error {
+	seen := db.reachable()
+	for _, i := range db.free {
+		if seen[i] {
+			return fmt.Errorf("mdb: free page %d is reachable from the root or free twice", i)
+		}
+		seen[i] = true
+	}
+	for i, s := range seen {
+		if below := uint32(i) < db.cursor; s != below {
+			return fmt.Errorf("mdb: page %d is reachable or free: %v; below the cursor %d: %v", i, s, db.cursor, below)
+		}
+	}
+	return nil
 }
 
 // PageLines returns the number of cache lines per page (for locality

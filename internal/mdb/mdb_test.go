@@ -285,7 +285,8 @@ func TestCommittedTxnsSurviveCrash(t *testing.T) {
 }
 
 // Property: the tree matches a reference map under random interleaved
-// puts, deletes and commits, and invariants hold throughout.
+// puts, deletes and commits, and invariants hold throughout — the page
+// allocator's included: pages emptied by deletes are recycled, not lost.
 func TestQuickTreeMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := testutil.Rand(t, seed)
@@ -331,6 +332,10 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 				return false
 			}
 			if err := db.CheckInvariants(); err != nil {
+				return false
+			}
+			if err := db.CheckPages(); err != nil {
+				t.Log(err)
 				return false
 			}
 		}
@@ -383,44 +388,102 @@ func TestPageLines(t *testing.T) {
 	}
 }
 
-func TestPageRecyclingSurvivesRestart(t *testing.T) {
-	rt, db := newDB(t, core.Lazy)
+// reopen crashes the heap under db, recovers it and attaches a fresh
+// thread to the store.
+func reopen(t *testing.T, rt *atlas.Runtime) *DB {
+	t.Helper()
 	h := rt.Heap()
-	// Generate garbage pages: updates COW the path and free old versions.
-	put(t, db, 1, 1)
-	for i := 0; i < 20; i++ {
-		put(t, db, 1, uint64(i))
-	}
 	h.Crash()
 	if _, err := atlas.Recover(h); err != nil {
 		t.Fatal(err)
 	}
-	rt2 := atlas.NewRuntime(h, atlas.DefaultOptions())
-	th2, _ := rt2.NewThread()
-	db2, err := Reopen(th2)
+	th, err := atlas.NewRuntime(h, atlas.DefaultOptions()).NewThread()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The persistent free list survived: the pool hands back recycled
-	// pages instead of fresh arena space.
-	before := db2.pool.FreeCount()
-	if before == 0 {
-		t.Fatal("no recycled pages survived the crash")
-	}
-	if err := db2.Begin(); err != nil {
+	db, err := Reopen(th)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.Put(2, 2); err != nil {
+	return db
+}
+
+// TestPageRecyclingSurvivesRestart: nothing about allocation is persisted,
+// yet a restart loses no page. The allocator Attach rebuilds from the tree
+// has exactly the free pages the running store had, and the next
+// transaction reuses them before it takes fresh arena space.
+func TestPageRecyclingSurvivesRestart(t *testing.T) {
+	rt, db := newDB(t, core.Lazy)
+	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.Commit(); err != nil {
+	for k := uint64(0); k < 100; k++ {
+		if err := db.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if db2.pool.FreeCount() >= before+2 {
-		t.Fatalf("pool did not reuse recycled pages: %d -> %d", before, db2.pool.FreeCount())
+	// Updates copy their paths and recycle the superseded versions.
+	for i := uint64(0); i < 20; i++ {
+		put(t, db, i*5, 1000+i)
 	}
-	if v, ok := db2.Get(1); !ok || v != 19 {
+	remaining := db.PoolRemaining()
+	db2 := reopen(t, rt)
+	if got := db2.PoolRemaining(); got != remaining {
+		t.Fatalf("PoolRemaining %d after restart, %d before", got, remaining)
+	}
+	if err := db2.CheckPages(); err != nil {
+		t.Fatal(err)
+	}
+	if len(db2.free) == 0 {
+		t.Fatal("no free page below the cursor after restart, nothing to reuse")
+	}
+	cursor := db2.cursor
+	put(t, db2, 2, 2)
+	if db2.cursor != cursor {
+		t.Fatalf("took fresh arena space (cursor %d -> %d) with free pages below the cursor", cursor, db2.cursor)
+	}
+	if v, ok := db2.Get(95); !ok || v != 1019 {
 		t.Fatalf("data wrong after restart: %d %v", v, ok)
+	}
+}
+
+// TestCrashedTransactionPagesAreFreeAfterRecover: the pages a transaction
+// took before a crash cut it short are reachable from no recovered root, so
+// after recovery they are free again — none leak.
+func TestCrashedTransactionPagesAreFreeAfterRecover(t *testing.T) {
+	rt, db := newDB(t, core.Lazy)
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		if err := db.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	remaining := db.PoolRemaining()
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k += 3 {
+		if err := db.Put(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if taken := remaining - db.PoolRemaining(); taken < 10 {
+		t.Fatalf("the crashed transaction took only %d pages", taken)
+	}
+	db2 := reopen(t, rt)
+	if got := db2.PoolRemaining(); got != remaining {
+		t.Fatalf("%d pages leaked by the crashed transaction", remaining-got)
+	}
+	if v, ok := db2.Get(3); !ok || v != 3 {
+		t.Fatalf("Get(3) = %d, %v after recovery, want the committed 3", v, ok)
 	}
 }
 
@@ -484,6 +547,9 @@ func TestPoolExhaustionSentinelAndAbort(t *testing.T) {
 	if db.PoolRemaining() <= remainBefore {
 		t.Fatalf("abort did not return txn pages: %d -> %d", remainBefore, db.PoolRemaining())
 	}
+	if err := db.CheckPages(); err != nil {
+		t.Fatalf("after abort: %v", err)
+	}
 	// The aborted transaction left no trace and the store still works.
 	if got := db.Count(); got != 0 {
 		t.Fatalf("%d keys visible after aborted txn", got)
@@ -498,8 +564,8 @@ func TestPoolExhaustionSentinelAndAbort(t *testing.T) {
 	// Delete surfaces the sentinel too once the pool is truly dry (COW of
 	// the descent path needs a page).
 	for db.PoolRemaining() > 0 {
-		if _, err := db.pool.Alloc(); err != nil {
-			break
+		if _, err := db.alloc(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := db.Begin(); err != nil {
@@ -637,8 +703,8 @@ func TestFreeHookDefersRecycling(t *testing.T) {
 
 // TestTxnAllocs is the transaction path's zero-allocation gate: once the
 // tree and the page pool are warm, Begin+Put+Commit allocates nothing — the
-// copy maps are cleared, not remade, and the free hook is handed the
-// transaction's own freed-page scratch.
+// page stamps and the free stack are sized to the pool at open, and the
+// free hook is handed the transaction's own freed-page scratch.
 func TestTxnAllocs(t *testing.T) {
 	_, db := newDB(t, core.SoftCacheOffline)
 	var held []uint64

@@ -207,8 +207,9 @@ func (s *crashingSink) Drain(lines []trace.LineAddr) {
 // every line write-back it issues, with a one-line software cache so that
 // private page lines reach NVRAM by eviction in the middle of the FASE.
 // After recovery the tree must be exactly the pre-transaction tree, and the
-// pool must not hold a page that tree reaches: unlogged pages may be leaked
-// by a crash, never corrupted or doubly owned.
+// allocator Attach rebuilds must account for every page: free ∪ reachable
+// is everything below the cursor, no page is both, and the pages the
+// crashed transaction took are all free again.
 func TestPrivatePagesCrashAtEveryFlush(t *testing.T) {
 	const preload = 400
 	cfg := core.DefaultConfig()
@@ -249,6 +250,7 @@ func TestPrivatePagesCrashAtEveryFlush(t *testing.T) {
 			t.Fatalf("preloaded tree: depth %d, %v; want at least 4 levels", d, err)
 		}
 
+		remaining := db.PoolRemaining()
 		sink.armed = true
 		crashed := func() (crashed bool) {
 			defer func() {
@@ -307,30 +309,11 @@ func TestPrivatePagesCrashAtEveryFlush(t *testing.T) {
 				t.Fatalf("site %d: key %d = %d, %v; want its pre-transaction value %d", site, k, got, ok, v)
 			}
 		}
-		reached := make(map[uint64]bool)
-		var walk func(p uint64)
-		walk = func(p uint64) {
-			reached[p] = true
-			if db2.ptype(p) == pageBranch {
-				for i := 0; i < db2.nkeys(p); i++ {
-					walk(db2.val(p, i))
-				}
-			}
+		if err := db2.CheckPages(); err != nil {
+			t.Fatalf("site %d: %v", site, err)
 		}
-		walk(th2.Load64(db2.meta))
-		// The pool hands out its free list before fresh arena space, so
-		// FreeCount allocations are exactly the blocks on the list.
-		if db2.pool.FreeCount() == 0 {
-			t.Fatalf("site %d: the pool's free list is empty, nothing to check", site)
-		}
-		for n := db2.pool.FreeCount(); n > 0; n-- {
-			b, err := db2.pool.Alloc()
-			if err != nil {
-				t.Fatalf("site %d: %v", site, err)
-			}
-			if reached[b] {
-				t.Fatalf("site %d: page %d is on the pool's free list and reachable from the root", site, b)
-			}
+		if got := db2.PoolRemaining(); got != remaining {
+			t.Fatalf("site %d: %d pages remaining after recovery, %d before the transaction", site, got, remaining)
 		}
 		if err := h.CheckConsistency(); err != nil {
 			t.Fatalf("site %d: %v", site, err)

@@ -41,15 +41,17 @@ type Sampler struct {
 	completed int // bursts finished
 }
 
-// New returns a sampler in the collecting state.
+// New returns a sampler in the collecting state. The burst buffer is
+// allocated at the first recorded store: a thread that drops its sampler
+// before storing (a recovered kv shard adopting its earlier capacity)
+// never pays for it.
 func New(cfg Config) *Sampler {
 	if cfg.BurstLength <= 0 {
 		cfg.BurstLength = 1
 	}
 	return &Sampler{
-		cfg:   cfg,
-		burst: make([]uint64, 0, cfg.BurstLength),
-		ids:   make(map[trace.LineAddr]uint64, 256),
+		cfg: cfg,
+		ids: make(map[trace.LineAddr]uint64, 256),
 	}
 }
 
@@ -70,6 +72,9 @@ func (s *Sampler) RecordStore(line trace.LineAddr) (burstDone bool) {
 		id = s.next
 		s.next++
 		s.ids[line] = id
+	}
+	if s.burst == nil {
+		s.burst = make([]uint64, 0, s.cfg.BurstLength)
 	}
 	s.burst = append(s.burst, id)
 	if len(s.burst) >= s.cfg.BurstLength {

@@ -352,24 +352,23 @@ func TestStatsCheckpointKeysFixedSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The idle timer may publish images of the empty tree before the puts
+	// land, so wait for an image that holds pairs.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		stats, err = cl2.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Total["checkpoints"] > 0 {
+		if stats.Total["checkpoint_pairs"] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint published within 5s: %v", stats.Total)
+			t.Fatalf("no image with pairs published within 5s: %v", stats.Total)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if stats.Total["journal_ops"] == 0 {
 		t.Fatalf("checkpointing server journaled nothing: %v", stats.Total)
-	}
-	if stats.Total["checkpoint_pairs"] == 0 {
-		t.Fatalf("published image holds no pairs: %v", stats.Total)
 	}
 }
