@@ -1,6 +1,7 @@
 package mdb
 
 import (
+	"errors"
 	"maps"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,119 @@ func TestPageAllocFreeReuse(t *testing.T) {
 	db.release(a)
 	if c, _ := db.alloc(); a == b || c != a || db.cursor != 2 {
 		t.Fatalf("allocated %d and %d, released the first, then got %d with the cursor at %d", a, b, c, db.cursor)
+	}
+}
+
+// tinyDB opens a store whose page pool holds only pages pages.
+func tinyDB(t *testing.T, pages int) (*atlas.Runtime, *DB) {
+	t.Helper()
+	opts := atlas.DefaultOptions()
+	opts.Policy = core.Lazy
+	rt := atlas.NewRuntime(pmem.New(1<<20), opts)
+	th, err := rt.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenSized(th, pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, db
+}
+
+// TestPageAllocExhaustion: the allocator hands out exactly its capacity in
+// distinct pages, refuses the next request, and serves one again as soon as
+// a page is released.
+func TestPageAllocExhaustion(t *testing.T) {
+	_, db := tinyDB(t, 4)
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	pages := make([]uint64, 0, 4)
+	for i := 0; i < 4; i++ {
+		p, err := db.alloc()
+		if err != nil {
+			t.Fatalf("alloc %d of 4: %v", i, err)
+		}
+		if seen[p] {
+			t.Fatalf("page %d handed out twice", p)
+		}
+		seen[p] = true
+		pages = append(pages, p)
+	}
+	if _, err := db.alloc(); err == nil {
+		t.Fatal("allocation beyond capacity succeeded")
+	}
+	if db.PoolRemaining() != 0 {
+		t.Fatalf("PoolRemaining = %d on a dry pool", db.PoolRemaining())
+	}
+	db.release(pages[2])
+	if p, err := db.alloc(); err != nil || p != pages[2] {
+		t.Fatalf("allocation after release: page %d, %v; want %d", p, err, pages[2])
+	}
+}
+
+// TestPageAllocExhaustionSentinel: a dry pool is load, not corruption. The
+// allocator's error wraps ErrPoolExhausted, and aborting the transaction
+// that hit it gives every page back.
+func TestPageAllocExhaustionSentinel(t *testing.T) {
+	_, db := tinyDB(t, 4)
+	if err := db.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := db.alloc(); err != nil {
+			t.Fatalf("alloc %d: %v", i, err)
+		}
+	}
+	_, err := db.alloc()
+	if err == nil {
+		t.Fatal("alloc succeeded past capacity")
+	}
+	if !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("error %v does not wrap ErrPoolExhausted", err)
+	}
+	if err := db.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if db.PoolRemaining() != 4 {
+		t.Fatalf("PoolRemaining = %d after abort, want 4", db.PoolRemaining())
+	}
+	if err := db.CheckPages(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.alloc(); err != nil {
+		t.Fatalf("alloc after abort: %v", err)
+	}
+}
+
+// TestFreePagesSurviveCrash: a page released before a crash is free after
+// recovery, though the allocator persisted nothing, and it is the one the
+// next allocation hands out.
+func TestFreePagesSurviveCrash(t *testing.T) {
+	rt, db := tinyDB(t, 8)
+	put(t, db, 1, 1)
+	old := db.t.Load64(db.meta)
+	put(t, db, 1, 2) // copies the root page and releases the old one
+	if db.PoolRemaining() != 7 || len(db.free) != 1 {
+		t.Fatalf("PoolRemaining %d, %d free below the cursor; want 7 and 1", db.PoolRemaining(), len(db.free))
+	}
+	db2 := reopen(t, rt)
+	if db2.PoolRemaining() != 7 || len(db2.free) != 1 {
+		t.Fatalf("after the crash: PoolRemaining %d, %d free below the cursor; want 7 and 1", db2.PoolRemaining(), len(db2.free))
+	}
+	if err := db2.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := db2.alloc(); err != nil || p != old {
+		t.Fatalf("recovered allocator handed out %d (%v), want the released %d", p, err, old)
+	}
+	if err := db2.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := db2.Get(1); !ok || v != 2 {
+		t.Fatalf("Get(1) = %d, %v after the crash, want 2", v, ok)
 	}
 }
 
