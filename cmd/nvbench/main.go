@@ -55,7 +55,7 @@ func main() {
 	opt.Threads = *threads
 	opt.Seed = *seed
 
-	c := &runCtx{opt: opt, format: *format, plot: *plot}
+	c := &runCtx{opt: opt, format: *format, plot: *plot, w: os.Stdout}
 	if err := run(c, *exp); err != nil {
 		fmt.Fprintln(os.Stderr, "nvbench:", err)
 		if _, ok := lookup(*exp); !ok && *exp != "all" {
@@ -78,6 +78,7 @@ type runCtx struct {
 	opt    harness.RunOptions
 	format string
 	plot   bool
+	w      io.Writer // where tables and plots are rendered
 
 	par56  *harness.ParallelResult
 	tables []*harness.Table // everything shown, for -out
@@ -86,10 +87,10 @@ type runCtx struct {
 func (c *runCtx) show(t *harness.Table) {
 	c.tables = append(c.tables, t)
 	if c.format == "csv" {
-		fmt.Print(t.CSV())
+		fmt.Fprint(c.w, t.CSV())
 		return
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(c.w, t.String())
 }
 
 // benchTables is the -out artifact: the benchfmt envelope plus every table
@@ -180,7 +181,7 @@ var experiments = []experiment{
 			return err
 		}
 		if c.plot {
-			fmt.Println(harness.PlotCurve(
+			fmt.Fprintln(c.w, harness.PlotCurve(
 				fmt.Sprintf("Figure 2: MRC of %s (chosen %d)", r.Program, r.Chosen),
 				[]string{"miss ratio"}, [][]float64{r.Miss}, 12))
 			return nil
@@ -216,7 +217,7 @@ var experiments = []experiment{
 			for i, row := range r.Rows {
 				labels[i], vals[i] = row.Name, row.SC
 			}
-			fmt.Println(harness.PlotBars("Figure 4: SC speedup over ER", labels, vals, "x"))
+			fmt.Fprintln(c.w, harness.PlotBars("Figure 4: SC speedup over ER", labels, vals, "x"))
 		}
 		return nil
 	}},
@@ -251,7 +252,7 @@ var experiments = []experiment{
 				return err
 			}
 			if c.plot {
-				fmt.Println(harness.PlotCurve(
+				fmt.Fprintln(c.w, harness.PlotCurve(
 					fmt.Sprintf("Figure 7: %s (actual/full/sampled select %d/%d/%d)",
 						r.Program, r.ChosenActual, r.ChosenFull, r.ChosenSampled),
 					[]string{"actual", "full-trace", "sampled"},

@@ -27,7 +27,7 @@ func main() {
 		shards     = flag.Int("shards", 4, "independent shards (one tree + writer goroutine each)")
 		batch      = flag.Int("batch", 64, "max operations per group commit (1 = one FASE per op)")
 		pool       = flag.Int("pool-pages", 1<<13, "per-shard B+-tree page pool capacity")
-		policy     = flag.String("policy", "SC", "persistence policy: ER, LA, AT, SC, SC-offline, BEST")
+		policy     = flag.String("policy", kv.DefaultOptions().Policy.String(), "persistence policy: ER, LA, AT, SC, SC-offline, BEST (SC-offline runs at the paper's 50-line cap)")
 		duration   = flag.Duration("duration", 0, "serve for this long, then shut down gracefully (0 = until SIGINT/SIGTERM)")
 		pipeline   = flag.Bool("pipeline", false, "asynchronous batched flush pipeline: overlap each batch's drain with the next batch's stores")
 		pipeDepth  = flag.Int("pipeline-depth", 256, "pipeline ring capacity in pending line flushes (backpressure bound)")

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nvmcache/internal/sampling"
 	"nvmcache/internal/trace"
 )
 
@@ -201,6 +202,39 @@ func TestSoftCacheOnlineShortTraceAdaptsAtFinish(t *testing.T) {
 	}
 	if rep.AnalyzedWrites != 6 {
 		t.Errorf("AnalyzedWrites = %d", rep.AnalyzedWrites)
+	}
+}
+
+// TestSoftCacheOnlineDropsSamplerAfterBurst: with infinite hibernation the
+// one burst is the only one, so once the policy has adapted it holds no
+// sampler (nor its burst buffer); a finite hibernation keeps it to wake.
+func TestSoftCacheOnlineDropsSamplerAfterBurst(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		hibernation int64
+		burst       int
+		keep        bool
+	}{
+		{"infinite", sampling.Infinite, 64, false},
+		{"zero-means-infinite", 0, 64, false},
+		{"infinite-at-finish", sampling.Infinite, 1 << 20, false},
+		{"finite", 29, 64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.BurstLength = tc.burst
+			cfg.Hibernation = tc.hibernation
+			rng := rand.New(rand.NewSource(7))
+			tr := randomFASETrace(rng, 40, 12, 30)
+			p := NewPolicy(SoftCacheOnline, cfg, NewCountingSink(nil)).(*softCachePolicy)
+			RunSeq(p, tr.Threads[0])
+			if !p.AdaptReport().Adapted {
+				t.Fatalf("never adapted: %+v", p.AdaptReport())
+			}
+			if got := p.sampler != nil; got != tc.keep {
+				t.Fatalf("sampler held after adapting = %v, want %v", got, tc.keep)
+			}
+		})
 	}
 }
 

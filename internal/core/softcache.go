@@ -161,7 +161,9 @@ func (p *softCachePolicy) Finish() {
 
 // adapt computes the MRC from the sampled burst and resizes the cache to
 // the selected knee. Evictions forced by a shrink are flushed
-// asynchronously, exactly like capacity evictions.
+// asynchronously, exactly like capacity evictions. Under infinite
+// hibernation (Hibernation <= 0) the sampler never wakes again, so it is
+// dropped with its burst buffer and id map, as AdoptCapacity does.
 func (p *softCachePolicy) adapt() {
 	burst := p.sampler.Burst()
 	p.report.AnalyzedWrites += int64(len(burst))
@@ -174,6 +176,9 @@ func (p *softCachePolicy) adapt() {
 	p.report.Adapted = true
 	p.report.Adaptations++
 	p.report.ChosenSize = size
+	if p.cfg.Hibernation <= 0 {
+		p.sampler = nil
+	}
 }
 
 // applyCapacity resizes on the owning thread, flushing shrink evictions

@@ -19,12 +19,15 @@ func shardPolicy(s *Store, i int) interface {
 	})
 }
 
-// adaptedStore opens a store whose online policy finishes its sampling
-// burst within a few hundred puts, writes until every shard has resized
-// away from the default, and crashes it.
+// adaptedStore opens a store on the online policy (-policy SC; the serving
+// default is a fixed capacity, which writes no advisory word), lets it
+// finish its sampling burst within a few hundred puts, writes until every
+// shard has resized away from the default, and crashes it.
 func adaptedStore(t *testing.T) (*pmem.Heap, Options, []int) {
 	t.Helper()
 	opts := DefaultOptions()
+	opts.Policy = core.SoftCacheOnline
+	opts.Config.PresetSize = 0
 	opts.Shards = 2
 	opts.Config.BurstLength = 1 << 12
 	h := pmem.New(2 * int(RecommendedHeapBytes(opts)))

@@ -72,7 +72,7 @@ type Options struct {
 	// and unlogged.
 	LogEntries int
 	// Policy and Config select the per-thread persistence technique
-	// (default: the paper's online-adaptive software cache).
+	// (default: the paper's software cache at its 50-line cap).
 	Policy core.PolicyKind
 	Config core.Config
 	// Pipeline, when Enabled, gives every shard thread an asynchronous
@@ -146,7 +146,16 @@ type Options struct {
 const faseLoggedWords = 4
 
 // DefaultOptions returns the serving configuration used by cmd/nvserver.
+//
+// Its policy is the paper's software cache fixed at the knee's upper bound
+// (Config.Knee.MaxSize, 50 lines), not the online selector. Every flush in
+// a FASE is an LRU miss, and a larger LRU never misses more, so capacity
+// trades only against the FASE-end drain, which the paper bounds at 50.
+// Sampling would pick a smaller cache, flush more lines per durable PUT,
+// and hold a burst buffer per shard to do it (DESIGN §4k).
 func DefaultOptions() Options {
+	cfg := core.DefaultConfig()
+	cfg.PresetSize = cfg.Knee.MaxSize
 	return Options{
 		Shards:     4,
 		MaxBatch:   64,
@@ -155,8 +164,8 @@ func DefaultOptions() Options {
 		// Sixteen times the bound: an overflowing log fails silently until a
 		// rollback needs it, and the headroom costs 1 KiB per log.
 		LogEntries: 16 * faseLoggedWords,
-		Policy:     core.SoftCacheOnline,
-		Config:     core.DefaultConfig(),
+		Policy:     core.SoftCacheOffline,
+		Config:     cfg,
 	}
 }
 
