@@ -393,37 +393,6 @@ var experiments = []experiment{
 		c.show(r.Table())
 		return nil
 	}},
-	{"recovery", "bounded-time recovery: full journal replay vs per-shard checkpoint + suffix, crash-injected", func(c *runCtx) error {
-		opt := harness.DefaultRecoveryOptions()
-		// -scale shrinks the key-space axis; the overwrite factor and tail
-		// stay fixed so the replayed-vs-restored ratio is comparable.
-		if s := c.opt.Scale * 256; s > 0 && s != 1 {
-			scaled := opt.Sizes[:0]
-			for _, sz := range opt.Sizes {
-				sz = int(float64(sz) * s)
-				if sz < 512 {
-					sz = 512
-				}
-				if n := len(scaled); n == 0 || scaled[n-1] != sz {
-					scaled = append(scaled, sz)
-				}
-			}
-			opt.Sizes = scaled
-		}
-		opt.Seed = c.opt.Seed
-		r, err := harness.RecoverySweep(opt)
-		if err != nil {
-			return err
-		}
-		// The bounded-recovery gate: at the largest heap the checkpointed
-		// store must come back strictly faster than full journal replay.
-		if lg := r.Largest(); lg != nil && lg.Ckpt.RecoverMS >= lg.Baseline.RecoverMS {
-			return fmt.Errorf("checkpointed recovery (%.2fms) not faster than full replay (%.2fms) at %d keys",
-				lg.Ckpt.RecoverMS, lg.Baseline.RecoverMS, lg.Keys)
-		}
-		c.show(r.Table())
-		return nil
-	}},
 	{"adaptive", "online adaptive control plane: static vs adaptive per-phase latency on a phase-changing schedule", func(c *runCtx) error {
 		opt := harness.DefaultAdaptiveOptions()
 		// -scale shrinks the op budget like the loadgen sweep; the arrival

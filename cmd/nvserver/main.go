@@ -37,7 +37,6 @@ func main() {
 		absorbDl   = flag.Duration("absorb-deadline", 0, "absorb: max time an acked counter delta may sit volatile (0 = default)")
 		adapt      = flag.Bool("adaptive", false, "online adaptive control plane: live MRC-driven cache and pipeline sizing per shard (forces -policy SC-offline)")
 		adaptEvery = flag.Duration("adaptive-interval", 100*time.Millisecond, "adaptive: decision period")
-		ckptEvery  = flag.Duration("checkpoint-interval", 0, "per-shard checkpoints: publish a consistent image and truncate the redo journal this often (0 = off)")
 		memBudget  = flag.Int("mem-budget", 0, "adaptive: cap on total write-cache lines across shards (0 = per-shard knee only)")
 		selftest   = flag.Bool("selftest", false, "run the crash/recovery self-test and exit")
 		exhaustive = flag.Bool("exhaustive", false, "self-test: add phase C, the exhaustive crash-point exploration")
@@ -62,9 +61,6 @@ func main() {
 	}
 	if *absorb {
 		opts.Absorb = kv.AbsorbConfig{Enabled: true, Threshold: *absorbThr, Deadline: *absorbDl}
-	}
-	if *ckptEvery > 0 {
-		opts.Checkpoint = kv.CheckpointConfig{Enabled: true, Interval: *ckptEvery}
 	}
 	if *adapt {
 		cfg := adaptive.DefaultConfig()

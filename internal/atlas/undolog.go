@@ -71,13 +71,6 @@ const (
 // source that is still strictly monotonic per thread).
 var undoSeq atomic.Uint64
 
-// CurrentSeq returns the current FASE begin-sequence high-water mark — the
-// heap's log epoch. A checkpoint published at epoch E is ordered after
-// every FASE that began at sequence ≤ E on the shard that took it (the
-// shard checkpoints only at settled points), which is what lets recovery
-// treat the checkpoint plus the post-E journal suffix as the whole truth.
-func CurrentSeq() uint64 { return undoSeq.Load() }
-
 // UndoOp names an undo-log persistence point for Options.UndoHook. Each is
 // a boundary at which a crash leaves the log in a distinct intermediate
 // state, which is why fault injection enumerates them separately.
@@ -298,13 +291,10 @@ func (l *undoLog) rollback() int {
 type RecoverOp uint8
 
 const (
-	// RecoverReplay fires before a unit of restoration work is applied —
-	// in atlas, before an active log's entries are rolled back; in layers
-	// above (the kv checkpoint rebuild), before a replay batch.
+	// RecoverReplay fires before an active log's entries are rolled back.
 	RecoverReplay RecoverOp = iota
-	// RecoverInstall fires before the restoration is made authoritative —
-	// in atlas, before an active log's status word is cleared; above,
-	// before a rebuilt root is installed.
+	// RecoverInstall fires before an active log's status word is cleared,
+	// the point at which its rollback becomes final.
 	RecoverInstall
 )
 
@@ -338,9 +328,9 @@ type RecoveryReport struct {
 	// WordsRestored counts undo entries applied.
 	WordsRestored int
 	// MaxSeq is the highest FASE begin sequence found across all logs,
-	// active or committed — the heap's log epoch at the crash. Recover
-	// advances the process-wide sequence to at least this value so epochs
-	// recorded by later checkpoints stay comparable across restarts.
+	// active or committed. Recover advances the process-wide sequence to at
+	// least this value, so every FASE begun after it numbers above every
+	// FASE the heap has seen.
 	MaxSeq uint64
 }
 
@@ -414,9 +404,10 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 		e := reg + 8 + 8*i
 		h.Write64Through(e, h.ReadUint64(e)|regRetired)
 	}
-	// Epoch floor: keep begin sequences monotone across in-process restarts
-	// of the same heap, so a checkpoint's recorded epoch never compares
-	// against a recycled (smaller) sequence.
+	// Sequence floor: keep begin sequences monotone per heap across
+	// restarts, whatever the process-wide counter holds, so a log's
+	// sequence orders it after every FASE the heap ran before, which the
+	// newest-first rollback above relies on.
 	for {
 		cur := undoSeq.Load()
 		if cur >= rep.MaxSeq || undoSeq.CompareAndSwap(cur, rep.MaxSeq) {

@@ -112,47 +112,24 @@ func FuzzAbsorb(f *testing.F) {
 	})
 }
 
-// ckptShape decodes the fuzzer's shape byte into a checkpoint
-// configuration: the low bits pick the explicit-checkpoint cadence (every
-// 1st to 5th op — cadence 1 checkpoints after every single commit, so the
-// journal suffix is always one entry; cadence 5 leaves long suffixes and
-// multiple generations per image), the high bit stacks the overlapped
-// commit pipeline underneath.
-func ckptShape(b byte) KVOptions {
-	o := KVOptions{
-		Shards: 2,
-		Keys:   4,
-		Policy: core.SoftCacheOnline,
-		Config: core.DefaultConfig(),
-	}
-	o.CheckpointEvery = int(b&0x07)%5 + 1
-	if b&0x80 != 0 {
-		o.Pipeline = true
-	}
-	return o
-}
-
-// FuzzCheckpointRecover fuzzes the checkpoint/recovery crash contract
+// FuzzRecoverCrash fuzzes the crash contract of serving and of recovery
 // differentially against the serial model: decode an arbitrary
-// PUT/DEL/INCR/DECR stream, a checkpoint cadence, a fuzz-chosen serving
-// crash site, and (when rsite is nonzero) a fuzz-chosen recovery crash
-// site. The serving run crashes at the chosen boundary — possibly mid-
-// checkpoint, leaving a torn or half-published image — then, for the
-// recovery-crash half of the space, the first kv.Recover is itself cut at
-// the chosen recovery boundary and must leave the heap quiesced. The final
-// clean Recover is held to the exact-state oracle (applyOps): every acked
-// op present with its exact value, the nacked op rolled back or (ack
-// boundary) fully applied, regardless of which image or journal suffix the
-// recovery had to fall back to. Seed corpus in
-// testdata/fuzz/FuzzCheckpointRecover.
-func FuzzCheckpointRecover(f *testing.F) {
-	f.Add(byte(1), uint16(0), uint16(0), []byte{})
-	f.Add(byte(1), uint16(9), uint16(0), []byte{0, 4, 8, 12, 0, 4})       // cadence 2, serving crash only
-	f.Add(byte(2), uint16(60), uint16(3), []byte{0, 1, 4, 5, 8, 2, 6, 0}) // crash the recovery too
-	f.Add(byte(0x81), uint16(120), uint16(7), []byte{2, 6, 10, 14, 0, 4, 8, 12})
-	f.Add(byte(4), uint16(33), uint16(1), []byte{0, 4, 0, 4, 1, 5, 0, 4, 0, 4, 3, 7})
-	f.Fuzz(func(t *testing.T, shape byte, site, rsite uint16, stream []byte) {
-		o := ckptShape(shape).withDefaults()
+// PUT/DEL/INCR/DECR stream, a fuzz-chosen serving crash site, and (when
+// rsite is nonzero) a fuzz-chosen recovery crash site. The serving run
+// crashes at the chosen boundary; then, for the recovery-crash half of the
+// space, the first kv.Recover is itself cut at the chosen recovery
+// boundary and must leave the heap quiesced. The final clean Recover is
+// held to the exact-state oracle (applyOps): every acked op present with
+// its exact value, the nacked op rolled back or (ack boundary) fully
+// applied. Seed corpus in testdata/fuzz/FuzzRecoverCrash.
+func FuzzRecoverCrash(f *testing.F) {
+	f.Add(uint16(0), uint16(0), []byte{})
+	f.Add(uint16(9), uint16(0), []byte{0, 4, 8, 12, 0, 4})       // serving crash only
+	f.Add(uint16(60), uint16(3), []byte{0, 1, 4, 5, 8, 2, 6, 0}) // crash the recovery too
+	f.Add(uint16(120), uint16(8), []byte{2, 6, 10, 14, 0, 4, 8, 12})
+	f.Add(uint16(36), uint16(1), []byte{0, 4, 0, 4, 1, 5, 0, 4, 0, 4, 3, 7})
+	f.Fuzz(func(t *testing.T, site, rsite uint16, stream []byte) {
+		o := DefaultKVOptions() // bytesToKVOps spans its 4 keys
 		ops := bytesToKVOps(stream)
 		if len(ops) == 0 {
 			return

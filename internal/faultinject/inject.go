@@ -86,26 +86,12 @@ const (
 	// delivery of the parked counter acks — like KindAck, a crash here
 	// loses acks but must lose no data.
 	KindAbsorbAck
-	// KindCkptBegin fires before a checkpoint serializes its tree snapshot;
-	// a crash here leaves both image slots exactly as they were.
-	KindCkptBegin
-	// KindCkptPage fires before each payload chunk of a checkpoint image is
-	// persisted; a crash here leaves the target slot torn (and invalidated).
-	KindCkptPage
-	// KindCkptPublish fires immediately before the seal that makes a new
-	// image valid — the last instant the previous image must still win.
-	KindCkptPublish
-	// KindLogTruncate fires after an image seals, before the redo-journal
-	// head advances past entries the older image no longer needs.
-	KindLogTruncate
-	// KindRecoverReplay fires before each rebuild/replay batch while a
-	// recovery reconstructs a shard from an image and its journal suffix
-	// (and before each undo-log rollback inside atlas recovery); a crash
-	// here cuts the recovery itself, which must be re-runnable.
+	// KindRecoverReplay fires before atlas recovery rolls back one active
+	// undo log; a crash here cuts the recovery itself, which must be
+	// re-runnable.
 	KindRecoverReplay
-	// KindRecoverInstall fires before a rebuilt shard's generation is
-	// installed (and before an undo log's final clear) — the boundary where
-	// a recovery commits to its result.
+	// KindRecoverInstall fires before a rolled-back log's status word is
+	// cleared — the boundary where the rollback becomes final.
 	KindRecoverInstall
 
 	numKinds
@@ -144,14 +130,6 @@ func (k Kind) String() string {
 		return "absorb-deadline"
 	case KindAbsorbAck:
 		return "absorb-ack"
-	case KindCkptBegin:
-		return "ckpt-begin"
-	case KindCkptPage:
-		return "ckpt-page"
-	case KindCkptPublish:
-		return "ckpt-publish"
-	case KindLogTruncate:
-		return "log-truncate"
 	case KindRecoverReplay:
 		return "recover-replay"
 	case KindRecoverInstall:

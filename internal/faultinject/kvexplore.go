@@ -66,16 +66,6 @@ type KVOptions struct {
 	// sweep proves a crash mid-resize loses no acked write. Requires a
 	// policy implementing core.CapacityControlled (the soft caches).
 	ResizeEvery int
-	// CheckpointEvery, when positive, runs the store with per-shard
-	// checkpoints enabled (redo journal + double-buffered images) and
-	// issues an explicit Store.Checkpoint after every CheckpointEvery-th
-	// sequential op. Checkpoints are writer-driven and the workload is
-	// blocking-sequential, so every shard is settled when the request
-	// arrives — the begin/serialize-page/publish/truncate boundaries join
-	// the site space deterministically. The timer and batch-count triggers
-	// stay off (Interval 0, IntervalBatches 0) so explicit requests are the
-	// only checkpoint cause the enumeration sees.
-	CheckpointEvery int
 }
 
 // resizeCycle is the capacity schedule ResizeEvery steps through: a hard
@@ -138,18 +128,6 @@ func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 			Deadline:  o.AbsorbDeadline,
 		}
 	}
-	if o.CheckpointEvery > 0 {
-		// Small geometry keeps the heap compact; RecoverWorkers 1 makes the
-		// recovery-phase site enumeration (ExploreKVRecovery) deterministic.
-		// No timer, no batch trigger: the explorer's explicit Checkpoint
-		// calls are the only cause of a checkpoint.
-		ko.Checkpoint = kv.CheckpointConfig{
-			Enabled:        true,
-			JournalOps:     256,
-			MaxPairs:       64,
-			RecoverWorkers: 1,
-		}
-	}
 	if inj != nil {
 		ko.WrapSink = func(id int32, s core.FlushSink) core.FlushSink {
 			s = inj.WrapSink(id, s)
@@ -161,7 +139,6 @@ func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 		ko.UndoHook = inj.UndoHook()
 		ko.AckHook = func(int) { inj.AckPoint() }
 		ko.AbsorbHook = inj.AbsorbHook()
-		ko.CheckpointHook = inj.CheckpointHook()
 		ko.RecoverHook = inj.RecoverHook()
 		ko.IsInjectedCrash = IsCrash
 	}
@@ -183,26 +160,6 @@ func (in *Injector) AbsorbHook() func(kv.AbsorbOp) {
 			in.Point(KindAbsorbDeadline)
 		case kv.AbsorbAck:
 			in.Point(KindAbsorbAck)
-		}
-	}
-}
-
-// CheckpointHook has the shape of kv Options.CheckpointHook, numbering the
-// checkpoint pipeline's persistence boundaries as injection sites: before
-// the snapshot is taken, before each payload chunk persists, before the
-// seal that validates the new image, and before the journal head advances
-// past entries the older image covers.
-func (in *Injector) CheckpointHook() func(kv.CkptOp) {
-	return func(op kv.CkptOp) {
-		switch op {
-		case kv.CkptBegin:
-			in.Point(KindCkptBegin)
-		case kv.CkptPage:
-			in.Point(KindCkptPage)
-		case kv.CkptPublish:
-			in.Point(KindCkptPublish)
-		case kv.CkptTruncate:
-			in.Point(KindLogTruncate)
 		}
 	}
 }
@@ -311,19 +268,6 @@ func kvSeqRun(o KVOptions, ops []kvOp, inj *Injector) (h *pmem.Heap, acked int, 
 			return h, acked, errInjected
 		default:
 			return h, acked, err
-		}
-		if o.CheckpointEvery > 0 && (i+1)%o.CheckpointEvery == 0 {
-			// Every shard is settled (the workload blocks per op), so the
-			// checkpoint runs at a consistent tree/journal point and its
-			// boundary sequence is identical run to run.
-			switch cerr := st.Checkpoint(); {
-			case cerr == nil:
-			case errors.Is(cerr, kv.ErrCrashed):
-				<-st.Crashed()
-				return h, acked, errInjected
-			default:
-				return h, acked, cerr
-			}
 		}
 	}
 	inj.Disable()
@@ -452,22 +396,18 @@ func genCrashedKVHeap(o KVOptions, ops []kvOp, servingSite int) (*pmem.Heap, int
 	return h, acked, crash, nil
 }
 
-// ExploreKVRecovery crashes the recovery itself. For a spread of serving
-// crash shapes (each a deterministic armed site in the checkpointed
-// serving sweep), it enumerates every persistence boundary crossed while
-// kv.Recover repairs that heap — undo rollbacks, rebuild-FASE flushes,
-// replay batches, generation installs, repair-checkpoint pages — then, per
-// boundary, regenerates the identical crashed heap, cuts the recovery at
-// exactly that point (kv.Recover must return ErrCrashed with the heap
-// quiesced), and proves idempotence: a second, clean Recover must converge
-// to the exact expected state, same as if the first recovery had never been
-// interrupted. RecoverWorkers is pinned to 1 so the recovery-phase site
-// enumeration is deterministic.
+// ExploreKVRecovery crashes the recovery itself. Every serving site of the
+// deterministic workload is a crash shape; for each, it enumerates the
+// persistence boundaries kv.Recover crosses while repairing that heap (the
+// undo rollback of each FASE left open), then, per boundary, regenerates
+// the identical crashed heap, cuts the recovery at exactly that point
+// (kv.Recover must return ErrCrashed with the heap quiesced), and proves
+// idempotence: a second, clean Recover must converge to the exact expected
+// state, same as if the first recovery had never been interrupted. Shapes
+// whose recovery crosses no boundary (the crash left no FASE open) have
+// nothing to cut and are skipped; the sweep fails if every shape is.
 func ExploreKVRecovery(o KVOptions) (Report, error) {
 	o = o.withDefaults()
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 3
-	}
 	ops := exhaustiveOps(o)
 	counter := NewCounting()
 	if _, acked, err := kvSeqRun(o, ops, counter); err != nil {
@@ -476,20 +416,8 @@ func ExploreKVRecovery(o KVOptions) (Report, error) {
 		return Report{}, fmt.Errorf("faultinject: counting run acked %d/%d ops", acked, len(ops))
 	}
 	serving := counter.Sites()
-	if serving == 0 {
-		return Report{}, errors.New("faultinject: no serving sites enumerated")
-	}
-	// A handful of serving shapes spread across the run: early (little
-	// durable state, maybe no image yet), around the checkpoints in the
-	// middle, and the very last boundary (journal suffix at its longest).
-	shapes := []int{0, serving / 4, serving / 2, 3 * serving / 4, serving - 1}
 	rep := Report{Kinds: make(map[Kind]int)}
-	seen := make(map[int]bool)
-	for _, s := range shapes {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
+	for s := 0; s < serving; s++ {
 		h, acked, crash, err := genCrashedKVHeap(o, ops, s)
 		if err != nil {
 			return rep, fmt.Errorf("faultinject: serving shape %d: %w", s, err)
@@ -509,7 +437,7 @@ func ExploreKVRecovery(o KVOptions) (Report, error) {
 		}
 		rsites := rcount.Sites()
 		if rsites == 0 {
-			return rep, fmt.Errorf("faultinject: shape %d: recovery crossed no boundaries", s)
+			continue
 		}
 		rep.Sites += rsites
 		for k, n := range rcount.Kinds() {
@@ -552,6 +480,9 @@ func ExploreKVRecovery(o KVOptions) (Report, error) {
 			rep.Runs++
 			rep.Crashes++
 		}
+	}
+	if rep.Runs == 0 {
+		return rep, fmt.Errorf("faultinject: recovery crossed no boundaries in any of %d serving shapes", serving)
 	}
 	return rep, nil
 }

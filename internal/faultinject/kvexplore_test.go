@@ -284,70 +284,12 @@ func TestExploreKVResize(t *testing.T) {
 	t.Logf("resize sweep %v vs static %v", rep, base)
 }
 
-// TestExploreKVCheckpoint is the exhaustive sweep for the checkpoint
-// pipeline: with per-shard checkpoints on and an explicit checkpoint after
-// every second op, the site space gains the begin/serialize-page/publish
-// seal/log-truncate boundaries (plus the journal-append write-throughs
-// riding inside each FASE) — and every one of them, crashed at and
-// recovered from, must lose no acked op. A publish crash must fall back to
-// the previous image (or full journal replay), a truncate crash must leave
-// the head where the older image still covers it.
-func TestExploreKVCheckpoint(t *testing.T) {
-	o := DefaultKVOptions()
-	o.CheckpointEvery = 2
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(checkpoint): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	for _, k := range []Kind{KindCkptBegin, KindCkptPage, KindCkptPublish, KindLogTruncate,
-		KindUndoRecord, KindDrainLine, KindAck} {
-		if rep.Kinds[k] == 0 {
-			t.Errorf("no %v sites in the checkpointed group-commit path: %v", k, rep)
-		}
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVCheckpointPipeline stacks checkpointing on the overlapped
-// commit protocol: journal seals ride the pipelined FASEs (and roll back
-// newest-first with them), explicit checkpoints land at settled points
-// between acked ops, and every site of the combined space holds the
-// service contract.
-func TestExploreKVCheckpointPipeline(t *testing.T) {
-	o := DefaultKVOptions()
-	o.CheckpointEvery = 2
-	o.Pipeline = true
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(checkpoint, pipeline): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	for _, k := range []Kind{KindCkptBegin, KindCkptPublish, KindLogTruncate,
-		KindPipeEnqueue, KindPipeEpoch, KindAck} {
-		if rep.Kinds[k] == 0 {
-			t.Errorf("no %v sites in the checkpointed pipelined path: %v", k, rep)
-		}
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVRecovery crashes recovery itself: for a spread of serving
-// crash shapes, every boundary the recovery crosses — rollbacks, rebuild
-// flushes, replay batches, generation installs — gets its own run where
-// kv.Recover is cut at exactly that point and a second, clean Recover must
-// still converge to the exact acked state. This is the idempotence proof:
-// a machine that loses power again while recovering recovers anyway.
+// TestExploreKVRecovery crashes recovery itself on the default store: for
+// every serving crash that leaves a FASE open, every boundary the undo
+// rollback crosses gets its own run where kv.Recover is cut at exactly that
+// point and a second, clean Recover must still converge to the exact acked
+// state. This is the idempotence proof: a machine that loses power again
+// while recovering recovers anyway.
 func TestExploreKVRecovery(t *testing.T) {
 	o := DefaultKVOptions()
 	if testing.Short() {
@@ -371,7 +313,7 @@ func TestExploreKVRecovery(t *testing.T) {
 // TestExploreKVRecoveryPipeline runs the same mid-recovery sweep over
 // heaps crashed under the overlapped commit protocol, where recovery may
 // find two undo logs live (the published batch and its overlapped
-// successor) and must roll both back newest-first before the rebuild.
+// successor) and must roll both back newest-first.
 func TestExploreKVRecoveryPipeline(t *testing.T) {
 	o := DefaultKVOptions()
 	o.Pipeline = true

@@ -98,18 +98,8 @@ type Options struct {
 	// threshold commit, deadline commit, absorb ack) on the shard writer;
 	// internal/faultinject numbers them as crash-exploration sites.
 	AbsorbHook func(op AbsorbOp)
-	// Checkpoint configures per-shard checkpoint images, the redo journal
-	// behind them, and parallel bounded-time recovery (checkpoint.go).
-	// Disabled by default. A heap that already holds checkpoint structures
-	// keeps them maintained across Recover regardless of this field.
-	Checkpoint CheckpointConfig
-	// CheckpointHook observes each checkpoint durability boundary
-	// (begin, per-page persist, seal, truncate) on the shard writer;
-	// internal/faultinject numbers them as crash-exploration sites.
-	CheckpointHook func(op CkptOp)
-	// RecoverHook observes recovery-side boundaries: atlas undo-log
-	// rollback stages and each rebuild/replay batch during checkpointed
-	// recovery. A panic claimed by IsInjectedCrash aborts the recovery
+	// RecoverHook observes the atlas undo-log rollback stages inside
+	// Recover. A panic claimed by IsInjectedCrash aborts the recovery
 	// mid-flight (Recover returns ErrCrashed with the heap quiesced), and a
 	// second Recover on the same heap must converge — the crash-exploration
 	// contract for recovery itself.
@@ -139,11 +129,12 @@ type Options struct {
 	IsInjectedCrash func(r any) bool
 }
 
-// faseLoggedWords is the most distinct words any shard FASE undo-logs,
-// whatever its batch holds: the tree's root and generation (mdb; the pages
-// are private stores) and the redo journal's tail and generation
-// (checkpoint.go). Absorption adds none: a net delta is an ordinary put.
-const faseLoggedWords = 4
+// faseLoggedWords is the most distinct words any shard FASE undo-logs:
+// mdb.Create's one-time meta initialisation (root, generation, page arena).
+// Every serving FASE logs two, the tree's root and generation, whatever its
+// batch holds: the pages it writes are private stores, and absorption adds
+// none because a net delta is an ordinary put.
+const faseLoggedWords = 3
 
 // DefaultOptions returns the serving configuration used by cmd/nvserver.
 //
@@ -162,7 +153,7 @@ func DefaultOptions() Options {
 		QueueDepth: 256,
 		PoolPages:  1 << 13,
 		// Sixteen times the bound: an overflowing log fails silently until a
-		// rollback needs it, and the headroom costs 1 KiB per log.
+		// rollback needs it, and the headroom costs 768 B per log.
 		LogEntries: 16 * faseLoggedWords,
 		Policy:     core.SoftCacheOffline,
 		Config:     cfg,
@@ -191,7 +182,6 @@ func (o Options) withDefaults() Options {
 		o.Policy = core.SoftCacheOffline
 	}
 	o.Absorb = o.Absorb.withDefaults()
-	o.Checkpoint = o.Checkpoint.withDefaults(o.PoolPages, o.MaxBatch)
 	return o
 }
 
@@ -210,11 +200,6 @@ func RecommendedHeapBytes(o Options) uint64 {
 		8*64 // meta page, arena header, log headers, slack
 	total := uint64(o.Shards) * perShard
 	total += dirBytes(o.Shards) + 64 + 1<<14 // directory + registry + slack
-	if c := o.Checkpoint; c.Enabled {
-		perShard := pmem.CheckpointRegionSize(16*uint64(c.MaxPairs)) +
-			jrnHdr + jrnEntrySize*uint64(c.JournalOps) + 128
-		total += uint64(o.Shards)*perShard + ckdHdr + ckdStride*uint64(o.Shards)
-	}
 	return total + total/4
 }
 
@@ -305,18 +290,6 @@ func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 	}
 	heap.Persist(dir, dirBytes(opts.Shards))
 	heap.SetRoot(dir)
-	if opts.Checkpoint.Enabled {
-		// Fresh store: the journal covers the whole (empty) history, so the
-		// journal-only recovery mode stays available until a first image
-		// lands (broken=false).
-		cks, err := setupCheckpoints(heap, opts.Checkpoint, opts.Shards, false)
-		if err != nil {
-			return nil, err
-		}
-		for i, sh := range s.shards {
-			sh.ckpt = cks[i]
-		}
-	}
 	s.start()
 	return s, nil
 }
@@ -341,25 +314,20 @@ func crashGuard(claim func(any) bool, fn func()) (crashed bool) {
 // serving. The shard count is read back from the directory; opts.Shards is
 // ignored.
 //
-// On a heap with checkpoint structures (see Options.Checkpoint) each
-// shard's tree is then rebuilt from its newest valid checkpoint image plus
-// the redo-journal suffix behind it — work bounded by the checkpoint
-// interval, not the store's history — with shards recovered in parallel by
-// a pool of Checkpoint.RecoverWorkers goroutines. A legacy heap (no
-// structures) takes exactly the rollback-only path and is not written to
-// beyond it; setting Checkpoint.Enabled on such a heap retrofits the
-// structures during this recovery.
+// Every commit left each shard's COW tree durable and complete, so after the
+// rollback there is nothing to rebuild: Recover reads the shard directory,
+// attaches each tree (mdb.Attach rebuilds the volatile page allocator from
+// it) and starts the writers. Its cost is bounded by the pool size, not by
+// the store's history.
 //
-// Recovery itself is crash-safe: an injected crash at any RecoverHook or
-// CheckpointHook boundary quiesces the heap and returns ErrCrashed, and a
-// fresh Recover on the same heap converges — rebuilds restart from scratch
-// and never consume the images or journal entries they read.
+// Recovery itself is crash-safe: an injected crash at any RecoverHook
+// boundary quiesces the heap and returns ErrCrashed, and a fresh Recover on
+// the same heap converges, because the undo rollback is idempotent.
 func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error) {
 	opts = opts.withDefaults()
-	claim := opts.IsInjectedCrash
 	var rep atlas.RecoveryReport
 	var aerr error
-	if crashGuard(claim, func() {
+	if crashGuard(opts.IsInjectedCrash, func() {
 		rep, aerr = atlas.RecoverWith(heap, atlas.RecoverOptions{Hook: opts.RecoverHook})
 	}) {
 		heap.Crash()
@@ -378,134 +346,21 @@ func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error
 	}
 	opts.Shards = int(n)
 
-	// Checkpoint structures: a heap that has them keeps them maintained
-	// (the persistent geometry wins over opts); a legacy heap gains them
-	// only when the caller asks.
-	var cks []*shardCkpt
-	retrofit := false
-	if aux := heap.Aux(); aux != 0 {
-		var err error
-		cks, opts.Checkpoint, err = openCheckpoints(heap, aux, opts.Checkpoint, opts.Shards)
-		if err != nil {
-			return nil, rep, err
-		}
-	} else if opts.Checkpoint.Enabled {
-		retrofit = true
-	}
-
 	taps := initAdaptive(opts)
 	rt := atlas.NewRuntime(heap, runtimeOptions(opts, taps))
 	s := &Store{heap: heap, rt: rt, opts: opts, taps: taps,
 		crashCh: make(chan struct{}), crashDone: make(chan struct{})}
-	ths := make([]*atlas.Thread, opts.Shards)
-	dbs := make([]*mdb.DB, opts.Shards)
-	caps := make([]capSlot, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
 		th, err := rt.NewThread()
 		if err != nil {
 			return nil, rep, fmt.Errorf("kv: shard %d: %w", i, err)
 		}
-		caps[i] = openCapSlot(heap, dir, opts, i, th.Policy(), true)
+		cs := openCapSlot(heap, dir, opts, i, th.Policy(), true)
 		db, err := mdb.Attach(th, heap.ReadUint64(dir+8+8*uint64(i)))
 		if err != nil {
 			return nil, rep, fmt.Errorf("kv: shard %d: %w", i, err)
 		}
-		ths[i], dbs[i] = th, db
-	}
-
-	recs := make([]shardRecovery, opts.Shards)
-	if cks != nil {
-		// Parallel checkpointed recovery: each worker owns its shard's
-		// thread and tree outright, so the only shared state is the atlas
-		// runtime's internals, which are built for concurrent threads.
-		workers := opts.Checkpoint.RecoverWorkers
-		if workers > opts.Shards {
-			workers = opts.Shards
-		}
-		sem := make(chan struct{}, workers)
-		errs := make([]error, opts.Shards)
-		crashes := make([]bool, opts.Shards)
-		panics := make([]any, opts.Shards)
-		var wg sync.WaitGroup
-		for i := range dbs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						if claim != nil && claim(r) {
-							crashes[i] = true
-							return
-						}
-						panics[i] = r
-					}
-				}()
-				recs[i], errs[i] = recoverShardCkpt(dbs[i], cks[i], opts.RecoverHook, opts.CheckpointHook)
-			}(i)
-		}
-		wg.Wait()
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
-		}
-		for _, c := range crashes {
-			if c {
-				// An injected crash cut a rebuild mid-flight. Quiesce exactly
-				// as a power failure would: abort any pipeline residue and
-				// drop the volatile view. The next Recover starts over.
-				rt.CrashAbort()
-				heap.Crash()
-				return nil, rep, ErrCrashed
-			}
-		}
-		for i, err := range errs {
-			if err != nil {
-				return nil, rep, fmt.Errorf("kv: shard %d: recovery: %w", i, err)
-			}
-		}
-	} else if retrofit {
-		// Legacy heap, checkpointing requested: create the structures with
-		// broken journals (their range can never cover the pre-existing
-		// tree) and seed each region with a full-state image so the next
-		// recovery is already bounded.
-		var err error
-		cks, err = setupCheckpoints(heap, opts.Checkpoint, opts.Shards, true)
-		if err != nil {
-			return nil, rep, err
-		}
-		for i := range dbs {
-			var perr error
-			if crashGuard(claim, func() {
-				var published bool
-				published, _, _, perr = publishImage(dbs[i], cks[i], opts.CheckpointHook)
-				if published {
-					truncateAfterPublish(cks[i], opts.CheckpointHook)
-				}
-			}) {
-				rt.CrashAbort()
-				heap.Crash()
-				return nil, rep, ErrCrashed
-			}
-			if perr != nil {
-				return nil, rep, fmt.Errorf("kv: shard %d: retrofit checkpoint: %w", i, perr)
-			}
-			recs[i] = shardRecovery{mode: RecoveryModeLegacy}
-		}
-	}
-
-	for i := 0; i < opts.Shards; i++ {
-		sh := newShard(s, i, ths[i], dbs[i], caps[i])
-		if cks != nil {
-			sh.ckpt = cks[i]
-		}
-		sh.recMode.Store(recs[i].mode)
-		sh.recFallbacks.Store(recs[i].fallbacks)
-		sh.recReplayed.Store(recs[i].replayed)
-		sh.recRestored.Store(recs[i].restored)
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, newShard(s, i, th, db, cs))
 	}
 	s.start()
 	return s, rep, nil

@@ -12,22 +12,27 @@ import (
 )
 
 // TestLargestFASEFitsUndoLog derives DefaultOptions().LogEntries from the
-// largest FASE a shard can run: proto.MaxOps pairs to one shard, with the
-// redo journal and the absorption layer on. Committed, that FASE logs
-// exactly faseLoggedWords words — strictly fewer than the log holds, so
-// none is dropped. Aborted (its page copies exhaust a small pool near the
-// end), its rollback is complete: the abort reports no dropped entry and
-// the store reads exactly what was acked before.
+// FASEs a shard runs. Every serving FASE logs exactly two words, the root
+// and generation, even the largest one, proto.MaxOps pairs to one shard
+// with the absorption layer on. The largest of all is Open's meta
+// initialisation, and it logs exactly faseLoggedWords words, strictly
+// fewer than the log holds, so none is dropped. Aborted (its page copies
+// exhaust a small pool near the end), the largest serving FASE rolls back
+// completely: the abort reports no dropped entry and the store reads
+// exactly what was acked before.
 func TestLargestFASEFitsUndoLog(t *testing.T) {
 	pairs := make([]Pair, proto.MaxOps)
 	for i := range pairs {
 		pairs[i] = Pair{K: uint64(i), V: uint64(i) + 1}
 	}
 	var mu sync.Mutex // the shard writer calls the hook; the test reads after Close
-	inFASE, maxLogged := 0, 0
+	var (
+		serving           bool  // Open has returned
+		inFASE, maxLogged int   // words logged by the open FASE, and the most by any
+		servingLogged     []int // words logged by each serving FASE
+	)
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.Checkpoint.Enabled = true
 	opts.Absorb.Enabled = true
 	opts.UndoHook = func(op atlas.UndoOp) {
 		mu.Lock()
@@ -39,9 +44,16 @@ func TestLargestFASEFitsUndoLog(t *testing.T) {
 			if inFASE++; inFASE > maxLogged {
 				maxLogged = inFASE
 			}
+		case atlas.UndoCommit:
+			if serving {
+				servingLogged = append(servingLogged, inFASE)
+			}
 		}
 	}
 	s := newStore(t, opts)
+	mu.Lock()
+	serving = true
+	mu.Unlock()
 	if err := s.PutBatch(pairs); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +65,14 @@ func TestLargestFASEFitsUndoLog(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if len(servingLogged) < 2 {
+		t.Fatalf("saw %d serving FASEs, want the batch and the Incr", len(servingLogged))
+	}
+	for i, n := range servingLogged {
+		if n != 2 {
+			t.Errorf("serving FASE %d logged %d words, want 2 (root, generation)", i, n)
+		}
 	}
 	if maxLogged != faseLoggedWords {
 		t.Errorf("largest FASE logged %d words, faseLoggedWords = %d", maxLogged, faseLoggedWords)

@@ -104,8 +104,8 @@ type request struct {
 
 // reqCost is a request's logical op count: a batched put carries one op
 // per pair (never less than one, so a batch always makes progress),
-// everything else is one. Group-commit bounds, journal sizing, and stats
-// all count logical ops so an MPUT of n pairs weighs the same as n PUTs.
+// everything else is one. Group-commit bounds and stats count logical ops,
+// so an MPUT of n pairs weighs the same as n PUTs.
 func reqCost(r *request) int {
 	if r.op == opPuts && len(r.pairs) > 1 {
 		return len(r.pairs)
@@ -179,15 +179,6 @@ type shard struct {
 	// Writer goroutine only.
 	capSlot capSlot
 
-	// Checkpoint state (nil when checkpointing is off). ckptCh carries
-	// explicit Store.Checkpoint requests to the writer, which serves them at
-	// settled points; lastCkpt/batchesSince drive the cadence triggers.
-	// Writer goroutine only, except the ckptCh sends.
-	ckpt         *shardCkpt
-	ckptCh       chan chan error
-	lastCkpt     time.Time
-	batchesSince int
-
 	// Snapshot bookkeeping. curRoot/curGen are the last *committed* root
 	// and generation — never a mid-transaction root, which is why readers
 	// must go through acquire instead of db.Snapshot.
@@ -208,11 +199,9 @@ func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB, cs capSlot) *shard
 	sh := &shard{
 		id: id, st: s, th: th, db: db, capSlot: cs,
 		ch:     make(chan request, s.opts.QueueDepth),
-		ckptCh: make(chan chan error),
 		done:   make(chan struct{}),
 		active: make(map[uint64]int),
 	}
-	sh.lastCkpt = time.Now()
 	sh.absorbThreshold.Store(int64(s.opts.Absorb.Threshold))
 	sh.absorbDeadlineNs.Store(int64(s.opts.Absorb.Deadline))
 	sh.curRoot = db.Snapshot()
@@ -325,13 +314,6 @@ func (sh *shard) run() {
 				if sh.commitBatch(sh.gatherQueued(req)) {
 					return
 				}
-				if sh.maybeCheckpoint() {
-					return
-				}
-			case reply := <-sh.ckptCh:
-				if sh.serveCheckpoint(reply) {
-					return
-				}
 			case <-sh.st.crashCh:
 				sh.dropInFlight()
 				return
@@ -357,31 +339,11 @@ func (sh *shard) run() {
 			timer = time.NewTimer(wait)
 			deadlineC = timer.C
 		}
-		// With a wall-clock checkpoint cadence configured, wake at the next
-		// due time even if the queue stays idle.
-		var (
-			ckptC     <-chan time.Time
-			ckptTimer *time.Timer
-		)
-		if ck := sh.ckpt; ck != nil && ck.cfg.Interval > 0 {
-			wait := ck.cfg.Interval - time.Since(sh.lastCkpt)
-			if wait < 0 {
-				wait = 0
-			}
-			ckptTimer = time.NewTimer(wait)
-			ckptC = ckptTimer.C
-		}
-		stopTimers := func() {
+		select {
+		case req, ok := <-sh.ch:
 			if timer != nil {
 				timer.Stop()
 			}
-			if ckptTimer != nil {
-				ckptTimer.Stop()
-			}
-		}
-		select {
-		case req, ok := <-sh.ch:
-			stopTimers()
 			if !ok {
 				if !sh.drainAbsorb() {
 					sh.settle()
@@ -391,33 +353,14 @@ func (sh *shard) run() {
 			if sh.commitBatch(sh.gatherQueued(req)) {
 				return
 			}
-			if sh.maybeCheckpoint() {
-				return
-			}
 		case <-deadlineC:
-			if ckptTimer != nil {
-				ckptTimer.Stop()
-			}
 			if sh.commitBatch(nil) {
 				return
 			}
-			if sh.maybeCheckpoint() {
-				return
-			}
-		case <-ckptC:
+		case <-sh.st.crashCh:
 			if timer != nil {
 				timer.Stop()
 			}
-			if _, crashed := sh.checkpointNow(); crashed {
-				return
-			}
-		case reply := <-sh.ckptCh:
-			stopTimers()
-			if sh.serveCheckpoint(reply) {
-				return
-			}
-		case <-sh.st.crashCh:
-			stopTimers()
 			return
 		}
 	}
@@ -519,17 +462,6 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 			return sh.finishAbsorbed(plan)
 		}
 		batch, results = plan.acks, plan.results
-	}
-	// Journal pressure: the batch's redo entries must fit before its FASE
-	// opens (forcing a checkpoint, or tripping overflow, if not). Counted
-	// in logical ops: a batched put journals one entry per pair.
-	jneed := logicalOps(batch)
-	if plan != nil {
-		jneed = len(plan.writes)
-	}
-	if sh.ensureJournalRoom(jneed) {
-		nackAll(batch, ErrCrashed)
-		return true
 	}
 	pre := sh.th.FlushStats()
 	outcome, pc, failed := sh.applyBatch(batch, results, plan)
@@ -697,20 +629,12 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 	var failed error
 	if plan != nil {
 		// Absorbed commit: results were precomputed by the serial planner;
-		// the FASE applies only the net write per touched key. Each physical
-		// write is mirrored into the redo journal (deletes of absent keys
-		// included — their replay is a no-op).
+		// the FASE applies only the net write per touched key.
 		for _, w := range plan.writes {
 			if w.del {
 				_, failed = sh.db.Delete(w.k)
-				if failed == nil {
-					sh.journalAppend(jOpDel, w.k, 0)
-				}
 			} else {
 				failed = sh.db.Put(w.k, w.v)
-				if failed == nil {
-					sh.journalAppend(jOpPut, w.k, w.v)
-				}
 			}
 			if failed != nil {
 				break
@@ -722,26 +646,18 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 			switch r.op {
 			case OpPut:
 				failed = sh.db.Put(r.k, r.v)
-				if failed == nil {
-					sh.journalAppend(jOpPut, r.k, r.v)
-				}
 			case OpDel:
 				results[i].Found, failed = sh.db.Delete(r.k)
-				if failed == nil {
-					sh.journalAppend(jOpDel, r.k, 0)
-				}
 			case opPuts:
 				for _, p := range r.pairs {
 					if failed = sh.db.Put(p.K, p.V); failed != nil {
 						break
 					}
-					sh.journalAppend(jOpPut, p.K, p.V)
 				}
 			case OpIncr, OpDecr:
 				// Absorption off: an ordinary read-modify-write inside the
 				// batch's FASE (Get sees the in-transaction tree, so earlier
-				// batch ops are visible). Journaled as the computed put, so
-				// replay needs no read-back.
+				// batch ops are visible).
 				d := r.v
 				if r.op == OpDecr {
 					d = -d
@@ -749,9 +665,6 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 				cur, _ := sh.db.Get(r.k)
 				results[i].Val = cur + d
 				failed = sh.db.Put(r.k, cur+d)
-				if failed == nil {
-					sh.journalAppend(jOpPut, r.k, cur+d)
-				}
 			}
 			if failed != nil {
 				break
@@ -762,16 +675,11 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 		// Shed the whole batch: roll the transaction back so the committed
 		// tree is untouched, and surface the cause (typically
 		// mdb.ErrPoolExhausted) to every requester.
-		sh.journalAbort()
 		if aerr := sh.db.Abort(); aerr != nil {
 			failed = fmt.Errorf("%w (abort: %v)", failed, aerr)
 		}
 		return batchFailed, nil, failed
 	}
-	// Seal the staged journal entries inside the FASE: the tail/gen words
-	// are undo-logged stores, so any crash short of the commit rolls the
-	// journal and the tree back together.
-	sh.journalSeal()
 	if hook := sh.st.opts.CrashBeforeCommit; hook != nil &&
 		hook(sh.id, int(sh.batches.Load()), len(batch)) {
 		return batchCrashInjected, nil, ErrCrashed

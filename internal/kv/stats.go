@@ -40,23 +40,6 @@ type counters struct {
 	flushDrained                      atomic.Int64
 	flushBarriers                     atomic.Int64
 
-	// Checkpoint/journal accounting (all zero while checkpointing is off).
-	// ckpts/ckptSkipped count publish attempts by outcome; ckptPairs and
-	// ckptLastGen are gauges describing the newest image; jrnOps counts
-	// sealed redo entries, jrnTruncated entries released by truncation, and
-	// jrnOverflows trips of the overflow protocol.
-	ckpts, ckptSkipped     atomic.Uint64
-	ckptPairs, ckptLastGen atomic.Uint64
-	jrnOps, jrnTruncated   atomic.Uint64
-	jrnOverflows           atomic.Uint64
-
-	// Recovery gauges, set once when the store is built by Recover: the
-	// mode the shard recovered by (RecoveryMode*), images skipped to reach
-	// a usable source, pairs restored from the image, and journal entries
-	// replayed behind it.
-	recMode, recFallbacks    atomic.Uint64
-	recReplayed, recRestored atomic.Uint64
-
 	// Flush-pipeline snapshots (zero while the pipeline is disabled),
 	// published like the flush counters above. The snapshot is taken at the
 	// batch's publish, so gauges lag the live pipeline by at most one batch.
@@ -81,7 +64,6 @@ type counters struct {
 func (sh *shard) note(batch []request, applied int, pre, post core.FlushStats) {
 	sh.noteOps(batch)
 	sh.batches.Add(1)
-	sh.batchesSince++
 	logical := logicalOps(batch)
 	sh.batchedOps.Add(uint64(logical))
 	sh.committed.Add(uint64(applied))
@@ -192,20 +174,6 @@ type ShardStats struct {
 	// sampling bursts.
 	AdaptiveCap, AdaptiveLast       int64
 	AdaptiveResizes, AdaptiveSample int64
-	// Checkpoint/journal instrumentation (all zero when
-	// Options.Checkpoint is disabled): images published and attempts
-	// skipped, the newest image's pair count and generation, redo-journal
-	// entries sealed / released by truncation, and overflow-protocol trips.
-	Checkpoints, CheckpointSkipped     uint64
-	CheckpointPairs, CheckpointLastGen uint64
-	JournalOps, JournalTruncated       uint64
-	JournalOverflows                   uint64
-	// Recovery gauges, set by Recover and constant for the store's life:
-	// the mode the shard recovered by (RecoveryMode*), images skipped to
-	// reach a usable one, pairs restored from it, and journal entries
-	// replayed behind it.
-	RecoveryMode, RecoveryFallbacks    uint64
-	RecoveryRestored, RecoveryReplayed uint64
 }
 
 // AvgBatch returns the mean committed batch size.
@@ -260,10 +228,6 @@ func (st ShardStats) Pairs() []string {
 		fmt.Sprintf("adaptive_sampled=%d", st.AdaptiveSample),
 		fmt.Sprintf("avg_batch=%.2f", st.AvgBatch()),
 		fmt.Sprintf("batches=%d", st.Batches),
-		fmt.Sprintf("checkpoint_last_gen=%d", st.CheckpointLastGen),
-		fmt.Sprintf("checkpoint_pairs=%d", st.CheckpointPairs),
-		fmt.Sprintf("checkpoint_skipped=%d", st.CheckpointSkipped),
-		fmt.Sprintf("checkpoints=%d", st.Checkpoints),
 		fmt.Sprintf("commit_p50_cyc=%.0f", st.CommitP50),
 		fmt.Sprintf("commit_p99_cyc=%.0f", st.CommitP99),
 		fmt.Sprintf("dels=%d", st.Deletes),
@@ -273,9 +237,6 @@ func (st ShardStats) Pairs() []string {
 		fmt.Sprintf("flush_ratio=%.3f", st.FlushRatio()),
 		fmt.Sprintf("flushes=%d", st.Flushes()),
 		fmt.Sprintf("gets=%d", st.Gets),
-		fmt.Sprintf("journal_ops=%d", st.JournalOps),
-		fmt.Sprintf("journal_overflows=%d", st.JournalOverflows),
-		fmt.Sprintf("journal_truncated=%d", st.JournalTruncated),
 		fmt.Sprintf("ops=%d", st.BatchedOps),
 		fmt.Sprintf("pipe_await_ms=%.3f", float64(st.PipeAwaitNanos)/1e6),
 		fmt.Sprintf("pipe_batch_max=%d", st.PipeBatchMax),
@@ -286,10 +247,6 @@ func (st ShardStats) Pairs() []string {
 		fmt.Sprintf("pipe_stall_ms=%.3f", float64(st.PipeStallNanos)/1e6),
 		fmt.Sprintf("pipe_stalls=%d", st.PipeStalls),
 		fmt.Sprintf("puts=%d", st.Puts),
-		fmt.Sprintf("recovery_fallbacks=%d", st.RecoveryFallbacks),
-		fmt.Sprintf("recovery_mode=%d", st.RecoveryMode),
-		fmt.Sprintf("recovery_replayed=%d", st.RecoveryReplayed),
-		fmt.Sprintf("recovery_restored=%d", st.RecoveryRestored),
 		fmt.Sprintf("scans=%d", st.Scans),
 	}
 	sort.Strings(pairs) // belt and braces: keys above are already sorted
@@ -334,18 +291,6 @@ func (sh *shard) stats() ShardStats {
 		PipeStalls:             sh.pipeStalls.Load(),
 		PipeStallNanos:         sh.pipeStallNs.Load(),
 		PipeAwaitNanos:         sh.pipeAwaitNs.Load(),
-
-		Checkpoints:       sh.ckpts.Load(),
-		CheckpointSkipped: sh.ckptSkipped.Load(),
-		CheckpointPairs:   sh.ckptPairs.Load(),
-		CheckpointLastGen: sh.ckptLastGen.Load(),
-		JournalOps:        sh.jrnOps.Load(),
-		JournalTruncated:  sh.jrnTruncated.Load(),
-		JournalOverflows:  sh.jrnOverflows.Load(),
-		RecoveryMode:      sh.recMode.Load(),
-		RecoveryFallbacks: sh.recFallbacks.Load(),
-		RecoveryRestored:  sh.recRestored.Load(),
-		RecoveryReplayed:  sh.recReplayed.Load(),
 	}
 	if ctrl := sh.st.ctrl; ctrl != nil {
 		g := ctrl.Gauges(sh.id)
@@ -438,21 +383,6 @@ func Totals(stats []ShardStats) ShardStats {
 		t.AdaptiveSample += st.AdaptiveSample
 		if st.AdaptiveLast > t.AdaptiveLast {
 			t.AdaptiveLast = st.AdaptiveLast
-		}
-		t.Checkpoints += st.Checkpoints
-		t.CheckpointSkipped += st.CheckpointSkipped
-		t.CheckpointPairs += st.CheckpointPairs
-		t.JournalOps += st.JournalOps
-		t.JournalTruncated += st.JournalTruncated
-		t.JournalOverflows += st.JournalOverflows
-		t.RecoveryFallbacks += st.RecoveryFallbacks
-		t.RecoveryRestored += st.RecoveryRestored
-		t.RecoveryReplayed += st.RecoveryReplayed
-		if st.CheckpointLastGen > t.CheckpointLastGen {
-			t.CheckpointLastGen = st.CheckpointLastGen
-		}
-		if st.RecoveryMode > t.RecoveryMode {
-			t.RecoveryMode = st.RecoveryMode
 		}
 		t.CommitP50 = math.Max(t.CommitP50, st.CommitP50)
 		t.CommitP99 = math.Max(t.CommitP99, st.CommitP99)

@@ -391,38 +391,6 @@ func (db *DB) RecyclePages(pages []uint64) {
 // PoolRemaining reports how many pages the store can still allocate.
 func (db *DB) PoolRemaining() int { return len(db.stamp) - int(db.cursor) + len(db.free) }
 
-// ResetForRebuild discards the whole tree: the page pool rewinds to empty
-// and the root is cleared, leaving a fresh store at the same meta address.
-// Checkpointed recovery uses it before reconstructing the tree from a
-// checkpoint image, so it never has to trust the crashed tree's pages. A
-// crash mid-rebuild is recovered by the caller re-running the whole
-// rebuild, which starts with another ResetForRebuild.
-func (db *DB) ResetForRebuild() error {
-	if db.inTxn {
-		return fmt.Errorf("mdb: ResetForRebuild inside transaction")
-	}
-	db.free = db.free[:0]
-	db.cursor = 0
-	db.t.FASEBegin()
-	db.t.Store64(db.meta, 0)
-	db.t.FASEEnd()
-	return nil
-}
-
-// ForceGeneration overwrites the committed generation (one tiny FASE).
-// Rebuild-from-checkpoint uses it to stamp the reconstructed tree with the
-// generation the journal proves was durable at the crash, instead of the
-// incidental count of rebuild transactions.
-func (db *DB) ForceGeneration(gen uint64) error {
-	if db.inTxn {
-		return fmt.Errorf("mdb: ForceGeneration inside transaction")
-	}
-	db.t.FASEBegin()
-	db.t.Store64(db.meta+8, gen)
-	db.t.FASEEnd()
-	return nil
-}
-
 // touch returns a mutable version of page p within the current
 // transaction, copying it on first touch (copy-on-write).
 //

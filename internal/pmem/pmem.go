@@ -64,15 +64,13 @@ import (
 )
 
 // HeaderSize is the reserved heap header: root pointer at offset 0,
-// allocation cursor at offset 8, runtime metadata pointer at offset 16,
-// auxiliary subsystem pointer at offset 24.
+// allocation cursor at offset 8, runtime metadata pointer at offset 16.
 const HeaderSize = trace.LineSize
 
 const (
 	rootOff  = 0
 	allocOff = 8
 	metaOff  = 16
-	auxOff   = 24
 )
 
 // NumStripes is the number of durable-view lock stripes. Lines are spread
@@ -341,24 +339,6 @@ func (h *Heap) Meta() uint64 {
 	h.hdr.Lock()
 	defer h.hdr.Unlock()
 	return binary.LittleEndian.Uint64(h.mem[metaOff:])
-}
-
-// SetAux stores and persists the auxiliary subsystem pointer: a fourth
-// header word for optional durable structures layered on a heap (the kv
-// checkpoint directory lives there). Heaps created before the word existed
-// read it as 0, which every consumer must treat as "subsystem absent".
-func (h *Heap) SetAux(addr uint64) {
-	h.hdr.Lock()
-	defer h.hdr.Unlock()
-	binary.LittleEndian.PutUint64(h.mem[auxOff:], addr)
-	h.persistHeaderLocked()
-}
-
-// Aux returns the auxiliary subsystem pointer (0 when unset).
-func (h *Heap) Aux() uint64 {
-	h.hdr.Lock()
-	defer h.hdr.Unlock()
-	return binary.LittleEndian.Uint64(h.mem[auxOff:])
 }
 
 // WriteUint64 writes v at addr in the volatile view and flags the line.

@@ -307,68 +307,3 @@ func TestPipelinedWindow(t *testing.T) {
 
 func formatU(v uint64) string      { return strconv.FormatUint(v, 10) }
 func formatPut(k, v uint64) string { return "PUT " + formatU(k) + " " + formatU(v) }
-
-// TestStatsCheckpointKeysFixedSchema is the fixed-key-set regression for
-// the checkpoint/recovery gauges: every server — checkpointing or not —
-// must render the checkpoint_*, journal_* and recovery_* keys so dashboards
-// and nvclient.Diff never see the schema flap, and a checkpointing server
-// must show live values through the wire protocol.
-func TestStatsCheckpointKeysFixedSchema(t *testing.T) {
-	ckptKeys := []string{
-		"checkpoint_last_gen", "checkpoint_pairs", "checkpoint_skipped",
-		"checkpoints", "journal_ops", "journal_overflows",
-		"journal_truncated", "recovery_fallbacks", "recovery_mode",
-		"recovery_replayed", "recovery_restored",
-	}
-
-	srv, cl := testServer(t, Options{})
-	stats, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range ckptKeys {
-		if _, ok := stats.Total[key]; !ok {
-			t.Fatalf("STATS total line missing %q on a checkpoint-off server", key)
-		}
-		for shard, kvmap := range stats.Shards {
-			if _, ok := kvmap[key]; !ok {
-				t.Fatalf("STATS shard %d missing %q", shard, key)
-			}
-		}
-	}
-	if stats.Total["checkpoints"] != 0 || stats.Total["journal_ops"] != 0 {
-		t.Fatalf("checkpoint-off server reports checkpoints=%v journal_ops=%v",
-			stats.Total["checkpoints"], stats.Total["journal_ops"])
-	}
-	srv.Shutdown()
-
-	kvOpts := kv.DefaultOptions()
-	kvOpts.Shards = 2
-	kvOpts.Checkpoint = kv.CheckpointConfig{Enabled: true, Interval: 2 * time.Millisecond}
-	srv2, cl2 := testServerKV(t, kvOpts, Options{})
-	defer srv2.Shutdown()
-	for i := uint64(0); i < 32; i++ {
-		if err := cl2.Put(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The idle timer may publish images of the empty tree before the puts
-	// land, so wait for an image that holds pairs.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		stats, err = cl2.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Total["checkpoint_pairs"] > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no image with pairs published within 5s: %v", stats.Total)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if stats.Total["journal_ops"] == 0 {
-		t.Fatalf("checkpointing server journaled nothing: %v", stats.Total)
-	}
-}
