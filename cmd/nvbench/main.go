@@ -286,24 +286,6 @@ var experiments = []experiment{
 		c.show(r.Table())
 		return nil
 	}},
-	{"overlap", "flush/compute overlap: sync FASE-end drains vs the pipelined publish/await protocol", func(c *runCtx) error {
-		o := harness.DefaultOverlapOptions()
-		// -scale is relative to the default store count here (the overlap
-		// experiment is not a paper artifact): the default 1/256 keeps the
-		// default 200k stores; CI smoke runs pass a tiny scale.
-		if s := c.opt.Scale * 256; s > 0 && s != 1 {
-			o.Stores = int(float64(o.Stores) * s)
-			if min := 4 * o.FASELength; o.Stores < min {
-				o.Stores = min
-			}
-		}
-		r, err := harness.FlushOverlap(o)
-		if err != nil {
-			return err
-		}
-		c.show(r.Table())
-		return nil
-	}},
 	{"sizes", "Section IV-G: cache sizes the offline selection picks per program", func(c *runCtx) error {
 		r, err := harness.SelectedSizes(c.opt)
 		if err != nil {

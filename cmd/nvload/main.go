@@ -38,7 +38,7 @@ func main() {
 		addr       = flag.String("addr", "", "nvserver address (host:port)")
 		selfhost   = flag.Bool("selfhost", false, "boot an in-process nvserver on a loopback port and drive it")
 		shards     = flag.Int("shards", 0, "shard count for -selfhost (0 = store default)")
-		adapt      = flag.Bool("adaptive", false, "selfhost: run the online adaptive control plane (live MRC-driven cache, batch and pipeline sizing)")
+		adapt      = flag.Bool("adaptive", false, "selfhost: run the online adaptive control plane (live MRC-driven cache sizing)")
 		adaptEvery = flag.Duration("adaptive-interval", 100*time.Millisecond, "selfhost: adaptive decision period")
 		memBudget  = flag.Int("mem-budget", 0, "selfhost: cap on total adaptive write-cache lines across shards (0 = per-shard knee only)")
 		absorb     = flag.Bool("absorb", false, "selfhost: enable logical write absorption (counter accumulator + same-key coalescing)")

@@ -29,13 +29,10 @@ func main() {
 		pool       = flag.Int("pool-pages", 1<<13, "per-shard B+-tree page pool capacity")
 		policy     = flag.String("policy", kv.DefaultOptions().Policy.String(), "persistence policy: ER, LA, AT, SC, SC-offline, BEST (SC-offline runs at the paper's 50-line cap)")
 		duration   = flag.Duration("duration", 0, "serve for this long, then shut down gracefully (0 = until SIGINT/SIGTERM)")
-		pipeline   = flag.Bool("pipeline", false, "asynchronous batched flush pipeline: overlap each batch's drain with the next batch's stores")
-		pipeDepth  = flag.Int("pipeline-depth", 256, "pipeline ring capacity in pending line flushes (backpressure bound)")
-		pipeBatch  = flag.Int("pipeline-batch", 64, "max lines per pipeline worker batch")
 		absorb     = flag.Bool("absorb", false, "logical write absorption: same-key batch coalescing plus the INCR/DECR counter accumulator in front of group commit")
 		absorbThr  = flag.Int("absorb-threshold", 0, "absorb: parked counter deltas that force an accumulator commit (0 = default)")
 		absorbDl   = flag.Duration("absorb-deadline", 0, "absorb: max time an acked counter delta may sit volatile (0 = default)")
-		adapt      = flag.Bool("adaptive", false, "online adaptive control plane: live MRC-driven cache and pipeline sizing per shard (forces -policy SC-offline)")
+		adapt      = flag.Bool("adaptive", false, "online adaptive control plane: live MRC-driven cache sizing per shard (forces -policy SC-offline)")
 		adaptEvery = flag.Duration("adaptive-interval", 100*time.Millisecond, "adaptive: decision period")
 		memBudget  = flag.Int("mem-budget", 0, "adaptive: cap on total write-cache lines across shards (0 = per-shard knee only)")
 		selftest   = flag.Bool("selftest", false, "run the crash/recovery self-test and exit")
@@ -56,9 +53,6 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Policy = pk
-	if *pipeline {
-		opts.Pipeline = core.PipelineConfig{Enabled: true, Depth: *pipeDepth, BatchSize: *pipeBatch}
-	}
 	if *absorb {
 		opts.Absorb = kv.AbsorbConfig{Enabled: true, Threshold: *absorbThr, Deadline: *absorbDl}
 	}
@@ -109,9 +103,8 @@ func serve(addr string, opts kv.Options, duration time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d policy=%v pipeline=%v absorb=%v heap=%dKiB)\n",
-		srv.Addr(), opts.Shards, opts.MaxBatch, opts.Policy,
-		opts.Pipeline.Enabled, opts.Absorb.Enabled, h.Size()/1024)
+	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d policy=%v absorb=%v heap=%dKiB)\n",
+		srv.Addr(), opts.Shards, opts.MaxBatch, opts.Policy, opts.Absorb.Enabled, h.Size()/1024)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

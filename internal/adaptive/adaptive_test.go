@@ -11,7 +11,6 @@ import (
 // fakeShard is an in-memory Shard for controller tests.
 type fakeShard struct {
 	cap      int
-	depth    int
 	absorbDl time.Duration
 	cnt      Counters
 	resizes  int
@@ -19,8 +18,6 @@ type fakeShard struct {
 
 func (f *fakeShard) CacheCapacity() int                { return f.cap }
 func (f *fakeShard) SetCacheCapacity(c int)            { f.cap = c; f.resizes++ }
-func (f *fakeShard) PipeDepth() int                    { return f.depth }
-func (f *fakeShard) SetPipeDepth(d int)                { f.depth = d }
 func (f *fakeShard) AbsorbDeadline() time.Duration     { return f.absorbDl }
 func (f *fakeShard) SetAbsorbDeadline(d time.Duration) { f.absorbDl = d }
 func (f *fakeShard) Counters() Counters                { return f.cnt }
@@ -170,33 +167,6 @@ func TestControllerHysteresisHoldsSmallChanges(t *testing.T) {
 	c.Tick()
 	if sh.resizes != 1 {
 		t.Errorf("resizes = %d after sub-hysteresis change, want 1 (cap %d→%d)", sh.resizes, first, sh.cap)
-	}
-}
-
-func TestControllerDepthAdaptation(t *testing.T) {
-	cfg := testConfig()
-	sh := &fakeShard{cap: 8, depth: 256}
-	tap := NewTap(cfg.BurstLength, cfg.Hibernation)
-	c := NewController(cfg, []*Tap{tap}, []Shard{sh})
-
-	sh.cnt.PipeStalls = 3
-	c.Tick()
-	if sh.depth != 512 {
-		t.Errorf("depth after stalls = %d, want 512", sh.depth)
-	}
-	// Four quiet ticks decay the depth by a quarter.
-	for i := 0; i < 4; i++ {
-		c.Tick()
-	}
-	if sh.depth != 384 {
-		t.Errorf("depth after quiet streak = %d, want 384", sh.depth)
-	}
-	// A shard without a pipeline is untouched.
-	sh2 := &fakeShard{cap: 8, depth: 0}
-	c2 := NewController(cfg, []*Tap{NewTap(cfg.BurstLength, cfg.Hibernation)}, []Shard{sh2})
-	c2.Tick()
-	if sh2.depth != 0 {
-		t.Errorf("pipeline-less shard got depth %d", sh2.depth)
 	}
 }
 

@@ -35,11 +35,6 @@ type Config struct {
 	// by sampling noise.
 	Hysteresis float64
 
-	// MinDepth/MaxDepth bound the flush-pipeline depth adaptation:
-	// backpressure stalls double the depth, a stall-free streak decays it.
-	// The pipeline additionally clamps to its ring capacity. MaxDepth 0
-	// disables depth adaptation. Shards without a pipeline are unaffected.
-	MinDepth, MaxDepth int
 	// MinAbsorbDeadline/MaxAbsorbDeadline bound the absorption-deadline
 	// adaptation: a low absorbed/committed ratio under counter traffic means
 	// parked ops commit before enough coalescing accrues (double the
@@ -62,8 +57,6 @@ func DefaultConfig() Config {
 		Hibernation: 16384,
 		Alpha:       0.5,
 		Hysteresis:  0.25,
-		MinDepth:    64,
-		MaxDepth:    1024,
 
 		MinAbsorbDeadline: 500 * time.Microsecond,
 		MaxAbsorbDeadline: 8 * time.Millisecond,
@@ -92,9 +85,6 @@ func (c Config) WithDefaults() Config {
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = d.Hysteresis
 	}
-	if c.MinDepth <= 0 {
-		c.MinDepth = d.MinDepth
-	}
 	if c.MinAbsorbDeadline <= 0 {
 		c.MinAbsorbDeadline = d.MinAbsorbDeadline
 	}
@@ -109,10 +99,6 @@ func (c Config) WithDefaults() Config {
 type Shard interface {
 	CacheCapacity() int
 	SetCacheCapacity(capacity int)
-	// PipeDepth returns the flush-pipeline backpressure bound, or 0 when
-	// the shard has no pipeline (SetPipeDepth is then a no-op).
-	PipeDepth() int
-	SetPipeDepth(depth int)
 	// AbsorbDeadline returns how long a counter op may park in the shard's
 	// absorption accumulator before its net delta commits, or 0 when
 	// absorption is off (SetAbsorbDeadline is then a no-op).
@@ -121,12 +107,9 @@ type Shard interface {
 	Counters() Counters
 }
 
-// Counters are the monotone observables the depth and absorption rules
-// diff between ticks.
+// Counters are the monotone observables the absorption rule diffs between
+// ticks.
 type Counters struct {
-	// PipeStalls counts flush-pipeline backpressure events (mutator blocked
-	// on a full ring).
-	PipeStalls int64
 	// Absorbed/Committed split the acked mutations by whether a physical
 	// write of their own reached the FASE; their ratio over a tick is the
 	// absorption rule's input. CounterOps (incrs + decrs) gates the rule's
@@ -147,7 +130,6 @@ type Decision struct {
 	// Miss is the blended profile's predicted miss ratio at Capacity;
 	// WorkingSet and Hotness are the profile scalars.
 	Miss, WorkingSet, Hotness float64
-	PipeDepth                 int
 	AbsorbDeadline            time.Duration
 	// Resized reports whether the decision actually requested a resize.
 	Resized bool
@@ -172,7 +154,7 @@ const maxDecisions = 4096
 // Controller drives the loop: every Interval it collects each tap's
 // completed burst (if any), folds it into the shard's EWMA profile, picks
 // a capacity (knee rule → memory budget → hysteresis) and retunes the
-// shard's pipeline depth and absorption deadline from the counter deltas.
+// shard's absorption deadline from the counter deltas.
 type Controller struct {
 	cfg    Config
 	taps   []*Tap
@@ -181,7 +163,6 @@ type Controller struct {
 	accums []*locality.Accumulator
 	want   []int // last requested capacity (the shard may lag one FASE)
 	prev   []Counters
-	quiet  []int // consecutive stall-free ticks, for depth decay
 
 	mu        sync.Mutex
 	running   bool
@@ -205,7 +186,6 @@ func NewController(cfg Config, taps []*Tap, shards []Shard) *Controller {
 		accums:  make([]*locality.Accumulator, n),
 		want:    make([]int, n),
 		prev:    make([]Counters, n),
-		quiet:   make([]int, n),
 		resizes: make([]int64, n),
 		lastSeq: make([]int64, n),
 	}
@@ -311,45 +291,11 @@ func (c *Controller) Tick() {
 				resized = true
 			}
 		}
-		depthChanged := c.adaptDepth(i, sh)
 		absorbChanged := c.adaptAbsorb(i, sh)
-		if fresh[i] || resized || depthChanged || absorbChanged {
+		if fresh[i] || resized || absorbChanged {
 			c.record(i, sh, profiles[i], raw[i], resized)
 		}
 	}
-}
-
-// adaptDepth raises shard i's pipeline depth on backpressure and decays it
-// after a stall-free streak, keeping the ring (and so the crash-loss
-// window of unacked work) as small as the load allows.
-func (c *Controller) adaptDepth(i int, sh Shard) bool {
-	if c.cfg.MaxDepth <= 0 {
-		return false
-	}
-	dep := sh.PipeDepth()
-	if dep <= 0 {
-		return false
-	}
-	cnt := sh.Counters()
-	dStalls := cnt.PipeStalls - c.prev[i].PipeStalls
-	c.prev[i].PipeStalls = cnt.PipeStalls
-	nd := dep
-	if dStalls > 0 {
-		c.quiet[i] = 0
-		if nd = dep * 2; nd > c.cfg.MaxDepth {
-			nd = c.cfg.MaxDepth
-		}
-	} else if c.quiet[i]++; c.quiet[i] >= 4 {
-		c.quiet[i] = 0
-		if nd = dep * 3 / 4; nd < c.cfg.MinDepth {
-			nd = c.cfg.MinDepth
-		}
-	}
-	if nd == dep {
-		return false
-	}
-	sh.SetPipeDepth(nd)
-	return true
 }
 
 // adaptAbsorb retargets shard i's absorption deadline from the tick's
@@ -401,7 +347,6 @@ func (c *Controller) record(i int, sh Shard, p *locality.Profile, rawTarget int,
 		Shard:          i,
 		Capacity:       c.want[i],
 		Target:         rawTarget,
-		PipeDepth:      sh.PipeDepth(),
 		AbsorbDeadline: sh.AbsorbDeadline(),
 		Resized:        resized,
 	}

@@ -3,8 +3,8 @@
 // become locality profiles (MRC, working set, hotness via
 // locality.ProfileBurst), and a periodic controller retargets each shard's
 // write-cache capacity — the Section III-C knee rule under hysteresis and
-// a global memory budget — plus its group-commit bounds and flush-pipeline
-// depth from observed absorption and stall counters.
+// a global memory budget — plus its absorption deadline from observed
+// absorption counters.
 //
 // The package deliberately sits below the engine: it imports only core,
 // locality, sampling and trace, and talks to shards through the Shard

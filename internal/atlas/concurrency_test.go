@@ -100,7 +100,7 @@ func TestTraceCalledRepeatedly(t *testing.T) {
 }
 
 // Threads crash mid-FASE while other threads have committed: recovery must
-// roll back exactly the in-flight FASEs. The mutators run concurrently so
+// roll back exactly the in-flight FASEs, every thread's log in full. The mutators run concurrently so
 // -race exercises the lock-free store path against Crash's all-stripe
 // acquisition (after quiescence).
 func TestConcurrentCrashRecovery(t *testing.T) {
@@ -134,8 +134,11 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 			for w := uint64(0); w < words; w++ {
 				th.Store64(base+w*8, 0xdead0000+w)
 			}
-			// Park mid-FASE (the goroutine simply returns; its FASE stays
-			// open in the persistent log).
+			// Write the in-flight words back, as evictions would, so the
+			// durable view holds them and only the rollback restores the
+			// baseline. Then park mid-FASE (the goroutine simply returns; its
+			// FASE stays open in the persistent log).
+			h.Persist(base, words*8)
 		}(threads[i], bases[i], uint64(i+1))
 	}
 	wg.Wait() // quiesce before the whole-heap crash
@@ -333,59 +336,53 @@ func TestFlushStatsPublication(t *testing.T) {
 // BenchmarkParallelStores measures store-throughput scaling: g goroutines,
 // one Thread each (policy SC), disjoint heap regions, FASEs of 64 stores.
 // Under the old global heap mutex this flatlined at ~1× regardless of g;
-// the sharded path must scale. The pipeline variants run the same workload
-// with FASE-end drains handed to each thread's background flush worker.
+// the sharded path must scale.
 func BenchmarkParallelStores(b *testing.B) {
-	for _, mode := range []string{"sync", "pipeline"} {
-		for _, g := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", mode, g), func(b *testing.B) {
-				h := pmem.New(1 << 26)
-				opts := DefaultOptions()
-				opts.Policy = core.SoftCacheOnline
-				opts.DisableTrace = true
-				if mode == "pipeline" {
-					opts.Pipeline = core.PipelineConfig{Enabled: true}
+	for _, g := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+			h := pmem.New(1 << 26)
+			opts := DefaultOptions()
+			opts.Policy = core.SoftCacheOnline
+			opts.DisableTrace = true
+			rt := NewRuntime(h, opts)
+			const regionWords = 1 << 13
+			threads := make([]*Thread, g)
+			bases := make([]uint64, g)
+			for i := range threads {
+				th, err := rt.NewThread()
+				if err != nil {
+					b.Fatal(err)
 				}
-				rt := NewRuntime(h, opts)
-				const regionWords = 1 << 13
-				threads := make([]*Thread, g)
-				bases := make([]uint64, g)
-				for i := range threads {
-					th, err := rt.NewThread()
-					if err != nil {
-						b.Fatal(err)
-					}
-					threads[i] = th
-					if bases[i], err = h.AllocLines(regionWords * 8); err != nil {
-						b.Fatal(err)
-					}
+				threads[i] = th
+				if bases[i], err = h.AllocLines(regionWords * 8); err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for i := 0; i < g; i++ {
-					wg.Add(1)
-					go func(th *Thread, base uint64) {
-						defer wg.Done()
-						for n := 0; n < b.N; n++ {
-							if n%64 == 0 {
-								th.FASEBegin()
-							}
-							off := uint64(n%regionWords) * 8
-							th.Store64(base+off, uint64(n))
-							if n%64 == 63 {
-								th.FASEEnd()
-							}
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i := 0; i < g; i++ {
+				wg.Add(1)
+				go func(th *Thread, base uint64) {
+					defer wg.Done()
+					for n := 0; n < b.N; n++ {
+						if n%64 == 0 {
+							th.FASEBegin()
 						}
-						if th.InFASE() {
+						off := uint64(n%regionWords) * 8
+						th.Store64(base+off, uint64(n))
+						if n%64 == 63 {
 							th.FASEEnd()
 						}
-					}(threads[i], bases[i])
-				}
-				wg.Wait()
-				b.StopTimer()
-				rt.Close()
-				b.ReportMetric(float64(b.N)*float64(g)/b.Elapsed().Seconds(), "stores/sec")
-			})
-		}
+					}
+					if th.InFASE() {
+						th.FASEEnd()
+					}
+				}(threads[i], bases[i])
+			}
+			wg.Wait()
+			b.StopTimer()
+			rt.Close()
+			b.ReportMetric(float64(b.N)*float64(g)/b.Elapsed().Seconds(), "stores/sec")
+		})
 	}
 }

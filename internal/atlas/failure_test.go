@@ -33,8 +33,8 @@ func TestUndoLogOverflowDropsButKeepsRunning(t *testing.T) {
 			t.Fatalf("word %d lost", i)
 		}
 	}
-	if th.curLog().dropped != 64-8 {
-		t.Fatalf("dropped = %d, want %d", th.curLog().dropped, 64-8)
+	if th.log.dropped != 64-8 {
+		t.Fatalf("dropped = %d, want %d", th.log.dropped, 64-8)
 	}
 	// Within-capacity rollback still works on the next FASE.
 	th.FASEBegin()

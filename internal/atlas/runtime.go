@@ -60,14 +60,6 @@ type Options struct {
 	// exact boundary; internal/faultinject drives crash-point exploration
 	// through it.
 	UndoHook func(op UndoOp)
-	// Pipeline, when Enabled, wraps every thread's flush sink in a
-	// core.FlushPipeline: evictions become background write-backs and
-	// FASE-end drains become epoch publish/await. Each thread additionally
-	// gets a second undo log so FASEPublish/FASEAwait can overlap one
-	// FASE's drain with the next FASE's stores. The pipeline wraps *above*
-	// WrapSink, so fault-injection middleware observes the batched calls
-	// the worker makes against the real sink.
-	Pipeline core.PipelineConfig
 }
 
 // DefaultOptions uses the adaptive software cache with paper constants.
@@ -118,16 +110,6 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 	if err != nil {
 		return nil, fmt.Errorf("atlas: creating undo log for thread %d: %w", id, err)
 	}
-	logs := []*undoLog{log}
-	if rt.opts.Pipeline.Enabled {
-		// A second log lets FASEPublish leave one FASE draining while the
-		// next FASE records into the other log.
-		log2, err := newUndoLog(rt.heap, rt.opts.LogEntries, rt.opts.UndoHook)
-		if err != nil {
-			return nil, fmt.Errorf("atlas: creating overlap undo log for thread %d: %w", id, err)
-		}
-		logs = append(logs, log2)
-	}
 	var sink core.FlushSink = pmem.NewSink(rt.heap)
 	if rt.opts.WrapSink != nil {
 		sink = rt.opts.WrapSink(id, sink)
@@ -136,14 +118,10 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 		id:   id,
 		rt:   rt,
 		heap: rt.heap,
-		logs: logs,
+		log:  log,
 		sink: sink,
 	}
-	if rt.opts.Pipeline.Enabled {
-		t.pipeline = core.NewFlushPipeline(sink, rt.opts.Pipeline)
-		t.sink = t.pipeline
-	}
-	t.policy = core.NewPolicy(rt.opts.Policy, rt.opts.Config, t.sink)
+	t.policy = core.NewPolicy(rt.opts.Policy, rt.opts.Config, sink)
 	if rt.opts.StoreTap != nil {
 		t.tap = rt.opts.StoreTap(id)
 	}
@@ -166,20 +144,6 @@ func (rt *Runtime) Close() {
 	defer rt.mu.Unlock()
 	for _, t := range rt.snapshot() {
 		t.finish()
-	}
-}
-
-// CrashAbort stops every thread's flush pipeline, discarding queued
-// flushes and releasing any goroutine blocked on backpressure or an epoch
-// await: the crash path. Mutators must have stopped issuing stores. Call
-// this *before* pmem.Heap.Crash so no pipeline worker writes the durable
-// view after the simulated power cut; afterwards the runtime accepts no
-// more work (Close becomes a no-op on pipelined threads).
-func (rt *Runtime) CrashAbort() {
-	for _, t := range rt.snapshot() {
-		if t.pipeline != nil {
-			t.pipeline.Abort()
-		}
 	}
 }
 
@@ -225,43 +189,15 @@ type Thread struct {
 	rt        *Runtime
 	heap      *pmem.Heap
 	policy    core.Policy
-	tap       core.StoreTap  // optional store-stream observer; may be nil
-	sink      core.FlushSink // the policy's sink; the pipeline when enabled
-	pipeline  *core.FlushPipeline
+	tap       core.StoreTap // optional store-stream observer; may be nil
+	sink      core.FlushSink
 	builder   *trace.Builder
 	recording bool
-	logs      []*undoLog // one log, or two when the pipeline overlaps FASEs
-	cur       int        // index of the log recording the current FASE
+	log       *undoLog
 	depth     int
 	stores    int64
 	finished  bool
-
-	// outstanding tracks FASEs published but not yet awaited, oldest
-	// first. Their logs stay active until FASEAwait commits them in FIFO
-	// order (committing out of order would let recovery's rollback of an
-	// older FASE clobber a newer committed one).
-	outstanding []pendingFASE
-	pubSeq      uint64
 }
-
-// pendingFASE is one published-but-not-durable FASE.
-type pendingFASE struct {
-	id    uint64
-	log   *undoLog
-	epoch core.Epoch
-}
-
-// FASETicket identifies a FASE closed with FASEPublish, to be passed to
-// FASEAwait. The zero ticket (from a nested or non-overlapping publish) is
-// already durable and awaits as a no-op.
-type FASETicket struct {
-	id      uint64
-	pending bool
-}
-
-// Durable reports whether the ticket's FASE was already durable when the
-// ticket was issued (no await needed).
-func (tk FASETicket) Durable() bool { return !tk.pending }
 
 // ID returns the thread id.
 func (t *Thread) ID() int32 { return t.id }
@@ -269,27 +205,12 @@ func (t *Thread) ID() int32 { return t.id }
 // Heap returns the runtime's persistent heap.
 func (t *Thread) Heap() *pmem.Heap { return t.heap }
 
-// curLog returns the undo log recording the current FASE.
-func (t *Thread) curLog() *undoLog { return t.logs[t.cur] }
-
-// canOverlap reports whether this thread can leave a published FASE
-// draining in the background (pipeline plus a spare undo log).
-func (t *Thread) canOverlap() bool { return t.pipeline != nil && len(t.logs) > 1 }
-
 // FASEBegin enters a failure-atomic section. Sections nest; only the
 // outermost pair delimits the atomicity and flush boundary, as in Atlas.
-// If the log about to record this FASE still guards a published FASE, that
-// FASE is awaited first (the overlap depth is bounded by the spare logs).
 func (t *Thread) FASEBegin() {
 	t.depth++
 	if t.depth == 1 {
-		for _, p := range t.outstanding {
-			if p.log == t.curLog() {
-				t.FASEAwait(FASETicket{id: p.id, pending: true})
-				break
-			}
-		}
-		t.curLog().begin()
+		t.log.begin()
 		t.policy.FASEBegin()
 		if t.recording {
 			t.builder.Begin()
@@ -299,14 +220,9 @@ func (t *Thread) FASEBegin() {
 
 // FASEEnd leaves a section. Closing the outermost level drains the policy
 // (persisting every line written in the FASE) and then commits and clears
-// the undo log, making the FASE durable. With the pipeline enabled this is
-// exactly FASEAwait(FASEPublish()): publish the epoch, wait for it.
+// the undo log, making the FASE durable.
 func (t *Thread) FASEEnd() {
 	if t.depth == 0 {
-		return
-	}
-	if t.depth == 1 && t.canOverlap() {
-		t.FASEAwait(t.FASEPublish())
 		return
 	}
 	t.depth--
@@ -317,69 +233,9 @@ func (t *Thread) FASEEnd() {
 	if t.tap != nil {
 		t.tap.TapFASEEnd()
 	}
-	t.curLog().commit()
+	t.log.commit()
 	if t.recording {
 		t.builder.End()
-	}
-}
-
-// FASEPublish closes the current section like FASEEnd but, for the
-// outermost level with overlap available, does not wait for the FASE's
-// writes to persist: the policy's FASE-end drain is routed into an epoch
-// publication, the undo log stays active, and the thread switches to its
-// spare log so the next FASE can begin immediately. The returned ticket
-// must eventually be passed to FASEAwait, which makes the FASE durable
-// (commits its log) — until then a crash rolls the published FASE back, so
-// its effects must not be acknowledged externally. Without overlap
-// capability (or for a nested level) it behaves exactly like FASEEnd and
-// returns an already-durable ticket.
-func (t *Thread) FASEPublish() FASETicket {
-	if t.depth == 0 {
-		return FASETicket{}
-	}
-	if t.depth > 1 || !t.canOverlap() {
-		t.FASEEnd()
-		return FASETicket{}
-	}
-	t.depth--
-	t.pipeline.DeferNextDrain()
-	t.policy.FASEEnd()
-	if t.tap != nil {
-		t.tap.TapFASEEnd()
-	}
-	epoch := t.pipeline.TakeDeferred()
-	t.pubSeq++
-	t.outstanding = append(t.outstanding, pendingFASE{id: t.pubSeq, log: t.curLog(), epoch: epoch})
-	t.cur = (t.cur + 1) % len(t.logs)
-	if t.recording {
-		t.builder.End()
-	}
-	return FASETicket{id: t.pubSeq, pending: true}
-}
-
-// FASEAwait blocks until the published FASE identified by tk is durable,
-// then commits its undo log. Outstanding FASEs older than tk are awaited
-// and committed first — commits are strictly FIFO, because recovery rolls
-// back *active* logs and an out-of-order commit would let an older FASE's
-// rollback clobber a newer committed FASE's writes.
-func (t *Thread) FASEAwait(tk FASETicket) {
-	if !tk.pending {
-		return
-	}
-	for len(t.outstanding) > 0 && t.outstanding[0].id <= tk.id {
-		p := t.outstanding[0]
-		t.outstanding = t.outstanding[1:]
-		t.pipeline.Await(p.epoch)
-		if !t.pipeline.Aborted() {
-			p.log.commit()
-		}
-	}
-}
-
-// awaitOutstanding awaits and commits every published FASE.
-func (t *Thread) awaitOutstanding() {
-	if n := len(t.outstanding); n > 0 {
-		t.FASEAwait(FASETicket{id: t.outstanding[n-1].id, pending: true})
 	}
 }
 
@@ -395,14 +251,11 @@ func (t *Thread) FASEAbort() error {
 		return nil
 	}
 	t.depth = 0
-	// Older published FASEs must become durable before this one's rollback
-	// writes land (the rollback persists directly, bypassing the pipeline).
-	t.awaitOutstanding()
 	t.policy.FASEEnd()
 	if t.tap != nil {
 		t.tap.TapFASEEnd()
 	}
-	dropped := t.curLog().rollback()
+	dropped := t.log.rollback()
 	if t.recording {
 		t.builder.End()
 	}
@@ -442,7 +295,7 @@ func (t *Thread) Store64(addr uint64, v uint64) {
 		t.FASEBegin()
 	}
 	old := t.heap.Store64(addr, v)
-	t.curLog().record(addr, old)
+	t.log.record(addr, old)
 	t.noteStore(addr, 8)
 	if implicit {
 		t.FASEEnd()
@@ -468,7 +321,7 @@ func (t *Thread) StoreBytes(addr uint64, b []byte) {
 	start := addr &^ 7
 	end := addr + uint64(len(b))
 	for w := start; w < end; w += 8 {
-		t.curLog().record(w, t.heap.ReadWordClamped(w))
+		t.log.record(w, t.heap.ReadWordClamped(w))
 	}
 	t.heap.WriteBytes(addr, b)
 	t.noteStore(addr, uint64(len(b)))
@@ -561,29 +414,15 @@ func (t *Thread) finish() {
 	if t.finished {
 		return
 	}
-	if t.pipeline != nil && t.pipeline.Aborted() {
-		// Crash path: the heap took a simulated power cut after CrashAbort;
-		// write nothing more to it.
-		t.finished = true
-		return
-	}
 	for t.depth > 0 {
 		t.FASEEnd()
 	}
-	t.awaitOutstanding()
 	t.policy.Finish()
-	if t.pipeline != nil {
-		t.pipeline.Close()
-	}
 	t.finished = true
 }
 
 // Policy exposes the thread's policy (for AdaptReport inspection).
 func (t *Thread) Policy() core.Policy { return t.policy }
-
-// Pipeline returns the thread's flush pipeline, or nil when
-// Options.Pipeline is disabled (for batch-size histogram inspection).
-func (t *Thread) Pipeline() *core.FlushPipeline { return t.pipeline }
 
 // SetRecording toggles trace recording mid-run, outside any FASE. Workload
 // warm-up phases (for example pre-populating a store before the measured

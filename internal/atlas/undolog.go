@@ -2,8 +2,6 @@ package atlas
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
 
 	"nvmcache/internal/pmem"
 	"nvmcache/internal/trace"
@@ -21,8 +19,7 @@ import (
 //
 //	base+0:  status (logActive during a FASE, logIdle otherwise)
 //	base+8:  entry count
-//	base+16: begin sequence (global order of FASE begins; see below)
-//	base+24: capacity in entries
+//	base+16: capacity in entries
 //	base+64: entries, 16 bytes each: data address, old value
 //
 // Logs are registered in a registry block pointed to by the heap's Meta
@@ -40,13 +37,6 @@ import (
 // thread being created reads the flags while other threads of its runtime
 // write their own log headers: the registry is touched only under the
 // runtime's thread-creation lock and by recovery on a quiesced heap.
-//
-// The begin sequence exists for the flush pipeline's FASE overlap: a
-// thread alternating between two logs can crash with both active, and a
-// word touched by both FASEs must be rolled back newest-first to restore
-// the oldest pre-image. Recover therefore applies active logs in
-// descending begin order (logs from heaps predating this word read
-// sequence 0 and keep their registry order).
 const (
 	logHeaderSize = trace.LineSize
 	logEntrySize  = 16
@@ -54,8 +44,7 @@ const (
 	registrySize  = 8 + 8*registryCap
 	logStatusOff  = 0
 	logCountOff   = 8
-	logSeqOff     = 16
-	logCapOff     = 24
+	logCapOff     = 16
 	logIdle       = 0 // status: no FASE in flight
 	logActive     = 1 // status: a FASE in flight, which recovery rolls back
 	// regRetired flags a registry entry whose log no live thread owns (log
@@ -65,11 +54,6 @@ const (
 	// set moves from a scanned array to a map.
 	smallDedup = 8
 )
-
-// undoSeq numbers FASE begins globally (content only matters relative to
-// other logs of the same heap; a process-wide counter is the simplest
-// source that is still strictly monotonic per thread).
-var undoSeq atomic.Uint64
 
 // UndoOp names an undo-log persistence point for Options.UndoHook. Each is
 // a boundary at which a crash leaves the log in a distinct intermediate
@@ -196,7 +180,6 @@ func (l *undoLog) begin() {
 	l.droppedFASE = 0
 	l.forgetWords()
 	l.heap.Write64Through(l.base+logCountOff, 0)
-	l.heap.Write64Through(l.base+logSeqOff, undoSeq.Add(1))
 	l.heap.Write64Through(l.base+logStatusOff, logActive)
 }
 
@@ -327,11 +310,6 @@ type RecoveryReport struct {
 	FASEsRolledBack int
 	// WordsRestored counts undo entries applied.
 	WordsRestored int
-	// MaxSeq is the highest FASE begin sequence found across all logs,
-	// active or committed. Recover advances the process-wide sequence to at
-	// least this value, so every FASE begun after it numbers above every
-	// FASE the heap has seen.
-	MaxSeq uint64
 }
 
 // Recover must be called after reattaching to a heap that may have crashed.
@@ -358,28 +336,14 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 			opts.Hook(op)
 		}
 	}
-	// Collect active logs, then roll them back newest-begin-first: with
-	// pipelined FASE overlap the same thread can leave two active logs, and
-	// a word both touched must end at the older FASE's pre-image.
-	type activeLog struct {
-		base uint64
-		seq  uint64
-	}
-	var active []activeLog
+	// Each thread has one log and distinct threads write distinct lines, so
+	// no two active logs hold the same word and their rollbacks commute.
 	for i := uint64(0); i < n; i++ {
 		base := h.ReadUint64(reg+8+8*i) &^ regRetired
 		rep.LogsScanned++
-		if seq := h.ReadUint64(base + logSeqOff); seq > rep.MaxSeq {
-			rep.MaxSeq = seq
-		}
 		if h.ReadUint64(base+logStatusOff) == logIdle {
 			continue
 		}
-		active = append(active, activeLog{base: base, seq: h.ReadUint64(base + logSeqOff)})
-	}
-	sort.SliceStable(active, func(i, j int) bool { return active[i].seq > active[j].seq })
-	for _, al := range active {
-		base := al.base
 		count := h.ReadUint64(base + logCountOff)
 		rep.FASEsRolledBack++
 		at(RecoverReplay)
@@ -403,16 +367,6 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 	for i := uint64(0); i < n; i++ {
 		e := reg + 8 + 8*i
 		h.Write64Through(e, h.ReadUint64(e)|regRetired)
-	}
-	// Sequence floor: keep begin sequences monotone per heap across
-	// restarts, whatever the process-wide counter holds, so a log's
-	// sequence orders it after every FASE the heap ran before, which the
-	// newest-first rollback above relies on.
-	for {
-		cur := undoSeq.Load()
-		if cur >= rep.MaxSeq || undoSeq.CompareAndSwap(cur, rep.MaxSeq) {
-			break
-		}
 	}
 	return rep, nil
 }

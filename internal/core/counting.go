@@ -6,9 +6,7 @@ import (
 	"nvmcache/internal/trace"
 )
 
-// FlushStats aggregates write-back counts: the data of Table III. The Pipe*
-// fields are populated only when flushes route through a FlushPipeline;
-// they stay zero under the synchronous sinks.
+// FlushStats aggregates write-back counts: the data of Table III.
 type FlushStats struct {
 	// Async counts mid-FASE flushes (evictions, eager stores), which can
 	// overlap with computation.
@@ -17,52 +15,18 @@ type FlushStats struct {
 	Drained int64
 	// Barriers counts empty drains (pure waits).
 	Barriers int64
-
-	// PipeBatches counts batches the pipeline worker handed to the inner
-	// sink; PipeBatchLines is the total lines across them (avg batch size =
-	// PipeBatchLines / PipeBatches) and PipeBatchMax the largest batch.
-	PipeBatches    int64
-	PipeBatchLines int64
-	PipeBatchMax   int64
-	// PipeEpochs counts published epochs (one per pipelined drain).
-	PipeEpochs int64
-	// PipeDepthMax is the deepest ring occupancy observed.
-	PipeDepthMax int64
-	// PipeStalls counts enqueues that blocked on a full ring
-	// (backpressure); PipeStallNanos is the mutator time spent blocked.
-	PipeStalls     int64
-	PipeStallNanos int64
-	// PipeAwaitNanos is the mutator time spent awaiting epoch persistence
-	// (the pipelined analogue of the drain stall).
-	PipeAwaitNanos int64
 }
 
 // Total returns all line flushes (excluding pure barriers).
 func (s FlushStats) Total() int64 { return s.Async + s.Drained }
 
-// Add returns the element-wise sum (maxima for the PipeBatchMax and
-// PipeDepthMax watermarks).
+// Add returns the element-wise sum.
 func (s FlushStats) Add(o FlushStats) FlushStats {
-	out := FlushStats{
-		Async:          s.Async + o.Async,
-		Drained:        s.Drained + o.Drained,
-		Barriers:       s.Barriers + o.Barriers,
-		PipeBatches:    s.PipeBatches + o.PipeBatches,
-		PipeBatchLines: s.PipeBatchLines + o.PipeBatchLines,
-		PipeBatchMax:   s.PipeBatchMax,
-		PipeEpochs:     s.PipeEpochs + o.PipeEpochs,
-		PipeDepthMax:   s.PipeDepthMax,
-		PipeStalls:     s.PipeStalls + o.PipeStalls,
-		PipeStallNanos: s.PipeStallNanos + o.PipeStallNanos,
-		PipeAwaitNanos: s.PipeAwaitNanos + o.PipeAwaitNanos,
+	return FlushStats{
+		Async:    s.Async + o.Async,
+		Drained:  s.Drained + o.Drained,
+		Barriers: s.Barriers + o.Barriers,
 	}
-	if o.PipeBatchMax > out.PipeBatchMax {
-		out.PipeBatchMax = o.PipeBatchMax
-	}
-	if o.PipeDepthMax > out.PipeDepthMax {
-		out.PipeDepthMax = o.PipeDepthMax
-	}
-	return out
 }
 
 // CountingSink counts flushes and nothing else: the flush-ratio instrument
@@ -89,22 +53,6 @@ func (c *CountingSink) FlushLine(line trace.LineAddr) {
 	c.async.Add(1)
 	if c.next != nil {
 		c.next.FlushAsync(line)
-	}
-}
-
-// FlushBatch implements BatchSink: counts len(lines) async flushes and
-// forwards the batch to the device in one call when it supports batching.
-func (c *CountingSink) FlushBatch(lines []trace.LineAddr) {
-	c.async.Add(int64(len(lines)))
-	if c.next == nil {
-		return
-	}
-	if bf, ok := c.next.(BatchFlusher); ok {
-		bf.FlushBatch(lines)
-		return
-	}
-	for _, l := range lines {
-		c.next.FlushAsync(l)
 	}
 }
 
@@ -146,12 +94,6 @@ type RecordingSink struct {
 func (r *RecordingSink) FlushLine(line trace.LineAddr) {
 	r.CountingSink.FlushLine(line)
 	r.AsyncLines = append(r.AsyncLines, line)
-}
-
-// FlushBatch implements BatchSink.
-func (r *RecordingSink) FlushBatch(lines []trace.LineAddr) {
-	r.CountingSink.FlushBatch(lines)
-	r.AsyncLines = append(r.AsyncLines, lines...)
 }
 
 // Drain implements FlushSink.

@@ -22,13 +22,6 @@ type Flusher interface {
 	FlushDrain(lines []trace.LineAddr)
 }
 
-// BatchFlusher is the batched extension of Flusher: issue a whole batch of
-// asynchronous write-backs in one call (hwsim retires it in one scheduling
-// pass). Semantics equal len(lines) FlushAsync calls.
-type BatchFlusher interface {
-	FlushBatch(lines []trace.LineAddr)
-}
-
 // FlushSink is what a persistence policy is wired to: the seam between
 // policy logic (what to flush, when) and flush execution (what it costs,
 // where the bytes go). Implementations: CountingSink (pure counting, or

@@ -28,11 +28,6 @@ type AtlasOptions struct {
 	// tests install DropDrains here to prove the engine catches a sink
 	// that acknowledges drains it never performed.
 	Middleware func(core.FlushSink) core.FlushSink
-	// Pipeline additionally stacks a flush pipeline above the injection
-	// sink (policy → pipeline → middleware → injector → pmem), adding the
-	// hand-off, per-batch and epoch boundaries to the site space. The
-	// pipeline runs in synchronous mode so enumeration stays deterministic.
-	Pipeline bool
 	// storeWord issues the workload's per-FASE word stores; nil means
 	// Thread.Store64. Only the negative control for private stores sets it.
 	storeWord func(th *atlas.Thread, addr, v uint64)
@@ -94,7 +89,6 @@ func atlasRun(opt AtlasOptions, inj *Injector) (h *pmem.Heap, completed int, err
 			return s
 		},
 		UndoHook: inj.UndoHook(),
-		Pipeline: pipelineConfig(opt.Pipeline, inj),
 	})
 	th, err := rt.NewThread()
 	if err != nil {

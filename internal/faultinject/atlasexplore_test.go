@@ -46,38 +46,6 @@ func TestExploreAtlasAllPolicies(t *testing.T) {
 	}
 }
 
-// TestExploreAtlasPipeline repeats the exhaustive sweep with the flush
-// pipeline stacked above the injection sink: the hand-off (pipe-enqueue)
-// and epoch-barrier boundaries must join the site space — per-batch apply
-// too, for a policy that actually produces async write-backs — and every
-// site must still recover to the exact prefix.
-func TestExploreAtlasPipeline(t *testing.T) {
-	for _, kind := range []core.PolicyKind{core.Eager, core.SoftCacheOnline} {
-		t.Run(kind.String(), func(t *testing.T) {
-			opt := DefaultAtlasOptions()
-			opt.Policy = kind
-			opt.Pipeline = true
-			if testing.Short() {
-				opt.FASEs, opt.Words = 3, 4
-			}
-			rep, err := ExploreAtlas(opt)
-			if err != nil {
-				t.Fatalf("ExploreAtlas(pipeline): %v\nreport: %v", err, rep)
-			}
-			if rep.Sites == 0 || rep.Crashes != rep.Sites || rep.Missed != 0 {
-				t.Fatalf("sweep not exhaustive: %v", rep)
-			}
-			if rep.Kinds[KindPipeEnqueue] == 0 || rep.Kinds[KindPipeEpoch] == 0 {
-				t.Errorf("pipeline boundaries missing from site space: %v", rep)
-			}
-			if kind == core.Eager && rep.Kinds[KindPipeBatch] == 0 {
-				t.Errorf("eager pipeline sweep has no per-batch sites: %v", rep)
-			}
-			t.Logf("%v", rep)
-		})
-	}
-}
-
 // TestExploreAtlasCatchesDroppedDrains is the engine's negative control: a
 // sink double that acknowledges FASE-end drains without performing them
 // (commit-before-flush, the classic ordering bug) must be caught by some

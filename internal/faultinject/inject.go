@@ -61,17 +61,6 @@ const (
 	// KindAck sits between a kv batch's durable commit and the delivery of
 	// its acks; a crash here loses acks but must lose no data.
 	KindAck
-	// KindPipeEnqueue is the mutator→flush-pipeline hand-off of one line
-	// (async eviction and drain line alike), before it enters the ring; a
-	// crash here leaves the line dirty and unqueued.
-	KindPipeEnqueue
-	// KindPipeBatch is the pipeline worker handing one batch of async
-	// write-backs to the inner sink, before any line of the batch lands.
-	KindPipeBatch
-	// KindPipeEpoch is the barrier completing a pipelined drain group,
-	// after its lines landed but before the epoch is marked persisted — the
-	// window where an awaiter must not yet have been released.
-	KindPipeEpoch
 	// KindAbsorbMerge is one counter op folding into kv's volatile
 	// absorption accumulator during batch planning; nothing is durable yet,
 	// so a crash here must leave the op nacked with no trace on the heap.
@@ -116,12 +105,6 @@ func (k Kind) String() string {
 		return "undo-commit"
 	case KindAck:
 		return "ack"
-	case KindPipeEnqueue:
-		return "pipe-enqueue"
-	case KindPipeBatch:
-		return "pipe-batch"
-	case KindPipeEpoch:
-		return "pipe-epoch"
 	case KindAbsorbMerge:
 		return "absorb-merge"
 	case KindAbsorbThreshold:
@@ -225,36 +208,13 @@ func (in *Injector) Point(kind Kind) {
 // AckPoint is the kv Options.AckHook boundary.
 func (in *Injector) AckPoint() { in.Point(KindAck) }
 
-// PipeEnqueue is the flush-pipeline hand-off boundary; install it as
-// core.PipelineConfig.OnEnqueue so every line the mutator hands to the
-// pipeline is a numbered site (the hook runs on the mutator, outside the
-// pipeline lock, so firing here is recoverable like any store-path site).
-func (in *Injector) PipeEnqueue(trace.LineAddr) { in.Point(KindPipeEnqueue) }
-
-// pipelineConfig builds the exploration pipeline configuration: always
-// synchronous — site numbering must be deterministic, and a site firing on
-// a background worker goroutine could not be recovered by the mutator —
-// with small ring/batch bounds so batching boundaries are actually hit.
-// inj is nil for recovery stores, which must replay no faults.
-func pipelineConfig(enabled bool, inj *Injector) core.PipelineConfig {
-	cfg := core.PipelineConfig{Enabled: enabled, Synchronous: true, Depth: 64, BatchSize: 8}
-	if inj != nil {
-		cfg.OnEnqueue = inj.PipeEnqueue
-	}
-	return cfg
-}
-
 // WrapSink has the shape of atlas/kv Options.WrapSink: it interposes the
 // injector's numbered sites on a thread's flush sink. A Drain is
 // decomposed into per-line boundaries so a crash can land between any two
 // write-backs of a FASE-end drain — the exact window where a policy that
 // acknowledged too early would lose data.
 func (in *Injector) WrapSink(_ int32, inner core.FlushSink) core.FlushSink {
-	base := &sink{in: in, inner: inner}
-	if cs, ok := inner.(core.CaptureSink); ok {
-		return &captureSink{sink: base, capt: cs}
-	}
-	return base
+	return &sink{in: in, inner: inner}
 }
 
 // UndoHook has the shape of atlas Options.UndoHook, mapping undo-log
@@ -309,36 +269,6 @@ func (s *sink) Drain(lines []trace.LineAddr) {
 }
 
 func (s *sink) Stats() core.FlushStats { return s.inner.Stats() }
-
-// captureSink extends the injection sink over core.CaptureSink (built only
-// when the inner sink captures), so a flush pipeline stacked above the
-// injector keeps enqueue-time capture while the worker's batched calls
-// become numbered sites: one per async batch (the crash lands before the
-// batch's first line), one per drain line (the batch is decomposed, like
-// Drain above, so a crash can land between any two write-backs), and one
-// at the epoch barrier.
-type captureSink struct {
-	*sink
-	capt core.CaptureSink
-}
-
-func (s *captureSink) CaptureLine(line trace.LineAddr, dst []byte) {
-	s.capt.CaptureLine(line, dst)
-}
-
-func (s *captureSink) ApplyBatch(lines []trace.LineAddr, data []byte) {
-	s.in.Point(KindPipeBatch)
-	s.capt.ApplyBatch(lines, data)
-}
-
-func (s *captureSink) DrainCaptured(lines []trace.LineAddr, data []byte) {
-	for i := range lines {
-		s.in.Point(KindDrainLine)
-		s.capt.ApplyBatch(lines[i:i+1], data[i*trace.LineSize:(i+1)*trace.LineSize])
-	}
-	s.in.Point(KindPipeEpoch)
-	s.capt.DrainCaptured(nil, nil)
-}
 
 // DropDrains returns a deliberately broken sink that acknowledges FASE-end
 // drains without writing anything back — the flush-after-ack ordering bug

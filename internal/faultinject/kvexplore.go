@@ -37,12 +37,6 @@ type KVOptions struct {
 	// policy and the injection points (policy → middleware → injector →
 	// pmem). Negative tests install DropDrains here.
 	Middleware func(core.FlushSink) core.FlushSink
-	// Pipeline runs the store under the asynchronous batched flush
-	// pipeline and kv's overlapped commit protocol (publish batch N, apply
-	// batch N+1, settle), in the pipeline's synchronous mode so the site
-	// enumeration stays deterministic: hand-off, per-batch and epoch
-	// boundaries join the site space.
-	Pipeline bool
 	// Absorb runs the store under kv's logical write-absorption layer
 	// (same-key batch coalescing plus the counter accumulator), adding the
 	// four absorption boundaries — merge, threshold commit, deadline
@@ -118,9 +112,6 @@ func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 	ko.LogEntries = 1 << 12
 	ko.Policy = o.Policy
 	ko.Config = o.Config
-	if o.Pipeline {
-		ko.Pipeline = pipelineConfig(true, inj)
-	}
 	if o.Absorb {
 		ko.Absorb = kv.AbsorbConfig{
 			Enabled:   true,

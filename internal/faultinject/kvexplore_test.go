@@ -47,55 +47,6 @@ func TestExploreKVExhaustive(t *testing.T) {
 	t.Logf("%v", rep)
 }
 
-// TestExploreKVPipeline is the acceptance sweep for the overlapped commit
-// protocol: with the flush pipeline enabled (publish batch N, apply batch
-// N+1, settle), every enumerated site — now including the pipeline
-// hand-off, per-batch and epoch boundaries, and the ack boundary that
-// moved to settle — is crashed at and recovered from with the full service
-// contract intact: no acked write lost, zero dirty lines after recovery.
-func TestExploreKVPipeline(t *testing.T) {
-	o := DefaultKVOptions()
-	o.Pipeline = true
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(pipeline): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	for _, k := range []Kind{KindUndoRecord, KindUndoCommit, KindDrainLine,
-		KindPipeEnqueue, KindPipeEpoch, KindAck} {
-		if rep.Kinds[k] == 0 {
-			t.Errorf("no %v sites in the pipelined group-commit path: %v", k, rep)
-		}
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVRandomPipeline runs the seeded concurrent mode under the
-// overlapped protocol: concurrent clients, crashes that can land with one
-// batch in flight and its successor mid-FASE (both logs active, rolled
-// back newest-first at recovery).
-func TestExploreKVRandomPipeline(t *testing.T) {
-	o := DefaultKVOptions()
-	o.Pipeline = true
-	o.Runs = 8
-	if testing.Short() {
-		o.Runs = 3
-	}
-	rep, err := ExploreKVRandom(o)
-	if err != nil {
-		t.Fatalf("ExploreKVRandom(pipeline) (reproduce with -faultinject.seed=%d): %v\nreport: %v", rep.Seed, err, rep)
-	}
-	if rep.Runs != o.Runs || rep.Crashes+rep.Missed != rep.Runs {
-		t.Errorf("run accounting broken: %v", rep)
-	}
-	t.Logf("%v", rep)
-}
-
 // TestExploreKVAbsorbThreshold is the exhaustive sweep for the logical
 // write-absorption layer in its threshold shape: AbsorbThreshold=1 folds
 // every counter op of the workload into its own net-delta commit, so the
@@ -156,35 +107,6 @@ func TestExploreKVAbsorbDeadline(t *testing.T) {
 	}
 	if rep.Kinds[KindAbsorbThreshold] != 0 {
 		t.Errorf("threshold commits with an unreachable threshold: %v", rep)
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVAbsorbPipeline stacks absorption on the overlapped commit
-// protocol: net-delta FASEs are published and settled like any batch, the
-// absorb-ack boundary moves into settle, and every site of the combined
-// space holds the service contract.
-func TestExploreKVAbsorbPipeline(t *testing.T) {
-	o := DefaultKVOptions()
-	o.Absorb = true
-	o.AbsorbThreshold = 1
-	o.AbsorbDeadline = time.Second
-	o.Pipeline = true
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(absorb, pipeline): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	for _, k := range []Kind{KindAbsorbMerge, KindAbsorbThreshold, KindAbsorbAck,
-		KindPipeEnqueue, KindPipeEpoch, KindAck} {
-		if rep.Kinds[k] == 0 {
-			t.Errorf("no %v sites in the absorbed pipelined path: %v", k, rep)
-		}
 	}
 	t.Logf("%v", rep)
 }
@@ -306,48 +228,6 @@ func TestExploreKVRecovery(t *testing.T) {
 		if rep.Kinds[k] == 0 {
 			t.Errorf("no %v sites in the recovery path: %v", k, rep)
 		}
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVRecoveryPipeline runs the same mid-recovery sweep over
-// heaps crashed under the overlapped commit protocol, where recovery may
-// find two undo logs live (the published batch and its overlapped
-// successor) and must roll both back newest-first.
-func TestExploreKVRecoveryPipeline(t *testing.T) {
-	o := DefaultKVOptions()
-	o.Pipeline = true
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKVRecovery(o)
-	if err != nil {
-		t.Fatalf("ExploreKVRecovery(pipeline): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Runs || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVResizePipeline runs the same resize schedule under the
-// overlapped commit protocol, where the FASE-end apply point races (in real
-// deployments) a draining predecessor epoch: in the synchronous-pipeline
-// enumeration every hand-off and epoch boundary around the resize is
-// crashed at and recovered from.
-func TestExploreKVResizePipeline(t *testing.T) {
-	o := DefaultKVOptions()
-	o.ResizeEvery = 2
-	o.Pipeline = true
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(resize, pipeline): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
 	}
 	t.Logf("%v", rep)
 }

@@ -118,24 +118,6 @@ func (e *Engine) FlushAsync(line trace.LineAddr) {
 	e.stats.AsyncFlushes++
 }
 
-// FlushBatch implements core.BatchFlusher: retire a whole batch through the
-// flush engine in one scheduling pass — completed transfers are purged once
-// at batch start instead of before every issue. Cycle accounting is
-// provably identical to len(lines) FlushAsync calls: a slot left stale by
-// the single purge can only be picked by the full-queue branch with
-// wait ≤ 0, i.e. it is removed for free exactly as the per-issue purge
-// would have removed it (see TestFlushBatchEquivalence).
-func (e *Engine) FlushBatch(lines []trace.LineAddr) {
-	e.retire()
-	for _, line := range lines {
-		e.now += e.cm.FlushIssue
-		e.stats.IssueCycles += e.cm.FlushIssue
-		e.stats.Instructions++
-		e.schedule(line, &e.stats.QueueStall)
-		e.stats.AsyncFlushes++
-	}
-}
-
 // FlushDrain implements core.Flusher: issue the lines, then wait until the
 // flush queue is completely empty.
 func (e *Engine) FlushDrain(lines []trace.LineAddr) {
@@ -160,12 +142,8 @@ func (e *Engine) issue(line trace.LineAddr, stall *float64) {
 	e.now += e.cm.FlushIssue
 	e.stats.IssueCycles += e.cm.FlushIssue
 	e.stats.Instructions++
-	e.retire()
-	e.schedule(line, stall)
-}
-
-// retire drops completed transfers from the slot list.
-func (e *Engine) retire() {
+	// Drop completed transfers, then claim a slot for line's transfer,
+	// stalling on a full queue.
 	live := e.slots[:0]
 	for _, t := range e.slots {
 		if t > e.now {
@@ -173,10 +151,6 @@ func (e *Engine) retire() {
 		}
 	}
 	e.slots = live
-}
-
-// schedule claims a slot for line's transfer, stalling on a full queue.
-func (e *Engine) schedule(line trace.LineAddr, stall *float64) {
 	if len(e.slots) >= e.cm.MaxOutstanding {
 		// Wait for the earliest slot.
 		minIdx := 0

@@ -339,49 +339,3 @@ func TestCLWBCheaperThanCLFLUSHOnRewrites(t *testing.T) {
 		t.Fatalf("clflush (%v) not more expensive than clwb (%v) on a rewriting workload", clflush, clwb)
 	}
 }
-
-// TestFlushBatchEquivalence pins the claim in FlushBatch's comment: retiring
-// a batch with one purge at batch start charges exactly the same cycles,
-// stalls and stats as issuing the lines one FlushAsync at a time, across
-// randomized interleavings of stores, flushes and drains.
-func TestFlushBatchEquivalence(t *testing.T) {
-	rng := testutil.Rand(t, 7)
-	for trial := 0; trial < 200; trial++ {
-		a := NewEngine(testModel(), 1) // per-line
-		b := NewEngine(testModel(), 1) // batched
-		for step := 0; step < 30; step++ {
-			switch rng.Intn(3) {
-			case 0: // computation between flushes
-				n := rng.Intn(5)
-				for i := 0; i < n; i++ {
-					line := trace.LineAddr(rng.Intn(16))
-					a.OnStore(line, NoInstrument)
-					b.OnStore(line, NoInstrument)
-				}
-			case 1: // an async batch, 1..8 lines
-				lines := make([]trace.LineAddr, 1+rng.Intn(8))
-				for i := range lines {
-					lines[i] = trace.LineAddr(rng.Intn(16))
-				}
-				for _, l := range lines {
-					a.FlushAsync(l)
-				}
-				b.FlushBatch(lines)
-			case 2: // FASE-end drain
-				lines := make([]trace.LineAddr, rng.Intn(3))
-				for i := range lines {
-					lines[i] = trace.LineAddr(rng.Intn(16))
-				}
-				a.FlushDrain(lines)
-				b.FlushDrain(lines)
-			}
-			if a.Now() != b.Now() {
-				t.Fatalf("trial %d step %d: clocks diverge: per-line %v, batched %v", trial, step, a.Now(), b.Now())
-			}
-		}
-		sa, sb := a.Stats(), b.Stats()
-		if sa != sb {
-			t.Fatalf("trial %d: stats diverge:\nper-line %+v\nbatched  %+v", trial, sa, sb)
-		}
-	}
-}

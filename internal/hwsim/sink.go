@@ -32,13 +32,6 @@ func (s *Sink) FlushLine(line trace.LineAddr) {
 	s.async.Add(1)
 }
 
-// FlushBatch implements core.BatchSink: the batch retires through the
-// flush engine in one scheduling pass (Engine.FlushBatch).
-func (s *Sink) FlushBatch(lines []trace.LineAddr) {
-	s.e.FlushBatch(lines)
-	s.async.Add(int64(len(lines)))
-}
-
 // Drain implements core.FlushSink.
 func (s *Sink) Drain(lines []trace.LineAddr) {
 	s.e.FlushDrain(lines)

@@ -360,16 +360,11 @@ func (sh *shard) drainAbsorb() (crashed bool) {
 }
 
 // finishAbsorbed completes a plan with no physical writes: every acked op
-// absorbed into nothing (net-null), so there is no FASE — the acks are
-// delivered once the in-flight predecessor (if any) has settled, crossing
+// absorbed into nothing (net-null), so there is no FASE — the acks cross
 // the same ack boundaries a committed batch would.
 func (sh *shard) finishAbsorbed(plan *commitPlan) (crashed bool) {
 	if len(plan.acks) == 0 {
 		return false
-	}
-	if sh.settle() {
-		nackAll(plan.acks, ErrCrashed)
-		return true
 	}
 	if sh.st.crashing.Load() {
 		nackAll(plan.acks, ErrCrashed)

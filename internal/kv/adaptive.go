@@ -9,9 +9,8 @@ import (
 
 // shardControl adapts one shard to the adaptive.Shard control surface. All
 // methods publish targets the shard applies at its next safe point — the
-// capacity at the next FASE end (core.CapacityControlled), the pipeline
-// depth immediately under the pipeline's own lock, the absorption deadline
-// at the writer's next timer arm — so the controller never touches
+// capacity at the next FASE end (core.CapacityControlled), the absorption
+// deadline at the writer's next timer arm — so the controller never touches
 // writer-owned state.
 type shardControl struct {
 	sh *shard
@@ -27,19 +26,6 @@ func (sc *shardControl) CacheCapacity() int {
 func (sc *shardControl) SetCacheCapacity(capacity int) {
 	if cc, ok := sc.sh.th.Policy().(core.CapacityControlled); ok {
 		cc.RequestCapacity(capacity)
-	}
-}
-
-func (sc *shardControl) PipeDepth() int {
-	if p := sc.sh.th.Pipeline(); p != nil {
-		return p.Depth()
-	}
-	return 0
-}
-
-func (sc *shardControl) SetPipeDepth(depth int) {
-	if p := sc.sh.th.Pipeline(); p != nil {
-		p.SetDepth(depth)
 	}
 }
 
@@ -59,7 +45,6 @@ func (sc *shardControl) SetAbsorbDeadline(d time.Duration) {
 
 func (sc *shardControl) Counters() adaptive.Counters {
 	return adaptive.Counters{
-		PipeStalls: sc.sh.pipeStalls.Load(),
 		Absorbed:   sc.sh.absorbed.Load(),
 		Committed:  sc.sh.committed.Load(),
 		CounterOps: sc.sh.incrs.Load() + sc.sh.decrs.Load(),

@@ -94,13 +94,11 @@ func TestAdaptiveGaugesNilWhenDisabled(t *testing.T) {
 }
 
 // TestResizeRacesStoresAndDrains hammers RequestCacheResize from several
-// goroutines while writers commit pipelined batches and observers read
-// stats — the capacity handoff (atomic publication, applied at FASE end) and
+// goroutines while writers commit batches and observers read stats — the
+// capacity handoff (atomic publication, applied at the FASE-end drain) and
 // the batch-bound atomics must be race-clean. Run with -race.
 func TestResizeRacesStoresAndDrains(t *testing.T) {
-	opts := adaptiveOptions()
-	opts.Pipeline = core.PipelineConfig{Enabled: true, Depth: 64, BatchSize: 16}
-	s := newStore(t, opts)
+	s := newStore(t, adaptiveOptions())
 	defer s.Close()
 
 	stop := make(chan struct{})

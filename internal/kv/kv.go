@@ -75,18 +75,11 @@ type Options struct {
 	// (default: the paper's software cache at its 50-line cap).
 	Policy core.PolicyKind
 	Config core.Config
-	// Pipeline, when Enabled, gives every shard thread an asynchronous
-	// batched flush pipeline (core.FlushPipeline) and switches the writer
-	// to the overlapped commit protocol: batch N's FASE is published
-	// (mdb.CommitPublish) and batch N+1's stores and undo logging run
-	// while batch N drains in the background; acks still wait for
-	// durability (settle), only the wait moves off the apply path.
-	Pipeline core.PipelineConfig
 	// Adaptive, when Enabled, runs the online control plane
 	// (internal/adaptive): per-shard samplers tap the store stream, and a
 	// periodic controller retargets each shard's write-cache capacity from
-	// its live miss-ratio curve and retunes the group-commit bounds and
-	// flush-pipeline depth from observed counters. Policy is forced to
+	// its live miss-ratio curve and retunes the group-commit bounds from
+	// observed counters. Policy is forced to
 	// SoftCacheOffline so the external controller solely owns cache sizing
 	// (the policy's own one-shot sampler stays out of the loop).
 	Adaptive adaptive.Config
@@ -191,12 +184,8 @@ func (o Options) withDefaults() Options {
 // allocator is rebuilt from the tree.
 func RecommendedHeapBytes(o Options) uint64 {
 	o = o.withDefaults()
-	logs := uint64(1)
-	if o.Pipeline.Enabled {
-		logs = 2 // the spare overlap log each pipelined thread allocates
-	}
 	perShard := uint64(192)*uint64(o.PoolPages) + // page pool arena
-		logs*16*uint64(o.LogEntries) + // undo log entries
+		16*uint64(o.LogEntries) + // undo log entries
 		8*64 // meta page, arena header, log headers, slack
 	total := uint64(o.Shards) * perShard
 	total += dirBytes(o.Shards) + 64 + 1<<14 // directory + registry + slack
@@ -246,7 +235,7 @@ func runtimeOptions(o Options, taps []*adaptive.Tap) atlas.Options {
 	// Trace recording is always off: a serving store runs indefinitely and
 	// per-store trace buffers grow without bound.
 	ro := atlas.Options{Policy: o.Policy, Config: o.Config, LogEntries: o.LogEntries, DisableTrace: true,
-		WrapSink: o.WrapSink, UndoHook: o.UndoHook, Pipeline: o.Pipeline}
+		WrapSink: o.WrapSink, UndoHook: o.UndoHook}
 	if taps != nil {
 		ro.StoreTap = func(thread int32) core.StoreTap {
 			if int(thread) < len(taps) {
@@ -732,11 +721,6 @@ func (s *Store) initiateCrash(except *shard) error {
 		return ErrCrashed
 	}
 	close(s.crashCh)
-	// Tear down the flush pipelines first: a writer parked on backpressure
-	// or an epoch await (settle) is released by the abort and exits through
-	// its crash path, and no pipeline worker touches the heap after this
-	// returns — the volatile view below is dropped on a quiescent heap.
-	s.rt.CrashAbort()
 	for _, sh := range s.shards {
 		if sh != except {
 			<-sh.done

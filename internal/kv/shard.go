@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nvmcache/internal/atlas"
-	"nvmcache/internal/core"
 	"nvmcache/internal/mdb"
 )
 
@@ -129,22 +128,6 @@ type genPages struct {
 	pages []uint64
 }
 
-// flightBatch is one group commit whose FASE has been published
-// (mdb.CommitPublish) but not yet settled: its epoch is draining through
-// the flush pipeline while the writer applies the next batch, and its
-// requesters are still waiting for acks.
-type flightBatch struct {
-	batch   []request
-	results []Result
-	pc      *mdb.PendingCommit
-	root    uint64 // the published root, installed for readers at settle
-	gen     uint64
-	pre     core.FlushStats // thread flush counters straddling the apply
-	post    core.FlushStats
-	applied int  // physical ops the FASE executed (absorption accounting)
-	fold    bool // parked counter ops ack with this batch (AbsorbAck boundary)
-}
-
 // shard is one engine: a COW B+-tree on its own atlas thread, mutated only
 // by its writer goroutine (run), read by anyone through pinned snapshots.
 type shard struct {
@@ -161,19 +144,10 @@ type shard struct {
 	absorbDeadlineNs atomic.Int64
 	acc              accumulator
 
-	// inFlight is the previous batch, commit-published but not settled
-	// (awaited, installed for readers, acked). Non-nil only between loop
-	// iterations of the overlapped protocol, when it points at flight.
-	// Writer goroutine only.
-	inFlight *flightBatch
-	flight   flightBatch
-
 	// Reused per-batch storage, so a steady stream of commits allocates
-	// nothing. Two alternating sets: under the overlapped protocol the
-	// in-flight batch still owns one while the next batch fills the other.
-	batchBuf [2][]request
-	resBuf   [2][]Result
-	bufIdx   int
+	// nothing. Writer goroutine only.
+	batchBuf []request
+	resBuf   []Result
 
 	// capSlot is the shard's advisory cache-capacity word (capacity.go).
 	// Writer goroutine only.
@@ -188,7 +162,7 @@ type shard struct {
 	active  map[uint64]int // snapshot generation → pin count
 	pending []genPages     // freed pages awaiting reader drain
 	// spare holds the page slices of reclaimed pending entries for reuse and
-	// reclaim is publishView's scratch. Writer goroutine only.
+	// reclaim is publish's scratch. Writer goroutine only.
 	spare   [][]uint64
 	reclaim []uint64
 
@@ -245,16 +219,10 @@ func (sh *shard) onFreed(gen uint64, pages []uint64) {
 
 // publish installs the newly committed root for readers and recycles every
 // parked page no live snapshot can still reach.
-func (sh *shard) publish() { sh.publishView(sh.db.Snapshot(), sh.db.Generation()) }
-
-// publishView is publish with an explicit root/generation: the overlapped
-// protocol settles batch N after batch N+1 has already advanced the tree,
-// so readers must be handed N's root, not the db's current (still
-// undurable) one.
-func (sh *shard) publishView(root, gen uint64) {
+func (sh *shard) publish() {
 	sh.snapMu.Lock()
-	sh.curRoot = root
-	sh.curGen = gen
+	sh.curRoot = sh.db.Snapshot()
+	sh.curGen = sh.db.Generation()
 	minGen := uint64(math.MaxUint64)
 	for g := range sh.active {
 		if g < minGen {
@@ -287,13 +255,6 @@ func (sh *shard) publishView(root, gen uint64) {
 // batching: requests that arrive while a commit is in progress queue up
 // behind it and form the next batch, so batches grow with load and a lone
 // request pays no delay.
-//
-// With the flush pipeline enabled the loop is overlapped: commitBatch
-// leaves the batch in flight (published, draining in the background) and
-// the writer immediately starts the next batch if work is already queued —
-// batch N+1's stores and undo logging run concurrently with batch N's
-// drain — settling the in-flight batch (await, install root, ack) as soon
-// as the queue goes idle or its successor is published.
 func (sh *shard) run() {
 	defer close(sh.done)
 	// Parked counter requests survive loop iterations; if the writer exits
@@ -302,29 +263,6 @@ func (sh *shard) run() {
 	// exact.
 	defer sh.nackParked(ErrCrashed)
 	for {
-		if sh.inFlight != nil {
-			select {
-			case req, ok := <-sh.ch:
-				if !ok {
-					if !sh.drainAbsorb() {
-						sh.settle()
-					}
-					return
-				}
-				if sh.commitBatch(sh.gatherQueued(req)) {
-					return
-				}
-			case <-sh.st.crashCh:
-				sh.dropInFlight()
-				return
-			default:
-				// Queue idle: stop overlapping and deliver the acks.
-				if sh.settle() {
-					return
-				}
-			}
-			continue
-		}
 		// With counter ops parked, wake at the absorption deadline so their
 		// net delta commits (and they ack) even if the queue stays idle.
 		var (
@@ -345,9 +283,7 @@ func (sh *shard) run() {
 				timer.Stop()
 			}
 			if !ok {
-				if !sh.drainAbsorb() {
-					sh.settle()
-				}
+				sh.drainAbsorb()
 				return
 			}
 			if sh.commitBatch(sh.gatherQueued(req)) {
@@ -368,11 +304,10 @@ func (sh *shard) run() {
 
 // gatherQueued collects one group commit without waiting: first plus
 // whatever is already queued, up to MaxBatch logical ops. The batch lives in
-// one of the shard's two reused buffers (see shard.batchBuf).
+// the shard's reused buffer (see shard.batchBuf).
 func (sh *shard) gatherQueued(first request) []request {
 	maxBatch := sh.st.opts.MaxBatch
-	sh.bufIdx ^= 1
-	batch := append(sh.batchBuf[sh.bufIdx][:0], first)
+	batch := append(sh.batchBuf[:0], first)
 	n := reqCost(&first)
 gather:
 	for n < maxBatch {
@@ -387,17 +322,17 @@ gather:
 			break gather
 		}
 	}
-	sh.batchBuf[sh.bufIdx] = batch[:0]
+	sh.batchBuf = batch[:0]
 	return batch
 }
 
-// resultsFor returns the zeroed result slice paired with the batch buffer
-// gatherQueued last filled.
+// resultsFor returns the shard's reused result slice, zeroed, for a batch
+// of n requests.
 func (sh *shard) resultsFor(n int) []Result {
-	res := sh.resBuf[sh.bufIdx]
+	res := sh.resBuf
 	if cap(res) < n {
 		res = make([]Result, n)
-		sh.resBuf[sh.bufIdx] = res
+		sh.resBuf = res
 	}
 	res = res[:n]
 	clear(res)
@@ -423,12 +358,9 @@ const (
 )
 
 // commitBatch applies the batch inside one FASE and acks after the commit
-// is durable — directly, or (overlapped protocol) by leaving the published
-// batch in flight for a later settle. It reports whether the store crashed
-// (the writer must exit).
+// is durable. It reports whether the store crashed (the writer must exit).
 func (sh *shard) commitBatch(batch []request) (crashed bool) {
 	if sh.st.crashing.Load() {
-		sh.dropInFlight()
 		nackAll(batch, ErrCrashed)
 		return true
 	}
@@ -444,7 +376,6 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 			// already parked are nacked by run's deferred nackParked; nack
 			// the rest of the batch here (each request exactly once).
 			sh.st.initiateCrash(sh)
-			sh.dropInFlight()
 			parked := make(map[*Ticket]bool, sh.acc.pending())
 			for i := range sh.acc.parked {
 				parked[sh.acc.parked[i].t] = true
@@ -464,53 +395,32 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		batch, results = plan.acks, plan.results
 	}
 	pre := sh.th.FlushStats()
-	outcome, pc, failed := sh.applyBatch(batch, results, plan)
+	outcome, failed := sh.applyBatch(batch, results, plan)
 	switch outcome {
 	case batchBeginErr, batchCommitErr:
 		nackAll(batch, failed)
-		return sh.settle()
+		return false
 	case batchFailed:
-		// The abort already awaited any in-flight FASE (atlas orders
-		// published commits before a rollback's persists); settle delivers
-		// its acks.
 		sh.aborts.Add(1)
 		nackAll(batch, failed)
-		return sh.settle()
+		return false
 	case batchCrashInjected:
 		// Injected power failure: if it hit mid-FASE the undo log is still
 		// active and Recover rolls the batch back in full; if it hit at the
 		// ack boundary the batch is durable but nacked, which the service
-		// contract permits (ErrCrashed promises nothing either way). An
-		// in-flight predecessor is unawaited — still active, rolled back —
-		// and was never acked.
+		// contract permits (ErrCrashed promises nothing either way).
 		sh.st.initiateCrash(sh)
-		sh.dropInFlight()
 		nackAll(batch, ErrCrashed)
 		return true
 	case batchCrashRace:
-		sh.dropInFlight()
 		nackAll(batch, ErrCrashed)
 		return true
 	}
 	post := sh.th.FlushStats()
 	sh.capSlot.save(sh.st.heap)
-	applied, fold := logicalOps(batch), false
+	applied := logicalOps(batch)
 	if plan != nil {
-		applied, fold = len(plan.writes), plan.fold
-	}
-	if pc != nil {
-		// Overlapped commit: the batch is published and draining. Settle its
-		// predecessor (whose drain ran while this batch was applying), then
-		// leave this one in flight.
-		if sh.settle() {
-			nackAll(batch, ErrCrashed)
-			return true
-		}
-		sh.flight = flightBatch{batch: batch, results: results, pc: pc,
-			root: sh.db.Snapshot(), gen: sh.db.Generation(), pre: pre, post: post,
-			applied: applied, fold: fold}
-		sh.inFlight = &sh.flight
-		return false
+		applied = len(plan.writes)
 	}
 	sh.publish()
 	sh.note(batch, applied, pre, post)
@@ -524,58 +434,9 @@ func ackAll(batch []request, results []Result) {
 	}
 }
 
-// settle completes the in-flight batch: await its epoch's persistence
-// (which commits its undo log), fire the ack hook, install its root for
-// readers, and deliver the acks. It reports whether a crash — concurrent,
-// or injected at the ack site — requires the writer to exit.
-func (sh *shard) settle() (crashed bool) {
-	fb := sh.inFlight
-	if fb == nil {
-		return false
-	}
-	sh.inFlight = nil
-	if sh.crashedDuring(fb.pc.Await) {
-		// An injected crash at the undo-commit boundary inside the await:
-		// the epoch is persisted but the log is still active, so Recover
-		// rolls the batch back — never acked, consistent.
-		sh.st.initiateCrash(sh)
-		nackAll(fb.batch, ErrCrashed)
-		return true
-	}
-	if sh.st.crashing.Load() {
-		// The await may have been cut short by the crash's pipeline abort,
-		// leaving the batch's log active (Recover rolls it back). Either
-		// way its requesters were never acked, so ErrCrashed is honest.
-		nackAll(fb.batch, ErrCrashed)
-		return true
-	}
-	if hook := sh.st.opts.AckHook; hook != nil {
-		// The last crash boundary: the commit is durable but no requester
-		// has been told. A crash here must lose no data, only acks.
-		if sh.crashedDuring(func() { hook(sh.id) }) {
-			sh.st.initiateCrash(sh)
-			nackAll(fb.batch, ErrCrashed)
-			return true
-		}
-	}
-	if fb.fold {
-		// Same boundary, for the parked counter acks this commit carries.
-		if sh.crashedDuring(func() { sh.absorbHook(AbsorbAck) }) {
-			sh.st.initiateCrash(sh)
-			nackAll(fb.batch, ErrCrashed)
-			return true
-		}
-	}
-	sh.publishView(fb.root, fb.gen)
-	sh.note(fb.batch, fb.applied, fb.pre, fb.post)
-	ackAll(fb.batch, fb.results)
-	return false
-}
-
 // crashedDuring runs fn, converting a panic claimed by
 // Options.IsInjectedCrash into a reported crash — the out-of-FASE mirror
-// of applyBatch's recover. settle crosses injection sites too: the
-// undo-commit boundary inside the await and the ack boundary after it.
+// of applyBatch's recover, for the absorption merge and ack boundaries.
 func (sh *shard) crashedDuring(fn func()) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -590,32 +451,20 @@ func (sh *shard) crashedDuring(fn func()) (crashed bool) {
 	return false
 }
 
-// dropInFlight nacks the in-flight batch without settling it: the crash
-// path. Its FASE was published but never awaited, so its undo log is still
-// active and Recover rolls the batch back — consistent with the nack.
-func (sh *shard) dropInFlight() {
-	if fb := sh.inFlight; fb != nil {
-		sh.inFlight = nil
-		nackAll(fb.batch, ErrCrashed)
-	}
-}
-
 // applyBatch runs the whole FASE — Begin, the batch's mutations, the crash
-// hooks, and the commit: a durable synchronous commit normally, or a
-// publish (mdb.CommitPublish, pc non-nil) under the overlapped protocol,
-// in which case the ack hook and the acks are deferred to settle. A panic
+// hooks, and the durable commit. A panic
 // claimed by Options.IsInjectedCrash — a fault-injection site firing
 // inside a store, flush, or undo-log write — abandons the FASE with its
 // undo log still active, exactly as a power failure at that instruction
 // would; panics it does not claim propagate.
-func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan) (outcome batchOutcome, pc *mdb.PendingCommit, err error) {
+func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan) (outcome batchOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			claim := sh.st.opts.IsInjectedCrash
 			if claim == nil || !claim(r) {
 				panic(r)
 			}
-			outcome, pc, err = batchCrashInjected, nil, ErrCrashed
+			outcome, err = batchCrashInjected, ErrCrashed
 		}
 	}()
 	if plan != nil && plan.hasTrig {
@@ -624,7 +473,7 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 		sh.absorbHook(plan.trigger)
 	}
 	if err := sh.db.Begin(); err != nil {
-		return batchBeginErr, nil, err
+		return batchBeginErr, err
 	}
 	var failed error
 	if plan != nil {
@@ -678,26 +527,19 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 		if aerr := sh.db.Abort(); aerr != nil {
 			failed = fmt.Errorf("%w (abort: %v)", failed, aerr)
 		}
-		return batchFailed, nil, failed
+		return batchFailed, failed
 	}
 	if hook := sh.st.opts.CrashBeforeCommit; hook != nil &&
 		hook(sh.id, int(sh.batches.Load()), len(batch)) {
-		return batchCrashInjected, nil, ErrCrashed
+		return batchCrashInjected, ErrCrashed
 	}
 	if sh.st.crashing.Load() {
 		// A concurrent crash caught us mid-FASE: abandon without
 		// committing, exactly as the power failure would.
-		return batchCrashRace, nil, ErrCrashed
-	}
-	if sh.st.opts.Pipeline.Enabled {
-		pc, cerr := sh.db.CommitPublish()
-		if cerr != nil {
-			return batchCommitErr, nil, cerr
-		}
-		return batchCommitted, pc, nil
+		return batchCrashRace, ErrCrashed
 	}
 	if err := sh.db.Commit(); err != nil {
-		return batchCommitErr, nil, err
+		return batchCommitErr, err
 	}
 	if hook := sh.st.opts.AckHook; hook != nil {
 		// The last crash boundary: the commit is durable but no requester
@@ -708,5 +550,5 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 		// Same boundary, for the parked counter acks this commit carries.
 		sh.absorbHook(AbsorbAck)
 	}
-	return batchCommitted, nil, nil
+	return batchCommitted, nil
 }

@@ -40,18 +40,6 @@ type counters struct {
 	flushDrained                      atomic.Int64
 	flushBarriers                     atomic.Int64
 
-	// Flush-pipeline snapshots (zero while the pipeline is disabled),
-	// published like the flush counters above. The snapshot is taken at the
-	// batch's publish, so gauges lag the live pipeline by at most one batch.
-	pipeBatches  atomic.Int64
-	pipeLines    atomic.Int64
-	pipeBatchMax atomic.Int64
-	pipeEpochs   atomic.Int64
-	pipeDepthMax atomic.Int64
-	pipeStalls   atomic.Int64
-	pipeStallNs  atomic.Int64
-	pipeAwaitNs  atomic.Int64
-
 	latMu   sync.Mutex
 	lats    []float64 // ring of recent commit latencies, simulated cycles
 	latNext int
@@ -73,14 +61,6 @@ func (sh *shard) note(batch []request, applied int, pre, post core.FlushStats) {
 	sh.flushAsync.Store(post.Async)
 	sh.flushDrained.Store(post.Drained)
 	sh.flushBarriers.Store(post.Barriers)
-	sh.pipeBatches.Store(post.PipeBatches)
-	sh.pipeLines.Store(post.PipeBatchLines)
-	sh.pipeBatchMax.Store(post.PipeBatchMax)
-	sh.pipeEpochs.Store(post.PipeEpochs)
-	sh.pipeDepthMax.Store(post.PipeDepthMax)
-	sh.pipeStalls.Store(post.PipeStalls)
-	sh.pipeStallNs.Store(post.PipeStallNanos)
-	sh.pipeAwaitNs.Store(post.PipeAwaitNanos)
 	sh.recordLatency(commitCycles(post.Drained - pre.Drained))
 }
 
@@ -158,15 +138,6 @@ type ShardStats struct {
 	// Commit drain latency percentiles over recent batches, in simulated
 	// cycles.
 	CommitP50, CommitP99 float64
-	// Flush-pipeline instrumentation (all zero when Options.Pipeline is
-	// disabled): worker batches handed to the inner sink and their total /
-	// largest line count, epochs published, the ring-depth high-water mark,
-	// backpressure stall events with their cumulative wall time, and the
-	// wall time the writer spent awaiting epoch persistence at settle.
-	PipeBatches, PipeBatchLines, PipeBatchMax int64
-	PipeEpochs, PipeDepthMax                  int64
-	PipeStalls, PipeStallNanos                int64
-	PipeAwaitNanos                            int64
 	// Adaptive control-plane gauges (all zero when Options.Adaptive is
 	// disabled): the write-cache capacity currently in effect, the sequence
 	// number of the shard's newest control decision, capacity retargets
@@ -207,8 +178,8 @@ func (st ShardStats) FlushRatio() float64 {
 }
 
 // Pairs returns every field as a `key=value` token with the keys in
-// sorted order. The key set is fixed (pipeline gauges are present even when
-// the pipeline is off), so STATS output is a stable, machine-diffable
+// sorted order. The key set is fixed (adaptive gauges are present even when
+// the controller is off), so STATS output is a stable, machine-diffable
 // schema: internal/nvclient parses these tokens and internal/loadgen diffs
 // two snapshots to report per-run server-side deltas in BENCH_*.json.
 // Values are plain decimals; units live in the key name (_cyc, _ms).
@@ -238,14 +209,6 @@ func (st ShardStats) Pairs() []string {
 		fmt.Sprintf("flushes=%d", st.Flushes()),
 		fmt.Sprintf("gets=%d", st.Gets),
 		fmt.Sprintf("ops=%d", st.BatchedOps),
-		fmt.Sprintf("pipe_await_ms=%.3f", float64(st.PipeAwaitNanos)/1e6),
-		fmt.Sprintf("pipe_batch_max=%d", st.PipeBatchMax),
-		fmt.Sprintf("pipe_batches=%d", st.PipeBatches),
-		fmt.Sprintf("pipe_depth_max=%d", st.PipeDepthMax),
-		fmt.Sprintf("pipe_epochs=%d", st.PipeEpochs),
-		fmt.Sprintf("pipe_lines=%d", st.PipeBatchLines),
-		fmt.Sprintf("pipe_stall_ms=%.3f", float64(st.PipeStallNanos)/1e6),
-		fmt.Sprintf("pipe_stalls=%d", st.PipeStalls),
 		fmt.Sprintf("puts=%d", st.Puts),
 		fmt.Sprintf("scans=%d", st.Scans),
 	}
@@ -283,14 +246,6 @@ func (sh *shard) stats() ShardStats {
 		AsyncFlushes:           sh.flushAsync.Load(),
 		DrainedFlushes:         sh.flushDrained.Load(),
 		Barriers:               sh.flushBarriers.Load(),
-		PipeBatches:            sh.pipeBatches.Load(),
-		PipeBatchLines:         sh.pipeLines.Load(),
-		PipeBatchMax:           sh.pipeBatchMax.Load(),
-		PipeEpochs:             sh.pipeEpochs.Load(),
-		PipeDepthMax:           sh.pipeDepthMax.Load(),
-		PipeStalls:             sh.pipeStalls.Load(),
-		PipeStallNanos:         sh.pipeStallNs.Load(),
-		PipeAwaitNanos:         sh.pipeAwaitNs.Load(),
 	}
 	if ctrl := sh.st.ctrl; ctrl != nil {
 		g := ctrl.Gauges(sh.id)
@@ -332,11 +287,9 @@ func (s *Store) Stats() []ShardStats {
 }
 
 // StripeStats snapshots the heap's per-stripe lock counters. A shard
-// writer's store and flush path takes no stripe, so these count only the
-// flush pipeline's workers applying captured images (when the pipeline is
-// on), durable reads and whole-heap operations; with the pipeline off a
-// serving store reads zero acquisitions. Exported through the server's
-// STATS verb.
+// writer's store and flush path takes no stripe, so these count only
+// durable reads and whole-heap operations, and a serving store reads zero
+// acquisitions. Exported through the server's STATS verb.
 func (s *Store) StripeStats() []pmem.StripeStat { return s.heap.StripeStats() }
 
 // StripeSummary aggregates the heap's stripe counters.
@@ -366,18 +319,6 @@ func Totals(stats []ShardStats) ShardStats {
 		t.AsyncFlushes += st.AsyncFlushes
 		t.DrainedFlushes += st.DrainedFlushes
 		t.Barriers += st.Barriers
-		t.PipeBatches += st.PipeBatches
-		t.PipeBatchLines += st.PipeBatchLines
-		t.PipeEpochs += st.PipeEpochs
-		t.PipeStalls += st.PipeStalls
-		t.PipeStallNanos += st.PipeStallNanos
-		t.PipeAwaitNanos += st.PipeAwaitNanos
-		if st.PipeBatchMax > t.PipeBatchMax {
-			t.PipeBatchMax = st.PipeBatchMax
-		}
-		if st.PipeDepthMax > t.PipeDepthMax {
-			t.PipeDepthMax = st.PipeDepthMax
-		}
 		t.AdaptiveCap += st.AdaptiveCap
 		t.AdaptiveResizes += st.AdaptiveResizes
 		t.AdaptiveSample += st.AdaptiveSample

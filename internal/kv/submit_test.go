@@ -86,3 +86,46 @@ func TestSubmitAfterCloseCompletesTicket(t *testing.T) {
 		t.Fatalf("SubmitBatch after Close: %v, want ErrClosed", res.Err)
 	}
 }
+
+// TestServingPathTakesNoStripe pins that the default store serves without
+// the heap's lock stripes: a window of 64 PUTs through Submit → group
+// commit → Wait, then every key read back with Get and GetBatch, leaves
+// StripeSummary().Acquired where it was. The stripes are taken only by
+// durable reads and whole-heap operations, none of which serving runs.
+func TestServingPathTakesNoStripe(t *testing.T) {
+	s := newStore(t, DefaultOptions())
+	defer s.Close()
+	const depth = 64
+	tickets := make([]Ticket, depth)
+	keys := make([]uint64, depth)
+	vals := make([]uint64, depth)
+	found := make([]bool, depth)
+	before := s.StripeSummary().Acquired
+	for round := uint64(1); round <= 3; round++ {
+		for i := range tickets {
+			keys[i] = uint64(i) * 7919
+			s.Submit(&tickets[i], OpPut, keys[i], round<<32|uint64(i))
+		}
+		for i := range tickets {
+			if res := tickets[i].Wait(); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		for i, k := range keys {
+			if v, ok, err := s.Get(k); err != nil || !ok || v != round<<32|uint64(i) {
+				t.Fatalf("round %d: Get(%d) = %d,%v,%v", round, k, v, ok, err)
+			}
+		}
+		if err := s.GetBatch(keys, vals, found); err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys {
+			if !found[i] || vals[i] != round<<32|uint64(i) {
+				t.Fatalf("round %d: GetBatch[%d] = %d,%v", round, i, vals[i], found[i])
+			}
+		}
+	}
+	if got := s.StripeSummary().Acquired - before; got != 0 {
+		t.Fatalf("serving 3 windows of %d PUTs and their GETs acquired %d stripes, want 0", depth, got)
+	}
+}

@@ -92,11 +92,6 @@ type DB struct {
 	// freeHook, when set, receives the superseded pages of each commit
 	// instead of them being recycled immediately (see SetFreeHook).
 	freeHook func(gen uint64, pages []uint64)
-	// pend backs CommitPublish: at most two published transactions are
-	// unawaited at once (the caller awaits N after publishing N+1), so two
-	// alternating records cover them.
-	pend    [2]PendingCommit
-	pendIdx int
 }
 
 // Open creates an empty store with the default page-pool capacity (or
@@ -285,67 +280,6 @@ func (db *DB) Commit() error {
 	db.inTxn = false
 	return nil
 }
-
-// PendingCommit is a transaction published but not yet durable: the root
-// and generation are installed and the FASE's epoch is in flight through
-// the flush pipeline. Await makes it durable (and only then releases the
-// superseded pages). Until Await returns, a crash rolls the transaction
-// back, so its effects must not be acknowledged externally. The record
-// belongs to the DB and is reused by the second CommitPublish after the
-// one that returned it.
-type PendingCommit struct {
-	db     *DB
-	ticket atlas.FASETicket
-	gen    uint64
-	freed  []uint64
-}
-
-// CommitPublish is the overlap-friendly half of Commit: it installs the new
-// root, bumps the generation and publishes the FASE without waiting for
-// persistence, so the caller can start the next transaction (whose stores
-// and undo logging overlap this one's background drain) before calling
-// Await. Without a pipelined runtime the publish degenerates to a
-// synchronous FASE end and Await is a cheap no-op, so callers may use the
-// split pair unconditionally.
-func (db *DB) CommitPublish() (*PendingCommit, error) {
-	if !db.inTxn {
-		return nil, fmt.Errorf("mdb: commit outside transaction")
-	}
-	db.t.Store64(db.meta+8, db.Generation()+1)
-	tk := db.t.FASEPublish()
-	pc := &db.pend[db.pendIdx]
-	db.pendIdx ^= 1
-	pc.db, pc.ticket, pc.gen = db, tk, db.Generation()
-	pc.freed = pc.freed[:0]
-	if db.recycle {
-		pc.freed = append(pc.freed, db.freed...)
-	}
-	db.inTxn = false
-	db.freed = db.freed[:0]
-	return pc, nil
-}
-
-// Await blocks until the published transaction is durable, then recycles
-// (or hands to the free hook) the page versions it superseded. Must be
-// called from the store's single writer, before any later transaction's
-// Await.
-func (pc *PendingCommit) Await() {
-	db := pc.db
-	db.t.FASEAwait(pc.ticket)
-	if db.recycle && len(pc.freed) > 0 {
-		if db.freeHook != nil {
-			db.freeHook(pc.gen, pc.freed)
-		} else {
-			for _, p := range pc.freed {
-				db.release(p)
-			}
-		}
-	}
-	pc.freed = pc.freed[:0]
-}
-
-// Generation returns pc's committed generation.
-func (pc *PendingCommit) Generation() uint64 { return pc.gen }
 
 // Abort rolls the current transaction back: the FASE's undo entries are
 // applied in reverse (restoring root and generation, which unpublishes
@@ -760,8 +694,8 @@ func (db *DB) reachable() []bool {
 // below the cursor are exactly the reachable ones plus the free ones, none
 // of them both and none free twice — so PoolRemaining is the capacity
 // minus the reachable pages. It holds when no superseded page is parked
-// with a free hook or behind an unawaited PendingCommit: after Attach, for
-// example, or after a commit that recycled immediately.
+// with a free hook: after Attach, for example, or after a commit that
+// recycled immediately.
 func (db *DB) CheckPages() error {
 	seen := db.reachable()
 	for _, i := range db.free {

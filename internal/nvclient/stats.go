@@ -84,7 +84,7 @@ func parsePairs(tokens []string) (map[string]float64, error) {
 
 // Diff returns cur−prev for every key of the total and stripes lines,
 // prefixed "total." and "stripes.". The subtraction is meaningful for the
-// monotone counters (ops, puts, gets, flushes, pipe_stalls, acquired,
+// monotone counters (ops, puts, gets, flushes, aborts, acquired,
 // contended, …); gauge keys (percentiles, ratios, maxima) are included for
 // completeness but should be read from the final snapshot instead.
 func (s *Stats) Diff(prev *Stats) map[string]float64 {

@@ -23,7 +23,7 @@ func statsLines(stats []kv.ShardStats, stripes string) []string {
 func TestParseStatsRoundTrip(t *testing.T) {
 	a := kv.ShardStats{Shard: 0, Puts: 10, Deletes: 2, Gets: 30, Scans: 4,
 		Batches: 5, BatchedOps: 12, AsyncFlushes: 7, DrainedFlushes: 9,
-		CommitP50: 100, CommitP99: 900, PipeEpochs: 3, PipeStalls: 1}
+		CommitP50: 100, CommitP99: 900, Aborts: 3, Incrs: 1}
 	b := kv.ShardStats{Shard: 1, Puts: 1, Gets: 2, Batches: 1, BatchedOps: 1}
 	lines := statsLines([]kv.ShardStats{a, b},
 		"stripes=64 acquired=100 contended=3 contention=0.0300 hot_stripe=5 hot_acquired=40")
@@ -38,7 +38,7 @@ func TestParseStatsRoundTrip(t *testing.T) {
 	checks := map[string]float64{
 		"puts": 10, "dels": 2, "gets": 30, "scans": 4, "batches": 5,
 		"ops": 12, "flush_async": 7, "flush_drained": 9, "flushes": 16,
-		"commit_p50_cyc": 100, "commit_p99_cyc": 900, "pipe_epochs": 3, "pipe_stalls": 1,
+		"commit_p50_cyc": 100, "commit_p99_cyc": 900, "aborts": 3, "incrs": 1,
 	}
 	for k, want := range checks {
 		if got := st.Shards[0][k]; got != want {
@@ -58,7 +58,7 @@ func TestParseStatsRoundTrip(t *testing.T) {
 // the key set is identical across shard and total lines (so a diff never
 // misses a counter because the schema shifted).
 func TestStatsKeysSortedStable(t *testing.T) {
-	with := kv.ShardStats{Shard: 0, Puts: 1, PipeEpochs: 9, PipeStalls: 2}
+	with := kv.ShardStats{Shard: 0, Puts: 1, Aborts: 9, AdaptiveCap: 2}
 	without := kv.ShardStats{Shard: 1}
 	keysOf := func(line string) []string {
 		fields := strings.Fields(line)[1:] // drop the row id

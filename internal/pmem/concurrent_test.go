@@ -83,27 +83,26 @@ func TestCheckConsistency(t *testing.T) {
 }
 
 // TestStripeStatsCountAcquisitions pins where stripes are taken: nothing on
-// the owner's store → flush → capture path acquires one, and each operation
-// that writes or reads the durable view on behalf of another goroutine
-// (ApplyCaptured, FlushLines, PersistedUint64) acquires exactly one per
-// involved stripe.
+// the owner's store → flush path acquires one, a durable read
+// (PersistedUint64) acquires exactly its line's stripe, and each whole-heap
+// operation acquires every stripe once.
 func TestStripeStatsCountAcquisitions(t *testing.T) {
 	h := New(64 * 1024)
 	a, _ := h.AllocLines(2 * trace.LineSize)
 	line := trace.LineOf(a)
-	snap := make([]byte, trace.LineSize)
 	acquired := func() int64 { return SummarizeStripes(h.StripeStats()).Acquired }
 
 	before := acquired()
 	for i := 0; i < 100; i++ {
 		h.Store64(a, uint64(i))
 		h.WriteUint64(a+8, uint64(i))
+		h.Write64Through(a+16, uint64(i))
 		h.WriteBytes(a+60, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // spans two lines
 		h.CopyWithin(a+trace.LineSize, a, 16)
 		h.FlushLine(line)
 		h.Persist(a, 2*trace.LineSize)
 		h.Store64(a, uint64(i)+1)
-		h.CaptureLine(line, snap)
+		_ = h.ReadUint64(a)
 	}
 	if got := acquired() - before; got != 0 {
 		t.Fatalf("the owner path acquired %d stripes, want 0", got)
@@ -111,15 +110,19 @@ func TestStripeStatsCountAcquisitions(t *testing.T) {
 	for _, op := range []struct {
 		name string
 		run  func()
+		want int64
 	}{
-		{"ApplyCaptured", func() { h.ApplyCaptured([]trace.LineAddr{line}, snap) }},
-		{"FlushLines", func() { h.FlushLines([]trace.LineAddr{line}) }},
-		{"PersistedUint64", func() { h.PersistedUint64(a) }},
+		{"PersistedUint64", func() { h.PersistedUint64(a) }, 1},
+		{"DirtyLines", func() { h.DirtyLines() }, NumStripes},
+		{"DirtyCount", func() { h.DirtyCount() }, NumStripes},
+		{"CheckConsistency", func() { _ = h.CheckConsistency() }, NumStripes},
+		{"PersistAll", h.PersistAll, NumStripes},
+		{"Crash", h.Crash, NumStripes},
 	} {
 		before := acquired()
 		op.run()
-		if got := acquired() - before; got != 1 {
-			t.Fatalf("%s acquired %d stripes, want 1", op.name, got)
+		if got := acquired() - before; got != op.want {
+			t.Fatalf("%s acquired %d stripes, want %d", op.name, got, op.want)
 		}
 	}
 	sum := SummarizeStripes(h.StripeStats())
@@ -201,12 +204,10 @@ func sameState(h *Heap, s *SerialHeap) bool {
 // TestDifferentialSerialOracle drives the sharded Heap and the coarse-mutex
 // SerialHeap with one random operation sequence — stores, byte writes,
 // CopyWithin over aligned, unaligned, overlapping, empty and heap-end
-// ranges, flushes, write-throughs, line captures and (possibly stale,
-// possibly duplicated) batched applies of them, PersistAll and crashes —
-// and demands identical volatile bytes, durable bytes and dirty-line sets
-// after every operation: the flag array against the oracle's set ("capture
-// clears, apply only copies"), the memmove against the oracle's copy
-// through a temporary, the stripe-grouped apply against a plain loop.
+// ranges, flushes, write-throughs, PersistAll and crashes — and demands
+// identical volatile bytes, durable bytes and dirty-line sets after every
+// operation: the flag array against the oracle's set, the memmove against
+// the oracle's copy through a temporary.
 func TestDifferentialSerialOracle(t *testing.T) {
 	const size = 2048
 	f := func(seed int64) bool {
@@ -218,21 +219,8 @@ func TestDifferentialSerialOracle(t *testing.T) {
 		if ha != sa {
 			return false
 		}
-		// Captured images not yet applied, oldest first, as the flush
-		// pipeline's ring holds them. The pipeline's protocol is modelled
-		// too: images apply in capture order; the owner writes the durable
-		// view directly (a flush, a write-through) only once none is in
-		// flight (the epoch await); a crash abandons them.
-		var inFlight []trace.LineAddr
-		var hImgs, sImgs []byte
-		apply := func(n int) {
-			h.ApplyCaptured(inFlight[:n], hImgs[:n*trace.LineSize])
-			s.ApplyCaptured(inFlight[:n], sImgs[:n*trace.LineSize])
-			inFlight = inFlight[n:]
-			hImgs, sImgs = hImgs[n*trace.LineSize:], sImgs[n*trace.LineSize:]
-		}
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(12) {
+			switch rng.Intn(10) {
 			case 0, 1, 2:
 				off := uint64(rng.Intn(127)) * 8
 				v := rng.Uint64()
@@ -246,18 +234,15 @@ func TestDifferentialSerialOracle(t *testing.T) {
 				h.WriteBytes(ha+off, b)
 				s.WriteBytes(sa+off, b)
 			case 4:
-				apply(len(inFlight))
 				l := trace.LineOf(ha + uint64(rng.Intn(16))*trace.LineSize)
 				h.FlushLine(l)
 				s.FlushLine(l)
 			case 5:
-				apply(len(inFlight))
 				off := uint64(rng.Intn(127)) * 8
 				v := rng.Uint64()
 				h.Write64Through(ha+off, v)
 				s.Write64Through(sa+off, v)
 			case 6:
-				inFlight, hImgs, sImgs = nil, nil, nil
 				h.Crash()
 				s.Crash()
 			case 7:
@@ -287,29 +272,13 @@ func TestDifferentialSerialOracle(t *testing.T) {
 				h.CopyWithin(dst, src, n)
 				s.CopyWithin(dst, src, n)
 			case 9:
-				apply(len(inFlight))
 				h.PersistAll()
 				s.PersistAll()
-			case 10:
-				// Few lines, so one is often captured again — re-stored or
-				// not — while its older image is still in flight.
-				l := trace.LineOf(ha + uint64(rng.Intn(4))*trace.LineSize)
-				var hb, sb [trace.LineSize]byte
-				h.CaptureLine(l, hb[:])
-				s.CaptureLine(l, sb[:])
-				if hb != sb {
-					return false
-				}
-				inFlight = append(inFlight, l)
-				hImgs, sImgs = append(hImgs, hb[:]...), append(sImgs, sb[:]...)
-			case 11:
-				apply(rng.Intn(len(inFlight) + 1))
 			}
 			if !sameState(h, s) {
 				return false
 			}
 		}
-		apply(len(inFlight))
 		h.PersistAll()
 		s.PersistAll()
 		return h.CheckConsistency() == nil && s.CheckConsistency() == nil && sameState(h, s)
@@ -335,74 +304,5 @@ func TestCopyWithinBounds(t *testing.T) {
 	}
 	if h.DirtyCount() != 0 {
 		t.Fatal("a rejected copy marked lines dirty")
-	}
-}
-
-// TestOwnerMarksRaceWorkerApply is the heap's one cross-goroutine
-// interleaving: the owner keeps storing to (and flagging) a set of lines
-// while another goroutine — the flush pipeline's worker — persists captured
-// images of the same lines with ApplyCaptured. The two share no location:
-// the owner touches the volatile bytes and the flags with plain accesses,
-// the worker only the durable bytes, under their stripes. The race detector
-// is the proof (run with -race -count=10), and a final owner flush must
-// leave every line clean and durable at its last value.
-func TestOwnerMarksRaceWorkerApply(t *testing.T) {
-	h := New(1 << 16)
-	const nLines = 32
-	base, err := h.AllocLines(nLines * trace.LineSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]trace.LineAddr, nLines)
-	for i := range lines {
-		lines[i] = trace.LineOf(base + uint64(i)*trace.LineSize)
-	}
-	const rounds = 200
-	// The owner captures on its own goroutine (CaptureLine reads the
-	// volatile plane) and hands the images over, as the pipeline does.
-	work := make(chan []byte)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for data := range work {
-			h.ApplyCaptured(lines, data)
-		}
-	}()
-	for r := 1; r <= rounds; r++ {
-		data := make([]byte, nLines*trace.LineSize)
-		for i, l := range lines {
-			h.Store64(l.ByteAddr(), uint64(r))
-			h.CaptureLine(l, data[i*trace.LineSize:])
-		}
-		work <- data
-		// Re-mark while the worker applies the round's images.
-		h.CopyWithin(base, base+trace.LineSize, (nLines-1)*trace.LineSize)
-		for _, l := range lines {
-			h.Store64(l.ByteAddr()+8, uint64(r))
-		}
-	}
-	close(work)
-	<-done
-	// Every line was re-stored after its last capture, so whatever order
-	// the worker's applies landed in, all of them are still owed a flush.
-	if n := h.DirtyCount(); n != nLines {
-		t.Fatalf("%d lines dirty after the worker's last apply, want all %d", n, nLines)
-	}
-	if err := h.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range lines {
-		h.FlushLine(l)
-	}
-	if n := h.DirtyCount(); n != 0 {
-		t.Fatalf("%d lines dirty after the owner's final flush", n)
-	}
-	if err := h.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range lines {
-		if got := h.PersistedUint64(l.ByteAddr() + 8); got != rounds {
-			t.Fatalf("line %d durable word = %d, want %d", l, got, rounds)
-		}
 	}
 }

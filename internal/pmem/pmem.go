@@ -13,42 +13,30 @@
 //
 // # Concurrency architecture
 //
-// Heap is split into an owner-private data plane and a lock-striped seam
-// for the one thing a second goroutine may do to it, so the store→flush hot
-// path executes no lock and no interlocked instruction:
+// Heap is an owner-private data plane plus a few whole-heap operations, so
+// the store→flush hot path executes no lock and no interlocked instruction:
 //
 //   - Data plane: the volatile and persisted byte arrays plus one flag byte
 //     per line. Correctness rests on the single-writer-per-line discipline:
 //     every cache line above the header is owned by at most one goroutine at
 //     a time (an atlas.Thread or a kv shard writer), and only the owner
-//     stores to it, flushes it, captures it, or touches its flag — all with
-//     plain loads and stores after a bounds check. The flag means "stored
-//     since the last flush or capture": a store sets it, FlushLine copies
-//     the line to the durable view and clears it, and CaptureLine — the
-//     pipeline's "clwb issued" point, which runs on the owner — clears it
-//     too. Stable (committed, unowned) lines may be read by anyone; that is
-//     how kv snapshot readers work.
-//   - Stripes: NumStripes locks keyed by line address guard the durable
-//     bytes against the only cross-goroutine writer, the flush pipeline's
-//     worker applying captured images (ApplyCaptured), and against batched
-//     FlushLines; PersistedUint64 takes the stripe so it can be read while
-//     a worker applies. ApplyCaptured copies bytes and never touches a
-//     flag, so no location is shared between the owner's path and the
-//     worker's: a line re-stored between its capture and the apply stays
-//     flagged by that store. A line with an image in flight must not be
-//     flushed directly or written through by its owner until the image has
-//     been applied (the pipeline's epoch await is that ordering), or the
-//     apply would put older bytes over newer ones.
+//     stores to it, flushes it, or touches its flag — all with plain loads
+//     and stores after a bounds check. The flag means "stored since the last
+//     flush": a store sets it and FlushLine copies the line to the durable
+//     view and clears it. Stable (committed, unowned) lines may be read by
+//     anyone; that is how kv snapshot readers work.
+//   - Stripes: NumStripes locks keyed by line address. No store or flush
+//     takes one. They are taken only by PersistedUint64 (one stripe) and by
+//     the whole-heap operations (every stripe, in index order), and their
+//     counters are what the nvserver STATS stripes= line reports.
 //   - Header plane: the root/alloc/meta words of line 0 are guarded by a
 //     dedicated mutex and written through to the persisted view (they are
 //     never dirty).
 //
 // Whole-heap operations — Crash, PersistAll, DirtyLines, DirtyCount,
 // CheckConsistency — require the data plane to be externally quiesced (no
-// goroutine mid-store, every captured image applied or abandoned), with a
-// happens-before edge from each owner's last access (a join, a channel, a
-// Close); they then take every stripe in index order, which also excludes a
-// straggling ApplyCaptured.
+// goroutine mid-store), with a happens-before edge from each owner's last
+// access (a join, a channel, a Close).
 //
 // SerialHeap (serial.go) is the original coarse-mutex implementation, kept
 // as a strictly-serialized oracle for differential tests.
@@ -75,18 +63,16 @@ const (
 
 // NumStripes is the number of durable-view lock stripes. Lines are spread
 // over stripes by a multiplicative (Fibonacci) hash rather than line mod
-// NumStripes: threads typically own contiguous, identically-sized regions,
-// and a modulo mapping would send every thread's k-th line to the same
-// stripe — lockstep mutators would then convoy on one stripe after
-// another. The hash decorrelates equal offsets in different regions.
+// NumStripes, so equal offsets in identically-sized regions land on
+// different stripes.
 const (
 	NumStripes  = 64
 	stripeShift = 58 // 64 - log2(NumStripes)
 	fibMix      = 0x9e3779b97f4a7c15
 )
 
-// stripe is one lock of the durable-view seam: it guards the durable bytes
-// of the lines that hash to it against writers other than the lines' owner.
+// stripe is one lock keyed by line address. PersistedUint64 takes the
+// line's stripe and whole-heap operations take them all; nothing else does.
 type stripe struct {
 	mu sync.Mutex
 	// acquired counts lock acquisitions; it is mutated only under mu.
@@ -115,7 +101,7 @@ type Heap struct {
 	mem       []byte // volatile view: program reads and writes land here
 	persisted []byte // durable view: updated only by line flushes
 	// dirty holds one flag per line: 1 while the line was stored to since its
-	// last flush or capture. dirty[l] is read and written only by line l's
+	// last flush. dirty[l] is read and written only by line l's
 	// owner, with plain accesses (whole-heap operations read it quiesced).
 	dirty   []uint8
 	hdr     sync.Mutex
@@ -179,89 +165,6 @@ func (h *Heap) flushLine(line trace.LineAddr) {
 	h.check(start, trace.LineSize)
 	copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
 	h.dirty[line] = 0
-}
-
-// FlushLines persists a batch of lines grouped by stripe: each involved
-// stripe lock is taken once per batch, which is the pmem side of the
-// batched flush-pipeline seam. Semantically identical to calling flushLine
-// on each element in order (later duplicates win — they copy the same
-// volatile contents anyway), but safe against a concurrent ApplyCaptured of
-// the same lines. It reads the volatile view and clears the lines' flags, so
-// the lines' owner must be the caller or be stopped.
-func (h *Heap) FlushLines(lines []trace.LineAddr) {
-	for _, line := range lines {
-		h.check(line.ByteAddr(), trace.LineSize)
-	}
-	var done [NumStripes]bool
-	for i, line := range lines {
-		si := (uint64(line) * fibMix) >> stripeShift
-		if done[si] {
-			continue
-		}
-		done[si] = true
-		st := &h.stripes[si]
-		st.lock()
-		for _, l := range lines[i:] {
-			if (uint64(l)*fibMix)>>stripeShift != si {
-				continue
-			}
-			start := l.ByteAddr()
-			copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
-			h.dirty[l] = 0
-		}
-		st.mu.Unlock()
-	}
-}
-
-// CaptureLine snapshots a line's current volatile contents into dst
-// (len ≥ trace.LineSize) and clears the line's flag, with no locking: the
-// caller must be the line's owner. This is the pipeline's "clwb issued"
-// point — from here the image's journey to the durable view is the
-// pipeline's responsibility, and a later store to the line flags it again.
-// The snapshot can be persisted from any goroutine with ApplyCaptured.
-func (h *Heap) CaptureLine(line trace.LineAddr, dst []byte) {
-	start := line.ByteAddr()
-	h.check(start, trace.LineSize)
-	copy(dst[:trace.LineSize], h.mem[start:start+trace.LineSize])
-	h.dirty[line] = 0
-}
-
-// ApplyCaptured persists previously captured line images: data holds
-// len(lines) consecutive trace.LineSize-byte snapshots taken by
-// CaptureLine. Like FlushLines, each involved stripe lock is taken once per
-// batch. It touches neither the volatile view nor any line's flag — the
-// capture already cleared it, and a store newer than the snapshot set it
-// again — so it may run on any goroutine while the owner keeps storing.
-// Applying a stale snapshot is safe under the runtime's write-cache
-// protocol: any store newer than the snapshot re-inserted the line into its
-// thread's write cache, so a fresher capture of the same line is guaranteed
-// to follow before the owning FASE's epoch persists.
-func (h *Heap) ApplyCaptured(lines []trace.LineAddr, data []byte) {
-	if len(data) < len(lines)*trace.LineSize {
-		panic(fmt.Sprintf("pmem: ApplyCaptured with %d lines but %d data bytes", len(lines), len(data)))
-	}
-	for _, line := range lines {
-		h.check(line.ByteAddr(), trace.LineSize)
-	}
-	var done [NumStripes]bool
-	for i, line := range lines {
-		si := (uint64(line) * fibMix) >> stripeShift
-		if done[si] {
-			continue
-		}
-		done[si] = true
-		st := &h.stripes[si]
-		st.lock()
-		for j := i; j < len(lines); j++ {
-			l := lines[j]
-			if (uint64(l)*fibMix)>>stripeShift != si {
-				continue
-			}
-			start := l.ByteAddr()
-			copy(h.persisted[start:start+trace.LineSize], data[j*trace.LineSize:(j+1)*trace.LineSize])
-		}
-		st.mu.Unlock()
-	}
 }
 
 // persistHeaderLocked writes line 0 through to the durable view. Caller
@@ -422,8 +325,8 @@ func (h *Heap) ReadBytes(addr, n uint64) []byte {
 
 // PersistedUint64 reads the durable view (what a crash would preserve);
 // recovery and tests use it. The caller must own the line or have its owner
-// stopped: the line's stripe excludes a pipeline worker applying a captured
-// image of it, not the owner's own lock-free flush.
+// stopped: the line's stripe excludes a whole-heap operation, not the
+// owner's own lock-free flush.
 func (h *Heap) PersistedUint64(addr uint64) uint64 {
 	h.check(addr, 8)
 	st := h.stripeOf(trace.LineOf(addr))
@@ -500,8 +403,7 @@ func (h *Heap) isDirty(line trace.LineAddr) bool { return h.dirty[line] != 0 }
 
 // Crash simulates a power failure: the volatile view is replaced by the
 // durable view, losing every write that was never flushed. Mutators must
-// be quiesced; Crash takes every stripe in order so it cannot interleave
-// with a straggling ApplyCaptured.
+// be quiesced.
 func (h *Heap) Crash() {
 	h.lockAll()
 	defer h.unlockAll()
@@ -529,9 +431,8 @@ func (h *Heap) PersistAll() {
 
 // CheckConsistency verifies the cross-view invariant on a quiesced heap:
 // every line that is not flagged must read identically in the volatile and
-// durable views. Flagged lines are the divergence a flush still owes NVRAM;
-// a captured image not yet applied is divergence too, so quiesced includes
-// "no image in flight".
+// durable views. Flagged lines are the divergence a flush still owes
+// NVRAM.
 func (h *Heap) CheckConsistency() error {
 	h.lockAll()
 	defer h.unlockAll()
@@ -552,12 +453,10 @@ func (h *Heap) CheckConsistency() error {
 
 // StripeStat is one stripe's lock counters.
 type StripeStat struct {
-	// Acquired counts lock acquisitions: ApplyCaptured and FlushLines
-	// batches, durable reads, whole-heap operations. The owner's store and
-	// flush path acquires none.
+	// Acquired counts lock acquisitions: durable reads and whole-heap
+	// operations. The owner's store and flush path acquires none.
 	Acquired int64
-	// Contended counts acquisitions that found the lock already held — the
-	// cross-goroutine serialization the striping is meant to minimize.
+	// Contended counts acquisitions that found the lock already held.
 	Contended int64
 }
 

@@ -37,13 +37,6 @@ func (s *Sink) FlushLine(line trace.LineAddr) {
 	s.unpublished++
 }
 
-// FlushBatch implements core.BatchSink: the whole batch is persisted with
-// one stripe-lock acquisition per involved stripe.
-func (s *Sink) FlushBatch(lines []trace.LineAddr) {
-	s.h.FlushLines(lines)
-	s.async.Add(int64(len(lines)))
-}
-
 // Drain implements core.FlushSink: flush the given lines, then a
 // persistence barrier. It publishes the FASE's FlushLine count.
 func (s *Sink) Drain(lines []trace.LineAddr) {
@@ -59,31 +52,6 @@ func (s *Sink) Drain(lines []trace.LineAddr) {
 		return
 	}
 	s.drained.Add(int64(len(lines)))
-}
-
-// CaptureLine implements core.CaptureSink: snapshot the line's volatile
-// contents on the owning mutator, for a later ApplyBatch/DrainCaptured from
-// the pipeline worker.
-func (s *Sink) CaptureLine(line trace.LineAddr, dst []byte) {
-	s.h.CaptureLine(line, dst)
-}
-
-// ApplyBatch implements core.CaptureSink: persist captured images as
-// asynchronous write-backs, stripe-grouped (one lock take per stripe per
-// batch).
-func (s *Sink) ApplyBatch(lines []trace.LineAddr, data []byte) {
-	s.h.ApplyCaptured(lines, data)
-	s.async.Add(int64(len(lines)))
-}
-
-// DrainCaptured implements core.CaptureSink: persist captured drain lines
-// and count the FASE-end barrier, mirroring Drain's accounting.
-func (s *Sink) DrainCaptured(lines []trace.LineAddr, data []byte) {
-	s.h.ApplyCaptured(lines, data)
-	s.drained.Add(int64(len(lines)))
-	if len(lines) == 0 {
-		s.barriers.Add(1)
-	}
 }
 
 // Stats implements core.FlushSink.
