@@ -154,10 +154,6 @@ type commitPlan struct {
 	hasTrig bool
 }
 
-// absorbed returns how many acked logical ops were absorbed (folded away
-// without a physical write of their own).
-func (p *commitPlan) absorbed() int { return len(p.acks) - len(p.writes) }
-
 func (sh *shard) absorbOn() bool { return sh.st.opts.Absorb.Enabled }
 
 func (sh *shard) absorbHook(op AbsorbOp) {
@@ -257,6 +253,16 @@ func (sh *shard) planCommit(batch []request, force bool) *commitPlan {
 			}
 			plan.acks = append(plan.acks, r)
 			plan.results = append(plan.results, Result{})
+		case OpGet:
+			// A GET sees the serial state at its position. If that includes
+			// a parked delta, the delta folds into this commit, so the value
+			// is durable before the GET is acked.
+			s := look(r.k)
+			if _, pend := sh.acc.deltas[r.k]; pend {
+				conflict = true
+			}
+			plan.acks = append(plan.acks, r)
+			plan.results = append(plan.results, Result{Found: s.present, Val: s.val})
 		case OpIncr, OpDecr:
 			sh.absorbHook(AbsorbMerge)
 			d := r.v
@@ -360,8 +366,8 @@ func (sh *shard) drainAbsorb() (crashed bool) {
 }
 
 // finishAbsorbed completes a plan with no physical writes: every acked op
-// absorbed into nothing (net-null), so there is no FASE — the acks cross
-// the same ack boundaries a committed batch would.
+// is a GET or absorbed into nothing (net-null), so there is no FASE — the
+// acks cross the same ack boundaries a committed batch would.
 func (sh *shard) finishAbsorbed(plan *commitPlan) (crashed bool) {
 	if len(plan.acks) == 0 {
 		return false

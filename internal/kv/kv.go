@@ -18,11 +18,16 @@
 // that pair back to back. A caller that keeps many tickets in flight — a
 // connection's pipelined window — gets them committed together.
 //
-// Reads never enter the writer queue: they are snapshot reads against the
-// last committed root, published atomically by the writer. Superseded
-// pages are reclaimed only once no snapshot that can still see them is
-// live (deferred reclamation via mdb.SetFreeHook), so readers never block
-// writers and writers never invalidate readers.
+// Get, GetBatch and Scan never enter the writer queue: they are snapshot
+// reads against the last committed root, published atomically by the
+// writer. Superseded pages are reclaimed only once no snapshot that can
+// still see them is live (deferred reclamation via mdb.SetFreeHook), so
+// readers never block writers and writers never invalidate readers. The
+// one queued read is a Submit of OpGet, for a caller whose read must
+// follow its own writes still in flight: the writer answers it at its
+// queue position, from the batch's tree, and acks it with the batch after
+// the durable commit, so it never returns a value that could be lost. A
+// batch of GETs alone has nothing to commit and opens no FASE.
 package kv
 
 import (
@@ -394,13 +399,13 @@ func (s *Store) enqueue(sh *shard, r request) error {
 	}
 }
 
-// Submit enqueues one single-key mutation on its shard's writer queue and
+// Submit enqueues one single-key request on its shard's writer queue and
 // returns without waiting for the commit; the outcome arrives through
 // t.Wait. For OpPut v is the value, for OpIncr/OpDecr the delta, for OpDel
-// it is ignored. Submit blocks only while the shard's queue is full, and
-// never fails on its own: a store that is closed or has crashed completes
-// the ticket with ErrClosed or ErrCrashed. Mutations submitted to one shard
-// by one goroutine commit in submission order.
+// and OpGet it is ignored. Submit blocks only while the shard's queue is
+// full, and never fails on its own: a store that is closed or has crashed
+// completes the ticket with ErrClosed or ErrCrashed. Requests submitted to
+// one shard by one goroutine are applied in submission order.
 func (s *Store) Submit(t *Ticket, op Op, k, v uint64) {
 	t.arm(1)
 	sh := s.shards[ShardIndex(k, len(s.shards))]
@@ -574,8 +579,9 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 
 // Get reads k from the shard's last committed snapshot, without entering
 // the writer queue: concurrent commits never block a reader and a reader
-// never blocks the writer. Reads keep working after Close (the heap stays
-// attached) but not after a crash.
+// never blocks the writer. A read that must see the caller's own writes
+// still in flight is a Submit of OpGet instead. Reads keep working after
+// Close (the heap stays attached) but not after a crash.
 func (s *Store) Get(k uint64) (uint64, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -11,7 +11,7 @@ import (
 	"nvmcache/internal/mdb"
 )
 
-// Op names a single-key mutation for Store.Submit.
+// Op names a single-key request for Store.Submit: a mutation, or OpGet.
 type Op uint8
 
 const (
@@ -21,6 +21,12 @@ const (
 	// arithmetic; a missing key counts from zero).
 	OpIncr
 	OpDecr
+	// OpGet is a read in queue order: the shard writer answers it at its
+	// position, so it sees exactly the writes queued ahead of it, and
+	// completes it only with its batch's acks — after the commit that makes
+	// those writes durable. A GET that needs no such ordering should use
+	// Store.Get, which reads the committed snapshot and never queues.
+	OpGet
 	// opPuts is a batched put (Store.SubmitBatch / the wire protocol's
 	// MPUT): one request carrying a shard-local pairs slice, acked once after
 	// the whole slice is durable. It rides the queue as a single request so
@@ -28,19 +34,20 @@ const (
 	opPuts
 )
 
-// Result is the outcome of one mutation: Found is a delete's "was present",
-// Val a counter op's post-op value at its serialization point.
+// Result is the outcome of one request: Found is a delete's "was present"
+// or a GET's "is present", Val a counter op's post-op value at its
+// serialization point or a GET's value.
 type Result struct {
 	Err   error
 	Found bool
 	Val   uint64
 }
 
-// Ticket is the caller-owned completion slot of one submitted mutation. The
+// Ticket is the caller-owned completion slot of one submitted request. The
 // zero value is ready to use, and a ticket is reusable: once Wait has
 // returned it may be submitted again, so a caller that keeps its tickets (a
 // connection's window, a worker's loop) submits and completes without
-// allocating. A ticket carries one mutation at a time and must not be
+// allocating. A ticket carries one request at a time and must not be
 // copied after first use.
 type Ticket struct {
 	ch chan struct{} // buffered(1): signalled by whichever part completes last
@@ -91,9 +98,9 @@ func (t *Ticket) Wait() Result {
 	return t.res
 }
 
-// request is one queued mutation; t carries the ack after the containing
+// request is one queued request; t carries the ack after the containing
 // batch has committed and flushed. For counter ops v is the delta; for
-// opPuts the payload is pairs and k/v are unused.
+// opPuts the payload is pairs and k/v are unused; OpGet uses only k.
 type request struct {
 	op    Op
 	k, v  uint64
@@ -103,8 +110,8 @@ type request struct {
 
 // reqCost is a request's logical op count: a batched put carries one op
 // per pair (never less than one, so a batch always makes progress),
-// everything else is one. Group-commit bounds and stats count logical ops,
-// so an MPUT of n pairs weighs the same as n PUTs.
+// everything else is one. The group-commit bound counts logical ops, so an
+// MPUT of n pairs weighs the same as n PUTs.
 func reqCost(r *request) int {
 	if r.op == opPuts && len(r.pairs) > 1 {
 		return len(r.pairs)
@@ -112,13 +119,27 @@ func reqCost(r *request) int {
 	return 1
 }
 
-// logicalOps sums reqCost over a batch.
+// logicalOps sums reqCost over a batch's mutations: what the stats count.
+// A queued GET weighs on the gather bound but is no committed op, so the
+// flush-per-op ratio moves only when mutations share a FASE.
 func logicalOps(batch []request) int {
 	n := 0
 	for i := range batch {
-		n += reqCost(&batch[i])
+		if batch[i].op != OpGet {
+			n += reqCost(&batch[i])
+		}
 	}
 	return n
+}
+
+// readOnly reports whether a batch holds only GETs.
+func readOnly(batch []request) bool {
+	for i := range batch {
+		if batch[i].op != OpGet {
+			return false
+		}
+	}
+	return true
 }
 
 // genPages are the pages superseded by the commit of generation gen; a
@@ -365,6 +386,15 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		return true
 	}
 	results := sh.resultsFor(len(batch))
+	if len(batch) > 0 && readOnly(batch) && sh.acc.pending() == 0 {
+		// Nothing to commit, and the committed tree is durable: the GETs
+		// read it and ack without a FASE. (A parked counter delta must fold
+		// first, so with one pending the batch goes through the planner.)
+		sh.readCommitted(batch, results)
+		sh.noteOps(batch)
+		ackAll(batch, results)
+		return false
+	}
 	var plan *commitPlan
 	if sh.absorbOn() {
 		// A nil batch is a deadline (or shutdown-drain) wakeup: force the
@@ -388,8 +418,8 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 			return true
 		}
 		if len(plan.writes) == 0 {
-			// Every op this plan acks absorbed into nothing (and parked-only
-			// plans ack nobody): no FASE.
+			// Every op this plan acks is a GET or absorbed into nothing (and
+			// parked-only plans ack nobody): no FASE.
 			return sh.finishAbsorbed(plan)
 		}
 		batch, results = plan.acks, plan.results
@@ -401,8 +431,16 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		nackAll(batch, failed)
 		return false
 	case batchFailed:
+		// The aborted writes never happened, so the batch's GETs are
+		// answered from the committed tree; its mutations fail.
 		sh.aborts.Add(1)
-		nackAll(batch, failed)
+		sh.readCommitted(batch, results)
+		for i := range batch {
+			if batch[i].op != OpGet {
+				results[i] = Result{Err: failed}
+			}
+		}
+		ackAll(batch, results)
 		return false
 	case batchCrashInjected:
 		// Injected power failure: if it hit mid-FASE the undo log is still
@@ -426,6 +464,16 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 	sh.note(batch, applied, pre, post)
 	ackAll(batch, results)
 	return false
+}
+
+// readCommitted answers the batch's GETs from the tree outside any FASE,
+// which is the committed one.
+func (sh *shard) readCommitted(batch []request, results []Result) {
+	for i := range batch {
+		if batch[i].op == OpGet {
+			results[i].Val, results[i].Found = sh.db.Get(batch[i].k)
+		}
+	}
 }
 
 func ackAll(batch []request, results []Result) {
@@ -514,6 +562,9 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 				cur, _ := sh.db.Get(r.k)
 				results[i].Val = cur + d
 				failed = sh.db.Put(r.k, cur+d)
+			case OpGet:
+				// The in-transaction tree: exactly the writes queued ahead.
+				results[i].Val, results[i].Found = sh.db.Get(r.k)
 			}
 			if failed != nil {
 				break
@@ -523,7 +574,7 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 	if failed != nil {
 		// Shed the whole batch: roll the transaction back so the committed
 		// tree is untouched, and surface the cause (typically
-		// mdb.ErrPoolExhausted) to every requester.
+		// mdb.ErrPoolExhausted) to every mutation.
 		if aerr := sh.db.Abort(); aerr != nil {
 			failed = fmt.Errorf("%w (abort: %v)", failed, aerr)
 		}

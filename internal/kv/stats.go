@@ -20,7 +20,8 @@ const latRingCap = 4096
 // counters is the shard's instrumentation. The writer goroutine updates
 // the atomics at batch boundaries (flush counters are snapshots of the
 // thread's totals, published after each commit so observers never race the
-// mutating thread); gets is bumped by reader goroutines directly.
+// mutating thread); gets is bumped by reader goroutines directly, and by
+// the writer for the GETs it answers in queue order.
 type counters struct {
 	puts, dels   atomic.Uint64
 	incrs, decrs atomic.Uint64
@@ -65,11 +66,13 @@ func (sh *shard) note(batch []request, applied int, pre, post core.FlushStats) {
 }
 
 // noteOps counts acked operations by kind (shared by the FASE and the
-// net-null no-FASE ack paths).
+// no-FASE ack paths), queued GETs included.
 func (sh *shard) noteOps(batch []request) {
-	var nput, ndel, nincr, ndecr uint64
+	var nput, ndel, nincr, ndecr, nget uint64
 	for i := range batch {
 		switch batch[i].op {
+		case OpGet:
+			nget++
 		case OpPut:
 			nput++
 		case opPuts:
@@ -86,6 +89,11 @@ func (sh *shard) noteOps(batch []request) {
 	sh.dels.Add(ndel)
 	sh.incrs.Add(nincr)
 	sh.decrs.Add(ndecr)
+	// Readers bump gets on every snapshot read; a batch without GETs
+	// leaves that line alone.
+	if nget > 0 {
+		sh.gets.Add(nget)
+	}
 }
 
 func (sh *shard) recordLatency(cycles float64) {

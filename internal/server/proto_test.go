@@ -375,6 +375,36 @@ func TestBinaryWindowAllocsPut(t *testing.T) {
 	}
 }
 
+// TestBinaryWindowAllocsPutGet is TestBinaryWindowAllocsPut for a 64-request
+// window of PUT k, GET k pairs: each GET queues behind its own PUT, rides
+// that PUT's group commit and is answered from its ticket, still without
+// allocating.
+func TestBinaryWindowAllocsPutGet(t *testing.T) {
+	kvOpts := kv.DefaultOptions()
+	kvOpts.Shards = 2
+	srv, cl := testServerKV(t, kvOpts, Options{})
+	defer srv.Shutdown()
+	cl.Close()
+	const pairs = 32
+	var frames, want []byte
+	for k := uint64(0); k < pairs; k++ {
+		frames = proto.AppendGet(proto.AppendPut(frames, k, k+1), k)
+		want = proto.AppendVal(proto.AppendOK(want), k+1)
+	}
+	rd := bytes.NewReader(frames)
+	r := bufio.NewReaderSize(rd, connBufSize)
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
+	for i := 0; i < 64; i++ { // warm: tree depth, page pool, batch buffers, ticket channels
+		execFrames(h, rd, r)
+	}
+	if n := testing.AllocsPerRun(100, func() { execFrames(h, rd, r) }); n != 0 {
+		t.Fatalf("%d-pair PUT,GET window allocs = %v, want 0", pairs, n)
+	}
+	if !bytes.Equal(h.win.out, want) {
+		t.Fatalf("window answered %x, want OK,VAL k+1 for every pair", h.win.out)
+	}
+}
+
 // TestBinaryDecodeReplyAllocsFullGet pins the GET path at zero
 // allocations through the real engine: decode, snapshot read against the
 // committed tree, and reply encode — the full server-side read hot path.

@@ -19,10 +19,11 @@ const windowSlots = 256
 type slotKind uint8
 
 const (
-	// Mutations in flight: the reply is decided by the slot's ticket.
+	// Requests in flight: the reply is decided by the slot's ticket.
 	slotAck     slotKind = iota // PUT, MPUT: OK | ERR
 	slotDel                     // DEL: OK | NIL | ERR
 	slotCounter                 // INCR, DECR: VAL | ERR
+	slotGet                     // GET queued behind a write: VAL | NIL | ERR
 	// Replies already decided (a GET served at once, a request rejected at
 	// decode) that only wait their turn behind earlier mutations.
 	slotVal
@@ -46,15 +47,17 @@ type slot struct {
 //
 // Ordering contract, per connection: a read observes every earlier write of
 // its own connection and none of its later ones. A later write cannot be
-// seen because a read executes when it is decoded, before anything behind
-// it is submitted. An earlier write is seen because the read first waits
-// for it: a GET for this connection's newest write in flight on the key's
-// shard (and so, replies being in order, for the requests before that
-// write) — a GET whose shard has none runs immediately — and the
-// whole-store reads (MGET, SCAN, STATS) for every write the connection has
-// in flight. Writes to one shard commit in request order. Nothing is
-// promised about other connections' writes beyond the store's own
-// guarantees.
+// seen because a read is decoded, and so executed or queued, before
+// anything behind it is submitted. An earlier write is seen because the
+// read is ordered after it. A GET with a write of this connection in flight
+// on the key's shard (or an MPUT, which has a part queued on every shard it
+// touches) is queued on that shard behind it, answered by the shard writer
+// at its queue position and acked with that batch, after the durable
+// commit; a GET whose shard has none reads the committed snapshot at once.
+// The whole-store reads (MGET, SCAN, STATS) first wait for every write the
+// connection has in flight. Requests to one shard apply in request order.
+// Nothing is promised about other connections' writes beyond the store's
+// own guarantees.
 type window struct {
 	st   *kv.Store
 	text bool
@@ -113,11 +116,15 @@ func (w *window) submitBatch(pairs []kv.Pair) {
 	w.lastBatch = w.tail
 }
 
-// get serves a GET: after this connection's writes in flight on the key's
-// shard, otherwise at once — and when nothing at all is in flight, straight
-// into the reply buffer.
+// get serves a GET: queued behind this connection's writes in flight on the
+// key's shard, otherwise at once — and when nothing at all is in flight,
+// straight into the reply buffer.
 func (w *window) get(k uint64) {
-	w.drainTo(max(w.lastWrite[w.st.ShardFor(k)], w.lastBatch))
+	if max(w.lastWrite[w.st.ShardFor(k)], w.lastBatch) > w.head {
+		s := w.push(slotGet)
+		w.st.Submit(&s.ticket, kv.OpGet, k, 0)
+		return
+	}
 	v, ok, err := w.st.Get(k)
 	switch {
 	case err != nil:
@@ -149,7 +156,7 @@ func (w *window) fail(msg string) {
 func (w *window) barrier() { w.drainTo(w.tail) }
 
 // drainTo emits, in order, the replies of every request before sequence
-// number upTo, waiting for the mutations among them to complete.
+// number upTo, waiting for the queued requests among them to complete.
 func (w *window) drainTo(upTo uint64) {
 	for w.head < upTo {
 		s := w.slotAt(w.head)
@@ -167,9 +174,9 @@ func (w *window) drainTo(upTo uint64) {
 			switch {
 			case res.Err != nil:
 				w.replyErr(res.Err.Error())
-			case s.kind == slotCounter:
+			case s.kind == slotCounter, s.kind == slotGet && res.Found:
 				w.replyVal(res.Val)
-			case s.kind == slotDel && !res.Found:
+			case s.kind == slotGet, s.kind == slotDel && !res.Found:
 				w.replyNil()
 			default:
 				w.replyOK()

@@ -18,7 +18,7 @@ import (
 
 // wireOp is one request of a scripted window, rendered in either dialect.
 type wireOp struct {
-	verb string // PUT, GET, DEL
+	verb string // PUT, GET, DEL, INCR
 	k, v uint64
 }
 
@@ -32,8 +32,10 @@ func encodeWindow(binary bool, ops []wireOp) []byte {
 			b = proto.AppendGet(b, op.k)
 		case binary && op.verb == "DEL":
 			b = proto.AppendDel(b, op.k)
-		case op.verb == "PUT":
-			b = fmt.Appendf(b, "PUT %d %d\n", op.k, op.v)
+		case binary && op.verb == "INCR":
+			b = proto.AppendIncr(b, op.k, op.v)
+		case op.verb == "PUT", op.verb == "INCR":
+			b = fmt.Appendf(b, "%s %d %d\n", op.verb, op.k, op.v)
 		default:
 			b = fmt.Appendf(b, "%s %d\n", op.verb, op.k)
 		}
