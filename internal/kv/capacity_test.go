@@ -35,12 +35,14 @@ func adaptedStore(t *testing.T) (*pmem.Heap, Options, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batches of puts to spread keys: long FASEs with heavy page reuse, so
-	// the knee lands well away from the default capacity.
-	pairs := make([]Pair, 64)
+	// Wide batches of puts to scattered keys: long FASEs with heavy page
+	// reuse, so the knee lands well away from the default capacity. (With
+	// 2-line pages, 64-put batches of consecutive keys knee at 8 or 9, on
+	// or next to the default.)
+	pairs := make([]Pair, 256)
 	for round := uint64(0); round < 64; round++ {
 		for i := range pairs {
-			pairs[i] = Pair{K: round*64 + uint64(i), V: round}
+			pairs[i] = Pair{K: (round*256 + uint64(i)) * 7919 % (1 << 20), V: round}
 		}
 		if err := s.PutBatch(pairs); err != nil {
 			t.Fatal(err)

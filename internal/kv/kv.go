@@ -189,9 +189,9 @@ func (o Options) withDefaults() Options {
 // allocator is rebuilt from the tree.
 func RecommendedHeapBytes(o Options) uint64 {
 	o = o.withDefaults()
-	perShard := uint64(192)*uint64(o.PoolPages) + // page pool arena
+	perShard := mdb.ArenaBytes(o.PoolPages) + // page pool arena
 		16*uint64(o.LogEntries) + // undo log entries
-		8*64 // meta page, arena header, log headers, slack
+		8*64 // meta page, log headers, slack
 	total := uint64(o.Shards) * perShard
 	total += dirBytes(o.Shards) + 64 + 1<<14 // directory + registry + slack
 	return total + total/4

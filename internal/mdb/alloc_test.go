@@ -15,17 +15,23 @@ import (
 // TestPageAllocFreeReuse: the allocator reuses the most recently released
 // page first and takes fresh arena space only when none is left.
 func TestPageAllocFreeReuse(t *testing.T) {
-	_, db := newDB(t, core.Lazy)
-	a, _ := db.alloc() // a 32 768-page pool: the checks below catch a failure
-	b, _ := db.alloc()
-	db.release(a)
-	if c, _ := db.alloc(); a == b || c != a || db.cursor != 2 {
-		t.Fatalf("allocated %d and %d, released the first, then got %d with the cursor at %d", a, b, c, db.cursor)
-	}
+	forOrders(t, func(t *testing.T, order int) {
+		_, db := tinyDB(t, 8, order)
+		a, _ := db.alloc() // an 8-page pool: the checks below catch a failure
+		b, _ := db.alloc()
+		db.release(a)
+		if c, _ := db.alloc(); a == b || c != a || db.cursor != 2 {
+			t.Fatalf("allocated %d and %d, released the first, then got %d with the cursor at %d", a, b, c, db.cursor)
+		}
+		if b-a != db.block {
+			t.Fatalf("pages %d and %d are not one %d-byte block apart", a, b, db.block)
+		}
+	})
 }
 
-// tinyDB opens a store whose page pool holds only pages pages.
-func tinyDB(t *testing.T, pages int) (*atlas.Runtime, *DB) {
+// tinyDB opens a store of the given order whose page pool holds only pages
+// pages.
+func tinyDB(t *testing.T, pages, order int) (*atlas.Runtime, *DB) {
 	t.Helper()
 	opts := atlas.DefaultOptions()
 	opts.Policy = core.Lazy
@@ -34,7 +40,7 @@ func tinyDB(t *testing.T, pages int) (*atlas.Runtime, *DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenSized(th, pages)
+	db, err := openOrder(th, pages, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +50,10 @@ func tinyDB(t *testing.T, pages int) (*atlas.Runtime, *DB) {
 // TestPageAllocExhaustion: the allocator hands out exactly its capacity in
 // distinct pages, refuses the next request, and serves one again as soon as
 // a page is released.
-func TestPageAllocExhaustion(t *testing.T) {
-	_, db := tinyDB(t, 4)
+func TestPageAllocExhaustion(t *testing.T) { forOrders(t, testPageAllocExhaustion) }
+
+func testPageAllocExhaustion(t *testing.T, order int) {
+	_, db := tinyDB(t, 4, order)
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +85,10 @@ func TestPageAllocExhaustion(t *testing.T) {
 // TestPageAllocExhaustionSentinel: a dry pool is load, not corruption. The
 // allocator's error wraps ErrPoolExhausted, and aborting the transaction
 // that hit it gives every page back.
-func TestPageAllocExhaustionSentinel(t *testing.T) {
-	_, db := tinyDB(t, 4)
+func TestPageAllocExhaustionSentinel(t *testing.T) { forOrders(t, testPageAllocExhaustionSentinel) }
+
+func testPageAllocExhaustionSentinel(t *testing.T, order int) {
+	_, db := tinyDB(t, 4, order)
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +121,10 @@ func TestPageAllocExhaustionSentinel(t *testing.T) {
 // TestFreePagesSurviveCrash: a page released before a crash is free after
 // recovery, though the allocator persisted nothing, and it is the one the
 // next allocation hands out.
-func TestFreePagesSurviveCrash(t *testing.T) {
-	rt, db := tinyDB(t, 8)
+func TestFreePagesSurviveCrash(t *testing.T) { forOrders(t, testFreePagesSurviveCrash) }
+
+func testFreePagesSurviveCrash(t *testing.T, order int) {
+	rt, db := tinyDB(t, 8, order)
 	put(t, db, 1, 1)
 	old := db.t.Load64(db.meta)
 	put(t, db, 1, 2) // copies the root page and releases the old one
@@ -141,7 +153,9 @@ func TestFreePagesSurviveCrash(t *testing.T) {
 // that does not lead to a page arena is refused with an error, a capacity
 // larger than the heap is clamped to it, and a tree whose pointers leave
 // the arena or loop back is walked without a panic.
-func TestAttachRejectsGarbage(t *testing.T) {
+func TestAttachRejectsGarbage(t *testing.T) { forOrders(t, testAttachRejectsGarbage) }
+
+func testAttachRejectsGarbage(t *testing.T, order int) {
 	h := pmem.New(1 << 22)
 	opts := atlas.DefaultOptions()
 	opts.Policy = core.Lazy
@@ -149,7 +163,7 @@ func TestAttachRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenSized(th, 256)
+	db, err := openOrder(th, 256, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +186,7 @@ func TestAttachRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit := (h.Size() - arena - arenaHdr) / pageBlock; uint64(len(big.stamp)) != fit {
+	if fit := (h.Size() - arena - arenaHdr) / db.block; uint64(len(big.stamp)) != fit {
 		t.Fatalf("capacity %d not clamped to the heap's %d pages", len(big.stamp), fit)
 	}
 	if err := big.CheckPages(); err != nil {
@@ -184,9 +198,9 @@ func TestAttachRejectsGarbage(t *testing.T) {
 	if db.ptype(root) != pageBranch {
 		t.Fatal("root is not a branch")
 	}
-	h.WriteUint64(root+valsOff, root+8)  // not the start of a page
-	h.WriteUint64(root+valsOff+8, 1<<50) // outside the heap
-	h.WriteUint64(root+valsOff+16, root) // a cycle
+	h.WriteUint64(root+db.valsOff, root+8)  // not the start of a page
+	h.WriteUint64(root+db.valsOff+8, 1<<50) // outside the heap
+	h.WriteUint64(root+db.valsOff+16, root) // a cycle
 	if _, err := Attach(th, meta); err != nil {
 		t.Fatalf("Attach of a damaged tree: %v", err)
 	}
@@ -199,11 +213,89 @@ func TestAttachRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestAttachRejectsForeignGeometry: Attach lays the pages out by the tree
+// order recorded at arena+16, so the order must be one a constructor writes
+// and must agree with the recorded block size. An intact arena of either
+// order reattaches with its own geometry and contents; an unknown order, an
+// order whose block size is not the recorded one, or a torn order word is
+// refused with an error, never a panic.
+func TestAttachRejectsForeignGeometry(t *testing.T) {
+	forOrders(t, func(t *testing.T, order int) {
+		rt, db := tinyDB(t, 64, order)
+		if err := db.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 40; k++ {
+			if err := db.Put(k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		h, th, meta := rt.Heap(), db.t, db.MetaAddr()
+		arena := h.ReadUint64(meta + 16)
+
+		back, err := Attach(th, meta)
+		if err != nil {
+			t.Fatalf("Attach of an intact arena: %v", err)
+		}
+		if back.order != order || back.block != db.block || back.PageLines() != db.PageLines() {
+			t.Fatalf("reattached as order %d with %d-byte blocks, want order %d with %d", back.order, back.block, order, db.block)
+		}
+		for k := uint64(0); k < 40; k++ {
+			if v, ok := back.Get(k); !ok || v != k+1 {
+				t.Fatalf("Get(%d) = %d, %v after Attach", k, v, ok)
+			}
+		}
+		if err := back.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := back.CheckPages(); err != nil {
+			t.Fatal(err)
+		}
+
+		attach := func(what string) {
+			t.Helper()
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Attach panicked: %v", what, r)
+				}
+			}()
+			if _, err := Attach(th, meta); err == nil {
+				t.Errorf("%s: Attach accepted the arena", what)
+			}
+		}
+		other := paperOrder + servingOrder - order
+		for _, c := range []struct {
+			what string
+			word uint64
+		}{
+			{"unknown order", 11},
+			{"zero order", 0},
+			{"order whose block is not the recorded one", uint64(other)},
+			{"torn order word", uint64(order) | 0xdeadbeef<<32},
+		} {
+			h.WriteUint64(arena+16, c.word)
+			attach(c.what)
+		}
+		h.WriteUint64(arena+16, uint64(order))
+		h.WriteUint64(arena, blockBytes(other))
+		attach("block size of the other order")
+		h.WriteUint64(arena, blockBytes(order))
+		if _, err := Attach(th, meta); err != nil {
+			t.Fatalf("Attach after restoring the geometry: %v", err)
+		}
+	})
+}
+
 // Property: under random transactions — committed, aborted, or cut short
 // by a crash and recovered — the page allocator never loses a page and
 // never owns one twice: after each of them CheckPages holds and the tree
 // reads exactly the committed state.
-func TestQuickPagesAcrossCrashes(t *testing.T) {
+func TestQuickPagesAcrossCrashes(t *testing.T) { forOrders(t, testQuickPagesAcrossCrashes) }
+
+func testQuickPagesAcrossCrashes(t *testing.T, order int) {
 	f := func(seed int64) bool {
 		rng := testutil.Rand(t, seed)
 		h := pmem.New(1 << 22)
@@ -214,7 +306,7 @@ func TestQuickPagesAcrossCrashes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		db, err := OpenSized(th, 512)
+		db, err := openOrder(th, 512, order)
 		if err != nil {
 			return false
 		}

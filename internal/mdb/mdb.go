@@ -11,6 +11,12 @@
 // pages are copied once per transaction but touched by every operation),
 // which is exactly the locality the adaptive software cache discovers
 // (MDB's selected cache size is 20 in Section IV-G).
+//
+// Page geometry is a property of each store. Open and OpenSized, the
+// paper's root-object path, build order-8 pages of 3 lines, the shape the
+// paper's tables are measured on; Create, the constructor a sharded
+// service calls, builds order-7 pages of exactly 2 lines, so a COW path of
+// the same depth writes back a third fewer lines (see servingOrder).
 package mdb
 
 import (
@@ -28,27 +34,48 @@ import (
 // shed work (or reopen with a larger pool). Test with errors.Is.
 var ErrPoolExhausted = errors.New("mdb: page pool exhausted")
 
-// Tree geometry: order-8 nodes, one page = header + 8 keys + 8 values (or
-// child pointers) = 136 bytes, padded to 3 cache lines so pages never
-// share a line (block size 192 in the page arena).
+// Page geometry. A page is a header word, order keys and order values (or
+// child pointers), padded to whole cache lines so pages never share a line.
+// The order is a property of each store, recorded in its arena header:
+//
+//   - paperOrder (8): 136-byte pages in 3-line blocks. Open and OpenSized,
+//     the root-object constructors behind RunMtest, cmd/mdbtest and the
+//     examples, build it, so the paper's MDB tables keep their write
+//     pattern. (At order 7 Mtest's flush ratios leave Table III's
+//     LA < SC < AT ordering.)
+//   - servingOrder (7): 120-byte pages in 2-line blocks — header and keys
+//     in the first line, values in the second. Create, the constructor a
+//     sharded service calls, builds it: at the same tree depth every COW
+//     page copy writes back 2 lines instead of 3, the third of which held
+//     one value word.
 const (
-	order     = 8
-	hdrOff    = 0
-	keysOff   = 8
-	valsOff   = keysOff + 8*order
-	pageBytes = valsOff + 8*order
-	pageBlock = 3 * trace.LineSize
+	hdrOff       = 0
+	keysOff      = 8
+	paperOrder   = 8
+	servingOrder = 7
 )
+
+// pageBytes is the size of a page of the given order, and blockBytes the
+// size of its block in the arena: ⌈pageBytes/64⌉ lines.
+func pageBytes(order int) uint64 { return keysOff + 16*uint64(order) }
+func blockBytes(order int) uint64 {
+	return (pageBytes(order) + trace.LineSize - 1) / trace.LineSize * trace.LineSize
+}
 
 // The page arena is one line of geometry followed by the pages:
 //
-//	arena+0:  page block size (pageBlock; Attach's sanity check)
+//	arena+0:  page block size (blockBytes(order); Attach's sanity check)
 //	arena+8:  capacity in pages
-//	arena+64: page 0, then page i at arena+64+i·pageBlock
+//	arena+16: tree order (paperOrder or servingOrder)
+//	arena+64: page 0, then page i at arena+64+i·block
 //
 // The geometry is written once, before the store's meta page points at it.
 // Nothing else about allocation is persistent (see DB).
 const arenaHdr = trace.LineSize
+
+// ArenaBytes is the size of the page arena Create allocates for a pool of
+// pages pages.
+func ArenaBytes(pages int) uint64 { return arenaHdr + blockBytes(servingOrder)*uint64(pages) }
 
 // DefaultPoolPages sizes the page pool when Open is not given an explicit
 // capacity.
@@ -74,6 +101,13 @@ type DB struct {
 	meta  uint64 // meta page: root ptr at +0, generation at +8, arena at +16
 	pages uint64 // address of page 0
 
+	// Geometry, from the arena header: keys per page, the offset of the
+	// value slots, the bytes a COW copy moves and the arena stride.
+	order   int
+	valsOff uint64
+	size    uint64
+	block   uint64
+
 	free   []uint32 // free page indices below cursor, reused last-in first-out
 	cursor uint32   // pages [cursor, capacity) were never handed out
 	// recycle=false keeps old page versions alive for long-lived snapshots.
@@ -94,14 +128,15 @@ type DB struct {
 	freeHook func(gen uint64, pages []uint64)
 }
 
-// Open creates an empty store with the default page-pool capacity (or
-// reattaches to one via root discovery; see Reopen).
+// Open creates an empty store of the paper's geometry (paperOrder) with the
+// default page-pool capacity, installed as the heap's root object; Reopen
+// reattaches to it.
 func Open(t *atlas.Thread) (*DB, error) { return OpenSized(t, DefaultPoolPages) }
 
-// OpenSized creates an empty store whose page pool holds up to pages
-// pages and installs it as the heap's root object.
+// OpenSized creates an empty store of the paper's geometry whose page pool
+// holds up to pages pages and installs it as the heap's root object.
 func OpenSized(t *atlas.Thread, pages int) (*DB, error) {
-	db, err := Create(t, pages)
+	db, err := create(t, pages, paperOrder)
 	if err != nil {
 		return nil, err
 	}
@@ -109,23 +144,27 @@ func OpenSized(t *atlas.Thread, pages int) (*DB, error) {
 	return db, nil
 }
 
-// Create builds an empty store without touching the heap's root pointer,
-// so several stores can share one heap (a sharded service keeps each
-// shard's MetaAddr in its own directory object). Use Attach to reopen.
-func Create(t *atlas.Thread, pages int) (*DB, error) {
+// Create builds an empty store of the serving geometry (2-line pages; see
+// servingOrder) without touching the heap's root pointer, so several stores
+// can share one heap (a sharded service keeps each shard's MetaAddr in its
+// own directory object). Use Attach to reopen.
+func Create(t *atlas.Thread, pages int) (*DB, error) { return create(t, pages, servingOrder) }
+
+func create(t *atlas.Thread, pages, order int) (*DB, error) {
 	h := t.Heap()
 	meta, err := h.AllocLines(64)
 	if err != nil {
 		return nil, fmt.Errorf("mdb: %w", err)
 	}
-	arena, err := h.AllocLines(arenaHdr + pageBlock*uint64(pages))
+	arena, err := h.AllocLines(arenaHdr + blockBytes(order)*uint64(pages))
 	if err != nil {
 		return nil, fmt.Errorf("mdb: page pool: %w", err)
 	}
-	h.WriteUint64(arena, pageBlock)
+	h.WriteUint64(arena, blockBytes(order))
 	h.WriteUint64(arena+8, uint64(pages))
+	h.WriteUint64(arena+16, uint64(order))
 	h.Persist(arena, arenaHdr)
-	db := newHandle(t, meta, arena, pages)
+	db := newHandle(t, meta, arena, pages, order)
 	t.FASEBegin()
 	t.Store64(meta, 0)        // empty tree
 	t.Store64(meta+8, 0)      // generation
@@ -148,19 +187,27 @@ func Reopen(t *atlas.Thread) (*DB, error) {
 // MetaAddr before the restart), for heaps holding more than one store. It
 // rebuilds the page allocator from the committed tree: the cursor goes just
 // past the highest page the root reaches, and every unreached page below it
-// is free. It trusts nothing it reads (see reachable), and clamps the
-// capacity to the heap.
+// is free. It trusts nothing it reads (see reachable): the geometry must be
+// one Create or OpenSized writes, and the capacity is clamped to the heap.
 func Attach(t *atlas.Thread, meta uint64) (*DB, error) {
 	if meta == 0 {
 		return nil, fmt.Errorf("mdb: zero meta address")
 	}
 	h := t.Heap()
 	arena := h.ReadUint64(meta + 16)
-	if arena < pmem.HeaderSize || arena > h.Size()-arenaHdr || h.ReadUint64(arena) != pageBlock {
+	if arena < pmem.HeaderSize || arena > h.Size()-arenaHdr {
 		return nil, fmt.Errorf("mdb: %d does not look like a page arena", arena)
 	}
-	pages := min(h.ReadUint64(arena+8), (h.Size()-arena-arenaHdr)/pageBlock)
-	db := newHandle(t, meta, arena, int(pages))
+	order := h.ReadUint64(arena + 16)
+	if order != paperOrder && order != servingOrder {
+		return nil, fmt.Errorf("mdb: arena %d records tree order %d", arena, order)
+	}
+	block := blockBytes(int(order))
+	if b := h.ReadUint64(arena); b != block {
+		return nil, fmt.Errorf("mdb: arena %d records %d-byte blocks for order %d, want %d", arena, b, order, block)
+	}
+	pages := min(h.ReadUint64(arena+8), (h.Size()-arena-arenaHdr)/block)
+	db := newHandle(t, meta, arena, int(pages), int(order))
 	live := db.reachable()
 	for i := len(live); i > 0; i-- {
 		if live[i-1] {
@@ -177,8 +224,9 @@ func Attach(t *atlas.Thread, meta uint64) (*DB, error) {
 	return db, nil
 }
 
-func newHandle(t *atlas.Thread, meta, arena uint64, pages int) *DB {
+func newHandle(t *atlas.Thread, meta, arena uint64, pages, order int) *DB {
 	return &DB{t: t, meta: meta, pages: arena + arenaHdr, recycle: true,
+		order: order, valsOff: keysOff + 8*uint64(order), size: pageBytes(order), block: blockBytes(order),
 		free: make([]uint32, 0, pages), stamp: make([]uint32, pages)}
 }
 
@@ -193,8 +241,8 @@ func (db *DB) Generation() uint64 { return db.t.Load64(db.meta + 8) }
 // that is not the start of a page in the arena.
 func (db *DB) pageIndex(p uint64) (uint32, bool) {
 	off := p - db.pages
-	i := off / pageBlock
-	return uint32(i), p >= db.pages && i < uint64(len(db.stamp)) && off%pageBlock == 0
+	i := off / db.block
+	return uint32(i), p >= db.pages && i < uint64(len(db.stamp)) && off%db.block == 0
 }
 
 // alloc hands out a page for the running transaction: the most recently
@@ -211,7 +259,7 @@ func (db *DB) alloc() (uint64, error) {
 		return 0, fmt.Errorf("%w (%d pages)", ErrPoolExhausted, len(db.stamp))
 	}
 	db.stamp[i] = db.txnSeq
-	p := db.pages + uint64(i)*pageBlock
+	p := db.pages + uint64(i)*db.block
 	db.fresh = append(db.fresh, p)
 	return p, nil
 }
@@ -219,14 +267,14 @@ func (db *DB) alloc() (uint64, error) {
 // release returns a page to the allocator. The page must have come from
 // alloc and be unreachable from every root a reader may still hold.
 func (db *DB) release(p uint64) {
-	db.free = append(db.free, uint32((p-db.pages)/pageBlock))
+	db.free = append(db.free, uint32((p-db.pages)/db.block))
 }
 
 // page accessors (p is a page address).
 func (db *DB) ptype(p uint64) uint64      { return db.t.Load64(p+hdrOff) >> 32 }
 func (db *DB) nkeys(p uint64) int         { return int(uint32(db.t.Load64(p + hdrOff))) }
 func (db *DB) key(p uint64, i int) uint64 { return db.t.Load64(p + keysOff + uint64(8*i)) }
-func (db *DB) val(p uint64, i int) uint64 { return db.t.Load64(p + valsOff + uint64(8*i)) }
+func (db *DB) val(p uint64, i int) uint64 { return db.t.Load64(p + db.valsOff + uint64(8*i)) }
 
 // The setters write only pages the running transaction allocated —
 // whole-line blocks, reachable from no durable root until the logged store
@@ -236,7 +284,7 @@ func (db *DB) setHdr(p uint64, typ uint64, n int) {
 	db.t.StorePrivate64(p+hdrOff, typ<<32|uint64(uint32(n)))
 }
 func (db *DB) setKey(p uint64, i int, k uint64) { db.t.StorePrivate64(p+keysOff+uint64(8*i), k) }
-func (db *DB) setVal(p uint64, i int, v uint64) { db.t.StorePrivate64(p+valsOff+uint64(8*i), v) }
+func (db *DB) setVal(p uint64, i int, v uint64) { db.t.StorePrivate64(p+db.valsOff+uint64(8*i), v) }
 
 // Begin opens a write transaction (one FASE).
 func (db *DB) Begin() error {
@@ -342,7 +390,7 @@ func (db *DB) touch(p uint64) (uint64, error) {
 	}
 	// Copy the whole page: the COW write burst the paper's MDB exhibits,
 	// one store event per word. The copy is private until the root publish.
-	db.t.CopyPrivate(c, p, pageBytes)
+	db.t.CopyPrivate(c, p, db.size)
 	db.freed = append(db.freed, p)
 	return c, nil
 }
@@ -445,7 +493,7 @@ func (db *DB) insertLeaf(c uint64, k, v uint64) (uint64, uint64, error) {
 func (db *DB) insertEntry(c uint64, pos int, k, v uint64) (uint64, uint64, error) {
 	n := db.nkeys(c)
 	typ := db.ptype(c)
-	if n < order {
+	if n < db.order {
 		for j := n; j > pos; j-- {
 			db.setKey(c, j, db.key(c, j-1))
 			db.setVal(c, j, db.val(c, j-1))
@@ -455,18 +503,19 @@ func (db *DB) insertEntry(c uint64, pos int, k, v uint64) (uint64, uint64, error
 		db.setHdr(c, typ, n+1)
 		return c, 0, nil
 	}
-	// Split: left keeps the lower half, right gets the upper half; then
-	// insert into the proper side.
+	// Split: left keeps the lower ⌈order/2⌉ entries, right gets the rest;
+	// then insert into the proper side. Rounding up keeps an order-7 page's
+	// left half at 4 entries, as an order-8 page's is.
 	right, err := db.newPage(typ)
 	if err != nil {
 		return 0, 0, err
 	}
-	half := order / 2
-	for j := half; j < order; j++ {
+	half := (db.order + 1) / 2
+	for j := half; j < db.order; j++ {
 		db.setKey(right, j-half, db.key(c, j))
 		db.setVal(right, j-half, db.val(c, j))
 	}
-	db.setHdr(right, typ, order-half)
+	db.setHdr(right, typ, db.order-half)
 	db.setHdr(c, typ, half)
 	if pos <= half {
 		if _, _, err := db.insertEntry(c, pos, k, v); err != nil {
@@ -636,7 +685,7 @@ func (db *DB) CheckInvariants() error {
 
 func (db *DB) checkPage(p uint64, depth int) (leafDepth int, err error) {
 	n := db.nkeys(p)
-	if n <= 0 || n > order {
+	if n <= 0 || n > db.order {
 		return 0, fmt.Errorf("mdb: page %d has %d keys", p, n)
 	}
 	for i := 1; i < n; i++ {
@@ -682,7 +731,7 @@ func (db *DB) reachable() []bool {
 		}
 		live[i] = true
 		if db.ptype(p) == pageBranch {
-			for j := range min(db.nkeys(p), order) {
+			for j := range min(db.nkeys(p), db.order) {
 				stack = append(stack, db.val(p, j))
 			}
 		}
@@ -712,6 +761,6 @@ func (db *DB) CheckPages() error {
 	return nil
 }
 
-// PageLines returns the number of cache lines per page (for locality
-// reasoning in tests and docs).
-func PageLines() int { return (pageBytes + trace.LineSize - 1) / trace.LineSize }
+// PageLines returns the number of cache lines per page of this store (for
+// locality reasoning in tests and docs).
+func (db *DB) PageLines() int { return int(db.block / trace.LineSize) }

@@ -2,6 +2,7 @@ package mdb
 
 import (
 	"errors"
+	"fmt"
 	"nvmcache/internal/testutil"
 	"testing"
 	"testing/quick"
@@ -27,6 +28,27 @@ func newDB(t *testing.T, kind core.PolicyKind) (*atlas.Runtime, *DB) {
 		t.Fatal(err)
 	}
 	return rt, db
+}
+
+// openOrder creates an empty store of the given order as the heap's root
+// object: through OpenSized for the paper's geometry, through Create for
+// the serving one.
+func openOrder(th *atlas.Thread, pages, order int) (*DB, error) {
+	if order == paperOrder {
+		return OpenSized(th, pages)
+	}
+	db, err := Create(th, pages)
+	if err == nil {
+		th.Heap().SetRoot(db.MetaAddr())
+	}
+	return db, err
+}
+
+// forOrders runs f as one subtest per page geometry.
+func forOrders(t *testing.T, f func(t *testing.T, order int)) {
+	for _, order := range []int{paperOrder, servingOrder} {
+		t.Run(fmt.Sprintf("order%d", order), func(t *testing.T) { f(t, order) })
+	}
 }
 
 func put(t *testing.T, db *DB, k, v uint64) {
@@ -287,7 +309,9 @@ func TestCommittedTxnsSurviveCrash(t *testing.T) {
 // Property: the tree matches a reference map under random interleaved
 // puts, deletes and commits, and invariants hold throughout — the page
 // allocator's included: pages emptied by deletes are recycled, not lost.
-func TestQuickTreeMatchesMap(t *testing.T) {
+func TestQuickTreeMatchesMap(t *testing.T) { forOrders(t, testQuickTreeMatchesMap) }
+
+func testQuickTreeMatchesMap(t *testing.T, order int) {
 	f := func(seed int64) bool {
 		rng := testutil.Rand(t, seed)
 		h := pmem.New(1 << 24)
@@ -299,7 +323,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		db, err := Open(th)
+		db, err := openOrder(th, DefaultPoolPages, order)
 		if err != nil {
 			return false
 		}
@@ -382,9 +406,21 @@ func TestMtestRuns(t *testing.T) {
 	}
 }
 
+// TestPageLines: the paper's 136-byte order-8 page spans 3 lines, the
+// serving 120-byte order-7 page exactly 2.
 func TestPageLines(t *testing.T) {
-	if PageLines() != 3 {
-		t.Fatalf("PageLines = %d, want 3", PageLines())
+	for order, want := range map[int]int{paperOrder: 3, servingOrder: 2} {
+		th, err := atlas.NewRuntime(pmem.New(1<<20), atlas.DefaultOptions()).NewThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := openOrder(th, 16, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.PageLines(); got != want {
+			t.Errorf("order %d: PageLines = %d, want %d", order, got, want)
+		}
 	}
 }
 

@@ -22,9 +22,10 @@ const (
 	shapeLog   = 1 << 14
 )
 
-// shapeDB builds a store of the benchmark's shape and returns it with the
-// keys it holds and a counter of the undo entries its thread records.
-func shapeDB(t *testing.T) (rt *atlas.Runtime, db *DB, keys []uint64, undo *int) {
+// shapeDB builds a store of the benchmark's shape through the constructor
+// open and returns it with the keys it holds and a counter of the undo
+// entries its thread records.
+func shapeDB(t *testing.T, open func(*atlas.Thread, int) (*DB, error)) (rt *atlas.Runtime, db *DB, keys []uint64, undo *int) {
 	t.Helper()
 	undo = new(int)
 	opts := atlas.Options{Policy: core.SoftCacheOnline, Config: core.DefaultConfig(), LogEntries: shapeLog,
@@ -33,13 +34,14 @@ func shapeDB(t *testing.T) (rt *atlas.Runtime, db *DB, keys []uint64, undo *int)
 				*undo++
 			}
 		}}
-	rt = atlas.NewRuntime(pmem.New(192*shapePages+16*shapeLog+1<<16), opts)
+	// Sized for the larger block, so either constructor fits.
+	rt = atlas.NewRuntime(pmem.New(int(blockBytes(paperOrder))*shapePages+16*shapeLog+1<<16), opts)
 	th, err := rt.NewThread()
 	if err != nil {
 		t.Fatal(err)
 	}
 	th.SetRecording(false)
-	if db, err = Create(th, shapePages); err != nil {
+	if db, err = open(th, shapePages); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -89,13 +91,13 @@ func refUpdate(db *DB, k, v uint64) {
 			panic(err)
 		}
 		superseded = append(superseded, p)
-		for off := uint64(0); off < pageBytes; off += 8 {
+		for off := uint64(0); off < db.size; off += 8 {
 			t.Store64(c+off, t.Load64(p+off))
 		}
 		if db.ptype(c) == pageLeaf {
 			for i := 0; i < db.nkeys(c); i++ {
 				if db.key(c, i) == k {
-					t.Store64(c+valsOff+uint64(8*i), v)
+					t.Store64(c+db.valsOff+uint64(8*i), v)
 					return c
 				}
 			}
@@ -103,7 +105,7 @@ func refUpdate(db *DB, k, v uint64) {
 		}
 		i := db.childIndex(c, k)
 		child := cow(db.val(c, i))
-		t.Store64(c+valsOff+uint64(8*i), child)
+		t.Store64(c+db.valsOff+uint64(8*i), child)
 		t.Store64(c+keysOff+uint64(8*i), db.key(child, 0))
 		return c
 	}
@@ -118,8 +120,24 @@ func refUpdate(db *DB, k, v uint64) {
 // meta root and the generation), and it issues the same store events in the
 // same order, and so the same flushes, as a reference that performs the
 // update with the word-by-word Store64 loop on an identically built store —
-// the optimisation and the identity of the stream the policy sees.
-func TestPutCounts(t *testing.T) {
+// the optimisation and the identity of the stream the policy sees. This is
+// the paper's geometry, built through OpenSized: a six-level path is 6×17
+// copied words (136-byte pages), 11 slot writes (the leaf value, then a
+// child pointer and a separator in each of the 5 branches), root and
+// generation — 115 stores. The FASE's distinct lines are 6×3 page lines
+// and the meta line, 19; the online policy settles at 15 lines here, so two
+// of them are evicted and written again before the drain: 21 write-backs.
+func TestPutCounts(t *testing.T) { checkPutCounts(t, OpenSized, 115, 21) }
+
+// TestPutCountsServing is the same gate on the serving geometry, built
+// through Create: the tree keeps its six levels, each copy is 15 words
+// (120-byte pages), so 6×15 + 11 + 2 = 103 stores, and every page is 2
+// lines, so the FASE has 6×2 + 1 = 13 distinct lines. The online policy
+// settles at 13 lines here, and no line is written back twice: 13
+// write-backs.
+func TestPutCountsServing(t *testing.T) { checkPutCounts(t, Create, 103, 13) }
+
+func checkPutCounts(t *testing.T, open func(*atlas.Thread, int) (*DB, error), wantStores, wantFlushes int64) {
 	const txns = 256
 	type counts struct {
 		stores, flushes int64
@@ -127,7 +145,7 @@ func TestPutCounts(t *testing.T) {
 		stream          *trace.ThreadSeq
 	}
 	measure := func(update func(db *DB, k, v uint64)) counts {
-		rt, db, keys, undo := shapeDB(t)
+		rt, db, keys, undo := shapeDB(t, open)
 		th := db.t
 		stores, flushes, undo0 := th.Stores(), th.FlushStats().Total(), *undo
 		th.SetRecording(true)
@@ -160,11 +178,9 @@ func TestPutCounts(t *testing.T) {
 	if !reflect.DeepEqual(got.stream, ref.stream) {
 		t.Errorf("store-event stream differs from the word-by-word reference's")
 	}
-	// The ladder's figures (mdb.put1_stores, mdb.put1_flushes): a six-level
-	// path is 6×17 copied words, 11 slot writes, root and generation.
-	if got.stores != 115*txns || got.flushes != 21*txns {
-		t.Errorf("per update: %v stores, %v flushes, want 115 and 21",
-			float64(got.stores)/txns, float64(got.flushes)/txns)
+	if got.stores != wantStores*txns || got.flushes != wantFlushes*txns {
+		t.Errorf("per update: %v stores, %v flushes, want %d and %d",
+			float64(got.stores)/txns, float64(got.flushes)/txns, wantStores, wantFlushes)
 	}
 }
 
@@ -210,7 +226,9 @@ func (s *crashingSink) Drain(lines []trace.LineAddr) {
 // allocator Attach rebuilds must account for every page: free ∪ reachable
 // is everything below the cursor, no page is both, and the pages the
 // crashed transaction took are all free again.
-func TestPrivatePagesCrashAtEveryFlush(t *testing.T) {
+func TestPrivatePagesCrashAtEveryFlush(t *testing.T) { forOrders(t, testPrivatePagesCrashAtEveryFlush) }
+
+func testPrivatePagesCrashAtEveryFlush(t *testing.T, order int) {
 	const preload = 400
 	cfg := core.DefaultConfig()
 	cfg.PresetSize = 1
@@ -227,7 +245,7 @@ func TestPrivatePagesCrashAtEveryFlush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := OpenSized(th, 1<<10)
+		db, err := openOrder(th, 1<<10, order)
 		if err != nil {
 			t.Fatal(err)
 		}
