@@ -353,6 +353,27 @@ func (t *Thread) StorePrivate64(addr uint64, v uint64) {
 	t.noteRun(trace.LineOf(addr), 1)
 }
 
+// StoreAtomic64 overwrites one aligned word in place, without undo-logging
+// it. It is for a word that is a complete state on its own whether it
+// holds its old or its new value: an aligned 8-byte store is failure-atomic,
+// so a crash leaves the word old or new, never torn, and no pre-image is
+// needed. The word is independent of the FASE's other stores — rollback
+// (crash recovery or FASEAbort) does not undo it, and a crash mid-FASE may
+// find any subset of such words new — so a FASE made only of these gives
+// each word, not the FASE, all-or-nothing. Everything else is Store64's:
+// the line is dirty-marked, announced to the policy, tap and trace, and
+// drained at FASE end, so the word is durable once FASEEnd returns.
+// Readers on other goroutines may load the word meanwhile with
+// pmem.Heap.LoadAtomic64.
+// It panics outside a FASE, which is where the drain comes from.
+func (t *Thread) StoreAtomic64(addr uint64, v uint64) {
+	if t.depth == 0 {
+		panic("atlas: StoreAtomic64 outside a FASE")
+	}
+	t.heap.StoreAtomic64(addr, v)
+	t.noteRun(trace.LineOf(addr), 1)
+}
+
 // CopyPrivate copies n bytes from src to dst, where dst is private to the
 // current FASE (see StorePrivate64), with one memmove and no undo records.
 // The store events are those of a Store64 loop over the destination words,

@@ -61,8 +61,9 @@ const (
 type UndoOp uint8
 
 const (
-	// UndoBegin fires before the log is marked active at the outermost
-	// FASEBegin (a crash here leaves the previous, committed log state).
+	// UndoBegin fires before the log is marked active, at the FASE's first
+	// record (a crash here leaves the previous, committed log state). A
+	// FASE that logs nothing never crosses it.
 	UndoBegin UndoOp = iota
 	// UndoRecord fires before an entry's address/old-value words are
 	// written (a crash here loses the entry entirely; the data write it
@@ -74,7 +75,7 @@ const (
 	UndoPublish
 	// UndoCommit fires before the log's status word is cleared at FASE end
 	// (a crash here finds data fully drained but the FASE still active, so
-	// recovery rolls it back).
+	// recovery rolls it back). Like UndoBegin, only a FASE that logged.
 	UndoCommit
 )
 
@@ -99,6 +100,7 @@ type undoLog struct {
 	base        uint64
 	cap         int
 	count       int
+	active      bool                // the durable status word reads logActive
 	words       int                 // distinct words logged in this FASE
 	small       [smallDedup]uint64  // those words while words ≤ smallDedup
 	dedup       map[uint64]struct{} // all of them once words > smallDedup
@@ -170,17 +172,28 @@ func newUndoLog(h *pmem.Heap, entries int, hook func(UndoOp)) (*undoLog, error) 
 	return l, nil
 }
 
-// begin opens a FASE: mark the log active before any data write. Log
-// writes are write-through (Write64Through): the log's lines belong to
-// this thread alone and the words are durable the instant they are
-// written, with no flag to set and no flush to issue later.
+// begin opens a FASE's log state. It writes nothing durable: the log is
+// marked active only by the FASE's first record (activate), so a FASE that
+// logs no word — one made only of private and in-place atomic stores —
+// leaves the log idle throughout and costs no log write at all. Until that
+// first record nothing the FASE wrote needs rolling back: a private store
+// is unreachable and an atomic one needs no pre-image.
 func (l *undoLog) begin() {
-	l.at(UndoBegin)
 	l.count = 0
+	l.active = false
 	l.droppedFASE = 0
 	l.forgetWords()
+}
+
+// activate marks the log active, before the FASE's first entry is written.
+// Log writes are write-through (Write64Through): the log's lines belong to
+// this thread alone and the words are durable the instant they are
+// written, with no flag to set and no flush to issue later.
+func (l *undoLog) activate() {
+	l.at(UndoBegin)
 	l.heap.Write64Through(l.base+logCountOff, 0)
 	l.heap.Write64Through(l.base+logStatusOff, logActive)
+	l.active = true
 }
 
 // logged reports whether word was already logged in this FASE, and
@@ -227,6 +240,9 @@ func (l *undoLog) record(addr uint64, old uint64) {
 	if l.logged(word) {
 		return
 	}
+	if !l.active {
+		l.activate()
+	}
 	if l.count >= l.cap {
 		l.dropped++
 		l.droppedFASE++
@@ -241,11 +257,15 @@ func (l *undoLog) record(addr uint64, old uint64) {
 	l.heap.Write64Through(l.base+logCountOff, uint64(l.count))
 }
 
-// commit closes the FASE after the policy drained the data writes.
+// commit closes the FASE after the policy drained the data writes. A log
+// the FASE never activated is idle already, and commit writes nothing.
 func (l *undoLog) commit() {
-	l.at(UndoCommit)
-	l.heap.Write64Through(l.base+logStatusOff, logIdle)
-	l.heap.Write64Through(l.base+logCountOff, 0)
+	if l.active {
+		l.at(UndoCommit)
+		l.heap.Write64Through(l.base+logStatusOff, logIdle)
+		l.heap.Write64Through(l.base+logCountOff, 0)
+		l.active = false
+	}
 	l.count = 0
 	l.forgetWords()
 }

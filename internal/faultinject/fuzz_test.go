@@ -87,7 +87,7 @@ func FuzzAbsorb(f *testing.F) {
 		if len(ops) == 0 {
 			return
 		}
-		counter := NewCounting()
+		counter := newRecording()
 		_, acked, err := kvSeqRun(o, ops, counter)
 		if err != nil {
 			t.Fatalf("counting run: %v", err)
@@ -106,7 +106,7 @@ func FuzzAbsorb(f *testing.F) {
 			t.Fatalf("site %d of %d never fired (err %v); enumeration not deterministic?", target, n, err)
 		}
 		crash, _ := inj.Fired()
-		if _, _, err := recoverAndVerifyKV(o, h, ops, acked, crash); err != nil {
+		if _, _, err := recoverAndVerifyKV(o, h, ops, acked, crash, counter.Sequence()); err != nil {
 			t.Fatalf("contract violated after %v (acked %d/%d ops): %v", crash, acked, len(ops), err)
 		}
 	})
@@ -134,7 +134,7 @@ func FuzzRecoverCrash(f *testing.F) {
 		if len(ops) == 0 {
 			return
 		}
-		counter := NewCounting()
+		counter := newRecording()
 		_, acked, err := kvSeqRun(o, ops, counter)
 		if err != nil {
 			t.Fatalf("counting run: %v", err)
@@ -181,7 +181,7 @@ func FuzzRecoverCrash(f *testing.F) {
 				t.Fatalf("recovery site %d of %d never fired (err %v); recovery not deterministic?", rtarget, rn, rerr)
 			}
 		}
-		if _, _, err := recoverAndVerifyKV(o, h, ops, acked, crash); err != nil {
+		if _, _, err := recoverAndVerifyKV(o, h, ops, acked, crash, counter.Sequence()); err != nil {
 			t.Fatalf("contract violated after %v (acked %d/%d ops): %v", crash, acked, len(ops), err)
 		}
 	})

@@ -22,6 +22,7 @@ package faultinject
 import (
 	"flag"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"nvmcache/internal/atlas"
@@ -152,10 +153,19 @@ type Injector struct {
 	target  int64 // -1: counting mode
 	fired   atomic.Pointer[Crash]
 	kinds   [numKinds]atomic.Int64
+
+	record bool // counting mode: keep seq (newRecording)
+	seqMu  sync.Mutex
+	seq    []Kind // every site's kind, by site number
 }
 
 // NewCounting returns an injector that enumerates sites without firing.
 func NewCounting() *Injector { return &Injector{target: -1} }
+
+// newRecording returns a counting injector that also records each site's
+// kind for Sequence. Only the sequential kv sweeps read it, so only they
+// pay for the lock.
+func newRecording() *Injector { return &Injector{target: -1, record: true} }
 
 // NewArmed returns an injector that crashes at boundary number site.
 func NewArmed(site int) *Injector { return &Injector{target: int64(site)} }
@@ -175,6 +185,15 @@ func (in *Injector) Fired() (Crash, bool) {
 		return *c, true
 	}
 	return Crash{}, false
+}
+
+// Sequence returns a recording injector's sites in order: element i is the
+// kind of site i. (Sites numbered concurrently are ordered by number, which
+// is the order an armed run of a deterministic workload crosses them.)
+func (in *Injector) Sequence() []Kind {
+	in.seqMu.Lock()
+	defer in.seqMu.Unlock()
+	return append([]Kind(nil), in.seq...)
 }
 
 // Kinds returns the per-kind census of boundaries crossed.
@@ -197,6 +216,17 @@ func (in *Injector) Point(kind Kind) {
 	}
 	site := in.next.Add(1) - 1
 	in.kinds[kind].Add(1)
+	if in.target < 0 {
+		if in.record {
+			in.seqMu.Lock()
+			if n := int(site) + 1; len(in.seq) < n {
+				in.seq = append(in.seq, make([]Kind, n-len(in.seq))...)
+			}
+			in.seq[site] = kind
+			in.seqMu.Unlock()
+		}
+		return
+	}
 	if site == in.target {
 		c := Crash{Site: int(site), Kind: kind}
 		if in.fired.CompareAndSwap(nil, &c) {

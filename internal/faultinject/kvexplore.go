@@ -268,16 +268,87 @@ func kvSeqRun(o KVOptions, ops []kvOp, inj *Injector) (h *pmem.Heap, acked int, 
 	return h, acked, nil
 }
 
+// inPlaceOp reports whether ops[i], issued alone after ops[:i], commits in
+// place: absorption is off and it is a put or counter op of a key the
+// earlier ops left present (kv's in-place rule for a one-request batch).
+func inPlaceOp(o KVOptions, ops []kvOp, i int) bool {
+	if o.Absorb || ops[i].kind == kvDel {
+		return false
+	}
+	_, present := applyOps(ops, i)[ops[i].key]
+	return present
+}
+
+// nackedVisible decides whether the nacked op ops[acked] is visible after
+// recovery from crash, using seq, the counting run's site kinds in order.
+// A crash at an ack boundary comes after the op's durable commit: visible.
+// A copy-on-write op crashed anywhere before it is rolled back whole. An
+// in-place op has no undo record to roll back with: its new value is one
+// word in one line, durable from the moment that line is written back, so
+// it is visible exactly when the crash fired after that write-back. The
+// write-back is found in the op's own span of seq — the sites after the
+// previous op's ack up to its own — which for a one-op in-place FASE holds
+// no undo site and exactly one write-back: its drain's line, or, when a
+// resize applied at the FASE end evicts that line first, a flush-line.
+func nackedVisible(o KVOptions, ops []kvOp, acked int, crash Crash, seq []Kind) (bool, error) {
+	if crash.Kind == KindAck || crash.Kind == KindAbsorbAck {
+		// KindAbsorbAck is the same boundary for an absorbed commit's parked
+		// counter acks; a net-null op acked without a FASE crosses KindAck
+		// too, and counting it visible is still exact because its net effect
+		// on the expected state is nothing.
+		return true, nil
+	}
+	if acked >= len(ops) || !inPlaceOp(o, ops, acked) {
+		return false, nil
+	}
+	start, acks := -1, 0
+	for i, k := range seq {
+		if acks == acked {
+			start = i
+			break
+		}
+		if k == KindAck {
+			acks++
+		}
+	}
+	if start < 0 {
+		return false, fmt.Errorf("the counting run has no span for op %d (%d sites)", acked, len(seq))
+	}
+	if crash.Site < start {
+		// The crash fell inside an op already acked, which only an ack
+		// before its commit allows: the nacked op never started, and the
+		// state check decides whether the acked one survived.
+		return false, nil
+	}
+	writeBack := -1
+	for i := start; i < len(seq) && seq[i] != KindAck; i++ {
+		switch seq[i] {
+		case KindFlushLine, KindDrainLine:
+			if writeBack >= 0 {
+				return false, fmt.Errorf("in-place op %d writes back at sites %d and %d, want its one value line", acked, writeBack, i)
+			}
+			writeBack = i
+		case KindUndoBegin, KindUndoRecord, KindUndoPublish, KindUndoCommit:
+			return false, fmt.Errorf("op %d should commit in place but crosses %v at site %d", acked, seq[i], i)
+		}
+	}
+	if writeBack < 0 {
+		return false, fmt.Errorf("in-place op %d writes back no line", acked)
+	}
+	return crash.Site > writeBack, nil
+}
+
 // recoverAndVerifyKV recovers a crashed heap and checks the service
 // contract: every acked op's effect is present with its exact value (no
-// acked write lost), the single nacked op is fully rolled back (no unacked
-// write visible) — except when the crash fired at the ack boundary, after
-// its durable commit, where it must instead be fully applied — the tree
-// invariants hold, every shard's rebuilt page allocator accounts for each
-// page exactly once (free ∪ reachable = everything below its cursor), the
-// heap is self-consistent, and no dirty lines remain once the recovered
+// acked write lost), the single nacked op is either fully applied or fully
+// absent exactly as nackedVisible decides from the counting run's site
+// sequence seq (rolled back, unless the crash came after its durable
+// commit or, for an in-place op, after its value line's write-back), the
+// tree invariants hold, every shard's rebuilt page allocator accounts for
+// each page exactly once (free ∪ reachable = everything below its cursor),
+// the heap is self-consistent, and no dirty lines remain once the recovered
 // store closes.
-func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash Crash) (checks int, rrep atlas.RecoveryReport, err error) {
+func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash Crash, seq []Kind) (checks int, rrep atlas.RecoveryReport, err error) {
 	st, rrep, err := kv.Recover(h, o.storeOptions(nil))
 	if err != nil {
 		return 0, rrep, err
@@ -291,14 +362,15 @@ func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash 
 	}
 	checks++
 	visible := acked
-	if (crash.Kind == KindAck || crash.Kind == KindAbsorbAck) && acked < len(ops) {
-		// The nacked op's batch committed durably before the ack boundary
-		// crashed: it must be visible, exactly once, untorn. KindAbsorbAck is
-		// the same boundary for an absorbed commit's parked counter acks; a
-		// net-null op acked without a FASE crosses KindAck too, and counting
-		// it visible is still exact because its net effect on the expected
-		// state is nothing.
-		visible = acked + 1
+	if acked < len(ops) {
+		applied, err := nackedVisible(o, ops, acked, crash, seq)
+		if err != nil {
+			return checks, rrep, err
+		}
+		if applied {
+			// Visible exactly once, untorn.
+			visible = acked + 1
+		}
 	}
 	want := applyOps(ops, visible)
 	for k := uint64(0); k < uint64(o.Keys); k++ {
@@ -336,7 +408,7 @@ func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash 
 func ExploreKV(o KVOptions) (Report, error) {
 	o = o.withDefaults()
 	ops := exhaustiveOps(o)
-	counter := NewCounting()
+	counter := newRecording()
 	_, acked, err := kvSeqRun(o, ops, counter)
 	if err != nil {
 		return Report{}, fmt.Errorf("faultinject: counting run: %w", err)
@@ -345,6 +417,7 @@ func ExploreKV(o KVOptions) (Report, error) {
 		return Report{}, fmt.Errorf("faultinject: counting run acked %d/%d ops", acked, len(ops))
 	}
 	rep := Report{Sites: counter.Sites(), Kinds: counter.Kinds()}
+	seq := counter.Sequence()
 	for site := 0; site < rep.Sites; site++ {
 		inj := NewArmed(site)
 		h, acked, err := kvSeqRun(o, ops, inj)
@@ -356,7 +429,7 @@ func ExploreKV(o KVOptions) (Report, error) {
 				site, rep.Sites)
 		}
 		crash, _ := inj.Fired()
-		checks, rrep, err := recoverAndVerifyKV(o, h, ops, acked, crash)
+		checks, rrep, err := recoverAndVerifyKV(o, h, ops, acked, crash, seq)
 		rep.Checks += checks
 		rep.FASEsRolledBack += rrep.FASEsRolledBack
 		rep.WordsRestored += rrep.WordsRestored
@@ -400,13 +473,13 @@ func genCrashedKVHeap(o KVOptions, ops []kvOp, servingSite int) (*pmem.Heap, int
 func ExploreKVRecovery(o KVOptions) (Report, error) {
 	o = o.withDefaults()
 	ops := exhaustiveOps(o)
-	counter := NewCounting()
+	counter := newRecording()
 	if _, acked, err := kvSeqRun(o, ops, counter); err != nil {
 		return Report{}, fmt.Errorf("faultinject: counting run: %w", err)
 	} else if acked != len(ops) {
 		return Report{}, fmt.Errorf("faultinject: counting run acked %d/%d ops", acked, len(ops))
 	}
-	serving := counter.Sites()
+	serving, seq := counter.Sites(), counter.Sequence()
 	rep := Report{Kinds: make(map[Kind]int)}
 	for s := 0; s < serving; s++ {
 		h, acked, crash, err := genCrashedKVHeap(o, ops, s)
@@ -460,7 +533,7 @@ func ExploreKVRecovery(o KVOptions) (Report, error) {
 			// Second, clean recovery of the twice-crashed heap: the exact
 			// acked-state oracle still decides, against the original serving
 			// crash's ack-boundary semantics.
-			checks, rrep, err := recoverAndVerifyKV(o, h, ops, acked, crash)
+			checks, rrep, err := recoverAndVerifyKV(o, h, ops, acked, crash, seq)
 			rep.Checks += checks
 			rep.FASEsRolledBack += rrep.FASEsRolledBack
 			rep.WordsRestored += rrep.WordsRestored

@@ -11,11 +11,13 @@ import (
 // service contract (acked writes durable with exact values, the nacked op
 // rolled back — or, for ack-boundary crashes, committed untorn — tree
 // invariants, heap consistency, empty dirty state). The census is pinned
-// per operation: each op commits alone, as one FASE that logs exactly two
-// words (the tree's root and generation — its pages are private and
-// unlogged) and then crosses one begin, commit, drain barrier and ack; the
-// durable view changes only at line write-backs and log write-throughs, and
-// each of those is a numbered site.
+// per operation: each op commits alone and crosses one drain barrier and
+// one ack. A copy-on-write op's FASE logs exactly two words (the tree's
+// root and generation — its pages are private and unlogged), so it adds
+// one begin and one commit; an in-place op (a put or counter op of a
+// present key) logs nothing and writes back only its value line. The
+// durable view changes only at line write-backs and log write-throughs,
+// and each of those is a numbered site.
 func TestExploreKVExhaustive(t *testing.T) {
 	o := DefaultKVOptions()
 	if testing.Short() {
@@ -30,19 +32,36 @@ func TestExploreKVExhaustive(t *testing.T) {
 	if rep.Crashes != rep.Sites || rep.Missed != 0 {
 		t.Errorf("sweep not exhaustive: %v", rep)
 	}
-	for _, k := range []Kind{KindUndoBegin, KindUndoCommit, KindDrainDone, KindAck} {
+	ops, inPlace := exhaustiveOps(o), 0
+	for i := range ops {
+		if inPlaceOp(o, ops, i) {
+			inPlace++
+		}
+	}
+	cow := o.Ops - inPlace
+	if inPlace == 0 || cow == 0 {
+		t.Fatalf("workload has %d in-place and %d copy-on-write ops; the sweep needs both", inPlace, cow)
+	}
+	for _, k := range []Kind{KindDrainDone, KindAck} {
 		if rep.Kinds[k] != o.Ops {
 			t.Errorf("%d %v sites for %d single-op FASEs: %v", rep.Kinds[k], k, o.Ops, rep)
 		}
 	}
-	for _, k := range []Kind{KindUndoRecord, KindUndoPublish} {
-		if rep.Kinds[k] != 2*o.Ops {
-			t.Errorf("%d %v sites, want 2 per FASE (root and generation): %v", rep.Kinds[k], k, rep)
+	for _, k := range []Kind{KindUndoBegin, KindUndoCommit} {
+		if rep.Kinds[k] != cow {
+			t.Errorf("%d %v sites, want 1 per copy-on-write FASE (%d): %v", rep.Kinds[k], k, cow, rep)
 		}
 	}
-	// A FASE writes back at least its leaf's line and the meta line.
-	if rep.Kinds[KindDrainLine] < 2*o.Ops {
-		t.Errorf("%d drain-line sites for %d FASEs: %v", rep.Kinds[KindDrainLine], o.Ops, rep)
+	for _, k := range []Kind{KindUndoRecord, KindUndoPublish} {
+		if rep.Kinds[k] != 2*cow {
+			t.Errorf("%d %v sites, want 2 per copy-on-write FASE (root and generation): %v", rep.Kinds[k], k, rep)
+		}
+	}
+	// A copy-on-write FASE writes back at least its leaf's line and the
+	// meta line, an in-place one exactly its value line.
+	if rep.Kinds[KindDrainLine] < 2*cow+inPlace {
+		t.Errorf("%d drain-line sites for %d copy-on-write and %d in-place FASEs: %v",
+			rep.Kinds[KindDrainLine], cow, inPlace, rep)
 	}
 	t.Logf("%v", rep)
 }

@@ -39,8 +39,14 @@ func TestAdaptiveControllerConverges(t *testing.T) {
 	var k uint64
 	for time.Now().Before(deadline) {
 		// A small hot set recycled continuously: every shard's line stream
-		// has strong reuse, so bursts complete and knees exist.
+		// has strong reuse, so bursts complete and knees exist. Each key is
+		// deleted and put back, so every commit copies its root-to-leaf path;
+		// an overwrite of a present key would commit in place, one line per
+		// FASE, leaving no reuse to find a knee in.
 		for i := 0; i < 256; i++ {
+			if _, err := s.Delete(k % 64); err != nil {
+				t.Fatal(err)
+			}
 			if err := s.Put(k%64, k); err != nil {
 				t.Fatal(err)
 			}

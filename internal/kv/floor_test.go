@@ -6,10 +6,12 @@ import (
 )
 
 // flushProbe drives one store through the serving shape the capacity
-// choice is about: a 64 k-key preload, then lone overwriting PUTs, then
-// overwriting 64-PUT batches. It reports line flushes per put for each
-// phase. One goroutine submits a fixed sequence, so every store commits the
-// same FASEs and only the cache capacity differs.
+// choice is about: a 64 k-key preload (every eighth key), then lone PUTs
+// of fresh keys between them, then 64-PUT batches overwriting preloaded
+// keys. Both measured phases copy on write: a lone insert cannot commit
+// in place, and neither can an MPUT. It reports line flushes per put for
+// each phase. One goroutine submits a fixed sequence, so every store
+// commits the same FASEs and only the cache capacity differs.
 func flushProbe(t *testing.T, opts Options) (lone, batched float64) {
 	t.Helper()
 	const (
@@ -22,7 +24,7 @@ func flushProbe(t *testing.T, opts Options) (lone, batched float64) {
 	pairs := make([]Pair, 256)
 	for base := 0; base < keys; base += len(pairs) {
 		for i := range pairs {
-			pairs[i] = Pair{K: uint64(base + i), V: 1}
+			pairs[i] = Pair{K: 8 * uint64(base+i), V: 1}
 		}
 		if err := s.PutBatch(pairs); err != nil {
 			t.Fatal(err)
@@ -32,8 +34,8 @@ func flushProbe(t *testing.T, opts Options) (lone, batched float64) {
 
 	rng := rand.New(rand.NewSource(1))
 	before := flushes()
-	for i := 0; i < lonePut; i++ {
-		if err := s.Put(uint64(rng.Intn(keys)), 2); err != nil {
+	for _, k := range rng.Perm(keys)[:lonePut] {
+		if err := s.Put(8*uint64(k)+4, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,7 +45,7 @@ func flushProbe(t *testing.T, opts Options) (lone, batched float64) {
 	pairs = pairs[:64]
 	for b := 0; b < batches; b++ {
 		for i := range pairs {
-			pairs[i] = Pair{K: uint64(rng.Intn(keys)), V: 3}
+			pairs[i] = Pair{K: 8 * uint64(rng.Intn(keys)), V: 3}
 		}
 		if err := s.PutBatch(pairs); err != nil {
 			t.Fatal(err)
@@ -55,7 +57,7 @@ func flushProbe(t *testing.T, opts Options) (lone, batched float64) {
 
 // TestServingCacheReachesFlushFloor: the serving configuration's cache
 // (DefaultOptions: the software cache fixed at Knee.MaxSize) flushes no
-// more than the FASE's distinct lines on a lone PUT, stays within 10 % of
+// more than the FASE's distinct lines on a lone insert, stays within 10 % of
 // them on 64-PUT batches, and never flushes more than at 15, the capacity
 // the online selector picked for a kv shard during a preload. The floor is
 // a twin store whose cache never evicts, so it writes back exactly the

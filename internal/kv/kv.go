@@ -13,6 +13,17 @@
 // nothing. Requesters are acked only after the commit's flush completes, so
 // an acked write survives any crash (see Crash and Recover).
 //
+// A batch whose every mutation overwrites a key already present — a PUT,
+// INCR or DECR, absorption off, queued GETs alongside — skips the copy:
+// each new value is stored in place into its committed leaf word, and the
+// FASE's drain of those lines (one per key, where a copy-on-write update
+// writes back its whole root-to-leaf path) is the commit. An aligned word
+// store is failure-atomic, so this needs no undo record; what it gives up
+// is rollback, which is why only such batches take it: a crash mid-drain
+// leaves each overwritten key old or new. Any insert, delete or MPUT, and
+// every batch while a Snapshot, Scan or GetBatch is pinned, copies on
+// write as before.
+//
 // Every mutation is a Submit (enqueue, returns at once) and a Wait on a
 // caller-owned, reusable Ticket; Put, Delete, Incr, Decr and PutBatch are
 // that pair back to back. A caller that keeps many tickets in flight — a
@@ -23,6 +34,11 @@
 // writer. Superseded pages are reclaimed only once no snapshot that can
 // still see them is live (deferred reclamation via mdb.SetFreeHook), so
 // readers never block writers and writers never invalidate readers. The
+// one wait is an in-place commit's: from its first store until its drain,
+// a reader of that shard waits, for that one commit at most, rather than
+// return a value a crash could still lose, and a Snapshot, Scan or GetBatch —
+// which must see one tree throughout — starts only between such commits
+// and keeps the writer on the copy-on-write path while it is pinned. The
 // one queued read is a Submit of OpGet, for a caller whose read must
 // follow its own writes still in flight: the writer answers it at its
 // queue position, from the batch's tree, and acks it with the batch after
@@ -49,8 +65,10 @@ var (
 	// ErrClosed reports a request against a store after Close.
 	ErrClosed = errors.New("kv: store closed")
 	// ErrCrashed reports a request lost to a (simulated) power failure; the
-	// operation was not acked and may or may not be durable — after
-	// Recover, requests aborted mid-batch are guaranteed rolled back.
+	// operation was not acked and may or may not be durable. After
+	// Recover, a copy-on-write batch aborted mid-FASE is rolled back in
+	// full; an in-place batch (overwrites of present keys) leaves each of
+	// its keys with its old or its new value, untorn.
 	ErrCrashed = errors.New("kv: store crashed")
 )
 
@@ -129,9 +147,10 @@ type Options struct {
 
 // faseLoggedWords is the most distinct words any shard FASE undo-logs:
 // mdb.Create's one-time meta initialisation (root, generation, page arena).
-// Every serving FASE logs two, the tree's root and generation, whatever its
-// batch holds: the pages it writes are private stores, and absorption adds
-// none because a net delta is an ordinary put.
+// Every copy-on-write serving FASE logs two, the tree's root and
+// generation, whatever its batch holds: the pages it writes are private
+// stores, and absorption adds none because a net delta is an ordinary put.
+// An in-place FASE logs none.
 const faseLoggedWords = 3
 
 // DefaultOptions returns the serving configuration used by cmd/nvserver.
@@ -540,6 +559,9 @@ const getBatchShards = 64
 // wire protocol's MGET. The store lock is taken once and each shard's
 // snapshot is pinned at most once, so the view is per-shard consistent
 // exactly like a sequence of Gets, at a fraction of the synchronization.
+// Like Snapshot, each shard's view is a pinned cut: it waits out an
+// in-place commit in flight, and the shard commits copy-on-write until
+// the call returns.
 // Allocation-free for stores with up to getBatchShards shards.
 func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 	if len(keys) == 0 {
@@ -559,11 +581,14 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 		gens = make([]uint64, ns)
 		pinned = make([]bool, ns)
 	}
+	var err error
 	for i, k := range keys {
 		si := ShardIndex(k, ns)
 		sh := s.shards[si]
 		if !pinned[si] {
-			roots[si], gens[si] = sh.acquire()
+			if roots[si], gens[si], err = sh.acquireCut(); err != nil {
+				break
+			}
 			pinned[si] = true
 		}
 		vals[i], found[i] = sh.db.GetSnapshot(roots[si], k)
@@ -571,15 +596,18 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 	}
 	for si := 0; si < ns; si++ {
 		if pinned[si] {
-			s.shards[si].release(gens[si])
+			s.shards[si].releaseCut(gens[si])
 		}
 	}
-	return nil
+	return err
 }
 
 // Get reads k from the shard's last committed snapshot, without entering
-// the writer queue: concurrent commits never block a reader and a reader
-// never blocks the writer. A read that must see the caller's own writes
+// the writer queue: a reader never blocks the writer, and a commit blocks
+// a reader only while an in-place commit's words are stored but not yet
+// durable — at most one such commit, because a reader that has to wait
+// holds the writer to copy-on-write until it is through (see Snapshot).
+// A read that must see the caller's own writes
 // still in flight is a Submit of OpGet instead. Reads keep working after
 // Close (the heap stays attached) but not after a crash.
 func (s *Store) Get(k uint64) (uint64, bool, error) {
@@ -589,11 +617,9 @@ func (s *Store) Get(k uint64) (uint64, bool, error) {
 		return 0, false, ErrCrashed
 	}
 	sh := s.shards[ShardIndex(k, len(s.shards))]
-	root, gen := sh.acquire()
-	v, ok := sh.db.GetSnapshot(root, k)
-	sh.release(gen)
+	v, ok, err := sh.read(k)
 	sh.gets.Add(1)
-	return v, ok, nil
+	return v, ok, err
 }
 
 // Pair is one key/value returned by Scan.
@@ -603,9 +629,9 @@ type Pair struct{ K, V uint64 }
 // Keys are hash-routed across shards, so each shard's B+-tree holds an
 // arbitrary key subset: Scan walks every shard's last committed snapshot
 // from start (up to n pairs each) and merges, giving a globally ordered
-// range read. The per-shard snapshots are lock-free but acquired one
-// after another, so the merged view is per-shard — not cross-shard —
-// consistent. Like Get it never enters the writer queue.
+// range read. The per-shard snapshots are pinned cuts (see GetBatch)
+// acquired one after another, so the merged view is per-shard — not
+// cross-shard — consistent. Like Get it never enters the writer queue.
 func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	if n <= 0 {
 		return nil, nil
@@ -617,13 +643,16 @@ func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	}
 	all := make([]Pair, 0, n)
 	for _, sh := range s.shards {
-		root, gen := sh.acquire()
+		root, gen, err := sh.acquireCut()
+		if err != nil {
+			return nil, err
+		}
 		taken := 0
 		for c := sh.db.Seek(root, start); c.Valid() && taken < n; c.Next() {
 			all = append(all, Pair{c.Key(), c.Value()})
 			taken++
 		}
-		sh.release(gen)
+		sh.releaseCut(gen)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].K < all[j].K })
 	if len(all) > n {
@@ -635,7 +664,9 @@ func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 
 // Snapshot pins shard's current committed root: Get against the snapshot
 // sees that exact tree regardless of concurrent commits, because the pages
-// it references are not recycled until Release. Snapshots must be released
+// it references are not recycled until Release and, while it is held, the
+// shard commits copy-on-write only (no in-place overwrite reaches a leaf
+// the snapshot shares). Snapshots must be released
 // before Crash; reads concurrent with a power failure are undefined.
 func (s *Store) Snapshot(shard int) (*Snapshot, error) {
 	if shard < 0 || shard >= len(s.shards) {
@@ -647,7 +678,10 @@ func (s *Store) Snapshot(shard int) (*Snapshot, error) {
 		return nil, ErrCrashed
 	}
 	sh := s.shards[shard]
-	root, gen := sh.acquire()
+	root, gen, err := sh.acquireCut()
+	if err != nil {
+		return nil, err
+	}
 	return &Snapshot{sh: sh, root: root, gen: gen}, nil
 }
 
@@ -674,7 +708,7 @@ func (sn *Snapshot) Release() {
 		return
 	}
 	sn.released = true
-	sn.sh.release(sn.gen)
+	sn.sh.releaseCut(sn.gen)
 }
 
 // Close drains every shard gracefully: pending requests are accepted no

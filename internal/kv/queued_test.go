@@ -9,8 +9,11 @@ import (
 // PUT's group commit instead of splitting the batch. With the writer parked
 // on a blocker, 8 × (PUT kᵢ, GET kᵢ) queue up and commit as one FASE of 16
 // requests; each GET answers its PUT's value; the stats count the 8 PUTs
-// only, and those PUTs flush fewer lines each than a lone PUT. A batch of
-// GETs alone opens no FASE: it moves no batch, op or flush counter.
+// only. The pairs run twice: on fresh keys, whose PUTs insert
+// copy-on-write and so flush fewer lines each than a lone insert, and on
+// keys already present, whose PUTs overwrite in place and flush at most
+// their one value line each. A batch of GETs alone opens no FASE: it moves
+// no batch, op or flush counter.
 func TestQueuedReadsShareCommit(t *testing.T) {
 	const (
 		keys  = 4096
@@ -33,10 +36,12 @@ func TestQueuedReadsShareCommit(t *testing.T) {
 	}
 	s := newStore(t, opts)
 	defer s.Close()
+	// The preload holds the multiples of 8 below 8·keys, so keys between
+	// them, spread across the whole tree, are fresh.
 	preload := make([]Pair, 256)
 	for base := 0; base < keys; base += len(preload) {
 		for i := range preload {
-			preload[i] = Pair{K: uint64(base + i), V: 1}
+			preload[i] = Pair{K: 8 * uint64(base+i), V: 1}
 		}
 		if err := s.PutBatch(preload); err != nil {
 			t.Fatal(err)
@@ -44,11 +49,11 @@ func TestQueuedReadsShareCommit(t *testing.T) {
 	}
 	flushes := func() int64 { return Totals(s.Stats()).Flushes() }
 
-	// A lone PUT's lines, averaged over keys spread across the tree.
+	// A lone insert's lines, averaged over fresh keys spread across the tree.
 	const lonePuts = 16
 	before := flushes()
 	for i := uint64(0); i < lonePuts; i++ {
-		if err := s.Put(i*(keys/lonePuts)+3, 2); err != nil {
+		if err := s.Put(i*(8*keys/lonePuts)+3, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,46 +61,52 @@ func TestQueuedReadsShareCommit(t *testing.T) {
 
 	// Park the writer on a blocker, queue the pairs, release it: the pairs
 	// form the next batch, which parks in turn so its stats can be read.
-	park.Store(true)
-	var blocker Ticket
-	s.Submit(&blocker, OpPut, keys+1, 1)
-	<-entered
 	var tickets [2 * pairs]Ticket
-	key := func(i int) uint64 { return uint64(i)*(keys/pairs) + 5 }
-	for i := 0; i < pairs; i++ {
-		s.Submit(&tickets[2*i], OpPut, key(i), 100+uint64(i))
-		s.Submit(&tickets[2*i+1], OpGet, key(i), 0)
-	}
-	release <- struct{}{}
-	if res := blocker.Wait(); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	<-entered
-	mid := Totals(s.Stats())
-	park.Store(false)
-	release <- struct{}{}
-	for i := range tickets {
-		res := tickets[i].Wait()
-		want := Result{}
-		if i%2 == 1 {
-			want = Result{Val: 100 + uint64(i/2), Found: true}
+	sharedLines := func(key func(i int) uint64, val uint64) float64 {
+		park.Store(true)
+		var blocker Ticket
+		s.Submit(&blocker, OpPut, 8*keys+1, 1)
+		<-entered
+		for i := 0; i < pairs; i++ {
+			s.Submit(&tickets[2*i], OpPut, key(i), val+uint64(i))
+			s.Submit(&tickets[2*i+1], OpGet, key(i), 0)
 		}
-		if res != want {
-			t.Fatalf("request %d: result %+v, want %+v", i, res, want)
+		release <- struct{}{}
+		if res := blocker.Wait(); res.Err != nil {
+			t.Fatal(res.Err)
 		}
+		<-entered
+		mid := Totals(s.Stats())
+		park.Store(false)
+		release <- struct{}{}
+		for i := range tickets {
+			res := tickets[i].Wait()
+			want := Result{}
+			if i%2 == 1 {
+				want = Result{Val: val + uint64(i/2), Found: true}
+			}
+			if res != want {
+				t.Fatalf("request %d: result %+v, want %+v", i, res, want)
+			}
+		}
+		after := Totals(s.Stats())
+		if got := sizes[len(sizes)-1]; got != 2*pairs || after.Batches-mid.Batches != 1 {
+			t.Fatalf("pairs committed in %d batches, the last of %d requests; want 1 of %d",
+				after.Batches-mid.Batches, got, 2*pairs)
+		}
+		if ops := after.BatchedOps - mid.BatchedOps; ops != pairs {
+			t.Fatalf("BatchedOps grew by %d, want %d (GETs are not committed ops)", ops, pairs)
+		}
+		return float64(after.Flushes()-mid.Flushes()) / pairs
 	}
-	after := Totals(s.Stats())
-	if got := sizes[len(sizes)-1]; got != 2*pairs || after.Batches-mid.Batches != 1 {
-		t.Fatalf("pairs committed in %d batches, the last of %d requests; want 1 of %d",
-			after.Batches-mid.Batches, got, 2*pairs)
-	}
-	if ops := after.BatchedOps - mid.BatchedOps; ops != pairs {
-		t.Fatalf("BatchedOps grew by %d, want %d (GETs are not committed ops)", ops, pairs)
-	}
-	shared := float64(after.Flushes()-mid.Flushes()) / pairs
-	t.Logf("lines per put: lone %.3f, %d PUTs sharing a FASE with their GETs %.3f", lone, pairs, shared)
+	shared := sharedLines(func(i int) uint64 { return uint64(i)*(8*keys/pairs) + 5 }, 100)
+	t.Logf("lines per insert: lone %.3f, %d inserts sharing a FASE with their GETs %.3f", lone, pairs, shared)
 	if shared >= lone {
-		t.Fatalf("shared batch flushes %.3f lines per put, want < a lone PUT's %.3f", shared, lone)
+		t.Fatalf("shared batch flushes %.3f lines per insert, want < a lone insert's %.3f", shared, lone)
+	}
+	key := func(i int) uint64 { return 8 * uint64(i) * (keys / pairs) }
+	if inPlace := sharedLines(key, 100); inPlace > 1 {
+		t.Fatalf("%d overwrites sharing a FASE flush %.3f lines each, want at most their value line", pairs, inPlace)
 	}
 
 	// GETs alone: answered from the committed tree, with no FASE.

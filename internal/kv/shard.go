@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,7 +93,9 @@ func (t *Ticket) complete(res Result) {
 // outcome. Err is nil only after the batch containing the mutation has
 // committed and its flushes completed, so an acked mutation survives any
 // crash; ErrCrashed means it was not acked and, after Recover, is either
-// absent or (a crash between the durable commit and the ack) fully applied.
+// absent or fully applied, never torn: fully applied when the crash came
+// between the durable commit and the ack, or, for an in-place overwrite,
+// after the write-back of its key's line; rolled back otherwise.
 func (t *Ticket) Wait() Result {
 	<-t.ch
 	return t.res
@@ -166,9 +169,11 @@ type shard struct {
 	acc              accumulator
 
 	// Reused per-batch storage, so a steady stream of commits allocates
-	// nothing. Writer goroutine only.
+	// nothing. Writer goroutine only. slots holds an in-place batch's value
+	// words, one per request (0 for a GET).
 	batchBuf []request
 	resBuf   []Result
+	slots    []uint64
 
 	// capSlot is the shard's advisory cache-capacity word (capacity.go).
 	// Writer goroutine only.
@@ -182,10 +187,20 @@ type shard struct {
 	curGen  uint64
 	active  map[uint64]int // snapshot generation → pin count
 	pending []genPages     // freed pages awaiting reader drain
+	// cuts counts pinned consistent cuts (acquireCut): no in-place commit
+	// opens while it is above 0. Raised under snapMu, where openWindow
+	// checks it; inPlace also reads it without the lock, as a hint.
+	cuts atomic.Int32
 	// spare holds the page slices of reclaimed pending entries for reuse and
 	// reclaim is publish's scratch. Writer goroutine only.
 	spare   [][]uint64
 	reclaim []uint64
+
+	// window is the in-place read guard: odd from before an in-place
+	// commit's first store until its drain has made every stored word
+	// durable (openWindow, applyBatch). A reader never returns a word it
+	// loaded while it was odd (read), because a crash could still lose it.
+	window atomic.Uint64
 
 	counters
 }
@@ -223,6 +238,105 @@ func (sh *shard) release(gen uint64) {
 		delete(sh.active, gen)
 	}
 	sh.snapMu.Unlock()
+}
+
+// acquireCut pins the current committed view as a consistent cut — a
+// Snapshot, one shard's share of a Scan or GetBatch, or a Get that lost a
+// race with an in-place commit (read) — whose every read must see the
+// same tree. Counting the cut first stops the writer from opening another
+// in-place window, so the wait is for at most the one already open; while
+// the cut is held the writer commits copy-on-write only, so no leaf word
+// the cut can reach changes under it. It fails only when the store
+// crashes while it waits (an in-place window a crash abandons never
+// closes).
+func (sh *shard) acquireCut() (root, gen uint64, err error) {
+	sh.snapMu.Lock()
+	sh.cuts.Add(1)
+	sh.snapMu.Unlock()
+	for sh.window.Load()&1 != 0 {
+		if sh.st.crashing.Load() {
+			sh.cuts.Add(-1)
+			return 0, 0, ErrCrashed
+		}
+		runtime.Gosched()
+	}
+	root, gen = sh.acquire()
+	return root, gen, nil
+}
+
+// releaseCut unpins a cut taken by acquireCut.
+func (sh *shard) releaseCut(gen uint64) {
+	sh.release(gen)
+	sh.cuts.Add(-1)
+}
+
+// read looks k up in the committed tree outside any in-place window, so
+// the value returned is durable. One lock-free pass serves unless its
+// load overlapped a window; then it reads again through a cut, which
+// waits out at most the window then open (the cut keeps the writer from
+// opening another). Like acquireCut it fails only when the store crashes
+// while it waits.
+func (sh *shard) read(k uint64) (uint64, bool, error) {
+	if w := sh.window.Load(); w&1 == 0 {
+		root, gen := sh.acquire()
+		v, ok := sh.db.GetSnapshot(root, k)
+		sh.release(gen)
+		if sh.window.Load() == w {
+			return v, ok, nil
+		}
+	}
+	root, gen, err := sh.acquireCut()
+	if err != nil {
+		return 0, false, err
+	}
+	v, ok := sh.db.GetSnapshot(root, k)
+	sh.releaseCut(gen)
+	return v, ok, nil
+}
+
+// inPlace reports whether a batch can commit in place, resolving every
+// mutation's value word into sh.slots on the way: absorption is off (plan
+// is nil), no consistent cut is pinned, and every mutation is a
+// single-key put or counter op of a key already present. The tests that
+// need no tree descent come first. On true the in-place window is open
+// (see openWindow).
+func (sh *shard) inPlace(batch []request, plan *commitPlan) bool {
+	if plan != nil || sh.cuts.Load() > 0 {
+		return false
+	}
+	for i := range batch {
+		switch batch[i].op {
+		case OpGet, OpPut, OpIncr, OpDecr:
+		default:
+			return false
+		}
+	}
+	slots := sh.slots[:0]
+	for i := range batch {
+		var slot uint64
+		if batch[i].op != OpGet {
+			if slot = sh.db.Slot(batch[i].k); slot == 0 {
+				sh.slots = slots
+				return false
+			}
+		}
+		slots = append(slots, slot)
+	}
+	sh.slots = slots
+	return sh.openWindow()
+}
+
+// openWindow makes the in-place window odd unless a consistent cut is
+// pinned. It is checked and set under snapMu, where acquireCut counts its
+// cut, so a cut and a window never overlap.
+func (sh *shard) openWindow() bool {
+	sh.snapMu.Lock()
+	defer sh.snapMu.Unlock()
+	if sh.cuts.Load() > 0 {
+		return false
+	}
+	sh.window.Add(1)
+	return true
 }
 
 // onFreed is the mdb free hook: it runs on the writer goroutine during
@@ -424,8 +538,9 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		}
 		batch, results = plan.acks, plan.results
 	}
+	inPlace := sh.inPlace(batch, plan)
 	pre := sh.th.FlushStats()
-	outcome, failed := sh.applyBatch(batch, results, plan)
+	outcome, failed := sh.applyBatch(batch, results, plan, inPlace)
 	switch outcome {
 	case batchBeginErr, batchCommitErr:
 		nackAll(batch, failed)
@@ -443,10 +558,12 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		ackAll(batch, results)
 		return false
 	case batchCrashInjected:
-		// Injected power failure: if it hit mid-FASE the undo log is still
-		// active and Recover rolls the batch back in full; if it hit at the
-		// ack boundary the batch is durable but nacked, which the service
-		// contract permits (ErrCrashed promises nothing either way).
+		// Injected power failure: if it hit a copy-on-write FASE the undo log
+		// is still active and Recover rolls the batch back in full; an
+		// in-place FASE leaves each overwritten word old or new, as far as
+		// its drain got; if it hit at the ack boundary the batch is durable
+		// but nacked. The service contract permits all three (ErrCrashed
+		// promises nothing either way).
 		sh.st.initiateCrash(sh)
 		nackAll(batch, ErrCrashed)
 		return true
@@ -500,12 +617,14 @@ func (sh *shard) crashedDuring(fn func()) (crashed bool) {
 }
 
 // applyBatch runs the whole FASE — Begin, the batch's mutations, the crash
-// hooks, and the durable commit. A panic
+// hooks, and the durable commit — as a copy-on-write transaction, or, when
+// inPlace, as bare stores into the words inPlace resolved (put), whose
+// FASE-end drain is the commit. A panic
 // claimed by Options.IsInjectedCrash — a fault-injection site firing
 // inside a store, flush, or undo-log write — abandons the FASE with its
 // undo log still active, exactly as a power failure at that instruction
 // would; panics it does not claim propagate.
-func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan) (outcome batchOutcome, err error) {
+func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan, inPlace bool) (outcome batchOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			claim := sh.st.opts.IsInjectedCrash
@@ -520,7 +639,9 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 		// the FASE begins; a crash here loses only parked (unacked) ops.
 		sh.absorbHook(plan.trigger)
 	}
-	if err := sh.db.Begin(); err != nil {
+	if inPlace {
+		sh.th.FASEBegin()
+	} else if err := sh.db.Begin(); err != nil {
 		return batchBeginErr, err
 	}
 	var failed error
@@ -542,7 +663,7 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 			r := &batch[i]
 			switch r.op {
 			case OpPut:
-				failed = sh.db.Put(r.k, r.v)
+				failed = sh.put(inPlace, i, r.k, r.v)
 			case OpDel:
 				results[i].Found, failed = sh.db.Delete(r.k)
 			case opPuts:
@@ -553,15 +674,21 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 				}
 			case OpIncr, OpDecr:
 				// Absorption off: an ordinary read-modify-write inside the
-				// batch's FASE (Get sees the in-transaction tree, so earlier
-				// batch ops are visible).
+				// batch's FASE (earlier batch ops are visible: Get sees the
+				// in-transaction tree, and an in-place batch's stores are
+				// already in its words).
 				d := r.v
 				if r.op == OpDecr {
 					d = -d
 				}
-				cur, _ := sh.db.Get(r.k)
+				var cur uint64
+				if inPlace {
+					cur = sh.db.SlotValue(sh.slots[i])
+				} else {
+					cur, _ = sh.db.Get(r.k)
+				}
 				results[i].Val = cur + d
-				failed = sh.db.Put(r.k, cur+d)
+				failed = sh.put(inPlace, i, r.k, cur+d)
 			case OpGet:
 				// The in-transaction tree: exactly the writes queued ahead.
 				results[i].Val, results[i].Found = sh.db.Get(r.k)
@@ -574,7 +701,8 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 	if failed != nil {
 		// Shed the whole batch: roll the transaction back so the committed
 		// tree is untouched, and surface the cause (typically
-		// mdb.ErrPoolExhausted) to every mutation.
+		// mdb.ErrPoolExhausted) to every mutation. (An in-place batch
+		// allocates nothing and cannot fail.)
 		if aerr := sh.db.Abort(); aerr != nil {
 			failed = fmt.Errorf("%w (abort: %v)", failed, aerr)
 		}
@@ -589,7 +717,12 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 		// committing, exactly as the power failure would.
 		return batchCrashRace, ErrCrashed
 	}
-	if err := sh.db.Commit(); err != nil {
+	if inPlace {
+		// The drain makes every stored word durable; only then may readers
+		// see them.
+		sh.th.FASEEnd()
+		sh.window.Add(1)
+	} else if err := sh.db.Commit(); err != nil {
 		return batchCommitErr, err
 	}
 	if hook := sh.st.opts.AckHook; hook != nil {
@@ -602,4 +735,14 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan)
 		sh.absorbHook(AbsorbAck)
 	}
 	return batchCommitted, nil
+}
+
+// put stores v for k, the i-th request of the batch: into the word
+// inPlace resolved for it, or through the write transaction.
+func (sh *shard) put(inPlace bool, i int, k, v uint64) error {
+	if inPlace {
+		sh.db.Overwrite(sh.slots[i], v)
+		return nil
+	}
+	return sh.db.Put(k, v)
 }

@@ -8,36 +8,54 @@ import (
 // TestSubmitWaitAllocs is the write path's zero-allocation gate: once the
 // store is warm, Submit → group commit → Wait allocates nothing, for a lone
 // caller (one-op FASEs) and for a 64-deep window (natural batches), because
-// the tickets are the caller's and everything per batch — the request and
-// result slices, the transaction's maps, the freed-page lists — is reused.
+// the tickets are the caller's and everything per batch — the request,
+// result and slot slices, the transaction's maps, the freed-page lists — is
+// reused. It holds on both commit paths: overwrites of present keys, which
+// commit in place, and a delete and re-put of each key, which copy on
+// write.
 func TestSubmitWaitAllocs(t *testing.T) {
-	for _, depth := range []int{1, 64} {
-		opts := DefaultOptions()
-		// The online cache sizes itself once, after one sampled burst per
-		// shard thread; a short burst puts that one-time MRC analysis inside
-		// the warm-up whatever the batch shape.
-		opts.Config.BurstLength = 1 << 12
-		s := newStore(t, opts)
-		tickets := make([]Ticket, depth)
-		key := uint64(0)
-		window := func() {
-			for i := range tickets {
-				s.Submit(&tickets[i], OpPut, key%4096, key)
-				key++
+	workloads := []struct {
+		name string
+		req  func(n uint64) (Op, uint64) // the n-th request's op and key
+	}{
+		{"overwrite", func(n uint64) (Op, uint64) { return OpPut, n % 4096 }},
+		{"cow", func(n uint64) (Op, uint64) {
+			if n%2 == 0 {
+				return OpDel, n / 2 % 4096
 			}
-			for i := range tickets {
-				if res := tickets[i].Wait(); res.Err != nil {
-					panic(res.Err)
+			return OpPut, n / 2 % 4096
+		}},
+	}
+	for _, w := range workloads {
+		for _, depth := range []int{1, 64} {
+			opts := DefaultOptions()
+			// The online cache sizes itself once, after one sampled burst per
+			// shard thread; a short burst puts that one-time MRC analysis
+			// inside the warm-up whatever the batch shape.
+			opts.Config.BurstLength = 1 << 12
+			s := newStore(t, opts)
+			tickets := make([]Ticket, depth)
+			n := uint64(0)
+			window := func() {
+				for i := range tickets {
+					op, k := w.req(n)
+					s.Submit(&tickets[i], op, k, n)
+					n++
+				}
+				for i := range tickets {
+					if res := tickets[i].Wait(); res.Err != nil {
+						panic(res.Err)
+					}
 				}
 			}
+			for i := 0; i < 2*4096/depth; i++ { // warm: tree shape, page pool, every reused buffer
+				window()
+			}
+			if n := testing.AllocsPerRun(200, window); n != 0 {
+				t.Errorf("%s, depth %d: Submit→commit→Wait allocs per window = %v, want 0", w.name, depth, n)
+			}
+			s.Close()
 		}
-		for i := 0; i < 2*4096/depth; i++ { // warm: tree shape, page pool, every reused buffer
-			window()
-		}
-		if n := testing.AllocsPerRun(200, window); n != 0 {
-			t.Errorf("depth %d: Submit→commit→Wait allocs per window = %v, want 0", depth, n)
-		}
-		s.Close()
 	}
 }
 

@@ -4,7 +4,11 @@
 // through the Atlas runtime. A write transaction copies every page on the
 // root-to-leaf path of each update (the COW policy the paper describes),
 // mutates the copies, and installs a new root — all inside one FASE, so a
-// crash either exposes the old tree or the new one, never a mix.
+// crash either exposes the old tree or the new one, never a mix. The one
+// exception is Overwrite, outside any transaction: a new value for a key
+// already present, stored into its committed leaf word in place, which
+// needs neither a copy nor an undo record because an aligned word store is
+// failure-atomic on its own.
 //
 // The store reproduces the write-pattern class the paper measures: bursts
 // of page-copy stores with heavy intra-transaction page reuse (upper-level
@@ -548,20 +552,54 @@ func (db *DB) Snapshot() uint64 { return db.t.Load64(db.meta) }
 // at the cost of pool growth.
 func (db *DB) DisableRecycling() { db.recycle = false }
 
+// getFrom reads the leaf value with an atomic load: it is the one word of
+// a committed page a writer may overwrite while readers hold the tree (see
+// Overwrite).
 func (db *DB) getFrom(p uint64, k uint64) (uint64, bool) {
+	if slot := db.slotFrom(p, k); slot != 0 {
+		return db.SlotValue(slot), true
+	}
+	return 0, false
+}
+
+// slotFrom returns the address of k's value word under root p, or 0 when k
+// is absent.
+func (db *DB) slotFrom(p uint64, k uint64) uint64 {
 	for p != 0 {
 		if db.ptype(p) == pageLeaf {
 			n := db.nkeys(p)
 			for i := 0; i < n; i++ {
 				if db.key(p, i) == k {
-					return db.val(p, i), true
+					return p + db.valsOff + uint64(8*i)
 				}
 			}
-			return 0, false
+			return 0
 		}
 		p = db.val(p, db.childIndex(p, k))
 	}
-	return 0, false
+	return 0
+}
+
+// Slot returns the address of k's value word in the current tree, or 0
+// when k is absent: the word Overwrite stores to. It stays k's slot until
+// the next write transaction, which may copy the leaf elsewhere.
+func (db *DB) Slot(k uint64) uint64 { return db.slotFrom(db.t.Load64(db.meta), k) }
+
+// SlotValue loads the value word at slot (from Slot).
+func (db *DB) SlotValue(slot uint64) uint64 { return db.t.Heap().LoadAtomic64(slot) }
+
+// Overwrite stores v into the value word at slot (from Slot) in place,
+// inside the caller's FASE and outside any write transaction: no page
+// copy, no undo record, no new root, no generation. The committed leaf
+// changes under every reader that holds the tree, so each sees the old or
+// the new value (Get loads the word atomically), and a crash before the
+// FASE's drain completes leaves the word old or new — the value is durable
+// once FASEEnd returns. The word is not rolled back by Abort or recovery.
+func (db *DB) Overwrite(slot, v uint64) {
+	if db.inTxn {
+		panic("mdb: Overwrite inside a write transaction")
+	}
+	db.t.StoreAtomic64(slot, v)
 }
 
 // Delete removes a key inside the current transaction; it reports whether

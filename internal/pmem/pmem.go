@@ -24,7 +24,9 @@
 //     and stores after a bounds check. The flag means "stored since the last
 //     flush": a store sets it and FlushLine copies the line to the durable
 //     view and clears it. Stable (committed, unowned) lines may be read by
-//     anyone; that is how kv snapshot readers work.
+//     anyone; that is how kv snapshot readers work. A word the owner
+//     overwrites while others read it goes through StoreAtomic64 and
+//     LoadAtomic64 (kv's in-place value words).
 //   - Stripes: NumStripes locks keyed by line address. No store or flush
 //     takes one. They are taken only by PersistedUint64 (one stripe) and by
 //     the whole-heap operations (every stripe, in index order), and their
@@ -45,8 +47,10 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nvmcache/internal/trace"
 )
@@ -119,6 +123,8 @@ func New(size int) *Heap {
 		size += trace.LineSize - r
 	}
 	h := &Heap{
+		// A Go allocation this size is at least 8-aligned, which the
+		// atomic word accesses rely on.
 		mem:       make([]byte, size),
 		persisted: make([]byte, size),
 		dirty:     make([]uint8, size>>trace.LineShift),
@@ -283,6 +289,45 @@ func (h *Heap) Store64(addr uint64, v uint64) (old uint64) {
 	binary.LittleEndian.PutUint64(h.mem[addr:], v)
 	h.markDirty(addr, 8)
 	return old
+}
+
+// StoreAtomic64 is Store64 for a word that readers load while its owner
+// overwrites it: one atomic store of v at the aligned word addr, then the
+// line's flag. Paired with LoadAtomic64, a reader sees the old or the new
+// word, never a torn one, and -race sees no conflict. The caller must own
+// the line.
+func (h *Heap) StoreAtomic64(addr uint64, v uint64) {
+	atomic.StoreUint64(h.word(addr), toLE(v))
+	h.dirty[addr>>trace.LineShift] = 1
+}
+
+// LoadAtomic64 reads the aligned word at addr with one atomic load: the
+// reader side of StoreAtomic64, safe while the line's owner stores to it.
+func (h *Heap) LoadAtomic64(addr uint64) uint64 {
+	return toLE(atomic.LoadUint64(h.word(addr)))
+}
+
+// word returns the volatile view's 8-byte word at the aligned address addr.
+// The view itself is 8-aligned (see New).
+func (h *Heap) word(addr uint64) *uint64 {
+	h.check(addr, 8)
+	if addr&7 != 0 {
+		panic(fmt.Sprintf("pmem: atomic access to unaligned address %d", addr))
+	}
+	return (*uint64)(unsafe.Pointer(&h.mem[addr]))
+}
+
+// bigEndian reports a big-endian host, where a native word's bytes are the
+// reverse of the little-endian layout the heap uses everywhere else.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// toLE converts between a native word and its little-endian heap layout
+// (the conversion is its own inverse).
+func toLE(v uint64) uint64 {
+	if bigEndian {
+		return bits.ReverseBytes64(v)
+	}
+	return v
 }
 
 // Write64Through writes v to both the volatile and durable views without

@@ -249,3 +249,36 @@ func TestQuickCrashSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAtomicWordMatchesPlainLayout: StoreAtomic64 lays a word out exactly
+// as WriteUint64 does (ReadUint64 and LoadAtomic64 agree), flags its line
+// like any store, reaches the durable view only by a flush, and refuses an
+// unaligned address.
+func TestAtomicWordMatchesPlainLayout(t *testing.T) {
+	h := New(4096)
+	const addr = 2*trace.LineSize + 16
+	h.StoreAtomic64(addr, 0x0102030405060708)
+	if got := h.ReadUint64(addr); got != 0x0102030405060708 {
+		t.Fatalf("ReadUint64 after StoreAtomic64 = %#x", got)
+	}
+	h.WriteUint64(addr+8, 42)
+	if got := h.LoadAtomic64(addr + 8); got != 42 {
+		t.Fatalf("LoadAtomic64 after WriteUint64 = %d", got)
+	}
+	if !h.isDirty(trace.LineOf(addr)) {
+		t.Fatal("StoreAtomic64 left its line clean")
+	}
+	if got := h.PersistedUint64(addr); got != 0 {
+		t.Fatalf("durable view holds %#x before any flush", got)
+	}
+	h.FlushLine(trace.LineOf(addr))
+	if got := h.PersistedUint64(addr); got != 0x0102030405060708 {
+		t.Fatalf("durable view after flush = %#x", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unaligned StoreAtomic64 did not panic")
+		}
+	}()
+	h.StoreAtomic64(addr+4, 1)
+}
