@@ -33,7 +33,14 @@
 // reads against the last committed root, published atomically by the
 // writer. Superseded pages are reclaimed only once no snapshot that can
 // still see them is live (deferred reclamation via mdb.SetFreeHook), so
-// readers never block writers and writers never invalidate readers. The
+// readers never block writers and writers never invalidate readers. A
+// point lookup — Get, an in-place batch's slot resolution and its queued
+// GETs — rarely walks the tree: each shard keeps a lossy slot cache from a
+// key to the leaf entry that last held it, which answers only when that
+// leaf is in the published tree and still holds the key, and otherwise
+// descends and remembers what it found. The cache is volatile and needs
+// no maintenance on commits; only the page-level live map it validates
+// against changes, when the writer publishes a new root. The
 // one wait is an in-place commit's: from its first store until its drain,
 // a reader of that shard waits, for that one commit at most, rather than
 // return a value a crash could still lose, and a Snapshot, Scan or GetBatch —
@@ -603,11 +610,13 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 }
 
 // Get reads k from the shard's last committed snapshot, without entering
-// the writer queue: a reader never blocks the writer, and a commit blocks
-// a reader only while an in-place commit's words are stored but not yet
-// durable — at most one such commit, because a reader that has to wait
-// holds the writer to copy-on-write until it is through (see Snapshot).
-// A read that must see the caller's own writes
+// the writer queue: it pins the snapshot, asks the shard's slot cache for
+// k's leaf entry, and descends from the pinned root only when the cache
+// has none that is still in the published tree. A reader never blocks the
+// writer, and a commit blocks a reader only while an in-place commit's
+// words are stored but not yet durable — at most one such commit, because
+// a reader that has to wait holds the writer to copy-on-write until it is
+// through (see Snapshot). A read that must see the caller's own writes
 // still in flight is a Submit of OpGet instead. Reads keep working after
 // Close (the heap stays attached) but not after a crash.
 func (s *Store) Get(k uint64) (uint64, bool, error) {
@@ -774,6 +783,11 @@ func (s *Store) initiateCrash(except *shard) error {
 	s.state = stateCrashed
 	s.heap.Crash()
 	s.mu.Unlock()
+	// No Get can be inside a shard now and every writer has stopped, so the
+	// slot caches pass to whichever recovery comes next.
+	for _, sh := range s.shards {
+		slotCaches.Put(sh.cache)
+	}
 	for _, sh := range s.shards {
 		for {
 			select {

@@ -196,6 +196,12 @@ type shard struct {
 	spare   [][]uint64
 	reclaim []uint64
 
+	// cache answers point lookups without the tree walk (slotcache.go).
+	// superseded is the pending entry of the commit not yet published, whose
+	// pages publish marks dead. Writer goroutine only.
+	cache      *slotCache
+	superseded []uint64
+
 	// window is the in-place read guard: odd from before an in-place
 	// commit's first store until its drain has made every stored word
 	// durable (openWindow, applyBatch). A reader never returns a word it
@@ -216,6 +222,7 @@ func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB, cs capSlot) *shard
 	sh.absorbDeadlineNs.Store(int64(s.opts.Absorb.Deadline))
 	sh.curRoot = db.Snapshot()
 	sh.curGen = db.Generation()
+	sh.cache = newSlotCache(db, s.opts.PoolPages)
 	db.SetFreeHook(sh.onFreed)
 	sh.lats = make([]float64, 0, latRingCap)
 	return sh
@@ -270,16 +277,17 @@ func (sh *shard) releaseCut(gen uint64) {
 	sh.cuts.Add(-1)
 }
 
-// read looks k up in the committed tree outside any in-place window, so
-// the value returned is durable. One lock-free pass serves unless its
-// load overlapped a window; then it reads again through a cut, which
+// read looks k up in the published tree outside any in-place window, so
+// the value returned is durable: pin, then the slot cache, which descends
+// from the pinned root only on a miss. One lock-free pass serves unless
+// its load overlapped a window; then it reads again through a cut, which
 // waits out at most the window then open (the cut keeps the writer from
 // opening another). Like acquireCut it fails only when the store crashes
 // while it waits.
 func (sh *shard) read(k uint64) (uint64, bool, error) {
 	if w := sh.window.Load(); w&1 == 0 {
 		root, gen := sh.acquire()
-		v, ok := sh.db.GetSnapshot(root, k)
+		v, ok := sh.get(root, k)
 		sh.release(gen)
 		if sh.window.Load() == w {
 			return v, ok, nil
@@ -289,7 +297,7 @@ func (sh *shard) read(k uint64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	v, ok := sh.db.GetSnapshot(root, k)
+	v, ok := sh.get(root, k)
 	sh.releaseCut(gen)
 	return v, ok, nil
 }
@@ -315,7 +323,7 @@ func (sh *shard) inPlace(batch []request, plan *commitPlan) bool {
 	for i := range batch {
 		var slot uint64
 		if batch[i].op != OpGet {
-			if slot = sh.db.Slot(batch[i].k); slot == 0 {
+			if slot = sh.lookup(sh.curRoot, batch[i].k); slot == 0 {
 				sh.slots = slots
 				return false
 			}
@@ -347,15 +355,21 @@ func (sh *shard) onFreed(gen uint64, pages []uint64) {
 		held, sh.spare = sh.spare[n-1][:0], sh.spare[:n-1]
 	}
 	held = append(held, pages...)
+	sh.superseded = held
 	sh.snapMu.Lock()
 	sh.pending = append(sh.pending, genPages{gen: gen, pages: held})
 	sh.snapMu.Unlock()
 }
 
 // publish installs the newly committed root for readers and recycles every
-// parked page no live snapshot can still reach.
-func (sh *shard) publish() {
+// parked page no live snapshot can still reach. After a copy-on-write
+// commit (cow) it first flips the slot cache's live map to the new tree,
+// under the same lock; an in-place commit changed no page.
+func (sh *shard) publish(cow bool) {
 	sh.snapMu.Lock()
+	if cow {
+		sh.flipLive()
+	}
 	sh.curRoot = sh.db.Snapshot()
 	sh.curGen = sh.db.Generation()
 	minGen := uint64(math.MaxUint64)
@@ -577,18 +591,18 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 	if plan != nil {
 		applied = len(plan.writes)
 	}
-	sh.publish()
+	sh.publish(!inPlace)
 	sh.note(batch, applied, pre, post)
 	ackAll(batch, results)
 	return false
 }
 
 // readCommitted answers the batch's GETs from the tree outside any FASE,
-// which is the committed one.
+// which is the published one, through the slot cache.
 func (sh *shard) readCommitted(batch []request, results []Result) {
 	for i := range batch {
 		if batch[i].op == OpGet {
-			results[i].Val, results[i].Found = sh.db.Get(batch[i].k)
+			results[i].Val, results[i].Found = sh.get(sh.curRoot, batch[i].k)
 		}
 	}
 }
@@ -691,7 +705,13 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan,
 				failed = sh.put(inPlace, i, r.k, cur+d)
 			case OpGet:
 				// The in-transaction tree: exactly the writes queued ahead.
-				results[i].Val, results[i].Found = sh.db.Get(r.k)
+				// An in-place batch changes no page, so its tree is the
+				// published one, which the slot cache answers for.
+				if inPlace {
+					results[i].Val, results[i].Found = sh.get(sh.curRoot, r.k)
+				} else {
+					results[i].Val, results[i].Found = sh.db.Get(r.k)
+				}
 			}
 			if failed != nil {
 				break

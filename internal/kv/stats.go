@@ -26,6 +26,7 @@ type counters struct {
 	puts, dels   atomic.Uint64
 	incrs, decrs atomic.Uint64
 	gets         atomic.Uint64
+	descents     atomic.Uint64 // slot-cache misses that walked the tree
 	scans        atomic.Uint64
 	batches      atomic.Uint64
 	batchedOps   atomic.Uint64
@@ -126,6 +127,11 @@ type ShardStats struct {
 	Shard int
 	// Operation counts (committed mutations and served reads/scans).
 	Puts, Deletes, Gets, Scans uint64
+	// Descents counts the point lookups the slot cache missed, each of
+	// which walked the tree: Gets, queued GETs outside a copy-on-write
+	// batch, and in-place slot resolution. On a read-mostly load
+	// Gets − Descents is the cache's hits.
+	Descents uint64
 	// Counter mutations (acked Incr/Decr).
 	Incrs, Decrs uint64
 	// Group-commit shape.
@@ -210,6 +216,7 @@ func (st ShardStats) Pairs() []string {
 		fmt.Sprintf("commit_p50_cyc=%.0f", st.CommitP50),
 		fmt.Sprintf("commit_p99_cyc=%.0f", st.CommitP99),
 		fmt.Sprintf("dels=%d", st.Deletes),
+		fmt.Sprintf("descents=%d", st.Descents),
 		fmt.Sprintf("flush_async=%d", st.AsyncFlushes),
 		fmt.Sprintf("flush_barriers=%d", st.Barriers),
 		fmt.Sprintf("flush_drained=%d", st.DrainedFlushes),
@@ -242,6 +249,7 @@ func (sh *shard) stats() ShardStats {
 		Incrs:      sh.incrs.Load(),
 		Decrs:      sh.decrs.Load(),
 		Gets:       sh.gets.Load(),
+		Descents:   sh.descents.Load(),
 		Scans:      sh.scans.Load(),
 		Batches:    sh.batches.Load(),
 		BatchedOps: sh.batchedOps.Load(),
@@ -316,6 +324,7 @@ func Totals(stats []ShardStats) ShardStats {
 		t.Incrs += st.Incrs
 		t.Decrs += st.Decrs
 		t.Gets += st.Gets
+		t.Descents += st.Descents
 		t.Scans += st.Scans
 		t.Batches += st.Batches
 		t.BatchedOps += st.BatchedOps

@@ -130,6 +130,9 @@ type DB struct {
 	// freeHook, when set, receives the superseded pages of each commit
 	// instead of them being recycled immediately (see SetFreeHook).
 	freeHook func(gen uint64, pages []uint64)
+	// attached is the reachable set Attach rebuilt the allocator from (see
+	// AttachedPages); nil for a store from Create or OpenSized.
+	attached []bool
 }
 
 // Open creates an empty store of the paper's geometry (paperOrder) with the
@@ -213,6 +216,7 @@ func Attach(t *atlas.Thread, meta uint64) (*DB, error) {
 	pages := min(h.ReadUint64(arena+8), (h.Size()-arena-arenaHdr)/block)
 	db := newHandle(t, meta, arena, int(pages), int(order))
 	live := db.reachable()
+	db.attached = live
 	for i := len(live); i > 0; i-- {
 		if live[i-1] {
 			db.cursor = uint32(i)
@@ -240,6 +244,17 @@ func (db *DB) MetaAddr() uint64 { return db.meta }
 
 // Generation returns the committed transaction count.
 func (db *DB) Generation() uint64 { return db.t.Load64(db.meta + 8) }
+
+// AttachedPages reports, by page index, the pages the committed tree
+// reached when Attach opened the store — the walk Attach rebuilt the page
+// allocator from, kept so that a caller tracking the live pages need not
+// walk the tree again. It is nil for a store made by Create or OpenSized,
+// whose tree starts empty. The slice is the handle's own; do not modify it.
+func (db *DB) AttachedPages() []bool { return db.attached }
+
+// PageIndex returns the index of the page holding addr, an address inside
+// the page arena: a page from FreshPages or the free hook, or a value slot.
+func (db *DB) PageIndex(addr uint64) uint32 { return uint32((addr - db.pages) / db.block) }
 
 // pageIndex maps a page address to its index, reporting false for anything
 // that is not the start of a page in the arena.
@@ -352,9 +367,18 @@ func (db *DB) Abort() error {
 		}
 	}
 	db.inTxn = false
+	db.fresh = db.fresh[:0]
 	db.freed = db.freed[:0]
 	return err
 }
+
+// FreshPages returns the pages the last committed transaction allocated,
+// in allocation order. With the pages it superseded (those handed to the
+// free hook) they are the difference between the tree before the
+// transaction and the tree after it; a page the transaction both allocated
+// and unlinked is in both lists. The slice is the handle's scratch, valid
+// until the next Begin; it is empty after Abort.
+func (db *DB) FreshPages() []uint64 { return db.fresh }
 
 // SetFreeHook redirects the superseded pages of every commit to fn instead
 // of recycling them immediately. A service layer serving lock-free snapshot
@@ -410,8 +434,11 @@ func (db *DB) newPage(typ uint64) (uint64, error) {
 
 // childIndex returns the branch slot whose subtree covers k: the largest i
 // with key(i) ≤ k, or 0 when k precedes every separator.
-func (db *DB) childIndex(p uint64, k uint64) int {
-	n := db.nkeys(p)
+func (db *DB) childIndex(p uint64, k uint64) int { return db.childOf(p, db.nkeys(p), k) }
+
+// childOf is childIndex for a branch p of n keys whose header the caller
+// has already read.
+func (db *DB) childOf(p uint64, n int, k uint64) int {
 	i := n - 1
 	for i > 0 && db.key(p, i) > k {
 		i--
@@ -556,41 +583,70 @@ func (db *DB) DisableRecycling() { db.recycle = false }
 // a committed page a writer may overwrite while readers hold the tree (see
 // Overwrite).
 func (db *DB) getFrom(p uint64, k uint64) (uint64, bool) {
-	if slot := db.slotFrom(p, k); slot != 0 {
+	if slot, _, _ := db.slotFrom(p, k); slot != 0 {
 		return db.SlotValue(slot), true
 	}
 	return 0, false
 }
 
-// slotFrom returns the address of k's value word under root p, or 0 when k
-// is absent.
-func (db *DB) slotFrom(p uint64, k uint64) uint64 {
+// slotFrom returns the address of k's value word under root p, with the
+// leaf page holding it and k's entry index there, or slot 0 when k is
+// absent. Each level reads its page's header word once.
+func (db *DB) slotFrom(p uint64, k uint64) (slot, leaf uint64, i int) {
 	for p != 0 {
-		if db.ptype(p) == pageLeaf {
-			n := db.nkeys(p)
+		hdr := db.t.Load64(p + hdrOff)
+		n := int(uint32(hdr))
+		if hdr>>32 == pageLeaf {
 			for i := 0; i < n; i++ {
 				if db.key(p, i) == k {
-					return p + db.valsOff + uint64(8*i)
+					return p + db.valsOff + uint64(8*i), p, i
 				}
 			}
-			return 0
+			return 0, 0, 0
 		}
-		p = db.val(p, db.childIndex(p, k))
+		p = db.val(p, db.childOf(p, n, k))
 	}
-	return 0
+	return 0, 0, 0
 }
 
-// Slot returns the address of k's value word in the current tree, or 0
-// when k is absent: the word Overwrite stores to. It stays k's slot until
-// the next write transaction, which may copy the leaf elsewhere.
-func (db *DB) Slot(k uint64) uint64 { return db.slotFrom(db.t.Load64(db.meta), k) }
+// Locate returns the address of k's value word under root (see Snapshot),
+// or slot 0 when k is absent, with the index of the leaf page holding it
+// and k's entry index there: the coordinates SlotAt takes. Under the
+// current root the slot is the word Overwrite stores to, and it stays k's
+// slot until the next write transaction, which may copy the leaf
+// elsewhere.
+func (db *DB) Locate(root, k uint64) (slot uint64, page uint32, i int) {
+	slot, leaf, i := db.slotFrom(root, k)
+	if slot == 0 {
+		return 0, 0, 0
+	}
+	return slot, db.PageIndex(leaf), i
+}
 
-// SlotValue loads the value word at slot (from Slot).
+// SlotAt returns the address of entry i's value word in page index page
+// when that page is a leaf whose i-th key is k, and 0 otherwise (a page
+// index beyond the pool included). It checks only the page's own words:
+// whether the page belongs to the tree the caller means is the caller's to
+// know — a page of a committed tree keeps its keys while a reader that
+// pinned the tree holds it, but a recycled page may hold anything.
+func (db *DB) SlotAt(page uint32, i int, k uint64) uint64 {
+	if int(page) >= len(db.stamp) {
+		return 0
+	}
+	p := db.pages + uint64(page)*db.block
+	hdr := db.t.Load64(p + hdrOff)
+	if hdr>>32 != pageLeaf || uint(i) >= uint(uint32(hdr)) || db.key(p, i) != k {
+		return 0
+	}
+	return p + db.valsOff + uint64(8*i)
+}
+
+// SlotValue loads the value word at slot (from Locate or SlotAt).
 func (db *DB) SlotValue(slot uint64) uint64 { return db.t.Heap().LoadAtomic64(slot) }
 
-// Overwrite stores v into the value word at slot (from Slot) in place,
-// inside the caller's FASE and outside any write transaction: no page
-// copy, no undo record, no new root, no generation. The committed leaf
+// Overwrite stores v into the value word at slot (from Locate or SlotAt)
+// in place, inside the caller's FASE and outside any write transaction: no
+// page copy, no undo record, no new root, no generation. The committed leaf
 // changes under every reader that holds the tree, so each sees the old or
 // the new value (Get loads the word atomically), and a crash before the
 // FASE's drain completes leaves the word old or new — the value is durable

@@ -20,9 +20,9 @@ func TestOverwriteCounts(t *testing.T) {
 	gen, pool := db.Generation(), db.PoolRemaining()
 	for i := 0; i < txns; i++ {
 		k := keys[(i*131)%len(keys)]
-		slot := db.Slot(k)
+		slot := slotOf(db, k)
 		if slot == 0 {
-			t.Fatalf("Slot(%d) = 0 for a key the tree holds", k)
+			t.Fatalf("Locate(%d) = 0 for a key the tree holds", k)
 		}
 		th.FASEBegin()
 		db.Overwrite(slot, uint64(i))
@@ -55,7 +55,13 @@ func TestOverwriteCounts(t *testing.T) {
 	}
 }
 
-// TestOverwriteCrash: Slot finds exactly the keys present, an overwrite a
+// slotOf is k's value slot in db's current tree, 0 when k is absent.
+func slotOf(db *DB, k uint64) uint64 {
+	slot, _, _ := db.Locate(db.Snapshot(), k)
+	return slot
+}
+
+// TestOverwriteCrash: Locate finds exactly the keys present, an overwrite a
 // crash cuts before its drain leaves the old value, one whose FASE ended
 // survives the crash, and Overwrite refuses to run inside a transaction.
 func TestOverwriteCrash(t *testing.T) {
@@ -63,15 +69,15 @@ func TestOverwriteCrash(t *testing.T) {
 	h := rt.Heap()
 	put(t, db, 1, 10)
 	put(t, db, 2, 20)
-	if db.Slot(3) != 0 {
-		t.Fatal("Slot of an absent key is not 0")
+	if slotOf(db, 3) != 0 {
+		t.Fatal("the slot of an absent key is not 0")
 	}
 	th := db.t
 	th.FASEBegin()
-	db.Overwrite(db.Slot(1), 11)
+	db.Overwrite(slotOf(db, 1), 11)
 	th.FASEEnd()
 	th.FASEBegin()
-	db.Overwrite(db.Slot(2), 21)
+	db.Overwrite(slotOf(db, 2), 21)
 	h.Crash() // mid-FASE: the second overwrite never drained
 	rep, err := atlas.Recover(h)
 	if err != nil {
@@ -102,5 +108,43 @@ func TestOverwriteCrash(t *testing.T) {
 			t.Fatal("Overwrite inside a write transaction did not panic")
 		}
 	}()
-	db2.Overwrite(db2.Slot(1), 12)
+	db2.Overwrite(slotOf(db2, 1), 12)
+}
+
+// TestSlotAtVerifiesItsPage: SlotAt answers with the slot Locate found for
+// every key of a multi-level tree, and with 0 for every coordinate that
+// does not name that key in a leaf — another key, an entry past the
+// page's count, a page index past the pool, and a branch whose separator
+// is the key itself.
+func TestSlotAtVerifiesItsPage(t *testing.T) {
+	_, db := newDB(t, core.SoftCacheOnline)
+	const n = 200
+	for k := uint64(0); k < n; k++ {
+		put(t, db, 2*k, k)
+	}
+	root := db.Snapshot()
+	if db.ptype(root) != pageBranch {
+		t.Fatal("the tree is one leaf; the test needs a branch")
+	}
+	for k := uint64(0); k < 2*n; k += 2 {
+		slot, page, i := db.Locate(root, k)
+		if slot == 0 {
+			t.Fatalf("Locate(%d) found nothing", k)
+		}
+		if got := db.SlotAt(page, i, k); got != slot {
+			t.Fatalf("SlotAt(%d, %d, %d) = %d, Locate found %d", page, i, k, got, slot)
+		}
+		if got := db.SlotAt(page, i, k+1); got != 0 {
+			t.Fatalf("SlotAt names key %d's slot for key %d", k, k+1)
+		}
+		if got := db.SlotAt(page, db.nkeys(db.pages+uint64(page)*db.block), k); got != 0 {
+			t.Fatalf("SlotAt answered for the entry past page %d's count", page)
+		}
+		if got := db.SlotAt(uint32(len(db.stamp)), i, k); got != 0 {
+			t.Fatal("SlotAt answered for a page index past the pool")
+		}
+	}
+	if got := db.SlotAt(db.PageIndex(root), 0, db.key(root, 0)); got != 0 {
+		t.Fatal("SlotAt validated a branch entry whose separator is the key")
+	}
 }

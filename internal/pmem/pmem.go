@@ -137,10 +137,18 @@ func New(size int) *Heap {
 // Size returns the heap size in bytes.
 func (h *Heap) Size() uint64 { return uint64(len(h.mem)) }
 
+// check panics unless [addr, addr+n) lies inside the heap. The panic is
+// built out of line so that check, and every accessor that calls it,
+// stays within the inlining budget.
 func (h *Heap) check(addr, n uint64) {
 	if addr+n > uint64(len(h.mem)) || addr+n < addr {
-		panic(fmt.Sprintf("pmem: access [%d,%d) outside heap of %d bytes", addr, addr+n, len(h.mem)))
+		h.outOfRange(addr, n)
 	}
+}
+
+//go:noinline
+func (h *Heap) outOfRange(addr, n uint64) {
+	panic(fmt.Sprintf("pmem: access [%d,%d) outside heap of %d bytes", addr, addr+n, len(h.mem)))
 }
 
 // CheckRange panics if [addr, addr+n) is not inside the heap; callers use
