@@ -101,8 +101,8 @@ func (c *slotCache) mark(page uint32, on bool) {
 func (sh *shard) lookup(root, k uint64) uint64 {
 	c := sh.cache
 	h := k * hashMul
-	set := c.ways[(h>>c.shift)*2:]
-	set = set[:2:2]
+	at := (h >> c.shift) * 2
+	set := c.ways[at : at+2 : at+2]
 	tag := uint32(h) & c.tagMask
 	e0 := atomic.LoadUint32(&set[0])
 	if e0&c.tagMask == tag {

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,16 +333,7 @@ func TestGetAllocs(t *testing.T) {
 	if got := sh.descents.Load() - d; got != runs+1 { // AllocsPerRun warms up once
 		t.Errorf("%d descents over %d forced misses, want %d", got, runs+1, runs+1)
 	}
-	if st := s.Stats()[0]; st.Descents != sh.descents.Load() || !contains(st.Pairs(), fmt.Sprintf("descents=%d", st.Descents)) {
+	if st := s.Stats()[0]; st.Descents != sh.descents.Load() || !slices.Contains(st.Pairs(), fmt.Sprintf("descents=%d", st.Descents)) {
 		t.Errorf("ShardStats reports %d descents (%v), the shard counted %d", st.Descents, st.Pairs(), sh.descents.Load())
 	}
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
