@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
-		shards     = flag.Int("shards", 4, "independent shards (one tree + writer goroutine each)")
+		shards     = flag.Int("shards", 4, "independent shards (one tree + request queue each, committed by the connections that wait on them)")
 		batch      = flag.Int("batch", 64, "max operations per group commit (1 = one FASE per op)")
 		pool       = flag.Int("pool-pages", 1<<13, "per-shard B+-tree page pool capacity")
 		policy     = flag.String("policy", kv.DefaultOptions().Policy.String(), "persistence policy: ER, LA, AT, SC, SC-offline, BEST (SC-offline runs at the paper's 50-line cap)")

@@ -13,8 +13,8 @@
 // The interposition points are the seams the runtime already exposes:
 // core.FlushSink (wrapped via atlas/kv Options.WrapSink), the undo log's
 // atlas.UndoOp hook, and kv's post-commit ack boundary. An armed site
-// panics with a Crash value; the explorer (or kv's shard writer, via
-// Options.IsInjectedCrash) recovers it and abandons the failure-atomic
+// panics with a Crash value; the explorer (or kv's committing goroutine,
+// via Options.IsInjectedCrash) recovers it and abandons the failure-atomic
 // section mid-flight, exactly as a power failure at that instruction
 // would.
 package faultinject
@@ -208,7 +208,7 @@ func (in *Injector) Kinds() map[Kind]int {
 }
 
 // Point marks one persistence boundary. If this is the armed site, it
-// panics with a Crash; the caller side (explorer or kv shard writer) is
+// panics with a Crash; the caller side (explorer or kv committer) is
 // responsible for recovering the panic and realizing the heap crash.
 func (in *Injector) Point(kind Kind) {
 	if !in.enabled.Load() {

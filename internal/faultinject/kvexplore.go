@@ -54,7 +54,7 @@ type KVOptions struct {
 	// ResizeEvery, when positive, requests a write-cache resize on every
 	// shard before each ResizeEvery-th sequential op, cycling the
 	// capacities of resizeCycle. Requests are issued between acked ops —
-	// the shard writers are idle — so each is applied at the next FASE end,
+	// no shard is committing — so each is applied at the next FASE end,
 	// before that FASE's drain: the shrink evictions it forces become
 	// ordinary FlushLine crash sites, enumerated deterministically, and the
 	// sweep proves a crash mid-resize loses no acked write. Requires a

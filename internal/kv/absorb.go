@@ -93,7 +93,7 @@ const (
 
 // accumulator is the per-shard vector–scalar accumulator: the pending net
 // delta per key (volatile), the counter requests those deltas belong to,
-// and each request's precomputed serial result. Writer-goroutine-owned.
+// and each request's precomputed serial result. The committer's.
 type accumulator struct {
 	deltas  map[uint64]uint64 // key → net pending delta (wrapping)
 	order   []uint64          // keys in first-merge order (deterministic commits)
@@ -162,11 +162,20 @@ func (sh *shard) absorbHook(op AbsorbOp) {
 	}
 }
 
-// absorbDue reports whether the accumulator's deadline has passed (the
-// run-loop timer and the planner both consult it).
+// absorbWait reports whether counter ops are parked and, if so, how long
+// until the accumulator's deadline (≤ 0 once it has passed): serve sleeps
+// that long before it forces the accumulator out.
+func (sh *shard) absorbWait() (wait time.Duration, parked bool) {
+	if sh.acc.pending() == 0 {
+		return 0, false
+	}
+	return time.Duration(sh.absorbDeadlineNs.Load()) - time.Since(sh.acc.opened), true
+}
+
+// absorbDue reports whether the accumulator's deadline has passed.
 func (sh *shard) absorbDue() bool {
-	return sh.acc.pending() > 0 &&
-		time.Since(sh.acc.opened) >= time.Duration(sh.absorbDeadlineNs.Load())
+	wait, parked := sh.absorbWait()
+	return parked && wait <= 0
 }
 
 // simState is one key's simulated value during batch planning: the state
@@ -187,7 +196,7 @@ type simState struct {
 // requests join the acks and its net deltas the writes — when a batch
 // write conflicts with a pending delta, when the parked count crosses
 // Threshold, when the deadline has passed, or when force is set (graceful
-// shutdown). Writer goroutine only; may panic through AbsorbHook (an
+// shutdown). Committer only; may panic through AbsorbHook (an
 // injected crash), which the caller recovers.
 func (sh *shard) planCommit(batch []request, force bool) *commitPlan {
 	plan := &commitPlan{}
@@ -356,25 +365,16 @@ func (sh *shard) nackParked(err error) {
 	sh.acc.reset()
 }
 
-// drainAbsorb commits any parked counter deltas (graceful-shutdown path);
-// it reports whether the store crashed during the drain.
-func (sh *shard) drainAbsorb() (crashed bool) {
-	if !sh.absorbOn() || sh.acc.pending() == 0 {
-		return false
-	}
-	return sh.commitBatch(nil)
-}
-
 // finishAbsorbed completes a plan with no physical writes: every acked op
 // is a GET or absorbed into nothing (net-null), so there is no FASE — the
 // acks cross the same ack boundaries a committed batch would.
-func (sh *shard) finishAbsorbed(plan *commitPlan) (crashed bool) {
+func (sh *shard) finishAbsorbed(plan *commitPlan) {
 	if len(plan.acks) == 0 {
-		return false
+		return
 	}
 	if sh.st.crashing.Load() {
 		nackAll(plan.acks, ErrCrashed)
-		return true
+		return
 	}
 	crash := func(fn func()) bool {
 		if sh.crashedDuring(fn) {
@@ -386,12 +386,12 @@ func (sh *shard) finishAbsorbed(plan *commitPlan) (crashed bool) {
 	}
 	if hook := sh.st.opts.AckHook; hook != nil {
 		if crash(func() { hook(sh.id) }) {
-			return true
+			return
 		}
 	}
 	if plan.fold {
 		if crash(func() { sh.absorbHook(AbsorbAck) }) {
-			return true
+			return
 		}
 	}
 	logical := uint64(logicalOps(plan.acks))
@@ -399,5 +399,4 @@ func (sh *shard) finishAbsorbed(plan *commitPlan) (crashed bool) {
 	sh.batchedOps.Add(logical)
 	sh.absorbed.Add(logical)
 	ackAll(plan.acks, plan.results)
-	return false
 }

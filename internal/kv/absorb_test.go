@@ -230,7 +230,7 @@ func TestAbsorbDifferentialOracle(t *testing.T) {
 				t.Fatalf("op %d: Delete(%d) found absorb=%v plain=%v oracle=%v", i, k, fa, fb, fo)
 			}
 			issued++
-		case 4: // GET (reads bypass the writer queue; parked deltas invisible on both)
+		case 4: // GET (reads bypass the queue; parked deltas invisible on both)
 			va, oka, err := on.Get(k)
 			if err != nil {
 				t.Fatalf("op %d: absorb Get: %v", i, err)

@@ -10,8 +10,8 @@ import (
 // shardControl adapts one shard to the adaptive.Shard control surface. All
 // methods publish targets the shard applies at its next safe point — the
 // capacity at the next FASE end (core.CapacityControlled), the absorption
-// deadline at the writer's next timer arm — so the controller never touches
-// writer-owned state.
+// deadline when a waiter next sleeps on the accumulator — so the controller
+// never touches state the commit lock guards.
 type shardControl struct {
 	sh *shard
 }
@@ -88,7 +88,7 @@ func (s *Store) stopAdaptive() {
 }
 
 // RequestCacheResize asks shard's persistence policy to retarget its write
-// cache to capacity lines, applied by the shard writer at its next FASE end
+// cache to capacity lines, applied by the shard's next commit at its FASE end
 // (before that FASE's drain, so shrink evictions are covered by the drain's
 // barrier). It reports whether the shard's policy supports resizing; it does
 // not wait for the resize to take effect. Deterministic workloads (e.g. the

@@ -23,7 +23,7 @@ import (
 
 // dirBytes is the shard directory's size: the shard count and one meta
 // address per shard, padded to a line, then one line per shard for its
-// capacity word — a line each, because shard writers flush them
+// capacity word — a line each, because shard commits flush them
 // independently.
 func dirBytes(shards int) uint64 {
 	return capOff(shards) + uint64(shards)*trace.LineSize
@@ -79,7 +79,7 @@ func openCapSlot(heap *pmem.Heap, dir uint64, opts Options, id int, policy core.
 }
 
 // save rewrites the advisory word when the capacity in effect has changed
-// since it was last written. Writer goroutine, between FASEs.
+// since it was last written. Committer only, between FASEs.
 func (cs *capSlot) save(heap *pmem.Heap) {
 	if cs.cc == nil {
 		return

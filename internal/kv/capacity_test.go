@@ -8,7 +8,7 @@ import (
 )
 
 // shardPolicy returns shard i's persistence policy. Only for a quiesced
-// store (closed or crashed): the report is the writer thread's own state.
+// store (closed or crashed): the report is the shard thread's own state.
 func shardPolicy(s *Store, i int) interface {
 	core.CapacityControlled
 	core.SizeReporter

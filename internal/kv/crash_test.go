@@ -100,7 +100,7 @@ func TestCrashMidFASEZeroAckedLoss(t *testing.T) {
 	}
 }
 
-// TestExternalCrash crashes from outside the writers (the coordinator
+// TestExternalCrash crashes from outside any commit (the coordinator
 // path cmd/nvserver's self-test uses) under concurrent load.
 func TestExternalCrash(t *testing.T) {
 	opts := DefaultOptions()

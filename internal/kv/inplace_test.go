@@ -18,7 +18,7 @@ import (
 // the window, and when the crash comes instead of the drain they return
 // ErrCrashed rather than hold the store's read lock forever. After Recover
 // the old value is there. Run with -race: the readers load the word while
-// the writer stores it.
+// the committer stores it.
 func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 	const k = 7
 	var armed atomic.Bool
@@ -44,6 +44,7 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 	armed.Store(true)
 	var tk Ticket
 	s.Submit(&tk, OpPut, k, 20)
+	overwrite := waitOn(&tk) // its waiter commits it and parks in the hook
 	<-parked
 	if s.shards[0].window.Load()&1 == 0 {
 		t.Fatal("the overwrite of a present key is not committing in place")
@@ -88,7 +89,7 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 			t.Fatalf("%s: %d, %v, %v; want ErrCrashed", r.how, r.v, r.found, r.err)
 		}
 	}
-	if res := tk.Wait(); !errors.Is(res.Err, ErrCrashed) {
+	if res := <-overwrite; !errors.Is(res.Err, ErrCrashed) {
 		t.Fatalf("crashed overwrite: %+v, want ErrCrashed", res)
 	}
 	<-s.Crashed()
@@ -105,7 +106,7 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 }
 
 // TestWaitingGetCountsItsCut: a Get whose load meets an in-place window
-// counts a cut before it waits, so the writer opens no further window
+// counts a cut before it waits, so no committer opens a further window
 // until the Get is through and the Get waits out only the window already
 // open, however busy the shard. It then returns the drained value and
 // uncounts its cut, and the next overwrite commits in place again.
@@ -125,7 +126,7 @@ func TestWaitingGetCountsItsCut(t *testing.T) {
 	s := newStore(t, opts)
 	defer s.Close()
 	release := sync.OnceFunc(func() { close(drain) })
-	defer release() // before Close: a failed check must not leave the writer parked
+	defer release() // before Close: a failed check must not leave the committer parked
 	if err := s.Put(k, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +134,7 @@ func TestWaitingGetCountsItsCut(t *testing.T) {
 	armed.Store(true)
 	var tk Ticket
 	s.Submit(&tk, OpPut, k, 20)
+	overwrite := waitOn(&tk) // its waiter commits it and parks in the hook
 	<-parked
 	if sh.window.Load()&1 == 0 {
 		t.Fatal("the overwrite of a present key is not committing in place")
@@ -148,11 +150,11 @@ func TestWaitingGetCountsItsCut(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(5 * time.Second); sh.cuts.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("a Get waiting out an in-place window counts no cut: the writer can open the next window under it")
+			t.Fatal("a Get waiting out an in-place window counts no cut: a committer can open the next window under it")
 		}
 	}
 	release()
-	if res := tk.Wait(); res.Err != nil {
+	if res := <-overwrite; res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if r := <-got; r.err != nil || r.v != 20 {
@@ -210,7 +212,7 @@ func TestLoneOverwriteCounts(t *testing.T) {
 }
 
 // TestOverwriteBatchAnswersInQueueOrder queues PUT, INCR, DECR and GET of
-// one present key behind a parked writer, so they commit as one in-place
+// one present key behind a parked commit, so they commit as one in-place
 // batch: each counter op returns the value its predecessors left, the GET
 // sees all three, and the tree's generation does not move.
 func TestOverwriteBatchAnswersInQueueOrder(t *testing.T) {
@@ -238,6 +240,7 @@ func TestOverwriteBatchAnswersInQueueOrder(t *testing.T) {
 	park.Store(true)
 	var blocker Ticket
 	s.Submit(&blocker, OpPut, k+1, 1)
+	blocked := waitOn(&blocker) // its waiter commits it and parks in the hook
 	<-entered
 	park.Store(false)
 	gen := s.shards[0].db.Generation()
@@ -247,7 +250,7 @@ func TestOverwriteBatchAnswersInQueueOrder(t *testing.T) {
 	s.Submit(&tickets[2], OpDecr, k, 2)
 	s.Submit(&tickets[3], OpGet, k, 0)
 	release <- struct{}{}
-	if res := blocker.Wait(); res.Err != nil {
+	if res := <-blocked; res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	want := []Result{{}, {Val: 25}, {Val: 23}, {Val: 23, Found: true}}

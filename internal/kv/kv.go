@@ -1,17 +1,22 @@
 // Package kv is a sharded, group-committing, durable key-value service
 // layered on the paper's persistence stack: each shard owns one mdb COW
-// B+-tree on its own atlas.Thread, driven by a dedicated writer goroutine
-// that drains a queue of Put/Delete requests into a single
-// Begin/…/Commit failure-atomic section. Group commit is the paper's
-// write-combining idea lifted one level: where the software cache combines
-// flushes of the same line *within* a FASE, the batch writer combines
-// whole operations *into* one FASE, so the root-to-leaf page copies of a
-// B+-tree update are paid once per batch instead of once per operation and
-// the FASE-end drain is amortized over the batch. Batches form naturally:
-// the writer commits whatever is queued the moment it is free, so requests
-// arriving during a commit share the next one and a lone request waits for
-// nothing. Requesters are acked only after the commit's flush completes, so
-// an acked write survives any crash (see Crash and Recover).
+// B+-tree on its own atlas.Thread and a queue of requests, which whoever
+// holds the shard's commit lock drains into a single Begin/…/Commit
+// failure-atomic section. There is no writer goroutine: as the paper's
+// storing thread flushes its own lines, the goroutine that waits on a
+// request commits it (flat combining) — Ticket.Wait takes the commit lock
+// and commits everything queued on the shard, its own request and every
+// other caller's, so a caller whose request someone else already committed
+// finds it done. Group commit is the paper's write-combining idea lifted one
+// level: where the software cache combines flushes of the same line
+// *within* a FASE, a commit combines whole operations *into* one FASE, so
+// the root-to-leaf page copies of a B+-tree update are paid once per batch
+// instead of once per operation and the FASE-end drain is amortized over the
+// batch. Batches form naturally: a committer takes whatever is queued when
+// it takes the lock, so requests arriving during a commit share the next
+// one and a lone request waits for nothing. Requesters are acked only after
+// the commit's flush completes, so an acked write survives any crash (see
+// Crash and Recover).
 //
 // A batch whose every mutation overwrites a key already present — a PUT,
 // INCR or DECR, absorption off, queued GETs alongside — skips the copy:
@@ -27,35 +32,36 @@
 // Every mutation is a Submit (enqueue, returns at once) and a Wait on a
 // caller-owned, reusable Ticket; Put, Delete, Incr, Decr and PutBatch are
 // that pair back to back. A caller that keeps many tickets in flight — a
-// connection's pipelined window — gets them committed together.
+// connection's pipelined window — gets them committed together, by its own
+// first Wait on each shard.
 //
-// Get, GetBatch and Scan never enter the writer queue: they are snapshot
-// reads against the last committed root, published atomically by the
-// writer. Superseded pages are reclaimed only once no snapshot that can
-// still see them is live (deferred reclamation via mdb.SetFreeHook), so
-// readers never block writers and writers never invalidate readers. A
-// point lookup — Get, an in-place batch's slot resolution and its queued
-// GETs — rarely walks the tree: each shard keeps a lossy slot cache from a
-// key to the leaf entry that last held it, which answers only when that
-// leaf is in the published tree and still holds the key, and otherwise
-// descends and remembers what it found. The cache is volatile and needs
-// no maintenance on commits; only the page-level live map it validates
-// against changes, when the writer publishes a new root. The
-// one wait is an in-place commit's: from its first store until its drain,
-// a reader of that shard waits, for that one commit at most, rather than
-// return a value a crash could still lose, and a Snapshot, Scan or GetBatch —
-// which must see one tree throughout — starts only between such commits
-// and keeps the writer on the copy-on-write path while it is pinned. The
-// one queued read is a Submit of OpGet, for a caller whose read must
-// follow its own writes still in flight: the writer answers it at its
-// queue position, from the batch's tree, and acks it with the batch after
-// the durable commit, so it never returns a value that could be lost. A
-// batch of GETs alone has nothing to commit and opens no FASE.
+// Get, GetBatch and Scan never enter a queue: they are snapshot reads
+// against the last committed root, published atomically by the commit.
+// Superseded pages are reclaimed only once no snapshot that can still see
+// them is live (deferred reclamation via mdb.SetFreeHook), so readers never
+// block writers and writers never invalidate readers. A point lookup — Get,
+// an in-place batch's slot resolution and its queued GETs — rarely walks the
+// tree: each shard keeps a lossy slot cache from a key to the leaf entry
+// that last held it, which answers only when that leaf is in the published
+// tree and still holds the key, and otherwise descends and remembers what it
+// found. The cache is volatile and needs no maintenance on commits; only the
+// page-level live map it validates against changes, when a commit publishes
+// a new root. The one wait is an in-place commit's: from its first store
+// until its drain, a reader of that shard waits, for that one commit at
+// most, rather than return a value a crash could still lose, and a Snapshot,
+// Scan or GetBatch — which must see one tree throughout — starts only
+// between such commits and keeps the shard's commits on the copy-on-write
+// path while it is pinned. The one queued read is a Submit of OpGet, for a
+// caller whose read must follow its own writes still in flight: its commit
+// answers it at its queue position, from the batch's tree, and acks it with
+// the batch after the durable commit, so it never returns a value that could
+// be lost. A batch of GETs alone has nothing to commit and opens no FASE.
 package kv
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,16 +88,17 @@ var (
 // Options configures a Store. Use DefaultOptions as the base; zero numeric
 // fields are replaced by defaults, but Policy/Config are taken as-is.
 type Options struct {
-	// Shards is the number of independent engines (trees, writer
-	// goroutines). Keys are routed by ShardIndex.
+	// Shards is the number of independent engines (trees, request queues,
+	// commit locks). Keys are routed by ShardIndex.
 	Shards int
-	// MaxBatch bounds how many operations one commit may absorb: the writer
+	// MaxBatch bounds how many operations one commit may absorb: a committer
 	// stops gathering once the batch holds this many (a multi-pair request
 	// taken last may carry it past the bound); 1 disables group commit
 	// (every operation is its own FASE). It bounds commit latency and the
 	// pages one FASE copies, not the undo log: see LogEntries.
 	MaxBatch int
-	// QueueDepth is the per-shard request channel capacity.
+	// QueueDepth is the per-shard request queue capacity. A Submit that
+	// finds its shard's queue full commits a batch of it before queuing.
 	QueueDepth int
 	// PoolPages is the per-shard B+-tree page pool capacity.
 	PoolPages int
@@ -118,8 +125,9 @@ type Options struct {
 	// counter accumulator behind Incr/Decr. Disabled by default.
 	Absorb AbsorbConfig
 	// AbsorbHook observes each absorption boundary crossing (merge,
-	// threshold commit, deadline commit, absorb ack) on the shard writer;
-	// internal/faultinject numbers them as crash-exploration sites.
+	// threshold commit, deadline commit, absorb ack) on whichever goroutine
+	// holds the shard's commit lock; internal/faultinject numbers them as
+	// crash-exploration sites.
 	AbsorbHook func(op AbsorbOp)
 	// RecoverHook observes the atlas undo-log rollback stages inside
 	// Recover. A panic claimed by IsInjectedCrash aborts the recovery
@@ -127,8 +135,9 @@ type Options struct {
 	// second Recover on the same heap must converge — the crash-exploration
 	// contract for recovery itself.
 	RecoverHook func(op atlas.RecoverOp)
-	// CrashBeforeCommit is a failure-injection hook: when it returns true
-	// the writer simulates a power failure in the middle of its FASE —
+	// CrashBeforeCommit is a failure-injection hook, run on whichever
+	// goroutine is committing: when it returns true the commit simulates a
+	// power failure in the middle of its FASE —
 	// after the batch's stores, before the commit — so the whole store
 	// crashes with that batch unacked and recoverable only by rollback.
 	// batch is the shard's committed-batch count so far.
@@ -141,13 +150,14 @@ type Options struct {
 	// i's thread id is i.
 	WrapSink func(thread int32, sink core.FlushSink) core.FlushSink
 	UndoHook func(op atlas.UndoOp)
-	// AckHook runs on the shard writer between a batch's durable commit
-	// and the delivery of its acks — the last boundary at which a crash
-	// leaves committed-but-unacked writes.
+	// AckHook runs on the committing goroutine between a batch's durable
+	// commit and the delivery of its acks — the last boundary at which a
+	// crash leaves committed-but-unacked writes. A hook that blocks holds
+	// the shard's commit lock, so the shard's other waiters block behind it.
 	AckHook func(shard int)
 	// IsInjectedCrash classifies a panic raised by one of the hooks above
-	// as a simulated power failure: the shard writer then abandons its
-	// FASE and crashes the store exactly as CrashBeforeCommit does. Panics
+	// as a simulated power failure: the committer then abandons its FASE
+	// and crashes the store exactly as CrashBeforeCommit does. Panics
 	// it does not claim propagate unchanged.
 	IsInjectedCrash func(r any) bool
 }
@@ -255,7 +265,6 @@ type Store struct {
 	ctrl *adaptive.Controller
 
 	crashing  atomic.Bool
-	crashCh   chan struct{} // closed when a crash begins
 	crashDone chan struct{} // closed when the crash has fully taken effect
 
 	mu    sync.RWMutex
@@ -294,8 +303,7 @@ func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("kv: allocating shard directory: %w", err)
 	}
 	heap.WriteUint64(dir, uint64(opts.Shards))
-	s := &Store{heap: heap, rt: rt, opts: opts, taps: taps,
-		crashCh: make(chan struct{}), crashDone: make(chan struct{})}
+	s := &Store{heap: heap, rt: rt, opts: opts, taps: taps, crashDone: make(chan struct{})}
 	for i := 0; i < opts.Shards; i++ {
 		th, err := rt.NewThread()
 		if err != nil {
@@ -310,7 +318,7 @@ func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 	}
 	heap.Persist(dir, dirBytes(opts.Shards))
 	heap.SetRoot(dir)
-	s.start()
+	s.startAdaptive()
 	return s, nil
 }
 
@@ -337,7 +345,7 @@ func crashGuard(claim func(any) bool, fn func()) (crashed bool) {
 // Every commit left each shard's COW tree durable and complete, so after the
 // rollback there is nothing to rebuild: Recover reads the shard directory,
 // attaches each tree (mdb.Attach rebuilds the volatile page allocator from
-// it) and starts the writers. Its cost is bounded by the pool size, not by
+// it) and resumes serving. Its cost is bounded by the pool size, not by
 // the store's history.
 //
 // Recovery itself is crash-safe: an injected crash at any RecoverHook
@@ -368,8 +376,7 @@ func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error
 
 	taps := initAdaptive(opts)
 	rt := atlas.NewRuntime(heap, runtimeOptions(opts, taps))
-	s := &Store{heap: heap, rt: rt, opts: opts, taps: taps,
-		crashCh: make(chan struct{}), crashDone: make(chan struct{})}
+	s := &Store{heap: heap, rt: rt, opts: opts, taps: taps, crashDone: make(chan struct{})}
 	for i := 0; i < opts.Shards; i++ {
 		th, err := rt.NewThread()
 		if err != nil {
@@ -382,15 +389,8 @@ func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error
 		}
 		s.shards = append(s.shards, newShard(s, i, th, db, cs))
 	}
-	s.start()
-	return s, rep, nil
-}
-
-func (s *Store) start() {
-	for _, sh := range s.shards {
-		go sh.run()
-	}
 	s.startAdaptive()
+	return s, rep, nil
 }
 
 // Shards returns the shard count.
@@ -402,39 +402,44 @@ func (s *Store) ShardFor(k uint64) int { return ShardIndex(k, len(s.shards)) }
 // Heap returns the underlying persistent heap.
 func (s *Store) Heap() *pmem.Heap { return s.heap }
 
-// enqueue hands a request to its shard's writer. The read lock is held
-// across the send so state transitions (Close, the crash taking effect)
-// cannot race the channel.
+// enqueue queues a request on its shard. The read lock is held across the
+// push so state transitions (Close, the crash taking effect) cannot race
+// it. A full queue is not waited on: the caller commits a batch of it
+// itself, as a Wait would, and tries again.
 func (s *Store) enqueue(sh *shard, r request) error {
-	s.mu.RLock()
-	if s.state != stateServing {
-		st := s.state
+	for {
+		s.mu.RLock()
+		if s.state != stateServing {
+			st := s.state
+			s.mu.RUnlock()
+			if st == stateCrashed {
+				return ErrCrashed
+			}
+			return ErrClosed
+		}
+		queued := sh.q.push(r)
 		s.mu.RUnlock()
-		if st == stateCrashed {
+		if queued {
+			return nil
+		}
+		if s.crashing.Load() {
 			return ErrCrashed
 		}
-		return ErrClosed
-	}
-	select {
-	case sh.ch <- r:
-		s.mu.RUnlock()
-		return nil
-	case <-s.crashCh:
-		s.mu.RUnlock()
-		return ErrCrashed
+		sh.commitQueued()
 	}
 }
 
-// Submit enqueues one single-key request on its shard's writer queue and
-// returns without waiting for the commit; the outcome arrives through
-// t.Wait. For OpPut v is the value, for OpIncr/OpDecr the delta, for OpDel
-// and OpGet it is ignored. Submit blocks only while the shard's queue is
-// full, and never fails on its own: a store that is closed or has crashed
+// Submit queues one single-key request on its shard and returns without
+// waiting for the commit; the outcome arrives through t.Wait, which
+// commits the request if it is still queued. For OpPut v is the value, for
+// OpIncr/OpDecr the delta, for OpDel and OpGet it is ignored. Submit never
+// waits for room in a full queue — it commits a batch of the queue first —
+// and never fails on its own: a store that is closed or has crashed
 // completes the ticket with ErrClosed or ErrCrashed. Requests submitted to
 // one shard by one goroutine are applied in submission order.
 func (s *Store) Submit(t *Ticket, op Op, k, v uint64) {
-	t.arm(1)
 	sh := s.shards[ShardIndex(k, len(s.shards))]
+	t.arm(sh)
 	if err := s.enqueue(sh, request{op: op, k: k, v: v, t: t}); err != nil {
 		t.complete(Result{Err: err})
 	}
@@ -453,7 +458,7 @@ func (s *Store) Submit(t *Ticket, op Op, k, v uint64) {
 func (s *Store) SubmitBatch(t *Ticket, pairs []Pair) {
 	switch len(pairs) {
 	case 0:
-		t.arm(1)
+		t.arm(nil)
 		t.complete(Result{})
 		return
 	case 1:
@@ -488,16 +493,31 @@ func (s *Store) SubmitBatch(t *Ticket, pairs []Pair) {
 		grouped[offs[si]] = pairs[i]
 		offs[si]++
 	}
-	t.arm(touched)
+	if touched == 1 {
+		si := ShardIndex(pairs[0].K, ns)
+		s.submitPart(t, s.shards[si], grouped)
+		return
+	}
+	if cap(t.parts) < touched {
+		t.parts = make([]Ticket, touched)
+	}
+	t.parts = t.parts[:touched]
+	part := 0
 	for i := 0; i < ns; i++ {
 		if counts[i] == 0 {
 			continue
 		}
 		// offs[i] has advanced to the end of shard i's run.
-		r := request{op: opPuts, pairs: grouped[offs[i]-counts[i] : offs[i]], t: t}
-		if err := s.enqueue(s.shards[i], r); err != nil {
-			t.complete(Result{Err: err})
-		}
+		s.submitPart(&t.parts[part], s.shards[i], grouped[offs[i]-counts[i]:offs[i]])
+		part++
+	}
+}
+
+// submitPart queues one shard's share of a SubmitBatch on t.
+func (s *Store) submitPart(t *Ticket, sh *shard, pairs []Pair) {
+	t.arm(sh)
+	if err := s.enqueue(sh, request{op: opPuts, pairs: pairs, t: t}); err != nil {
+		t.complete(Result{Err: err})
 	}
 }
 
@@ -609,16 +629,16 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 	return err
 }
 
-// Get reads k from the shard's last committed snapshot, without entering
-// the writer queue: it pins the snapshot, asks the shard's slot cache for
-// k's leaf entry, and descends from the pinned root only when the cache
-// has none that is still in the published tree. A reader never blocks the
-// writer, and a commit blocks a reader only while an in-place commit's
-// words are stored but not yet durable — at most one such commit, because
-// a reader that has to wait holds the writer to copy-on-write until it is
-// through (see Snapshot). A read that must see the caller's own writes
-// still in flight is a Submit of OpGet instead. Reads keep working after
-// Close (the heap stays attached) but not after a crash.
+// Get reads k from the shard's last committed snapshot, without entering a
+// queue: it pins the snapshot, asks the shard's slot cache for k's leaf
+// entry, and descends from the pinned root only when the cache has none that
+// is still in the published tree. A reader never blocks a commit, and a
+// commit blocks a reader only while an in-place commit's words are stored
+// but not yet durable — at most one such commit, because a reader that has
+// to wait holds the shard's commits to copy-on-write until it is through
+// (see Snapshot). A read that must see the caller's own writes still in
+// flight is a Submit of OpGet instead. Reads keep working after Close (the
+// heap stays attached) but not after a crash.
 func (s *Store) Get(k uint64) (uint64, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -640,7 +660,7 @@ type Pair struct{ K, V uint64 }
 // from start (up to n pairs each) and merges, giving a globally ordered
 // range read. The per-shard snapshots are pinned cuts (see GetBatch)
 // acquired one after another, so the merged view is per-shard — not
-// cross-shard — consistent. Like Get it never enters the writer queue.
+// cross-shard — consistent. Like Get it never enters a queue.
 func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	if n <= 0 {
 		return nil, nil
@@ -720,10 +740,10 @@ func (sn *Snapshot) Release() {
 	sn.sh.releaseCut(sn.gen)
 }
 
-// Close drains every shard gracefully: pending requests are accepted no
-// more, queued ones are batched, committed and acked, writer goroutines
-// exit, and the runtime's residual dirty state is persisted. Reads remain
-// possible afterwards.
+// Close drains every shard gracefully: requests are accepted no more,
+// queued ones are batched, committed and acked on the caller's goroutine,
+// parked counter deltas are committed, and the runtime's residual dirty
+// state is persisted. Reads remain possible afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.state != stateServing {
@@ -737,10 +757,7 @@ func (s *Store) Close() error {
 	s.state = stateClosed
 	s.mu.Unlock()
 	for _, sh := range s.shards {
-		close(sh.ch)
-	}
-	for _, sh := range s.shards {
-		<-sh.done
+		sh.drain()
 	}
 	s.stopAdaptive()
 	if s.crashing.Load() {
@@ -751,8 +768,8 @@ func (s *Store) Close() error {
 }
 
 // Crash simulates a power failure: in-flight batches are abandoned
-// mid-FASE (never acked, rolled back by Recover), writer goroutines stop,
-// the heap's volatile view is discarded, and every queued request fails
+// mid-FASE (never acked, rolled back by Recover), commits stop, the heap's
+// volatile view is discarded, and every queued or parked request fails
 // with ErrCrashed. The Store is unusable afterwards; build a new one with
 // Recover on the same heap.
 func (s *Store) Crash() error { return s.initiateCrash(nil) }
@@ -761,42 +778,42 @@ func (s *Store) Crash() error { return s.initiateCrash(nil) }
 // effect — after it, the heap is safe to Recover.
 func (s *Store) Crashed() <-chan struct{} { return s.crashDone }
 
-// initiateCrash coordinates the failure: writers park first (so no
-// goroutine mutates the heap mid-discard), then the volatile view is
-// dropped. except is the writer-shard initiating the crash from inside its
-// own FASE (via CrashBeforeCommit), which parks itself after returning.
+// initiateCrash coordinates the failure: it takes every shard's commit lock
+// first, which waits out the commits in flight (each sees crashing at its
+// next check and stops), so no goroutine mutates the heap while its
+// volatile view is dropped; then, still holding them, it fails every
+// queued and parked request. except is the shard whose committer initiates
+// the crash from inside its own FASE (via CrashBeforeCommit), which holds
+// that lock already and nacks its own batch after this returns.
 func (s *Store) initiateCrash(except *shard) error {
 	if !s.crashing.CompareAndSwap(false, true) {
 		return ErrCrashed
 	}
-	close(s.crashCh)
 	for _, sh := range s.shards {
 		if sh != except {
-			<-sh.done
+			sh.commitMu.Lock()
 		}
 	}
 	// The controller's targets are published atomically and applied only at
-	// writer safe points, so it cannot corrupt the quiescing heap; stop it
+	// commit safe points, so it cannot corrupt the quiescing heap; stop it
 	// anyway so no decision loop outlives the store.
 	s.stopAdaptive()
 	s.mu.Lock()
 	s.state = stateCrashed
 	s.heap.Crash()
 	s.mu.Unlock()
-	// No Get can be inside a shard now and every writer has stopped, so the
-	// slot caches pass to whichever recovery comes next.
+	// No Get can be inside a shard now and no commit can start, so the slot
+	// caches pass to whichever recovery comes next.
 	for _, sh := range s.shards {
 		slotCaches.Put(sh.cache)
+		// Not through gather: a committer that initiated the crash still owes
+		// the batch in its buffer the nack.
+		nackAll(sh.q.take(nil, math.MaxInt), ErrCrashed)
+		sh.nackParked(ErrCrashed)
 	}
 	for _, sh := range s.shards {
-		for {
-			select {
-			case r := <-sh.ch:
-				r.t.complete(Result{Err: ErrCrashed})
-				continue
-			default:
-			}
-			break
+		if sh != except {
+			sh.commitMu.Unlock()
 		}
 	}
 	close(s.crashDone)

@@ -20,6 +20,15 @@ func newStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// waitOn waits for t on a new goroutine and delivers the result. A test
+// whose hook parks a commit needs it: the goroutine that waits is the one
+// that commits, so it is the one the hook parks.
+func waitOn(t *Ticket) <-chan Result {
+	res := make(chan Result, 1)
+	go func() { res <- t.Wait() }()
+	return res
+}
+
 func TestPutGetDeleteAcrossShards(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 4

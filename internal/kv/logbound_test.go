@@ -25,7 +25,7 @@ func TestLargestFASEFitsUndoLog(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = Pair{K: uint64(i), V: uint64(i) + 1}
 	}
-	var mu sync.Mutex // the shard writer calls the hook; the test reads after Close
+	var mu sync.Mutex // committers call the hook; the test reads after Close
 	var (
 		serving           bool  // Open has returned
 		inFASE, maxLogged int   // words logged by the open FASE, and the most by any

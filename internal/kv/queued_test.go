@@ -6,7 +6,7 @@ import (
 )
 
 // TestQueuedReadsShareCommit: a GET submitted behind its own PUT rides that
-// PUT's group commit instead of splitting the batch. With the writer parked
+// PUT's group commit instead of splitting the batch. With a commit parked
 // on a blocker, 8 × (PUT kᵢ, GET kᵢ) queue up and commit as one FASE of 16
 // requests; each GET answers its PUT's value; the stats count the 8 PUTs
 // only. The pairs run twice: on fresh keys, whose PUTs insert
@@ -59,28 +59,36 @@ func TestQueuedReadsShareCommit(t *testing.T) {
 	}
 	lone := float64(flushes()-before) / lonePuts
 
-	// Park the writer on a blocker, queue the pairs, release it: the pairs
-	// form the next batch, which parks in turn so its stats can be read.
+	// Park a commit on a blocker, queue the pairs, release it: the pairs
+	// form the next batch, whose committer — the first pair's waiter —
+	// parks in turn so its stats can be read.
 	var tickets [2 * pairs]Ticket
 	sharedLines := func(key func(i int) uint64, val uint64) float64 {
 		park.Store(true)
 		var blocker Ticket
 		s.Submit(&blocker, OpPut, 8*keys+1, 1)
+		blocked := waitOn(&blocker)
 		<-entered
 		for i := 0; i < pairs; i++ {
 			s.Submit(&tickets[2*i], OpPut, key(i), val+uint64(i))
 			s.Submit(&tickets[2*i+1], OpGet, key(i), 0)
 		}
 		release <- struct{}{}
-		if res := blocker.Wait(); res.Err != nil {
+		if res := <-blocked; res.Err != nil {
 			t.Fatal(res.Err)
 		}
+		first := waitOn(&tickets[0])
 		<-entered
 		mid := Totals(s.Stats())
 		park.Store(false)
 		release <- struct{}{}
 		for i := range tickets {
-			res := tickets[i].Wait()
+			var res Result
+			if i == 0 {
+				res = <-first
+			} else {
+				res = tickets[i].Wait()
+			}
 			want := Result{}
 			if i%2 == 1 {
 				want = Result{Val: val + uint64(i/2), Found: true}

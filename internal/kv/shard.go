@@ -22,7 +22,7 @@ const (
 	// arithmetic; a missing key counts from zero).
 	OpIncr
 	OpDecr
-	// OpGet is a read in queue order: the shard writer answers it at its
+	// OpGet is a read in queue order: its commit answers it at its
 	// position, so it sees exactly the writes queued ahead of it, and
 	// completes it only with its batch's acks — after the commit that makes
 	// those writes durable. A GET that needs no such ordering should use
@@ -51,53 +51,100 @@ type Result struct {
 // allocating. A ticket carries one request at a time and must not be
 // copied after first use.
 type Ticket struct {
-	ch chan struct{} // buffered(1): signalled by whichever part completes last
+	// state is ticketDone, ticketQueued, or ticketSleeping while Wait is
+	// parked on wake; complete swaps it to ticketDone and signals wake only
+	// when it finds the waiter asleep, so a Wait whose request was committed
+	// before it looked, or by its own goroutine, never touches wake.
+	state atomic.Uint32
+	wake  chan struct{} // buffered(1), made at the first sleep
+	res   Result
+	sh    *shard // the shard the request was queued on
 
-	mu    sync.Mutex // parts of a batch complete on different shard writers
-	parts int        // shard requests still outstanding
-	res   Result     // the outcome; for a batch, its first error
-
+	// parts are SubmitBatch's per-shard requests when a batch spans more
+	// than one shard; each is an ordinary single-request ticket, and Wait
+	// waits for them in turn.
+	parts []Ticket
 	// grouped is SubmitBatch's scratch: the batch's pairs counting-sorted by
 	// shard. The shard requests alias it until Wait returns.
 	grouped []Pair
 }
 
-// arm readies t for a mutation made of parts shard requests.
-func (t *Ticket) arm(parts int) {
-	if t.ch == nil {
-		t.ch = make(chan struct{}, 1)
-	}
-	t.parts = parts
+const (
+	ticketDone uint32 = iota
+	ticketQueued
+	ticketSleeping
+)
+
+// arm readies t for one request to be queued on sh.
+func (t *Ticket) arm(sh *shard) {
 	t.res = Result{}
+	t.sh = sh
+	t.parts = t.parts[:0]
+	t.state.Store(ticketQueued)
 }
 
-// complete delivers one part's outcome; the last part wakes the waiter.
-// Every request that was armed is completed exactly once — by its shard
-// writer (ack or nack), by the crash draining the queues, or by Submit
-// itself when the store refuses it — which is what lets Wait block on the
-// ticket alone.
+func (t *Ticket) done() bool { return t.state.Load() == ticketDone }
+
+// complete delivers the request's outcome and wakes a sleeping Wait. Every
+// request that was armed is completed exactly once — under its shard's
+// commit lock by the committer (ack or nack) or by the crash draining the
+// queues, or by Submit itself when the store refuses it.
 func (t *Ticket) complete(res Result) {
-	t.mu.Lock()
-	if t.res.Err == nil {
-		t.res = res
-	}
-	t.parts--
-	last := t.parts == 0
-	t.mu.Unlock()
-	if last {
-		t.ch <- struct{}{}
+	t.res = res
+	if t.state.Swap(ticketDone) == ticketSleeping {
+		t.wake <- struct{}{}
 	}
 }
 
-// Wait blocks until the submitted mutation has completed and returns its
-// outcome. Err is nil only after the batch containing the mutation has
+// sleep parks the waiter until complete wakes it or, when d > 0, until d
+// has passed.
+func (t *Ticket) sleep(d time.Duration) {
+	if t.wake == nil {
+		t.wake = make(chan struct{}, 1)
+	}
+	if !t.state.CompareAndSwap(ticketQueued, ticketSleeping) {
+		return // completed meanwhile
+	}
+	if d <= 0 {
+		<-t.wake
+		return
+	}
+	timer := time.NewTimer(d)
+	select {
+	case <-t.wake:
+	case <-timer.C:
+		if !t.state.CompareAndSwap(ticketSleeping, ticketQueued) {
+			<-t.wake // complete won the race; take its signal
+		}
+	}
+	timer.Stop()
+}
+
+// Wait returns the submitted request's outcome once it has completed,
+// committing it first if it is still queued: under the shard's commit lock,
+// the caller's goroutine commits whatever is queued there — its own request
+// and everyone else's, up to MaxBatch per FASE — until its request is
+// through. A request another goroutine is committing is waited out on the
+// lock. Err is nil only after the batch containing the mutation has
 // committed and its flushes completed, so an acked mutation survives any
 // crash; ErrCrashed means it was not acked and, after Recover, is either
 // absent or fully applied, never torn: fully applied when the crash came
 // between the durable commit and the ack, or, for an in-place overwrite,
-// after the write-back of its key's line; rolled back otherwise.
+// after the write-back of its key's line; rolled back otherwise. A batch
+// returns the first error of its shard parts.
 func (t *Ticket) Wait() Result {
-	<-t.ch
+	if len(t.parts) > 0 {
+		var res Result
+		for i := range t.parts {
+			if r := t.parts[i].Wait(); r.Err != nil && res.Err == nil {
+				res = r
+			}
+		}
+		return res
+	}
+	if !t.done() {
+		t.sh.serve(t)
+	}
 	return t.res
 }
 
@@ -152,31 +199,81 @@ type genPages struct {
 	pages []uint64
 }
 
+// queue is a shard's bounded FIFO of submitted requests, a ring of
+// QueueDepth slots. Any goroutine pushes; requests leave only under the
+// shard's commit lock, so its holder drains a FIFO no one else takes from.
+type queue struct {
+	mu   sync.Mutex
+	buf  []request
+	head int // slot of the oldest request
+	n    int // requests queued
+}
+
+// push appends r unless the queue is full.
+func (q *queue) push(r request) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == len(q.buf) {
+		return false
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = r
+	q.n++
+	return true
+}
+
+// take moves the oldest requests onto batch until they carry maxOps logical
+// ops (a multi-pair request taken last may carry it past the bound) or the
+// queue is empty. Commit lock holder only.
+func (q *queue) take(batch []request, maxOps int) []request {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for n := 0; q.n > 0 && n < maxOps; q.n-- {
+		r := &q.buf[q.head]
+		batch = append(batch, *r)
+		n += reqCost(r)
+		*r = request{}
+		if q.head++; q.head == len(q.buf) {
+			q.head = 0
+		}
+	}
+	return batch
+}
+
 // shard is one engine: a COW B+-tree on its own atlas thread, mutated only
-// by its writer goroutine (run), read by anyone through pinned snapshots.
+// by the holder of its commit lock, read by anyone through pinned
+// snapshots.
 type shard struct {
-	id   int
-	st   *Store
-	th   *atlas.Thread
-	db   *mdb.DB
-	ch   chan request
-	done chan struct{} // closed when the writer goroutine exits
+	id int
+	st *Store
+	th *atlas.Thread
+	db *mdb.DB
+
+	// commitMu is the commit lock. Its holder is the shard's one mutator: it
+	// takes requests off q, runs their FASE and acks them. Whoever needs a
+	// queued request committed takes it — a Wait (serve), a Submit that finds
+	// q full, Close — so no goroutine is kept per shard.
+	commitMu sync.Mutex
+	q        queue
 
 	// Absorption knobs (the deadline is live: the adaptive controller
-	// retargets it) and the counter accumulator. acc is writer-goroutine-owned.
+	// retargets it) and the counter accumulator. acc is the committer's.
 	absorbThreshold  atomic.Int64
 	absorbDeadlineNs atomic.Int64
 	acc              accumulator
 
 	// Reused per-batch storage, so a steady stream of commits allocates
-	// nothing. Writer goroutine only. slots holds an in-place batch's value
+	// nothing. Committer only. slots holds an in-place batch's value
 	// words, one per request (0 for a GET).
 	batchBuf []request
 	resBuf   []Result
 	slots    []uint64
 
 	// capSlot is the shard's advisory cache-capacity word (capacity.go).
-	// Writer goroutine only.
+	// Committer only.
 	capSlot capSlot
 
 	// Snapshot bookkeeping. curRoot/curGen are the last *committed* root
@@ -192,13 +289,13 @@ type shard struct {
 	// checks it; inPlace also reads it without the lock, as a hint.
 	cuts atomic.Int32
 	// spare holds the page slices of reclaimed pending entries for reuse and
-	// reclaim is publish's scratch. Writer goroutine only.
+	// reclaim is publish's scratch. Committer only.
 	spare   [][]uint64
 	reclaim []uint64
 
 	// cache answers point lookups without the tree walk (slotcache.go).
 	// superseded is the pending entry of the commit not yet published, whose
-	// pages publish marks dead. Writer goroutine only.
+	// pages publish marks dead. Committer only.
 	cache      *slotCache
 	superseded []uint64
 
@@ -214,8 +311,7 @@ type shard struct {
 func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB, cs capSlot) *shard {
 	sh := &shard{
 		id: id, st: s, th: th, db: db, capSlot: cs,
-		ch:     make(chan request, s.opts.QueueDepth),
-		done:   make(chan struct{}),
+		q:      queue{buf: make([]request, s.opts.QueueDepth)},
 		active: make(map[uint64]int),
 	}
 	sh.absorbThreshold.Store(int64(s.opts.Absorb.Threshold))
@@ -237,8 +333,8 @@ func (sh *shard) acquire() (root, gen uint64) {
 	return root, gen
 }
 
-// release unpins; eligible pages are recycled at the writer's next commit
-// (the page allocator is single-writer).
+// release unpins; eligible pages are recycled at the shard's next commit
+// (the page allocator belongs to the commit lock holder).
 func (sh *shard) release(gen uint64) {
 	sh.snapMu.Lock()
 	if sh.active[gen]--; sh.active[gen] <= 0 {
@@ -250,9 +346,9 @@ func (sh *shard) release(gen uint64) {
 // acquireCut pins the current committed view as a consistent cut — a
 // Snapshot, one shard's share of a Scan or GetBatch, or a Get that lost a
 // race with an in-place commit (read) — whose every read must see the
-// same tree. Counting the cut first stops the writer from opening another
+// same tree. Counting the cut first stops any committer from opening another
 // in-place window, so the wait is for at most the one already open; while
-// the cut is held the writer commits copy-on-write only, so no leaf word
+// the cut is held the shard commits copy-on-write only, so no leaf word
 // the cut can reach changes under it. It fails only when the store
 // crashes while it waits (an in-place window a crash abandons never
 // closes).
@@ -281,7 +377,7 @@ func (sh *shard) releaseCut(gen uint64) {
 // the value returned is durable: pin, then the slot cache, which descends
 // from the pinned root only on a miss. One lock-free pass serves unless
 // its load overlapped a window; then it reads again through a cut, which
-// waits out at most the window then open (the cut keeps the writer from
+// waits out at most the window then open (the cut keeps committers from
 // opening another). Like acquireCut it fails only when the store crashes
 // while it waits.
 func (sh *shard) read(k uint64) (uint64, bool, error) {
@@ -347,7 +443,7 @@ func (sh *shard) openWindow() bool {
 	return true
 }
 
-// onFreed is the mdb free hook: it runs on the writer goroutine during
+// onFreed is the mdb free hook: it runs on the committer during
 // Commit, parking a copy of the superseded pages until readers drain.
 func (sh *shard) onFreed(gen uint64, pages []uint64) {
 	var held []uint64
@@ -398,79 +494,76 @@ func (sh *shard) publish(cow bool) {
 	}
 }
 
-// run is the shard's writer loop: take the first waiting request, add
-// whatever else is already queued (up to MaxBatch), commit it as one FASE,
-// ack. The writer never waits for a batch to fill — group commit is natural
-// batching: requests that arrive while a commit is in progress queue up
-// behind it and form the next batch, so batches grow with load and a lone
-// request pays no delay.
-func (sh *shard) run() {
-	defer close(sh.done)
-	// Parked counter requests survive loop iterations; if the writer exits
-	// with any still parked (crash paths — the graceful close drains the
-	// accumulator first), their deltas were never committed and nacking is
-	// exact.
-	defer sh.nackParked(ErrCrashed)
-	for {
-		// With counter ops parked, wake at the absorption deadline so their
-		// net delta commits (and they ack) even if the queue stays idle.
-		var (
-			deadlineC <-chan time.Time
-			timer     *time.Timer
-		)
-		if sh.absorbOn() && sh.acc.pending() > 0 {
-			wait := time.Duration(sh.absorbDeadlineNs.Load()) - time.Since(sh.acc.opened)
-			if wait < 0 {
-				wait = 0
-			}
-			timer = time.NewTimer(wait)
-			deadlineC = timer.C
+// serve commits the shard's queue on the caller's goroutine until t, whose
+// request was queued here, has completed. Each pass takes the commit lock's
+// view of the queue — everything queued, up to MaxBatch logical ops — and
+// commits it as one FASE, so requests queued while a commit runs share the
+// next one: group commit is natural batching, a lone request pays no delay,
+// and there is no second commit path. A waiter whose request another
+// goroutine is committing blocks on the lock and finds it done. When
+// nothing is queued and t is still pending, t is a counter op parked in the
+// absorption accumulator: serve sleeps, without the lock, until the
+// accumulator's deadline (or an earlier commit that folds it), then forces
+// the accumulator out. Once the store is crashing, the crash completes t.
+func (sh *shard) serve(t *Ticket) {
+	sh.commitMu.Lock()
+	for !t.done() && !sh.st.crashing.Load() {
+		if batch := sh.gather(); len(batch) > 0 {
+			sh.commitBatch(batch)
+			continue
 		}
-		select {
-		case req, ok := <-sh.ch:
-			if timer != nil {
-				timer.Stop()
-			}
-			if !ok {
-				sh.drainAbsorb()
-				return
-			}
-			if sh.commitBatch(sh.gatherQueued(req)) {
-				return
-			}
-		case <-deadlineC:
-			if sh.commitBatch(nil) {
-				return
-			}
-		case <-sh.st.crashCh:
-			if timer != nil {
-				timer.Stop()
-			}
-			return
+		wait, parked := sh.absorbWait()
+		if !parked {
+			break
 		}
+		if wait <= 0 {
+			sh.commitBatch(nil)
+			continue
+		}
+		sh.commitMu.Unlock()
+		t.sleep(wait)
+		sh.commitMu.Lock()
+	}
+	sh.commitMu.Unlock()
+	if !t.done() {
+		t.sleep(0)
 	}
 }
 
-// gatherQueued collects one group commit without waiting: first plus
-// whatever is already queued, up to MaxBatch logical ops. The batch lives in
-// the shard's reused buffer (see shard.batchBuf).
-func (sh *shard) gatherQueued(first request) []request {
-	maxBatch := sh.st.opts.MaxBatch
-	batch := append(sh.batchBuf[:0], first)
-	n := reqCost(&first)
-gather:
-	for n < maxBatch {
-		select {
-		case r, ok := <-sh.ch:
-			if !ok {
-				break gather
-			}
-			batch = append(batch, r)
-			n += reqCost(&r)
-		default:
-			break gather
+// commitQueued commits one batch of whatever is queued: Submit's move when
+// it finds the queue full, in place of waiting for room.
+func (sh *shard) commitQueued() {
+	sh.commitMu.Lock()
+	if !sh.st.crashing.Load() {
+		if batch := sh.gather(); len(batch) > 0 {
+			sh.commitBatch(batch)
 		}
 	}
+	sh.commitMu.Unlock()
+}
+
+// drain commits everything queued, then any parked counter deltas: Close's
+// graceful drain, once no request can be queued any more.
+func (sh *shard) drain() {
+	sh.commitMu.Lock()
+	defer sh.commitMu.Unlock()
+	for !sh.st.crashing.Load() {
+		batch := sh.gather()
+		if len(batch) == 0 {
+			if _, parked := sh.absorbWait(); parked {
+				sh.commitBatch(nil)
+			}
+			return
+		}
+		sh.commitBatch(batch)
+	}
+}
+
+// gather takes one group commit off the queue without waiting: whatever is
+// queued, up to MaxBatch logical ops. The batch lives in the shard's reused
+// buffer (see shard.batchBuf). Commit lock holder only.
+func (sh *shard) gather() []request {
+	batch := sh.q.take(sh.batchBuf[:0], sh.st.opts.MaxBatch)
 	sh.batchBuf = batch[:0]
 	return batch
 }
@@ -507,11 +600,11 @@ const (
 )
 
 // commitBatch applies the batch inside one FASE and acks after the commit
-// is durable. It reports whether the store crashed (the writer must exit).
-func (sh *shard) commitBatch(batch []request) (crashed bool) {
+// is durable. Commit lock holder only.
+func (sh *shard) commitBatch(batch []request) {
 	if sh.st.crashing.Load() {
 		nackAll(batch, ErrCrashed)
-		return true
+		return
 	}
 	results := sh.resultsFor(len(batch))
 	if len(batch) > 0 && readOnly(batch) && sh.acc.pending() == 0 {
@@ -521,7 +614,7 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		sh.readCommitted(batch, results)
 		sh.noteOps(batch)
 		ackAll(batch, results)
-		return false
+		return
 	}
 	var plan *commitPlan
 	if sh.absorbOn() {
@@ -530,25 +623,26 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		force := batch == nil
 		if sh.crashedDuring(func() { plan = sh.planCommit(batch, force) }) {
 			// Injected crash at a merge boundary: only volatile accumulator
-			// state was touched, nothing durable. Requests the partial plan
-			// already parked are nacked by run's deferred nackParked; nack
-			// the rest of the batch here (each request exactly once).
-			sh.st.initiateCrash(sh)
+			// state was touched, nothing durable. The crash nacks the
+			// requests the partial plan already parked; nack the rest of the
+			// batch here (each request exactly once).
 			parked := make(map[*Ticket]bool, sh.acc.pending())
 			for i := range sh.acc.parked {
 				parked[sh.acc.parked[i].t] = true
 			}
+			sh.st.initiateCrash(sh)
 			for i := range batch {
 				if !parked[batch[i].t] {
 					batch[i].t.complete(Result{Err: ErrCrashed})
 				}
 			}
-			return true
+			return
 		}
 		if len(plan.writes) == 0 {
 			// Every op this plan acks is a GET or absorbed into nothing (and
 			// parked-only plans ack nobody): no FASE.
-			return sh.finishAbsorbed(plan)
+			sh.finishAbsorbed(plan)
+			return
 		}
 		batch, results = plan.acks, plan.results
 	}
@@ -558,7 +652,7 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 	switch outcome {
 	case batchBeginErr, batchCommitErr:
 		nackAll(batch, failed)
-		return false
+		return
 	case batchFailed:
 		// The aborted writes never happened, so the batch's GETs are
 		// answered from the committed tree; its mutations fail.
@@ -570,7 +664,7 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 			}
 		}
 		ackAll(batch, results)
-		return false
+		return
 	case batchCrashInjected:
 		// Injected power failure: if it hit a copy-on-write FASE the undo log
 		// is still active and Recover rolls the batch back in full; an
@@ -580,10 +674,10 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 		// promises nothing either way).
 		sh.st.initiateCrash(sh)
 		nackAll(batch, ErrCrashed)
-		return true
+		return
 	case batchCrashRace:
 		nackAll(batch, ErrCrashed)
-		return true
+		return
 	}
 	post := sh.th.FlushStats()
 	sh.capSlot.save(sh.st.heap)
@@ -594,7 +688,6 @@ func (sh *shard) commitBatch(batch []request) (crashed bool) {
 	sh.publish(!inPlace)
 	sh.note(batch, applied, pre, post)
 	ackAll(batch, results)
-	return false
 }
 
 // readCommitted answers the batch's GETs from the tree outside any FASE,

@@ -15,8 +15,8 @@ import (
 // entry is ever invalidated — a stale one fails validation and is
 // overwritten by the descent that follows.
 //
-// Any goroutine may read and install ways (atomic words). Only the shard
-// writer flips the live map, and only in publish, under snapMu, together
+// Any goroutine may read and install ways (atomic words). Only the shard's
+// committer flips the live map, and only in publish, under snapMu, together
 // with the switch of the published root: a commit's fresh pages become
 // live there and its superseded pages dead. Flipping any earlier — in
 // mdb's Commit, say — would let a page recycled from the free list
@@ -79,9 +79,9 @@ func (c *slotCache) isLive(page uint32) bool {
 	return int(w) < len(c.live) && atomic.LoadUint64(&c.live[w])&(1<<(page&63)) != 0
 }
 
-// mark sets page's live bit to on. Shard writer only, in publish: a plain
-// read-modify-write of the word suffices with one writer, and readers load
-// it atomically.
+// mark sets page's live bit to on. Committer only, in publish: a plain
+// read-modify-write of the word suffices with one writer (the commit lock
+// holder), and readers load it atomically.
 func (c *slotCache) mark(page uint32, on bool) {
 	w := &c.live[page>>6]
 	bit := uint64(1) << (page & 63)
@@ -95,7 +95,7 @@ func (c *slotCache) mark(page uint32, on bool) {
 // lookup returns the address of k's value word in the published tree, or 0
 // when k is absent. A way answers when it names a live leaf that still
 // holds k; otherwise lookup descends from root and installs what it finds.
-// root is the caller's pinned root, or the current one on the shard writer
+// root is the caller's pinned root, or the current one in the committer
 // between commits; either way no page lookup reads can be recycled under
 // it. The descent counts in descents.
 func (sh *shard) lookup(root, k uint64) uint64 {
@@ -147,7 +147,7 @@ func (sh *shard) get(root, k uint64) (uint64, bool) {
 }
 
 // flipLive brings the live map from the previous published tree to the one
-// the last copy-on-write commit made. Shard writer only, from publish
+// the last copy-on-write commit made. Committer only, from publish
 // under snapMu.
 //
 // The superseded pages go dead before the fresh ones go live, so no reader

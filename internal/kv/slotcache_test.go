@@ -204,6 +204,7 @@ func TestGetWaitsForPublish(t *testing.T) {
 	park.Store(true)
 	var tk Ticket
 	s.SubmitBatch(&tk, []Pair{{k, 3}, {k2, 3}})
+	committed := waitOn(&tk) // its waiter commits it and parks in the hook
 	<-entered
 	park.Store(false)
 	if _, page, _ := sh.db.Locate(sh.db.Snapshot(), k); page != cached {
@@ -213,7 +214,7 @@ func TestGetWaitsForPublish(t *testing.T) {
 	vals, found := make([]uint64, 1), make([]bool, 1)
 	berr := s.GetBatch([]uint64{k}, vals, found)
 	close(release)
-	if res := tk.Wait(); res.Err != nil {
+	if res := <-committed; res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if err != nil || berr != nil {
@@ -227,12 +228,12 @@ func TestGetWaitsForPublish(t *testing.T) {
 	}
 }
 
-// TestGetNeverGoesBackwards hammers Get from two readers while the writer
+// TestGetNeverGoesBackwards hammers Get from two readers while a writer
 // churns each key through copy-on-write commits (delete, then put back)
 // and an in-place overwrite, with values rising every time. A reader may
 // find a key absent mid-churn, but no value it reads may be older than
 // one it has read before. Run with -race: readers validate and install
-// ways while the writer flips the live map and recycles pages.
+// ways while the committer flips the live map and recycles pages.
 func TestGetNeverGoesBackwards(t *testing.T) {
 	const keys, rounds = 16, 120
 	opts := DefaultOptions()

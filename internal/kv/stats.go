@@ -17,11 +17,11 @@ import (
 // reflect the most recent ~4k commits.
 const latRingCap = 4096
 
-// counters is the shard's instrumentation. The writer goroutine updates
-// the atomics at batch boundaries (flush counters are snapshots of the
+// counters is the shard's instrumentation. The committer updates the
+// atomics at batch boundaries (flush counters are snapshots of the
 // thread's totals, published after each commit so observers never race the
 // mutating thread); gets is bumped by reader goroutines directly, and by
-// the writer for the GETs it answers in queue order.
+// the committer for the GETs it answers in queue order.
 type counters struct {
 	puts, dels   atomic.Uint64
 	incrs, decrs atomic.Uint64
@@ -303,7 +303,7 @@ func (s *Store) Stats() []ShardStats {
 }
 
 // StripeStats snapshots the heap's per-stripe lock counters. A shard
-// writer's store and flush path takes no stripe, so these count only
+// commit's store and flush path takes no stripe, so these count only
 // durable reads and whole-heap operations, and a serving store reads zero
 // acquisitions. Exported through the server's STATS verb.
 func (s *Store) StripeStats() []pmem.StripeStat { return s.heap.StripeStats() }

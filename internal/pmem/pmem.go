@@ -19,7 +19,8 @@
 //   - Data plane: the volatile and persisted byte arrays plus one flag byte
 //     per line. Correctness rests on the single-writer-per-line discipline:
 //     every cache line above the header is owned by at most one goroutine at
-//     a time (an atlas.Thread or a kv shard writer), and only the owner
+//     a time (an atlas.Thread, or the goroutine holding a kv shard's commit
+//     lock), and only the owner
 //     stores to it, flushes it, or touches its flag — all with plain loads
 //     and stores after a bounds check. The flag means "stored since the last
 //     flush": a store sets it and FlushLine copies the line to the durable

@@ -343,7 +343,7 @@ func execFrames(h *binHandler, rd *bytes.Reader, r *bufio.Reader) {
 
 // TestBinaryWindowAllocsPut pins the whole durable-write path of a
 // pipelined window at zero allocations through the live engine: 64 PUT
-// frames decoded, submitted to the shard writers, group-committed, completed
+// frames decoded, queued on their shards, group-committed, completed
 // and answered in order. It replaces the stub-backend protocol-layer gate:
 // the engine no longer allocates per request, so nothing needs stubbing out.
 func TestBinaryWindowAllocsPut(t *testing.T) {

@@ -14,9 +14,10 @@ import (
 	"nvmcache/internal/pmem"
 )
 
-// parkedWriter holds a shard writer in its AckHook after one blocker write
-// has committed, so that every request a window submits meanwhile queues up
-// and the writer takes them as one batch once released.
+// parkedWriter holds a shard's committer in its AckHook after one blocker
+// write has committed, so that every request a window submits meanwhile
+// queues up, and the window's first wait on the shard commits them as one
+// batch once released.
 type parkedWriter struct {
 	armed            atomic.Bool
 	entered, release chan struct{}
@@ -36,8 +37,9 @@ func (p *parkedWriter) hook(int) {
 	}
 }
 
-// park commits a put of key b and returns with b's shard writer held in the
-// hook until release.
+// park commits a put of key b on a goroutine of its own and returns with
+// that committer held in the hook, and b's shard's commit lock with it,
+// until release.
 func (p *parkedWriter) park(st *kv.Store, b uint64) {
 	p.armed.Store(true)
 	go func() { p.blocker <- st.Put(b, 1) }()

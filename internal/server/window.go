@@ -7,12 +7,13 @@ import (
 	"nvmcache/internal/proto"
 )
 
-// windowSlots bounds a connection's window: the requests it has accepted
-// but not yet answered. It matches the default shard queue depth — deeper
-// than any one group commit, so a pipelining client keeps every shard
-// writer's next batch full, and small enough that a connection's footprint
-// stays a few tens of kilobytes. A client that pipelines further is not
-// refused: each request beyond the bound first waits out the oldest one.
+// windowSlots bounds a connection's window: the requests it has accepted but
+// not yet answered. It matches the default shard queue depth, so one
+// connection's window never finds a queue full on its own; it is deeper than
+// any one group commit, so the first wait on each shard commits full batches
+// of the window; and it is small enough that a connection's footprint stays
+// a few tens of kilobytes. A client that pipelines further is not refused:
+// each request beyond the bound first waits out the oldest one.
 const windowSlots = 256
 
 // slotKind says how a window slot turns into a reply.
@@ -40,10 +41,12 @@ type slot struct {
 
 // window is one connection's request window, shared by both dialects. The
 // handler decodes every request it can already read and hands each to the
-// window without waiting: a mutation is submitted to its shard writer at
-// once (so a pipelined window of writes shares group commits instead of
-// committing one by one), and replies are emitted strictly in request order
-// as completions land.
+// window without waiting: a mutation is queued on its shard at once, and
+// the replies are emitted strictly in request order. Emitting a reply
+// waits on its ticket, which commits whatever that shard has queued, so
+// the handler's own goroutine commits its window — a pipelined window of
+// writes shares group commits instead of committing one by one, and the
+// writes of other connections queued on the same shard ride along.
 //
 // Ordering contract, per connection: a read observes every earlier write of
 // its own connection and none of its later ones. A later write cannot be
@@ -51,9 +54,9 @@ type slot struct {
 // anything behind it is submitted. An earlier write is seen because the
 // read is ordered after it. A GET with a write of this connection in flight
 // on the key's shard (or an MPUT, which has a part queued on every shard it
-// touches) is queued on that shard behind it, answered by the shard writer
-// at its queue position and acked with that batch, after the durable
-// commit; a GET whose shard has none reads the committed snapshot at once.
+// touches) is queued on that shard behind it, answered by its commit at
+// its queue position and acked with that batch, after the durable commit;
+// a GET whose shard has none reads the committed snapshot at once.
 // The whole-store reads (MGET, SCAN, STATS) first wait for every write the
 // connection has in flight. Requests to one shard apply in request order.
 // Nothing is promised about other connections' writes beyond the store's
@@ -102,7 +105,7 @@ func (w *window) push(kind slotKind) *slot {
 	return s
 }
 
-// submit hands a single-key mutation to its shard writer and moves on.
+// submit queues a single-key mutation on its shard and moves on.
 func (w *window) submit(kind slotKind, op kv.Op, k, v uint64) {
 	s := w.push(kind)
 	w.st.Submit(&s.ticket, op, k, v)

@@ -138,6 +138,49 @@ func TestWindowOrdering(t *testing.T) {
 	})
 }
 
+// TestWindowSameKeyPutGetPutGet: the window PUT k v1, GET k, PUT k v2,
+// GET k answers OK, VAL v1, OK, VAL v2, whoever commits it. Two
+// connections have such a window in flight at once, each on its own key of
+// one shard, so a window's requests are often committed by the other
+// connection's wait; each starts on an absent key (copy-on-write inserts)
+// and goes on overwriting it in place.
+func TestWindowSameKeyPutGetPutGet(t *testing.T) {
+	dialects(t, func(t *testing.T, binary bool) {
+		kvOpts := kv.DefaultOptions()
+		kvOpts.Shards = 1
+		srv, cl := testServerKV(t, kvOpts, Options{})
+		defer srv.Shutdown()
+		cl.Close()
+		var conns [2]net.Conn
+		var readers [2]*bufio.Reader
+		for i := range conns {
+			c, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(10 * time.Second))
+			conns[i], readers[i] = c, bufio.NewReader(c)
+		}
+		for round := uint64(0); round < 200; round++ {
+			v1, v2 := 2*round+1, 2*round+2
+			for i, c := range conns {
+				k := 100 + uint64(i)
+				ops := []wireOp{{"PUT", k, v1}, {"GET", k, 0}, {"PUT", k, v2}, {"GET", k, 0}}
+				if _, err := c.Write(encodeWindow(binary, ops)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := []string{"OK", fmt.Sprintf("VAL %d", v1), "OK", fmt.Sprintf("VAL %d", v2)}
+			for i, r := range readers {
+				if got := readReplies(t, binary, r, len(want)); strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Fatalf("connection %d round %d: replies %q, want %q", i, round, got, want)
+				}
+			}
+		}
+	})
+}
+
 // TestWindowGetNeverSeesLaterPut: a GET decoded ahead of a PUT to the same
 // key in one window answers with the value before that PUT, even though the
 // PUT is submitted while the GET's reply is still waiting its turn.
