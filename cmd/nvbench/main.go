@@ -353,47 +353,6 @@ var experiments = []experiment{
 		c.show(r.Table())
 		return nil
 	}},
-	{"absorb", "logical write absorption: committed vs issued ops on a counter-heavy mix, absorption off vs on", func(c *runCtx) error {
-		opt := harness.DefaultAbsorbOptions()
-		// -scale shrinks the op budget like the loadgen sweep; the arrival
-		// rate and key space stay fixed so the fold rate remains comparable.
-		if s := c.opt.Scale * 256; s > 0 && s != 1 {
-			opt.Ops = int(float64(opt.Ops) * s)
-			if opt.Ops < 1000 {
-				opt.Ops = 1000
-			}
-		}
-		opt.Seed = c.opt.Seed
-		r, err := harness.AbsorbSweep(opt)
-		if err != nil {
-			return err
-		}
-		if r.On.Committed >= r.On.Issued {
-			return fmt.Errorf("absorb run committed %.0f of %.0f issued writes — nothing absorbed",
-				r.On.Committed, r.On.Issued)
-		}
-		c.show(r.Table())
-		return nil
-	}},
-	{"adaptive", "online adaptive control plane: static vs adaptive per-phase latency on a phase-changing schedule", func(c *runCtx) error {
-		opt := harness.DefaultAdaptiveOptions()
-		// -scale shrinks the op budget like the loadgen sweep; the arrival
-		// rate and decision interval stay fixed.
-		if s := c.opt.Scale * 256; s > 0 && s != 1 {
-			opt.Ops = int(float64(opt.Ops) * s)
-			if opt.Ops < 1500 {
-				opt.Ops = 1500
-			}
-		}
-		opt.Seed = c.opt.Seed
-		r, err := harness.AdaptiveSweep(opt)
-		if err != nil {
-			return err
-		}
-		c.show(r.Table())
-		c.show(r.TrajectoryTable())
-		return nil
-	}},
 }
 
 func lookup(id string) (experiment, bool) {

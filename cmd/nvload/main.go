@@ -27,7 +27,6 @@ import (
 	"os"
 	"time"
 
-	"nvmcache/internal/adaptive"
 	"nvmcache/internal/kv"
 	"nvmcache/internal/loadgen"
 	"nvmcache/internal/server"
@@ -35,30 +34,24 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "", "nvserver address (host:port)")
-		selfhost   = flag.Bool("selfhost", false, "boot an in-process nvserver on a loopback port and drive it")
-		shards     = flag.Int("shards", 0, "shard count for -selfhost (0 = store default)")
-		adapt      = flag.Bool("adaptive", false, "selfhost: run the online adaptive control plane (live MRC-driven cache sizing)")
-		adaptEvery = flag.Duration("adaptive-interval", 100*time.Millisecond, "selfhost: adaptive decision period")
-		memBudget  = flag.Int("mem-budget", 0, "selfhost: cap on total adaptive write-cache lines across shards (0 = per-shard knee only)")
-		absorb     = flag.Bool("absorb", false, "selfhost: enable logical write absorption (counter accumulator + same-key coalescing)")
-		absorbThr  = flag.Int("absorb-threshold", 0, "selfhost: parked counter deltas that force an accumulator commit (0 = default)")
-		absorbDl   = flag.Duration("absorb-deadline", 0, "selfhost: max time an acked counter delta may sit volatile (0 = default)")
-		rate       = flag.Float64("rate", 5000, "aggregate arrival rate, ops/sec (open loop)")
-		conns      = flag.Int("conns", 4, "connection count the rate is spread across")
-		duration   = flag.Duration("duration", 0, "length of the arrival schedule")
-		ops        = flag.Int("ops", 0, "total operation count (alternative to -duration)")
-		dist       = flag.String("dist", "uniform", "distribution: uniform, zipf, churn, scan, incr, or a kind@frac,... phase schedule")
-		mix        = flag.String("mix", "", "weighted verb mix (verb:weight,... over get,put,del,incr,decr,scan,mget,mput); overrides -dist")
-		keys       = flag.Uint64("keys", 1<<16, "keyspace size (churn: live-window size)")
-		skew       = flag.Float64("skew", 1.1, "zipf skew parameter (>1)")
-		readFrac   = flag.Float64("read-frac", 0.5, "GET fraction (scan: SCAN fraction)")
-		scanLen    = flag.Int("scan-len", 16, "pairs per SCAN")
-		batchLen   = flag.Int("batch-len", 8, "keys per MGET/MPUT (mix verbs mget, mput)")
-		protoMode  = flag.String("proto", "text", "wire protocol: text or binary")
-		preload    = flag.Uint64("preload", 0, "PUT keys [0,n) before the measured window")
-		seed       = flag.Int64("seed", 42, "workload seed (same seed = same op stream)")
-		timeout    = flag.Duration("timeout", 5*time.Second, "per-reply timeout")
+		addr      = flag.String("addr", "", "nvserver address (host:port)")
+		selfhost  = flag.Bool("selfhost", false, "boot an in-process nvserver on a loopback port and drive it")
+		shards    = flag.Int("shards", 0, "shard count for -selfhost (0 = store default)")
+		rate      = flag.Float64("rate", 5000, "aggregate arrival rate, ops/sec (open loop)")
+		conns     = flag.Int("conns", 4, "connection count the rate is spread across")
+		duration  = flag.Duration("duration", 0, "length of the arrival schedule")
+		ops       = flag.Int("ops", 0, "total operation count (alternative to -duration)")
+		dist      = flag.String("dist", "uniform", "distribution: uniform, zipf, churn, scan, incr, or a kind@frac,... phase schedule")
+		mix       = flag.String("mix", "", "weighted verb mix (verb:weight,... over get,put,del,incr,decr,scan,mget,mput); overrides -dist")
+		keys      = flag.Uint64("keys", 1<<16, "keyspace size (churn: live-window size)")
+		skew      = flag.Float64("skew", 1.1, "zipf skew parameter (>1)")
+		readFrac  = flag.Float64("read-frac", 0.5, "GET fraction (scan: SCAN fraction)")
+		scanLen   = flag.Int("scan-len", 16, "pairs per SCAN")
+		batchLen  = flag.Int("batch-len", 8, "keys per MGET/MPUT (mix verbs mget, mput)")
+		protoMode = flag.String("proto", "text", "wire protocol: text or binary")
+		preload   = flag.Uint64("preload", 0, "PUT keys [0,n) before the measured window")
+		seed      = flag.Int64("seed", 42, "workload seed (same seed = same op stream)")
+		timeout   = flag.Duration("timeout", 5*time.Second, "per-reply timeout")
 
 		sloP50  = flag.Duration("slo-p50", 0, "SLO: max p50 latency (0 = unchecked)")
 		sloP99  = flag.Duration("slo-p99", 0, "SLO: max p99 latency")
@@ -87,19 +80,6 @@ func main() {
 		kvOpts := kv.DefaultOptions()
 		if *shards > 0 {
 			kvOpts.Shards = *shards
-		}
-		if *adapt {
-			cfg := adaptive.DefaultConfig()
-			cfg.Interval = *adaptEvery
-			cfg.MemBudget = *memBudget
-			kvOpts.Adaptive = cfg
-		}
-		if *absorb {
-			kvOpts.Absorb = kv.AbsorbConfig{
-				Enabled:   true,
-				Threshold: *absorbThr,
-				Deadline:  *absorbDl,
-			}
 		}
 		srv, err := server.SelfHost(kvOpts, server.Options{})
 		if err != nil {
@@ -178,9 +158,7 @@ func printReport(r *loadgen.Report) {
 			d["total.ops"], d["total.puts"], d["total.gets"], d["total.dels"], d["total.scans"],
 			d["total.flush_ratio"], d["stripes.contended"])
 		if ctr := d["total.incrs"] + d["total.decrs"]; ctr > 0 {
-			fmt.Printf("absorb: incrs=%.0f decrs=%.0f absorbed=%.0f committed=%.0f\n",
-				d["total.incrs"], d["total.decrs"],
-				d["total.absorbed_ops"], d["total.committed_ops"])
+			fmt.Printf("counters: incrs=%.0f decrs=%.0f\n", d["total.incrs"], d["total.decrs"])
 		}
 	}
 	if r.SLO != nil {

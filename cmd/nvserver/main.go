@@ -14,7 +14,6 @@ import (
 	"syscall"
 	"time"
 
-	"nvmcache/internal/adaptive"
 	"nvmcache/internal/core"
 	"nvmcache/internal/kv"
 	"nvmcache/internal/pmem"
@@ -29,12 +28,6 @@ func main() {
 		pool       = flag.Int("pool-pages", 1<<13, "per-shard B+-tree page pool capacity")
 		policy     = flag.String("policy", kv.DefaultOptions().Policy.String(), "persistence policy: ER, LA, AT, SC, SC-offline, BEST (SC-offline runs at the paper's 50-line cap)")
 		duration   = flag.Duration("duration", 0, "serve for this long, then shut down gracefully (0 = until SIGINT/SIGTERM)")
-		absorb     = flag.Bool("absorb", false, "logical write absorption: same-key batch coalescing plus the INCR/DECR counter accumulator in front of group commit")
-		absorbThr  = flag.Int("absorb-threshold", 0, "absorb: parked counter deltas that force an accumulator commit (0 = default)")
-		absorbDl   = flag.Duration("absorb-deadline", 0, "absorb: max time an acked counter delta may sit volatile (0 = default)")
-		adapt      = flag.Bool("adaptive", false, "online adaptive control plane: live MRC-driven cache sizing per shard (forces -policy SC-offline)")
-		adaptEvery = flag.Duration("adaptive-interval", 100*time.Millisecond, "adaptive: decision period")
-		memBudget  = flag.Int("mem-budget", 0, "adaptive: cap on total write-cache lines across shards (0 = per-shard knee only)")
 		selftest   = flag.Bool("selftest", false, "run the crash/recovery self-test and exit")
 		exhaustive = flag.Bool("exhaustive", false, "self-test: add phase C, the exhaustive crash-point exploration")
 		clients    = flag.Int("clients", 8, "self-test: concurrent closed-loop clients")
@@ -53,18 +46,6 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Policy = pk
-	if *absorb {
-		opts.Absorb = kv.AbsorbConfig{Enabled: true, Threshold: *absorbThr, Deadline: *absorbDl}
-	}
-	if *adapt {
-		cfg := adaptive.DefaultConfig()
-		cfg.Interval = *adaptEvery
-		cfg.MemBudget = *memBudget
-		opts.Adaptive = cfg
-		// The store forces this anyway; set it here too so the serving
-		// banner and -selftest report the policy actually running.
-		opts.Policy = core.SoftCacheOffline
-	}
 
 	if *selftest {
 		if err := runSelfTest(opts, *clients, *ops, *seed, *exhaustive); err != nil {
@@ -103,8 +84,8 @@ func serve(addr string, opts kv.Options, duration time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d policy=%v absorb=%v heap=%dKiB)\n",
-		srv.Addr(), opts.Shards, opts.MaxBatch, opts.Policy, opts.Absorb.Enabled, h.Size()/1024)
+	fmt.Printf("nvserver: serving on %s (shards=%d batch<=%d policy=%v heap=%dKiB)\n",
+		srv.Addr(), opts.Shards, opts.MaxBatch, opts.Policy, h.Size()/1024)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

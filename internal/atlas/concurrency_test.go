@@ -240,11 +240,10 @@ func (s *tallySink) Drain(lines []trace.LineAddr) {
 // TestFlushStatsPublication pins the sink's counter contract now that an
 // eviction flush bumps a plain owner-local count published at FASE end:
 // Thread.FlushStats on the owner between FASEs is exact — through FASEs
-// that evict mid-section, a FASE whose lines were all flushed before its
-// end (the eager policy: the drain is an empty barrier) and a FlushLine
-// issued by a FASE-end capacity shrink — while Runtime.FlushStats polled
-// from another goroutine is race-clean, monotone, and never ahead of what
-// the owner has issued. Run with -race.
+// that evict mid-section and a FASE whose lines were all flushed before its
+// end (the eager policy: the drain is an empty barrier) — while
+// Runtime.FlushStats polled from another goroutine is race-clean, monotone,
+// and never ahead of what the owner has issued. Run with -race.
 func TestFlushStatsPublication(t *testing.T) {
 	for _, kind := range []core.PolicyKind{core.SoftCacheOffline, core.Eager, core.AtlasTable} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -271,25 +270,15 @@ func TestFlushStatsPublication(t *testing.T) {
 
 			// The owner runs its FASEs on its own goroutine; the test
 			// goroutine is the observer until the owner is done.
-			var atFASEEnd int64 // FlushLine calls made from inside FASEEnd
-			cc, resizable := th.Policy().(core.CapacityControlled)
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
 				for f := 0; f < 2000; f++ {
-					if resizable && f%5 == 4 {
-						// Applied at this FASE's end: the cache then holds
-						// more lines than the new capacity, so the shrink
-						// evicts.
-						cc.RequestCapacity(1 + f%3)
-					}
 					th.FASEBegin()
 					for w := 0; w < 1+f%12; w++ {
 						th.Store64(base+uint64((f+w*7)%lines)*64, uint64(f))
 					}
-					before := tally.async
 					th.FASEEnd()
-					atFASEEnd += tally.async - before
 					want := core.FlushStats{Async: tally.async, Drained: tally.drained, Barriers: tally.fences}
 					if got := th.FlushStats(); got != want {
 						t.Errorf("after FASE %d the owner reads %+v, issued %+v", f, got, want)
@@ -325,9 +314,6 @@ func TestFlushStatsPublication(t *testing.T) {
 			if tally.async == 0 || tally.drained+tally.fences == 0 {
 				t.Fatalf("the run did not exercise both paths: %d evictions, %d drained, %d barriers",
 					tally.async, tally.drained, tally.fences)
-			}
-			if resizable && atFASEEnd == 0 {
-				t.Fatal("no FASE-end capacity shrink evicted a line")
 			}
 		})
 	}

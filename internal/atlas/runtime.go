@@ -47,13 +47,6 @@ type Options struct {
 	// numbered crash points here; the wrapped sink must preserve FlushSink
 	// semantics (a drain durably persists its lines before returning).
 	WrapSink func(thread int32, sink core.FlushSink) core.FlushSink
-	// StoreTap, when non-nil, builds a per-thread observer of the
-	// persistent-store line stream (the adaptive control plane's sampling
-	// tap). The runtime calls TapStore for every line the thread stores and
-	// TapFASEEnd at every outermost FASE close; a nil return leaves the
-	// thread untapped. Taps see the same event stream as the policy but
-	// cannot affect it.
-	StoreTap func(thread int32) core.StoreTap
 	// UndoHook, when non-nil, is called at each undo-log persistence point
 	// (see UndoOp) on the mutating goroutine, before the corresponding
 	// durable write. A hook may panic to simulate a power failure at that
@@ -122,9 +115,6 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 		sink: sink,
 	}
 	t.policy = core.NewPolicy(rt.opts.Policy, rt.opts.Config, sink)
-	if rt.opts.StoreTap != nil {
-		t.tap = rt.opts.StoreTap(id)
-	}
 	if !rt.opts.DisableTrace {
 		t.builder = trace.NewBuilder(id)
 		t.recording = true
@@ -189,7 +179,6 @@ type Thread struct {
 	rt        *Runtime
 	heap      *pmem.Heap
 	policy    core.Policy
-	tap       core.StoreTap // optional store-stream observer; may be nil
 	sink      core.FlushSink
 	builder   *trace.Builder
 	recording bool
@@ -230,9 +219,6 @@ func (t *Thread) FASEEnd() {
 		return
 	}
 	t.policy.FASEEnd()
-	if t.tap != nil {
-		t.tap.TapFASEEnd()
-	}
 	t.log.commit()
 	if t.recording {
 		t.builder.End()
@@ -252,9 +238,6 @@ func (t *Thread) FASEAbort() error {
 	}
 	t.depth = 0
 	t.policy.FASEEnd()
-	if t.tap != nil {
-		t.tap.TapFASEEnd()
-	}
 	dropped := t.log.rollback()
 	if t.recording {
 		t.builder.End()
@@ -338,7 +321,7 @@ func (t *Thread) StoreBytes(addr uint64, b []byte) {
 // FASEAbort — then undoes the publishing store, which makes the memory
 // unreachable again, so its old contents are never needed and no pre-image
 // is recorded. Everything else is Store64's: the line is marked dirty,
-// announced to the policy, tap and trace, and drained at FASE end, so the
+// announced to the policy and trace, and drained at FASE end, so the
 // contents are durable before the commit that makes the publication stick.
 // "Allocated inside this FASE" holds across a crash for an allocator whose
 // free set after recovery is whatever the recovered roots do not reach
@@ -361,7 +344,7 @@ func (t *Thread) StorePrivate64(addr uint64, v uint64) {
 // (crash recovery or FASEAbort) does not undo it, and a crash mid-FASE may
 // find any subset of such words new — so a FASE made only of these gives
 // each word, not the FASE, all-or-nothing. Everything else is Store64's:
-// the line is dirty-marked, announced to the policy, tap and trace, and
+// the line is dirty-marked, announced to the policy and trace, and
 // drained at FASE end, so the word is durable once FASEEnd returns.
 // Readers on other goroutines may load the word meanwhile with
 // pmem.Heap.LoadAtomic64.
@@ -378,8 +361,8 @@ func (t *Thread) StoreAtomic64(addr uint64, v uint64) {
 // current FASE (see StorePrivate64), with one memmove and no undo records.
 // The store events are those of a Store64 loop over the destination words,
 // in address order, delivered as one run per destination line
-// (core.Policy.StoreRun): Stores() counts every word and the tap and trace
-// see every word, so sampled bursts, chosen cache sizes and flush counts do
+// (core.Policy.StoreRun): Stores() counts every word and the trace sees
+// every word, so sampled bursts, chosen cache sizes and flush counts do
 // not depend on which of the two a caller uses. It panics outside a FASE.
 func (t *Thread) CopyPrivate(dst, src, n uint64) {
 	if t.depth == 0 {
@@ -415,15 +398,10 @@ func (t *Thread) noteStore(addr, size uint64) {
 }
 
 // noteRun counts n store events to one line and announces them: to the
-// policy as one run, to the tap and the trace one by one.
+// policy as one run, to the trace one by one.
 func (t *Thread) noteRun(line trace.LineAddr, n int) {
 	t.stores += int64(n)
 	t.policy.StoreRun(line, n)
-	if t.tap != nil {
-		for range n {
-			t.tap.TapStore(line)
-		}
-	}
 	if t.recording {
 		for range n {
 			t.builder.Store(line)

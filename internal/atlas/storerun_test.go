@@ -28,20 +28,14 @@ func (s *eventSink) Drain(lines []trace.LineAddr) {
 	s.FlushSink.Drain(lines)
 }
 
-// lineTap records the tapped store stream, with a marker at each FASE end.
-type lineTap struct{ lines []trace.LineAddr }
-
-func (t *lineTap) TapStore(line trace.LineAddr) { t.lines = append(t.lines, line) }
-func (t *lineTap) TapFASEEnd()                  { t.lines = append(t.lines, ^trace.LineAddr(0)) }
-
 // TestCopyPrivateRunsMatchWordLoop is the runtime half of the run-delivery
 // proof: a thread copying pages with CopyPrivate, which announces one run
 // per destination line, and a twin storing the same words one at a time
 // with StorePrivate64 see the same FlushLine/Drain sequence, the same
-// Stores() count, the same adaptation report, the same tapped stream and
-// the same recorded trace — under every policy, with a 13-word sampler
-// burst (so bursts end inside runs), with and without a finite
-// hibernation, and with capacity shrinks requested for FASE end.
+// Stores() count, the same adaptation report and the same recorded trace —
+// under every policy, with a 13-word sampler burst (so bursts end inside
+// runs, and the cache resizes there), with and without a finite
+// hibernation.
 func TestCopyPrivateRunsMatchWordLoop(t *testing.T) {
 	rng := testutil.Rand(t, 0x434f5059)
 	type cp struct{ dst, src, n uint64 } // offsets into the private / source regions
@@ -55,18 +49,15 @@ func TestCopyPrivateRunsMatchWordLoop(t *testing.T) {
 		events []string
 		stores int64
 		report any
-		tapped []trace.LineAddr
 		trace  *trace.ThreadSeq
 	}
 	run := func(kind core.PolicyKind, cfg core.Config, words bool) outcome {
 		sink := &eventSink{}
-		tap := &lineTap{}
 		opts := Options{Policy: kind, Config: cfg,
 			WrapSink: func(_ int32, inner core.FlushSink) core.FlushSink {
 				sink.FlushSink = inner
 				return sink
-			},
-			StoreTap: func(int32) core.StoreTap { return tap }}
+			}}
 		rt := NewRuntime(pmem.New(1<<20), opts)
 		th, err := rt.NewThread()
 		if err != nil {
@@ -96,9 +87,6 @@ func TestCopyPrivateRunsMatchWordLoop(t *testing.T) {
 				}
 			}
 			th.Store64(root, uint64(f))
-			if cc, ok := th.Policy().(core.CapacityControlled); ok && f%7 == 3 {
-				cc.RequestCapacity(1 + f%3)
-			}
 			th.FASEEnd()
 		}
 		rt.Close()
@@ -106,7 +94,7 @@ func TestCopyPrivateRunsMatchWordLoop(t *testing.T) {
 		if r, ok := th.Policy().(core.SizeReporter); ok {
 			report = r.AdaptReport()
 		}
-		return outcome{sink.events, th.Stores(), report, tap.lines, rt.Trace().Threads[0]}
+		return outcome{sink.events, th.Stores(), report, rt.Trace().Threads[0]}
 	}
 	cfg := core.DefaultConfig()
 	cfg.BurstLength = 13
@@ -124,9 +112,6 @@ func TestCopyPrivateRunsMatchWordLoop(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.report, ref.report) {
 				t.Errorf("%s: report %+v, word loop %+v", name, got.report, ref.report)
-			}
-			if !reflect.DeepEqual(got.tapped, ref.tapped) {
-				t.Errorf("%s: tapped stream differs from the word loop's", name)
 			}
 			if !reflect.DeepEqual(got.trace, ref.trace) {
 				t.Errorf("%s: recorded trace differs from the word loop's", name)

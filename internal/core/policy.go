@@ -44,38 +44,6 @@ type FlushSink interface {
 	Stats() FlushStats
 }
 
-// StoreTap observes one thread's persistent-store line stream from outside
-// the policy: the seam the adaptive control plane's burst sampler hangs
-// off. The runtime calls TapStore for every line a thread stores — on the
-// store hot path, so implementations must be allocation-free and near-free
-// while their sampler hibernates — and TapFASEEnd at every outermost FASE
-// close (the renaming boundary of Section III-B). A tap belongs to one
-// thread; the runtime never calls it concurrently.
-type StoreTap interface {
-	TapStore(line trace.LineAddr)
-	TapFASEEnd()
-}
-
-// CapacityControlled is implemented by policies whose software-cache
-// capacity an external controller can retarget while the owning thread
-// keeps running. RequestCapacity is safe from any goroutine: the request
-// is a single atomic publication, and the resize itself runs on the owning
-// thread at its next outermost FASE end, just before the drain — so the
-// lines a shrink evicts flow through the normal FlushLine path and remain
-// covered by the FASE's persistence guarantee (and by fault-injection
-// sites). CacheSize reports the capacity currently in effect and is safe
-// for concurrent readers; it lags a pending request by at most one FASE.
-// AdoptCapacity is the restart path: called on the owning thread before its
-// first store, it starts the cache at a capacity an earlier incarnation of
-// the thread already chose and drops the online sampler — the paper's
-// infinite-hibernation rule (one burst, one MRC analysis) carried across a
-// recovery.
-type CapacityControlled interface {
-	RequestCapacity(capacity int)
-	CacheSize() int
-	AdoptCapacity(capacity int)
-}
-
 // PolicyKind names the six persistence techniques of Section IV-A.
 type PolicyKind int
 

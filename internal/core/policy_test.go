@@ -246,7 +246,7 @@ func TestSoftCacheOfflinePresetSize(t *testing.T) {
 	if rep.ChosenSize != 23 || rep.Online {
 		t.Fatalf("report = %+v", rep)
 	}
-	if p.(*softCachePolicy).CacheSize() != 23 {
+	if p.(*softCachePolicy).cache.Capacity() != 23 {
 		t.Fatal("preset size not applied")
 	}
 }

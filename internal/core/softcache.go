@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"nvmcache/internal/locality"
 	"nvmcache/internal/sampling"
 	"nvmcache/internal/trace"
@@ -27,13 +25,6 @@ type softCachePolicy struct {
 
 	sampler *sampling.Sampler
 	report  AdaptReport
-
-	// capacity mirrors cache.Capacity() for concurrent readers; pending is
-	// an externally requested capacity (0 = none), published by any
-	// goroutine via RequestCapacity and consumed by the owning thread at
-	// FASE end.
-	capacity atomic.Int64
-	pending  atomic.Int64
 }
 
 // AdaptReport describes what the adaptive controller did during a run; the
@@ -78,7 +69,6 @@ func newSoftCachePolicy(cfg Config, sink FlushSink, online bool) *softCachePolic
 		online: online,
 		report: AdaptReport{Online: online, InitialSize: size, ChosenSize: size},
 	}
-	p.capacity.Store(int64(size))
 	if online {
 		scfg := sampling.DefaultConfig(cfg.BurstLength)
 		if cfg.Hibernation != 0 {
@@ -129,16 +119,6 @@ func (p *softCachePolicy) countsWords() bool {
 func (p *softCachePolicy) FASEBegin() {}
 
 func (p *softCachePolicy) FASEEnd() {
-	// Apply an externally requested resize first, while the cache still
-	// holds the FASE's lines: a shrink genuinely evicts here, and the
-	// evicted lines' FlushLine write-backs are covered by the Drain barrier
-	// below, so the persistence guarantee is unchanged. Load-then-swap
-	// keeps the common case (no request) a read-only atomic.
-	if p.pending.Load() != 0 {
-		if c := p.pending.Swap(0); c != 0 {
-			p.applyCapacity(int(c))
-		}
-	}
 	if p.sampler != nil {
 		p.sampler.FASEEnd()
 	}
@@ -163,7 +143,7 @@ func (p *softCachePolicy) Finish() {
 // the selected knee. Evictions forced by a shrink are flushed
 // asynchronously, exactly like capacity evictions. Under infinite
 // hibernation (Hibernation <= 0) the sampler never wakes again, so it is
-// dropped with its burst buffer and id map, as AdoptCapacity does.
+// dropped with its burst buffer and id map.
 func (p *softCachePolicy) adapt() {
 	burst := p.sampler.Burst()
 	p.report.AnalyzedWrites += int64(len(burst))
@@ -172,7 +152,9 @@ func (p *softCachePolicy) adapt() {
 	}
 	mrc := locality.ProfileBurst(burst, p.cfg.Knee.MaxSize).MRC
 	size := locality.SelectSize(mrc, p.cfg.Knee)
-	p.applyCapacity(size)
+	for _, line := range p.cache.Resize(size) {
+		p.sink.FlushLine(line)
+	}
 	p.report.Adapted = true
 	p.report.Adaptations++
 	p.report.ChosenSize = size
@@ -181,45 +163,5 @@ func (p *softCachePolicy) adapt() {
 	}
 }
 
-// applyCapacity resizes on the owning thread, flushing shrink evictions
-// like capacity evictions. Runs only on the mutator.
-func (p *softCachePolicy) applyCapacity(c int) {
-	if c < 1 {
-		c = 1
-	}
-	if c == p.cache.Capacity() {
-		return
-	}
-	for _, line := range p.cache.Resize(c) {
-		p.sink.FlushLine(line)
-	}
-	p.capacity.Store(int64(c))
-}
-
 // AdaptReport implements SizeReporter.
 func (p *softCachePolicy) AdaptReport() AdaptReport { return p.report }
-
-// RequestCapacity implements CapacityControlled: publish a capacity target
-// the owning thread applies at its next outermost FASE end. Safe from any
-// goroutine. Requests coalesce — only the newest unapplied one wins.
-func (p *softCachePolicy) RequestCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	p.pending.Store(int64(capacity))
-}
-
-// AdoptCapacity implements CapacityControlled: take over a capacity chosen
-// before a restart and stop sampling. InitialSize and ChosenSize both
-// report it; Adapted and AnalyzedWrites stay zero, because this
-// incarnation analyzed nothing.
-func (p *softCachePolicy) AdoptCapacity(capacity int) {
-	p.applyCapacity(capacity)
-	p.sampler = nil
-	p.report.InitialSize = p.cache.Capacity()
-	p.report.ChosenSize = p.cache.Capacity()
-}
-
-// CacheSize implements CapacityControlled: the capacity currently in
-// effect. Safe for concurrent readers.
-func (p *softCachePolicy) CacheSize() int { return int(p.capacity.Load()) }

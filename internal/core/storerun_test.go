@@ -57,10 +57,9 @@ func runFASEs(t *testing.T) [][]storeRun {
 // TestStoreRunMatchesStoreLoop proves run delivery is the word loop in
 // fewer calls: for every policy kind and for a grouped leader and
 // follower, StoreRun(line, n) and n Store(line) calls produce the same
-// FlushLine/Drain sequence, the same adaptation report and the same cache
-// size — with an online sampler burst (13 words) ending inside a run, a
-// finite hibernation that wakes the sampler mid-stream, and capacity
-// shrinks requested for FASE end.
+// FlushLine/Drain sequence and the same adaptation report — with an online
+// sampler burst (13 words) ending inside a run, and a finite hibernation
+// that wakes the sampler mid-stream, so the cache resizes repeatedly.
 func TestStoreRunMatchesStoreLoop(t *testing.T) {
 	fases := runFASEs(t)
 	base := DefaultConfig()
@@ -68,9 +67,9 @@ func TestStoreRunMatchesStoreLoop(t *testing.T) {
 	finite := base
 	finite.Hibernation = 29
 	// drive feeds the stream to one thread's policies, word by word or as
-	// runs, shrinking the capacity at some FASE ends.
+	// runs.
 	drive := func(ps []Policy, perWord bool) {
-		for f, runs := range fases {
+		for _, runs := range fases {
 			for _, p := range ps {
 				p.FASEBegin()
 				for _, r := range runs {
@@ -81,9 +80,6 @@ func TestStoreRunMatchesStoreLoop(t *testing.T) {
 					} else {
 						p.StoreRun(r.line, r.n)
 					}
-				}
-				if cc, ok := p.(CapacityControlled); ok && f%9 == 4 {
-					cc.RequestCapacity(1 + f%3)
 				}
 				p.FASEEnd()
 			}
@@ -114,9 +110,6 @@ func TestStoreRunMatchesStoreLoop(t *testing.T) {
 				for _, p := range ps {
 					if r, ok := p.(SizeReporter); ok {
 						reports[side] = append(reports[side], r.AdaptReport())
-					}
-					if cc, ok := p.(CapacityControlled); ok {
-						reports[side] = append(reports[side], cc.CacheSize())
 					}
 				}
 			}

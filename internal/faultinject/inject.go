@@ -62,20 +62,6 @@ const (
 	// KindAck sits between a kv batch's durable commit and the delivery of
 	// its acks; a crash here loses acks but must lose no data.
 	KindAck
-	// KindAbsorbMerge is one counter op folding into kv's volatile
-	// absorption accumulator during batch planning; nothing is durable yet,
-	// so a crash here must leave the op nacked with no trace on the heap.
-	KindAbsorbMerge
-	// KindAbsorbThreshold is a threshold-triggered accumulator commit,
-	// before its net-delta FASE begins.
-	KindAbsorbThreshold
-	// KindAbsorbDeadline is a deadline-triggered (or shutdown-drain)
-	// accumulator commit, before its net-delta FASE begins.
-	KindAbsorbDeadline
-	// KindAbsorbAck sits between an absorbed commit's durability and the
-	// delivery of the parked counter acks — like KindAck, a crash here
-	// loses acks but must lose no data.
-	KindAbsorbAck
 	// KindRecoverReplay fires before atlas recovery rolls back one active
 	// undo log; a crash here cuts the recovery itself, which must be
 	// re-runnable.
@@ -106,14 +92,6 @@ func (k Kind) String() string {
 		return "undo-commit"
 	case KindAck:
 		return "ack"
-	case KindAbsorbMerge:
-		return "absorb-merge"
-	case KindAbsorbThreshold:
-		return "absorb-threshold"
-	case KindAbsorbDeadline:
-		return "absorb-deadline"
-	case KindAbsorbAck:
-		return "absorb-ack"
 	case KindRecoverReplay:
 		return "recover-replay"
 	case KindRecoverInstall:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"time"
 
 	"nvmcache/internal/atlas"
 	"nvmcache/internal/core"
@@ -37,35 +36,7 @@ type KVOptions struct {
 	// policy and the injection points (policy → middleware → injector →
 	// pmem). Negative tests install DropDrains here.
 	Middleware func(core.FlushSink) core.FlushSink
-	// Absorb runs the store under kv's logical write-absorption layer
-	// (same-key batch coalescing plus the counter accumulator), adding the
-	// four absorption boundaries — merge, threshold commit, deadline
-	// commit, absorb ack — to the site space. AbsorbThreshold and
-	// AbsorbDeadline pass through to kv.AbsorbConfig: threshold 1 folds
-	// every counter op into its own commit (threshold sites); a large
-	// threshold with a short deadline parks each op until the shard's
-	// deadline timer commits it (deadline sites). Either shape keeps the
-	// blocking sequential workload's site enumeration deterministic — the
-	// boundary sequence per op is the same whether the fold happens at
-	// plan time or at the timer.
-	Absorb          bool
-	AbsorbThreshold int
-	AbsorbDeadline  time.Duration
-	// ResizeEvery, when positive, requests a write-cache resize on every
-	// shard before each ResizeEvery-th sequential op, cycling the
-	// capacities of resizeCycle. Requests are issued between acked ops —
-	// no shard is committing — so each is applied at the next FASE end,
-	// before that FASE's drain: the shrink evictions it forces become
-	// ordinary FlushLine crash sites, enumerated deterministically, and the
-	// sweep proves a crash mid-resize loses no acked write. Requires a
-	// policy implementing core.CapacityControlled (the soft caches).
-	ResizeEvery int
 }
-
-// resizeCycle is the capacity schedule ResizeEvery steps through: a hard
-// shrink to 1 (maximal evictions at the apply point), a growth to 50 (the
-// knee search's upper range), and a shrink to 2.
-var resizeCycle = []int{1, 50, 2}
 
 // DefaultKVOptions keeps the exhaustive sweep in the low hundreds of
 // sites: every site still gets its own crash run in well under a minute.
@@ -112,13 +83,6 @@ func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 	ko.LogEntries = 1 << 12
 	ko.Policy = o.Policy
 	ko.Config = o.Config
-	if o.Absorb {
-		ko.Absorb = kv.AbsorbConfig{
-			Enabled:   true,
-			Threshold: o.AbsorbThreshold,
-			Deadline:  o.AbsorbDeadline,
-		}
-	}
 	if inj != nil {
 		ko.WrapSink = func(id int32, s core.FlushSink) core.FlushSink {
 			s = inj.WrapSink(id, s)
@@ -129,30 +93,10 @@ func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 		}
 		ko.UndoHook = inj.UndoHook()
 		ko.AckHook = func(int) { inj.AckPoint() }
-		ko.AbsorbHook = inj.AbsorbHook()
 		ko.RecoverHook = inj.RecoverHook()
 		ko.IsInjectedCrash = IsCrash
 	}
 	return ko
-}
-
-// AbsorbHook has the shape of kv Options.AbsorbHook, numbering the
-// absorption layer's boundaries as injection sites. It lives here rather
-// than inject.go because it is the one injector seam that speaks kv's
-// vocabulary.
-func (in *Injector) AbsorbHook() func(kv.AbsorbOp) {
-	return func(op kv.AbsorbOp) {
-		switch op {
-		case kv.AbsorbMerge:
-			in.Point(KindAbsorbMerge)
-		case kv.AbsorbThresholdCommit:
-			in.Point(KindAbsorbThreshold)
-		case kv.AbsorbDeadlineCommit:
-			in.Point(KindAbsorbDeadline)
-		case kv.AbsorbAck:
-			in.Point(KindAbsorbAck)
-		}
-	}
 }
 
 type kvOpKind uint8
@@ -172,10 +116,8 @@ type kvOp struct {
 
 // exhaustiveOps builds the deterministic sequential workload: puts cycling
 // a narrow key space (so undo logging restores real old values), a delete
-// every fifth op, and a counter op (incr or decr) every fourth — with
-// absorption off these take the read-modify-write path inside the FASE,
-// with absorption on they park in the accumulator and commit as net
-// deltas, putting every absorption boundary into the site space.
+// every fifth op, and a counter op (incr or decr) every fourth, which takes
+// the read-modify-write path inside the FASE.
 func exhaustiveOps(o KVOptions) []kvOp {
 	ops := make([]kvOp, o.Ops)
 	for i := range ops {
@@ -231,15 +173,7 @@ func kvSeqRun(o KVOptions, ops []kvOp, inj *Injector) (h *pmem.Heap, acked int, 
 	// the store's own setup.
 	inj.Enable()
 	defer inj.Disable()
-	for i, op := range ops {
-		if o.ResizeEvery > 0 && i%o.ResizeEvery == 0 {
-			c := resizeCycle[(i/o.ResizeEvery)%len(resizeCycle)]
-			for sh := 0; sh < o.Shards; sh++ {
-				if !st.RequestCacheResize(sh, c) {
-					return h, acked, fmt.Errorf("shard %d: policy %v cannot resize", sh, o.Policy)
-				}
-			}
-		}
+	for _, op := range ops {
 		var err error
 		switch op.kind {
 		case kvDel:
@@ -269,10 +203,10 @@ func kvSeqRun(o KVOptions, ops []kvOp, inj *Injector) (h *pmem.Heap, acked int, 
 }
 
 // inPlaceOp reports whether ops[i], issued alone after ops[:i], commits in
-// place: absorption is off and it is a put or counter op of a key the
-// earlier ops left present (kv's in-place rule for a one-request batch).
-func inPlaceOp(o KVOptions, ops []kvOp, i int) bool {
-	if o.Absorb || ops[i].kind == kvDel {
+// place: it is a put or counter op of a key the earlier ops left present
+// (kv's in-place rule for a one-request batch).
+func inPlaceOp(ops []kvOp, i int) bool {
+	if ops[i].kind == kvDel {
 		return false
 	}
 	_, present := applyOps(ops, i)[ops[i].key]
@@ -288,17 +222,14 @@ func inPlaceOp(o KVOptions, ops []kvOp, i int) bool {
 // it is visible exactly when the crash fired after that write-back. The
 // write-back is found in the op's own span of seq — the sites after the
 // previous op's ack up to its own — which for a one-op in-place FASE holds
-// no undo site and exactly one write-back: its drain's line, or, when a
-// resize applied at the FASE end evicts that line first, a flush-line.
-func nackedVisible(o KVOptions, ops []kvOp, acked int, crash Crash, seq []Kind) (bool, error) {
-	if crash.Kind == KindAck || crash.Kind == KindAbsorbAck {
-		// KindAbsorbAck is the same boundary for an absorbed commit's parked
-		// counter acks; a net-null op acked without a FASE crosses KindAck
-		// too, and counting it visible is still exact because its net effect
-		// on the expected state is nothing.
+// no undo site and exactly one write-back: its drain's line, or, when the
+// online policy's one resize shrinks the cache mid-FASE and evicts that
+// line first, a flush-line.
+func nackedVisible(ops []kvOp, acked int, crash Crash, seq []Kind) (bool, error) {
+	if crash.Kind == KindAck {
 		return true, nil
 	}
-	if acked >= len(ops) || !inPlaceOp(o, ops, acked) {
+	if acked >= len(ops) || !inPlaceOp(ops, acked) {
 		return false, nil
 	}
 	start, acks := -1, 0
@@ -363,7 +294,7 @@ func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash 
 	checks++
 	visible := acked
 	if acked < len(ops) {
-		applied, err := nackedVisible(o, ops, acked, crash, seq)
+		applied, err := nackedVisible(ops, acked, crash, seq)
 		if err != nil {
 			return checks, rrep, err
 		}
@@ -665,9 +596,7 @@ func kvRandRun(o KVOptions, sched randSchedule, inj *Injector, workloadSeed uint
 					// makes the per-key prefix invariant below apply
 					// unchanged: each client has at most one op in flight, so
 					// a recovered counter is the last acked sum or its
-					// successor — with absorption on, the successor's delta
-					// may have parked in the accumulator and committed as a
-					// net delta (or been nacked with nothing durable).
+					// successor.
 					kw := &ctrs[c]
 					d := 1 + uint64(crng.IntN(7))
 					var last uint64

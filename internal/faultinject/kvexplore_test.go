@@ -1,8 +1,8 @@
 package faultinject
 
 import (
+	"fmt"
 	"testing"
-	"time"
 )
 
 // TestExploreKVExhaustive is the acceptance property for the whole
@@ -18,141 +18,69 @@ import (
 // present key) logs nothing and writes back only its value line. The
 // durable view changes only at line write-backs and log write-throughs,
 // and each of those is a numbered site.
+//
+// The second input puts the online policy's one adaptation inside the
+// sweep: a 29-word sampling burst ends inside a copy-on-write FASE, and
+// with the knee search capped at two lines the cache shrinks there from
+// its default 8 while it holds three of the FASE's lines. The line it
+// evicts is not stored to again, so its one write-back is the shrink's
+// flush-line site: a shrink that dropped its evictions loses that FASE's
+// page and fails the sweep.
 func TestExploreKVExhaustive(t *testing.T) {
-	o := DefaultKVOptions()
-	if testing.Short() {
-		// Still exhaustive — every enumerated site is explored — over a
-		// slightly smaller op sequence so -race CI stays fast.
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV: %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	ops, inPlace := exhaustiveOps(o), 0
-	for i := range ops {
-		if inPlaceOp(o, ops, i) {
-			inPlace++
+	shrinking := DefaultKVOptions()
+	shrinking.Config.BurstLength = 29
+	shrinking.Config.Knee.MaxSize = 2
+	for _, o := range []KVOptions{DefaultKVOptions(), shrinking} {
+		if testing.Short() {
+			// Still exhaustive — every enumerated site is explored — over a
+			// slightly smaller op sequence so -race CI stays fast.
+			o.Ops, o.Keys = 7, 3
 		}
-	}
-	cow := o.Ops - inPlace
-	if inPlace == 0 || cow == 0 {
-		t.Fatalf("workload has %d in-place and %d copy-on-write ops; the sweep needs both", inPlace, cow)
-	}
-	for _, k := range []Kind{KindDrainDone, KindAck} {
-		if rep.Kinds[k] != o.Ops {
-			t.Errorf("%d %v sites for %d single-op FASEs: %v", rep.Kinds[k], k, o.Ops, rep)
+		name := fmt.Sprintf("burst %d", o.Config.BurstLength)
+		rep, err := ExploreKV(o)
+		if err != nil {
+			t.Fatalf("%s: ExploreKV: %v\nreport: %v", name, err, rep)
 		}
-	}
-	for _, k := range []Kind{KindUndoBegin, KindUndoCommit} {
-		if rep.Kinds[k] != cow {
-			t.Errorf("%d %v sites, want 1 per copy-on-write FASE (%d): %v", rep.Kinds[k], k, cow, rep)
+		if rep.Crashes != rep.Sites || rep.Missed != 0 {
+			t.Errorf("%s: sweep not exhaustive: %v", name, rep)
 		}
-	}
-	for _, k := range []Kind{KindUndoRecord, KindUndoPublish} {
-		if rep.Kinds[k] != 2*cow {
-			t.Errorf("%d %v sites, want 2 per copy-on-write FASE (root and generation): %v", rep.Kinds[k], k, rep)
+		ops, inPlace := exhaustiveOps(o), 0
+		for i := range ops {
+			if inPlaceOp(ops, i) {
+				inPlace++
+			}
 		}
-	}
-	// A copy-on-write FASE writes back at least its leaf's line and the
-	// meta line, an in-place one exactly its value line.
-	if rep.Kinds[KindDrainLine] < 2*cow+inPlace {
-		t.Errorf("%d drain-line sites for %d copy-on-write and %d in-place FASEs: %v",
-			rep.Kinds[KindDrainLine], cow, inPlace, rep)
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVAbsorbThreshold is the exhaustive sweep for the logical
-// write-absorption layer in its threshold shape: AbsorbThreshold=1 folds
-// every counter op of the workload into its own net-delta commit, so the
-// site space gains the merge, threshold-commit and absorb-ack boundaries —
-// and every one of them, crashed at and recovered from, must lose no acked
-// op (an absorb-ack crash commits the nacked op untorn, like an ack
-// crash; a merge crash leaves nothing durable).
-func TestExploreKVAbsorbThreshold(t *testing.T) {
-	o := DefaultKVOptions()
-	o.Absorb = true
-	o.AbsorbThreshold = 1
-	o.AbsorbDeadline = time.Second
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(absorb, threshold): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	for _, k := range []Kind{KindAbsorbMerge, KindAbsorbThreshold, KindAbsorbAck,
-		KindUndoRecord, KindDrainLine, KindAck} {
-		if rep.Kinds[k] == 0 {
-			t.Errorf("no %v sites in the absorbed group-commit path: %v", k, rep)
+		cow := o.Ops - inPlace
+		if inPlace == 0 || cow == 0 {
+			t.Fatalf("%s: workload has %d in-place and %d copy-on-write ops; the sweep needs both", name, inPlace, cow)
 		}
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVAbsorbDeadline is the same sweep in the deadline shape: an
-// unreachable threshold parks every counter op in the accumulator until
-// the shard's deadline timer forces the net-delta commit, so the deferred
-// ack path — park, timer wakeup, deadline-commit boundary, FASE, absorb
-// ack — is what gets crashed at. The enumeration stays deterministic even
-// if a slow run folds at plan time instead of at the timer: both paths
-// cross the same boundary sequence.
-func TestExploreKVAbsorbDeadline(t *testing.T) {
-	o := DefaultKVOptions()
-	o.Absorb = true
-	o.AbsorbThreshold = 1 << 20
-	o.AbsorbDeadline = 300 * time.Microsecond
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(absorb, deadline): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	for _, k := range []Kind{KindAbsorbMerge, KindAbsorbDeadline, KindAbsorbAck} {
-		if rep.Kinds[k] == 0 {
-			t.Errorf("no %v sites in the deadline-absorbed path: %v", k, rep)
+		for _, k := range []Kind{KindDrainDone, KindAck} {
+			if rep.Kinds[k] != o.Ops {
+				t.Errorf("%s: %d %v sites for %d single-op FASEs: %v", name, rep.Kinds[k], k, o.Ops, rep)
+			}
 		}
+		for _, k := range []Kind{KindUndoBegin, KindUndoCommit} {
+			if rep.Kinds[k] != cow {
+				t.Errorf("%s: %d %v sites, want 1 per copy-on-write FASE (%d): %v", name, rep.Kinds[k], k, cow, rep)
+			}
+		}
+		for _, k := range []Kind{KindUndoRecord, KindUndoPublish} {
+			if rep.Kinds[k] != 2*cow {
+				t.Errorf("%s: %d %v sites, want 2 per copy-on-write FASE (root and generation): %v", name, rep.Kinds[k], k, rep)
+			}
+		}
+		// A copy-on-write FASE writes back at least its leaf's line and the
+		// meta line, an in-place one exactly its value line: at the drain,
+		// or earlier if the cache evicts it.
+		if wb := rep.Kinds[KindDrainLine] + rep.Kinds[KindFlushLine]; wb < 2*cow+inPlace {
+			t.Errorf("%s: %d write-back sites for %d copy-on-write and %d in-place FASEs: %v",
+				name, wb, cow, inPlace, rep)
+		}
+		if o.Config.BurstLength == shrinking.Config.BurstLength && rep.Kinds[KindFlushLine] == 0 {
+			t.Errorf("%s: no flush-line sites: the cache never shrank below a FASE's lines: %v", name, rep)
+		}
+		t.Logf("%s: %v", name, rep)
 	}
-	if rep.Kinds[KindAbsorbThreshold] != 0 {
-		t.Errorf("threshold commits with an unreachable threshold: %v", rep)
-	}
-	t.Logf("%v", rep)
-}
-
-// TestExploreKVRandomAbsorb runs the seeded concurrent mode with
-// absorption enabled: concurrent clients mixing puts and private-key
-// increments, a small threshold and a short deadline so both commit
-// triggers fire under load, crashes landing anywhere in the combined site
-// space — every recovered state must satisfy the per-key prefix invariant
-// for puts and counters alike.
-func TestExploreKVRandomAbsorb(t *testing.T) {
-	o := DefaultKVOptions()
-	o.Absorb = true
-	o.AbsorbThreshold = 2
-	o.AbsorbDeadline = 200 * time.Microsecond
-	o.Runs = 8
-	if testing.Short() {
-		o.Runs = 3
-	}
-	rep, err := ExploreKVRandom(o)
-	if err != nil {
-		t.Fatalf("ExploreKVRandom(absorb) (reproduce with -faultinject.seed=%d): %v\nreport: %v", rep.Seed, err, rep)
-	}
-	if rep.Runs != o.Runs || rep.Crashes+rep.Missed != rep.Runs {
-		t.Errorf("run accounting broken: %v", rep)
-	}
-	t.Logf("%v", rep)
 }
 
 // TestExploreKVCatchesDroppedDrains is the kv-level negative control: the
@@ -186,43 +114,6 @@ func TestExploreKVRandom(t *testing.T) {
 		t.Errorf("run accounting broken: %v", rep)
 	}
 	t.Logf("%v", rep)
-}
-
-// TestExploreKVResize sweeps the resize-at-FASE-end seam: capacity requests
-// cycling shrink→grow→shrink are published between ops and applied at the
-// next FASE end before its drain, so the shrink's forced evictions are
-// enumerated as ordinary write-back sites. A crash at any of them — mid-
-// resize, with part of the evicted set persisted — must lose no acked write.
-func TestExploreKVResize(t *testing.T) {
-	o := DefaultKVOptions()
-	o.ResizeEvery = 2
-	if testing.Short() {
-		o.Ops, o.Keys = 7, 3
-	}
-	rep, err := ExploreKV(o)
-	if err != nil {
-		t.Fatalf("ExploreKV(resize): %v\nreport: %v", err, rep)
-	}
-	if rep.Crashes != rep.Sites || rep.Missed != 0 {
-		t.Errorf("sweep not exhaustive: %v", rep)
-	}
-	base, err := ExploreKV(func() KVOptions {
-		b := DefaultKVOptions()
-		if testing.Short() {
-			b.Ops, b.Keys = 7, 3
-		}
-		return b
-	}())
-	if err != nil {
-		t.Fatalf("ExploreKV(baseline): %v", err)
-	}
-	// The shrink to capacity 1 forces evictions the static run never pays,
-	// so resizing must widen the site space (new DrainLine boundaries).
-	if rep.Sites <= base.Sites {
-		t.Errorf("resizing enumerated %d sites, static %d — no resize-driven crash sites",
-			rep.Sites, base.Sites)
-	}
-	t.Logf("resize sweep %v vs static %v", rep, base)
 }
 
 // TestExploreKVRecovery crashes recovery itself on the default store: for

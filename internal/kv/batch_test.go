@@ -109,39 +109,6 @@ func TestPutBatchDurableAcrossRecover(t *testing.T) {
 	}
 }
 
-// TestPutBatchAbsorb: under absorption a batched put coalesces per key
-// like lone PUTs, and the accounting still balances.
-func TestPutBatchAbsorb(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Absorb.Enabled = true
-	s := newStore(t, opts)
-	defer s.Close()
-	pairs := make([]Pair, 100)
-	for i := range pairs {
-		pairs[i] = Pair{K: uint64(i % 10), V: uint64(i)} // 10 distinct keys
-	}
-	if err := s.PutBatch(pairs); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 10; k++ {
-		v, ok, err := s.Get(k)
-		if err != nil || !ok {
-			t.Fatalf("Get(%d) = %v,%v", k, ok, err)
-		}
-		// Last pair for key k is 90+k.
-		if v != 90+k {
-			t.Fatalf("Get(%d) = %d, want %d", k, v, 90+k)
-		}
-	}
-	st := Totals(s.Stats())
-	if st.Puts != 100 {
-		t.Fatalf("puts = %d, want 100", st.Puts)
-	}
-	if st.Absorbed+st.Committed != 100 {
-		t.Fatalf("absorbed %d + committed %d != 100", st.Absorbed, st.Committed)
-	}
-}
-
 // TestGetBatchAllocs pins GetBatch at zero allocations per call with
 // reused argument slices — the server's MGET hot path rides it.
 func TestGetBatchAllocs(t *testing.T) {

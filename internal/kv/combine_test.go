@@ -184,34 +184,3 @@ func TestCrashWhileWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestAbsorbDeadlineLoneWaiter: a parked INCR whose owner is the only
-// waiter — no other traffic, no goroutine of the store's — still commits
-// at the accumulator's deadline: its Wait sleeps until then and forces the
-// accumulator out itself.
-func TestAbsorbDeadlineLoneWaiter(t *testing.T) {
-	const deadline = 20 * time.Millisecond
-	opts := DefaultOptions()
-	opts.Shards = 1
-	opts.Absorb = AbsorbConfig{Enabled: true, Threshold: 1 << 20, Deadline: deadline}
-	s := newStore(t, opts)
-	defer s.Close()
-	var tk Ticket
-	start := time.Now()
-	s.Submit(&tk, OpIncr, 9, 3)
-	res := tk.Wait()
-	waited := time.Since(start)
-	if res.Err != nil || res.Val != 3 {
-		t.Fatalf("Incr = %+v", res)
-	}
-	if waited < deadline || waited > 5*time.Second {
-		t.Fatalf("the parked INCR acked after %v; want at its %v deadline", waited, deadline)
-	}
-	st := Totals(s.Stats())
-	if st.AbsorbDeadlineCommits != 1 || st.Committed != 1 {
-		t.Fatalf("deadline commits %d, committed %d; want 1 and 1", st.AbsorbDeadlineCommits, st.Committed)
-	}
-	if v, ok, err := s.Get(9); err != nil || !ok || v != 3 {
-		t.Fatalf("Get(9) = %d, %v, %v", v, ok, err)
-	}
-}

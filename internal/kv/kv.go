@@ -19,7 +19,7 @@
 // Crash and Recover).
 //
 // A batch whose every mutation overwrites a key already present — a PUT,
-// INCR or DECR, absorption off, queued GETs alongside — skips the copy:
+// INCR or DECR, queued GETs alongside — skips the copy:
 // each new value is stored in place into its committed leaf word, and the
 // FASE's drain of those lines (one per key, where a copy-on-write update
 // writes back its whole root-to-leaf path) is the commit. An aligned word
@@ -66,7 +66,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nvmcache/internal/adaptive"
 	"nvmcache/internal/atlas"
 	"nvmcache/internal/core"
 	"nvmcache/internal/mdb"
@@ -112,23 +111,6 @@ type Options struct {
 	// (default: the paper's software cache at its 50-line cap).
 	Policy core.PolicyKind
 	Config core.Config
-	// Adaptive, when Enabled, runs the online control plane
-	// (internal/adaptive): per-shard samplers tap the store stream, and a
-	// periodic controller retargets each shard's write-cache capacity from
-	// its live miss-ratio curve and retunes the group-commit bounds from
-	// observed counters. Policy is forced to
-	// SoftCacheOffline so the external controller solely owns cache sizing
-	// (the policy's own one-shot sampler stays out of the loop).
-	Adaptive adaptive.Config
-	// Absorb configures the logical write-absorption layer (absorb.go):
-	// same-key coalescing inside each batch's FASE plus the volatile
-	// counter accumulator behind Incr/Decr. Disabled by default.
-	Absorb AbsorbConfig
-	// AbsorbHook observes each absorption boundary crossing (merge,
-	// threshold commit, deadline commit, absorb ack) on whichever goroutine
-	// holds the shard's commit lock; internal/faultinject numbers them as
-	// crash-exploration sites.
-	AbsorbHook func(op AbsorbOp)
 	// RecoverHook observes the atlas undo-log rollback stages inside
 	// Recover. A panic claimed by IsInjectedCrash aborts the recovery
 	// mid-flight (Recover returns ErrCrashed with the heap quiesced), and a
@@ -166,8 +148,7 @@ type Options struct {
 // mdb.Create's one-time meta initialisation (root, generation, page arena).
 // Every copy-on-write serving FASE logs two, the tree's root and
 // generation, whatever its batch holds: the pages it writes are private
-// stores, and absorption adds none because a net delta is an ordinary put.
-// An in-place FASE logs none.
+// stores. An in-place FASE logs none.
 const faseLoggedWords = 3
 
 // DefaultOptions returns the serving configuration used by cmd/nvserver.
@@ -211,11 +192,6 @@ func (o Options) withDefaults() Options {
 	if o.LogEntries <= 0 {
 		o.LogEntries = d.LogEntries
 	}
-	if o.Adaptive.Enabled {
-		o.Adaptive = o.Adaptive.WithDefaults()
-		o.Policy = core.SoftCacheOffline
-	}
-	o.Absorb = o.Absorb.withDefaults()
 	return o
 }
 
@@ -232,6 +208,10 @@ func RecommendedHeapBytes(o Options) uint64 {
 	total += dirBytes(o.Shards) + 64 + 1<<14 // directory + registry + slack
 	return total + total/4
 }
+
+// dirBytes is the shard directory's size: the shard count, then each
+// shard's mdb meta address.
+func dirBytes(shards int) uint64 { return 8 + 8*uint64(shards) }
 
 // ShardIndex routes a key to a shard: a fixed avalanche hash (splitmix64
 // finalizer) reduced mod shards, so routing is deterministic across
@@ -260,10 +240,6 @@ type Store struct {
 	opts   Options
 	shards []*shard
 
-	// Adaptive control plane (nil unless Options.Adaptive.Enabled).
-	taps []*adaptive.Tap
-	ctrl *adaptive.Controller
-
 	crashing  atomic.Bool
 	crashDone chan struct{} // closed when the crash has fully taken effect
 
@@ -271,39 +247,28 @@ type Store struct {
 	state int
 }
 
-func runtimeOptions(o Options, taps []*adaptive.Tap) atlas.Options {
+func runtimeOptions(o Options) atlas.Options {
 	// Trace recording is always off: a serving store runs indefinitely and
 	// per-store trace buffers grow without bound.
-	ro := atlas.Options{Policy: o.Policy, Config: o.Config, LogEntries: o.LogEntries, DisableTrace: true,
+	return atlas.Options{Policy: o.Policy, Config: o.Config, LogEntries: o.LogEntries, DisableTrace: true,
 		WrapSink: o.WrapSink, UndoHook: o.UndoHook}
-	if taps != nil {
-		ro.StoreTap = func(thread int32) core.StoreTap {
-			if int(thread) < len(taps) {
-				return taps[thread]
-			}
-			return nil // a thread beyond the shard set stays untapped
-		}
-	}
-	return ro
 }
 
 // Open creates a new store in an empty heap: a shard directory (shard
-// count, each shard's mdb meta address, and each shard's advisory
-// cache-capacity word — see capacity.go) becomes the heap root, so Recover
-// can reattach after a restart.
+// count and each shard's mdb meta address) becomes the heap root, so
+// Recover can reattach after a restart.
 func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if heap.Root() != 0 {
 		return nil, errors.New("kv: heap already holds a store; use Recover")
 	}
-	taps := initAdaptive(opts)
-	rt := atlas.NewRuntime(heap, runtimeOptions(opts, taps))
+	rt := atlas.NewRuntime(heap, runtimeOptions(opts))
 	dir, err := heap.AllocLines(dirBytes(opts.Shards))
 	if err != nil {
 		return nil, fmt.Errorf("kv: allocating shard directory: %w", err)
 	}
 	heap.WriteUint64(dir, uint64(opts.Shards))
-	s := &Store{heap: heap, rt: rt, opts: opts, taps: taps, crashDone: make(chan struct{})}
+	s := &Store{heap: heap, rt: rt, opts: opts, crashDone: make(chan struct{})}
 	for i := 0; i < opts.Shards; i++ {
 		th, err := rt.NewThread()
 		if err != nil {
@@ -314,16 +279,16 @@ func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("kv: shard %d: %w", i, err)
 		}
 		heap.WriteUint64(dir+8+8*uint64(i), db.MetaAddr())
-		s.shards = append(s.shards, newShard(s, i, th, db, openCapSlot(heap, dir, opts, i, th.Policy(), false)))
+		s.shards = append(s.shards, newShard(s, i, th, db))
 	}
 	heap.Persist(dir, dirBytes(opts.Shards))
 	heap.SetRoot(dir)
-	s.startAdaptive()
 	return s, nil
 }
 
 // crashGuard runs fn, converting a panic claimed by the injected-crash
-// classifier into crashed=true (recovery-side mirror of shard.crashedDuring).
+// classifier into crashed=true (recovery-side mirror of applyBatch's
+// recover).
 func crashGuard(claim func(any) bool, fn func()) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -374,22 +339,19 @@ func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error
 	}
 	opts.Shards = int(n)
 
-	taps := initAdaptive(opts)
-	rt := atlas.NewRuntime(heap, runtimeOptions(opts, taps))
-	s := &Store{heap: heap, rt: rt, opts: opts, taps: taps, crashDone: make(chan struct{})}
+	rt := atlas.NewRuntime(heap, runtimeOptions(opts))
+	s := &Store{heap: heap, rt: rt, opts: opts, crashDone: make(chan struct{})}
 	for i := 0; i < opts.Shards; i++ {
 		th, err := rt.NewThread()
 		if err != nil {
 			return nil, rep, fmt.Errorf("kv: shard %d: %w", i, err)
 		}
-		cs := openCapSlot(heap, dir, opts, i, th.Policy(), true)
 		db, err := mdb.Attach(th, heap.ReadUint64(dir+8+8*uint64(i)))
 		if err != nil {
 			return nil, rep, fmt.Errorf("kv: shard %d: %w", i, err)
 		}
-		s.shards = append(s.shards, newShard(s, i, th, db, cs))
+		s.shards = append(s.shards, newShard(s, i, th, db))
 	}
-	s.startAdaptive()
 	return s, rep, nil
 }
 
@@ -551,10 +513,8 @@ func (s *Store) Delete(k uint64) (bool, error) {
 
 // Incr durably adds d to k (wrapping uint64 arithmetic; a missing key
 // counts from zero) and returns the post-increment value computed at the
-// operation's serialization point. With absorption enabled the ack — and
-// so the return — may be deferred until the shard's accumulator commits
-// the key's net delta (threshold or deadline); the durability contract is
-// unchanged: a returned Incr survives any crash.
+// operation's serialization point. Like Put, a returned Incr survives any
+// crash.
 func (s *Store) Incr(k, d uint64) (uint64, error) {
 	res := s.do(OpIncr, k, d)
 	return res.Val, res.Err
@@ -742,8 +702,8 @@ func (sn *Snapshot) Release() {
 
 // Close drains every shard gracefully: requests are accepted no more,
 // queued ones are batched, committed and acked on the caller's goroutine,
-// parked counter deltas are committed, and the runtime's residual dirty
-// state is persisted. Reads remain possible afterwards.
+// and the runtime's residual dirty state is persisted. Reads remain
+// possible afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.state != stateServing {
@@ -757,9 +717,8 @@ func (s *Store) Close() error {
 	s.state = stateClosed
 	s.mu.Unlock()
 	for _, sh := range s.shards {
-		sh.drain()
+		sh.serve(nil)
 	}
-	s.stopAdaptive()
 	if s.crashing.Load() {
 		return ErrCrashed
 	}
@@ -769,8 +728,8 @@ func (s *Store) Close() error {
 
 // Crash simulates a power failure: in-flight batches are abandoned
 // mid-FASE (never acked, rolled back by Recover), commits stop, the heap's
-// volatile view is discarded, and every queued or parked request fails
-// with ErrCrashed. The Store is unusable afterwards; build a new one with
+// volatile view is discarded, and every queued request fails with
+// ErrCrashed. The Store is unusable afterwards; build a new one with
 // Recover on the same heap.
 func (s *Store) Crash() error { return s.initiateCrash(nil) }
 
@@ -782,7 +741,7 @@ func (s *Store) Crashed() <-chan struct{} { return s.crashDone }
 // first, which waits out the commits in flight (each sees crashing at its
 // next check and stops), so no goroutine mutates the heap while its
 // volatile view is dropped; then, still holding them, it fails every
-// queued and parked request. except is the shard whose committer initiates
+// queued request. except is the shard whose committer initiates
 // the crash from inside its own FASE (via CrashBeforeCommit), which holds
 // that lock already and nacks its own batch after this returns.
 func (s *Store) initiateCrash(except *shard) error {
@@ -794,10 +753,6 @@ func (s *Store) initiateCrash(except *shard) error {
 			sh.commitMu.Lock()
 		}
 	}
-	// The controller's targets are published atomically and applied only at
-	// commit safe points, so it cannot corrupt the quiescing heap; stop it
-	// anyway so no decision loop outlives the store.
-	s.stopAdaptive()
 	s.mu.Lock()
 	s.state = stateCrashed
 	s.heap.Crash()
@@ -809,7 +764,6 @@ func (s *Store) initiateCrash(except *shard) error {
 		// Not through gather: a committer that initiated the crash still owes
 		// the batch in its buffer the nack.
 		nackAll(sh.q.take(nil, math.MaxInt), ErrCrashed)
-		sh.nackParked(ErrCrashed)
 	}
 	for _, sh := range s.shards {
 		if sh != except {

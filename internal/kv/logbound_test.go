@@ -13,8 +13,8 @@ import (
 
 // TestLargestFASEFitsUndoLog derives DefaultOptions().LogEntries from the
 // FASEs a shard runs. Every serving FASE logs exactly two words, the root
-// and generation, even the largest one, proto.MaxOps pairs to one shard
-// with the absorption layer on. The largest of all is Open's meta
+// and generation, even the largest one, proto.MaxOps pairs to one shard.
+// The largest of all is Open's meta
 // initialisation, and it logs exactly faseLoggedWords words, strictly
 // fewer than the log holds, so none is dropped. Aborted (its page copies
 // exhaust a small pool near the end), the largest serving FASE rolls back
@@ -33,7 +33,6 @@ func TestLargestFASEFitsUndoLog(t *testing.T) {
 	)
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.Absorb.Enabled = true
 	opts.UndoHook = func(op atlas.UndoOp) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -60,7 +59,9 @@ func TestLargestFASEFitsUndoLog(t *testing.T) {
 	if st := Totals(s.Stats()); st.Batches != 1 || st.BatchedOps != proto.MaxOps {
 		t.Fatalf("the %d pairs did not commit as one batch: %d batches, %d ops", proto.MaxOps, st.Batches, st.BatchedOps)
 	}
-	if _, err := s.Incr(7, 5); err != nil {
+	// An absent key: an Incr of a present one commits in place and logs
+	// nothing.
+	if _, err := s.Incr(proto.MaxOps+7, 5); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nvmcache/internal/atlas"
 	"nvmcache/internal/mdb"
@@ -96,28 +95,15 @@ func (t *Ticket) complete(res Result) {
 	}
 }
 
-// sleep parks the waiter until complete wakes it or, when d > 0, until d
-// has passed.
-func (t *Ticket) sleep(d time.Duration) {
+// sleep parks the waiter until complete wakes it: the wait for a crash to
+// nack a request that is still queued.
+func (t *Ticket) sleep() {
 	if t.wake == nil {
 		t.wake = make(chan struct{}, 1)
 	}
-	if !t.state.CompareAndSwap(ticketQueued, ticketSleeping) {
-		return // completed meanwhile
-	}
-	if d <= 0 {
+	if t.state.CompareAndSwap(ticketQueued, ticketSleeping) {
 		<-t.wake
-		return
 	}
-	timer := time.NewTimer(d)
-	select {
-	case <-t.wake:
-	case <-timer.C:
-		if !t.state.CompareAndSwap(ticketSleeping, ticketQueued) {
-			<-t.wake // complete won the race; take its signal
-		}
-	}
-	timer.Stop()
 }
 
 // Wait returns the submitted request's outcome once it has completed,
@@ -259,22 +245,12 @@ type shard struct {
 	commitMu sync.Mutex
 	q        queue
 
-	// Absorption knobs (the deadline is live: the adaptive controller
-	// retargets it) and the counter accumulator. acc is the committer's.
-	absorbThreshold  atomic.Int64
-	absorbDeadlineNs atomic.Int64
-	acc              accumulator
-
 	// Reused per-batch storage, so a steady stream of commits allocates
 	// nothing. Committer only. slots holds an in-place batch's value
 	// words, one per request (0 for a GET).
 	batchBuf []request
 	resBuf   []Result
 	slots    []uint64
-
-	// capSlot is the shard's advisory cache-capacity word (capacity.go).
-	// Committer only.
-	capSlot capSlot
 
 	// Snapshot bookkeeping. curRoot/curGen are the last *committed* root
 	// and generation — never a mid-transaction root, which is why readers
@@ -308,14 +284,12 @@ type shard struct {
 	counters
 }
 
-func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB, cs capSlot) *shard {
+func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB) *shard {
 	sh := &shard{
-		id: id, st: s, th: th, db: db, capSlot: cs,
+		id: id, st: s, th: th, db: db,
 		q:      queue{buf: make([]request, s.opts.QueueDepth)},
 		active: make(map[uint64]int),
 	}
-	sh.absorbThreshold.Store(int64(s.opts.Absorb.Threshold))
-	sh.absorbDeadlineNs.Store(int64(s.opts.Absorb.Deadline))
 	sh.curRoot = db.Snapshot()
 	sh.curGen = db.Generation()
 	sh.cache = newSlotCache(db, s.opts.PoolPages)
@@ -399,13 +373,12 @@ func (sh *shard) read(k uint64) (uint64, bool, error) {
 }
 
 // inPlace reports whether a batch can commit in place, resolving every
-// mutation's value word into sh.slots on the way: absorption is off (plan
-// is nil), no consistent cut is pinned, and every mutation is a
-// single-key put or counter op of a key already present. The tests that
-// need no tree descent come first. On true the in-place window is open
-// (see openWindow).
-func (sh *shard) inPlace(batch []request, plan *commitPlan) bool {
-	if plan != nil || sh.cuts.Load() > 0 {
+// mutation's value word into sh.slots on the way: no consistent cut is
+// pinned, and every mutation is a single-key put or counter op of a key
+// already present. The tests that need no tree descent come first. On true
+// the in-place window is open (see openWindow).
+func (sh *shard) inPlace(batch []request) bool {
+	if sh.cuts.Load() > 0 {
 		return false
 	}
 	for i := range batch {
@@ -495,38 +468,27 @@ func (sh *shard) publish(cow bool) {
 }
 
 // serve commits the shard's queue on the caller's goroutine until t, whose
-// request was queued here, has completed. Each pass takes the commit lock's
-// view of the queue — everything queued, up to MaxBatch logical ops — and
-// commits it as one FASE, so requests queued while a commit runs share the
-// next one: group commit is natural batching, a lone request pays no delay,
-// and there is no second commit path. A waiter whose request another
-// goroutine is committing blocks on the lock and finds it done. When
-// nothing is queued and t is still pending, t is a counter op parked in the
-// absorption accumulator: serve sleeps, without the lock, until the
-// accumulator's deadline (or an earlier commit that folds it), then forces
-// the accumulator out. Once the store is crashing, the crash completes t.
+// request was queued here, has completed: gather, commit, repeat. Each pass
+// takes the commit lock's view of the queue — everything queued, up to
+// MaxBatch logical ops — and commits it as one FASE, so requests queued
+// while a commit runs share the next one: group commit is natural
+// batching, a lone request pays no delay, and there is no second commit
+// path. A waiter whose request another goroutine is committing blocks on
+// the lock and finds it done. Once the store is crashing, the crash
+// completes t. A nil t is Close's graceful drain: serve then commits until
+// the queue is empty.
 func (sh *shard) serve(t *Ticket) {
 	sh.commitMu.Lock()
-	for !t.done() && !sh.st.crashing.Load() {
-		if batch := sh.gather(); len(batch) > 0 {
-			sh.commitBatch(batch)
-			continue
-		}
-		wait, parked := sh.absorbWait()
-		if !parked {
+	for (t == nil || !t.done()) && !sh.st.crashing.Load() {
+		batch := sh.gather()
+		if len(batch) == 0 {
 			break
 		}
-		if wait <= 0 {
-			sh.commitBatch(nil)
-			continue
-		}
-		sh.commitMu.Unlock()
-		t.sleep(wait)
-		sh.commitMu.Lock()
+		sh.commitBatch(batch)
 	}
 	sh.commitMu.Unlock()
-	if !t.done() {
-		t.sleep(0)
+	if t != nil && !t.done() {
+		t.sleep()
 	}
 }
 
@@ -540,23 +502,6 @@ func (sh *shard) commitQueued() {
 		}
 	}
 	sh.commitMu.Unlock()
-}
-
-// drain commits everything queued, then any parked counter deltas: Close's
-// graceful drain, once no request can be queued any more.
-func (sh *shard) drain() {
-	sh.commitMu.Lock()
-	defer sh.commitMu.Unlock()
-	for !sh.st.crashing.Load() {
-		batch := sh.gather()
-		if len(batch) == 0 {
-			if _, parked := sh.absorbWait(); parked {
-				sh.commitBatch(nil)
-			}
-			return
-		}
-		sh.commitBatch(batch)
-	}
 }
 
 // gather takes one group commit off the queue without waiting: whatever is
@@ -607,48 +552,17 @@ func (sh *shard) commitBatch(batch []request) {
 		return
 	}
 	results := sh.resultsFor(len(batch))
-	if len(batch) > 0 && readOnly(batch) && sh.acc.pending() == 0 {
+	if readOnly(batch) {
 		// Nothing to commit, and the committed tree is durable: the GETs
-		// read it and ack without a FASE. (A parked counter delta must fold
-		// first, so with one pending the batch goes through the planner.)
+		// read it and ack without a FASE.
 		sh.readCommitted(batch, results)
 		sh.noteOps(batch)
 		ackAll(batch, results)
 		return
 	}
-	var plan *commitPlan
-	if sh.absorbOn() {
-		// A nil batch is a deadline (or shutdown-drain) wakeup: force the
-		// accumulator out.
-		force := batch == nil
-		if sh.crashedDuring(func() { plan = sh.planCommit(batch, force) }) {
-			// Injected crash at a merge boundary: only volatile accumulator
-			// state was touched, nothing durable. The crash nacks the
-			// requests the partial plan already parked; nack the rest of the
-			// batch here (each request exactly once).
-			parked := make(map[*Ticket]bool, sh.acc.pending())
-			for i := range sh.acc.parked {
-				parked[sh.acc.parked[i].t] = true
-			}
-			sh.st.initiateCrash(sh)
-			for i := range batch {
-				if !parked[batch[i].t] {
-					batch[i].t.complete(Result{Err: ErrCrashed})
-				}
-			}
-			return
-		}
-		if len(plan.writes) == 0 {
-			// Every op this plan acks is a GET or absorbed into nothing (and
-			// parked-only plans ack nobody): no FASE.
-			sh.finishAbsorbed(plan)
-			return
-		}
-		batch, results = plan.acks, plan.results
-	}
-	inPlace := sh.inPlace(batch, plan)
+	inPlace := sh.inPlace(batch)
 	pre := sh.th.FlushStats()
-	outcome, failed := sh.applyBatch(batch, results, plan, inPlace)
+	outcome, failed := sh.applyBatch(batch, results, inPlace)
 	switch outcome {
 	case batchBeginErr, batchCommitErr:
 		nackAll(batch, failed)
@@ -680,13 +594,8 @@ func (sh *shard) commitBatch(batch []request) {
 		return
 	}
 	post := sh.th.FlushStats()
-	sh.capSlot.save(sh.st.heap)
-	applied := logicalOps(batch)
-	if plan != nil {
-		applied = len(plan.writes)
-	}
 	sh.publish(!inPlace)
-	sh.note(batch, applied, pre, post)
+	sh.note(batch, pre, post)
 	ackAll(batch, results)
 }
 
@@ -706,23 +615,6 @@ func ackAll(batch []request, results []Result) {
 	}
 }
 
-// crashedDuring runs fn, converting a panic claimed by
-// Options.IsInjectedCrash into a reported crash — the out-of-FASE mirror
-// of applyBatch's recover, for the absorption merge and ack boundaries.
-func (sh *shard) crashedDuring(fn func()) (crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			claim := sh.st.opts.IsInjectedCrash
-			if claim == nil || !claim(r) {
-				panic(r)
-			}
-			crashed = true
-		}
-	}()
-	fn()
-	return false
-}
-
 // applyBatch runs the whole FASE — Begin, the batch's mutations, the crash
 // hooks, and the durable commit — as a copy-on-write transaction, or, when
 // inPlace, as bare stores into the words inPlace resolved (put), whose
@@ -731,7 +623,7 @@ func (sh *shard) crashedDuring(fn func()) (crashed bool) {
 // inside a store, flush, or undo-log write — abandons the FASE with its
 // undo log still active, exactly as a power failure at that instruction
 // would; panics it does not claim propagate.
-func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan, inPlace bool) (outcome batchOutcome, err error) {
+func (sh *shard) applyBatch(batch []request, results []Result, inPlace bool) (outcome batchOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			claim := sh.st.opts.IsInjectedCrash
@@ -741,74 +633,53 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan,
 			outcome, err = batchCrashInjected, ErrCrashed
 		}
 	}()
-	if plan != nil && plan.hasTrig {
-		// Threshold/deadline accumulator commits announce themselves before
-		// the FASE begins; a crash here loses only parked (unacked) ops.
-		sh.absorbHook(plan.trigger)
-	}
 	if inPlace {
 		sh.th.FASEBegin()
 	} else if err := sh.db.Begin(); err != nil {
 		return batchBeginErr, err
 	}
 	var failed error
-	if plan != nil {
-		// Absorbed commit: results were precomputed by the serial planner;
-		// the FASE applies only the net write per touched key.
-		for _, w := range plan.writes {
-			if w.del {
-				_, failed = sh.db.Delete(w.k)
-			} else {
-				failed = sh.db.Put(w.k, w.v)
+	for i := range batch {
+		r := &batch[i]
+		switch r.op {
+		case OpPut:
+			failed = sh.put(inPlace, i, r.k, r.v)
+		case OpDel:
+			results[i].Found, failed = sh.db.Delete(r.k)
+		case opPuts:
+			for _, p := range r.pairs {
+				if failed = sh.db.Put(p.K, p.V); failed != nil {
+					break
+				}
 			}
-			if failed != nil {
-				break
+		case OpIncr, OpDecr:
+			// A read-modify-write inside the batch's FASE (earlier batch ops
+			// are visible: Get sees the in-transaction tree, and an in-place
+			// batch's stores are already in its words).
+			d := r.v
+			if r.op == OpDecr {
+				d = -d
+			}
+			var cur uint64
+			if inPlace {
+				cur = sh.db.SlotValue(sh.slots[i])
+			} else {
+				cur, _ = sh.db.Get(r.k)
+			}
+			results[i].Val = cur + d
+			failed = sh.put(inPlace, i, r.k, cur+d)
+		case OpGet:
+			// The in-transaction tree: exactly the writes queued ahead.
+			// An in-place batch changes no page, so its tree is the
+			// published one, which the slot cache answers for.
+			if inPlace {
+				results[i].Val, results[i].Found = sh.get(sh.curRoot, r.k)
+			} else {
+				results[i].Val, results[i].Found = sh.db.Get(r.k)
 			}
 		}
-	} else {
-		for i := range batch {
-			r := &batch[i]
-			switch r.op {
-			case OpPut:
-				failed = sh.put(inPlace, i, r.k, r.v)
-			case OpDel:
-				results[i].Found, failed = sh.db.Delete(r.k)
-			case opPuts:
-				for _, p := range r.pairs {
-					if failed = sh.db.Put(p.K, p.V); failed != nil {
-						break
-					}
-				}
-			case OpIncr, OpDecr:
-				// Absorption off: an ordinary read-modify-write inside the
-				// batch's FASE (earlier batch ops are visible: Get sees the
-				// in-transaction tree, and an in-place batch's stores are
-				// already in its words).
-				d := r.v
-				if r.op == OpDecr {
-					d = -d
-				}
-				var cur uint64
-				if inPlace {
-					cur = sh.db.SlotValue(sh.slots[i])
-				} else {
-					cur, _ = sh.db.Get(r.k)
-				}
-				results[i].Val = cur + d
-				failed = sh.put(inPlace, i, r.k, cur+d)
-			case OpGet:
-				// The in-transaction tree: exactly the writes queued ahead.
-				// An in-place batch changes no page, so its tree is the
-				// published one, which the slot cache answers for.
-				if inPlace {
-					results[i].Val, results[i].Found = sh.get(sh.curRoot, r.k)
-				} else {
-					results[i].Val, results[i].Found = sh.db.Get(r.k)
-				}
-			}
-			if failed != nil {
-				break
-			}
+		if failed != nil {
+			break
 		}
 	}
 	if failed != nil {
@@ -842,10 +713,6 @@ func (sh *shard) applyBatch(batch []request, results []Result, plan *commitPlan,
 		// The last crash boundary: the commit is durable but no requester
 		// has been told. A crash here must lose no data, only acks.
 		hook(sh.id)
-	}
-	if plan != nil && plan.fold {
-		// Same boundary, for the parked counter acks this commit carries.
-		sh.absorbHook(AbsorbAck)
 	}
 	return batchCommitted, nil
 }

@@ -32,34 +32,21 @@ type counters struct {
 	batchedOps   atomic.Uint64
 	aborts       atomic.Uint64
 
-	// Absorption accounting over acked mutations: committed is the
-	// physical op count the FASEs executed, absorbed the logical ops folded
-	// away before reaching one; absorbed+committed == acked mutations.
-	// The *C counters tally accumulator commits by trigger.
-	absorbed, committed               atomic.Uint64
-	absorbThresholdC, absorbDeadlineC atomic.Uint64
-	flushAsync                        atomic.Int64
-	flushDrained                      atomic.Int64
-	flushBarriers                     atomic.Int64
+	flushAsync    atomic.Int64
+	flushDrained  atomic.Int64
+	flushBarriers atomic.Int64
 
 	latMu   sync.Mutex
 	lats    []float64 // ring of recent commit latencies, simulated cycles
 	latNext int
 }
 
-// note records one committed batch: operation mix, absorption accounting
-// (applied is the physical op count the FASE executed; the remainder of
-// the batch was absorbed), flush-counter snapshot, and the commit's drain
-// latency in simulated cycles.
-func (sh *shard) note(batch []request, applied int, pre, post core.FlushStats) {
+// note records one committed batch: operation mix, flush-counter
+// snapshot, and the commit's drain latency in simulated cycles.
+func (sh *shard) note(batch []request, pre, post core.FlushStats) {
 	sh.noteOps(batch)
 	sh.batches.Add(1)
-	logical := logicalOps(batch)
-	sh.batchedOps.Add(uint64(logical))
-	sh.committed.Add(uint64(applied))
-	if n := logical - applied; n > 0 {
-		sh.absorbed.Add(uint64(n))
-	}
+	sh.batchedOps.Add(uint64(logicalOps(batch)))
 	sh.flushAsync.Store(post.Async)
 	sh.flushDrained.Store(post.Drained)
 	sh.flushBarriers.Store(post.Barriers)
@@ -67,7 +54,7 @@ func (sh *shard) note(batch []request, applied int, pre, post core.FlushStats) {
 }
 
 // noteOps counts acked operations by kind (shared by the FASE and the
-// no-FASE ack paths), queued GETs included.
+// read-only ack paths), queued GETs included.
 func (sh *shard) noteOps(batch []request) {
 	var nput, ndel, nincr, ndecr, nget uint64
 	for i := range batch {
@@ -136,13 +123,6 @@ type ShardStats struct {
 	Incrs, Decrs uint64
 	// Group-commit shape.
 	Batches, BatchedOps uint64
-	// Absorption accounting: Committed physical ops executed by FASEs vs
-	// Absorbed logical ops folded away before reaching one
-	// (Absorbed+Committed == acked mutations), plus accumulator commits by
-	// trigger. All zero-ratio when Options.Absorb is disabled (Committed
-	// then equals the acked mutation count).
-	Absorbed, Committed                           uint64
-	AbsorbThresholdCommits, AbsorbDeadlineCommits uint64
 	// Aborted batches (shed load, e.g. pool exhaustion).
 	Aborts uint64
 	// Flush counters of the shard's persistence policy: async (overlapped,
@@ -152,13 +132,6 @@ type ShardStats struct {
 	// Commit drain latency percentiles over recent batches, in simulated
 	// cycles.
 	CommitP50, CommitP99 float64
-	// Adaptive control-plane gauges (all zero when Options.Adaptive is
-	// disabled): the write-cache capacity currently in effect, the sequence
-	// number of the shard's newest control decision, capacity retargets
-	// requested so far, and total line writes recorded into completed
-	// sampling bursts.
-	AdaptiveCap, AdaptiveLast       int64
-	AdaptiveResizes, AdaptiveSample int64
 }
 
 // AvgBatch returns the mean committed batch size.
@@ -167,15 +140,6 @@ func (st ShardStats) AvgBatch() float64 {
 		return 0
 	}
 	return float64(st.BatchedOps) / float64(st.Batches)
-}
-
-// AbsorbRatio returns the fraction of acked mutations absorbed before
-// reaching a FASE (0 with absorption off or no mutations yet).
-func (st ShardStats) AbsorbRatio() float64 {
-	if st.Absorbed+st.Committed == 0 {
-		return 0
-	}
-	return float64(st.Absorbed) / float64(st.Absorbed+st.Committed)
 }
 
 // Flushes returns all line flushes (async + drained).
@@ -191,30 +155,19 @@ func (st ShardStats) FlushRatio() float64 {
 	return float64(st.Flushes()) / float64(st.BatchedOps)
 }
 
-// Pairs returns every field as a `key=value` token with the keys in
-// sorted order. The key set is fixed (adaptive gauges are present even when
-// the controller is off), so STATS output is a stable, machine-diffable
+// Pairs returns every field as a `key=value` token, keys in sorted order.
+// The key set is fixed, so STATS output is a stable, machine-diffable
 // schema: internal/nvclient parses these tokens and internal/loadgen diffs
 // two snapshots to report per-run server-side deltas in BENCH_*.json.
-// Values are plain decimals; units live in the key name (_cyc, _ms).
+// Values are plain decimals; units live in the key name (_cyc).
 func (st ShardStats) Pairs() []string {
-	pairs := []string{
+	return []string{
 		fmt.Sprintf("aborts=%d", st.Aborts),
-		fmt.Sprintf("absorb_commits_deadline=%d", st.AbsorbDeadlineCommits),
-		fmt.Sprintf("absorb_commits_threshold=%d", st.AbsorbThresholdCommits),
-		fmt.Sprintf("absorb_ratio=%.3f", st.AbsorbRatio()),
-		fmt.Sprintf("absorbed_ops=%d", st.Absorbed),
-		fmt.Sprintf("committed_ops=%d", st.Committed),
-		fmt.Sprintf("decrs=%d", st.Decrs),
-		fmt.Sprintf("incrs=%d", st.Incrs),
-		fmt.Sprintf("adaptive_cap=%d", st.AdaptiveCap),
-		fmt.Sprintf("adaptive_last=%d", st.AdaptiveLast),
-		fmt.Sprintf("adaptive_resizes=%d", st.AdaptiveResizes),
-		fmt.Sprintf("adaptive_sampled=%d", st.AdaptiveSample),
 		fmt.Sprintf("avg_batch=%.2f", st.AvgBatch()),
 		fmt.Sprintf("batches=%d", st.Batches),
 		fmt.Sprintf("commit_p50_cyc=%.0f", st.CommitP50),
 		fmt.Sprintf("commit_p99_cyc=%.0f", st.CommitP99),
+		fmt.Sprintf("decrs=%d", st.Decrs),
 		fmt.Sprintf("dels=%d", st.Deletes),
 		fmt.Sprintf("descents=%d", st.Descents),
 		fmt.Sprintf("flush_async=%d", st.AsyncFlushes),
@@ -223,12 +176,11 @@ func (st ShardStats) Pairs() []string {
 		fmt.Sprintf("flush_ratio=%.3f", st.FlushRatio()),
 		fmt.Sprintf("flushes=%d", st.Flushes()),
 		fmt.Sprintf("gets=%d", st.Gets),
+		fmt.Sprintf("incrs=%d", st.Incrs),
 		fmt.Sprintf("ops=%d", st.BatchedOps),
 		fmt.Sprintf("puts=%d", st.Puts),
 		fmt.Sprintf("scans=%d", st.Scans),
 	}
-	sort.Strings(pairs) // belt and braces: keys above are already sorted
-	return pairs
 }
 
 // String renders one STATS line: the row identifier (shard=N, or `total`
@@ -254,21 +206,10 @@ func (sh *shard) stats() ShardStats {
 		Batches:    sh.batches.Load(),
 		BatchedOps: sh.batchedOps.Load(),
 		Aborts:     sh.aborts.Load(),
-		Absorbed:   sh.absorbed.Load(),
-		Committed:  sh.committed.Load(),
 
-		AbsorbThresholdCommits: sh.absorbThresholdC.Load(),
-		AbsorbDeadlineCommits:  sh.absorbDeadlineC.Load(),
-		AsyncFlushes:           sh.flushAsync.Load(),
-		DrainedFlushes:         sh.flushDrained.Load(),
-		Barriers:               sh.flushBarriers.Load(),
-	}
-	if ctrl := sh.st.ctrl; ctrl != nil {
-		g := ctrl.Gauges(sh.id)
-		st.AdaptiveCap = g.Capacity
-		st.AdaptiveLast = g.LastSeq
-		st.AdaptiveResizes = g.Resizes
-		st.AdaptiveSample = g.Sampled
+		AsyncFlushes:   sh.flushAsync.Load(),
+		DrainedFlushes: sh.flushDrained.Load(),
+		Barriers:       sh.flushBarriers.Load(),
 	}
 	sh.latMu.Lock()
 	lats := append([]float64(nil), sh.lats...)
@@ -329,19 +270,9 @@ func Totals(stats []ShardStats) ShardStats {
 		t.Batches += st.Batches
 		t.BatchedOps += st.BatchedOps
 		t.Aborts += st.Aborts
-		t.Absorbed += st.Absorbed
-		t.Committed += st.Committed
-		t.AbsorbThresholdCommits += st.AbsorbThresholdCommits
-		t.AbsorbDeadlineCommits += st.AbsorbDeadlineCommits
 		t.AsyncFlushes += st.AsyncFlushes
 		t.DrainedFlushes += st.DrainedFlushes
 		t.Barriers += st.Barriers
-		t.AdaptiveCap += st.AdaptiveCap
-		t.AdaptiveResizes += st.AdaptiveResizes
-		t.AdaptiveSample += st.AdaptiveSample
-		if st.AdaptiveLast > t.AdaptiveLast {
-			t.AdaptiveLast = st.AdaptiveLast
-		}
 		t.CommitP50 = math.Max(t.CommitP50, st.CommitP50)
 		t.CommitP99 = math.Max(t.CommitP99, st.CommitP99)
 	}

@@ -430,10 +430,8 @@ func (g *scanGen) Next() Op {
 }
 
 // incrGen is the counter workload: INCRs of small deltas over a uniform
-// keyspace, interleaved with a ReadFrac share of GETs. Under a server with
-// absorption enabled the repeated increments of a bounded key set are
-// exactly what the accumulator folds into net deltas; under absorption off
-// the same stream measures the per-op read-modify-write baseline.
+// keyspace, interleaved with a ReadFrac share of GETs. Each INCR is a
+// read-modify-write inside its batch's FASE.
 type incrGen struct {
 	rng      *rand.Rand
 	keys     uint64

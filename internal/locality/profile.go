@@ -1,8 +1,8 @@
 package locality
 
-// Profile is the compact per-shard locality summary the adaptive control
-// plane consumes: the miss-ratio curve over capacities 0..maxSize plus
-// scalar descriptors of the sampled burst. WorkingSet is the footprint at
+// Profile is the compact locality summary of one sampled burst: the
+// miss-ratio curve over capacities 0..maxSize plus scalar descriptors of
+// the burst. WorkingSet is the footprint at
 // the burst timescale (distinct renamed lines, fp(n) = n − reuse(n));
 // Hotness is the fraction of sampled writes that reuse an already-written
 // line — exactly the write-combining opportunity a software cache can
@@ -11,20 +11,18 @@ type Profile struct {
 	MRC        *MRC
 	WorkingSet float64
 	Hotness    float64
-	// Writes is the number of sampled writes folded into the profile and
-	// Bursts how many bursts they arrived in (1 for a one-shot profile).
+	// Writes is the number of sampled writes.
 	Writes int64
-	Bursts int
 }
 
 // ProfileBurst evaluates one renamed burst: the linear-time reuse curve
 // (ReuseAll), its HOTL conversion to a miss-ratio curve (MRCFromReuse),
 // and the scalar summaries, in one call. It is the single entry point for
-// both the offline tool (cmd/mrc) and the online controller, which used to
-// duplicate the ReuseAll→MRCFromReuse glue.
+// both the offline tool (cmd/mrc) and the online policy's one-shot
+// adaptation.
 func ProfileBurst(burst []uint64, maxSize int) *Profile {
 	rc := ReuseAll(burst)
-	p := &Profile{MRC: MRCFromReuse(rc, maxSize), Writes: int64(len(burst)), Bursts: 1}
+	p := &Profile{MRC: MRCFromReuse(rc, maxSize), Writes: int64(len(burst))}
 	if n := len(burst); n > 0 {
 		// reuse(n) averages over the single window of length n: the total
 		// reuse count of the burst.
@@ -34,47 +32,3 @@ func ProfileBurst(burst []uint64, maxSize int) *Profile {
 	}
 	return p
 }
-
-// Accumulator folds successive burst profiles into one smoothed profile
-// with exponential decay: the newest burst enters with weight Alpha,
-// history keeps 1−Alpha. The blend gives the controller hysteresis against
-// a single unrepresentative burst while still tracking phase changes
-// within a few bursts. The zero Accumulator is not ready; use
-// NewAccumulator.
-type Accumulator struct {
-	alpha   float64
-	maxSize int
-	cur     *Profile
-}
-
-// NewAccumulator returns an empty accumulator blending curves over
-// capacities 0..maxSize. alpha outside (0,1] falls back to 0.5.
-func NewAccumulator(alpha float64, maxSize int) *Accumulator {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
-	return &Accumulator{alpha: alpha, maxSize: maxSize}
-}
-
-// Add folds one burst and returns the blended profile. The first burst
-// becomes the profile unblended. The returned profile is owned by the
-// accumulator and is overwritten by the next Add.
-func (a *Accumulator) Add(burst []uint64) *Profile {
-	p := ProfileBurst(burst, a.maxSize)
-	if a.cur == nil {
-		a.cur = p
-		return a.cur
-	}
-	al := a.alpha
-	for i := range a.cur.MRC.Miss {
-		a.cur.MRC.Miss[i] = (1-al)*a.cur.MRC.Miss[i] + al*p.MRC.Miss[i]
-	}
-	a.cur.WorkingSet = (1-al)*a.cur.WorkingSet + al*p.WorkingSet
-	a.cur.Hotness = (1-al)*a.cur.Hotness + al*p.Hotness
-	a.cur.Writes += p.Writes
-	a.cur.Bursts++
-	return a.cur
-}
-
-// Profile returns the current blended profile, or nil before the first Add.
-func (a *Accumulator) Profile() *Profile { return a.cur }

@@ -1,9 +1,6 @@
 package locality
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestProfileBurstMatchesGlue(t *testing.T) {
 	burst := []uint64{1, 2, 3, 1, 2, 3, 4, 5, 1, 1}
@@ -25,8 +22,8 @@ func TestProfileBurstMatchesGlue(t *testing.T) {
 	if p.Hotness != 0.5 {
 		t.Errorf("Hotness = %v, want 0.5", p.Hotness)
 	}
-	if p.Writes != 10 || p.Bursts != 1 {
-		t.Errorf("Writes/Bursts = %d/%d, want 10/1", p.Writes, p.Bursts)
+	if p.Writes != 10 {
+		t.Errorf("Writes = %d, want 10", p.Writes)
 	}
 }
 
@@ -39,77 +36,5 @@ func TestProfileBurstEmpty(t *testing.T) {
 		if m != 1 {
 			t.Fatalf("Miss[%d] = %v, want 1", c, m)
 		}
-	}
-}
-
-func TestAccumulatorFirstAddIsUnblended(t *testing.T) {
-	a := NewAccumulator(0.5, 8)
-	if a.Profile() != nil {
-		t.Fatal("fresh accumulator has a profile")
-	}
-	burst := []uint64{1, 1, 2, 2}
-	got := a.Add(burst)
-	want := ProfileBurst(burst, 8)
-	for c := range want.MRC.Miss {
-		if got.MRC.Miss[c] != want.MRC.Miss[c] {
-			t.Fatalf("Miss[%d] = %v, want %v", c, got.MRC.Miss[c], want.MRC.Miss[c])
-		}
-	}
-	if got.WorkingSet != want.WorkingSet || got.Hotness != want.Hotness {
-		t.Fatalf("scalars %v/%v, want %v/%v", got.WorkingSet, got.Hotness, want.WorkingSet, want.Hotness)
-	}
-}
-
-func TestAccumulatorBlends(t *testing.T) {
-	const maxSize = 6
-	hot := []uint64{1, 1, 1, 1, 1, 1, 1, 1}  // working set 1, hotness 7/8
-	cold := []uint64{1, 2, 3, 4, 5, 6, 7, 8} // working set 8, hotness 0
-	p1 := ProfileBurst(hot, maxSize)
-	p2 := ProfileBurst(cold, maxSize)
-
-	a := NewAccumulator(0.5, maxSize)
-	a.Add(hot)
-	got := a.Add(cold)
-	for c := range got.MRC.Miss {
-		want := 0.5*p1.MRC.Miss[c] + 0.5*p2.MRC.Miss[c]
-		if math.Abs(got.MRC.Miss[c]-want) > 1e-12 {
-			t.Fatalf("Miss[%d] = %v, want %v", c, got.MRC.Miss[c], want)
-		}
-	}
-	if want := 0.5*p1.WorkingSet + 0.5*p2.WorkingSet; math.Abs(got.WorkingSet-want) > 1e-12 {
-		t.Errorf("WorkingSet = %v, want %v", got.WorkingSet, want)
-	}
-	if want := 0.5*p1.Hotness + 0.5*p2.Hotness; math.Abs(got.Hotness-want) > 1e-12 {
-		t.Errorf("Hotness = %v, want %v", got.Hotness, want)
-	}
-	if got.Writes != 16 || got.Bursts != 2 {
-		t.Errorf("Writes/Bursts = %d/%d, want 16/2", got.Writes, got.Bursts)
-	}
-	// A convex combination of non-increasing curves stays non-increasing.
-	for c := 1; c < len(got.MRC.Miss); c++ {
-		if got.MRC.Miss[c] > got.MRC.Miss[c-1]+1e-12 {
-			t.Fatalf("blended curve not monotone at %d", c)
-		}
-	}
-}
-
-func TestAccumulatorTracksPhaseChange(t *testing.T) {
-	// Repeatedly feeding the cold burst must converge the blend toward the
-	// cold profile (geometric decay of the hot history).
-	const maxSize = 6
-	hot := []uint64{1, 1, 1, 1, 1, 1, 1, 1}
-	cold := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	pc := ProfileBurst(cold, maxSize)
-	a := NewAccumulator(0.5, maxSize)
-	a.Add(hot)
-	var got *Profile
-	for i := 0; i < 20; i++ {
-		got = a.Add(cold)
-	}
-	if math.Abs(got.Hotness-pc.Hotness) > 1e-4 {
-		t.Errorf("Hotness = %v did not converge to %v", got.Hotness, pc.Hotness)
-	}
-	if math.Abs(got.WorkingSet-pc.WorkingSet) > 1e-3 {
-		t.Errorf("WorkingSet = %v did not converge to %v", got.WorkingSet, pc.WorkingSet)
 	}
 }

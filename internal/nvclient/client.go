@@ -400,9 +400,8 @@ func (cl *Client) Get(k uint64) (uint64, bool, error) {
 }
 
 // Incr adds d to k (wrapping uint64; a missing key counts from zero) and
-// returns the post-increment value. The reply is an ack-after-flush: with
-// server-side absorption it may wait for the accumulator's net-delta
-// commit, but a returned Incr is durable.
+// returns the post-increment value. The reply is an ack-after-flush: a
+// returned Incr is durable.
 func (cl *Client) Incr(k, d uint64) (uint64, error) { return cl.counter("INCR", k, d) }
 
 // Decr subtracts d from k with Incr's semantics.

@@ -58,7 +58,7 @@ func TestParseStatsRoundTrip(t *testing.T) {
 // the key set is identical across shard and total lines (so a diff never
 // misses a counter because the schema shifted).
 func TestStatsKeysSortedStable(t *testing.T) {
-	with := kv.ShardStats{Shard: 0, Puts: 1, Aborts: 9, AdaptiveCap: 2}
+	with := kv.ShardStats{Shard: 0, Puts: 1, Aborts: 9, Descents: 2}
 	without := kv.ShardStats{Shard: 1}
 	keysOf := func(line string) []string {
 		fields := strings.Fields(line)[1:] // drop the row id

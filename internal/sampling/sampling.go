@@ -42,9 +42,8 @@ type Sampler struct {
 }
 
 // New returns a sampler in the collecting state. The burst buffer is
-// allocated at the first recorded store: a thread that drops its sampler
-// before storing (a recovered kv shard adopting its earlier capacity)
-// never pays for it.
+// allocated at the first recorded store: a thread that never stores never
+// pays for it.
 func New(cfg Config) *Sampler {
 	if cfg.BurstLength <= 0 {
 		cfg.BurstLength = 1

@@ -216,24 +216,18 @@ func TestWindowQueuedGetWaitsForCommit(t *testing.T) {
 	})
 }
 
-// TestWindowQueuedGetFoldsCounter: with absorption on, INCR parks its delta
-// in the volatile accumulator; a GET queued behind it reads the folded value,
-// so the delta must commit with the GET's batch before the GET is answered.
-// A crash at the absorb-ack boundary answers both ERR, and the folded value
-// survives Recover.
-func TestWindowQueuedGetFoldsCounter(t *testing.T) {
+// TestWindowQueuedGetReadsCounter: a GET queued behind its own INCR of the
+// same key in one window reads the post-increment value, answered with the
+// INCR's commit. A crash at the ack boundary answers both ERR, and the
+// increment, durable before the crash, survives Recover.
+func TestWindowQueuedGetReadsCounter(t *testing.T) {
 	type injected struct{}
 	dialects(t, func(t *testing.T, binary bool) {
 		var crashAck atomic.Bool
 		kvOpts := kv.DefaultOptions()
 		kvOpts.Shards = 2
-		// Neither threshold nor deadline folds the delta while the window
-		// is served: only the GET does. (Were it not folded, the deadline
-		// would commit the INCR a few seconds on, and the GET's reply
-		// would already have been sent.)
-		kvOpts.Absorb = kv.AbsorbConfig{Enabled: true, Threshold: 1 << 20, Deadline: 3 * time.Second}
-		kvOpts.AbsorbHook = func(op kv.AbsorbOp) {
-			if op == kv.AbsorbAck && crashAck.Load() {
+		kvOpts.AckHook = func(int) {
+			if crashAck.Load() {
 				panic(injected{})
 			}
 		}
@@ -264,11 +258,11 @@ func TestWindowQueuedGetFoldsCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := readReplies(t, binary, r, len(ops)); !isCrashErr(got[0]) || !isCrashErr(got[1]) {
-			t.Fatalf("INCR,GET with a crash at the absorb ack replied %q, want two crash ERRs", got)
+			t.Fatalf("INCR,GET with a crash at the ack replied %q, want two crash ERRs", got)
 		}
 		<-st.Crashed()
 		if v, ok := recoveredGet(t, heap, k); !ok || v != 20 {
-			t.Fatalf("after Recover k = %d,%v, want the folded 20", v, ok)
+			t.Fatalf("after Recover k = %d,%v, want the incremented 20", v, ok)
 		}
 	})
 }

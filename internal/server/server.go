@@ -39,10 +39,7 @@
 // MGET/MPUT accept at most proto.MaxOps keys/pairs per request in either
 // protocol. An OK reply to PUT/DEL/MPUT is an ack-after-flush: the
 // mutation's FASE has committed and drained, so it survives any later
-// power failure. The same holds for a VAL reply to INCR/DECR — with
-// absorption enabled (kv.Options.Absorb) the reply may be deferred until
-// the shard's counter accumulator commits the key's net delta, but a
-// replied counter op is durable. STATS lines are sorted, stable
+// power failure. The same holds for a VAL reply to INCR/DECR. STATS lines are sorted, stable
 // `key=value` tokens (see kv.ShardStats.Pairs); internal/nvclient parses
 // them.
 package server

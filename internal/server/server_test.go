@@ -151,102 +151,90 @@ func TestScanCommand(t *testing.T) {
 	}
 }
 
-// TestCounterVerbs drives INCR/DECR through the protocol, with absorption
-// off (plain read-modify-write) and on (accumulator-deferred acks); the
-// replies must be identical.
+// TestCounterVerbs drives INCR/DECR through the protocol: post-op values,
+// wrapping from a missing key, usage errors, the typed client calls and
+// the STATS counters. The subtest keeps its name from when write
+// absorption was an option; "absorb-off" is the plain read-modify-write
+// path, the only one there is.
 func TestCounterVerbs(t *testing.T) {
-	for _, absorb := range []bool{false, true} {
-		name := "absorb-off"
-		if absorb {
-			name = "absorb-on"
-		}
-		t.Run(name, func(t *testing.T) {
-			kvOpts := kv.DefaultOptions()
-			kvOpts.Shards = 2
-			kvOpts.Absorb = kv.AbsorbConfig{Enabled: absorb, Threshold: 4, Deadline: 2 * time.Millisecond}
-			srv, cl := testServerKV(t, kvOpts, Options{})
-			defer srv.Shutdown()
-			step := func(cmd, want string) {
-				t.Helper()
-				got, err := cl.Do(cmd)
-				if err != nil {
-					t.Fatalf("%s: %v", cmd, err)
-				}
-				if got != want {
-					t.Fatalf("%s: got %q, want %q", cmd, got, want)
-				}
-			}
-			step("INCR 5 10", "VAL 10")
-			step("INCR 5 1", "VAL 11")
-			step("DECR 5 2", "VAL 9")
-			step("GET 5", "VAL 9")
-			step("DECR 6 1", "VAL 18446744073709551615") // wraps from missing=0
-			if got, _ := cl.Do("INCR 5"); !strings.HasPrefix(got, "ERR usage: INCR") {
-				t.Fatalf("arity error: %q", got)
-			}
-			if got, _ := cl.Do("DECR x 1"); !strings.HasPrefix(got, "ERR usage: DECR") {
-				t.Fatalf("parse error: %q", got)
-			}
-			if v, err := cl.Incr(5, 1); err != nil || v != 10 {
-				t.Fatalf("typed Incr = %d,%v", v, err)
-			}
-			if v, err := cl.Decr(5, 1); err != nil || v != 9 {
-				t.Fatalf("typed Decr = %d,%v", v, err)
-			}
-			stats, err := cl.Stats()
+	t.Run("absorb-off", func(t *testing.T) {
+		srv, cl := testServer(t, Options{})
+		defer srv.Shutdown()
+		step := func(cmd, want string) {
+			t.Helper()
+			got, err := cl.Do(cmd)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", cmd, err)
 			}
-			if stats.Total["incrs"] != 3 || stats.Total["decrs"] != 3 {
-				t.Fatalf("counter stats: incrs=%v decrs=%v", stats.Total["incrs"], stats.Total["decrs"])
+			if got != want {
+				t.Fatalf("%s: got %q, want %q", cmd, got, want)
 			}
-		})
-	}
+		}
+		step("INCR 5 10", "VAL 10")
+		step("INCR 5 1", "VAL 11")
+		step("DECR 5 2", "VAL 9")
+		step("GET 5", "VAL 9")
+		step("DECR 6 1", "VAL 18446744073709551615") // wraps from missing=0
+		if got, _ := cl.Do("INCR 5"); !strings.HasPrefix(got, "ERR usage: INCR") {
+			t.Fatalf("arity error: %q", got)
+		}
+		if got, _ := cl.Do("DECR x 1"); !strings.HasPrefix(got, "ERR usage: DECR") {
+			t.Fatalf("parse error: %q", got)
+		}
+		if v, err := cl.Incr(5, 1); err != nil || v != 10 {
+			t.Fatalf("typed Incr = %d,%v", v, err)
+		}
+		if v, err := cl.Decr(5, 1); err != nil || v != 9 {
+			t.Fatalf("typed Decr = %d,%v", v, err)
+		}
+		stats, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Total["incrs"] != 3 || stats.Total["decrs"] != 3 {
+			t.Fatalf("counter stats: incrs=%v decrs=%v", stats.Total["incrs"], stats.Total["decrs"])
+		}
+	})
 }
 
-// TestStatsAbsorbKeysFixedSchema is the fixed-key-set regression for the
-// absorption counters: a server with absorption off must still render the
-// absorbed_*/committed_* keys (zero absorption, committed == mutations),
-// and nvclient.ParseStats/Diff must handle them like any other key.
-func TestStatsAbsorbKeysFixedSchema(t *testing.T) {
+// TestStatsKeySchema pins the STATS wire schema that nvclient parses and
+// loadgen diffs: every shard line and the total line carry exactly these
+// keys, in this (sorted) order, whatever the counters hold.
+func TestStatsKeySchema(t *testing.T) {
+	want := "aborts avg_batch batches commit_p50_cyc commit_p99_cyc decrs dels descents " +
+		"flush_async flush_barriers flush_drained flush_ratio flushes gets incrs ops puts scans"
 	srv, cl := testServer(t, Options{})
 	defer srv.Shutdown()
-	before, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{
-		"absorbed_ops", "committed_ops", "absorb_ratio",
-		"absorb_commits_threshold", "absorb_commits_deadline",
-		"incrs", "decrs",
-	} {
-		if _, ok := before.Total[key]; !ok {
-			t.Fatalf("STATS total line missing %q on an absorption-off server", key)
-		}
-		for shard, kvmap := range before.Shards {
-			if _, ok := kvmap[key]; !ok {
-				t.Fatalf("STATS shard %d missing %q", shard, key)
-			}
-		}
-	}
 	for i := uint64(0); i < 10; i++ {
 		if err := cl.Put(i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, err := cl.Stats()
+	lines, err := cl.DoMulti("STATS", "END")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := after.Diff(before)
-	if d["total.absorbed_ops"] != 0 {
-		t.Fatalf("absorption-off server absorbed %v ops", d["total.absorbed_ops"])
+	rows := 0
+	for _, line := range lines {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || (!strings.HasPrefix(fields[0], "shard=") && fields[0] != "total") {
+			continue
+		}
+		keys := make([]string, 0, len(fields)-1)
+		for _, f := range fields[1:] {
+			k, _, ok := strings.Cut(f, "=")
+			if !ok {
+				t.Fatalf("token %q in %q is not key=value", f, line)
+			}
+			keys = append(keys, k)
+		}
+		if got := strings.Join(keys, " "); got != want {
+			t.Errorf("%s keys:\n got %s\nwant %s", fields[0], got, want)
+		}
+		rows++
 	}
-	if d["total.committed_ops"] != 10 || d["total.ops"] != 10 {
-		t.Fatalf("committed=%v ops=%v, want 10/10", d["total.committed_ops"], d["total.ops"])
-	}
-	if after.Total["absorb_ratio"] != 0 {
-		t.Fatalf("absorb_ratio = %v on an absorption-off server", after.Total["absorb_ratio"])
+	if rows != 3 {
+		t.Fatalf("STATS had %d shard and total rows, want 3:\n%s", rows, strings.Join(lines, "\n"))
 	}
 }
 
