@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/faultinject"
 	"nvmcache/internal/kv"
 	"nvmcache/internal/nvclient"
@@ -40,14 +41,17 @@ func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool
 	// The failure strikes *inside* the first commit FASE after the 50% mark
 	// — after the batch's stores, before the commit — so the recovery below
 	// must actually roll an interrupted batch back, not just reattach a
-	// cleanly parked heap. The hook itself reads the acked count: every
-	// client still has half its PUTs to send when the mark is reached, so a
-	// commit that sees it always follows, however fast the workload runs.
+	// cleanly parked heap. The pre-commit event itself reads the acked
+	// count: every client still has half its PUTs to send when the mark is
+	// reached, so a commit that sees it always follows, however fast the
+	// workload runs.
 	var ackedN atomic.Int64
 	var disarmed atomic.Bool
 	target := int64(clients * ops / 2)
-	opts.CrashBeforeCommit = func(shard, batch, size int) bool {
-		return !disarmed.Load() && ackedN.Load() >= target
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		if site == atlas.SitePreCommit && !disarmed.Load() && ackedN.Load() >= target {
+			panic(atlas.Crash{Site: site})
+		}
 	}
 	h := pmem.New(int(kv.RecommendedHeapBytes(opts)))
 	st, err := kv.Open(h, opts)
@@ -98,7 +102,7 @@ func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool
 	wg.Wait()
 	select {
 	case <-st.Crashed():
-	case <-time.After(30 * time.Second): // safety net: the hook cannot miss
+	case <-time.After(30 * time.Second): // safety net: the pre-commit event cannot miss
 		return fmt.Errorf("crash never took effect")
 	}
 	disarmed.Store(true) // the recovered store must not crash again

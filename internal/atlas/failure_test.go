@@ -55,8 +55,8 @@ func TestUndoLogOverflowDropsButKeepsRunning(t *testing.T) {
 func TestUndoLogDedupesEachWordOnce(t *testing.T) {
 	records := 0
 	opts := DefaultOptions()
-	opts.UndoHook = func(op UndoOp) {
-		if op == UndoRecord {
+	opts.Events = func(site Site, _ int, _ uint64) {
+		if site == SiteUndoRecord {
 			records++
 		}
 	}

@@ -40,19 +40,20 @@ type Options struct {
 	// the number of distinct words written per FASE. Default 4096 (64 KiB
 	// of log per thread).
 	LogEntries int
-	// RecordTrace enables per-thread trace recording (default on).
+	// DisableTrace turns per-thread trace recording off (it is on by
+	// default).
 	DisableTrace bool
-	// WrapSink, when non-nil, wraps each new thread's flush sink before the
-	// persistence policy is attached. internal/faultinject interposes its
-	// numbered crash points here; the wrapped sink must preserve FlushSink
-	// semantics (a drain durably persists its lines before returning).
+	// Events, when non-nil, observes every persistence boundary a thread
+	// crosses: its undo log's steps and, through a sink interposed
+	// innermost, each write-back (see Site). A nil Events costs the store
+	// path nothing.
+	Events Events
+	// WrapSink, when non-nil, wraps each new thread's flush sink (outside
+	// the Events sink) before the persistence policy is attached. Tests
+	// substitute fake sinks through it; the wrapped sink must preserve
+	// FlushSink semantics (a drain durably persists its lines before
+	// returning) unless the test means to break them.
 	WrapSink func(thread int32, sink core.FlushSink) core.FlushSink
-	// UndoHook, when non-nil, is called at each undo-log persistence point
-	// (see UndoOp) on the mutating goroutine, before the corresponding
-	// durable write. A hook may panic to simulate a power failure at that
-	// exact boundary; internal/faultinject drives crash-point exploration
-	// through it.
-	UndoHook func(op UndoOp)
 }
 
 // DefaultOptions uses the adaptive software cache with paper constants.
@@ -99,11 +100,14 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 	defer rt.mu.Unlock()
 	id := rt.nextID
 	rt.nextID++
-	log, err := newUndoLog(rt.heap, rt.opts.LogEntries, rt.opts.UndoHook)
+	log, err := newUndoLog(rt.heap, rt.opts.LogEntries, rt.opts.Events, int(id))
 	if err != nil {
 		return nil, fmt.Errorf("atlas: creating undo log for thread %d: %w", id, err)
 	}
 	var sink core.FlushSink = pmem.NewSink(rt.heap)
+	if rt.opts.Events != nil {
+		sink = &eventSink{ev: rt.opts.Events, thread: int(id), inner: sink}
+	}
 	if rt.opts.WrapSink != nil {
 		sink = rt.opts.WrapSink(id, sink)
 	}

@@ -349,8 +349,8 @@ func TestPrivateStores(t *testing.T) {
 	records := 0
 	newRT := func() (*Runtime, *Thread, uint64) {
 		opts := DefaultOptions()
-		opts.UndoHook = func(op UndoOp) {
-			if op == UndoRecord {
+		opts.Events = func(site Site, _ int, _ uint64) {
+			if site == SiteUndoRecord {
 				records++
 			}
 		}

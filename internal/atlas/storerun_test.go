@@ -11,19 +11,19 @@ import (
 	"nvmcache/internal/trace"
 )
 
-// eventSink records every call the policy makes on its sink, in order, and
+// recordingSink records every call the policy makes on its sink, in order, and
 // forwards it.
-type eventSink struct {
+type recordingSink struct {
 	core.FlushSink
 	events []string
 }
 
-func (s *eventSink) FlushLine(line trace.LineAddr) {
+func (s *recordingSink) FlushLine(line trace.LineAddr) {
 	s.events = append(s.events, fmt.Sprint("flush ", line))
 	s.FlushSink.FlushLine(line)
 }
 
-func (s *eventSink) Drain(lines []trace.LineAddr) {
+func (s *recordingSink) Drain(lines []trace.LineAddr) {
 	s.events = append(s.events, fmt.Sprint("drain ", lines))
 	s.FlushSink.Drain(lines)
 }
@@ -52,7 +52,7 @@ func TestCopyPrivateRunsMatchWordLoop(t *testing.T) {
 		trace  *trace.ThreadSeq
 	}
 	run := func(kind core.PolicyKind, cfg core.Config, words bool) outcome {
-		sink := &eventSink{}
+		sink := &recordingSink{}
 		opts := Options{Policy: kind, Config: cfg,
 			WrapSink: func(_ int32, inner core.FlushSink) core.FlushSink {
 				sink.FlushSink = inner

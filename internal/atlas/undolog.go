@@ -55,46 +55,6 @@ const (
 	smallDedup = 8
 )
 
-// UndoOp names an undo-log persistence point for Options.UndoHook. Each is
-// a boundary at which a crash leaves the log in a distinct intermediate
-// state, which is why fault injection enumerates them separately.
-type UndoOp uint8
-
-const (
-	// UndoBegin fires before the log is marked active, at the FASE's first
-	// record (a crash here leaves the previous, committed log state). A
-	// FASE that logs nothing never crosses it.
-	UndoBegin UndoOp = iota
-	// UndoRecord fires before an entry's address/old-value words are
-	// written (a crash here loses the entry entirely; the data write it
-	// would guard has not reached NVRAM either).
-	UndoRecord
-	// UndoPublish fires after an entry's words are durable but before the
-	// count that makes it visible to recovery (a crash here must be
-	// tolerated by write-ahead ordering: the entry is durable, invisible).
-	UndoPublish
-	// UndoCommit fires before the log's status word is cleared at FASE end
-	// (a crash here finds data fully drained but the FASE still active, so
-	// recovery rolls it back). Like UndoBegin, only a FASE that logged.
-	UndoCommit
-)
-
-// String names the op.
-func (op UndoOp) String() string {
-	switch op {
-	case UndoBegin:
-		return "undo-begin"
-	case UndoRecord:
-		return "undo-record"
-	case UndoPublish:
-		return "undo-publish"
-	case UndoCommit:
-		return "undo-commit"
-	default:
-		return fmt.Sprintf("undo-op(%d)", uint8(op))
-	}
-}
-
 type undoLog struct {
 	heap        *pmem.Heap
 	base        uint64
@@ -106,13 +66,14 @@ type undoLog struct {
 	dedup       map[uint64]struct{} // all of them once words > smallDedup
 	dropped     int64               // records beyond capacity (reported, not fatal)
 	droppedFASE int                 // records dropped since the last begin
-	hook        func(UndoOp)        // fault-injection instrumentation (may be nil)
+	ev          Events              // boundary observer (may be nil)
+	thread      int                 // the owning thread's id, for ev
 }
 
-// at invokes the instrumentation hook, if any.
-func (l *undoLog) at(op UndoOp) {
-	if l.hook != nil {
-		l.hook(op)
+// at reports a boundary to the observer, if any.
+func (l *undoLog) at(site Site, arg uint64) {
+	if l.ev != nil {
+		l.ev(site, l.thread, arg)
 	}
 }
 
@@ -131,16 +92,17 @@ func ensureRegistry(h *pmem.Heap) (uint64, error) {
 	return reg, nil
 }
 
-func newUndoLog(h *pmem.Heap, entries int, hook func(UndoOp)) (*undoLog, error) {
+func newUndoLog(h *pmem.Heap, entries int, ev Events, thread int) (*undoLog, error) {
 	reg, err := ensureRegistry(h)
 	if err != nil {
 		return nil, err
 	}
 	l := &undoLog{
-		heap:  h,
-		cap:   entries,
-		dedup: make(map[uint64]struct{}, 256),
-		hook:  hook,
+		heap:   h,
+		cap:    entries,
+		dedup:  make(map[uint64]struct{}, 256),
+		ev:     ev,
+		thread: thread,
 	}
 	n := h.ReadUint64(reg)
 	if n > registryCap {
@@ -190,7 +152,7 @@ func (l *undoLog) begin() {
 // this thread alone and the words are durable the instant they are
 // written, with no flag to set and no flush to issue later.
 func (l *undoLog) activate() {
-	l.at(UndoBegin)
+	l.at(SiteUndoBegin, 0)
 	l.heap.Write64Through(l.base+logCountOff, 0)
 	l.heap.Write64Through(l.base+logStatusOff, logActive)
 	l.active = true
@@ -248,11 +210,11 @@ func (l *undoLog) record(addr uint64, old uint64) {
 		l.droppedFASE++
 		return
 	}
-	l.at(UndoRecord)
+	l.at(SiteUndoRecord, word)
 	e := l.base + logHeaderSize + uint64(l.count)*logEntrySize
 	l.heap.Write64Through(e, word)
 	l.heap.Write64Through(e+8, old)
-	l.at(UndoPublish)
+	l.at(SiteUndoPublish, word)
 	l.count++
 	l.heap.Write64Through(l.base+logCountOff, uint64(l.count))
 }
@@ -261,7 +223,7 @@ func (l *undoLog) record(addr uint64, old uint64) {
 // the FASE never activated is idle already, and commit writes nothing.
 func (l *undoLog) commit() {
 	if l.active {
-		l.at(UndoCommit)
+		l.at(SiteUndoCommit, uint64(l.count))
 		l.heap.Write64Through(l.base+logStatusOff, logIdle)
 		l.heap.Write64Through(l.base+logCountOff, 0)
 		l.active = false
@@ -287,41 +249,6 @@ func (l *undoLog) rollback() int {
 	return dropped
 }
 
-// RecoverOp names a recovery persistence point for RecoverOptions.Hook.
-// Crash-during-recovery exploration arms these: recovery must be
-// idempotent, so a crash at either point followed by a second Recover has
-// to converge to the same state.
-type RecoverOp uint8
-
-const (
-	// RecoverReplay fires before an active log's entries are rolled back.
-	RecoverReplay RecoverOp = iota
-	// RecoverInstall fires before an active log's status word is cleared,
-	// the point at which its rollback becomes final.
-	RecoverInstall
-)
-
-// String names the op.
-func (op RecoverOp) String() string {
-	switch op {
-	case RecoverReplay:
-		return "recover-replay"
-	case RecoverInstall:
-		return "recover-install"
-	default:
-		return fmt.Sprintf("recover-op(%d)", uint8(op))
-	}
-}
-
-// RecoverOptions instrument Recover; the zero value recovers silently.
-type RecoverOptions struct {
-	// Hook fires at each recovery persistence point (fault injection). A
-	// panic out of it abandons recovery mid-flight; rerunning Recover is
-	// always safe because every restore is durable word-by-word and the
-	// log stays active until RecoverInstall completes.
-	Hook func(RecoverOp)
-}
-
 // RecoveryReport summarises what Recover did.
 type RecoveryReport struct {
 	// LogsScanned is the number of registered undo logs.
@@ -337,11 +264,15 @@ type RecoveryReport struct {
 // state in which every FASE is either completely applied (it committed
 // before the crash and its policy drained its writes) or completely absent.
 func Recover(h *pmem.Heap) (RecoveryReport, error) {
-	return RecoverWith(h, RecoverOptions{})
+	return RecoverWith(h, nil)
 }
 
-// RecoverWith is Recover with instrumentation options.
-func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
+// RecoverWith is Recover reporting its boundaries, SiteRecoverReplay and
+// SiteRecoverInstall, to ev (which may be nil). A Crash out of ev abandons
+// recovery mid-flight; rerunning Recover is always safe because every
+// restore is durable word by word and the log stays active until its
+// install completes.
+func RecoverWith(h *pmem.Heap, ev Events) (RecoveryReport, error) {
 	var rep RecoveryReport
 	reg := h.Meta()
 	if reg == 0 {
@@ -350,11 +281,6 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 	n := h.ReadUint64(reg)
 	if n > registryCap {
 		return rep, fmt.Errorf("atlas: corrupt registry count %d", n)
-	}
-	at := func(op RecoverOp) {
-		if opts.Hook != nil {
-			opts.Hook(op)
-		}
 	}
 	// Each thread has one log and distinct threads write distinct lines, so
 	// no two active logs hold the same word and their rollbacks commute.
@@ -366,7 +292,9 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 		}
 		count := h.ReadUint64(base + logCountOff)
 		rep.FASEsRolledBack++
-		at(RecoverReplay)
+		if ev != nil {
+			ev(SiteRecoverReplay, int(i), count)
+		}
 		for j := int64(count) - 1; j >= 0; j-- {
 			e := base + logHeaderSize + uint64(j)*logEntrySize
 			addr := h.ReadUint64(e)
@@ -375,7 +303,9 @@ func RecoverWith(h *pmem.Heap, opts RecoverOptions) (RecoveryReport, error) {
 			h.Persist(addr, 8)
 			rep.WordsRestored++
 		}
-		at(RecoverInstall)
+		if ev != nil {
+			ev(SiteRecoverInstall, int(i), 0)
+		}
 		h.WriteUint64(base+logStatusOff, logIdle)
 		h.WriteUint64(base+logCountOff, 0)
 		h.Persist(base, logHeaderSize)

@@ -24,7 +24,7 @@ type AtlasOptions struct {
 	// Words is the number of private words each FASE stores.
 	Words int
 	// Middleware, when non-nil, wraps the sink between the policy and the
-	// injection points (policy → middleware → injector → pmem). Negative
+	// injection points (policy → middleware → events → pmem). Negative
 	// tests install DropDrains here to prove the engine catches a sink
 	// that acknowledges drains it never performed.
 	Middleware func(core.FlushSink) core.FlushSink
@@ -55,6 +55,14 @@ func (o AtlasOptions) withDefaults() AtlasOptions {
 	return o
 }
 
+// wrapWith turns an explorer's Middleware into a WrapSink (nil for none).
+func wrapWith(mw func(core.FlushSink) core.FlushSink) func(int32, core.FlushSink) core.FlushSink {
+	if mw == nil {
+		return nil
+	}
+	return func(_ int32, s core.FlushSink) core.FlushSink { return mw(s) }
+}
+
 // wordValue is FASE f's value for private word w — distinct per (f, w) and
 // never zero, so a missing or torn word is unmistakable.
 func wordValue(f, w int) uint64 {
@@ -81,14 +89,8 @@ func atlasRun(opt AtlasOptions, inj *Injector) (h *pmem.Heap, completed int, err
 		Config:       opt.Config,
 		LogEntries:   2 * (opt.Words + 2),
 		DisableTrace: true,
-		WrapSink: func(id int32, s core.FlushSink) core.FlushSink {
-			s = inj.WrapSink(id, s)
-			if opt.Middleware != nil {
-				s = opt.Middleware(s)
-			}
-			return s
-		},
-		UndoHook: inj.UndoHook(),
+		Events:       inj.Events,
+		WrapSink:     wrapWith(opt.Middleware),
 	})
 	th, err := rt.NewThread()
 	if err != nil {
@@ -105,7 +107,7 @@ func atlasRun(opt AtlasOptions, inj *Injector) (h *pmem.Heap, completed int, err
 	err = func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				if !IsCrash(r) {
+				if _, ok := r.(atlas.Crash); !ok {
 					panic(r)
 				}
 				err = errInjected

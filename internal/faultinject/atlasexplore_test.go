@@ -30,15 +30,15 @@ func TestExploreAtlasAllPolicies(t *testing.T) {
 			}
 			switch kind {
 			case core.Eager:
-				if rep.Kinds[KindFlushLine] == 0 {
+				if rep.Kinds[atlas.SiteFlushLine] == 0 {
 					t.Errorf("eager sweep has no flush-line sites: %v", rep)
 				}
 			default:
-				if rep.Kinds[KindDrainLine] == 0 {
+				if rep.Kinds[atlas.SiteDrainLine] == 0 {
 					t.Errorf("%v sweep has no drain-line sites: %v", kind, rep)
 				}
 			}
-			if rep.Kinds[KindUndoRecord] == 0 || rep.Kinds[KindUndoCommit] == 0 {
+			if rep.Kinds[atlas.SiteUndoRecord] == 0 || rep.Kinds[atlas.SiteUndoCommit] == 0 {
 				t.Errorf("undo-log boundaries missing from site space: %v", rep)
 			}
 			t.Logf("%v", rep)

@@ -1,11 +1,6 @@
 package faultinject
 
-import (
-	"errors"
-	"testing"
-
-	"nvmcache/internal/kv"
-)
+import "testing"
 
 // bytesToKVOps maps fuzz bytes onto a PUT/DEL/INCR/DECR stream over a
 // 4-key space: two bits pick the verb, two the key — so even random
@@ -78,15 +73,9 @@ func FuzzRecoverCrash(f *testing.F) {
 			// Enumerate the recovery's own boundaries (this consumes the
 			// heap — the counting Recover repairs it), regenerate the
 			// identical crash, and cut the recovery at the chosen site.
-			rcount := NewCounting()
-			rcount.Enable()
-			st, _, err := kv.Recover(h, o.storeOptions(rcount))
-			rcount.Disable()
+			rcount, err := countRecovery(o, h)
 			if err != nil {
-				t.Fatalf("counting recovery after %v: %v", crash, err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatalf("close after counting recovery: %v", err)
+				t.Fatalf("after %v: %v", crash, err)
 			}
 			rn := rcount.Sites()
 			if rn == 0 {
@@ -95,13 +84,8 @@ func FuzzRecoverCrash(f *testing.F) {
 			if h, _, _, err = genCrashedKVHeap(o, ops, target); err != nil {
 				t.Fatalf("regenerate crashed heap: %v", err)
 			}
-			rtarget := int(rsite) % rn
-			rinj := NewArmed(rtarget)
-			rinj.Enable()
-			_, _, rerr := kv.Recover(h, o.storeOptions(rinj))
-			rinj.Disable()
-			if !errors.Is(rerr, kv.ErrCrashed) {
-				t.Fatalf("recovery site %d of %d never fired (err %v); recovery not deterministic?", rtarget, rn, rerr)
+			if _, err := cutRecovery(o, h, int(rsite)%rn, rn); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if _, _, err := recoverAndVerifyKV(o, h, ops, acked, crash, counter.Sequence()); err != nil {

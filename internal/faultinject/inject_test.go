@@ -3,26 +3,29 @@ package faultinject
 import (
 	"testing"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/core"
 	"nvmcache/internal/trace"
 )
 
 // TestInjectorCounting checks the enumeration mechanics: disabled points
-// are free, enabled points number densely, kinds are tallied.
+// are free, enabled points number densely, kinds are tallied, and kv's
+// pre-commit boundary is delivered but never numbered.
 func TestInjectorCounting(t *testing.T) {
 	in := NewCounting()
-	in.Point(KindFlushLine) // disabled: not counted
+	in.Events(atlas.SiteFlushLine, 0, 0) // disabled: not counted
 	in.Enable()
-	in.Point(KindFlushLine)
-	in.Point(KindUndoRecord)
-	in.Point(KindUndoRecord)
+	in.Events(atlas.SiteFlushLine, 0, 0)
+	in.Events(atlas.SiteUndoRecord, 0, 0)
+	in.Events(atlas.SitePreCommit, 0, 1)
+	in.Events(atlas.SiteUndoRecord, 1, 0)
 	in.Disable()
-	in.Point(KindAck) // disabled again
+	in.Events(atlas.SiteAck, 0, 1) // disabled again
 	if got := in.Sites(); got != 3 {
 		t.Fatalf("Sites() = %d, want 3", got)
 	}
 	kinds := in.Kinds()
-	if kinds[KindFlushLine] != 1 || kinds[KindUndoRecord] != 2 || kinds[KindAck] != 0 {
+	if kinds[atlas.SiteFlushLine] != 1 || kinds[atlas.SiteUndoRecord] != 2 || len(kinds) != 2 {
 		t.Fatalf("Kinds() = %v", kinds)
 	}
 	if _, fired := in.Fired(); fired {
@@ -30,58 +33,34 @@ func TestInjectorCounting(t *testing.T) {
 	}
 }
 
-// TestInjectorFiresOnce checks that the armed site panics with its Crash
-// payload exactly once, and that later points keep counting quietly.
+// TestInjectorFiresOnce checks that the armed site panics with its
+// atlas.Crash payload exactly once, and that later points keep counting
+// quietly.
 func TestInjectorFiresOnce(t *testing.T) {
 	in := NewArmed(1)
 	in.Enable()
-	in.Point(KindFlushLine) // site 0: passes
+	in.Events(atlas.SiteFlushLine, 0, 0) // site 0: passes
+	in.Events(atlas.SitePreCommit, 0, 1) // not numbered: passes
 	func() {
 		defer func() {
-			r := recover()
-			if !IsCrash(r) {
-				t.Fatalf("recover() = %v, want a Crash", r)
+			c, ok := recover().(atlas.Crash)
+			if !ok {
+				t.Fatalf("recovered a %T, want an atlas.Crash", c)
 			}
-			c := r.(Crash)
-			if c.Site != 1 || c.Kind != KindDrainLine {
+			if c.N != 1 || c.Site != atlas.SiteDrainLine {
 				t.Fatalf("crash = %+v, want site 1 kind drain-line", c)
 			}
 		}()
-		in.Point(KindDrainLine) // site 1: fires
+		in.Events(atlas.SiteDrainLine, 0, 0) // site 1: fires
 		t.Fatal("armed point did not panic")
 	}()
-	in.Point(KindAck) // after firing: counted, no panic
+	in.Events(atlas.SiteAck, 0, 1) // after firing: counted, no panic
 	c, fired := in.Fired()
-	if !fired || c.Site != 1 {
+	if !fired || c.N != 1 {
 		t.Fatalf("Fired() = %+v, %v", c, fired)
 	}
 	if got := in.Sites(); got != 3 {
 		t.Fatalf("Sites() = %d, want 3", got)
-	}
-	if IsCrash(42) || IsCrash(nil) {
-		t.Fatal("IsCrash claimed a foreign panic value")
-	}
-}
-
-// TestSinkDecomposesDrain pins the wrapper's contract: a Drain of n lines
-// becomes n per-line boundaries plus one completion barrier, and the lines
-// still reach the inner sink.
-func TestSinkDecomposesDrain(t *testing.T) {
-	in := NewCounting()
-	in.Enable()
-	inner := core.NewCountingSink(nil)
-	s := in.WrapSink(0, inner)
-	s.FlushLine(7)
-	s.Drain([]trace.LineAddr{1, 2, 3})
-	if got := in.Sites(); got != 1+3+1 {
-		t.Fatalf("Sites() = %d, want 5", got)
-	}
-	kinds := in.Kinds()
-	if kinds[KindFlushLine] != 1 || kinds[KindDrainLine] != 3 || kinds[KindDrainDone] != 1 {
-		t.Fatalf("Kinds() = %v", kinds)
-	}
-	if st := s.Stats(); st.Async != 4 || st.Barriers != 1 {
-		t.Fatalf("inner stats = %+v, want 4 line flushes and 1 barrier", st)
 	}
 }
 

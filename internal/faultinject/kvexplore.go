@@ -33,7 +33,7 @@ type KVOptions struct {
 	// Seed is the randomized mode's root seed; 0 takes -faultinject.seed.
 	Seed uint64
 	// Middleware, when non-nil, wraps each shard's sink between the
-	// policy and the injection points (policy → middleware → injector →
+	// policy and the injection points (policy → middleware → events →
 	// pmem). Negative tests install DropDrains here.
 	Middleware func(core.FlushSink) core.FlushSink
 }
@@ -71,8 +71,8 @@ func (o KVOptions) withDefaults() KVOptions {
 	return o
 }
 
-// storeOptions builds the small-footprint store configuration under the
-// injector's hooks (inj may be nil for recovery, which must replay no
+// storeOptions builds the small-footprint store configuration reporting
+// its boundaries to inj (inj may be nil for recovery, which must replay no
 // faults while it repairs the heap).
 func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 	ko := kv.DefaultOptions()
@@ -84,17 +84,8 @@ func (o KVOptions) storeOptions(inj *Injector) kv.Options {
 	ko.Policy = o.Policy
 	ko.Config = o.Config
 	if inj != nil {
-		ko.WrapSink = func(id int32, s core.FlushSink) core.FlushSink {
-			s = inj.WrapSink(id, s)
-			if o.Middleware != nil {
-				s = o.Middleware(s)
-			}
-			return s
-		}
-		ko.UndoHook = inj.UndoHook()
-		ko.AckHook = func(int) { inj.AckPoint() }
-		ko.RecoverHook = inj.RecoverHook()
-		ko.IsInjectedCrash = IsCrash
+		ko.Events = inj.Events
+		ko.WrapSink = wrapWith(o.Middleware)
 	}
 	return ko
 }
@@ -225,8 +216,8 @@ func inPlaceOp(ops []kvOp, i int) bool {
 // no undo site and exactly one write-back: its drain's line, or, when the
 // online policy's one resize shrinks the cache mid-FASE and evicts that
 // line first, a flush-line.
-func nackedVisible(ops []kvOp, acked int, crash Crash, seq []Kind) (bool, error) {
-	if crash.Kind == KindAck {
+func nackedVisible(ops []kvOp, acked int, crash atlas.Crash, seq []atlas.Site) (bool, error) {
+	if crash.Site == atlas.SiteAck {
 		return true, nil
 	}
 	if acked >= len(ops) || !inPlaceOp(ops, acked) {
@@ -238,35 +229,35 @@ func nackedVisible(ops []kvOp, acked int, crash Crash, seq []Kind) (bool, error)
 			start = i
 			break
 		}
-		if k == KindAck {
+		if k == atlas.SiteAck {
 			acks++
 		}
 	}
 	if start < 0 {
 		return false, fmt.Errorf("the counting run has no span for op %d (%d sites)", acked, len(seq))
 	}
-	if crash.Site < start {
+	if crash.N < start {
 		// The crash fell inside an op already acked, which only an ack
 		// before its commit allows: the nacked op never started, and the
 		// state check decides whether the acked one survived.
 		return false, nil
 	}
 	writeBack := -1
-	for i := start; i < len(seq) && seq[i] != KindAck; i++ {
+	for i := start; i < len(seq) && seq[i] != atlas.SiteAck; i++ {
 		switch seq[i] {
-		case KindFlushLine, KindDrainLine:
+		case atlas.SiteFlushLine, atlas.SiteDrainLine:
 			if writeBack >= 0 {
 				return false, fmt.Errorf("in-place op %d writes back at sites %d and %d, want its one value line", acked, writeBack, i)
 			}
 			writeBack = i
-		case KindUndoBegin, KindUndoRecord, KindUndoPublish, KindUndoCommit:
+		case atlas.SiteUndoBegin, atlas.SiteUndoRecord, atlas.SiteUndoPublish, atlas.SiteUndoCommit:
 			return false, fmt.Errorf("op %d should commit in place but crosses %v at site %d", acked, seq[i], i)
 		}
 	}
 	if writeBack < 0 {
 		return false, fmt.Errorf("in-place op %d writes back no line", acked)
 	}
-	return crash.Site > writeBack, nil
+	return crash.N > writeBack, nil
 }
 
 // recoverAndVerifyKV recovers a crashed heap and checks the service
@@ -279,7 +270,7 @@ func nackedVisible(ops []kvOp, acked int, crash Crash, seq []Kind) (bool, error)
 // each page exactly once (free ∪ reachable = everything below its cursor),
 // the heap is self-consistent, and no dirty lines remain once the recovered
 // store closes.
-func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash Crash, seq []Kind) (checks int, rrep atlas.RecoveryReport, err error) {
+func recoverAndVerifyKV(o KVOptions, h *pmem.Heap, ops []kvOp, acked int, crash atlas.Crash, seq []atlas.Site) (checks int, rrep atlas.RecoveryReport, err error) {
 	st, rrep, err := kv.Recover(h, o.storeOptions(nil))
 	if err != nil {
 		return 0, rrep, err
@@ -378,17 +369,49 @@ func ExploreKV(o KVOptions) (Report, error) {
 // serving site armed, producing a bit-identical crashed heap on every
 // call — the recovery explorer's way of getting a fresh copy of "the same
 // crash" for each recovery-phase site it wants to cut.
-func genCrashedKVHeap(o KVOptions, ops []kvOp, servingSite int) (*pmem.Heap, int, Crash, error) {
+func genCrashedKVHeap(o KVOptions, ops []kvOp, servingSite int) (*pmem.Heap, int, atlas.Crash, error) {
 	inj := NewArmed(servingSite)
 	h, acked, err := kvSeqRun(o, ops, inj)
 	if !errors.Is(err, errInjected) {
 		if err != nil {
-			return nil, 0, Crash{}, err
+			return nil, 0, atlas.Crash{}, err
 		}
-		return nil, 0, Crash{}, fmt.Errorf("serving site %d never fired", servingSite)
+		return nil, 0, atlas.Crash{}, fmt.Errorf("serving site %d never fired", servingSite)
 	}
 	crash, _ := inj.Fired()
 	return h, acked, crash, nil
+}
+
+// countRecovery enumerates the boundaries kv.Recover crosses repairing h,
+// which it repairs. The injector is disabled again before the recovered
+// store is closed, so the enumeration covers exactly the Recover window.
+func countRecovery(o KVOptions, h *pmem.Heap) (*Injector, error) {
+	rcount := NewCounting()
+	rcount.Enable()
+	st, _, err := kv.Recover(h, o.storeOptions(rcount))
+	rcount.Disable()
+	if err != nil {
+		return nil, fmt.Errorf("counting recovery: %w", err)
+	}
+	if err := st.Close(); err != nil {
+		return nil, fmt.Errorf("close after counting recovery: %w", err)
+	}
+	return rcount, nil
+}
+
+// cutRecovery crashes kv.Recover of h at its recovery site number site (of
+// sites), which must fire and leave the heap quiesced behind ErrCrashed.
+func cutRecovery(o KVOptions, h *pmem.Heap, site, sites int) (atlas.Crash, error) {
+	rinj := NewArmed(site)
+	rinj.Enable()
+	_, _, err := kv.Recover(h, o.storeOptions(rinj))
+	rinj.Disable()
+	rcrash, fired := rinj.Fired()
+	if !errors.Is(err, kv.ErrCrashed) || !fired {
+		return rcrash, fmt.Errorf("recovery site %d of %d did not crash the recovery (err %v, fired %v); recovery not deterministic?",
+			site, sites, err, fired)
+	}
+	return rcrash, nil
 }
 
 // ExploreKVRecovery crashes the recovery itself. Every serving site of the
@@ -411,24 +434,15 @@ func ExploreKVRecovery(o KVOptions) (Report, error) {
 		return Report{}, fmt.Errorf("faultinject: counting run acked %d/%d ops", acked, len(ops))
 	}
 	serving, seq := counter.Sites(), counter.Sequence()
-	rep := Report{Kinds: make(map[Kind]int)}
+	rep := Report{Kinds: make(map[atlas.Site]int)}
 	for s := 0; s < serving; s++ {
 		h, acked, crash, err := genCrashedKVHeap(o, ops, s)
 		if err != nil {
 			return rep, fmt.Errorf("faultinject: serving shape %d: %w", s, err)
 		}
-		// Counting pass over this heap's recovery. The injector is disabled
-		// again before the recovered store is closed, so the enumeration
-		// covers exactly the Recover window.
-		rcount := NewCounting()
-		rcount.Enable()
-		st, _, err := kv.Recover(h, o.storeOptions(rcount))
-		rcount.Disable()
+		rcount, err := countRecovery(o, h)
 		if err != nil {
-			return rep, fmt.Errorf("faultinject: shape %d: counting recovery: %w", s, err)
-		}
-		if err := st.Close(); err != nil {
-			return rep, fmt.Errorf("faultinject: shape %d: close after counting recovery: %w", s, err)
+			return rep, fmt.Errorf("faultinject: shape %d: %w", s, err)
 		}
 		rsites := rcount.Sites()
 		if rsites == 0 {
@@ -446,20 +460,9 @@ func ExploreKVRecovery(o KVOptions) (Report, error) {
 			if acked2 != acked {
 				return rep, fmt.Errorf("faultinject: shape %d not deterministic: acked %d then %d", s, acked, acked2)
 			}
-			rinj := NewArmed(site)
-			rinj.Enable()
-			_, _, rerr := kv.Recover(h, o.storeOptions(rinj))
-			rinj.Disable()
-			if !errors.Is(rerr, kv.ErrCrashed) {
-				if rerr != nil {
-					return rep, fmt.Errorf("faultinject: shape %d recovery site %d: %w", s, site, rerr)
-				}
-				return rep, fmt.Errorf("faultinject: shape %d recovery site %d never fired (%d sites; recovery not deterministic?)",
-					s, site, rsites)
-			}
-			rcrash, fired := rinj.Fired()
-			if !fired {
-				return rep, fmt.Errorf("faultinject: shape %d recovery site %d: ErrCrashed without a fired site", s, site)
+			rcrash, err := cutRecovery(o, h, site, rsites)
+			if err != nil {
+				return rep, fmt.Errorf("faultinject: shape %d: %w", s, err)
 			}
 			// Second, clean recovery of the twice-crashed heap: the exact
 			// acked-state oracle still decides, against the original serving

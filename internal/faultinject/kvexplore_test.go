@@ -1,8 +1,10 @@
 package faultinject
 
 import (
-	"fmt"
+	"maps"
 	"testing"
+
+	"nvmcache/internal/atlas"
 )
 
 // TestExploreKVExhaustive is the acceptance property for the whole
@@ -10,14 +12,17 @@ import (
 // is crashed at and recovered from, and every recovery satisfies the
 // service contract (acked writes durable with exact values, the nacked op
 // rolled back — or, for ack-boundary crashes, committed untorn — tree
-// invariants, heap consistency, empty dirty state). The census is pinned
-// per operation: each op commits alone and crosses one drain barrier and
-// one ack. A copy-on-write op's FASE logs exactly two words (the tree's
-// root and generation — its pages are private and unlogged), so it adds
-// one begin and one commit; an in-place op (a put or counter op of a
-// present key) logs nothing and writes back only its value line. The
-// durable view changes only at line write-backs and log write-throughs,
-// and each of those is a numbered site.
+// invariants, heap consistency, empty dirty state).
+//
+// The census is pinned exactly, per kind, so a change that moves, adds or
+// drops a persistence boundary fails here. Each op commits alone and
+// crosses one drain barrier and one ack. A copy-on-write op's FASE logs
+// exactly two words (the tree's root and generation — its pages are
+// private and unlogged), so it adds one undo begin and commit and two
+// records and publishes; an in-place op (a put or counter op of a present
+// key) logs nothing and writes back only its value line. The default
+// input's 10 ops are 7 copy-on-write and 3 in-place; the -short input's 7
+// are 4 and 3.
 //
 // The second input puts the online policy's one adaptation inside the
 // sweep: a 29-word sampling burst ends inside a copy-on-write FASE, and
@@ -25,61 +30,50 @@ import (
 // its default 8 while it holds three of the FASE's lines. The line it
 // evicts is not stored to again, so its one write-back is the shrink's
 // flush-line site: a shrink that dropped its evictions loses that FASE's
-// page and fails the sweep.
+// page and fails the sweep. Its census differs from the first input's
+// only in where lines are written back.
 func TestExploreKVExhaustive(t *testing.T) {
 	shrinking := DefaultKVOptions()
 	shrinking.Config.BurstLength = 29
 	shrinking.Config.Knee.MaxSize = 2
-	for _, o := range []KVOptions{DefaultKVOptions(), shrinking} {
-		if testing.Short() {
-			// Still exhaustive — every enumerated site is explored — over a
-			// slightly smaller op sequence so -race CI stays fast.
-			o.Ops, o.Keys = 7, 3
+	type census map[atlas.Site]int
+	undo := func(c census, cow int) census {
+		c[atlas.SiteDrainDone] = cow + 3
+		c[atlas.SiteAck] = cow + 3
+		c[atlas.SiteUndoBegin], c[atlas.SiteUndoCommit] = cow, cow
+		c[atlas.SiteUndoRecord], c[atlas.SiteUndoPublish] = 2*cow, 2*cow
+		return c
+	}
+	cases := []struct {
+		name  string
+		o     KVOptions
+		sites int
+		kinds census
+	}{
+		{"default", DefaultKVOptions(), 86, undo(census{atlas.SiteDrainLine: 24}, 7)},
+		{"shrinking", shrinking, 86, undo(census{atlas.SiteFlushLine: 4, atlas.SiteDrainLine: 20}, 7)},
+	}
+	if testing.Short() {
+		// Still exhaustive — every enumerated site is explored — over a
+		// slightly smaller op sequence so -race CI stays fast.
+		cases[0].sites, cases[0].kinds = 53, undo(census{atlas.SiteDrainLine: 15}, 4)
+		cases[1].sites, cases[1].kinds = 53, undo(census{atlas.SiteFlushLine: 1, atlas.SiteDrainLine: 14}, 4)
+		for i := range cases {
+			cases[i].o.Ops, cases[i].o.Keys = 7, 3
 		}
-		name := fmt.Sprintf("burst %d", o.Config.BurstLength)
-		rep, err := ExploreKV(o)
+	}
+	for _, c := range cases {
+		rep, err := ExploreKV(c.o)
 		if err != nil {
-			t.Fatalf("%s: ExploreKV: %v\nreport: %v", name, err, rep)
+			t.Fatalf("%s: ExploreKV: %v\nreport: %v", c.name, err, rep)
 		}
 		if rep.Crashes != rep.Sites || rep.Missed != 0 {
-			t.Errorf("%s: sweep not exhaustive: %v", name, rep)
+			t.Errorf("%s: sweep not exhaustive: %v", c.name, rep)
 		}
-		ops, inPlace := exhaustiveOps(o), 0
-		for i := range ops {
-			if inPlaceOp(ops, i) {
-				inPlace++
-			}
+		if rep.Sites != c.sites || !maps.Equal(rep.Kinds, map[atlas.Site]int(c.kinds)) {
+			t.Errorf("%s: census %v, want %d sites by kind %v", c.name, rep, c.sites, c.kinds)
 		}
-		cow := o.Ops - inPlace
-		if inPlace == 0 || cow == 0 {
-			t.Fatalf("%s: workload has %d in-place and %d copy-on-write ops; the sweep needs both", name, inPlace, cow)
-		}
-		for _, k := range []Kind{KindDrainDone, KindAck} {
-			if rep.Kinds[k] != o.Ops {
-				t.Errorf("%s: %d %v sites for %d single-op FASEs: %v", name, rep.Kinds[k], k, o.Ops, rep)
-			}
-		}
-		for _, k := range []Kind{KindUndoBegin, KindUndoCommit} {
-			if rep.Kinds[k] != cow {
-				t.Errorf("%s: %d %v sites, want 1 per copy-on-write FASE (%d): %v", name, rep.Kinds[k], k, cow, rep)
-			}
-		}
-		for _, k := range []Kind{KindUndoRecord, KindUndoPublish} {
-			if rep.Kinds[k] != 2*cow {
-				t.Errorf("%s: %d %v sites, want 2 per copy-on-write FASE (root and generation): %v", name, rep.Kinds[k], k, rep)
-			}
-		}
-		// A copy-on-write FASE writes back at least its leaf's line and the
-		// meta line, an in-place one exactly its value line: at the drain,
-		// or earlier if the cache evicts it.
-		if wb := rep.Kinds[KindDrainLine] + rep.Kinds[KindFlushLine]; wb < 2*cow+inPlace {
-			t.Errorf("%s: %d write-back sites for %d copy-on-write and %d in-place FASEs: %v",
-				name, wb, cow, inPlace, rep)
-		}
-		if o.Config.BurstLength == shrinking.Config.BurstLength && rep.Kinds[KindFlushLine] == 0 {
-			t.Errorf("%s: no flush-line sites: the cache never shrank below a FASE's lines: %v", name, rep)
-		}
-		t.Logf("%s: %v", name, rep)
+		t.Logf("%s: %v", c.name, rep)
 	}
 }
 
@@ -134,7 +128,7 @@ func TestExploreKVRecovery(t *testing.T) {
 	if rep.Crashes != rep.Runs || rep.Missed != 0 {
 		t.Errorf("sweep not exhaustive: %v", rep)
 	}
-	for _, k := range []Kind{KindRecoverReplay, KindRecoverInstall} {
+	for _, k := range []atlas.Site{atlas.SiteRecoverReplay, atlas.SiteRecoverInstall} {
 		if rep.Kinds[k] == 0 {
 			t.Errorf("no %v sites in the recovery path: %v", k, rep)
 		}

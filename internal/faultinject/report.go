@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"nvmcache/internal/atlas"
 )
 
 // Report summarizes one exploration sweep: how many crash points the
@@ -33,7 +35,7 @@ type Report struct {
 	FASEsRolledBack int
 	WordsRestored   int
 	// Kinds is the counting run's census of sites per boundary kind.
-	Kinds map[Kind]int
+	Kinds map[atlas.Site]int
 	// Seed is the root seed of a randomized sweep (0 for exhaustive).
 	Seed uint64
 }
@@ -47,7 +49,7 @@ func (r Report) String() string {
 		fmt.Fprintf(&b, ", seed %d", r.Seed)
 	}
 	if len(r.Kinds) > 0 {
-		kinds := make([]Kind, 0, len(r.Kinds))
+		kinds := make([]atlas.Site, 0, len(r.Kinds))
 		for k := range r.Kinds {
 			kinds = append(kinds, k)
 		}

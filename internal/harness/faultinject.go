@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/core"
 	"nvmcache/internal/faultinject"
 )
@@ -76,7 +77,7 @@ func (r *CrashExplorationResult) Table() *Table {
 	row(fmt.Sprintf("kv randomized (seed %d)", r.Random.Seed), r.Random)
 	total = merged(total, r.Random)
 	row("total", total)
-	kinds := make([]faultinject.Kind, 0, len(total.Kinds))
+	kinds := make([]atlas.Site, 0, len(total.Kinds))
 	for k := range total.Kinds {
 		kinds = append(kinds, k)
 	}
@@ -93,7 +94,7 @@ func (r *CrashExplorationResult) Table() *Table {
 // merged is Report.merge as a pure function (keeps the zero total usable).
 func merged(a, b faultinject.Report) faultinject.Report {
 	out := a
-	out.Kinds = make(map[faultinject.Kind]int, len(a.Kinds)+len(b.Kinds))
+	out.Kinds = make(map[atlas.Site]int, len(a.Kinds)+len(b.Kinds))
 	for k, n := range a.Kinds {
 		out.Kinds[k] = n
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/pmem"
 )
 
@@ -118,13 +119,12 @@ func TestCrashWhileWaiting(t *testing.T) {
 	parked, crash := make(chan struct{}), make(chan struct{})
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.CrashBeforeCommit = func(_, _, _ int) bool {
-		if !armed {
-			return false
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		if site == atlas.SitePreCommit && armed {
+			close(parked)
+			<-crash
+			panic(atlas.Crash{Site: site})
 		}
-		close(parked)
-		<-crash
-		return true
 	}
 	h := pmem.New(int(RecommendedHeapBytes(opts)))
 	s, err := Open(h, opts)
@@ -157,7 +157,7 @@ func TestCrashWhileWaiting(t *testing.T) {
 		t.Fatal("the crash never took effect")
 	}
 
-	opts.CrashBeforeCommit = nil
+	opts.Events = nil
 	s2, rep, err := Recover(h, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,11 @@ package kv
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/pmem"
 )
 
@@ -17,8 +19,11 @@ func TestCrashMidFASEZeroAckedLoss(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 4
 	opts.MaxBatch = 16
-	opts.CrashBeforeCommit = func(shard, batch, size int) bool {
-		return shard == 0 && batch >= 2
+	var commits atomic.Int64 // shard 0's FASEs that reached their commit
+	opts.Events = func(site atlas.Site, shard int, _ uint64) {
+		if site == atlas.SitePreCommit && shard == 0 && commits.Add(1) > 2 {
+			panic(atlas.Crash{Site: site})
+		}
 	}
 	h := pmem.New(int(RecommendedHeapBytes(opts)))
 	s, err := Open(h, opts)

@@ -25,13 +25,12 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 	parked, crash := make(chan struct{}), make(chan struct{})
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.CrashBeforeCommit = func(_, _, _ int) bool {
-		if !armed.Load() {
-			return false
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		if site == atlas.SitePreCommit && armed.Load() {
+			close(parked)
+			<-crash
+			panic(atlas.Crash{Site: site})
 		}
-		close(parked)
-		<-crash
-		return true
 	}
 	h := pmem.New(int(RecommendedHeapBytes(opts)))
 	s, err := Open(h, opts)
@@ -94,7 +93,7 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 	}
 	<-s.Crashed()
 
-	opts.CrashBeforeCommit = nil
+	opts.Events = nil
 	s2, _, err := Recover(h, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +115,11 @@ func TestWaitingGetCountsItsCut(t *testing.T) {
 	parked, drain := make(chan struct{}), make(chan struct{})
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.CrashBeforeCommit = func(_, _, _ int) bool {
-		if armed.CompareAndSwap(true, false) {
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		if site == atlas.SitePreCommit && armed.CompareAndSwap(true, false) {
 			close(parked)
 			<-drain
 		}
-		return false
 	}
 	s := newStore(t, opts)
 	defer s.Close()
@@ -179,7 +177,12 @@ func TestLoneOverwriteCounts(t *testing.T) {
 	var undo atomic.Int64
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.UndoHook = func(atlas.UndoOp) { undo.Add(1) }
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		switch site {
+		case atlas.SiteUndoBegin, atlas.SiteUndoRecord, atlas.SiteUndoPublish, atlas.SiteUndoCommit:
+			undo.Add(1)
+		}
+	}
 	s := newStore(t, opts)
 	defer s.Close()
 	for k := uint64(0); k < 64; k++ {
@@ -222,15 +225,14 @@ func TestOverwriteBatchAnswersInQueueOrder(t *testing.T) {
 	var sizes []int
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.AckHook = func(int) {
-		if park.Load() {
+	opts.Events = func(site atlas.Site, _ int, size uint64) {
+		switch {
+		case site == atlas.SitePreCommit:
+			sizes = append(sizes, int(size))
+		case site == atlas.SiteAck && park.Load():
 			entered <- struct{}{}
 			<-release
 		}
-	}
-	opts.CrashBeforeCommit = func(_, _, size int) bool {
-		sizes = append(sizes, size)
-		return false
 	}
 	s := newStore(t, opts)
 	defer s.Close()

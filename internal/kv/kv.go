@@ -111,37 +111,18 @@ type Options struct {
 	// (default: the paper's software cache at its 50-line cap).
 	Policy core.PolicyKind
 	Config core.Config
-	// RecoverHook observes the atlas undo-log rollback stages inside
-	// Recover. A panic claimed by IsInjectedCrash aborts the recovery
-	// mid-flight (Recover returns ErrCrashed with the heap quiesced), and a
-	// second Recover on the same heap must converge — the crash-exploration
-	// contract for recovery itself.
-	RecoverHook func(op atlas.RecoverOp)
-	// CrashBeforeCommit is a failure-injection hook, run on whichever
-	// goroutine is committing: when it returns true the commit simulates a
-	// power failure in the middle of its FASE —
-	// after the batch's stores, before the commit — so the whole store
-	// crashes with that batch unacked and recoverable only by rollback.
-	// batch is the shard's committed-batch count so far.
-	CrashBeforeCommit func(shard, batch, size int) bool
-
-	// WrapSink and UndoHook are forwarded to the underlying atlas runtime
-	// (atlas.Options), interposing on each shard thread's flush sink and
-	// undo log. internal/faultinject uses them to number every persistence
-	// boundary of the group-commit path as a crash-exploration site. Shard
-	// i's thread id is i.
+	// Events, when non-nil, observes every persistence boundary: each shard
+	// thread's atlas sites (thread = the shard's index), Recover's, and the
+	// group commit's own, atlas.SitePreCommit and atlas.SiteAck (arg = the
+	// batch's request count). A panic with an atlas.Crash is a power failure
+	// there: the committer crashes the store, and a Recover cut that way
+	// quiesces the heap and returns ErrCrashed (a second Recover converges).
+	// Other panics propagate. Blocking at SiteAck holds the shard's commit
+	// lock.
+	Events atlas.Events
+	// WrapSink is forwarded to atlas.Options, for tests that substitute a
+	// fake sink. Shard i's thread id is i.
 	WrapSink func(thread int32, sink core.FlushSink) core.FlushSink
-	UndoHook func(op atlas.UndoOp)
-	// AckHook runs on the committing goroutine between a batch's durable
-	// commit and the delivery of its acks — the last boundary at which a
-	// crash leaves committed-but-unacked writes. A hook that blocks holds
-	// the shard's commit lock, so the shard's other waiters block behind it.
-	AckHook func(shard int)
-	// IsInjectedCrash classifies a panic raised by one of the hooks above
-	// as a simulated power failure: the committer then abandons its FASE
-	// and crashes the store exactly as CrashBeforeCommit does. Panics
-	// it does not claim propagate unchanged.
-	IsInjectedCrash func(r any) bool
 }
 
 // faseLoggedWords is the most distinct words any shard FASE undo-logs:
@@ -251,7 +232,7 @@ func runtimeOptions(o Options) atlas.Options {
 	// Trace recording is always off: a serving store runs indefinitely and
 	// per-store trace buffers grow without bound.
 	return atlas.Options{Policy: o.Policy, Config: o.Config, LogEntries: o.LogEntries, DisableTrace: true,
-		WrapSink: o.WrapSink, UndoHook: o.UndoHook}
+		Events: o.Events, WrapSink: o.WrapSink}
 }
 
 // Open creates a new store in an empty heap: a shard directory (shard
@@ -286,13 +267,13 @@ func Open(heap *pmem.Heap, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// crashGuard runs fn, converting a panic claimed by the injected-crash
-// classifier into crashed=true (recovery-side mirror of applyBatch's
-// recover).
-func crashGuard(claim func(any) bool, fn func()) (crashed bool) {
+// crashGuard runs fn, converting an injected power failure (a panic with
+// an atlas.Crash) into crashed=true: the recovery-side mirror of
+// applyBatch's recover.
+func crashGuard(fn func()) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if claim == nil || !claim(r) {
+			if _, ok := r.(atlas.Crash); !ok {
 				panic(r)
 			}
 			crashed = true
@@ -313,16 +294,14 @@ func crashGuard(claim func(any) bool, fn func()) (crashed bool) {
 // it) and resumes serving. Its cost is bounded by the pool size, not by
 // the store's history.
 //
-// Recovery itself is crash-safe: an injected crash at any RecoverHook
-// boundary quiesces the heap and returns ErrCrashed, and a fresh Recover on
+// Recovery itself is crash-safe: an injected crash at any of its Events
+// boundaries quiesces the heap and returns ErrCrashed, and a fresh Recover on
 // the same heap converges, because the undo rollback is idempotent.
 func Recover(heap *pmem.Heap, opts Options) (*Store, atlas.RecoveryReport, error) {
 	opts = opts.withDefaults()
 	var rep atlas.RecoveryReport
 	var aerr error
-	if crashGuard(opts.IsInjectedCrash, func() {
-		rep, aerr = atlas.RecoverWith(heap, atlas.RecoverOptions{Hook: opts.RecoverHook})
-	}) {
+	if crashGuard(func() { rep, aerr = atlas.RecoverWith(heap, opts.Events) }) {
 		heap.Crash()
 		return nil, rep, ErrCrashed
 	}
@@ -742,7 +721,7 @@ func (s *Store) Crashed() <-chan struct{} { return s.crashDone }
 // next check and stops), so no goroutine mutates the heap while its
 // volatile view is dropped; then, still holding them, it fails every
 // queued request. except is the shard whose committer initiates
-// the crash from inside its own FASE (via CrashBeforeCommit), which holds
+// the crash from inside its own FASE (an injected crash), which holds
 // that lock already and nacks its own batch after this returns.
 func (s *Store) initiateCrash(except *shard) error {
 	if !s.crashing.CompareAndSwap(false, true) {

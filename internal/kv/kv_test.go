@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/mdb"
 	"nvmcache/internal/pmem"
 )
@@ -106,11 +107,12 @@ func TestGroupCommitMaxBatchBound(t *testing.T) {
 	opts.MaxBatch = 8
 	var mu sync.Mutex
 	var sizes []int
-	opts.CrashBeforeCommit = func(shard, batch, size int) bool {
-		mu.Lock()
-		sizes = append(sizes, size)
-		mu.Unlock()
-		return false
+	opts.Events = func(site atlas.Site, _ int, size uint64) {
+		if site == atlas.SitePreCommit {
+			mu.Lock()
+			sizes = append(sizes, int(size))
+			mu.Unlock()
+		}
 	}
 	s := newStore(t, opts)
 	defer s.Close()

@@ -33,17 +33,17 @@ func TestLargestFASEFitsUndoLog(t *testing.T) {
 	)
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.UndoHook = func(op atlas.UndoOp) {
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
 		mu.Lock()
 		defer mu.Unlock()
-		switch op {
-		case atlas.UndoBegin:
+		switch site {
+		case atlas.SiteUndoBegin:
 			inFASE = 0
-		case atlas.UndoRecord:
+		case atlas.SiteUndoRecord:
 			if inFASE++; inFASE > maxLogged {
 				maxLogged = inFASE
 			}
-		case atlas.UndoCommit:
+		case atlas.SiteUndoCommit:
 			if serving {
 				servingLogged = append(servingLogged, inFASE)
 			}
@@ -82,7 +82,7 @@ func TestLargestFASEFitsUndoLog(t *testing.T) {
 		t.Errorf("largest FASE logged %d words into a %d-entry log: entries may have been dropped", maxLogged, opts.LogEntries)
 	}
 
-	opts.UndoHook = nil
+	opts.Events = nil
 	opts.PoolPages = 128 // a tree of proto.MaxOps keys needs more
 	s = newStore(t, opts)
 	if err := s.PutBatch(pairs[:64]); err != nil {

@@ -3,6 +3,8 @@ package kv
 import (
 	"sync/atomic"
 	"testing"
+
+	"nvmcache/internal/atlas"
 )
 
 // TestQueuedReadsShareCommit: a GET submitted behind its own PUT rides that
@@ -24,15 +26,14 @@ func TestQueuedReadsShareCommit(t *testing.T) {
 	var sizes []int // request count of every FASE that reached its commit
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.AckHook = func(int) {
-		if park.Load() {
+	opts.Events = func(site atlas.Site, _ int, size uint64) {
+		switch {
+		case site == atlas.SitePreCommit:
+			sizes = append(sizes, int(size))
+		case site == atlas.SiteAck && park.Load():
 			entered <- struct{}{}
 			<-release
 		}
-	}
-	opts.CrashBeforeCommit = func(_, _, size int) bool {
-		sizes = append(sizes, size)
-		return false
 	}
 	s := newStore(t, opts)
 	defer s.Close()

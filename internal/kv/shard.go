@@ -294,7 +294,6 @@ func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB) *shard {
 	sh.curGen = db.Generation()
 	sh.cache = newSlotCache(db, s.opts.PoolPages)
 	db.SetFreeHook(sh.onFreed)
-	sh.lats = make([]float64, 0, latRingCap)
 	return sh
 }
 
@@ -561,7 +560,6 @@ func (sh *shard) commitBatch(batch []request) {
 		return
 	}
 	inPlace := sh.inPlace(batch)
-	pre := sh.th.FlushStats()
 	outcome, failed := sh.applyBatch(batch, results, inPlace)
 	switch outcome {
 	case batchBeginErr, batchCommitErr:
@@ -593,9 +591,8 @@ func (sh *shard) commitBatch(batch []request) {
 		nackAll(batch, ErrCrashed)
 		return
 	}
-	post := sh.th.FlushStats()
 	sh.publish(!inPlace)
-	sh.note(batch, pre, post)
+	sh.note(batch)
 	ackAll(batch, results)
 }
 
@@ -615,19 +612,18 @@ func ackAll(batch []request, results []Result) {
 	}
 }
 
-// applyBatch runs the whole FASE — Begin, the batch's mutations, the crash
-// hooks, and the durable commit — as a copy-on-write transaction, or, when
-// inPlace, as bare stores into the words inPlace resolved (put), whose
-// FASE-end drain is the commit. A panic
-// claimed by Options.IsInjectedCrash — a fault-injection site firing
-// inside a store, flush, or undo-log write — abandons the FASE with its
-// undo log still active, exactly as a power failure at that instruction
-// would; panics it does not claim propagate.
+// applyBatch runs the whole FASE — Begin, the batch's mutations, the
+// pre-commit and ack events, and the durable commit — as a copy-on-write
+// transaction, or, when inPlace, as bare stores into the words inPlace
+// resolved (put), whose FASE-end drain is the commit. An injected power
+// failure — a panic with an atlas.Crash out of Options.Events, at a store,
+// flush, undo-log write or the batch's own sites — abandons the FASE with
+// its undo log still active, exactly as a power failure at that instruction
+// would; panics of any other type propagate.
 func (sh *shard) applyBatch(batch []request, results []Result, inPlace bool) (outcome batchOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			claim := sh.st.opts.IsInjectedCrash
-			if claim == nil || !claim(r) {
+			if _, ok := r.(atlas.Crash); !ok {
 				panic(r)
 			}
 			outcome, err = batchCrashInjected, ErrCrashed
@@ -692,9 +688,9 @@ func (sh *shard) applyBatch(batch []request, results []Result, inPlace bool) (ou
 		}
 		return batchFailed, failed
 	}
-	if hook := sh.st.opts.CrashBeforeCommit; hook != nil &&
-		hook(sh.id, int(sh.batches.Load()), len(batch)) {
-		return batchCrashInjected, ErrCrashed
+	ev := sh.st.opts.Events
+	if ev != nil {
+		ev(atlas.SitePreCommit, sh.id, uint64(len(batch)))
 	}
 	if sh.st.crashing.Load() {
 		// A concurrent crash caught us mid-FASE: abandon without
@@ -709,10 +705,10 @@ func (sh *shard) applyBatch(batch []request, results []Result, inPlace bool) (ou
 	} else if err := sh.db.Commit(); err != nil {
 		return batchCommitErr, err
 	}
-	if hook := sh.st.opts.AckHook; hook != nil {
+	if ev != nil {
 		// The last crash boundary: the commit is durable but no requester
 		// has been told. A crash here must lose no data, only acks.
-		hook(sh.id)
+		ev(atlas.SiteAck, sh.id, uint64(len(batch)))
 	}
 	return batchCommitted, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/pmem"
 	"nvmcache/internal/testutil"
 )
@@ -23,18 +24,16 @@ import (
 // answered in place, from a read-only batch or from a copy-on-write
 // batch — must equal the model.
 func TestSlotCacheMatchesModel(t *testing.T) {
-	type powerFailure struct{}
 	rng := testutil.Rand(t, 0x51c7)
 	var armed atomic.Bool
 	opts := DefaultOptions()
 	opts.Shards = 2
 	opts.PoolPages = 48
-	opts.AckHook = func(int) {
-		if armed.CompareAndSwap(true, false) {
-			panic(powerFailure{})
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		if site == atlas.SiteAck && armed.CompareAndSwap(true, false) {
+			panic(atlas.Crash{Site: site})
 		}
 	}
-	opts.IsInjectedCrash = func(r any) bool { _, ok := r.(powerFailure); return ok }
 	const keys, steps = 48, 6000
 	h := pmem.New(int(RecommendedHeapBytes(opts)))
 	s, err := Open(h, opts)
@@ -125,7 +124,7 @@ func TestSlotCacheMatchesModel(t *testing.T) {
 				}
 			} else {
 				// A copy-on-write commit, on one shard, of a key the cache
-				// holds: durable once AckHook runs, so it survives, unacked.
+				// holds: durable once the ack site is reached, so it survives, unacked.
 				if _, _, err := s.Get(k); err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +172,7 @@ func TestSlotCacheMatchesModel(t *testing.T) {
 // A Get caches k's leaf; two copy-on-write commits of k follow, and the
 // free list being last-in first-out, the second copies k's leaf back into
 // the very page the cached way names. While that commit is parked between
-// its commit and its publish (AckHook), the page holds k's new value, but
+// its commit and its publish (the ack site), the page holds k's new value, but
 // the commit is not visible yet: Get must return the old value, the one a
 // GetBatch taken at the same moment returns.
 func TestGetWaitsForPublish(t *testing.T) {
@@ -182,8 +181,8 @@ func TestGetWaitsForPublish(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	opts := DefaultOptions()
 	opts.Shards = 1
-	opts.AckHook = func(int) {
-		if park.Load() {
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		if site == atlas.SiteAck && park.Load() {
 			entered <- struct{}{}
 			<-release
 		}

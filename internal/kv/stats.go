@@ -2,20 +2,11 @@ package kv
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
-	"nvmcache/internal/core"
-	"nvmcache/internal/hwsim"
 	"nvmcache/internal/pmem"
 )
-
-// latRingCap bounds the per-shard commit-latency sample buffer: percentiles
-// reflect the most recent ~4k commits.
-const latRingCap = 4096
 
 // counters is the shard's instrumentation. The committer updates the
 // atomics at batch boundaries (flush counters are snapshots of the
@@ -35,22 +26,18 @@ type counters struct {
 	flushAsync    atomic.Int64
 	flushDrained  atomic.Int64
 	flushBarriers atomic.Int64
-
-	latMu   sync.Mutex
-	lats    []float64 // ring of recent commit latencies, simulated cycles
-	latNext int
 }
 
-// note records one committed batch: operation mix, flush-counter
-// snapshot, and the commit's drain latency in simulated cycles.
-func (sh *shard) note(batch []request, pre, post core.FlushStats) {
+// note records one committed batch: operation mix and flush-counter
+// snapshot.
+func (sh *shard) note(batch []request) {
+	post := sh.th.FlushStats()
 	sh.noteOps(batch)
 	sh.batches.Add(1)
 	sh.batchedOps.Add(uint64(logicalOps(batch)))
 	sh.flushAsync.Store(post.Async)
 	sh.flushDrained.Store(post.Drained)
 	sh.flushBarriers.Store(post.Barriers)
-	sh.recordLatency(commitCycles(post.Drained - pre.Drained))
 }
 
 // noteOps counts acked operations by kind (shared by the FASE and the
@@ -84,31 +71,6 @@ func (sh *shard) noteOps(batch []request) {
 	}
 }
 
-func (sh *shard) recordLatency(cycles float64) {
-	sh.latMu.Lock()
-	if len(sh.lats) < latRingCap {
-		sh.lats = append(sh.lats, cycles)
-	} else {
-		sh.lats[sh.latNext] = cycles
-		sh.latNext = (sh.latNext + 1) % latRingCap
-	}
-	sh.latMu.Unlock()
-}
-
-// commitCycles converts a commit's FASE-end drain into simulated cycles
-// using the repository's calibrated cost model: every drained line pays
-// its issue cost, and write-back waves of MaxOutstanding lines proceed in
-// parallel but cannot overlap with computation (the drain is the stall the
-// paper's Section II-A describes).
-func commitCycles(drained int64) float64 {
-	if drained < 0 {
-		drained = 0
-	}
-	cm := hwsim.DefaultCostModel()
-	waves := math.Ceil(float64(drained) / float64(cm.MaxOutstanding))
-	return cm.FASEOverhead + float64(drained)*cm.FlushIssue + waves*cm.FlushLatency
-}
-
 // ShardStats is one shard's instrumentation snapshot.
 type ShardStats struct {
 	Shard int
@@ -129,9 +91,6 @@ type ShardStats struct {
 	// mid-FASE evictions), drained (FASE-end stalls), barriers (empty
 	// drains).
 	AsyncFlushes, DrainedFlushes, Barriers int64
-	// Commit drain latency percentiles over recent batches, in simulated
-	// cycles.
-	CommitP50, CommitP99 float64
 }
 
 // AvgBatch returns the mean committed batch size.
@@ -159,14 +118,12 @@ func (st ShardStats) FlushRatio() float64 {
 // The key set is fixed, so STATS output is a stable, machine-diffable
 // schema: internal/nvclient parses these tokens and internal/loadgen diffs
 // two snapshots to report per-run server-side deltas in BENCH_*.json.
-// Values are plain decimals; units live in the key name (_cyc).
+// Values are plain decimals.
 func (st ShardStats) Pairs() []string {
 	return []string{
 		fmt.Sprintf("aborts=%d", st.Aborts),
 		fmt.Sprintf("avg_batch=%.2f", st.AvgBatch()),
 		fmt.Sprintf("batches=%d", st.Batches),
-		fmt.Sprintf("commit_p50_cyc=%.0f", st.CommitP50),
-		fmt.Sprintf("commit_p99_cyc=%.0f", st.CommitP99),
 		fmt.Sprintf("decrs=%d", st.Decrs),
 		fmt.Sprintf("dels=%d", st.Deletes),
 		fmt.Sprintf("descents=%d", st.Descents),
@@ -194,7 +151,7 @@ func (st ShardStats) String() string {
 }
 
 func (sh *shard) stats() ShardStats {
-	st := ShardStats{
+	return ShardStats{
 		Shard:      sh.id,
 		Puts:       sh.puts.Load(),
 		Deletes:    sh.dels.Load(),
@@ -211,27 +168,6 @@ func (sh *shard) stats() ShardStats {
 		DrainedFlushes: sh.flushDrained.Load(),
 		Barriers:       sh.flushBarriers.Load(),
 	}
-	sh.latMu.Lock()
-	lats := append([]float64(nil), sh.lats...)
-	sh.latMu.Unlock()
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		st.CommitP50 = percentile(lats, 0.50)
-		st.CommitP99 = percentile(lats, 0.99)
-	}
-	return st
-}
-
-// percentile reads the p-quantile from sorted samples (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // Stats snapshots every shard's instrumentation.
@@ -254,8 +190,7 @@ func (s *Store) StripeSummary() pmem.StripeSummary {
 	return pmem.SummarizeStripes(s.heap.StripeStats())
 }
 
-// Totals aggregates shard stats (percentiles are the max across shards —
-// the service-level tail).
+// Totals aggregates shard stats.
 func Totals(stats []ShardStats) ShardStats {
 	var t ShardStats
 	t.Shard = -1
@@ -273,8 +208,6 @@ func Totals(stats []ShardStats) ShardStats {
 		t.AsyncFlushes += st.AsyncFlushes
 		t.DrainedFlushes += st.DrainedFlushes
 		t.Barriers += st.Barriers
-		t.CommitP50 = math.Max(t.CommitP50, st.CommitP50)
-		t.CommitP99 = math.Max(t.CommitP99, st.CommitP99)
 	}
 	return t
 }

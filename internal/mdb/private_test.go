@@ -29,8 +29,8 @@ func shapeDB(t *testing.T, open func(*atlas.Thread, int) (*DB, error)) (rt *atla
 	t.Helper()
 	undo = new(int)
 	opts := atlas.Options{Policy: core.SoftCacheOnline, Config: core.DefaultConfig(), LogEntries: shapeLog,
-		UndoHook: func(op atlas.UndoOp) {
-			if op == atlas.UndoRecord {
+		Events: func(site atlas.Site, _ int, _ uint64) {
+			if site == atlas.SiteUndoRecord {
 				*undo++
 			}
 		}}

@@ -85,8 +85,9 @@ func parsePairs(tokens []string) (map[string]float64, error) {
 // Diff returns cur−prev for every key of the total and stripes lines,
 // prefixed "total." and "stripes.". The subtraction is meaningful for the
 // monotone counters (ops, puts, gets, flushes, aborts, acquired,
-// contended, …); gauge keys (percentiles, ratios, maxima) are included for
-// completeness but should be read from the final snapshot instead.
+// contended, …); gauge keys (ratios and averages) are included for
+// completeness but should be read from the final snapshot, or recomputed
+// from the counter deltas, instead.
 func (s *Stats) Diff(prev *Stats) map[string]float64 {
 	out := make(map[string]float64, len(s.Total)+len(s.Stripes))
 	sub := func(prefix string, cur, old map[string]float64) {

@@ -9,12 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/kv"
 	"nvmcache/internal/mdb"
 	"nvmcache/internal/pmem"
 )
 
-// parkedWriter holds a shard's committer in its AckHook after one blocker
+// parkedWriter holds a shard's committer at its ack site after one blocker
 // write has committed, so that every request a window submits meanwhile
 // queues up, and the window's first wait on the shard commits them as one
 // batch once released.
@@ -29,9 +30,9 @@ func newParkedWriter() *parkedWriter {
 		blocker: make(chan error, 1)}
 }
 
-// hook is the store's AckHook.
-func (p *parkedWriter) hook(int) {
-	if p.armed.CompareAndSwap(true, false) {
+// events is the store's Events: it parks at the ack site.
+func (p *parkedWriter) events(site atlas.Site, _ int, _ uint64) {
+	if site == atlas.SiteAck && p.armed.CompareAndSwap(true, false) {
 		p.entered <- struct{}{}
 		<-p.release
 	}
@@ -126,8 +127,12 @@ func TestWindowQueuedGetWaitsForCommit(t *testing.T) {
 			var crash atomic.Bool
 			kvOpts := kv.DefaultOptions()
 			kvOpts.Shards = 2
-			kvOpts.AckHook = pw.hook
-			kvOpts.CrashBeforeCommit = func(_, _, _ int) bool { return crash.Load() }
+			kvOpts.Events = func(site atlas.Site, shard int, arg uint64) {
+				if site == atlas.SitePreCommit && crash.Load() {
+					panic(atlas.Crash{Site: site})
+				}
+				pw.events(site, shard, arg)
+			}
 			stall, submitted := afterRequests(3)
 			srv, heap := startOnHeap(t, kvOpts, Options{Stall: stall})
 			defer srv.Shutdown()
@@ -167,7 +172,7 @@ func TestWindowQueuedGetWaitsForCommit(t *testing.T) {
 			kvOpts := kv.DefaultOptions()
 			kvOpts.Shards = 1
 			kvOpts.PoolPages = 16 // far too few for the window's fresh keys
-			kvOpts.AckHook = pw.hook
+			kvOpts.Events = pw.events
 			// PUT k v2, GET k, then enough fresh keys to exhaust the pool in
 			// the same FASE, then GET k again.
 			const fresh = 60
@@ -221,17 +226,15 @@ func TestWindowQueuedGetWaitsForCommit(t *testing.T) {
 // INCR's commit. A crash at the ack boundary answers both ERR, and the
 // increment, durable before the crash, survives Recover.
 func TestWindowQueuedGetReadsCounter(t *testing.T) {
-	type injected struct{}
 	dialects(t, func(t *testing.T, binary bool) {
 		var crashAck atomic.Bool
 		kvOpts := kv.DefaultOptions()
 		kvOpts.Shards = 2
-		kvOpts.AckHook = func(int) {
-			if crashAck.Load() {
-				panic(injected{})
+		kvOpts.Events = func(site atlas.Site, _ int, _ uint64) {
+			if site == atlas.SiteAck && crashAck.Load() {
+				panic(atlas.Crash{Site: site})
 			}
 		}
-		kvOpts.IsInjectedCrash = func(r any) bool { _, ok := r.(injected); return ok }
 		srv, heap := startOnHeap(t, kvOpts, Options{})
 		defer srv.Shutdown()
 		st := srv.Store()

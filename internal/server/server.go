@@ -70,11 +70,12 @@ const connBufSize = 64 << 10
 
 // Options tune one Server beyond its store and listener.
 type Options struct {
-	// Stall, when non-nil, runs before every parsed request with the
-	// request's verb. Load tests inject server-side latency through it (a
-	// sleeping hook) to prove the client's coordinated-omission accounting:
-	// an open-loop driver must see the stall inflate its tail percentiles.
-	// Binary-protocol requests report the equivalent text verb.
+	// Stall, when non-nil, runs once before every request, malformed ones
+	// included, with the request's verb as proto.VerbName names it in
+	// both dialects ("?" for an unknown verb). Load tests inject
+	// server-side latency through it (a sleeping hook) to prove the
+	// client's coordinated-omission accounting: an open-loop driver must
+	// see the stall inflate its tail percentiles.
 	Stall func(verb string)
 	// WrapConn, when non-nil, wraps every accepted connection before the
 	// handler touches it. Tests interpose counting wrappers through it to
@@ -232,8 +233,8 @@ func serveWindow(c net.Conn, r *bufio.Reader, w *window, next func() (quit bool,
 }
 
 func (s *Server) handleText(c net.Conn, r *bufio.Reader) {
-	h := &textHandler{srv: s, win: newWindow(s.st, true)}
-	serveWindow(c, r, h.win, func() (bool, error) {
+	w := newWindow(s.st, true)
+	serveWindow(c, r, w, func() (bool, error) {
 		line, err := r.ReadString('\n')
 		if err != nil {
 			// No trailing delimiter: the line is a truncated request from a
@@ -242,25 +243,21 @@ func (s *Server) handleText(c net.Conn, r *bufio.Reader) {
 			return false, err
 		}
 		if fields := strings.Fields(line); len(fields) > 0 {
-			return h.command(fields), nil
+			return s.command(w, fields), nil
 		}
 		return false, nil
 	})
 }
 
 // binHandler is one binary-protocol connection's state: its request window
-// (whose reply buffer accumulates frames between coalesced writes) and the
-// reused buffers that keep the decode→submit→reply path allocation-free
-// (scratch backs oversized request payloads; keys/vals/found/pairs back the
-// batched verbs).
+// (whose reply buffer accumulates frames between coalesced writes) and
+// scratch, which backs request payloads too large to alias the read buffer.
+// With the window's reused operand buffers it keeps the
+// decode→submit→reply path allocation-free.
 type binHandler struct {
 	srv     *Server
 	win     *window
 	scratch []byte
-	keys    []uint64
-	vals    []uint64
-	found   []bool
-	pairs   []kv.Pair
 }
 
 func (s *Server) handleBinary(c net.Conn, r *bufio.Reader) {
@@ -282,279 +279,127 @@ func (s *Server) handleBinary(c net.Conn, r *bufio.Reader) {
 	})
 }
 
-// exec decodes one binary request and hands it to the window; it reports
-// whether the connection should close. A malformed payload inside an intact
-// frame gets an error frame and the connection keeps serving — framing is
-// still synchronized.
-func (h *binHandler) exec(op byte, p []byte) (quit bool) {
-	if stall := h.srv.opts.Stall; stall != nil {
-		stall(proto.VerbName(op))
+// stall runs the Stall hook, if any, for a request with opcode op.
+func (s *Server) stall(op byte) {
+	if s.opts.Stall != nil {
+		s.opts.Stall(proto.VerbName(op))
 	}
+}
+
+// exec decodes one binary request's operands into the window and executes
+// it there; it reports whether the connection should close. A malformed
+// payload inside an intact frame gets an error frame and the connection
+// keeps serving — framing is still synchronized.
+func (h *binHandler) exec(op byte, p []byte) (quit bool) {
+	h.srv.stall(op)
 	w := h.win
+	var a, b uint64
+	var err error
 	switch op {
-	case proto.OpPut:
-		k, v, err := proto.DecodeKV(p)
-		if err != nil {
-			w.fail("bad PUT payload")
-			return false
-		}
-		w.submit(slotAck, kv.OpPut, k, v)
-	case proto.OpGet:
-		k, err := proto.DecodeKey(p)
-		if err != nil {
-			w.fail("bad GET payload")
-			return false
-		}
-		w.get(k)
-	case proto.OpDel:
-		k, err := proto.DecodeKey(p)
-		if err != nil {
-			w.fail("bad DEL payload")
-			return false
-		}
-		w.submit(slotDel, kv.OpDel, k, 0)
-	case proto.OpIncr, proto.OpDecr:
-		k, d, err := proto.DecodeKV(p)
-		if err != nil {
-			w.fail("bad counter payload")
-			return false
-		}
-		cop := kv.OpIncr
-		if op == proto.OpDecr {
-			cop = kv.OpDecr
-		}
-		w.submit(slotCounter, cop, k, d)
+	case proto.OpPut, proto.OpIncr, proto.OpDecr:
+		a, b, err = proto.DecodeKV(p)
+	case proto.OpGet, proto.OpDel:
+		a, err = proto.DecodeKey(p)
 	case proto.OpScan:
-		start, n, err := proto.DecodeScan(p)
-		if err != nil {
-			w.fail("bad SCAN payload")
-			return false
-		}
-		if n > MaxScan {
-			n = MaxScan
-		}
-		w.barrier()
-		pairs, err := w.st.Scan(start, int(n))
-		if err != nil {
-			w.fail(err.Error())
-			return false
-		}
-		w.out = proto.AppendRangeHeader(w.out, len(pairs))
-		for _, pr := range pairs {
-			w.out = proto.AppendU64(w.out, pr.K)
-			w.out = proto.AppendU64(w.out, pr.V)
-		}
+		var n uint32
+		a, n, err = proto.DecodeScan(p)
+		b = uint64(n)
 	case proto.OpMGet:
-		var err error
-		h.keys, err = proto.DecodeMGet(p, h.keys)
-		if err != nil {
-			w.fail(err.Error())
-			return false
-		}
-		n := len(h.keys)
-		if cap(h.vals) < n {
-			h.vals = make([]uint64, 0, proto.MaxOps)
-		}
-		if cap(h.found) < n {
-			h.found = make([]bool, 0, proto.MaxOps)
-		}
-		h.vals, h.found = h.vals[:n], h.found[:n]
-		w.barrier()
-		if err := w.st.GetBatch(h.keys, h.vals, h.found); err != nil {
-			w.fail(err.Error())
-			return false
-		}
-		w.out = proto.AppendValsHeader(w.out, n)
-		for i := 0; i < n; i++ {
-			w.out = proto.AppendValsEntry(w.out, h.vals[i], h.found[i])
-		}
+		w.keys, err = proto.DecodeMGet(p, w.keys)
 	case proto.OpMPut:
-		var err error
-		h.keys, h.vals, err = proto.DecodeMPut(p, h.keys, h.vals)
-		if err != nil {
-			w.fail(err.Error())
-			return false
+		w.keys, w.vals, err = proto.DecodeMPut(p, w.keys, w.vals)
+		w.pairs = w.pairs[:0]
+		for i, k := range w.keys {
+			w.pairs = append(w.pairs, kv.Pair{K: k, V: w.vals[i]})
 		}
-		if cap(h.pairs) < len(h.keys) {
-			h.pairs = make([]kv.Pair, 0, proto.MaxOps)
-		}
-		h.pairs = h.pairs[:0]
-		for i := range h.keys {
-			h.pairs = append(h.pairs, kv.Pair{K: h.keys[i], V: h.vals[i]})
-		}
-		w.submitBatch(h.pairs)
-	case proto.OpStats:
-		w.barrier()
-		w.out = proto.AppendStatsReply(w.out, h.srv.statsText())
-	case proto.OpQuit:
-		w.barrier()
-		w.out = proto.AppendBye(w.out)
-		return true
+	case proto.OpStats, proto.OpQuit:
 	default:
 		w.fail("unknown opcode")
+		return false
 	}
-	return false
-}
-
-// statsText renders the STATS body shared by both protocols: one line per
-// shard, the total line, the stripes line (END is the text protocol's
-// framing and stays out).
-func (s *Server) statsText() []byte {
-	var b strings.Builder
-	stats := s.st.Stats()
-	for _, st := range stats {
-		fmt.Fprintln(&b, st)
-	}
-	fmt.Fprintln(&b, kv.Totals(stats))
-	fmt.Fprintln(&b, s.st.StripeSummary())
-	return []byte(b.String())
-}
-
-// textHandler is one text-protocol connection's state.
-type textHandler struct {
-	srv *Server
-	win *window
-}
-
-// command decodes one request line and hands it to the window; it reports
-// whether the connection should close.
-func (h *textHandler) command(f []string) (quit bool) {
-	verb := strings.ToUpper(f[0])
-	if stall := h.srv.opts.Stall; stall != nil {
-		stall(verb)
-	}
-	w := h.win
-	switch verb {
-	case "PUT":
-		k, v, err := parse2(f)
-		if err != nil {
-			w.fail(fmt.Sprintf("usage: PUT <key> <value> (%v)", err))
-			return false
-		}
-		w.submit(slotAck, kv.OpPut, k, v)
-	case "GET":
-		k, err := parse1(f)
-		if err != nil {
-			w.fail(fmt.Sprintf("usage: GET <key> (%v)", err))
-			return false
-		}
-		w.get(k)
-	case "DEL":
-		k, err := parse1(f)
-		if err != nil {
-			w.fail(fmt.Sprintf("usage: DEL <key> (%v)", err))
-			return false
-		}
-		w.submit(slotDel, kv.OpDel, k, 0)
-	case "INCR", "DECR":
-		k, d, err := parse2(f)
-		if err != nil {
-			w.fail(fmt.Sprintf("usage: %s <key> <delta> (%v)", verb, err))
-			return false
-		}
-		op := kv.OpIncr
-		if verb == "DECR" {
-			op = kv.OpDecr
-		}
-		w.submit(slotCounter, op, k, d)
-	case "SCAN":
-		start, n, err := parse2(f)
-		if err != nil {
-			w.fail(fmt.Sprintf("usage: SCAN <start> <count> (%v)", err))
-			return false
-		}
-		if n > MaxScan {
-			n = MaxScan
-		}
-		w.barrier()
-		pairs, err := w.st.Scan(start, int(n))
-		if err != nil {
+	if err != nil {
+		switch op {
+		case proto.OpMGet, proto.OpMPut:
 			w.fail(err.Error())
+		case proto.OpIncr, proto.OpDecr:
+			w.fail("bad counter payload")
+		default:
+			w.fail("bad " + proto.VerbName(op) + " payload")
+		}
+		return false
+	}
+	return w.exec(op, a, b)
+}
+
+// textOp returns the opcode of a text verb, in any case, or 0 for none.
+func textOp(verb string) byte {
+	for op := proto.OpPut; op <= proto.OpQuit; op++ {
+		if strings.EqualFold(verb, proto.VerbName(op)) {
+			return op
+		}
+	}
+	return 0
+}
+
+// syntax is a text verb's operand syntax, for its usage error.
+var syntax = [...]string{
+	proto.OpPut: "<key> <value>", proto.OpGet: "<key>", proto.OpDel: "<key>",
+	proto.OpIncr: "<key> <delta>", proto.OpDecr: "<key> <delta>", proto.OpScan: "<start> <count>",
+	proto.OpMGet: "<key> ...", proto.OpMPut: "<key> <value> ...",
+}
+
+// command parses one text request line, f its fields, into the window's
+// operands and executes it there; it reports whether the connection
+// should close. MGET and MPUT are bounded at proto.MaxOps before an
+// operand is read, as the binary decoder bounds its count prefix.
+func (s *Server) command(w *window, f []string) (quit bool) {
+	op := textOp(f[0])
+	s.stall(op)
+	var a, b uint64
+	var err error
+	switch n := len(f) - 1; op {
+	case proto.OpPut, proto.OpIncr, proto.OpDecr, proto.OpScan:
+		a, b, err = parse2(f)
+	case proto.OpGet, proto.OpDel:
+		a, err = parse1(f)
+	case proto.OpMGet, proto.OpMPut:
+		if n == 0 || op == proto.OpMPut && n%2 != 0 {
+			w.fail("usage: " + proto.VerbName(op) + " " + syntax[op])
 			return false
 		}
-		w.out = append(w.out, "RANGE "...)
-		w.out = strconv.AppendInt(w.out, int64(len(pairs)), 10)
-		for _, p := range pairs {
-			w.out = append(w.out, ' ')
-			w.out = strconv.AppendUint(w.out, p.K, 10)
-			w.out = append(w.out, ' ')
-			w.out = strconv.AppendUint(w.out, p.V, 10)
-		}
-		w.out = append(w.out, '\n')
-	case "MGET":
-		if len(f) < 2 {
-			w.fail("usage: MGET <key> ...")
-			return false
-		}
-		if len(f)-1 > proto.MaxOps {
+		if op == proto.OpMGet && n > proto.MaxOps {
 			w.fail(fmt.Sprintf("MGET accepts at most %d keys", proto.MaxOps))
 			return false
 		}
-		keys := make([]uint64, len(f)-1)
-		for i, tok := range f[1:] {
-			k, err := strconv.ParseUint(tok, 10, 64)
-			if err != nil {
-				w.fail(fmt.Sprintf("usage: MGET <key> ... (%v)", err))
-				return false
-			}
-			keys[i] = k
-		}
-		vals := make([]uint64, len(keys))
-		found := make([]bool, len(keys))
-		w.barrier()
-		if err := w.st.GetBatch(keys, vals, found); err != nil {
-			w.fail(err.Error())
-			return false
-		}
-		w.out = append(w.out, "VALS "...)
-		w.out = strconv.AppendInt(w.out, int64(len(keys)), 10)
-		for i := range keys {
-			if found[i] {
-				w.out = append(w.out, ' ')
-				w.out = strconv.AppendUint(w.out, vals[i], 10)
-			} else {
-				w.out = append(w.out, " NIL"...)
-			}
-		}
-		w.out = append(w.out, '\n')
-	case "MPUT":
-		if len(f) < 3 || (len(f)-1)%2 != 0 {
-			w.fail("usage: MPUT <key> <value> ...")
-			return false
-		}
-		if (len(f)-1)/2 > proto.MaxOps {
+		if op == proto.OpMPut && n/2 > proto.MaxOps {
 			w.fail(fmt.Sprintf("MPUT accepts at most %d pairs", proto.MaxOps))
 			return false
 		}
-		pairs := make([]kv.Pair, 0, (len(f)-1)/2)
-		for i := 1; i < len(f); i += 2 {
-			k, err := strconv.ParseUint(f[i], 10, 64)
-			if err == nil {
-				var v uint64
-				v, err = strconv.ParseUint(f[i+1], 10, 64)
-				if err == nil {
-					pairs = append(pairs, kv.Pair{K: k, V: v})
-					continue
-				}
+		w.keys = w.keys[:0]
+		for _, tok := range f[1:] {
+			var k uint64
+			if k, err = strconv.ParseUint(tok, 10, 64); err != nil {
+				break
 			}
-			w.fail(fmt.Sprintf("usage: MPUT <key> <value> ... (%v)", err))
-			return false
+			w.keys = append(w.keys, k)
 		}
-		w.submitBatch(pairs)
-	case "STATS":
-		w.barrier()
-		w.out = append(w.out, h.srv.statsText()...)
-		w.out = append(w.out, "END\n"...)
-	case "QUIT":
-		w.barrier()
-		w.out = append(w.out, "BYE\n"...)
-		return true
+		w.pairs = w.pairs[:0]
+		for i := 1; op == proto.OpMPut && i < len(w.keys); i += 2 {
+			w.pairs = append(w.pairs, kv.Pair{K: w.keys[i-1], V: w.keys[i]})
+		}
+	case proto.OpStats, proto.OpQuit:
 	default:
 		w.fail(fmt.Sprintf("unknown command %q", f[0]))
+		return false
 	}
-	return false
+	if err != nil {
+		w.fail(fmt.Sprintf("usage: %s %s (%v)", proto.VerbName(op), syntax[op], err))
+		return false
+	}
+	return w.exec(op, a, b)
 }
 
+// parse1 parses the one operand of f, a request line's fields.
 func parse1(f []string) (uint64, error) {
 	if len(f) != 2 {
 		return 0, fmt.Errorf("want 1 operand, got %d", len(f)-1)
@@ -562,6 +407,7 @@ func parse1(f []string) (uint64, error) {
 	return strconv.ParseUint(f[1], 10, 64)
 }
 
+// parse2 parses the two operands of f, a request line's fields.
 func parse2(f []string) (uint64, uint64, error) {
 	if len(f) != 3 {
 		return 0, 0, fmt.Errorf("want 2 operands, got %d", len(f)-1)

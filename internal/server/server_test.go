@@ -3,13 +3,14 @@ package server
 import (
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
 	"nvmcache/internal/kv"
 	"nvmcache/internal/nvclient"
 	"nvmcache/internal/pmem"
+	"nvmcache/internal/proto"
 )
 
 func testServer(t *testing.T, opts Options) (*Server, *nvclient.Client) {
@@ -201,7 +202,7 @@ func TestCounterVerbs(t *testing.T) {
 // loadgen diffs: every shard line and the total line carry exactly these
 // keys, in this (sorted) order, whatever the counters hold.
 func TestStatsKeySchema(t *testing.T) {
-	want := "aborts avg_batch batches commit_p50_cyc commit_p99_cyc decrs dels descents " +
+	want := "aborts avg_batch batches decrs dels descents " +
 		"flush_async flush_barriers flush_drained flush_ratio flushes gets incrs ops puts scans"
 	srv, cl := testServer(t, Options{})
 	defer srv.Shutdown()
@@ -238,28 +239,49 @@ func TestStatsKeySchema(t *testing.T) {
 	}
 }
 
+// TestStallHook: in both dialects the Stall hook runs once per request,
+// before the request executes, with the same verb name — a malformed
+// request's verb too, and "?" for an unknown one — so a sleeping hook
+// delays exactly the requests it names.
 func TestStallHook(t *testing.T) {
-	var stalls atomic.Int64
-	srv, cl := testServer(t, Options{Stall: func(verb string) {
-		if verb == "GET" {
-			stalls.Add(1)
-			time.Sleep(5 * time.Millisecond)
+	reqs := []parityStep{
+		{text: "PUT 1 2", bin: proto.AppendPut(nil, 1, 2)},
+		{text: "GET 1", bin: proto.AppendGet(nil, 1)},
+		{text: "get x", bin: frameOf(proto.OpGet, nil)},
+		{text: "MGET 1 2", bin: proto.AppendMGet(nil, []uint64{1, 2})},
+		{text: "BOGUS 1", bin: frameOf(0x7f, nil)},
+		{text: "STATS", bin: proto.AppendStats(nil)},
+		{text: "QUIT", bin: proto.AppendQuit(nil)},
+	}
+	const want = "PUT GET GET MGET ? STATS QUIT"
+	dialects(t, func(t *testing.T, binary bool) {
+		var mu sync.Mutex
+		var verbs []string
+		srv, cl := testServer(t, Options{Stall: func(verb string) {
+			mu.Lock()
+			verbs = append(verbs, verb)
+			mu.Unlock()
+			if verb == "GET" {
+				time.Sleep(5 * time.Millisecond)
+			}
+		}})
+		defer srv.Shutdown()
+		cl.Close()
+		c, r := dialWindow(t, srv)
+		defer c.Close()
+		for _, req := range reqs {
+			start := time.Now()
+			exchange(t, c, r, binary, req)
+			if d := time.Since(start); strings.EqualFold(req.text[:3], "GET") && d < 5*time.Millisecond {
+				t.Errorf("%s: the stall hook did not delay it (%v)", req.text, d)
+			}
 		}
-	}})
-	defer srv.Shutdown()
-	if err := cl.Put(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, _, err := cl.Get(1); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 5*time.Millisecond {
-		t.Fatalf("stall hook did not delay the GET (%v)", d)
-	}
-	if stalls.Load() != 1 {
-		t.Fatalf("stall hook ran %d times, want 1", stalls.Load())
-	}
+		mu.Lock()
+		defer mu.Unlock()
+		if got := strings.Join(verbs, " "); got != want {
+			t.Errorf("stall hook saw %q, want %q", got, want)
+		}
+	})
 }
 
 // TestPipelinedWindow drives the server with the client's pipelined calls:

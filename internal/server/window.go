@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 
 	"nvmcache/internal/kv"
 	"nvmcache/internal/proto"
@@ -39,10 +41,12 @@ type slot struct {
 	ticket kv.Ticket
 }
 
-// window is one connection's request window, shared by both dialects. The
-// handler decodes every request it can already read and hands each to the
-// window without waiting: a mutation is queued on its shard at once, and
-// the replies are emitted strictly in request order. Emitting a reply
+// window is one connection's request window, shared by both dialects, and
+// the one place each verb executes (exec), replying in the connection's
+// dialect; the handlers only parse. A handler decodes every request it can
+// already read and hands each to the window without waiting: a mutation is
+// queued on its shard at once, and the replies are emitted strictly in
+// request order. Emitting a reply
 // waits on its ticket, which commits whatever that shard has queued, so
 // the handler's own goroutine commits its window — a pipelined window of
 // writes shares group commits instead of committing one by one, and the
@@ -79,11 +83,19 @@ type window struct {
 	// write is in flight exactly while that mark is above head.
 	lastWrite []uint64
 	lastBatch uint64
+
+	// The connection's operand and result buffers for the batched verbs,
+	// reused: the parsers fill keys, vals and pairs, mget vals and found.
+	keys  []uint64
+	vals  []uint64
+	found []bool
+	pairs []kv.Pair
 }
 
 func newWindow(st *kv.Store, text bool) *window {
 	return &window{st: st, text: text, out: make([]byte, 0, connBufSize),
-		lastWrite: make([]uint64, st.Shards())}
+		lastWrite: make([]uint64, st.Shards()),
+		vals:      make([]uint64, 0, proto.MaxOps), found: make([]bool, proto.MaxOps)}
 }
 
 func (w *window) empty() bool { return w.head == w.tail }
@@ -105,18 +117,48 @@ func (w *window) push(kind slotKind) *slot {
 	return s
 }
 
-// submit queues a single-key mutation on its shard and moves on.
-func (w *window) submit(kind slotKind, op kv.Op, k, v uint64) {
-	s := w.push(kind)
-	w.st.Submit(&s.ticket, op, k, v)
-	w.lastWrite[w.st.ShardFor(k)] = w.tail
+// exec executes one parsed request with opcode op: a and b are its key and
+// value or delta, or SCAN's start and count; MGET's keys and MPUT's pairs
+// are in the window's buffers. It reports whether the connection should
+// close.
+func (w *window) exec(op byte, a, b uint64) (quit bool) {
+	switch op {
+	case proto.OpPut, proto.OpDel, proto.OpIncr, proto.OpDecr:
+		w.mutate(op, a, b)
+	case proto.OpGet:
+		w.get(a)
+	case proto.OpScan:
+		w.scan(a, b)
+	case proto.OpMGet:
+		w.mget()
+	case proto.OpMPut:
+		s := w.push(slotAck)
+		w.st.SubmitBatch(&s.ticket, w.pairs)
+		w.lastBatch = w.tail
+	case proto.OpStats:
+		w.stats()
+	case proto.OpQuit:
+		w.quit()
+		return true
+	}
+	return false
 }
 
-// submitBatch is submit for an MPUT.
-func (w *window) submitBatch(pairs []kv.Pair) {
-	s := w.push(slotAck)
-	w.st.SubmitBatch(&s.ticket, pairs)
-	w.lastBatch = w.tail
+// mutate queues a PUT, DEL, INCR or DECR (op) of k on its shard and moves
+// on; v is the value or the delta.
+func (w *window) mutate(op byte, k, v uint64) {
+	kind, kop := slotAck, kv.OpPut
+	switch op {
+	case proto.OpDel:
+		kind, kop = slotDel, kv.OpDel
+	case proto.OpIncr:
+		kind, kop = slotCounter, kv.OpIncr
+	case proto.OpDecr:
+		kind, kop = slotCounter, kv.OpDecr
+	}
+	s := w.push(kind)
+	w.st.Submit(&s.ticket, kop, k, v)
+	w.lastWrite[w.st.ShardFor(k)] = w.tail
 }
 
 // get serves a GET: queued behind this connection's writes in flight on the
@@ -142,6 +184,90 @@ func (w *window) get(k uint64) {
 		w.replyVal(v)
 	default:
 		w.replyNil()
+	}
+}
+
+// scan answers a SCAN of up to n pairs (at most MaxScan) from start, after
+// every write in flight.
+func (w *window) scan(start, n uint64) {
+	w.barrier()
+	pairs, err := w.st.Scan(start, int(min(n, MaxScan)))
+	if err != nil {
+		w.replyErr(err.Error())
+		return
+	}
+	if !w.text {
+		w.out = proto.AppendRangeHeader(w.out, len(pairs))
+		for _, p := range pairs {
+			w.out = proto.AppendU64(w.out, p.K)
+			w.out = proto.AppendU64(w.out, p.V)
+		}
+		return
+	}
+	w.out = strconv.AppendInt(append(w.out, "RANGE "...), int64(len(pairs)), 10)
+	for _, p := range pairs {
+		w.out = strconv.AppendUint(append(w.out, ' '), p.K, 10)
+		w.out = strconv.AppendUint(append(w.out, ' '), p.V, 10)
+	}
+	w.out = append(w.out, '\n')
+}
+
+// mget answers an MGET of the window's keys (at most proto.MaxOps, which
+// both parsers enforce) in input order, after every write in flight.
+func (w *window) mget() {
+	n := len(w.keys)
+	vals, found := w.vals[:n], w.found[:n]
+	w.barrier()
+	if err := w.st.GetBatch(w.keys, vals, found); err != nil {
+		w.replyErr(err.Error())
+		return
+	}
+	if !w.text {
+		w.out = proto.AppendValsHeader(w.out, n)
+		for i := range vals {
+			w.out = proto.AppendValsEntry(w.out, vals[i], found[i])
+		}
+		return
+	}
+	w.out = strconv.AppendInt(append(w.out, "VALS "...), int64(n), 10)
+	for i := range vals {
+		if found[i] {
+			w.out = strconv.AppendUint(append(w.out, ' '), vals[i], 10)
+		} else {
+			w.out = append(w.out, " NIL"...)
+		}
+	}
+	w.out = append(w.out, '\n')
+}
+
+// stats answers STATS, after every write in flight: one line per shard,
+// the total line and the stripes line, which the text dialect ends with
+// END.
+func (w *window) stats() {
+	w.barrier()
+	var b strings.Builder
+	stats := w.st.Stats()
+	for _, st := range stats {
+		fmt.Fprintln(&b, st)
+	}
+	fmt.Fprintln(&b, kv.Totals(stats))
+	fmt.Fprintln(&b, w.st.StripeSummary())
+	if !w.text {
+		w.out = proto.AppendStatsReply(w.out, []byte(b.String()))
+		return
+	}
+	w.out = append(w.out, b.String()...)
+	w.out = append(w.out, "END\n"...)
+}
+
+// quit answers QUIT, after every request before it; the handler then
+// closes the connection.
+func (w *window) quit() {
+	w.barrier()
+	if w.text {
+		w.out = append(w.out, "BYE\n"...)
+	} else {
+		w.out = proto.AppendBye(w.out)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"nvmcache/internal/atlas"
 	"nvmcache/internal/kv"
 	"nvmcache/internal/pmem"
 	"nvmcache/internal/proto"
@@ -44,8 +45,9 @@ func encodeWindow(binary bool, ops []wireOp) []byte {
 }
 
 // readReplies reads n replies off the connection and renders each as the
-// text protocol would ("OK", "NIL", "VAL 7", "ERR ..."), so one expectation
-// serves both dialects.
+// text protocol would ("OK", "NIL", "VAL 7", "ERR ...", "RANGE 1 2 3",
+// "VALS 2 7 NIL", "BYE"; STATS as its lines without END), so one
+// expectation serves both dialects.
 func readReplies(t *testing.T, binary bool, r *bufio.Reader, n int) []string {
 	t.Helper()
 	out := make([]string, 0, n)
@@ -53,32 +55,62 @@ func readReplies(t *testing.T, binary bool, r *bufio.Reader, n int) []string {
 	for i := 0; i < n; i++ {
 		if !binary {
 			line, err := r.ReadString('\n')
+			for err == nil && strings.HasPrefix(line, "shard=") && !strings.HasSuffix(line, "\nEND\n") {
+				var more string // the rest of a STATS reply
+				more, err = r.ReadString('\n')
+				line += more
+			}
 			if err != nil {
 				t.Fatalf("reply %d of %d: %v (got %q)", i, n, err, out)
 			}
-			out = append(out, strings.TrimSuffix(line, "\n"))
+			out = append(out, strings.TrimSuffix(strings.TrimSuffix(line, "\n"), "\nEND"))
 			continue
 		}
 		op, p, err := proto.ReadFrame(r, &scratch)
 		if err != nil {
 			t.Fatalf("reply frame %d of %d: %v (got %q)", i, n, err, out)
 		}
+		var rep []byte
 		switch op {
 		case proto.RepOK:
-			out = append(out, "OK")
+			rep = append(rep, "OK"...)
 		case proto.RepNil:
-			out = append(out, "NIL")
+			rep = append(rep, "NIL"...)
+		case proto.RepBye:
+			rep = append(rep, "BYE"...)
 		case proto.RepVal:
-			v, err := proto.DecodeVal(p)
-			if err != nil {
-				t.Fatalf("reply frame %d: %v", i, err)
-			}
-			out = append(out, fmt.Sprintf("VAL %d", v))
+			v, verr := proto.DecodeVal(p)
+			rep, err = fmt.Appendf(rep, "VAL %d", v), verr
 		case proto.RepErr:
-			out = append(out, "ERR "+string(p))
+			rep = append(append(rep, "ERR "...), p...)
+		case proto.RepStats:
+			rep = bytes.TrimSuffix(append(rep, p...), []byte("\n"))
+		case proto.RepRange:
+			var ks, vs []uint64
+			ks, vs, err = proto.DecodeRange(p)
+			rep = fmt.Appendf(rep, "RANGE %d", len(ks))
+			for j := range ks {
+				rep = fmt.Appendf(rep, " %d %d", ks[j], vs[j])
+			}
+		case proto.RepVals:
+			var vs []uint64
+			var found []bool
+			vs, found, err = proto.DecodeVals(p, nil, nil)
+			rep = fmt.Appendf(rep, "VALS %d", len(vs))
+			for j := range vs {
+				if found[j] {
+					rep = fmt.Appendf(rep, " %d", vs[j])
+				} else {
+					rep = append(rep, " NIL"...)
+				}
+			}
 		default:
-			t.Fatalf("reply frame %d: unexpected opcode %d", i, op)
+			err = fmt.Errorf("unexpected opcode %d", op)
 		}
+		if err != nil {
+			t.Fatalf("reply frame %d: %v", i, err)
+		}
+		out = append(out, string(rep))
 	}
 	return out
 }
@@ -233,7 +265,12 @@ func TestWindowCrashMidWindow(t *testing.T) {
 		kvOpts.Shards = 2
 		kvOpts.MaxBatch = 8
 		var armed atomic.Bool
-		kvOpts.CrashBeforeCommit = func(shard, batch, size int) bool { return armed.Load() && batch >= 5 }
+		var commits [2]atomic.Int64 // FASEs that reached their commit, per shard
+		kvOpts.Events = func(site atlas.Site, shard int, _ uint64) {
+			if site == atlas.SitePreCommit && commits[shard].Add(1) > 5 && armed.Load() {
+				panic(atlas.Crash{Site: site})
+			}
+		}
 		heap := pmem.New(2 * int(kv.RecommendedHeapBytes(kvOpts)))
 		st, err := kv.Open(heap, kvOpts)
 		if err != nil {
@@ -287,7 +324,7 @@ func TestWindowCrashMidWindow(t *testing.T) {
 			}
 		}
 		// No acked write lost.
-		kvOpts.CrashBeforeCommit = nil
+		kvOpts.Events = nil
 		st2, _, err := kv.Recover(heap, kvOpts)
 		if err != nil {
 			t.Fatal(err)
