@@ -61,7 +61,6 @@ package kv
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,6 +81,10 @@ var (
 	// full; an in-place batch (overwrites of present keys) leaves each of
 	// its keys with its old or its new value, untorn.
 	ErrCrashed = errors.New("kv: store crashed")
+	// ErrTooManySnapshots reports a Snapshot refused because half of its
+	// shard's reader table is already held by Snapshots: the other half is
+	// kept for the reads in progress.
+	ErrTooManySnapshots = errors.New("kv: too many snapshots held on the shard")
 )
 
 // Options configures a Store. Use DefaultOptions as the base; zero numeric
@@ -224,8 +227,9 @@ type Store struct {
 	crashing  atomic.Bool
 	crashDone chan struct{} // closed when the crash has fully taken effect
 
-	mu    sync.RWMutex
-	state int
+	// state is stateServing, then stateClosed or stateCrashed. Readers load
+	// it after they pin (see shard.pin); the queues carry their own copy.
+	state atomic.Int32
 }
 
 func runtimeOptions(o Options) atlas.Options {
@@ -343,25 +347,15 @@ func (s *Store) ShardFor(k uint64) int { return ShardIndex(k, len(s.shards)) }
 // Heap returns the underlying persistent heap.
 func (s *Store) Heap() *pmem.Heap { return s.heap }
 
-// enqueue queues a request on its shard. The read lock is held across the
-// push so state transitions (Close, the crash taking effect) cannot race
-// it. A full queue is not waited on: the caller commits a batch of it
-// itself, as a Wait would, and tries again.
+// enqueue queues a request on its shard, or returns ErrClosed or
+// ErrCrashed once Close or the crash has shut the shard's queue (they shut
+// it under the lock push takes, so no push races them). A full queue is not
+// waited on: the caller commits a batch of it itself, as a Wait would, and
+// tries again.
 func (s *Store) enqueue(sh *shard, r request) error {
 	for {
-		s.mu.RLock()
-		if s.state != stateServing {
-			st := s.state
-			s.mu.RUnlock()
-			if st == stateCrashed {
-				return ErrCrashed
-			}
-			return ErrClosed
-		}
-		queued := sh.q.push(r)
-		s.mu.RUnlock()
-		if queued {
-			return nil
+		if err := sh.q.push(r); err != errQueueFull {
+			return err
 		}
 		if s.crashing.Load() {
 			return ErrCrashed
@@ -522,72 +516,72 @@ const getBatchShards = 64
 
 // GetBatch reads keys[i] into vals[i] and found[i] (both must be at
 // least len(keys) long) from each shard's last committed snapshot — the
-// wire protocol's MGET. The store lock is taken once and each shard's
-// snapshot is pinned at most once, so the view is per-shard consistent
-// exactly like a sequence of Gets, at a fraction of the synchronization.
-// Like Snapshot, each shard's view is a pinned cut: it waits out an
-// in-place commit in flight, and the shard commits copy-on-write until
-// the call returns.
+// wire protocol's MGET. Each shard's snapshot is pinned at most once, so the
+// view is per-shard consistent exactly like a sequence of Gets, at a
+// fraction of the synchronization. Like Snapshot, each shard's view is a
+// pinned cut: it waits out an in-place commit in flight, and the shard
+// commits copy-on-write until the call returns. The shards are pinned in
+// index order, so two GetBatches never wait on each other for reader slots.
 // Allocation-free for stores with up to getBatchShards shards.
 func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.state == stateCrashed {
-		return ErrCrashed
-	}
 	ns := len(s.shards)
-	var rootsArr, gensArr [getBatchShards]uint64
-	var pinnedArr [getBatchShards]bool
-	roots, gens, pinned := rootsArr[:], gensArr[:], pinnedArr[:]
+	var rootsArr [getBatchShards]uint64
+	var pinsArr [getBatchShards]*readerSlot
+	var touchedArr [getBatchShards]bool
+	roots, pins, touched := rootsArr[:], pinsArr[:], touchedArr[:]
 	if ns > getBatchShards {
 		roots = make([]uint64, ns)
-		gens = make([]uint64, ns)
-		pinned = make([]bool, ns)
+		pins = make([]*readerSlot, ns)
+		touched = make([]bool, ns)
+	}
+	for _, k := range keys {
+		touched[ShardIndex(k, ns)] = true
 	}
 	var err error
-	for i, k := range keys {
-		si := ShardIndex(k, ns)
-		sh := s.shards[si]
-		if !pinned[si] {
-			if roots[si], gens[si], err = sh.acquireCut(); err != nil {
-				break
-			}
-			pinned[si] = true
+	for si := 0; si < ns && err == nil; si++ {
+		if touched[si] {
+			pins[si], roots[si], _, err = s.shards[si].acquireCut(uint32(keys[0]), 0)
 		}
-		vals[i], found[i] = sh.db.GetSnapshot(roots[si], k)
-		sh.gets.Add(1)
+	}
+	if err == nil {
+		for i, k := range keys {
+			si := ShardIndex(k, ns)
+			vals[i], found[i] = s.shards[si].db.GetSnapshot(roots[si], k)
+			bump(&pins[si].gets)
+		}
 	}
 	for si := 0; si < ns; si++ {
-		if pinned[si] {
-			s.shards[si].releaseCut(gens[si])
+		if pins[si] != nil {
+			s.shards[si].releaseCut(pins[si])
 		}
 	}
 	return err
 }
 
 // Get reads k from the shard's last committed snapshot, without entering a
-// queue: it pins the snapshot, asks the shard's slot cache for k's leaf
-// entry, and descends from the pinned root only when the cache has none that
-// is still in the published tree. A reader never blocks a commit, and a
-// commit blocks a reader only while an in-place commit's words are stored
-// but not yet durable — at most one such commit, because a reader that has
-// to wait holds the shard's commits to copy-on-write until it is through
-// (see Snapshot). A read that must see the caller's own writes still in
-// flight is a Submit of OpGet instead. Reads keep working after Close (the
-// heap stays attached) but not after a crash.
-func (s *Store) Get(k uint64) (uint64, bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.state == stateCrashed {
-		return 0, false, ErrCrashed
-	}
-	sh := s.shards[ShardIndex(k, len(s.shards))]
-	v, ok, err := sh.read(k)
-	sh.gets.Add(1)
-	return v, ok, err
+// queue or taking a lock: it pins the snapshot in a free slot of the
+// shard's reader table, asks the shard's slot cache for k's leaf entry, and
+// descends from the pinned root only when the cache has none that is still
+// in the published tree. Its only store to shared memory is to the slot,
+// on a cache line of its own. A reader never blocks a commit, and a commit
+// blocks a reader only while an in-place commit's words are stored but not
+// yet durable — at most one such commit, because a reader that has to wait
+// holds the shard's commits to copy-on-write until it is through (see
+// Snapshot). A read that must see the caller's own writes still in flight
+// is a Submit of OpGet instead. Reads keep working after Close (the heap
+// stays attached) but not after a crash.
+func (s *Store) Get(k uint64) (uint64, bool, error) { return s.GetHinted(k, uint32(k)) }
+
+// GetHinted is Get with the caller's choice of where in the reader table
+// its search for a free slot starts. A caller that reads on and on from one
+// goroutine — a server connection — passes the same hint every time and
+// keeps reusing its own slot's cache line; callers with distinct hints
+// rarely meet on a slot.
+func (s *Store) GetHinted(k uint64, hint uint32) (uint64, bool, error) {
+	return s.shards[ShardIndex(k, len(s.shards))].read(k, hint)
 }
 
 // Pair is one key/value returned by Scan.
@@ -604,14 +598,9 @@ func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.state == stateCrashed {
-		return nil, ErrCrashed
-	}
 	all := make([]Pair, 0, n)
 	for _, sh := range s.shards {
-		root, gen, err := sh.acquireCut()
+		rs, root, _, err := sh.acquireCut(uint32(start), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -620,7 +609,7 @@ func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 			all = append(all, Pair{c.Key(), c.Value()})
 			taken++
 		}
-		sh.releaseCut(gen)
+		sh.releaseCut(rs)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].K < all[j].K })
 	if len(all) > n {
@@ -634,28 +623,32 @@ func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 // sees that exact tree regardless of concurrent commits, because the pages
 // it references are not recycled until Release and, while it is held, the
 // shard commits copy-on-write only (no in-place overwrite reaches a leaf
-// the snapshot shares). Snapshots must be released
-// before Crash; reads concurrent with a power failure are undefined.
+// the snapshot shares). A Snapshot holds a slot of the shard's reader
+// table until Release; at most half the table may be held so, and past
+// that Snapshot returns ErrTooManySnapshots. A held Snapshot does not hold
+// up Crash, so it must be released before one: reads concurrent with a
+// power failure are undefined.
 func (s *Store) Snapshot(shard int) (*Snapshot, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("kv: shard %d out of range [0,%d)", shard, len(s.shards))
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.state == stateCrashed {
-		return nil, ErrCrashed
-	}
 	sh := s.shards[shard]
-	root, gen, err := sh.acquireCut()
+	if sh.held.Add(1) > readerSlots/2 {
+		sh.held.Add(-1)
+		return nil, ErrTooManySnapshots
+	}
+	rs, root, gen, err := sh.acquireCut(0, heldPin)
 	if err != nil {
+		sh.held.Add(-1)
 		return nil, err
 	}
-	return &Snapshot{sh: sh, root: root, gen: gen}, nil
+	return &Snapshot{sh: sh, rs: rs, root: root, gen: gen}, nil
 }
 
 // Snapshot is a pinned read-only view of one shard.
 type Snapshot struct {
 	sh       *shard
+	rs       *readerSlot
 	root     uint64
 	gen      uint64
 	released bool
@@ -676,7 +669,8 @@ func (sn *Snapshot) Release() {
 		return
 	}
 	sn.released = true
-	sn.sh.releaseCut(sn.gen)
+	sn.sh.releaseCut(sn.rs)
+	sn.sh.held.Add(-1)
 }
 
 // Close drains every shard gracefully: requests are accepted no more,
@@ -684,18 +678,14 @@ func (sn *Snapshot) Release() {
 // and the runtime's residual dirty state is persisted. Reads remain
 // possible afterwards.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.state != stateServing {
-		st := s.state
-		s.mu.Unlock()
-		if st == stateCrashed {
+	if !s.state.CompareAndSwap(stateServing, stateClosed) {
+		if s.state.Load() == stateCrashed {
 			return ErrCrashed
 		}
 		return nil
 	}
-	s.state = stateClosed
-	s.mu.Unlock()
 	for _, sh := range s.shards {
+		sh.q.close(stateClosed)
 		sh.serve(nil)
 	}
 	if s.crashing.Load() {
@@ -719,8 +709,11 @@ func (s *Store) Crashed() <-chan struct{} { return s.crashDone }
 // initiateCrash coordinates the failure: it takes every shard's commit lock
 // first, which waits out the commits in flight (each sees crashing at its
 // next check and stops), so no goroutine mutates the heap while its
-// volatile view is dropped; then, still holding them, it fails every
-// queued request. except is the shard whose committer initiates
+// volatile view is dropped. Then it sets the state, which every reader
+// checks after it pins, and waits out the reads already pinned, so none
+// reads the heap while it is dropped either; a held Snapshot is not waited
+// for. Last, still holding the locks, it shuts every queue and fails the
+// requests queued there. except is the shard whose committer initiates
 // the crash from inside its own FASE (an injected crash), which holds
 // that lock already and nacks its own batch after this returns.
 func (s *Store) initiateCrash(except *shard) error {
@@ -732,17 +725,18 @@ func (s *Store) initiateCrash(except *shard) error {
 			sh.commitMu.Lock()
 		}
 	}
-	s.mu.Lock()
-	s.state = stateCrashed
+	s.state.Store(stateCrashed)
+	for _, sh := range s.shards {
+		sh.waitReads()
+	}
 	s.heap.Crash()
-	s.mu.Unlock()
 	// No Get can be inside a shard now and no commit can start, so the slot
 	// caches pass to whichever recovery comes next.
 	for _, sh := range s.shards {
 		slotCaches.Put(sh.cache)
 		// Not through gather: a committer that initiated the crash still owes
 		// the batch in its buffer the nack.
-		nackAll(sh.q.take(nil, math.MaxInt), ErrCrashed)
+		nackAll(sh.q.close(stateCrashed), ErrCrashed)
 	}
 	for _, sh := range s.shards {
 		if sh != except {

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -179,7 +180,7 @@ func readOnly(batch []request) bool {
 }
 
 // genPages are the pages superseded by the commit of generation gen; a
-// snapshot of any generation < gen may still read them.
+// reader pinned to any generation < gen may still read them.
 type genPages struct {
 	gen   uint64
 	pages []uint64
@@ -193,14 +194,27 @@ type queue struct {
 	buf  []request
 	head int // slot of the oldest request
 	n    int // requests queued
+	// shut is stateServing while the queue accepts requests, then
+	// stateClosed or stateCrashed: Close and the crash set it here, under
+	// mu, so no push can slip past either.
+	shut int
 }
 
-// push appends r unless the queue is full.
-func (q *queue) push(r request) bool {
+// errQueueFull is push's refusal of a request to a full queue.
+var errQueueFull = errors.New("kv: shard queue full")
+
+// push appends r unless the queue is full (errQueueFull) or shut (ErrClosed,
+// ErrCrashed).
+func (q *queue) push(r request) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.n == len(q.buf) {
-		return false
+	switch {
+	case q.shut == stateCrashed:
+		return ErrCrashed
+	case q.shut == stateClosed:
+		return ErrClosed
+	case q.n == len(q.buf):
+		return errQueueFull
 	}
 	i := q.head + q.n
 	if i >= len(q.buf) {
@@ -208,7 +222,21 @@ func (q *queue) push(r request) bool {
 	}
 	q.buf[i] = r
 	q.n++
-	return true
+	return nil
+}
+
+// close stops the queue taking requests: state is stateClosed or
+// stateCrashed, and a crash overrides a close. On a crash it also hands
+// back every request still queued, for the crash to nack. Requests queued
+// before a close stay for the commit that drains them.
+func (q *queue) close(state int) []request {
+	q.mu.Lock()
+	q.shut = max(q.shut, state)
+	q.mu.Unlock()
+	if state != stateCrashed {
+		return nil
+	}
+	return q.take(nil, math.MaxInt)
 }
 
 // take moves the oldest requests onto batch until they carry maxOps logical
@@ -230,13 +258,39 @@ func (q *queue) take(batch []request, maxOps int) []request {
 }
 
 // shard is one engine: a COW B+-tree on its own atlas thread, mutated only
-// by the holder of its commit lock, read by anyone through pinned
-// snapshots.
+// by the holder of its commit lock, read by anyone through the pins of its
+// reader table.
+//
+// The fields fall in two groups, each on lines of its own. The read side is
+// what every reader loads; of it the committer writes only the published
+// view, once per copy-on-write commit, and window, once per in-place one.
+// The commit side is written per batch — the queue by every submitter, the
+// counters and scratch by the committer — and no reader loads it.
 type shard struct {
+	_ cacheLinePad
+
+	st    *Store
+	db    *mdb.DB
+	cache *slotCache // answers point lookups without the tree walk (slotcache.go)
+	// readers is the reader table: readers pin the view they read in it,
+	// and publish scans it before recycling a page (see pin).
+	readers *[readerSlots]readerSlot
+	// root and gen are the published view: the last committed root and
+	// generation — never a mid-transaction root, which is why readers go
+	// through pin instead of db.Snapshot. publish stores root before gen, and
+	// a reader loads gen before root, so the root it reads is never older
+	// than the generation it pins.
+	root, gen atomic.Uint64
+	// window is the in-place read guard: odd from before an in-place
+	// commit's first store until its drain has made every stored word
+	// durable (openWindow, applyBatch). A reader never returns a word it
+	// loaded while it was odd (read), because a crash could still lose it.
+	window atomic.Uint64
+
+	_ cacheLinePad
+
 	id int
-	st *Store
 	th *atlas.Thread
-	db *mdb.DB
 
 	// commitMu is the commit lock. Its holder is the shard's one mutator: it
 	// takes requests off q, runs their FASE and acks them. Whoever needs a
@@ -245,6 +299,14 @@ type shard struct {
 	commitMu sync.Mutex
 	q        queue
 
+	// cuts counts pinned consistent cuts (acquireCut): no in-place commit
+	// opens while it is above 0. openWindow checks it after making window
+	// odd, as acquireCut waits for window to be even after raising it;
+	// inPlace also reads it first, as a hint. held counts the cuts that are
+	// Snapshots, which Snapshot keeps to half the reader table.
+	cuts atomic.Int32
+	held atomic.Int32
+
 	// Reused per-batch storage, so a steady stream of commits allocates
 	// nothing. Committer only. slots holds an in-place batch's value
 	// words, one per request (0 for a GET).
@@ -252,97 +314,160 @@ type shard struct {
 	resBuf   []Result
 	slots    []uint64
 
-	// Snapshot bookkeeping. curRoot/curGen are the last *committed* root
-	// and generation — never a mid-transaction root, which is why readers
-	// must go through acquire instead of db.Snapshot.
-	snapMu  sync.Mutex
-	curRoot uint64
-	curGen  uint64
-	active  map[uint64]int // snapshot generation → pin count
-	pending []genPages     // freed pages awaiting reader drain
-	// cuts counts pinned consistent cuts (acquireCut): no in-place commit
-	// opens while it is above 0. Raised under snapMu, where openWindow
-	// checks it; inPlace also reads it without the lock, as a hint.
-	cuts atomic.Int32
-	// spare holds the page slices of reclaimed pending entries for reuse and
-	// reclaim is publish's scratch. Committer only.
-	spare   [][]uint64
-	reclaim []uint64
-
-	// cache answers point lookups without the tree walk (slotcache.go).
-	// superseded is the pending entry of the commit not yet published, whose
-	// pages publish marks dead. Committer only.
-	cache      *slotCache
+	// pending holds the pages of each commit that readers may still reach,
+	// until no pin is older than that commit; spare holds the page slices of
+	// reclaimed entries for reuse, reclaim is publish's scratch, and
+	// superseded is the entry of the commit not yet published, whose pages
+	// publish marks dead. Committer only.
+	pending    []genPages
+	spare      [][]uint64
+	reclaim    []uint64
 	superseded []uint64
-
-	// window is the in-place read guard: odd from before an in-place
-	// commit's first store until its drain has made every stored word
-	// durable (openWindow, applyBatch). A reader never returns a word it
-	// loaded while it was odd (read), because a crash could still lose it.
-	window atomic.Uint64
 
 	counters
 }
 
+// cacheLinePad keeps the fields on either side of it off each other's cache
+// lines.
+type cacheLinePad struct{ _ [64]byte }
+
+// readerSlots is the size of each shard's reader table. Snapshots may hold
+// at most half of it, so a transient reader always finds a slot soon.
+const readerSlots = 64
+
+// heldPin marks the pin of a Snapshot, which the crash does not wait for.
+const heldPin = 1 << 63
+
+// readerSlot is one line of a shard's reader table. A reader claims a free
+// slot and pins there the generation it reads; while it holds the slot it is
+// the slot's one writer, and on its own line, so a read stores to no line
+// another reader uses.
+type readerSlot struct {
+	// pin is 0 while the slot is free, else the pinned generation + 1, with
+	// heldPin set for a Snapshot's.
+	pin atomic.Uint64
+	// gets and descents count the Gets served through the slot and the
+	// slot-cache misses among them that walked the tree; Stats folds them
+	// with the committer's own counts.
+	gets, descents atomic.Uint64
+	_              [64 - 24]byte
+}
+
+// bump adds one to a counter with one writer: a plain store, no
+// interlocked instruction.
+func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
+
 func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB) *shard {
 	sh := &shard{
 		id: id, st: s, th: th, db: db,
-		q:      queue{buf: make([]request, s.opts.QueueDepth)},
-		active: make(map[uint64]int),
+		q:       queue{buf: make([]request, s.opts.QueueDepth)},
+		readers: new([readerSlots]readerSlot),
 	}
-	sh.curRoot = db.Snapshot()
-	sh.curGen = db.Generation()
+	sh.root.Store(db.Snapshot())
+	sh.gen.Store(db.Generation())
 	sh.cache = newSlotCache(db, s.opts.PoolPages)
 	db.SetFreeHook(sh.onFreed)
 	return sh
 }
 
-// acquire pins the current committed view for a reader.
-func (sh *shard) acquire() (root, gen uint64) {
-	sh.snapMu.Lock()
-	root, gen = sh.curRoot, sh.curGen
-	sh.active[gen]++
-	sh.snapMu.Unlock()
-	return root, gen
+// view loads the published view: gen first, then a root at least as new.
+func (sh *shard) view() (root, gen uint64) {
+	gen = sh.gen.Load()
+	return sh.root.Load(), gen
 }
 
-// release unpins; eligible pages are recycled at the shard's next commit
-// (the page allocator belongs to the commit lock holder).
-func (sh *shard) release(gen uint64) {
-	sh.snapMu.Lock()
-	if sh.active[gen]--; sh.active[gen] <= 0 {
-		delete(sh.active, gen)
+// pin claims a free reader slot, trying from hint onward, and pins the
+// published view there: it stores the view's generation + 1 (with held
+// for a Snapshot), then loads the published generation again and, until the
+// two agree, pins the newer view. publish recycles a page freed by commit G
+// only after it has published G and found no pin below G, and a pin that
+// agrees with the published generation after it was stored was stored
+// before any such scan could miss it: so no page reachable from the
+// returned root is recycled until unpin. The slot is released by unpin.
+//
+// The pin comes before the state check, as the crash sets the state before
+// it waits out the transient pins: either the crash waits for this reader,
+// or the reader sees the crash and unpins with ErrCrashed.
+func (sh *shard) pin(hint uint32, held uint64) (rs *readerSlot, root, gen uint64, err error) {
+	root, gen = sh.view()
+	rs = sh.claim(hint, gen+1|held)
+	for g := sh.gen.Load(); g != gen; g = sh.gen.Load() {
+		root, gen = sh.view()
+		rs.pin.Store(gen + 1 | held)
 	}
-	sh.snapMu.Unlock()
+	if sh.st.state.Load() == stateCrashed {
+		rs.unpin()
+		return nil, 0, 0, ErrCrashed
+	}
+	return rs, root, gen, nil
+}
+
+// claim takes the first free slot from hint onward, storing word into it.
+// When every slot is busy it yields between passes: Snapshots hold at most
+// half the table, and every other pin is a read in progress.
+func (sh *shard) claim(hint uint32, word uint64) *readerSlot {
+	for i := hint; ; i++ {
+		rs := &sh.readers[i%readerSlots]
+		if rs.pin.Load() == 0 && rs.pin.CompareAndSwap(0, word) {
+			return rs
+		}
+		if (i+1-hint)%readerSlots == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// unpin frees the slot.
+func (rs *readerSlot) unpin() { rs.pin.Store(0) }
+
+// oldestPin returns the lowest generation any slot pins, or MaxUint64.
+func (sh *shard) oldestPin() uint64 {
+	oldest := uint64(math.MaxUint64)
+	for i := range sh.readers {
+		if p := sh.readers[i].pin.Load() &^ heldPin; p != 0 {
+			oldest = min(oldest, p-1)
+		}
+	}
+	return oldest
+}
+
+// waitReads waits until no slot holds a transient pin: the crash's wait
+// for the reads in flight, after it has set the state that stops new ones.
+func (sh *shard) waitReads() {
+	for i := range sh.readers {
+		for p := sh.readers[i].pin.Load(); p != 0 && p&heldPin == 0; p = sh.readers[i].pin.Load() {
+			runtime.Gosched()
+		}
+	}
 }
 
 // acquireCut pins the current committed view as a consistent cut — a
-// Snapshot, one shard's share of a Scan or GetBatch, or a Get that lost a
-// race with an in-place commit (read) — whose every read must see the
-// same tree. Counting the cut first stops any committer from opening another
-// in-place window, so the wait is for at most the one already open; while
-// the cut is held the shard commits copy-on-write only, so no leaf word
-// the cut can reach changes under it. It fails only when the store
-// crashes while it waits (an in-place window a crash abandons never
-// closes).
-func (sh *shard) acquireCut() (root, gen uint64, err error) {
-	sh.snapMu.Lock()
+// Snapshot (held = heldPin), one shard's share of a Scan or GetBatch, or a
+// Get that lost a race with an in-place commit (read) — whose every read
+// must see the same tree. Counting the cut first stops any committer from
+// opening another in-place window (see openWindow), so the wait is for at
+// most the one already open; while the cut is held the shard commits
+// copy-on-write only, so no leaf word the cut can reach changes under it.
+// It fails only when the store crashes while it waits (an in-place window
+// a crash abandons never closes) or has crashed.
+func (sh *shard) acquireCut(hint uint32, held uint64) (rs *readerSlot, root, gen uint64, err error) {
 	sh.cuts.Add(1)
-	sh.snapMu.Unlock()
 	for sh.window.Load()&1 != 0 {
 		if sh.st.crashing.Load() {
 			sh.cuts.Add(-1)
-			return 0, 0, ErrCrashed
+			return nil, 0, 0, ErrCrashed
 		}
 		runtime.Gosched()
 	}
-	root, gen = sh.acquire()
-	return root, gen, nil
+	if rs, root, gen, err = sh.pin(hint, held); err != nil {
+		sh.cuts.Add(-1)
+	}
+	return rs, root, gen, err
 }
 
 // releaseCut unpins a cut taken by acquireCut.
-func (sh *shard) releaseCut(gen uint64) {
-	sh.release(gen)
+func (sh *shard) releaseCut(rs *readerSlot) {
+	rs.unpin()
 	sh.cuts.Add(-1)
 }
 
@@ -351,23 +476,29 @@ func (sh *shard) releaseCut(gen uint64) {
 // from the pinned root only on a miss. One lock-free pass serves unless
 // its load overlapped a window; then it reads again through a cut, which
 // waits out at most the window then open (the cut keeps committers from
-// opening another). Like acquireCut it fails only when the store crashes
-// while it waits.
-func (sh *shard) read(k uint64) (uint64, bool, error) {
+// opening another). Like acquireCut it fails only on a crash. hint is
+// where pin starts looking for a free slot.
+func (sh *shard) read(k uint64, hint uint32) (uint64, bool, error) {
 	if w := sh.window.Load(); w&1 == 0 {
-		root, gen := sh.acquire()
-		v, ok := sh.get(root, k)
-		sh.release(gen)
+		rs, root, _, err := sh.pin(hint, 0)
+		if err != nil {
+			return 0, false, err
+		}
+		v, ok := sh.get(root, k, &rs.descents)
 		if sh.window.Load() == w {
+			bump(&rs.gets)
+			rs.unpin()
 			return v, ok, nil
 		}
+		rs.unpin()
 	}
-	root, gen, err := sh.acquireCut()
+	rs, root, _, err := sh.acquireCut(hint, 0)
 	if err != nil {
 		return 0, false, err
 	}
-	v, ok := sh.get(root, k)
-	sh.releaseCut(gen)
+	v, ok := sh.get(root, k, &rs.descents)
+	bump(&rs.gets)
+	sh.releaseCut(rs)
 	return v, ok, nil
 }
 
@@ -387,11 +518,12 @@ func (sh *shard) inPlace(batch []request) bool {
 			return false
 		}
 	}
+	root := sh.root.Load()
 	slots := sh.slots[:0]
 	for i := range batch {
 		var slot uint64
 		if batch[i].op != OpGet {
-			if slot = sh.lookup(sh.curRoot, batch[i].k); slot == 0 {
+			if slot = sh.lookup(root, batch[i].k, &sh.descents); slot == 0 {
 				sh.slots = slots
 				return false
 			}
@@ -403,15 +535,17 @@ func (sh *shard) inPlace(batch []request) bool {
 }
 
 // openWindow makes the in-place window odd unless a consistent cut is
-// pinned. It is checked and set under snapMu, where acquireCut counts its
-// cut, so a cut and a window never overlap.
+// pinned. It makes window odd before it reads cuts, and acquireCut raises
+// cuts before it reads window; with sequentially consistent atomics at
+// least one of the two sees the other, so a cut and a window never
+// overlap. A window that finds a cut is made even again, and the batch
+// copies on write.
 func (sh *shard) openWindow() bool {
-	sh.snapMu.Lock()
-	defer sh.snapMu.Unlock()
+	sh.window.Add(1)
 	if sh.cuts.Load() > 0 {
+		sh.window.Add(1)
 		return false
 	}
-	sh.window.Add(1)
 	return true
 }
 
@@ -424,34 +558,32 @@ func (sh *shard) onFreed(gen uint64, pages []uint64) {
 	}
 	held = append(held, pages...)
 	sh.superseded = held
-	sh.snapMu.Lock()
 	sh.pending = append(sh.pending, genPages{gen: gen, pages: held})
-	sh.snapMu.Unlock()
 }
 
-// publish installs the newly committed root for readers and recycles every
-// parked page no live snapshot can still reach. After a copy-on-write
-// commit (cow) it first flips the slot cache's live map to the new tree,
-// under the same lock; an in-place commit changed no page.
+// publish makes the last commit visible to readers and recycles every
+// parked page no pin can still reach. After a copy-on-write commit (cow) it
+// flips the slot cache's live map to the new tree and then stores the new
+// view, so no pin sees the new generation before its pages are live; an
+// in-place commit changed no page, no root and no generation. The reader
+// table is scanned only while pages are parked, after the view is stored
+// (see pin).
 func (sh *shard) publish(cow bool) {
-	sh.snapMu.Lock()
 	if cow {
 		sh.flipLive()
+		sh.root.Store(sh.db.Snapshot())
+		sh.gen.Store(sh.db.Generation())
 	}
-	sh.curRoot = sh.db.Snapshot()
-	sh.curGen = sh.db.Generation()
-	minGen := uint64(math.MaxUint64)
-	for g := range sh.active {
-		if g < minGen {
-			minGen = g
-		}
+	if len(sh.pending) == 0 {
+		return
 	}
+	oldest := sh.oldestPin()
 	reclaim := sh.reclaim[:0]
 	keep := sh.pending[:0]
 	for _, gp := range sh.pending {
-		// Pages freed by commit gen are needed by snapshots with
-		// generation < gen only.
-		if minGen >= gp.gen {
+		// Pages freed by commit gen are needed by pins of generation
+		// < gen only.
+		if oldest >= gp.gen {
 			reclaim = append(reclaim, gp.pages...)
 			sh.spare = append(sh.spare, gp.pages)
 		} else {
@@ -459,12 +591,19 @@ func (sh *shard) publish(cow bool) {
 		}
 	}
 	sh.pending = keep
-	sh.snapMu.Unlock()
 	sh.reclaim = reclaim
 	if len(reclaim) > 0 {
+		if recycleHook != nil {
+			recycleHook(sh.db, reclaim)
+		}
 		sh.db.RecyclePages(reclaim)
 	}
 }
+
+// recycleHook, when set, sees every page publish recycles, before the page
+// allocator may hand it out: tests poison the pages, so a reader still on
+// one reads garbage.
+var recycleHook func(db *mdb.DB, pages []uint64)
 
 // serve commits the shard's queue on the caller's goroutine until t, whose
 // request was queued here, has completed: gather, commit, repeat. Each pass
@@ -601,7 +740,7 @@ func (sh *shard) commitBatch(batch []request) {
 func (sh *shard) readCommitted(batch []request, results []Result) {
 	for i := range batch {
 		if batch[i].op == OpGet {
-			results[i].Val, results[i].Found = sh.get(sh.curRoot, batch[i].k)
+			results[i].Val, results[i].Found = sh.get(sh.root.Load(), batch[i].k, &sh.descents)
 		}
 	}
 }
@@ -669,7 +808,7 @@ func (sh *shard) applyBatch(batch []request, results []Result, inPlace bool) (ou
 			// An in-place batch changes no page, so its tree is the
 			// published one, which the slot cache answers for.
 			if inPlace {
-				results[i].Val, results[i].Found = sh.get(sh.curRoot, r.k)
+				results[i].Val, results[i].Found = sh.get(sh.root.Load(), r.k, &sh.descents)
 			} else {
 				results[i].Val, results[i].Found = sh.db.Get(r.k)
 			}

@@ -16,11 +16,14 @@ import (
 // overwritten by the descent that follows.
 //
 // Any goroutine may read and install ways (atomic words). Only the shard's
-// committer flips the live map, and only in publish, under snapMu, together
-// with the switch of the published root: a commit's fresh pages become
-// live there and its superseded pages dead. Flipping any earlier — in
-// mdb's Commit, say — would let a page recycled from the free list
-// validate an old way and expose a commit no reader may see yet.
+// committer flips the live map, and only in publish, just before it stores
+// the new published view: a commit's fresh pages become live there and its
+// superseded pages dead, before any pin can see the new generation.
+// Flipping any earlier — in mdb's Commit, say — would let a page recycled
+// from the free list validate an old way and expose a commit no reader may
+// see yet; flipping after the view is stored would let a reader that
+// descended the new tree be sent back to a superseded leaf still marked
+// live.
 type slotCache struct {
 	// ways holds 2 words per set: tag | page<<3 | entry index. The page
 	// field is as wide as the pool's page indices need; the tag, the bits
@@ -97,8 +100,9 @@ func (c *slotCache) mark(page uint32, on bool) {
 // holds k; otherwise lookup descends from root and installs what it finds.
 // root is the caller's pinned root, or the current one in the committer
 // between commits; either way no page lookup reads can be recycled under
-// it. The descent counts in descents.
-func (sh *shard) lookup(root, k uint64) uint64 {
+// it. The descent counts in descents: the reader's slot's, or the
+// committer's own.
+func (sh *shard) lookup(root, k uint64, descents *atomic.Uint64) uint64 {
 	c := sh.cache
 	h := k * hashMul
 	at := (h >> c.shift) * 2
@@ -115,7 +119,7 @@ func (sh *shard) lookup(root, k uint64) uint64 {
 			return slot
 		}
 	}
-	sh.descents.Add(1)
+	bump(descents)
 	slot, page, i := sh.db.Locate(root, k)
 	if slot != 0 && page < c.pages {
 		// The newest entry takes way 0 and the one it displaces way 1,
@@ -139,24 +143,24 @@ func (sh *shard) validate(e uint32, k uint64) uint64 {
 }
 
 // get is lookup's value: k's value in the published tree.
-func (sh *shard) get(root, k uint64) (uint64, bool) {
-	if slot := sh.lookup(root, k); slot != 0 {
+func (sh *shard) get(root, k uint64, descents *atomic.Uint64) (uint64, bool) {
+	if slot := sh.lookup(root, k, descents); slot != 0 {
 		return sh.db.SlotValue(slot), true
 	}
 	return 0, false
 }
 
 // flipLive brings the live map from the previous published tree to the one
-// the last copy-on-write commit made. Committer only, from publish
-// under snapMu.
+// the last copy-on-write commit made. Committer only, from publish,
+// before the new view is stored.
 //
 // The superseded pages go dead before the fresh ones go live, so no reader
 // finds a key's old leaf and its new one live at once: a reader that has
 // seen the new value can never be sent back to the old one by a way that
 // a slower reader, pinned to the old tree, installed meanwhile. A page the
 // commit both allocated and unlinked (an emptied page, which validates no
-// entry) is live for that moment only, and dead again before the lock is
-// released.
+// entry) is live for that moment only, and dead again before the view is
+// published.
 func (sh *shard) flipLive() {
 	sh.markAll(sh.superseded, false)
 	sh.markAll(sh.db.FreshPages(), true)

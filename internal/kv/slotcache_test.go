@@ -319,21 +319,22 @@ func TestGetAllocs(t *testing.T) {
 		}
 	}
 	get()
-	d := sh.descents.Load()
+	descents := func() uint64 { return s.Stats()[0].Descents }
+	d := descents()
 	if n := testing.AllocsPerRun(runs, get); n != 0 {
 		t.Errorf("Get on a cache hit: %v allocs, want 0", n)
 	}
-	if got := sh.descents.Load() - d; got != 0 {
+	if got := descents() - d; got != 0 {
 		t.Errorf("%d descents over repeated Gets of one present key, want 0", got)
 	}
-	d = sh.descents.Load()
+	d = descents()
 	if n := testing.AllocsPerRun(runs, func() { forget(sh, k); get() }); n != 0 {
 		t.Errorf("Get on a miss that installs: %v allocs, want 0", n)
 	}
-	if got := sh.descents.Load() - d; got != runs+1 { // AllocsPerRun warms up once
+	if got := descents() - d; got != runs+1 { // AllocsPerRun warms up once
 		t.Errorf("%d descents over %d forced misses, want %d", got, runs+1, runs+1)
 	}
-	if st := s.Stats()[0]; st.Descents != sh.descents.Load() || !slices.Contains(st.Pairs(), fmt.Sprintf("descents=%d", st.Descents)) {
-		t.Errorf("ShardStats reports %d descents (%v), the shard counted %d", st.Descents, st.Pairs(), sh.descents.Load())
+	if st := s.Stats()[0]; !slices.Contains(st.Pairs(), fmt.Sprintf("descents=%d", st.Descents)) {
+		t.Errorf("ShardStats reports %d descents, its pairs %v", st.Descents, st.Pairs())
 	}
 }

@@ -11,8 +11,10 @@ import (
 // counters is the shard's instrumentation. The committer updates the
 // atomics at batch boundaries (flush counters are snapshots of the
 // thread's totals, published after each commit so observers never race the
-// mutating thread); gets is bumped by reader goroutines directly, and by
-// the committer for the GETs it answers in queue order.
+// mutating thread). gets and descents here are the committer's own — the
+// GETs it answers in queue order and its slot-cache misses; a Get counts
+// in its reader slot instead, and stats folds the two. scans is bumped by
+// Scan.
 type counters struct {
 	puts, dels   atomic.Uint64
 	incrs, decrs atomic.Uint64
@@ -64,11 +66,7 @@ func (sh *shard) noteOps(batch []request) {
 	sh.dels.Add(ndel)
 	sh.incrs.Add(nincr)
 	sh.decrs.Add(ndecr)
-	// Readers bump gets on every snapshot read; a batch without GETs
-	// leaves that line alone.
-	if nget > 0 {
-		sh.gets.Add(nget)
-	}
+	sh.gets.Add(nget)
 }
 
 // ShardStats is one shard's instrumentation snapshot.
@@ -151,14 +149,19 @@ func (st ShardStats) String() string {
 }
 
 func (sh *shard) stats() ShardStats {
+	gets, descents := sh.gets.Load(), sh.descents.Load()
+	for i := range sh.readers {
+		gets += sh.readers[i].gets.Load()
+		descents += sh.readers[i].descents.Load()
+	}
 	return ShardStats{
 		Shard:      sh.id,
 		Puts:       sh.puts.Load(),
 		Deletes:    sh.dels.Load(),
 		Incrs:      sh.incrs.Load(),
 		Decrs:      sh.decrs.Load(),
-		Gets:       sh.gets.Load(),
-		Descents:   sh.descents.Load(),
+		Gets:       gets,
+		Descents:   descents,
 		Scans:      sh.scans.Load(),
 		Batches:    sh.batches.Load(),
 		BatchedOps: sh.batchedOps.Load(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"nvmcache/internal/kv"
 	"nvmcache/internal/proto"
@@ -68,6 +69,10 @@ type slot struct {
 type window struct {
 	st   *kv.Store
 	text bool
+	// hint is the connection's place in each shard's reader table (see
+	// kv.Store.GetHinted): a connection's GETs keep reusing one slot's
+	// cache line, and connections spread over the table.
+	hint uint32
 	// out holds the replies emitted so far, in request order, until the
 	// handler's next coalesced write.
 	out []byte
@@ -92,8 +97,11 @@ type window struct {
 	pairs []kv.Pair
 }
 
+// windows numbers the windows made, for their reader-table hints.
+var windows atomic.Uint32
+
 func newWindow(st *kv.Store, text bool) *window {
-	return &window{st: st, text: text, out: make([]byte, 0, connBufSize),
+	return &window{st: st, text: text, hint: windows.Add(1), out: make([]byte, 0, connBufSize),
 		lastWrite: make([]uint64, st.Shards()),
 		vals:      make([]uint64, 0, proto.MaxOps), found: make([]bool, proto.MaxOps)}
 }
@@ -170,7 +178,7 @@ func (w *window) get(k uint64) {
 		w.st.Submit(&s.ticket, kv.OpGet, k, 0)
 		return
 	}
-	v, ok, err := w.st.Get(k)
+	v, ok, err := w.st.GetHinted(k, w.hint)
 	switch {
 	case err != nil:
 		w.fail(err.Error())
