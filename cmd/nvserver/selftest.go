@@ -27,10 +27,13 @@ import (
 // It also checks snapshot consistency: views pinned on the recovered store
 // stay frozen while new writes commit over them.
 //
-// Phase B replays the same workload on a fresh heap with group commit
-// disabled (batch=1, one FASE per operation) and compares flush ratios:
-// group commit must flush strictly less per committed operation, or the
-// whole point of the batching writer is lost and the self-test fails.
+// Phase B measures group commit itself. Phase A's clients wait on every PUT,
+// so its batches hold about one op each; here the same number of PUTs is
+// sent by pipelining binary clients to two fresh heaps, once at the
+// configured batch bound and once with group commit disabled (batch=1, one
+// FASE per operation). The grouped run must commit more than one op per
+// batch on average and flush strictly less per committed operation, or the
+// whole point of group commit is lost and the self-test fails.
 func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool) error {
 	if opts.MaxBatch <= 1 {
 		return fmt.Errorf("-selftest needs -batch > 1 to compare against the per-op baseline")
@@ -222,55 +225,29 @@ func runSelfTest(opts kv.Options, clients, ops int, seed uint64, exhaustive bool
 	}
 	fmt.Printf("selftest: snapshots stayed consistent under %d concurrent commits\n", 512)
 
-	// Phase B: identical workload, fresh heap, one FASE per operation.
-	fmt.Printf("selftest: phase B: per-op-commit baseline (batch=1), same workload, no crash\n")
+	// Phase B: the same op count, pipelined, grouped and per-op.
+	fmt.Printf("selftest: phase B: %d pipelining clients x %d PUTs on fresh heaps, batch<=%d vs per-op commit (batch=1)\n",
+		clients, ops, opts.MaxBatch)
+	opts.Events = nil
+	group, err := pipelinedPuts(opts, clients, ops, seed)
+	if err != nil {
+		return err
+	}
 	base := opts
 	base.MaxBatch = 1
-	hB := pmem.New(int(kv.RecommendedHeapBytes(base)))
-	stB, err := kv.Open(hB, base)
+	perOp, err := pipelinedPuts(base, clients, ops, seed)
 	if err != nil {
 		return err
 	}
-	srvB, err := listen(stB)
-	if err != nil {
-		return err
-	}
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c uint64) {
-			defer wg.Done()
-			cl, err := nvclient.Dial(srvB.Addr().String())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cl.Close()
-			for i := uint64(0); i < uint64(ops); i++ {
-				k := c<<32 | i
-				if reply, err := cl.Do(fmt.Sprintf("PUT %d %d", k, mix(k, seed))); err != nil || reply != "OK" {
-					errs <- fmt.Errorf("baseline PUT %d: %q, %v", k, reply, err)
-					return
-				}
-			}
-		}(uint64(c))
-	}
-	wg.Wait()
-	if err := srvB.Shutdown(); err != nil {
-		return err
-	}
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-	statsB := kv.Totals(stB.Stats())
-
-	groupRatio, baseRatio := statsA.FlushRatio(), statsB.FlushRatio()
+	groupRatio, baseRatio := group.FlushRatio(), perOp.FlushRatio()
 	fmt.Printf("selftest: flush ratio: group commit %.3f (avg batch %.2f) vs per-op %.3f (%.1f%% fewer flushes/op)\n",
-		groupRatio, statsA.AvgBatch(), baseRatio, 100*(1-groupRatio/baseRatio))
-	if statsA.BatchedOps == 0 || statsB.BatchedOps == 0 {
-		return fmt.Errorf("empty phase: group committed %d ops, baseline %d", statsA.BatchedOps, statsB.BatchedOps)
+		groupRatio, group.AvgBatch(), baseRatio, 100*(1-groupRatio/baseRatio))
+	if group.BatchedOps != uint64(clients*ops) || perOp.BatchedOps != uint64(clients*ops) {
+		return fmt.Errorf("phase B committed %d grouped and %d per-op ops, want %d each",
+			group.BatchedOps, perOp.BatchedOps, clients*ops)
+	}
+	if group.AvgBatch() <= 1 {
+		return fmt.Errorf("pipelined PUTs did not share commits: avg batch %.2f", group.AvgBatch())
 	}
 	if groupRatio >= baseRatio {
 		return fmt.Errorf("group commit did not reduce flushes per op: %.3f >= %.3f", groupRatio, baseRatio)
@@ -307,6 +284,74 @@ func runCrashExploration(opts kv.Options) error {
 		return err
 	}
 	fmt.Printf("selftest: randomized: %v\n", rrep)
+	return nil
+}
+
+// pipelineDepth is how many PUTs a phase B client sends before it reads
+// their replies.
+const pipelineDepth = 32
+
+// pipelinedPuts serves a store with opts on a fresh heap and has clients
+// binary clients PUT ops fresh keys each, pipelineDepth requests per
+// flush, then shuts the server down and returns the store's totals.
+func pipelinedPuts(opts kv.Options, clients, ops int, seed uint64) (kv.ShardStats, error) {
+	h := pmem.New(int(kv.RecommendedHeapBytes(opts)))
+	st, err := kv.Open(h, opts)
+	if err != nil {
+		return kv.ShardStats{}, err
+	}
+	srv, err := listen(st)
+	if err != nil {
+		return kv.ShardStats{}, err
+	}
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c uint64) {
+			defer wg.Done()
+			if err := pipelineClient(srv.Addr().String(), c, ops, seed); err != nil {
+				errs <- err
+			}
+		}(uint64(c))
+	}
+	wg.Wait()
+	if err := srv.Shutdown(); err != nil {
+		return kv.ShardStats{}, err
+	}
+	select {
+	case err := <-errs:
+		return kv.ShardStats{}, err
+	default:
+	}
+	return kv.Totals(st.Stats()), nil
+}
+
+// pipelineClient PUTs keys c<<32 | i for i < ops over one binary
+// connection, pipelineDepth at a time.
+func pipelineClient(addr string, c uint64, ops int, seed uint64) error {
+	cl, err := nvclient.DialBinary(addr)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	for i := 0; i < ops; i += pipelineDepth {
+		n := min(pipelineDepth, ops-i)
+		for j := 0; j < n; j++ {
+			k := c<<32 | uint64(i+j)
+			if err := cl.SendPut(k, mix(k, seed)); err != nil {
+				return err
+			}
+		}
+		if err := cl.Flush(); err != nil {
+			return err
+		}
+		for j := 0; j < n; j++ {
+			if appErr, err := cl.RecvResult(); err != nil || appErr {
+				return fmt.Errorf("pipelined PUT %d: error reply %v, %v", c<<32|uint64(i+j), appErr, err)
+			}
+		}
+	}
 	return nil
 }
 

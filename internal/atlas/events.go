@@ -101,7 +101,9 @@ func (c Crash) String() string {
 // eventSink reports a thread's write-backs to Events before passing them
 // on. A drain becomes one SiteDrainLine per line and a SiteDrainDone, so a
 // crash can land between any two write-backs of a FASE-end drain — the
-// window where a policy that acknowledged too early would lose data.
+// window where a policy that acknowledged too early would lose data. Each
+// line still reaches the inner sink as a drained line, a one-line Drain, so
+// its flush counts are the ones the same FASE makes without Events.
 type eventSink struct {
 	ev     Events
 	thread int
@@ -114,12 +116,14 @@ func (s *eventSink) FlushLine(line trace.LineAddr) {
 }
 
 func (s *eventSink) Drain(lines []trace.LineAddr) {
-	for _, line := range lines {
+	for i, line := range lines {
 		s.ev(SiteDrainLine, s.thread, uint64(line))
-		s.inner.FlushLine(line)
+		s.inner.Drain(lines[i : i+1 : i+1])
 	}
 	s.ev(SiteDrainDone, s.thread, uint64(len(lines)))
-	s.inner.Drain(nil)
+	if len(lines) == 0 {
+		s.inner.Drain(nil)
+	}
 }
 
 func (s *eventSink) Stats() core.FlushStats { return s.inner.Stats() }

@@ -35,11 +35,13 @@
 // connection's pipelined window — gets them committed together, by its own
 // first Wait on each shard.
 //
-// Get, GetBatch and Scan never enter a queue: they are snapshot reads
-// against the last committed root, published atomically by the commit.
-// Superseded pages are reclaimed only once no snapshot that can still see
-// them is live (deferred reclamation via mdb.SetFreeHook), so readers never
-// block writers and writers never invalidate readers. A point lookup — Get,
+// Get, GetBatch and Scan never enter a queue and take no lock: they are
+// snapshot reads against the last committed root, published atomically by
+// the commit, pinned in a slot of the shard's reader table that sits on a
+// cache line of its own. Superseded pages are reclaimed only once no pin
+// that can still see them is live (deferred reclamation via
+// mdb.SetFreeHook), so readers never block writers and writers never
+// invalidate readers. A point lookup — Get,
 // an in-place batch's slot resolution and its queued GETs — rarely walks the
 // tree: each shard keeps a lossy slot cache from a key to the leaf entry
 // that last held it, which answers only when that leaf is in the published
@@ -637,7 +639,9 @@ func (s *Store) Snapshot(shard int) (*Snapshot, error) {
 		sh.held.Add(-1)
 		return nil, ErrTooManySnapshots
 	}
-	rs, root, gen, err := sh.acquireCut(0, heldPin)
+	// Held pins start in the table's upper half, away from the low hints
+	// of the first connections.
+	rs, root, gen, err := sh.acquireCut(readerSlots/2, heldPin)
 	if err != nil {
 		sh.held.Add(-1)
 		return nil, err

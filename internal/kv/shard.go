@@ -262,8 +262,8 @@ func (q *queue) take(batch []request, maxOps int) []request {
 // reader table.
 //
 // The fields fall in two groups, each on lines of its own. The read side is
-// what every reader loads; of it the committer writes only the published
-// view, once per copy-on-write commit, and window, once per in-place one.
+// what every reader loads; of it the committer writes only window, twice
+// per commit, and the published view, once per copy-on-write commit.
 // The commit side is written per batch — the queue by every submitter, the
 // counters and scratch by the committer — and no reader loads it.
 type shard struct {
@@ -281,10 +281,11 @@ type shard struct {
 	// a reader loads gen before root, so the root it reads is never older
 	// than the generation it pins.
 	root, gen atomic.Uint64
-	// window is the in-place read guard: odd from before an in-place
-	// commit's first store until its drain has made every stored word
-	// durable (openWindow, applyBatch). A reader never returns a word it
-	// loaded while it was odd (read), because a crash could still lose it.
+	// window is the read guard: odd from before an in-place commit's first
+	// store until its drain has made every stored word durable (openWindow,
+	// applyBatch), and while publish flips the live map and stores a new
+	// view. A reader never returns a word it loaded while it was odd (read),
+	// because a crash could still lose it or a later reader not see it yet.
 	window atomic.Uint64
 
 	_ cacheLinePad
@@ -565,14 +566,20 @@ func (sh *shard) onFreed(gen uint64, pages []uint64) {
 // parked page no pin can still reach. After a copy-on-write commit (cow) it
 // flips the slot cache's live map to the new tree and then stores the new
 // view, so no pin sees the new generation before its pages are live; an
-// in-place commit changed no page, no root and no generation. The reader
+// in-place commit changed no page, no root and no generation. The flip and
+// the store happen inside an odd window, as an in-place commit's stores
+// do, so a read that overlaps them reads again (read) and a cut waits them
+// out: no read returns a value the flip made visible while a later read
+// could still pin the old view and descend to the old one. The reader
 // table is scanned only while pages are parked, after the view is stored
 // (see pin).
 func (sh *shard) publish(cow bool) {
 	if cow {
+		sh.window.Add(1)
 		sh.flipLive()
 		sh.root.Store(sh.db.Snapshot())
 		sh.gen.Store(sh.db.Generation())
+		sh.window.Add(1)
 	}
 	if len(sh.pending) == 0 {
 		return
@@ -594,7 +601,7 @@ func (sh *shard) publish(cow bool) {
 	sh.reclaim = reclaim
 	if len(reclaim) > 0 {
 		if recycleHook != nil {
-			recycleHook(sh.db, reclaim)
+			recycleHook(sh, reclaim)
 		}
 		sh.db.RecyclePages(reclaim)
 	}
@@ -603,7 +610,7 @@ func (sh *shard) publish(cow bool) {
 // recycleHook, when set, sees every page publish recycles, before the page
 // allocator may hand it out: tests poison the pages, so a reader still on
 // one reads garbage.
-var recycleHook func(db *mdb.DB, pages []uint64)
+var recycleHook func(sh *shard, pages []uint64)
 
 // serve commits the shard's queue on the caller's goroutine until t, whose
 // request was queued here, has completed: gather, commit, repeat. Each pass
