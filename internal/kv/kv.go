@@ -48,9 +48,11 @@
 // tree and still holds the key, and otherwise descends and remembers what it
 // found. The cache is volatile and needs no maintenance on commits; only the
 // page-level live map it validates against changes, when a commit publishes
-// a new root. The one wait is an in-place commit's: from its first store
-// until its drain, a reader of that shard waits, for that one commit at
-// most, rather than return a value a crash could still lose, and a Snapshot,
+// a new root. The one wait is a commit's: from an in-place commit's first
+// store until its drain, and while a copy-on-write commit publishes, a
+// reader of that shard waits, for that one commit at most, rather than
+// return a value a crash could still lose or a later reader not yet see,
+// and a Snapshot,
 // Scan or GetBatch — which must see one tree throughout — starts only
 // between such commits and keeps the shard's commits on the copy-on-write
 // path while it is pinned. The one queued read is a Submit of OpGet, for a
@@ -63,6 +65,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -740,7 +743,8 @@ func (s *Store) initiateCrash(except *shard) error {
 		slotCaches.Put(sh.cache)
 		// Not through gather: a committer that initiated the crash still owes
 		// the batch in its buffer the nack.
-		nackAll(sh.q.close(stateCrashed), ErrCrashed)
+		sh.q.close(stateCrashed)
+		nackAll(sh.q.take(nil, math.MaxInt), ErrCrashed)
 	}
 	for _, sh := range s.shards {
 		if sh != except {

@@ -226,17 +226,12 @@ func (q *queue) push(r request) error {
 }
 
 // close stops the queue taking requests: state is stateClosed or
-// stateCrashed, and a crash overrides a close. On a crash it also hands
-// back every request still queued, for the crash to nack. Requests queued
-// before a close stay for the commit that drains them.
-func (q *queue) close(state int) []request {
+// stateCrashed, and a crash overrides a close. Requests already queued stay
+// for whoever takes them next.
+func (q *queue) close(state int) {
 	q.mu.Lock()
 	q.shut = max(q.shut, state)
 	q.mu.Unlock()
-	if state != stateCrashed {
-		return nil
-	}
-	return q.take(nil, math.MaxInt)
 }
 
 // take moves the oldest requests onto batch until they carry maxOps logical

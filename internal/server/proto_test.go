@@ -363,7 +363,7 @@ func TestBinaryWindowAllocsPut(t *testing.T) {
 	}
 	rd := bytes.NewReader(frames)
 	r := bufio.NewReaderSize(rd, connBufSize)
-	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false, 0)}
 	for i := 0; i < 64; i++ { // warm: tree depth, page pool, batch buffers, ticket channels
 		execFrames(h, rd, r)
 	}
@@ -393,7 +393,7 @@ func TestBinaryWindowAllocsPutGet(t *testing.T) {
 	}
 	rd := bytes.NewReader(frames)
 	r := bufio.NewReaderSize(rd, connBufSize)
-	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false, 0)}
 	for i := 0; i < 64; i++ { // warm: tree depth, page pool, batch buffers, ticket channels
 		execFrames(h, rd, r)
 	}
@@ -422,7 +422,7 @@ func TestBinaryDecodeReplyAllocsFullGet(t *testing.T) {
 	}
 	rd := bytes.NewReader(frames)
 	r := bufio.NewReaderSize(rd, connBufSize)
-	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false, 0)}
 	execFrames(h, rd, r) // warm
 	if n := testing.AllocsPerRun(200, func() { execFrames(h, rd, r) }); n != 0 {
 		t.Fatalf("full-path GET allocs = %v, want 0", n)
@@ -444,7 +444,7 @@ func TestBinaryDecodeReplyAllocsFullMGet(t *testing.T) {
 	frames := proto.AppendMGet(nil, keys)
 	rd := bytes.NewReader(frames)
 	r := bufio.NewReaderSize(rd, connBufSize)
-	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false)}
+	h := &binHandler{srv: srv, win: newWindow(srv.Store(), false, 0)}
 	execFrames(h, rd, r) // warm (grows h.keys/h.vals/h.found once)
 	if n := testing.AllocsPerRun(200, func() { execFrames(h, rd, r) }); n != 0 {
 		t.Fatalf("full-path MGET allocs = %v, want 0", n)

@@ -89,6 +89,9 @@ type Server struct {
 	ln     net.Listener
 	opts   Options
 	closed atomic.Bool
+	// windows numbers the connections' windows, for their reader-slot
+	// hints (see window.hint).
+	windows atomic.Uint32
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -233,7 +236,7 @@ func serveWindow(c net.Conn, r *bufio.Reader, w *window, next func() (quit bool,
 }
 
 func (s *Server) handleText(c net.Conn, r *bufio.Reader) {
-	w := newWindow(s.st, true)
+	w := newWindow(s.st, true, s.windows.Add(1))
 	serveWindow(c, r, w, func() (bool, error) {
 		line, err := r.ReadString('\n')
 		if err != nil {
@@ -261,7 +264,7 @@ type binHandler struct {
 }
 
 func (s *Server) handleBinary(c net.Conn, r *bufio.Reader) {
-	h := &binHandler{srv: s, win: newWindow(s.st, false)}
+	h := &binHandler{srv: s, win: newWindow(s.st, false, s.windows.Add(1))}
 	serveWindow(c, r, h.win, func() (bool, error) {
 		op, payload, err := proto.ReadFrame(r, &h.scratch)
 		if err != nil {

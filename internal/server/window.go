@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"nvmcache/internal/kv"
 	"nvmcache/internal/proto"
@@ -97,11 +96,8 @@ type window struct {
 	pairs []kv.Pair
 }
 
-// windows numbers the windows made, for their reader-table hints.
-var windows atomic.Uint32
-
-func newWindow(st *kv.Store, text bool) *window {
-	return &window{st: st, text: text, hint: windows.Add(1), out: make([]byte, 0, connBufSize),
+func newWindow(st *kv.Store, text bool, hint uint32) *window {
+	return &window{st: st, text: text, hint: hint, out: make([]byte, 0, connBufSize),
 		lastWrite: make([]uint64, st.Shards()),
 		vals:      make([]uint64, 0, proto.MaxOps), found: make([]bool, proto.MaxOps)}
 }
