@@ -573,11 +573,12 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 // in the published tree. Its only store to shared memory is to the slot,
 // on a cache line of its own. A reader never blocks a commit, and a commit
 // blocks a reader only while an in-place commit's words are stored but not
-// yet durable — at most one such commit, because a reader that has to wait
-// holds the shard's commits to copy-on-write until it is through (see
-// Snapshot). A read that must see the caller's own writes still in flight
-// is a Submit of OpGet instead. Reads keep working after Close (the heap
-// stays attached) but not after a crash.
+// yet durable, or while a commit publishes — at most one such commit,
+// because a reader that has to wait holds the shard's commits to
+// copy-on-write until it is through (see Snapshot). A read that must see
+// the caller's own writes still in flight is a Submit of OpGet instead.
+// Reads keep working after Close (the heap stays attached) but not after a
+// crash.
 func (s *Store) Get(k uint64) (uint64, bool, error) { return s.GetHinted(k, uint32(k)) }
 
 // GetHinted is Get with the caller's choice of where in the reader table
