@@ -529,3 +529,54 @@ func TestPublishFlipsBeforeView(t *testing.T) {
 		t.Fatal("no page recycled: the test exercised nothing")
 	}
 }
+
+// TestGetWaitsOutPublish: no Get completes inside a copy-on-write publish.
+// With the commit's publish parked after its live-map flip, before its view
+// store, a Get neither returns the old value (a Get before it may already
+// have read the new one through the flipped map) nor the new one; it
+// returns the new value once the publish is through.
+func TestGetWaitsOutPublish(t *testing.T) {
+	const k = 5
+	var armed atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	publishHook = func() {
+		if armed.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	}
+	t.Cleanup(func() { publishHook = nil })
+	opts := DefaultOptions()
+	opts.Shards = 1
+	s := newStore(t, opts)
+	defer s.Close()
+	if err := s.Put(k, 1); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	var tk Ticket
+	s.SubmitBatch(&tk, []Pair{{k, 2}, {k + 1000, 2}}) // an MPUT copies on write
+	committed := waitOn(&tk)                          // its waiter commits it and parks in publish
+	<-parked
+	got := make(chan uint64, 1)
+	go func() {
+		v, _, err := s.Get(k)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- v
+	}()
+	select {
+	case v := <-got:
+		close(release)
+		t.Fatalf("Get returned %d inside a publish", v)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if res := <-committed; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if v := <-got; v != 2 {
+		t.Fatalf("Get after the publish = %d, want 2", v)
+	}
+}

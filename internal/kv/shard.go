@@ -572,6 +572,9 @@ func (sh *shard) publish(cow bool) {
 	if cow {
 		sh.window.Add(1)
 		sh.flipLive()
+		if publishHook != nil {
+			publishHook()
+		}
 		sh.root.Store(sh.db.Snapshot())
 		sh.gen.Store(sh.db.Generation())
 		sh.window.Add(1)
@@ -602,10 +605,15 @@ func (sh *shard) publish(cow bool) {
 	}
 }
 
-// recycleHook, when set, sees every page publish recycles, before the page
-// allocator may hand it out: tests poison the pages, so a reader still on
-// one reads garbage.
-var recycleHook func(sh *shard, pages []uint64)
+// Test seams in publish. recycleHook, when set, sees every page publish
+// recycles, before the page allocator may hand it out: tests poison the
+// pages, so a reader still on one reads garbage. publishHook, when set,
+// runs between a copy-on-write publish's live-map flip and its view store:
+// tests park a publish there.
+var (
+	recycleHook func(sh *shard, pages []uint64)
+	publishHook func()
+)
 
 // serve commits the shard's queue on the caller's goroutine until t, whose
 // request was queued here, has completed: gather, commit, repeat. Each pass
