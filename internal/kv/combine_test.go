@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,13 +52,32 @@ func TestFullQueueSubmitCommits(t *testing.T) {
 // TestCombiningReadYourWrites: 8 goroutines Put and Get their own keys on
 // one shard, so each one's Wait often finds its request committed by
 // another's. Every Get sees its goroutine's last Put, and commits combine:
-// fewer batches than puts. Run with -race: the committers hand the shard's
-// thread, tree and buffers to each other through the commit lock alone.
+// fewer batches than puts. The first commit, if it holds one Put, is held
+// at its pre-commit site until the other seven have queued theirs behind
+// it, so at least that much combining happens on any scheduler, one CPU
+// included. Run with -race: the committers hand the shard's thread, tree
+// and buffers to each other through the commit lock alone.
 func TestCombiningReadYourWrites(t *testing.T) {
 	const goroutines, ops = 8, 2000
+	var s *Store
+	var first atomic.Bool
 	opts := DefaultOptions()
 	opts.Shards = 1
-	s := newStore(t, opts)
+	opts.Events = func(site atlas.Site, _ int, n uint64) {
+		if site != atlas.SitePreCommit || n != 1 || !first.CompareAndSwap(false, true) {
+			return
+		}
+		q := &s.shards[0].q
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			q.mu.Lock()
+			queued := q.n
+			q.mu.Unlock()
+			if queued == goroutines-1 {
+				return
+			}
+		}
+	}
+	s = newStore(t, opts)
 	defer s.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)

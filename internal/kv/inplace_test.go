@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,14 +14,15 @@ import (
 
 // TestGetNeverReturnsUndurableOverwrite parks an in-place FASE after its
 // store, before its drain — the value is in the heap's volatile view but
-// not in NVRAM — and reads the key meanwhile with Get, GetBatch and Scan.
-// None may return the new value: a crash can still lose it. They wait out
-// the window, and when the crash comes instead of the drain they return
-// ErrCrashed rather than hold the store's read lock forever. After Recover
-// the old value is there. Run with -race: the readers load the word while
-// the committer stores it.
+// not in NVRAM — and reads the key meanwhile. Get and GetBatch may not
+// return the new value, which a crash can still lose: they answer at once
+// with the durable pre-image, and a key the batch does not touch with its
+// own value. Scan, a cut, waits out the window, and when the crash comes
+// instead of the drain it returns ErrCrashed rather than wait forever.
+// After Recover the old value is there. Run with -race: the readers load
+// the word and the pre-image table while the committer stores them.
 func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
-	const k = 7
+	const k, other = 7, 8
 	var armed atomic.Bool
 	parked, crash := make(chan struct{}), make(chan struct{})
 	opts := DefaultOptions()
@@ -37,7 +39,7 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(k, 10); err != nil {
+	if err := s.PutBatch([]Pair{{k, 10}, {other, 30}}); err != nil {
 		t.Fatal(err)
 	}
 	armed.Store(true)
@@ -49,49 +51,45 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 		t.Fatal("the overwrite of a present key is not committing in place")
 	}
 
-	type read struct {
-		how   string
-		v     uint64
-		found bool
-		err   error
-	}
-	reads := make(chan read, 3)
+	scanned := make(chan error, 1)
 	go func() {
-		v, ok, err := s.Get(k)
-		reads <- read{"Get", v, ok, err}
-	}()
-	go func() {
-		vals, found := make([]uint64, 1), make([]bool, 1)
-		err := s.GetBatch([]uint64{k}, vals, found)
-		reads <- read{"GetBatch", vals[0], found[0], err}
-	}()
-	go func() {
-		r := read{how: "Scan"}
-		var ps []Pair
-		if ps, r.err = s.Scan(k, 1); len(ps) > 0 {
-			r.v, r.found = ps[0].V, ps[0].K == k
+		ps, err := s.Scan(k, 1)
+		if err == nil && len(ps) > 0 && ps[0] == (Pair{k, 20}) {
+			err = errors.New("Scan returned the undrained overwrite")
 		}
-		reads <- r
+		scanned <- err
 	}()
+	keys, vals, found := []uint64{k, other, k}, make([]uint64, 3), make([]bool, 3)
+	for i := 0; i < 100; i++ {
+		if v, ok, err := s.Get(k); err != nil || !ok || v != 10 {
+			t.Fatalf("Get(%d) = %d, %v, %v while the overwrite was undrained; want the pre-image 10", k, v, ok, err)
+		}
+		if v, ok, err := s.Get(other); err != nil || !ok || v != 30 {
+			t.Fatalf("Get(%d) = %d, %v, %v while another key's overwrite was undrained; want 30", other, v, ok, err)
+		}
+		if err := s.GetBatch(keys, vals, found); err != nil {
+			t.Fatal(err)
+		}
+		if vals[0] != 10 || vals[1] != 30 || vals[2] != 10 || !found[0] || !found[1] || !found[2] {
+			t.Fatalf("GetBatch(%v) = %v, %v while the overwrite was undrained; want [10 30 10]", keys, vals, found)
+		}
+	}
 	select {
-	case r := <-reads:
-		t.Fatalf("%s returned %d, %v, %v while the overwrite was undrained", r.how, r.v, r.found, r.err)
+	case err := <-scanned:
+		t.Fatalf("Scan returned (%v) while the overwrite was undrained", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(crash)
-	for range 3 {
-		r := <-reads
-		if r.found && r.v == 20 {
-			t.Fatalf("%s returned the undrained overwrite", r.how)
-		}
-		if !errors.Is(r.err, ErrCrashed) {
-			t.Fatalf("%s: %d, %v, %v; want ErrCrashed", r.how, r.v, r.found, r.err)
-		}
+	if err := <-scanned; !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Scan across the crash: %v; want ErrCrashed", err)
 	}
 	if res := <-overwrite; !errors.Is(res.Err, ErrCrashed) {
 		t.Fatalf("crashed overwrite: %+v, want ErrCrashed", res)
 	}
 	<-s.Crashed()
+	if _, _, err := s.Get(k); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Get after the crash: %v; want ErrCrashed", err)
+	}
 
 	opts.Events = nil
 	s2, _, err := Recover(h, opts)
@@ -104,12 +102,12 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 	}
 }
 
-// TestWaitingGetCountsItsCut: a Get whose load meets an in-place window
-// counts a cut before it waits, so no committer opens a further window
-// until the Get is through and the Get waits out only the window already
+// TestWaitingScanCountsItsCut: a Scan whose cut meets an in-place window
+// counts the cut before it waits, so no committer opens a further window
+// until the Scan is through and the Scan waits out only the window already
 // open, however busy the shard. It then returns the drained value and
 // uncounts its cut, and the next overwrite commits in place again.
-func TestWaitingGetCountsItsCut(t *testing.T) {
+func TestWaitingScanCountsItsCut(t *testing.T) {
 	const k = 7
 	var armed atomic.Bool
 	parked, drain := make(chan struct{}), make(chan struct{})
@@ -137,36 +135,202 @@ func TestWaitingGetCountsItsCut(t *testing.T) {
 	if sh.window.Load()&1 == 0 {
 		t.Fatal("the overwrite of a present key is not committing in place")
 	}
-	type read struct {
-		v   uint64
+	type scan struct {
+		ps  []Pair
 		err error
 	}
-	got := make(chan read, 1)
+	got := make(chan scan, 1)
 	go func() {
-		v, _, err := s.Get(k)
-		got <- read{v, err}
+		ps, err := s.Scan(k, 1)
+		got <- scan{ps, err}
 	}()
 	for deadline := time.Now().Add(5 * time.Second); sh.cuts.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("a Get waiting out an in-place window counts no cut: a committer can open the next window under it")
+			t.Fatal("a Scan waiting out an in-place window counts no cut: a committer can open the next window under it")
 		}
 	}
 	release()
 	if res := <-overwrite; res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if r := <-got; r.err != nil || r.v != 20 {
-		t.Fatalf("Get after the drain = %d, %v; want 20", r.v, r.err)
+	if r := <-got; r.err != nil || len(r.ps) != 1 || r.ps[0] != (Pair{k, 20}) {
+		t.Fatalf("Scan after the drain = %v, %v; want [{%d 20}]", r.ps, r.err, k)
 	}
 	if n := sh.cuts.Load(); n != 0 {
-		t.Fatalf("%d cuts still counted after the Get returned", n)
+		t.Fatalf("%d cuts still counted after the Scan returned", n)
 	}
 	gen := sh.db.Generation()
 	if err := s.Put(k, 30); err != nil {
 		t.Fatal(err)
 	}
 	if sh.db.Generation() != gen {
-		t.Fatal("the overwrite after the Get copied on write")
+		t.Fatal("the overwrite after the Scan copied on write")
+	}
+}
+
+// TestReadsForceNoCopyOnWrite: four readers hammer one shard with Gets and
+// GetBatches while two writers overwrite its present keys, with PUTs and
+// INCRs, as fast as they commit. Every batch commits in place: a read
+// that meets an open window answers from its pre-images instead of taking
+// a cut, so no read holds the shard to copy-on-write.
+func TestReadsForceNoCopyOnWrite(t *testing.T) {
+	const keys, writes, readers = 64, 3000, 4
+	opts := DefaultOptions()
+	opts.Shards = 1
+	s := newStore(t, opts)
+	defer s.Close()
+	for k := uint64(0); k < keys; k++ {
+		if err := s.Put(k, tagged(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := Totals(s.Stats())
+	var stop atomic.Bool
+	var rd, wr sync.WaitGroup
+	errs := make(chan error, readers+2)
+	for r := 0; r < readers; r++ {
+		rd.Add(1)
+		go func() {
+			defer rd.Done()
+			var ks, vals [8]uint64
+			var found [8]bool
+			for i := uint64(0); !stop.Load(); i++ {
+				k := (i*7 + uint64(r)) % keys
+				if r%2 == 0 {
+					v, ok, err := s.Get(k)
+					if err == nil && !ok {
+						err = fmt.Errorf("Get(%d) found nothing", k)
+					}
+					if err == nil {
+						err = checkTagged("Get", k, v)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+					continue
+				}
+				for j := range ks {
+					ks[j] = (k + uint64(j)*keys/8) % keys
+				}
+				if err := s.GetBatch(ks[:], vals[:], found[:]); err != nil {
+					errs <- err
+					return
+				}
+				for j := range ks {
+					if err := checkTagged("GetBatch", ks[j], vals[j]); err != nil || !found[j] {
+						errs <- fmt.Errorf("GetBatch key %d: %v, found %v", ks[j], err, found[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for w := uint64(0); w < 2; w++ {
+		wr.Add(1)
+		go func() {
+			defer wr.Done()
+			for i := uint64(1); i <= writes; i++ {
+				k := (i*13 + w) % keys
+				var err error
+				if w == 0 {
+					err = s.Put(k, tagged(k, i))
+				} else {
+					_, err = s.Incr(k, 1)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wr.Wait()
+	stop.Store(true)
+	rd.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	after := Totals(s.Stats())
+	if n := after.Batches - before.Batches; n == 0 {
+		t.Fatal("no batch committed: the test exercised nothing")
+	}
+	if n := after.CowBatches - before.CowBatches; n != 0 {
+		t.Fatalf("%d of %d overwrite batches copied on write while readers read", n, after.Batches-before.Batches)
+	}
+	t.Logf("%d in-place batches under %d reads", after.Batches-before.Batches, after.Gets-before.Gets)
+}
+
+// TestReadsNeverGoBackAcrossWindowClose: readers Get and GetBatch one key
+// while a writer overwrites it in place with rising values, each commit
+// spinning a few microseconds between its store and its drain so that
+// reads land inside the window. A read that begins after another read has returned never
+// returns an older value: no reader sees 20 and then 10, though each
+// window answers its readers the pre-image right up to its close and the
+// new value only after it.
+func TestReadsNeverGoBackAcrossWindowClose(t *testing.T) {
+	const k, rounds, readers = 7, 4000, 4
+	opts := DefaultOptions()
+	opts.Shards = 1
+	opts.Events = func(site atlas.Site, _ int, _ uint64) {
+		if site == atlas.SitePreCommit {
+			for start := time.Now(); time.Since(start) < 2*time.Microsecond; {
+			}
+		}
+	}
+	s := newStore(t, opts)
+	defer s.Close()
+	if err := s.Put(k, 0); err != nil {
+		t.Fatal(err)
+	}
+	// newest is the highest value any read has returned.
+	var newest atomic.Uint64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys, vals, found := []uint64{k}, make([]uint64, 1), make([]bool, 1)
+			for !stop.Load() {
+				floor := newest.Load()
+				var v uint64
+				var err error
+				if r%2 == 0 {
+					v, _, err = s.Get(k)
+				} else {
+					err = s.GetBatch(keys, vals, found)
+					v = vals[0]
+				}
+				if err == nil && v < floor {
+					err = fmt.Errorf("a read returned %d after another read had returned %d", v, floor)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				for n := newest.Load(); v > n && !newest.CompareAndSwap(n, v); n = newest.Load() {
+				}
+			}
+		}()
+	}
+	sh := s.shards[0]
+	gen := sh.db.Generation()
+	for v := uint64(1); v <= rounds; v++ {
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if sh.db.Generation() != gen {
+		t.Fatal("an overwrite copied on write: the test exercised no window")
 	}
 }
 

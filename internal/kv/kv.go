@@ -26,8 +26,8 @@
 // store is failure-atomic, so this needs no undo record; what it gives up
 // is rollback, which is why only such batches take it: a crash mid-drain
 // leaves each overwritten key old or new. Any insert, delete or MPUT, and
-// every batch while a Snapshot, Scan or GetBatch is pinned, copies on
-// write as before.
+// every batch while a Snapshot or Scan is pinned, copies on write as
+// before.
 //
 // Every mutation is a Submit (enqueue, returns at once) and a Wait on a
 // caller-owned, reusable Ticket; Put, Delete, Incr, Decr and PutBatch are
@@ -48,14 +48,15 @@
 // tree and still holds the key, and otherwise descends and remembers what it
 // found. The cache is volatile and needs no maintenance on commits; only the
 // page-level live map it validates against changes, when a commit publishes
-// a new root. The one wait is a commit's: from an in-place commit's first
-// store until its drain, and while a copy-on-write commit publishes, a
-// reader of that shard waits, for that one commit at most, rather than
-// return a value a crash could still lose or a later reader not yet see,
-// and a Snapshot,
-// Scan or GetBatch — which must see one tree throughout — starts only
-// between such commits and keeps the shard's commits on the copy-on-write
-// path while it is pinned. The one queued read is a Submit of OpGet, for a
+// a new root. No read returns a value a crash could still lose or a later
+// reader not yet see: from an in-place commit's first store until its
+// drain, a Get or GetBatch answers each word the commit overwrites from
+// the durable pre-image the commit published before it opened, and it
+// reads again if a copy-on-write commit publishes under it or more than
+// one in-place window opens or closes during its loads. A Snapshot
+// or Scan — which must see one tree throughout — starts only between
+// such commits and keeps the shard's commits on the copy-on-write path
+// while it is pinned. The one queued read is a Submit of OpGet, for a
 // caller whose read must follow its own writes still in flight: its commit
 // answers it at its queue position, from the batch's tree, and acks it with
 // the batch after the durable commit, so it never returns a value that could
@@ -521,49 +522,87 @@ const getBatchShards = 64
 
 // GetBatch reads keys[i] into vals[i] and found[i] (both must be at
 // least len(keys) long) from each shard's last committed snapshot — the
-// wire protocol's MGET. Each shard's snapshot is pinned at most once, so the
-// view is per-shard consistent exactly like a sequence of Gets, at a
-// fraction of the synchronization. Like Snapshot, each shard's view is a
-// pinned cut: it waits out an in-place commit in flight, and the shard
-// commits copy-on-write until the call returns. The shards are pinned in
-// index order, so two GetBatches never wait on each other for reader slots.
-// Allocation-free for stores with up to getBatchShards shards.
+// wire protocol's MGET. It reads as Get does, with one pass per shard
+// touched: the shards are pinned once each, in index order (so two
+// GetBatches never wait on each other for reader slots), every key is read
+// through its shard's pass, and a shard whose pass does not stand is read
+// again. So the view is per-shard consistent: one shard's values all come
+// from one committed state, and like Get's every one was durable when
+// read. Allocation-free for stores with up to getBatchShards shards.
 func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	ns := len(s.shards)
-	var rootsArr [getBatchShards]uint64
-	var pinsArr [getBatchShards]*readerSlot
-	var touchedArr [getBatchShards]bool
-	roots, pins, touched := rootsArr[:], pinsArr[:], touchedArr[:]
+	var passesArr [getBatchShards]readPass
+	var leftArr [getBatchShards]uint64
+	// left counts each shard's keys until a pass over them stands.
+	passes, left := passesArr[:], leftArr[:]
 	if ns > getBatchShards {
-		roots = make([]uint64, ns)
-		pins = make([]*readerSlot, ns)
-		touched = make([]bool, ns)
+		passes = make([]readPass, ns)
+		left = make([]uint64, ns)
 	}
 	for _, k := range keys {
-		touched[ShardIndex(k, ns)] = true
+		left[ShardIndex(k, ns)]++
 	}
-	var err error
-	for si := 0; si < ns && err == nil; si++ {
-		if touched[si] {
-			pins[si], roots[si], _, err = s.shards[si].acquireCut(uint32(keys[0]), 0)
+	for tries, more := 0, true; more; tries++ {
+		for si, sh := range s.shards {
+			passes[si] = readPass{}
+			if left[si] == 0 {
+				continue
+			}
+			var err error
+			if passes[si], err = sh.begin(uint32(keys[0]), tries); err != nil {
+				for sj := range si {
+					if passes[sj].rs != nil {
+						s.shards[sj].end(&passes[sj], 0, false)
+					}
+				}
+				return err
+			}
 		}
-	}
-	if err == nil {
+		// Resolve every key's word first (vals holds it meanwhile), then
+		// load the words under each shard's guard, so the guarded span is
+		// the loads alone.
 		for i, k := range keys {
-			si := ShardIndex(k, ns)
-			vals[i], found[i] = s.shards[si].db.GetSnapshot(roots[si], k)
-			bump(&pins[si].gets)
+			if si := ShardIndex(k, ns); passes[si].rs != nil {
+				vals[i] = s.shards[si].slot(&passes[si], k)
+			}
+		}
+		for si, sh := range s.shards {
+			if passes[si].rs != nil {
+				sh.guard(&passes[si])
+			}
+		}
+		for i, k := range keys {
+			if si := ShardIndex(k, ns); passes[si].guarded {
+				found[i] = vals[i] != 0
+				vals[i] = s.shards[si].load(&passes[si], vals[i])
+			}
+		}
+		more = false
+		for si, sh := range s.shards {
+			p := &passes[si]
+			if p.rs == nil {
+				continue
+			}
+			ok := sh.holds(p)
+			if ok && p.fix {
+				for i, k := range keys {
+					if ShardIndex(k, ns) == si {
+						vals[i] = sh.fixup(p, sh.slot(p, k), vals[i])
+					}
+				}
+				ok = sh.fixed(p)
+			}
+			if sh.end(p, left[si], ok) {
+				left[si] = 0
+			} else {
+				more = true
+			}
 		}
 	}
-	for si := 0; si < ns; si++ {
-		if pins[si] != nil {
-			s.shards[si].releaseCut(pins[si])
-		}
-	}
-	return err
+	return nil
 }
 
 // Get reads k from the shard's last committed snapshot, without entering a
@@ -571,13 +610,17 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 // shard's reader table, asks the shard's slot cache for k's leaf entry, and
 // descends from the pinned root only when the cache has none that is still
 // in the published tree. Its only store to shared memory is to the slot,
-// on a cache line of its own. A reader never blocks a commit, and a commit
-// blocks a reader only while an in-place commit's words are stored but not
-// yet durable, or while a commit publishes — at most one such commit,
-// because a reader that has to wait holds the shard's commits to
-// copy-on-write until it is through (see Snapshot). A read that must see
-// the caller's own writes still in flight is a Submit of OpGet instead.
-// Reads keep working after Close (the heap stays attached) but not after a
+// on a cache line of its own. A reader never blocks a commit, and an
+// in-place commit never blocks a reader: while its words are stored but
+// not yet durable, the reader answers each one from the durable pre-image
+// the commit published before its first store. Only a copy-on-write
+// publish, a few stores long, sends a reader round again, and a reader
+// whose passes keep failing (readPasses) reads through a cut, which waits
+// for the commit then in flight and holds the shard to copy-on-write until
+// it is through (see Snapshot). An overwrite takes effect for readers when
+// its drain completes, inside its own request. A read that must see the
+// caller's own writes still in flight is a Submit of OpGet instead. Reads
+// keep working after Close (the heap stays attached) but not after a
 // crash.
 func (s *Store) Get(k uint64) (uint64, bool, error) { return s.GetHinted(k, uint32(k)) }
 
@@ -597,9 +640,11 @@ type Pair struct{ K, V uint64 }
 // Keys are hash-routed across shards, so each shard's B+-tree holds an
 // arbitrary key subset: Scan walks every shard's last committed snapshot
 // from start (up to n pairs each) and merges, giving a globally ordered
-// range read. The per-shard snapshots are pinned cuts (see GetBatch)
+// range read. The per-shard snapshots are pinned cuts (see Snapshot)
 // acquired one after another, so the merged view is per-shard — not
-// cross-shard — consistent. Like Get it never enters a queue.
+// cross-shard — consistent: each waits out an in-place commit in flight,
+// and its shard commits copy-on-write until the cut is released. Like Get
+// it never enters a queue.
 func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	if n <= 0 {
 		return nil, nil

@@ -258,7 +258,8 @@ func (q *queue) take(batch []request, maxOps int) []request {
 //
 // The fields fall in two groups, each on lines of its own. The read side is
 // what every reader loads; of it the committer writes only window, twice
-// per commit, and the published view, once per copy-on-write commit.
+// per commit, a pre-image table, once per in-place commit, and the
+// published view, once per copy-on-write commit.
 // The commit side is written per batch — the queue by every submitter, the
 // counters and scratch by the committer — and no reader loads it.
 type shard struct {
@@ -279,9 +280,15 @@ type shard struct {
 	// window is the read guard: odd from before an in-place commit's first
 	// store until its drain has made every stored word durable (openWindow,
 	// applyBatch), and while publish flips the live map and stores a new
-	// view. A reader never returns a word it loaded while it was odd (read),
-	// because a crash could still lose it or a later reader not see it yet.
+	// view. A reader never returns a word the odd window may be changing
+	// (readPass), because a crash could still lose it or a later reader not
+	// see it yet: in an in-place window it answers the word's pre-image
+	// instead, and a publish it waits out.
 	window atomic.Uint64
+	// pre holds the pre-image tables, one for each parity of window>>1 (see
+	// preTable), so the table of the window that last closed stays whole
+	// while the committer fills the next one.
+	pre [2]preTable
 
 	_ cacheLinePad
 
@@ -327,6 +334,39 @@ type shard struct {
 // lines.
 type cacheLinePad struct{ _ [64]byte }
 
+// preTable is a pre-image table. Before an in-place window opens, inPlace
+// stores in it one entry per mutation of the batch, in queue order, then
+// their count, then the odd value window is about to take: readers trust
+// a table only while win matches the odd window they read it in, so no
+// table is theirs while a copy-on-write publish holds window odd. A
+// table's entries stay as they are until the committer fills it again for
+// the odd window four past win, which it does while window is win+3. Each
+// has MaxBatch entries, the most mutations a batch carries.
+type preTable struct {
+	win atomic.Uint64
+	n   atomic.Int32
+	e   []preImage
+}
+
+// preImage is one entry of a pre-image table: the address of a value word
+// an in-place batch overwrites and the word's value before the batch,
+// which is durable.
+type preImage struct{ slot, val atomic.Uint64 }
+
+// table returns the pre-image table for odd window value w.
+func (sh *shard) table(w uint64) *preTable { return &sh.pre[w>>1&1] }
+
+// preImage returns the pre-image t's first n entries give the word at
+// slot, if they name it.
+func (t *preTable) preImage(n int32, slot uint64) (uint64, bool) {
+	for i := range n {
+		if e := &t.e[i]; e.slot.Load() == slot {
+			return e.val.Load(), true
+		}
+	}
+	return 0, false
+}
+
 // readerSlots is the size of each shard's reader table. Snapshots may hold
 // at most half of it, so a transient reader always finds a slot soon.
 const readerSlots = 64
@@ -358,6 +398,9 @@ func newShard(s *Store, id int, th *atlas.Thread, db *mdb.DB) *shard {
 		id: id, st: s, th: th, db: db,
 		q:       queue{buf: make([]request, s.opts.QueueDepth)},
 		readers: new([readerSlots]readerSlot),
+	}
+	for i := range sh.pre {
+		sh.pre[i].e = make([]preImage, s.opts.MaxBatch)
 	}
 	sh.root.Store(db.Snapshot())
 	sh.gen.Store(db.Generation())
@@ -438,14 +481,14 @@ func (sh *shard) waitReads() {
 }
 
 // acquireCut pins the current committed view as a consistent cut — a
-// Snapshot (held = heldPin), one shard's share of a Scan or GetBatch, or a
-// Get that lost a race with an in-place commit (read) — whose every read
-// must see the same tree. Counting the cut first stops any committer from
-// opening another in-place window (see openWindow), so the wait is for at
-// most the one already open; while the cut is held the shard commits
-// copy-on-write only, so no leaf word the cut can reach changes under it.
-// It fails only when the store crashes while it waits (an in-place window
-// a crash abandons never closes) or has crashed.
+// Snapshot (held = heldPin), one shard's share of a Scan, or a read whose
+// lock-free passes all failed (begin) — whose every read must see the same
+// tree. Counting the cut first stops any committer from opening another
+// in-place window (see openWindow), so the wait is for the one already
+// open, however long its committer is descheduled; while the cut is held
+// the shard commits copy-on-write only, so no leaf word the cut can reach
+// changes under it. It fails only when the store crashes while it waits
+// (an in-place window a crash abandons never closes) or has crashed.
 func (sh *shard) acquireCut(hint uint32, held uint64) (rs *readerSlot, root, gen uint64, err error) {
 	sh.cuts.Add(1)
 	for sh.window.Load()&1 != 0 {
@@ -467,42 +510,210 @@ func (sh *shard) releaseCut(rs *readerSlot) {
 	sh.cuts.Add(-1)
 }
 
-// read looks k up in the published tree outside any in-place window, so
-// the value returned is durable: pin, then the slot cache, which descends
-// from the pinned root only on a miss. One lock-free pass serves unless
-// its load overlapped a window; then it reads again through a cut, which
-// waits out at most the window then open (the cut keeps committers from
-// opening another). Like acquireCut it fails only on a crash. hint is
-// where pin starts looking for a free slot.
-func (sh *shard) read(k uint64, hint uint32) (uint64, bool, error) {
-	if w := sh.window.Load(); w&1 == 0 {
-		rs, root, _, err := sh.pin(hint, 0)
-		if err != nil {
-			return 0, false, err
-		}
-		v, ok := sh.get(root, k, &rs.descents)
-		if sh.window.Load() == w {
-			bump(&rs.gets)
-			rs.unpin()
-			return v, ok, nil
-		}
-		rs.unpin()
+// readPasses bounds the lock-free passes a read makes before it falls back
+// to a cut. A pass fails only when a copy-on-write commit publishes during
+// it, or more than one in-place window opens or closes during its guarded
+// loads, so the bound is met by a reader starved by a run of commits.
+const readPasses = 64
+
+// readPass is one attempt at reading a shard. It pins the published view
+// (begin), resolves each key's value word in it (slot), and then loads the
+// words under the read guard (guard, load), which holds when window is
+// where it was or has moved past no more than one in-place window's open
+// or close (holds):
+//   - unmoved, every word loaded was durable: in an in-place window, a word
+//     the batch overwrites is answered from its pre-image and no other
+//     word changes;
+//   - moved from odd to even, the loads are the state before that window's
+//     batch, and its table is still whole;
+//   - moved from even by one or two (an in-place window opened, and maybe
+//     closed), a word that window's table names may hold its new value, so
+//     each such word is given its pre-image (fixup), which leaves the
+//     state before the batch.
+//
+// The words resolved stay the view's until a copy-on-write commit
+// publishes, which moves the generation. From the readPasses-th try on a
+// pass is a cut, which needs no guard.
+type readPass struct {
+	rs        *readerSlot
+	root, gen uint64
+	w         uint64    // window, as guard loaded it
+	tab       *preTable // the open window's table, or the one to fix up from
+	n         int32     // entries of tab in force
+	cut       bool
+	guarded   bool // guard found no copy-on-write publish in progress
+	fix       bool // the loads stand once fixed up from tab
+}
+
+// begin pins the tries-th pass of a read (see pin), or from the
+// readPasses-th try on a cut (acquireCut), which waits out the window then
+// open and holds later commits to copy-on-write. Like acquireCut it fails
+// only on a crash. hint is where pin starts looking for a free slot.
+func (sh *shard) begin(hint uint32, tries int) (p readPass, err error) {
+	if p.cut = tries >= readPasses; p.cut {
+		p.rs, p.root, p.gen, err = sh.acquireCut(hint, 0)
+	} else {
+		p.rs, p.root, p.gen, err = sh.pin(hint, 0)
 	}
-	rs, root, _, err := sh.acquireCut(hint, 0)
+	return p, err
+}
+
+// slot returns the address of k's value word in pass p's tree, or 0 when k
+// is absent. A lock-free pass asks the slot cache, which descends from the
+// pinned root only on a miss; a cut descends, as the live map may flip
+// under it (a copy-on-write publish does not wait for cuts).
+func (sh *shard) slot(p *readPass, k uint64) uint64 {
+	if p.cut {
+		bump(&p.rs.descents)
+		slot, _, _ := sh.db.Locate(p.root, k)
+		return slot
+	}
+	return sh.lookup(p.root, k, &p.rs.descents)
+}
+
+// guard loads window ahead of the pass's loads and reports whether they
+// may go on: not while a copy-on-write publish holds window odd, which no
+// table names. A cut needs no guard.
+func (sh *shard) guard(p *readPass) bool {
+	p.guarded = true
+	if p.w = sh.window.Load(); !p.cut && p.w&1 != 0 {
+		if t := sh.table(p.w); t.win.Load() == p.w {
+			p.tab, p.n = t, t.n.Load()
+		} else {
+			p.guarded = false
+		}
+	}
+	return p.guarded
+}
+
+// load returns the value of the word at slot (0 for an absent key): its
+// pre-image when the in-place window guard found open overwrites it, else
+// the word itself, which the window leaves alone.
+func (sh *shard) load(p *readPass, slot uint64) uint64 {
+	if slot == 0 {
+		return 0
+	}
+	if p.tab != nil {
+		if v, ok := p.tab.preImage(p.n, slot); ok {
+			return v
+		}
+	}
+	return sh.db.SlotValue(slot)
+}
+
+// holds reports whether pass p's loads stand (see readPass); when they
+// stand only once fixed up (fixup, fixed), it sets p.fix and points p.tab
+// at the table to fix them up from.
+func (sh *shard) holds(p *readPass) bool {
+	if p.cut {
+		return true
+	}
+	if !p.guarded || sh.gen.Load() != p.gen {
+		return false
+	}
+	switch w := sh.window.Load(); {
+	case w == p.w, w == p.w+1 && p.w&1 != 0:
+		return true
+	case p.w&1 == 0 && w <= p.w+2:
+		if t := sh.table(p.w + 1); t.win.Load() == p.w+1 {
+			p.tab, p.n, p.fix = t, t.n.Load(), true
+			return true
+		}
+	}
+	return false
+}
+
+// fixup returns the pre-image of the word at slot from the table of the
+// window that opened during pass p's loads, if it names the word, else v,
+// the value loaded.
+func (sh *shard) fixup(p *readPass, slot, v uint64) uint64 {
+	if pv, ok := p.tab.preImage(p.n, slot); ok {
+		return pv
+	}
+	return v
+}
+
+// fixed reports whether pass p's fixup stands: its table was whole, as
+// window has not reached three past the table's own, and any word resolved
+// again for it (GetBatch) is the view's, as no copy-on-write commit has
+// published nor holds window odd.
+func (sh *shard) fixed(p *readPass) bool {
+	f := p.w + 1
+	if sh.gen.Load() != p.gen {
+		return false
+	}
+	w := sh.window.Load()
+	return w <= f+1 || w == f+2 && sh.table(w).win.Load() == w
+}
+
+// end closes pass p, which read n keys, and returns ok: whether its reads
+// stand. Reads that stand count in the pass's slot. A pass that met a
+// publish yields once it has unpinned.
+func (sh *shard) end(p *readPass, n uint64, ok bool) bool {
+	if ok {
+		p.rs.gets.Store(p.rs.gets.Load() + n)
+	}
+	if p.cut {
+		sh.releaseCut(p.rs)
+		return true
+	}
+	p.rs.unpin()
+	if !p.guarded {
+		runtime.Gosched()
+	}
+	return ok
+}
+
+// read looks k up in the published tree: lock-free passes until one
+// stands, a cut after readPasses of them. The first pass is spelled out
+// for its common case, an even window that does not move, which is most
+// of what a read-mostly shard serves; any other outcome goes round the
+// general loop.
+func (sh *shard) read(k uint64, hint uint32) (uint64, bool, error) {
+	rs, root, gen, err := sh.pin(hint, 0)
 	if err != nil {
 		return 0, false, err
 	}
-	v, ok := sh.get(root, k, &rs.descents)
-	bump(&rs.gets)
-	sh.releaseCut(rs)
-	return v, ok, nil
+	slot := sh.lookup(root, k, &rs.descents)
+	if w := sh.window.Load(); w&1 == 0 {
+		var v uint64
+		if slot != 0 {
+			v = sh.db.SlotValue(slot)
+		}
+		if sh.window.Load() == w && sh.gen.Load() == gen {
+			bump(&rs.gets)
+			rs.unpin()
+			return v, slot != 0, nil
+		}
+	}
+	rs.unpin()
+	for tries := 1; ; tries++ {
+		p, err := sh.begin(hint, tries)
+		if err != nil {
+			return 0, false, err
+		}
+		slot := sh.slot(&p, k)
+		var v uint64
+		if sh.guard(&p) {
+			v = sh.load(&p, slot)
+		}
+		ok := sh.holds(&p)
+		if ok && p.fix {
+			v = sh.fixup(&p, slot, v)
+			ok = sh.fixed(&p)
+		}
+		if sh.end(&p, 1, ok) {
+			return v, slot != 0, nil
+		}
+	}
 }
 
 // inPlace reports whether a batch can commit in place, resolving every
 // mutation's value word into sh.slots on the way: no consistent cut is
 // pinned, and every mutation is a single-key put or counter op of a key
 // already present. The tests that need no tree descent come first. On true
-// the in-place window is open (see openWindow).
+// the batch's pre-images are published and the in-place window is open
+// (see openWindow).
 func (sh *shard) inPlace(batch []request) bool {
 	if sh.cuts.Load() > 0 {
 		return false
@@ -527,7 +738,29 @@ func (sh *shard) inPlace(batch []request) bool {
 		slots = append(slots, slot)
 	}
 	sh.slots = slots
+	sh.publishPreImages()
 	return sh.openWindow()
+}
+
+// publishPreImages fills the pre-image table of the window about to open
+// from the batch's resolved words: each word's current value, durable
+// since the last window closed, then the count, then the window's odd
+// value. Readers take a table only once window has its value, so filling
+// it before the open puts every entry ahead of the batch's first store. A
+// word the batch overwrites twice gets two entries with one value.
+func (sh *shard) publishPreImages() {
+	w := sh.window.Load() + 1
+	t := sh.table(w)
+	n := int32(0)
+	for _, slot := range sh.slots {
+		if slot != 0 {
+			t.e[n].slot.Store(slot)
+			t.e[n].val.Store(sh.db.SlotValue(slot))
+			n++
+		}
+	}
+	t.n.Store(n)
+	t.win.Store(w)
 }
 
 // openWindow makes the in-place window odd unless a consistent cut is
@@ -562,10 +795,10 @@ func (sh *shard) onFreed(gen uint64, pages []uint64) {
 // flips the slot cache's live map to the new tree and then stores the new
 // view, so no pin sees the new generation before its pages are live; an
 // in-place commit changed no page, no root and no generation. The flip and
-// the store happen inside an odd window, as an in-place commit's stores
-// do, so a read that overlaps them reads again (read) and a cut waits them
-// out: no read returns a value the flip made visible while a later read
-// could still pin the old view and descend to the old one. The reader
+// the store happen inside an odd window no pre-image table names, so a read that
+// overlaps them tries again (begin) and a cut waits them out: no read
+// returns a value the flip made visible while a later read could still pin
+// the old view and descend to the old one. The reader
 // table is scanned only while pages are parked, after the view is stored
 // (see pin).
 func (sh *shard) publish(cow bool) {
@@ -741,7 +974,7 @@ func (sh *shard) commitBatch(batch []request) {
 		return
 	}
 	sh.publish(!inPlace)
-	sh.note(batch)
+	sh.note(batch, !inPlace)
 	ackAll(batch, results)
 }
 
@@ -848,7 +1081,7 @@ func (sh *shard) applyBatch(batch []request, results []Result, inPlace bool) (ou
 	}
 	if inPlace {
 		// The drain makes every stored word durable; only then may readers
-		// see them.
+		// see them instead of their pre-images.
 		sh.th.FASEEnd()
 		sh.window.Add(1)
 	} else if err := sh.db.Commit(); err != nil {

@@ -22,6 +22,7 @@ type counters struct {
 	descents     atomic.Uint64 // slot-cache misses that walked the tree
 	scans        atomic.Uint64
 	batches      atomic.Uint64
+	cowBatches   atomic.Uint64 // batches that copied on write
 	batchedOps   atomic.Uint64
 	aborts       atomic.Uint64
 
@@ -30,12 +31,15 @@ type counters struct {
 	flushBarriers atomic.Int64
 }
 
-// note records one committed batch: operation mix and flush-counter
-// snapshot.
-func (sh *shard) note(batch []request) {
+// note records one committed batch: operation mix, whether it copied on
+// write, and flush-counter snapshot.
+func (sh *shard) note(batch []request, cow bool) {
 	post := sh.th.FlushStats()
 	sh.noteOps(batch)
 	sh.batches.Add(1)
+	if cow {
+		sh.cowBatches.Add(1)
+	}
 	sh.batchedOps.Add(uint64(logicalOps(batch)))
 	sh.flushAsync.Store(post.Async)
 	sh.flushDrained.Store(post.Drained)
@@ -83,6 +87,9 @@ type ShardStats struct {
 	Incrs, Decrs uint64
 	// Group-commit shape.
 	Batches, BatchedOps uint64
+	// CowBatches counts the committed batches that copied on write; the
+	// rest of Batches committed in place.
+	CowBatches uint64
 	// Aborted batches (shed load, e.g. pool exhaustion).
 	Aborts uint64
 	// Flush counters of the shard's persistence policy: async (overlapped,
@@ -122,6 +129,7 @@ func (st ShardStats) Pairs() []string {
 		fmt.Sprintf("aborts=%d", st.Aborts),
 		fmt.Sprintf("avg_batch=%.2f", st.AvgBatch()),
 		fmt.Sprintf("batches=%d", st.Batches),
+		fmt.Sprintf("cow_batches=%d", st.CowBatches),
 		fmt.Sprintf("decrs=%d", st.Decrs),
 		fmt.Sprintf("dels=%d", st.Deletes),
 		fmt.Sprintf("descents=%d", st.Descents),
@@ -165,6 +173,7 @@ func (sh *shard) stats() ShardStats {
 		Scans:      sh.scans.Load(),
 		Batches:    sh.batches.Load(),
 		BatchedOps: sh.batchedOps.Load(),
+		CowBatches: sh.cowBatches.Load(),
 		Aborts:     sh.aborts.Load(),
 
 		AsyncFlushes:   sh.flushAsync.Load(),
@@ -207,6 +216,7 @@ func Totals(stats []ShardStats) ShardStats {
 		t.Scans += st.Scans
 		t.Batches += st.Batches
 		t.BatchedOps += st.BatchedOps
+		t.CowBatches += st.CowBatches
 		t.Aborts += st.Aborts
 		t.AsyncFlushes += st.AsyncFlushes
 		t.DrainedFlushes += st.DrainedFlushes

@@ -22,7 +22,7 @@ func statsLines(stats []kv.ShardStats, stripes string) []string {
 
 func TestParseStatsRoundTrip(t *testing.T) {
 	a := kv.ShardStats{Shard: 0, Puts: 10, Deletes: 2, Gets: 30, Scans: 4,
-		Batches: 5, BatchedOps: 12, AsyncFlushes: 7, DrainedFlushes: 9,
+		Batches: 5, CowBatches: 2, BatchedOps: 12, AsyncFlushes: 7, DrainedFlushes: 9,
 		Descents: 6, Aborts: 3, Incrs: 1, Decrs: 8}
 	b := kv.ShardStats{Shard: 1, Puts: 1, Gets: 2, Batches: 1, BatchedOps: 1}
 	lines := statsLines([]kv.ShardStats{a, b},
@@ -37,7 +37,7 @@ func TestParseStatsRoundTrip(t *testing.T) {
 	}
 	checks := map[string]float64{
 		"puts": 10, "dels": 2, "gets": 30, "scans": 4, "batches": 5,
-		"ops": 12, "flush_async": 7, "flush_drained": 9, "flushes": 16,
+		"cow_batches": 2, "ops": 12, "flush_async": 7, "flush_drained": 9, "flushes": 16,
 		"descents": 6, "aborts": 3, "incrs": 1, "decrs": 8,
 	}
 	for k, want := range checks {
@@ -45,8 +45,9 @@ func TestParseStatsRoundTrip(t *testing.T) {
 			t.Errorf("shard 0 %s = %v, want %v", k, got, want)
 		}
 	}
-	if st.Total["puts"] != 11 || st.Total["ops"] != 13 {
-		t.Fatalf("total puts=%v ops=%v, want 11/13", st.Total["puts"], st.Total["ops"])
+	if st.Total["puts"] != 11 || st.Total["ops"] != 13 || st.Total["cow_batches"] != 2 {
+		t.Fatalf("total puts=%v ops=%v cow_batches=%v, want 11/13/2",
+			st.Total["puts"], st.Total["ops"], st.Total["cow_batches"])
 	}
 	if st.Stripes["contended"] != 3 || st.Stripes["stripes"] != 64 {
 		t.Fatalf("stripes parsed %v", st.Stripes)

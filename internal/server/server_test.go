@@ -202,7 +202,7 @@ func TestCounterVerbs(t *testing.T) {
 // loadgen diffs: every shard line and the total line carry exactly these
 // keys, in this (sorted) order, whatever the counters hold.
 func TestStatsKeySchema(t *testing.T) {
-	want := "aborts avg_batch batches decrs dels descents " +
+	want := "aborts avg_batch batches cow_batches decrs dels descents " +
 		"flush_async flush_barriers flush_drained flush_ratio flushes gets incrs ops puts scans"
 	srv, cl := testServer(t, Options{})
 	defer srv.Shutdown()
