@@ -17,8 +17,9 @@ import (
 // not in NVRAM — and reads the key meanwhile. Get and GetBatch may not
 // return the new value, which a crash can still lose: they answer at once
 // with the durable pre-image, and a key the batch does not touch with its
-// own value. Scan, a cut, waits out the window, and when the crash comes
-// instead of the drain it returns ErrCrashed rather than wait forever.
+// own value. Scan, which reads under the commit lock, waits out the
+// window, and when the crash comes instead of the drain it returns
+// ErrCrashed rather than wait forever.
 // After Recover the old value is there. Run with -race: the readers load
 // the word and the pre-image table while the committer stores them.
 func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
@@ -102,12 +103,12 @@ func TestGetNeverReturnsUndurableOverwrite(t *testing.T) {
 	}
 }
 
-// TestWaitingScanCountsItsCut: a Scan whose cut meets an in-place window
-// counts the cut before it waits, so no committer opens a further window
-// until the Scan is through and the Scan waits out only the window already
-// open, however busy the shard. It then returns the drained value and
-// uncounts its cut, and the next overwrite commits in place again.
-func TestWaitingScanCountsItsCut(t *testing.T) {
+// TestScanWaitsOutParkedInPlaceCommit: a Scan that meets an in-place
+// commit parked between its store and its drain waits for the commit lock
+// and returns nothing meanwhile. Once the drain is through it returns the
+// drained value, and the next overwrite commits in place: a Scan leaves the
+// shard's commits as it found them.
+func TestScanWaitsOutParkedInPlaceCommit(t *testing.T) {
 	const k = 7
 	var armed atomic.Bool
 	parked, drain := make(chan struct{}), make(chan struct{})
@@ -144,10 +145,10 @@ func TestWaitingScanCountsItsCut(t *testing.T) {
 		ps, err := s.Scan(k, 1)
 		got <- scan{ps, err}
 	}()
-	for deadline := time.Now().Add(5 * time.Second); sh.cuts.Load() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("a Scan waiting out an in-place window counts no cut: a committer can open the next window under it")
-		}
+	select {
+	case r := <-got:
+		t.Fatalf("Scan returned %v, %v while an in-place commit was undrained", r.ps, r.err)
+	case <-time.After(50 * time.Millisecond):
 	}
 	release()
 	if res := <-overwrite; res.Err != nil {
@@ -155,9 +156,6 @@ func TestWaitingScanCountsItsCut(t *testing.T) {
 	}
 	if r := <-got; r.err != nil || len(r.ps) != 1 || r.ps[0] != (Pair{k, 20}) {
 		t.Fatalf("Scan after the drain = %v, %v; want [{%d 20}]", r.ps, r.err, k)
-	}
-	if n := sh.cuts.Load(); n != 0 {
-		t.Fatalf("%d cuts still counted after the Scan returned", n)
 	}
 	gen := sh.db.Generation()
 	if err := s.Put(k, 30); err != nil {
@@ -168,13 +166,14 @@ func TestWaitingScanCountsItsCut(t *testing.T) {
 	}
 }
 
-// TestReadsForceNoCopyOnWrite: four readers hammer one shard with Gets and
-// GetBatches while two writers overwrite its present keys, with PUTs and
-// INCRs, as fast as they commit. Every batch commits in place: a read
-// that meets an open window answers from its pre-images instead of taking
-// a cut, so no read holds the shard to copy-on-write.
+// TestReadsForceNoCopyOnWrite: six readers hammer one shard with Gets,
+// GetBatches and Scans while two writers overwrite its present keys, with
+// PUTs and INCRs, as fast as they commit. Every batch commits in place: a
+// Get or GetBatch that meets an open window answers from its pre-images,
+// and a Scan reads between commits under the commit lock, so no read holds
+// the shard to copy-on-write.
 func TestReadsForceNoCopyOnWrite(t *testing.T) {
-	const keys, writes, readers = 64, 3000, 4
+	const keys, writes, readers = 64, 3000, 6
 	opts := DefaultOptions()
 	opts.Shards = 1
 	s := newStore(t, opts)
@@ -192,36 +191,19 @@ func TestReadsForceNoCopyOnWrite(t *testing.T) {
 		rd.Add(1)
 		go func() {
 			defer rd.Done()
-			var ks, vals [8]uint64
-			var found [8]bool
 			for i := uint64(0); !stop.Load(); i++ {
-				k := (i*7 + uint64(r)) % keys
-				if r%2 == 0 {
-					v, ok, err := s.Get(k)
-					if err == nil && !ok {
-						err = fmt.Errorf("Get(%d) found nothing", k)
-					}
-					if err == nil {
-						err = checkTagged("Get", k, v)
-					}
-					if err != nil {
-						errs <- err
-						return
-					}
-					continue
+				var err error
+				switch k := (i*7 + uint64(r)) % keys; r % 3 {
+				case 0:
+					err = getTagged(s, k)
+				case 1:
+					err = getBatchTagged(s, k, keys)
+				case 2:
+					err = scanTagged(s, k, keys)
 				}
-				for j := range ks {
-					ks[j] = (k + uint64(j)*keys/8) % keys
-				}
-				if err := s.GetBatch(ks[:], vals[:], found[:]); err != nil {
+				if err != nil {
 					errs <- err
 					return
-				}
-				for j := range ks {
-					if err := checkTagged("GetBatch", ks[j], vals[j]); err != nil || !found[j] {
-						errs <- fmt.Errorf("GetBatch key %d: %v, found %v", ks[j], err, found[j])
-						return
-					}
 				}
 			}
 		}()
@@ -260,6 +242,58 @@ func TestReadsForceNoCopyOnWrite(t *testing.T) {
 		t.Fatalf("%d of %d overwrite batches copied on write while readers read", n, after.Batches-before.Batches)
 	}
 	t.Logf("%d in-place batches under %d reads", after.Batches-before.Batches, after.Gets-before.Gets)
+}
+
+// getTagged Gets k, which must be present with a value a PUT wrote for it.
+func getTagged(s *Store, k uint64) error {
+	v, ok, err := s.Get(k)
+	if err == nil && !ok {
+		err = fmt.Errorf("Get(%d) found nothing", k)
+	}
+	if err == nil {
+		err = checkTagged("Get", k, v)
+	}
+	return err
+}
+
+// getBatchTagged GetBatches eight of keys present keys from k on, spread
+// over the key space; each must hold a value a PUT wrote for it.
+func getBatchTagged(s *Store, k, keys uint64) error {
+	var ks, vals [8]uint64
+	var found [8]bool
+	for j := range ks {
+		ks[j] = (k + uint64(j)*keys/8) % keys
+	}
+	if err := s.GetBatch(ks[:], vals[:], found[:]); err != nil {
+		return err
+	}
+	for j := range ks {
+		if err := checkTagged("GetBatch", ks[j], vals[j]); err != nil || !found[j] {
+			return fmt.Errorf("GetBatch key %d: %v, found %v", ks[j], err, found[j])
+		}
+	}
+	return nil
+}
+
+// scanTagged Scans up to eight of keys present keys from k on; it must
+// return each of them, in order, with a value a PUT wrote for it.
+func scanTagged(s *Store, k, keys uint64) error {
+	ps, err := s.Scan(k, 8)
+	if err != nil {
+		return err
+	}
+	if want := min(8, keys-k); uint64(len(ps)) != want {
+		return fmt.Errorf("Scan(%d, 8) returned %d pairs, want %d", k, len(ps), want)
+	}
+	for j, p := range ps {
+		if p.K != k+uint64(j) {
+			return fmt.Errorf("Scan(%d, 8) returned key %d at %d", k, p.K, j)
+		}
+		if err := checkTagged("Scan", p.K, p.V); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestReadsNeverGoBackAcrossWindowClose: readers Get and GetBatch one key

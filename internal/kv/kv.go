@@ -25,9 +25,8 @@
 // writes back its whole root-to-leaf path) is the commit. An aligned word
 // store is failure-atomic, so this needs no undo record; what it gives up
 // is rollback, which is why only such batches take it: a crash mid-drain
-// leaves each overwritten key old or new. Any insert, delete or MPUT, and
-// every batch while a Snapshot or Scan is pinned, copies on write as
-// before.
+// leaves each overwritten key old or new. Any insert, delete or MPUT
+// copies on write as before.
 //
 // Every mutation is a Submit (enqueue, returns at once) and a Wait on a
 // caller-owned, reusable Ticket; Put, Delete, Incr, Decr and PutBatch are
@@ -35,32 +34,32 @@
 // connection's pipelined window — gets them committed together, by its own
 // first Wait on each shard.
 //
-// Get, GetBatch and Scan never enter a queue and take no lock: they are
-// snapshot reads against the last committed root, published atomically by
-// the commit, pinned in a slot of the shard's reader table that sits on a
-// cache line of its own. Superseded pages are reclaimed only once no pin
-// that can still see them is live (deferred reclamation via
-// mdb.SetFreeHook), so readers never block writers and writers never
-// invalidate readers. A point lookup — Get,
-// an in-place batch's slot resolution and its queued GETs — rarely walks the
-// tree: each shard keeps a lossy slot cache from a key to the leaf entry
-// that last held it, which answers only when that leaf is in the published
-// tree and still holds the key, and otherwise descends and remembers what it
-// found. The cache is volatile and needs no maintenance on commits; only the
-// page-level live map it validates against changes, when a commit publishes
-// a new root. No read returns a value a crash could still lose or a later
-// reader not yet see: from an in-place commit's first store until its
-// drain, a Get or GetBatch answers each word the commit overwrites from
-// the durable pre-image the commit published before it opened, and it
-// reads again if a copy-on-write commit publishes under it or more than
-// one in-place window opens or closes during its loads. A Snapshot
-// or Scan — which must see one tree throughout — starts only between
-// such commits and keeps the shard's commits on the copy-on-write path
-// while it is pinned. The one queued read is a Submit of OpGet, for a
-// caller whose read must follow its own writes still in flight: its commit
-// answers it at its queue position, from the batch's tree, and acks it with
-// the batch after the durable commit, so it never returns a value that could
-// be lost. A batch of GETs alone has nothing to commit and opens no FASE.
+// Get and GetBatch never enter a queue and, unless a run of commits starves
+// them, take no lock: they are snapshot reads against the last committed
+// root, published atomically by the commit, pinned in a slot of the shard's
+// reader table that sits on a cache line of its own. Superseded pages are
+// reclaimed only once no pin that can still see them is live (deferred
+// reclamation via mdb.SetFreeHook), so pinned readers never block writers
+// and writers never invalidate readers. A point lookup — Get, an in-place
+// batch's slot resolution and its queued GETs — rarely walks the tree: each
+// shard keeps a lossy slot cache from a key to the leaf entry that last held
+// it, which answers only when that leaf is in the published tree and still
+// holds the key, and otherwise descends and remembers what it found. The
+// cache is volatile and needs no maintenance on commits; only the page-level
+// live map it validates against changes, when a commit publishes a new root.
+// No read returns a value a crash could still lose or a later reader not yet
+// see: from an in-place commit's first store until its drain, a Get or
+// GetBatch answers each word the commit overwrites from the durable
+// pre-image the commit published before it opened, and it reads again if a
+// copy-on-write commit publishes under it or more than one in-place window
+// opens or closes during its loads. A read whose passes keep failing, and a
+// Scan, which must see one tree throughout, read under the shard's commit
+// lock instead, between commits. The one queued read is a Submit of OpGet,
+// for a caller whose read must follow its own writes still in flight: its
+// commit answers it at its queue position, from the batch's tree, and acks
+// it with the batch after the durable commit, so it never returns a value
+// that could be lost. A batch of GETs alone has nothing to commit and opens
+// no FASE.
 package kv
 
 import (
@@ -87,10 +86,6 @@ var (
 	// full; an in-place batch (overwrites of present keys) leaves each of
 	// its keys with its old or its new value, untorn.
 	ErrCrashed = errors.New("kv: store crashed")
-	// ErrTooManySnapshots reports a Snapshot refused because half of its
-	// shard's reader table is already held by Snapshots: the other half is
-	// kept for the reads in progress.
-	ErrTooManySnapshots = errors.New("kv: too many snapshots held on the shard")
 )
 
 // Options configures a Store. Use DefaultOptions as the base; zero numeric
@@ -526,9 +521,10 @@ const getBatchShards = 64
 // touched: the shards are pinned once each, in index order (so two
 // GetBatches never wait on each other for reader slots), every key is read
 // through its shard's pass, and a shard whose pass does not stand is read
-// again. So the view is per-shard consistent: one shard's values all come
-// from one committed state, and like Get's every one was durable when
-// read. Allocation-free for stores with up to getBatchShards shards.
+// again, under its commit lock once readPasses passes have failed. So the
+// view is per-shard consistent: one shard's values all come from one
+// committed state, and like Get's every one was durable when read.
+// Allocation-free for stores with up to getBatchShards shards.
 func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 	if len(keys) == 0 {
 		return nil
@@ -546,13 +542,16 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 		left[ShardIndex(k, ns)]++
 	}
 	for tries, more := 0, true; more; tries++ {
+		if tries == readPasses {
+			return s.getLocked(keys, vals, found, left)
+		}
 		for si, sh := range s.shards {
 			passes[si] = readPass{}
 			if left[si] == 0 {
 				continue
 			}
 			var err error
-			if passes[si], err = sh.begin(uint32(keys[0]), tries); err != nil {
+			if passes[si], err = sh.begin(uint32(keys[0])); err != nil {
 				for sj := range si {
 					if passes[sj].rs != nil {
 						s.shards[sj].end(&passes[sj], 0, false)
@@ -566,7 +565,7 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 		// the loads alone.
 		for i, k := range keys {
 			if si := ShardIndex(k, ns); passes[si].rs != nil {
-				vals[i] = s.shards[si].slot(&passes[si], k)
+				vals[i] = s.shards[si].lookup(passes[si].root, k, &passes[si].rs.descents)
 			}
 		}
 		for si, sh := range s.shards {
@@ -590,7 +589,7 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 			if ok && p.fix {
 				for i, k := range keys {
 					if ShardIndex(k, ns) == si {
-						vals[i] = sh.fixup(p, sh.slot(p, k), vals[i])
+						vals[i] = sh.fixup(p, sh.lookup(p.root, k, &p.rs.descents), vals[i])
 					}
 				}
 				ok = sh.fixed(p)
@@ -600,6 +599,29 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 			} else {
 				more = true
 			}
+		}
+	}
+	return nil
+}
+
+// getLocked reads GetBatch's keys of every shard whose lock-free passes all
+// failed (left[si] > 0) under that shard's commit lock.
+func (s *Store) getLocked(keys, vals []uint64, found []bool, left []uint64) error {
+	ns := len(s.shards)
+	for si, sh := range s.shards {
+		if left[si] == 0 {
+			continue
+		}
+		err := sh.locked(func(root uint64) {
+			for i, k := range keys {
+				if ShardIndex(k, ns) == si {
+					vals[i], found[i] = sh.get(root, k, &sh.descents)
+				}
+			}
+			sh.gets.Add(left[si])
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -615,10 +637,9 @@ func (s *Store) GetBatch(keys, vals []uint64, found []bool) error {
 // not yet durable, the reader answers each one from the durable pre-image
 // the commit published before its first store. Only a copy-on-write
 // publish, a few stores long, sends a reader round again, and a reader
-// whose passes keep failing (readPasses) reads through a cut, which waits
-// for the commit then in flight and holds the shard to copy-on-write until
-// it is through (see Snapshot). An overwrite takes effect for readers when
-// its drain completes, inside its own request. A read that must see the
+// whose passes keep failing (readPasses) reads under the shard's commit
+// lock, between commits. An overwrite takes effect for readers when its
+// drain completes, inside its own request. A read that must see the
 // caller's own writes still in flight is a Submit of OpGet instead. Reads
 // keep working after Close (the heap stays attached) but not after a
 // crash.
@@ -638,29 +659,28 @@ type Pair struct{ K, V uint64 }
 
 // Scan returns up to n pairs with keys ≥ start in ascending key order.
 // Keys are hash-routed across shards, so each shard's B+-tree holds an
-// arbitrary key subset: Scan walks every shard's last committed snapshot
-// from start (up to n pairs each) and merges, giving a globally ordered
-// range read. The per-shard snapshots are pinned cuts (see Snapshot)
-// acquired one after another, so the merged view is per-shard — not
-// cross-shard — consistent: each waits out an in-place commit in flight,
-// and its shard commits copy-on-write until the cut is released. Like Get
-// it never enters a queue.
+// arbitrary key subset: Scan walks every shard's last committed tree from
+// start (up to n pairs each) and merges, giving a globally ordered range
+// read. Each shard is walked under its commit lock, one after another, so
+// the merged view is per-shard — not cross-shard — consistent: a shard's
+// walk waits out the commit in flight there and holds the next one off
+// until it is through. Like Get it never enters a queue.
 func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	all := make([]Pair, 0, n)
 	for _, sh := range s.shards {
-		rs, root, _, err := sh.acquireCut(uint32(start), 0)
+		err := sh.locked(func(root uint64) {
+			taken := 0
+			for c := sh.db.Seek(root, start); c.Valid() && taken < n; c.Next() {
+				all = append(all, Pair{c.Key(), c.Value()})
+				taken++
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
-		taken := 0
-		for c := sh.db.Seek(root, start); c.Valid() && taken < n; c.Next() {
-			all = append(all, Pair{c.Key(), c.Value()})
-			taken++
-		}
-		sh.releaseCut(rs)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].K < all[j].K })
 	if len(all) > n {
@@ -668,62 +688,6 @@ func (s *Store) Scan(start uint64, n int) ([]Pair, error) {
 	}
 	s.shards[ShardIndex(start, len(s.shards))].scans.Add(1)
 	return all, nil
-}
-
-// Snapshot pins shard's current committed root: Get against the snapshot
-// sees that exact tree regardless of concurrent commits, because the pages
-// it references are not recycled until Release and, while it is held, the
-// shard commits copy-on-write only (no in-place overwrite reaches a leaf
-// the snapshot shares). A Snapshot holds a slot of the shard's reader
-// table until Release; at most half the table may be held so, and past
-// that Snapshot returns ErrTooManySnapshots. A held Snapshot does not hold
-// up Crash, so it must be released before one: reads concurrent with a
-// power failure are undefined.
-func (s *Store) Snapshot(shard int) (*Snapshot, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return nil, fmt.Errorf("kv: shard %d out of range [0,%d)", shard, len(s.shards))
-	}
-	sh := s.shards[shard]
-	if sh.held.Add(1) > readerSlots/2 {
-		sh.held.Add(-1)
-		return nil, ErrTooManySnapshots
-	}
-	// Held pins start in the table's upper half, away from the low hints
-	// of the first connections.
-	rs, root, gen, err := sh.acquireCut(readerSlots/2, heldPin)
-	if err != nil {
-		sh.held.Add(-1)
-		return nil, err
-	}
-	return &Snapshot{sh: sh, rs: rs, root: root, gen: gen}, nil
-}
-
-// Snapshot is a pinned read-only view of one shard.
-type Snapshot struct {
-	sh       *shard
-	rs       *readerSlot
-	root     uint64
-	gen      uint64
-	released bool
-}
-
-// Get looks k up in the pinned view.
-func (sn *Snapshot) Get(k uint64) (uint64, bool) { return sn.sh.db.GetSnapshot(sn.root, k) }
-
-// Gen returns the committed generation the snapshot pins.
-func (sn *Snapshot) Gen() uint64 { return sn.gen }
-
-// Root exposes the pinned root (for mdb.GetSnapshot-level assertions).
-func (sn *Snapshot) Root() uint64 { return sn.root }
-
-// Release unpins the view, allowing its superseded pages to be recycled.
-func (sn *Snapshot) Release() {
-	if sn.released {
-		return
-	}
-	sn.released = true
-	sn.sh.releaseCut(sn.rs)
-	sn.sh.held.Add(-1)
 }
 
 // Close drains every shard gracefully: requests are accepted no more,
@@ -761,14 +725,14 @@ func (s *Store) Crashed() <-chan struct{} { return s.crashDone }
 
 // initiateCrash coordinates the failure: it takes every shard's commit lock
 // first, which waits out the commits in flight (each sees crashing at its
-// next check and stops), so no goroutine mutates the heap while its
-// volatile view is dropped. Then it sets the state, which every reader
-// checks after it pins, and waits out the reads already pinned, so none
-// reads the heap while it is dropped either; a held Snapshot is not waited
-// for. Last, still holding the locks, it shuts every queue and fails the
-// requests queued there. except is the shard whose committer initiates
-// the crash from inside its own FASE (an injected crash), which holds
-// that lock already and nacks its own batch after this returns.
+// next check and stops) and the locked reads, so no goroutine mutates the
+// heap while its volatile view is dropped. Then it sets the state, which
+// every reader checks after it pins, and waits out the reads already
+// pinned, so none reads the heap while it is dropped either. Last, still
+// holding the locks, it shuts every queue and fails the requests queued
+// there. except is the shard whose committer initiates the crash from
+// inside its own FASE (an injected crash), which holds that lock already
+// and nacks its own batch after this returns.
 func (s *Store) initiateCrash(except *shard) error {
 	if !s.crashing.CompareAndSwap(false, true) {
 		return ErrCrashed

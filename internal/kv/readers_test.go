@@ -14,8 +14,8 @@ import (
 
 // The reader table's contract, run with -race: pins keep every page a
 // reader can reach from being recycled, the table never runs out for good,
-// a cut and an in-place window never overlap, and a crash waits for the
-// reads in flight but not for a held Snapshot.
+// a consistent read never sees half an in-place batch, and a crash waits
+// for the reads in flight.
 
 // poison is what poisonRecycled writes over a recycled page.
 const poison = 0xDEADBEEFDEADBEEF
@@ -104,34 +104,42 @@ func readEverything(s *Store, turn int, keys uint64) error {
 	return nil
 }
 
-// churn runs rounds of copy-on-write commits over keys on s: each round
-// deletes one key and puts it back (two commits), and puts a batch of four
-// (one more; an MPUT always copies), so every round frees pages.
+// churn runs rounds of copy-on-write commits over keys on s (see
+// churnRound).
 func churn(s *Store, rounds, keys uint64) error {
 	for r := uint64(1); r <= rounds; r++ {
-		k := r * 7 % keys
-		if _, err := s.Delete(k); err != nil {
-			return err
-		}
-		if err := s.Put(k, tagged(k, r)); err != nil {
-			return err
-		}
-		var batch [4]Pair
-		for i := range batch {
-			bk := (k + 1 + uint64(i)*keys/4) % keys
-			batch[i] = Pair{bk, tagged(bk, r)}
-		}
-		if err := s.PutBatch(batch[:]); err != nil {
+		if err := churnRound(s, r, keys); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// churnRound is round r of copy-on-write commits over keys on s: it
+// deletes one key and puts it back (two commits), and puts a batch of four
+// (one more; an MPUT always copies), so every round frees pages.
+func churnRound(s *Store, r, keys uint64) error {
+	k := r * 7 % keys
+	if _, err := s.Delete(k); err != nil {
+		return err
+	}
+	if err := s.Put(k, tagged(k, r)); err != nil {
+		return err
+	}
+	var batch [4]Pair
+	for i := range batch {
+		bk := (k + 1 + uint64(i)*keys/4) % keys
+		batch[i] = Pair{bk, tagged(bk, r)}
+	}
+	return s.PutBatch(batch[:])
+}
+
 // TestReadersNeverSeeRecycledPages: readers doing Get, GetBatch and Scan
-// while a writer makes 1 200 copy-on-write commits on one shard, whose
-// inserts and deletes free pages every commit, never read a value no PUT
-// wrote for its key, though every page publish recycles is poisoned first.
+// while a writer makes copy-on-write commits on one shard, whose inserts
+// and deletes free pages every commit, never read a value no PUT wrote for
+// its key, though every page publish recycles is poisoned first. The writer
+// makes at least 1 200 commits, and goes on, paced, until every reader has
+// finished a pass: Scans queue for the commit lock behind it.
 func TestReadersNeverSeeRecycledPages(t *testing.T) {
 	const keys, rounds, readers = 256, 400, 3
 	recycled := poisonRecycled(t)
@@ -145,7 +153,17 @@ func TestReadersNeverSeeRecycledPages(t *testing.T) {
 		}
 	}
 	var stop atomic.Bool
-	var passes atomic.Int64
+	var passes [readers]atomic.Int64
+	// passed reports whether every reader has finished a pass, or one has
+	// failed and will make no more.
+	passed := func() bool {
+		for r := range passes {
+			if passes[r].Load() == 0 {
+				return false
+			}
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, readers)
 	for r := 0; r < readers; r++ {
@@ -155,13 +173,28 @@ func TestReadersNeverSeeRecycledPages(t *testing.T) {
 			for !stop.Load() {
 				if err := readEverything(s, r, keys); err != nil {
 					errs <- err
+					passes[r].Store(-1)
 					return
 				}
-				passes.Add(1)
+				passes[r].Add(1)
 			}
 		}()
 	}
-	err := churn(s, rounds, keys)
+	var err error
+	deadline := time.Now().Add(time.Minute)
+	r := uint64(1)
+	sh := s.shards[0]
+	for ; err == nil && (r <= rounds || !passed()) && time.Now().Before(deadline); r++ {
+		// A reader descheduled while pinned parks every page freed until it
+		// runs again, about 23 a round, so churning flat out can exhaust
+		// the pool under it: pause while the pool runs low, and past the
+		// fixed rounds, to leave the readers the CPU. (The pool is this
+		// goroutine's to read: it makes every commit.)
+		if r > rounds || sh.db.PoolRemaining() < 2048 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		err = churnRound(s, r, keys)
+	}
 	stop.Store(true)
 	wg.Wait()
 	close(errs)
@@ -171,10 +204,17 @@ func TestReadersNeverSeeRecycledPages(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if recycled.Load() == 0 || passes.Load() < readers {
-		t.Fatalf("%d pages recycled under %d read passes: the test exercised nothing", recycled.Load(), passes.Load())
+	var total int64
+	for i := range passes {
+		if passes[i].Load() == 0 {
+			t.Fatalf("reader %d finished no pass in %d rounds of churn", i, r-1)
+		}
+		total += passes[i].Load()
 	}
-	t.Logf("%d pages recycled under %d read passes", recycled.Load(), passes.Load())
+	if recycled.Load() == 0 {
+		t.Fatalf("no page recycled under %d read passes: the test exercised nothing", total)
+	}
+	t.Logf("%d pages recycled under %d read passes in %d rounds", recycled.Load(), total, r-1)
 }
 
 // TestMoreReadersThanSlots: three times as many concurrent readers as a
@@ -233,65 +273,27 @@ func TestMoreReadersThanSlots(t *testing.T) {
 	t.Logf("%d pages recycled", recycled.Load())
 }
 
-// TestSnapshotsExhaustHalfTheTable: Snapshots may hold half a shard's
-// reader table. The next one is refused with ErrTooManySnapshots while the
-// shard keeps serving reads and writes; with every slot busy a Get waits,
-// and it returns once a slot frees. Releasing a Snapshot makes room for
-// another.
-func TestSnapshotsExhaustHalfTheTable(t *testing.T) {
+// TestGetWaitsForAFreeSlot: with every slot of a shard's reader table
+// busy, a Get waits, and it returns once a slot frees.
+func TestGetWaitsForAFreeSlot(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Shards = 1
 	s := newStore(t, opts)
 	defer s.Close()
-	for k := uint64(0); k < 64; k++ {
-		if err := s.Put(k, tagged(k, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var snaps []*Snapshot
-	for len(snaps) < readerSlots/2 {
-		sn, err := s.Snapshot(0)
-		if err != nil {
-			t.Fatalf("Snapshot %d of %d: %v", len(snaps)+1, readerSlots/2, err)
-		}
-		snaps = append(snaps, sn)
-	}
-	if _, err := s.Snapshot(0); !errors.Is(err, ErrTooManySnapshots) {
-		t.Fatalf("Snapshot past half the table: %v, want ErrTooManySnapshots", err)
-	}
-	// The other half serves transient readers, more of them than it holds.
-	var wg sync.WaitGroup
-	errs := make(chan error, readerSlots)
-	for r := 0; r < readerSlots; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- readEverything(s, r, 64)
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Put(3, tagged(3, 1)); err != nil {
+	if err := s.Put(5, tagged(5, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := snaps[0].Get(3); !ok || v != tagged(3, 0) {
-		t.Fatalf("held Snapshot Get(3) = %#x, %v", v, ok)
-	}
-
-	// Fill the rest of the table by hand: a Get must wait for a slot.
 	sh := s.shards[0]
 	var busy []*readerSlot
-	for len(busy) < readerSlots-readerSlots/2 {
+	for len(busy) < readerSlots {
 		busy = append(busy, sh.claim(0, 1))
 	}
 	got := make(chan error, 1)
 	go func() {
-		_, _, err := s.Get(5)
+		v, ok, err := s.Get(5)
+		if err == nil && (!ok || v != tagged(5, 0)) {
+			err = fmt.Errorf("Get(5) = %#x, %v", v, ok)
+		}
 		got <- err
 	}()
 	select {
@@ -306,23 +308,12 @@ func TestSnapshotsExhaustHalfTheTable(t *testing.T) {
 	for _, rs := range busy[:len(busy)-1] {
 		rs.unpin()
 	}
-
-	snaps[0].Release()
-	sn, err := s.Snapshot(0)
-	if err != nil {
-		t.Fatalf("Snapshot after a Release: %v", err)
-	}
-	sn.Release()
-	for _, sn := range snaps[1:] {
-		sn.Release()
-	}
 }
 
-// TestCrashWithReadsInFlight: Crash, with Gets running on every shard and a
-// Snapshot held, returns — it waits for the reads in flight, not for the
-// Snapshot — and from then on every read returns ErrCrashed. Recover finds
-// every acked write. Under -race this also checks that no read overlaps the
-// heap's crash.
+// TestCrashWithReadsInFlight: Crash, with Gets running on every shard,
+// returns once the reads in flight are through, and from then on every
+// read returns ErrCrashed. Recover finds every acked write. Under -race
+// this also checks that no read overlaps the heap's crash.
 func TestCrashWithReadsInFlight(t *testing.T) {
 	const keys, readers = 256, 4
 	opts := DefaultOptions()
@@ -332,10 +323,6 @@ func TestCrashWithReadsInFlight(t *testing.T) {
 		if err := s.Put(k, tagged(k, 0)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	snap, err := s.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
 	}
 	var reads atomic.Int64
 	var wg sync.WaitGroup
@@ -373,7 +360,7 @@ func TestCrashWithReadsInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Crash did not return with Gets in flight and a Snapshot held")
+		t.Fatal("Crash did not return with Gets in flight")
 	}
 	wg.Wait()
 	close(ended)
@@ -392,10 +379,6 @@ func TestCrashWithReadsInFlight(t *testing.T) {
 	if _, err := s.Scan(0, 4); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Scan after the crash: %v", err)
 	}
-	if _, err := s.Snapshot(1); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Snapshot after the crash: %v", err)
-	}
-	snap.Release()
 
 	s2, _, err := Recover(s.Heap(), opts)
 	if err != nil {
@@ -409,18 +392,19 @@ func TestCrashWithReadsInFlight(t *testing.T) {
 	}
 }
 
-// TestCutsSeeNoInPlaceOverwrite: a writer overwrites one present key in
-// place as fast as it can while readers take cuts — Snapshots and
-// GetBatches that read the key twice. Each cut must read one value
-// throughout: a cut counted where openWindow cannot see it would let an
-// in-place store land between its two reads.
+// TestCutsSeeNoInPlaceOverwrite: a writer overwrites two present keys in
+// place as fast as it can, both in one batch, while readers take
+// consistent cuts of the shard — Scans and GetBatches over both keys. Each
+// must read one value for both: a Scan that walks while an in-place batch
+// stores, or a GetBatch whose loads straddle a window unrepaired, would
+// read one key's new value beside the other's old one.
 func TestCutsSeeNoInPlaceOverwrite(t *testing.T) {
-	const k, cuts = 7, 3000
+	const k1, k2, cuts = 7, 8, 3000
 	opts := DefaultOptions()
 	opts.Shards = 1
 	s := newStore(t, opts)
 	defer s.Close()
-	if err := s.Put(k, 0); err != nil {
+	if err := s.PutBatch([]Pair{{k1, 0}, {k2, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	sh := s.shards[0]
@@ -429,8 +413,16 @@ func TestCutsSeeNoInPlaceOverwrite(t *testing.T) {
 	var puts atomic.Uint64
 	writer := make(chan error, 1)
 	go func() {
+		var t1, t2 Ticket
 		for v := uint64(1); !stop.Load(); v++ {
-			if err := s.Put(k, v); err != nil {
+			// Both queued before the first Wait commits them: one batch.
+			s.Submit(&t1, OpPut, k1, v)
+			s.Submit(&t2, OpPut, k2, v)
+			err := t1.Wait().Err
+			if err == nil {
+				err = t2.Wait().Err
+			}
+			if err != nil {
 				stop.Store(true)
 				writer <- err
 				return
@@ -439,24 +431,23 @@ func TestCutsSeeNoInPlaceOverwrite(t *testing.T) {
 		}
 		writer <- nil
 	}()
-	keys, vals, found := []uint64{k, k}, make([]uint64, 2), make([]bool, 2)
+	keys, vals, found := []uint64{k1, k2}, make([]uint64, 2), make([]bool, 2)
 	for i := 0; i < cuts && !t.Failed(); i++ {
-		// Let a PUT through between cuts, so the writer commits in place
-		// too and not only while a cut holds it to copy-on-write.
+		// Let a batch through between cuts, so each cut meets a fresh one.
 		for n := puts.Load(); puts.Load() == n && !stop.Load(); {
 			runtime.Gosched()
 		}
 		if i%2 == 0 {
-			sn, err := s.Snapshot(0)
+			ps, err := s.Scan(k1, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v1, _ := sn.Get(k)
-			runtime.Gosched()
-			if v2, _ := sn.Get(k); v2 != v1 {
-				t.Errorf("a Snapshot read %d, then %d", v1, v2)
+			if len(ps) != 2 || ps[0].K != k1 || ps[1].K != k2 {
+				t.Fatalf("Scan(%d, 2) = %v", k1, ps)
 			}
-			sn.Release()
+			if ps[0].V != ps[1].V {
+				t.Errorf("one Scan read %d, then %d", ps[0].V, ps[1].V)
+			}
 		} else if err := s.GetBatch(keys, vals, found); err != nil {
 			t.Fatal(err)
 		} else if vals[0] != vals[1] {
@@ -472,7 +463,7 @@ func TestCutsSeeNoInPlaceOverwrite(t *testing.T) {
 	if n := (sh.window.Load()-w0)/2 - (sh.db.Generation() - gen0); n == 0 {
 		t.Fatal("no overwrite committed in place: the test exercised nothing")
 	} else {
-		t.Logf("%d overwrites committed in place", n)
+		t.Logf("%d overwrite batches committed in place", n)
 	}
 }
 
@@ -530,11 +521,13 @@ func TestPublishFlipsBeforeView(t *testing.T) {
 	}
 }
 
-// TestGetWaitsOutPublish: no Get completes inside a copy-on-write publish.
-// With the commit's publish parked after its live-map flip, before its view
-// store, a Get neither returns the old value (a Get before it may already
-// have read the new one through the flipped map) nor the new one; it
-// returns the new value once the publish is through. Two in-place
+// TestGetWaitsOutPublish: no Get or GetBatch completes inside a
+// copy-on-write publish. With the commit's publish parked after its
+// live-map flip, before its view store, a read neither returns the old
+// value (a read before it may already have read the new one through the
+// flipped map) nor the new one; it returns the new value once the publish
+// is through. A parked publish fails every lock-free pass, so both reads
+// end up waiting for the commit lock. Two in-place
 // overwrites go first, so both pre-image tables hold the key's word from
 // an earlier window: a read that trusted a table not made for the odd
 // window it meets would answer from one.
@@ -566,25 +559,34 @@ func TestGetWaitsOutPublish(t *testing.T) {
 	s.SubmitBatch(&tk, []Pair{{k, 2}, {k + 1000, 2}}) // an MPUT copies on write
 	committed := waitOn(&tk)                          // its waiter commits it and parks in publish
 	<-parked
-	got := make(chan uint64, 1)
+	type read struct {
+		how string
+		v   uint64
+		err error
+	}
+	got := make(chan read, 2)
 	go func() {
 		v, _, err := s.Get(k)
-		if err != nil {
-			t.Error(err)
-		}
-		got <- v
+		got <- read{"Get", v, err}
+	}()
+	go func() {
+		vals, found := make([]uint64, 2), make([]bool, 2)
+		err := s.GetBatch([]uint64{k + 1000, k}, vals, found)
+		got <- read{"GetBatch", vals[1], err}
 	}()
 	select {
-	case v := <-got:
+	case r := <-got:
 		close(release)
-		t.Fatalf("Get returned %d inside a publish", v)
+		t.Fatalf("%s returned %d, %v inside a publish", r.how, r.v, r.err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
 	if res := <-committed; res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if v := <-got; v != 2 {
-		t.Fatalf("Get after the publish = %d, want 2", v)
+	for range 2 {
+		if r := <-got; r.err != nil || r.v != 2 {
+			t.Fatalf("%s after the publish = %d, %v; want 2", r.how, r.v, r.err)
+		}
 	}
 }

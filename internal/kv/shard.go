@@ -278,7 +278,7 @@ type shard struct {
 	// than the generation it pins.
 	root, gen atomic.Uint64
 	// window is the read guard: odd from before an in-place commit's first
-	// store until its drain has made every stored word durable (openWindow,
+	// store until its drain has made every stored word durable (inPlace,
 	// applyBatch), and while publish flips the live map and stores a new
 	// view. A reader never returns a word the odd window may be changing
 	// (readPass), because a crash could still lose it or a later reader not
@@ -298,17 +298,10 @@ type shard struct {
 	// commitMu is the commit lock. Its holder is the shard's one mutator: it
 	// takes requests off q, runs their FASE and acks them. Whoever needs a
 	// queued request committed takes it — a Wait (serve), a Submit that finds
-	// q full, Close — so no goroutine is kept per shard.
+	// q full, Close — so no goroutine is kept per shard. A read that cannot
+	// finish lock-free takes it too (locked).
 	commitMu sync.Mutex
 	q        queue
-
-	// cuts counts pinned consistent cuts (acquireCut): no in-place commit
-	// opens while it is above 0. openWindow checks it after making window
-	// odd, as acquireCut waits for window to be even after raising it;
-	// inPlace also reads it first, as a hint. held counts the cuts that are
-	// Snapshots, which Snapshot keeps to half the reader table.
-	cuts atomic.Int32
-	held atomic.Int32
 
 	// Reused per-batch storage, so a steady stream of commits allocates
 	// nothing. Committer only. slots holds an in-place batch's value
@@ -367,20 +360,16 @@ func (t *preTable) preImage(n int32, slot uint64) (uint64, bool) {
 	return 0, false
 }
 
-// readerSlots is the size of each shard's reader table. Snapshots may hold
-// at most half of it, so a transient reader always finds a slot soon.
+// readerSlots is the size of each shard's reader table. Every pin is a read
+// in progress, so a reader always finds a slot soon.
 const readerSlots = 64
-
-// heldPin marks the pin of a Snapshot, which the crash does not wait for.
-const heldPin = 1 << 63
 
 // readerSlot is one line of a shard's reader table. A reader claims a free
 // slot and pins there the generation it reads; while it holds the slot it is
 // the slot's one writer, and on its own line, so a read stores to no line
 // another reader uses.
 type readerSlot struct {
-	// pin is 0 while the slot is free, else the pinned generation + 1, with
-	// heldPin set for a Snapshot's.
+	// pin is 0 while the slot is free, else the pinned generation + 1.
 	pin atomic.Uint64
 	// gets and descents count the Gets served through the slot and the
 	// slot-cache misses among them that walked the tree; Stats folds them
@@ -416,23 +405,23 @@ func (sh *shard) view() (root, gen uint64) {
 }
 
 // pin claims a free reader slot, trying from hint onward, and pins the
-// published view there: it stores the view's generation + 1 (with held
-// for a Snapshot), then loads the published generation again and, until the
-// two agree, pins the newer view. publish recycles a page freed by commit G
-// only after it has published G and found no pin below G, and a pin that
-// agrees with the published generation after it was stored was stored
-// before any such scan could miss it: so no page reachable from the
-// returned root is recycled until unpin. The slot is released by unpin.
+// published view there: it stores the view's generation + 1, then loads the
+// published generation again and, until the two agree, pins the newer view.
+// publish recycles a page freed by commit G only after it has published G
+// and found no pin below G, and a pin that agrees with the published
+// generation after it was stored was stored before any such scan could miss
+// it: so no page reachable from the returned root is recycled until unpin.
+// The slot is released by unpin.
 //
 // The pin comes before the state check, as the crash sets the state before
-// it waits out the transient pins: either the crash waits for this reader,
-// or the reader sees the crash and unpins with ErrCrashed.
-func (sh *shard) pin(hint uint32, held uint64) (rs *readerSlot, root, gen uint64, err error) {
+// it waits out the pins: either the crash waits for this reader, or the
+// reader sees the crash and unpins with ErrCrashed.
+func (sh *shard) pin(hint uint32) (rs *readerSlot, root, gen uint64, err error) {
 	root, gen = sh.view()
-	rs = sh.claim(hint, gen+1|held)
+	rs = sh.claim(hint, gen+1)
 	for g := sh.gen.Load(); g != gen; g = sh.gen.Load() {
 		root, gen = sh.view()
-		rs.pin.Store(gen + 1 | held)
+		rs.pin.Store(gen + 1)
 	}
 	if sh.st.state.Load() == stateCrashed {
 		rs.unpin()
@@ -442,8 +431,8 @@ func (sh *shard) pin(hint uint32, held uint64) (rs *readerSlot, root, gen uint64
 }
 
 // claim takes the first free slot from hint onward, storing word into it.
-// When every slot is busy it yields between passes: Snapshots hold at most
-// half the table, and every other pin is a read in progress.
+// When every slot is busy it yields between passes: every pin is a read in
+// progress.
 func (sh *shard) claim(hint uint32, word uint64) *readerSlot {
 	for i := hint; ; i++ {
 		rs := &sh.readers[i%readerSlots]
@@ -463,57 +452,46 @@ func (rs *readerSlot) unpin() { rs.pin.Store(0) }
 func (sh *shard) oldestPin() uint64 {
 	oldest := uint64(math.MaxUint64)
 	for i := range sh.readers {
-		if p := sh.readers[i].pin.Load() &^ heldPin; p != 0 {
+		if p := sh.readers[i].pin.Load(); p != 0 {
 			oldest = min(oldest, p-1)
 		}
 	}
 	return oldest
 }
 
-// waitReads waits until no slot holds a transient pin: the crash's wait
-// for the reads in flight, after it has set the state that stops new ones.
+// waitReads waits until no slot holds a pin: the crash's wait for the
+// reads in flight, after it has set the state that stops new ones.
 func (sh *shard) waitReads() {
 	for i := range sh.readers {
-		for p := sh.readers[i].pin.Load(); p != 0 && p&heldPin == 0; p = sh.readers[i].pin.Load() {
+		for sh.readers[i].pin.Load() != 0 {
 			runtime.Gosched()
 		}
 	}
 }
 
-// acquireCut pins the current committed view as a consistent cut — a
-// Snapshot (held = heldPin), one shard's share of a Scan, or a read whose
-// lock-free passes all failed (begin) — whose every read must see the same
-// tree. Counting the cut first stops any committer from opening another
-// in-place window (see openWindow), so the wait is for the one already
-// open, however long its committer is descheduled; while the cut is held
-// the shard commits copy-on-write only, so no leaf word the cut can reach
-// changes under it. It fails only when the store crashes while it waits
-// (an in-place window a crash abandons never closes) or has crashed.
-func (sh *shard) acquireCut(hint uint32, held uint64) (rs *readerSlot, root, gen uint64, err error) {
-	sh.cuts.Add(1)
-	for sh.window.Load()&1 != 0 {
-		if sh.st.crashing.Load() {
-			sh.cuts.Add(-1)
-			return nil, 0, 0, ErrCrashed
-		}
-		runtime.Gosched()
+// locked runs fn on the committed root under the shard's commit lock: the
+// read of a Scan, which must see one tree throughout, and of a Get or
+// GetBatch whose lock-free passes all failed. Under the lock no commit is
+// in flight and none can start, so no window is open, the live map holds
+// still and no page is recycled: fn needs no pin and no guard, and may use
+// the committer's counters. It fails only once the store is crashing: the
+// crash takes every commit lock before it drops the heap's volatile view,
+// and an in-place window it abandons never closes.
+func (sh *shard) locked(fn func(root uint64)) error {
+	sh.commitMu.Lock()
+	defer sh.commitMu.Unlock()
+	if sh.st.crashing.Load() {
+		return ErrCrashed
 	}
-	if rs, root, gen, err = sh.pin(hint, held); err != nil {
-		sh.cuts.Add(-1)
-	}
-	return rs, root, gen, err
+	fn(sh.root.Load())
+	return nil
 }
 
-// releaseCut unpins a cut taken by acquireCut.
-func (sh *shard) releaseCut(rs *readerSlot) {
-	rs.unpin()
-	sh.cuts.Add(-1)
-}
-
-// readPasses bounds the lock-free passes a read makes before it falls back
-// to a cut. A pass fails only when a copy-on-write commit publishes during
-// it, or more than one in-place window opens or closes during its guarded
-// loads, so the bound is met by a reader starved by a run of commits.
+// readPasses bounds the lock-free passes a read makes before it reads
+// locked instead. A pass fails only when a copy-on-write commit publishes
+// during it, or more than one in-place window opens or closes during its
+// guarded loads, so the bound is met by a reader starved by a run of
+// commits.
 const readPasses = 64
 
 // readPass is one attempt at reading a shard. It pins the published view
@@ -532,51 +510,30 @@ const readPasses = 64
 //     state before the batch.
 //
 // The words resolved stay the view's until a copy-on-write commit
-// publishes, which moves the generation. From the readPasses-th try on a
-// pass is a cut, which needs no guard.
+// publishes, which moves the generation.
 type readPass struct {
 	rs        *readerSlot
 	root, gen uint64
 	w         uint64    // window, as guard loaded it
 	tab       *preTable // the open window's table, or the one to fix up from
 	n         int32     // entries of tab in force
-	cut       bool
-	guarded   bool // guard found no copy-on-write publish in progress
-	fix       bool // the loads stand once fixed up from tab
+	guarded   bool      // guard found no copy-on-write publish in progress
+	fix       bool      // the loads stand once fixed up from tab
 }
 
-// begin pins the tries-th pass of a read (see pin), or from the
-// readPasses-th try on a cut (acquireCut), which waits out the window then
-// open and holds later commits to copy-on-write. Like acquireCut it fails
-// only on a crash. hint is where pin starts looking for a free slot.
-func (sh *shard) begin(hint uint32, tries int) (p readPass, err error) {
-	if p.cut = tries >= readPasses; p.cut {
-		p.rs, p.root, p.gen, err = sh.acquireCut(hint, 0)
-	} else {
-		p.rs, p.root, p.gen, err = sh.pin(hint, 0)
-	}
+// begin pins a pass of a read (see pin), which fails only on a crash. hint
+// is where pin starts looking for a free slot.
+func (sh *shard) begin(hint uint32) (p readPass, err error) {
+	p.rs, p.root, p.gen, err = sh.pin(hint)
 	return p, err
-}
-
-// slot returns the address of k's value word in pass p's tree, or 0 when k
-// is absent. A lock-free pass asks the slot cache, which descends from the
-// pinned root only on a miss; a cut descends, as the live map may flip
-// under it (a copy-on-write publish does not wait for cuts).
-func (sh *shard) slot(p *readPass, k uint64) uint64 {
-	if p.cut {
-		bump(&p.rs.descents)
-		slot, _, _ := sh.db.Locate(p.root, k)
-		return slot
-	}
-	return sh.lookup(p.root, k, &p.rs.descents)
 }
 
 // guard loads window ahead of the pass's loads and reports whether they
 // may go on: not while a copy-on-write publish holds window odd, which no
-// table names. A cut needs no guard.
+// table names.
 func (sh *shard) guard(p *readPass) bool {
 	p.guarded = true
-	if p.w = sh.window.Load(); !p.cut && p.w&1 != 0 {
+	if p.w = sh.window.Load(); p.w&1 != 0 {
 		if t := sh.table(p.w); t.win.Load() == p.w {
 			p.tab, p.n = t, t.n.Load()
 		} else {
@@ -605,9 +562,6 @@ func (sh *shard) load(p *readPass, slot uint64) uint64 {
 // stand only once fixed up (fixup, fixed), it sets p.fix and points p.tab
 // at the table to fix them up from.
 func (sh *shard) holds(p *readPass) bool {
-	if p.cut {
-		return true
-	}
 	if !p.guarded || sh.gen.Load() != p.gen {
 		return false
 	}
@@ -653,10 +607,6 @@ func (sh *shard) end(p *readPass, n uint64, ok bool) bool {
 	if ok {
 		p.rs.gets.Store(p.rs.gets.Load() + n)
 	}
-	if p.cut {
-		sh.releaseCut(p.rs)
-		return true
-	}
 	p.rs.unpin()
 	if !p.guarded {
 		runtime.Gosched()
@@ -665,12 +615,12 @@ func (sh *shard) end(p *readPass, n uint64, ok bool) bool {
 }
 
 // read looks k up in the published tree: lock-free passes until one
-// stands, a cut after readPasses of them. The first pass is spelled out
-// for its common case, an even window that does not move, which is most
-// of what a read-mostly shard serves; any other outcome goes round the
+// stands, a locked read after readPasses of them. The first pass is spelled
+// out for its common case, an even window that does not move, which is
+// most of what a read-mostly shard serves; any other outcome goes round the
 // general loop.
 func (sh *shard) read(k uint64, hint uint32) (uint64, bool, error) {
-	rs, root, gen, err := sh.pin(hint, 0)
+	rs, root, gen, err := sh.pin(hint)
 	if err != nil {
 		return 0, false, err
 	}
@@ -687,12 +637,12 @@ func (sh *shard) read(k uint64, hint uint32) (uint64, bool, error) {
 		}
 	}
 	rs.unpin()
-	for tries := 1; ; tries++ {
-		p, err := sh.begin(hint, tries)
+	for tries := 1; tries < readPasses; tries++ {
+		p, err := sh.begin(hint)
 		if err != nil {
 			return 0, false, err
 		}
-		slot := sh.slot(&p, k)
+		slot := sh.lookup(p.root, k, &p.rs.descents)
 		var v uint64
 		if sh.guard(&p) {
 			v = sh.load(&p, slot)
@@ -706,18 +656,21 @@ func (sh *shard) read(k uint64, hint uint32) (uint64, bool, error) {
 			return v, slot != 0, nil
 		}
 	}
+	var v uint64
+	var found bool
+	err = sh.locked(func(root uint64) {
+		v, found = sh.get(root, k, &sh.descents)
+		sh.gets.Add(1)
+	})
+	return v, found, err
 }
 
 // inPlace reports whether a batch can commit in place, resolving every
-// mutation's value word into sh.slots on the way: no consistent cut is
-// pinned, and every mutation is a single-key put or counter op of a key
-// already present. The tests that need no tree descent come first. On true
-// the batch's pre-images are published and the in-place window is open
-// (see openWindow).
+// mutation's value word into sh.slots on the way: every mutation is a
+// single-key put or counter op of a key already present. The test that
+// needs no tree descent comes first. On true the batch's pre-images are
+// published and the in-place window is open.
 func (sh *shard) inPlace(batch []request) bool {
-	if sh.cuts.Load() > 0 {
-		return false
-	}
 	for i := range batch {
 		switch batch[i].op {
 		case OpGet, OpPut, OpIncr, OpDecr:
@@ -739,7 +692,8 @@ func (sh *shard) inPlace(batch []request) bool {
 	}
 	sh.slots = slots
 	sh.publishPreImages()
-	return sh.openWindow()
+	sh.window.Add(1)
+	return true
 }
 
 // publishPreImages fills the pre-image table of the window about to open
@@ -763,21 +717,6 @@ func (sh *shard) publishPreImages() {
 	t.win.Store(w)
 }
 
-// openWindow makes the in-place window odd unless a consistent cut is
-// pinned. It makes window odd before it reads cuts, and acquireCut raises
-// cuts before it reads window; with sequentially consistent atomics at
-// least one of the two sees the other, so a cut and a window never
-// overlap. A window that finds a cut is made even again, and the batch
-// copies on write.
-func (sh *shard) openWindow() bool {
-	sh.window.Add(1)
-	if sh.cuts.Load() > 0 {
-		sh.window.Add(1)
-		return false
-	}
-	return true
-}
-
 // onFreed is the mdb free hook: it runs on the committer during
 // Commit, parking a copy of the superseded pages until readers drain.
 func (sh *shard) onFreed(gen uint64, pages []uint64) {
@@ -795,10 +734,10 @@ func (sh *shard) onFreed(gen uint64, pages []uint64) {
 // flips the slot cache's live map to the new tree and then stores the new
 // view, so no pin sees the new generation before its pages are live; an
 // in-place commit changed no page, no root and no generation. The flip and
-// the store happen inside an odd window no pre-image table names, so a read that
-// overlaps them tries again (begin) and a cut waits them out: no read
-// returns a value the flip made visible while a later read could still pin
-// the old view and descend to the old one. The reader
+// the store happen inside an odd window no pre-image table names, so a read
+// that overlaps them tries again (begin): no read returns a value the flip
+// made visible while a later read could still pin the old view and descend
+// to the old one. The reader
 // table is scanned only while pages are parked, after the view is stored
 // (see pin).
 func (sh *shard) publish(cow bool) {
