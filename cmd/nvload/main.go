@@ -156,7 +156,7 @@ func printReport(r *loadgen.Report) {
 	if d := r.ServerDelta; len(d) > 0 {
 		fmt.Printf("server: ops=%.0f puts=%.0f gets=%.0f dels=%.0f scans=%.0f flush_ratio=%.3f stripe_contended=%.0f\n",
 			d["total.ops"], d["total.puts"], d["total.gets"], d["total.dels"], d["total.scans"],
-			runFlushRatio(d), d["stripes.contended"])
+			d["total.flush_ratio"], d["stripes.contended"])
 		if ctr := d["total.incrs"] + d["total.decrs"]; ctr > 0 {
 			fmt.Printf("counters: incrs=%.0f decrs=%.0f\n", d["total.incrs"], d["total.decrs"])
 		}
@@ -164,17 +164,6 @@ func printReport(r *loadgen.Report) {
 	if r.SLO != nil {
 		fmt.Println(r.SLO.String())
 	}
-}
-
-// runFlushRatio is the run's own line flushes per committed op, from a
-// server-side delta (nvclient.Stats.Diff): Δflushes / Δops, 0 for a run
-// that committed nothing. The delta of the flush_ratio gauge is not it: a
-// difference of two cumulative ratios is no ratio of the run.
-func runFlushRatio(d map[string]float64) float64 {
-	if d["total.ops"] == 0 {
-		return 0
-	}
-	return d["total.flushes"] / d["total.ops"]
 }
 
 func fatal(err error) {

@@ -37,8 +37,8 @@ type slotCache struct {
 	live []uint64
 }
 
-// hashMul is the 64-bit golden-ratio multiplier: the top bits of k·hashMul
-// pick k's set, its low word holds the tag.
+// hashMul is the 64-bit golden-ratio multiplier of the cache's hash (see
+// set).
 const hashMul = 0x9E3779B97F4A7C15
 
 // slotCaches hands a crashed store's caches to the recovery that follows:
@@ -95,6 +95,16 @@ func (c *slotCache) mark(page uint32, on bool) {
 	}
 }
 
+// set returns the index in ways of k's set and k's tag: the top bits of
+// (k ^ k>>32)·hashMul pick the set, its low word holds the tag. Folding the
+// key's high half in first keeps keys that are themselves multiples of
+// hashMul (nvload's zipf keys are rank·hashMul) from piling into a few
+// sets, and leaves every key below 2³² in the set and tag of k·hashMul.
+func (c *slotCache) set(k uint64) (at uint64, tag uint32) {
+	h := (k ^ k>>32) * hashMul
+	return (h >> c.shift) * 2, uint32(h) & c.tagMask
+}
+
 // lookup returns the address of k's value word in the published tree, or 0
 // when k is absent. A way answers when it names a live leaf that still
 // holds k; otherwise lookup descends from root and installs what it finds.
@@ -104,10 +114,8 @@ func (c *slotCache) mark(page uint32, on bool) {
 // committer's own.
 func (sh *shard) lookup(root, k uint64, descents *atomic.Uint64) uint64 {
 	c := sh.cache
-	h := k * hashMul
-	at := (h >> c.shift) * 2
+	at, tag := c.set(k)
 	set := c.ways[at : at+2 : at+2]
-	tag := uint32(h) & c.tagMask
 	e0 := atomic.LoadUint32(&set[0])
 	if e0&c.tagMask == tag {
 		if slot := sh.validate(e0, k); slot != 0 {

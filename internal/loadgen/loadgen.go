@@ -125,9 +125,10 @@ type Report struct {
 	// under a stall it exceeds the scheduled Duration (the backlog drains
 	// late rather than being forgotten).
 	Elapsed time.Duration
-	// StatsBefore/StatsAfter bracket the run; ServerDelta is
-	// after−before for the server's total and stripe counters
-	// (nvclient.Stats.Diff), the server-side cost of exactly this run.
+	// StatsBefore/StatsAfter bracket the run; ServerDelta is what the
+	// server's total and stripes lines say of exactly this run
+	// (nvclient.Stats.Diff): counter differences, and ratios recomputed
+	// from them.
 	StatsBefore, StatsAfter *nvclient.Stats
 	ServerDelta             map[string]float64
 	// SLO is the verdict on Config.SLO (nil when none was declared).

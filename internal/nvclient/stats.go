@@ -82,29 +82,73 @@ func parsePairs(tokens []string) (map[string]float64, error) {
 	return m, nil
 }
 
-// Diff returns cur−prev for every key of the total and stripes lines,
-// prefixed "total." and "stripes.". The subtraction is meaningful for the
-// monotone counters (ops, puts, gets, flushes, aborts, acquired,
-// contended, …); gauge keys (ratios and averages) are included for
-// completeness but should be read from the final snapshot, or recomputed
-// from the counter deltas, instead.
+// Every STATS key is typed. A counter only grows, so a run's share of it
+// is the difference of two snapshots. A gauge is a level or a ratio, and
+// the difference of two gauges measures nothing.
+type statKind int
+
+const (
+	untyped statKind = iota
+	counter
+	gauge
+)
+
+// kindOf types every key of the shard, total and stripes lines.
+func kindOf(key string) statKind {
+	switch key {
+	case "aborts", "batches", "cow_batches", "decrs", "dels", "descents",
+		"flush_async", "flush_barriers", "flush_drained", "flushes", "gets",
+		"incrs", "ops", "puts", "scans", "acquired", "contended":
+		return counter
+	case "avg_batch", "flush_ratio", "contention", "stripes", "hot_stripe",
+		"hot_acquired":
+		return gauge
+	}
+	return untyped
+}
+
+// ratioOf names a ratio gauge's numerator and denominator counters, both on
+// the gauge's own line.
+func ratioOf(key string) (num, den string, ok bool) {
+	switch key {
+	case "avg_batch":
+		return "ops", "batches", true // ops per committed batch
+	case "flush_ratio":
+		return "flushes", "ops", true // line flushes per committed op
+	case "contention":
+		return "contended", "acquired", true // contended stripe acquisitions
+	}
+	return "", "", false
+}
+
+// Diff returns what happened between prev and s, for every key of the total
+// and stripes lines, prefixed "total." and "stripes.": a counter's
+// difference, a ratio gauge recomputed from its counters' differences (0
+// when the denominator did not move), and any other gauge's value in s. A
+// nil prev diffs against zero counters. A key kindOf does not type diffs
+// as a counter.
 func (s *Stats) Diff(prev *Stats) map[string]float64 {
 	out := make(map[string]float64, len(s.Total)+len(s.Stripes))
-	sub := func(prefix string, cur, old map[string]float64) {
+	diff := func(prefix string, cur, old map[string]float64) {
 		for k, v := range cur {
-			p := 0.0
-			if old != nil {
-				p = old[k]
+			if num, den, ok := ratioOf(k); ok {
+				out[prefix+k] = 0
+				if d := cur[den] - old[den]; d != 0 {
+					out[prefix+k] = (cur[num] - old[num]) / d
+				}
+			} else if kindOf(k) == gauge {
+				out[prefix+k] = v
+			} else {
+				out[prefix+k] = v - old[k]
 			}
-			out[prefix+k] = v - p
 		}
 	}
 	var pt, ps map[string]float64
 	if prev != nil {
 		pt, ps = prev.Total, prev.Stripes
 	}
-	sub("total.", s.Total, pt)
-	sub("stripes.", s.Stripes, ps)
+	diff("total.", s.Total, pt)
+	diff("stripes.", s.Stripes, ps)
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nvmcache/internal/kv"
+	"nvmcache/internal/server"
 )
 
 // statsLines renders a STATS reply body the way the server does: shard
@@ -86,26 +87,86 @@ func TestStatsKeysSortedStable(t *testing.T) {
 	}
 }
 
+// TestStatsDiff: counters diff, ratio gauges are recomputed from their
+// counters' differences (the run's own ratio, where the difference of two
+// cumulative ratios is none), and the other gauges read the later
+// snapshot.
 func TestStatsDiff(t *testing.T) {
-	mk := func(puts, gets uint64, contended float64) *Stats {
+	mk := func(ops, batches uint64, flushes int64, stripes string) *Stats {
 		st, err := ParseStats(statsLines(
-			[]kv.ShardStats{{Shard: 0, Puts: puts, Gets: gets}},
-			"stripes=64 acquired=0 contended="+trimFloat(contended)))
+			[]kv.ShardStats{{Shard: 0, Puts: ops, BatchedOps: ops, Batches: batches, DrainedFlushes: flushes}},
+			stripes))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
-	before := mk(10, 100, 5)
-	after := mk(25, 160, 9)
+	// A preload of 10 ops in 10 batches at 10 lines each, then a run of 100
+	// ops in 4 batches at 1 line each.
+	before := mk(10, 10, 100, "stripes=64 acquired=10 contended=0 contention=0.0000 hot_stripe=3 hot_acquired=5")
+	after := mk(110, 14, 200, "stripes=64 acquired=30 contended=5 contention=0.1667 hot_stripe=7 hot_acquired=9")
 	d := after.Diff(before)
-	if d["total.puts"] != 15 || d["total.gets"] != 60 || d["stripes.contended"] != 4 {
-		t.Fatalf("diff = %v", d)
+	want := map[string]float64{
+		"total.puts": 100, "total.ops": 100, "total.flushes": 100,
+		"total.avg_batch": 25, "total.flush_ratio": 1,
+		"stripes.acquired": 20, "stripes.contended": 5, "stripes.contention": 0.25,
+		"stripes.stripes": 64, "stripes.hot_stripe": 7, "stripes.hot_acquired": 9,
 	}
-	// A nil prev diffs against zero.
-	d0 := before.Diff(nil)
-	if d0["total.puts"] != 10 {
-		t.Fatalf("diff vs nil = %v", d0)
+	for k, v := range want {
+		if d[k] != v {
+			t.Errorf("Diff[%s] = %v, want %v", k, d[k], v)
+		}
+	}
+	// A nil prev diffs against zero; a run that committed nothing reads 0
+	// for the ratios over its ops.
+	if d0 := before.Diff(nil); d0["total.puts"] != 10 || d0["total.flush_ratio"] != 10 {
+		t.Errorf("diff vs nil = %v", d0)
+	}
+	if dd := after.Diff(after); dd["total.flush_ratio"] != 0 || dd["total.avg_batch"] != 0 || dd["stripes.contention"] != 0 {
+		t.Errorf("diff of a snapshot with itself = %v", dd)
+	}
+}
+
+// TestStatsKeysTyped: every key of a live STATS reply — shard, total and
+// stripes lines — is typed as a counter or a gauge, and every ratio gauge
+// is recomputed from two counters of its own line.
+func TestStatsKeysTyped(t *testing.T) {
+	srv, err := server.SelfHost(kv.Options{Shards: 2}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for k := uint64(0); k < 8; k++ {
+		if err := cl.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := append([]map[string]float64{st.Total, st.Stripes}, st.Shards...)
+	for _, line := range lines {
+		for k := range line {
+			if kindOf(k) == untyped {
+				t.Errorf("STATS key %q is neither a counter nor a gauge", k)
+			}
+			if num, den, ok := ratioOf(k); ok {
+				for _, part := range []string{num, den} {
+					if _, on := line[part]; !on || kindOf(part) != counter {
+						t.Errorf("ratio %q is built from %q, not a counter of its line", k, part)
+					}
+				}
+			}
+		}
+	}
+	if len(st.Stripes) == 0 || len(st.Shards) != 2 {
+		t.Fatalf("STATS reply has %d shard lines and stripes %v", len(st.Shards), st.Stripes)
 	}
 }
 

@@ -4,8 +4,9 @@
 // volatile view (the CPU-cache-resident state the program reads and
 // writes) and a persisted view (what NVRAM would hold after a power
 // failure). A cache-line flush copies one line from the volatile view to
-// the persisted view; Crash discards the volatile view. That makes crash
-// consistency directly testable, which tmpfs alone cannot do.
+// the persisted view; Crash loses every line not yet flushed, restoring it
+// from the persisted view. That makes crash consistency directly testable,
+// which tmpfs alone cannot do.
 //
 // Addresses are offsets into the heap. Offset 0 holds a 64-byte header
 // (root pointer, allocator cursor, runtime-metadata pointer), so valid
@@ -39,7 +40,11 @@
 // Whole-heap operations — Crash, PersistAll, DirtyLines, DirtyCount,
 // CheckConsistency — require the data plane to be externally quiesced (no
 // goroutine mid-store), with a happens-before edge from each owner's last
-// access (a join, a channel, a Close).
+// access (a join, a channel, a Close). All but CheckConsistency touch only
+// the flagged lines: they scan the flag array eight flags to a word, so
+// beyond one load per eight lines their cost follows the dirty lines, not
+// the heap's size, and they fault in no page of either view that the
+// program never stored to.
 //
 // SerialHeap (serial.go) is the original coarse-mutex implementation, kept
 // as a strictly-serialized oracle for differential tests.
@@ -106,8 +111,9 @@ type Heap struct {
 	mem       []byte // volatile view: program reads and writes land here
 	persisted []byte // durable view: updated only by line flushes
 	// dirty holds one flag per line: 1 while the line was stored to since its
-	// last flush. dirty[l] is read and written only by line l's
-	// owner, with plain accesses (whole-heap operations read it quiesced).
+	// last flush, else 0 (eachDirty relies on no other value). dirty[l] is
+	// read and written only by line l's owner, with plain accesses
+	// (whole-heap operations read it quiesced).
 	dirty   []uint8
 	hdr     sync.Mutex
 	stripes [NumStripes]stripe
@@ -426,17 +432,33 @@ func (h *Heap) unlockAll() {
 	h.hdr.Unlock()
 }
 
+// eachDirty calls f with every flagged line in address order. It loads the
+// flag array a word (eight flags) at a time, so a clean stretch of the heap
+// costs one load per eight lines; a flag is 0 or 1, so each set bit of the
+// word is one flagged line. f may clear the flag it is handed. Quiesced
+// callers only.
+func (h *Heap) eachDirty(f func(line int)) {
+	d := h.dirty
+	n := len(d) &^ 7
+	for i := 0; i < n; i += 8 {
+		for w := binary.LittleEndian.Uint64(d[i : i+8 : i+8]); w != 0; w &= w - 1 {
+			f(i + bits.TrailingZeros64(w)>>3)
+		}
+	}
+	for i := n; i < len(d); i++ {
+		if d[i] != 0 {
+			f(i)
+		}
+	}
+}
+
 // DirtyLines returns the lines written since their last flush, in
-// unspecified order.
+// ascending order.
 func (h *Heap) DirtyLines() []trace.LineAddr {
 	h.lockAll()
 	defer h.unlockAll()
 	var out []trace.LineAddr
-	for l, d := range h.dirty {
-		if d != 0 {
-			out = append(out, trace.LineAddr(l))
-		}
-	}
+	h.eachDirty(func(l int) { out = append(out, trace.LineAddr(l)) })
 	return out
 }
 
@@ -445,9 +467,7 @@ func (h *Heap) DirtyCount() int {
 	h.lockAll()
 	defer h.unlockAll()
 	n := 0
-	for _, d := range h.dirty {
-		n += int(d)
-	}
+	h.eachDirty(func(int) { n++ })
 	return n
 }
 
@@ -455,14 +475,20 @@ func (h *Heap) DirtyCount() int {
 // or quiesced, like every flag access).
 func (h *Heap) isDirty(line trace.LineAddr) bool { return h.dirty[line] != 0 }
 
-// Crash simulates a power failure: the volatile view is replaced by the
-// durable view, losing every write that was never flushed. Mutators must
-// be quiesced.
+// Crash simulates a power failure: every flagged line loses what was stored
+// to it since its last flush, its volatile bytes restored from the durable
+// view, and its flag is cleared. Only flagged lines can differ between the
+// views (a store flags its line; header writes and Write64Through go to
+// both views), so the result is the whole durable view, at a cost in
+// proportion to the dirty lines. Mutators must be quiesced.
 func (h *Heap) Crash() {
 	h.lockAll()
 	defer h.unlockAll()
-	copy(h.mem, h.persisted)
-	clear(h.dirty)
+	h.eachDirty(func(l int) {
+		start := l << trace.LineShift
+		copy(h.mem[start:start+trace.LineSize], h.persisted[start:start+trace.LineSize])
+		h.dirty[l] = 0
+	})
 	h.crashes.Add(1)
 }
 
@@ -474,13 +500,11 @@ func (h *Heap) Crashes() int { return int(h.crashes.Load()) }
 func (h *Heap) PersistAll() {
 	h.lockAll()
 	defer h.unlockAll()
-	for l, d := range h.dirty {
-		if d != 0 {
-			start := trace.LineAddr(l).ByteAddr()
-			copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
-		}
-	}
-	clear(h.dirty)
+	h.eachDirty(func(l int) {
+		start := l << trace.LineShift
+		copy(h.persisted[start:start+trace.LineSize], h.mem[start:start+trace.LineSize])
+		h.dirty[l] = 0
+	})
 }
 
 // CheckConsistency verifies the cross-view invariant on a quiesced heap:

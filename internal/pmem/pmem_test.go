@@ -2,10 +2,11 @@ package pmem
 
 import (
 	"bytes"
-	"nvmcache/internal/testutil"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"nvmcache/internal/testutil"
 	"nvmcache/internal/trace"
 )
 
@@ -205,37 +206,46 @@ func TestSinkAdapter(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of writes, flushes and crashes, the volatile
-// view of a line equals the durable view if the line is not dirty; and a
-// crash always makes every line clean and equal across views.
+// Property: after any sequence of stores, byte writes, write-throughs,
+// flushes and crashes, the volatile view of a line equals the durable view
+// if the line is not dirty; and a crash leaves no line flagged, the heap
+// consistent, and both views byte-equal to the durable view before it (what
+// copying the whole durable view would give). The heap's 35 lines leave a
+// partial word of flags, so the flag scan's tail is crashed too.
 func TestQuickCrashSemantics(t *testing.T) {
+	const lines = 34
 	f := func(seed int64) bool {
 		rng := testutil.Rand(t, seed)
-		h := New(2048)
-		base, _ := h.AllocLines(1024) // 16 lines
+		h := New((lines + 1) * trace.LineSize)
+		base, _ := h.AllocLines(lines * trace.LineSize)
 		for op := 0; op < 200; op++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(7) {
 			case 0, 1, 2:
-				off := uint64(rng.Intn(127)) * 8
+				off := uint64(rng.Intn(lines*8)) * 8
 				h.WriteUint64(base+off, rng.Uint64())
 			case 3:
-				l := trace.LineOf(base + uint64(rng.Intn(16))*trace.LineSize)
-				h.FlushLine(l)
+				b := make([]byte, 1+rng.Intn(3*trace.LineSize))
+				rng.Read(b)
+				h.WriteBytes(base+uint64(rng.Intn(lines*trace.LineSize-len(b)+1)), b)
 			case 4:
+				off := uint64(rng.Intn(lines*8)) * 8
+				h.Write64Through(base+off, rng.Uint64())
+			case 5:
+				l := trace.LineOf(base + uint64(rng.Intn(lines))*trace.LineSize)
+				h.FlushLine(l)
+			case 6:
+				durable := bytes.Clone(h.persisted)
 				h.Crash()
-				if h.DirtyCount() != 0 {
+				if h.DirtyCount() != 0 || h.CheckConsistency() != nil {
 					return false
 				}
-				for i := 0; i < 16; i++ {
-					addr := base + uint64(i)*trace.LineSize
-					if h.ReadUint64(addr) != h.PersistedUint64(addr) {
-						return false
-					}
+				if !bytes.Equal(h.mem, durable) || !bytes.Equal(h.persisted, durable) {
+					return false
 				}
 			}
 		}
 		// Clean lines always agree across views.
-		for i := 0; i < 16; i++ {
+		for i := 0; i < lines; i++ {
 			addr := base + uint64(i)*trace.LineSize
 			if !h.isDirty(trace.LineOf(addr)) {
 				if h.ReadUint64(addr) != h.PersistedUint64(addr) {
@@ -247,6 +257,49 @@ func TestQuickCrashSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// crashHeap returns a heap of size bytes whose every line was stored to and
+// flushed, and dirty stores to 16 lines spread over it: a power failure
+// then has 16 lines to restore in a heap whose pages are all resident.
+func crashHeap(size int) (h *Heap, dirty func()) {
+	h = New(size)
+	for a := uint64(HeaderSize); a < h.Size(); a += trace.LineSize {
+		h.WriteUint64(a, a)
+	}
+	h.PersistAll()
+	stride := (h.Size() / 16) &^ (trace.LineSize - 1)
+	return h, func() {
+		for i := uint64(0); i < 16; i++ {
+			h.WriteUint64(HeaderSize+i*stride, i)
+		}
+	}
+}
+
+// TestCrashAllocs: a power failure allocates nothing.
+func TestCrashAllocs(t *testing.T) {
+	h, dirty := crashHeap(1 << 16)
+	if n := testing.AllocsPerRun(100, func() { dirty(); h.Crash() }); n != 0 {
+		t.Fatalf("Crash allocated %v times, want 0", n)
+	}
+}
+
+// BenchmarkCrash prices one power failure with 16 dirty lines (the stores
+// that dirty them included) at two heap sizes: 5 MiB, about
+// kv.RecommendedHeapBytes at the default options, and 10 MiB, about twice
+// that, the repository benchmark's crash_cycle heap.
+func BenchmarkCrash(b *testing.B) {
+	for _, mib := range []int{5, 10} {
+		b.Run(fmt.Sprintf("heap=%dMiB", mib), func(b *testing.B) {
+			h, dirty := crashHeap(mib << 20)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				dirty()
+				h.Crash()
+			}
+		})
 	}
 }
 

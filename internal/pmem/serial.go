@@ -260,7 +260,9 @@ func (h *SerialHeap) DirtyCount() int {
 	return len(h.dirty)
 }
 
-// Crash simulates a power failure.
+// Crash simulates a power failure by copying the whole durable view over
+// the volatile one. Heap.Crash restores only its flagged lines; this full
+// copy is the oracle the differential test holds that against.
 func (h *SerialHeap) Crash() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
